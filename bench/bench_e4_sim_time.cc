@@ -275,7 +275,7 @@ main(int argc, char **argv)
     // background thread, over a Unix socket — the same transport a
     // separate process would use), against the in-process baseline.
     // The quotient of interest is the per-quantum RPC cost: one
-    // InjectBatch + Advance/DeliveryBatch round-trip per quantum.
+    // Step/StepReply round-trip per busy quantum.
     printHeader("E4c: in-process vs remote (rasim-nocd) backend, "
                 "8x8 mesh, quantum 256");
     const std::uint64_t remote_ops = quick ? 120 : 600;
@@ -320,17 +320,15 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(remote.finish),
                 static_cast<unsigned long long>(remote.delivered));
 
-    // E4d: amortized per-quantum RPC overhead of the pipelined v2
-    // transport (coalesced Step frames + idle elision + server
-    // speculation) against the v1 blocking exchange, both measured as
-    // wall-clock over a direct in-process drive of the same network.
-    // The workload is phase-shaped the way a real co-simulation is —
-    // bursts, drains, idle stretches — because that is where the
-    // pipelined transport earns its keep: one frame per busy quantum
-    // instead of two, zero frames while idle. Each lane repeats three
-    // times and keeps the fastest run (noise floor on a shared host).
-    printHeader("E4d: blocking (v1) vs pipelined (v2) quantum RPC, "
-                "direct drive, 8x8 mesh");
+    // E4d: amortized per-quantum RPC overhead of the pipelined
+    // transport (one Step frame per busy quantum, none while idle),
+    // measured as wall-clock over a direct in-process drive of the
+    // same network. The workload is phase-shaped the way a real
+    // co-simulation is — bursts, drains, idle stretches — so idle
+    // elision gets its real share. Each lane repeats three times and
+    // keeps the fastest run (noise floor on a shared host).
+    printHeader("E4d: direct vs pipelined quantum RPC, direct drive, "
+                "8x8 mesh");
     const int e4d_quanta = quick ? 300 : 1200;
     constexpr Tick e4d_quantum = 64;
     constexpr int e4d_reps = 3;
@@ -341,7 +339,6 @@ main(int argc, char **argv)
         std::uint64_t delivered = 0;
         std::uint64_t rpcs = 0;
         std::uint64_t elided = 0;
-        std::uint64_t spec_hits = 0;
     };
 
     // Bursty traffic: every 8th quantum injects a burst, which then
@@ -384,7 +381,7 @@ main(int argc, char **argv)
         }
         return lane;
     };
-    auto runRemoteLane = [&](bool pipeline, bool speculate) {
+    auto runRemoteLane = [&] {
         E4dLane lane;
         lane.wall_s = 1e18;
         for (int rep = 0; rep < e4d_reps; ++rep) {
@@ -394,8 +391,6 @@ main(int argc, char **argv)
             p.rows = 8;
             noc::remote::RemoteOptions ro;
             ro.socket = socket;
-            ro.pipeline = pipeline;
-            ro.speculate = speculate;
             noc::remote::RemoteNetwork net(sim, "rnet", p, ro);
             std::uint64_t delivered = 0;
             double s = benchutil::timeIt([&] { delivered = drive(net); });
@@ -405,8 +400,6 @@ main(int argc, char **argv)
                     net.rpcRoundTrips.value());
                 lane.elided = static_cast<std::uint64_t>(
                     net.elidedQuanta.value());
-                lane.spec_hits =
-                    static_cast<std::uint64_t>(net.specHits.value());
             }
             lane.delivered = delivered;
         }
@@ -414,46 +407,32 @@ main(int argc, char **argv)
     };
 
     E4dLane direct_lane = runDirectLane();
-    E4dLane blocking = runRemoteLane(false, false);
-    E4dLane pipelined = runRemoteLane(true, true);
+    E4dLane pipelined = runRemoteLane();
     server.stop();
     server_thread.join();
 
-    if (blocking.delivered != direct_lane.delivered ||
-        pipelined.delivered != direct_lane.delivered) {
+    if (pipelined.delivered != direct_lane.delivered) {
         std::fprintf(stderr,
-                     "E4d divergence: delivered direct %llu, blocking "
-                     "%llu, pipelined %llu\n",
+                     "E4d divergence: delivered direct %llu, pipelined "
+                     "%llu\n",
                      static_cast<unsigned long long>(
                          direct_lane.delivered),
-                     static_cast<unsigned long long>(blocking.delivered),
                      static_cast<unsigned long long>(
                          pipelined.delivered));
         return 1;
     }
 
-    auto overheadUs = [&](const E4dLane &lane) {
-        return (lane.wall_s - direct_lane.wall_s) * 1e6 /
-               static_cast<double>(e4d_quanta);
-    };
-    double block_us = overheadUs(blocking);
-    double pipe_us = overheadUs(pipelined);
-    double e4d_ratio = pipe_us > 0.0 ? block_us / pipe_us : 0.0;
+    double pipe_us = (pipelined.wall_s - direct_lane.wall_s) * 1e6 /
+                     static_cast<double>(e4d_quanta);
 
-    printRow({"lane", "wall_ms", "ovh_us/q", "rpcs", "elided",
-              "spec_hits"});
-    printRow({"direct", fmt(direct_lane.wall_s * 1e3), "-", "-", "-",
-              "-"});
-    printRow({"blocking", fmt(blocking.wall_s * 1e3), fmt(block_us),
-              std::to_string(blocking.rpcs), "0", "0"});
+    printRow({"lane", "wall_ms", "ovh_us/q", "rpcs", "elided"});
+    printRow({"direct", fmt(direct_lane.wall_s * 1e3), "-", "-", "-"});
     printRow({"pipelined", fmt(pipelined.wall_s * 1e3), fmt(pipe_us),
               std::to_string(pipelined.rpcs),
-              std::to_string(pipelined.elided),
-              std::to_string(pipelined.spec_hits)});
-    std::printf("amortized per-quantum RPC overhead: %.2f us -> %.2f "
-                "us (%.1fx; %llu deliveries, identical on every "
-                "lane)\n",
-                block_us, pipe_us, e4d_ratio,
+              std::to_string(pipelined.elided)});
+    std::printf("amortized per-quantum RPC overhead: %.2f us (%llu "
+                "deliveries, identical on both lanes)\n",
+                pipe_us,
                 static_cast<unsigned long long>(direct_lane.delivered));
 
     const char *path = "BENCH_remote.json";
@@ -473,12 +452,10 @@ main(int argc, char **argv)
             "  \"packets_delivered\": %llu,\n"
             "  \"e4d\": {\n"
             "    \"quanta\": %d,\n"
-            "    \"blocking\": {\"wall_ms\": %.3f, "
-            "\"overhead_us_per_quantum\": %.3f, \"rpcs\": %llu},\n"
+            "    \"direct\": {\"wall_ms\": %.3f},\n"
             "    \"pipelined\": {\"wall_ms\": %.3f, "
             "\"overhead_us_per_quantum\": %.3f, \"rpcs\": %llu, "
-            "\"elided_quanta\": %llu, \"spec_hits\": %llu},\n"
-            "    \"overhead_reduction\": %.2f,\n"
+            "\"elided_quanta\": %llu},\n"
             "    \"deliveries_identical\": true\n"
             "  }\n"
             "}\n",
@@ -490,13 +467,9 @@ main(int argc, char **argv)
             rpc_overhead_us,
             static_cast<unsigned long long>(remote.finish),
             static_cast<unsigned long long>(remote.delivered),
-            e4d_quanta, blocking.wall_s * 1e3, block_us,
-            static_cast<unsigned long long>(blocking.rpcs),
-            pipelined.wall_s * 1e3, pipe_us,
-            static_cast<unsigned long long>(pipelined.rpcs),
-            static_cast<unsigned long long>(pipelined.elided),
-            static_cast<unsigned long long>(pipelined.spec_hits),
-            e4d_ratio);
+            e4d_quanta, direct_lane.wall_s * 1e3, pipelined.wall_s * 1e3,
+            pipe_us, static_cast<unsigned long long>(pipelined.rpcs),
+            static_cast<unsigned long long>(pipelined.elided));
         std::fclose(f);
         std::printf("wrote %s\n", path);
     } else {

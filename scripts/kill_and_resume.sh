@@ -13,10 +13,10 @@
 # finishes and must match the reference. Phase B SIGKILLs the *client*
 # mid-run and resumes it from the newest paired client+server
 # checkpoint image against the still-supervised fleet. The client
-# speaks the pipelined v2 transport (coalesced Step frames, idle
-# elision, server speculation — all default-on), so the kills
-# routinely land while the server is mid-speculation; the bit-identical
-# outcomes prove speculative state never leaks into a checkpoint or a
+# speaks the one-frame-per-quantum Step transport with idle elision,
+# so the kills land between (or inside) quantum exchanges while the
+# hosted fabric holds traffic in flight; the bit-identical outcomes
+# prove that no in-flight exchange leaks into a checkpoint or a
 # recovery replay.
 #
 # Usage: scripts/kill_and_resume.sh [build-dir] [--remote]

@@ -5,7 +5,7 @@
 # lanes whose flat occupancy arrays rely on the single-writer-per-phase
 # discipline TSan validates), cosim (overlapped bridge determinism) and
 # ipc (the multiplexing rasim-nocd daemon — session threads, fair
-# scheduler, speculation, and the multi-session soak).
+# scheduler, drain and watchdog, and the multi-session soak).
 #
 # Usage: scripts/run_tsan.sh [build-dir]
 set -euo pipefail

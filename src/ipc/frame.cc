@@ -16,10 +16,6 @@ toString(MsgType type)
     switch (type) {
       case MsgType::Hello:
         return "Hello";
-      case MsgType::InjectBatch:
-        return "InjectBatch";
-      case MsgType::Advance:
-        return "Advance";
       case MsgType::TableGet:
         return "TableGet";
       case MsgType::StatsGet:
@@ -36,8 +32,6 @@ toString(MsgType type)
         return "Ping";
       case MsgType::HelloAck:
         return "HelloAck";
-      case MsgType::DeliveryBatch:
-        return "DeliveryBatch";
       case MsgType::TableData:
         return "TableData";
       case MsgType::StatsData:
@@ -61,8 +55,6 @@ knownMsgType(std::uint32_t raw)
 {
     switch (static_cast<MsgType>(raw)) {
       case MsgType::Hello:
-      case MsgType::InjectBatch:
-      case MsgType::Advance:
       case MsgType::TableGet:
       case MsgType::StatsGet:
       case MsgType::CkptSave:
@@ -71,7 +63,6 @@ knownMsgType(std::uint32_t raw)
       case MsgType::Step:
       case MsgType::Ping:
       case MsgType::HelloAck:
-      case MsgType::DeliveryBatch:
       case MsgType::TableData:
       case MsgType::StatsData:
       case MsgType::CkptData:
@@ -106,9 +97,11 @@ beginMessage(MsgType type)
     return aw;
 }
 
-std::string
-sealFrame(ArchiveWriter &&aw)
+void
+sendMessage(ByteChannel &ch, ArchiveWriter &&aw)
 {
+    // One contiguous buffer, one send: half the syscalls of the
+    // header-then-payload scheme, and no torn-header window.
     aw.endSection();
     std::string payload = aw.finish();
     std::string frame;
@@ -117,33 +110,14 @@ sealFrame(ArchiveWriter &&aw)
     std::uint64_t len = payload.size();
     frame.append(reinterpret_cast<const char *>(&len), sizeof(len));
     frame.append(payload);
-    return frame;
-}
-
-void
-sendFrameBytes(ByteChannel &ch, const std::string &frame)
-{
     ch.send(frame.data(), frame.size());
-}
-
-void
-sendFrameBytes(const Fd &fd, const std::string &frame)
-{
-    sendAll(fd, frame.data(), frame.size());
-}
-
-void
-sendMessage(ByteChannel &ch, ArchiveWriter &&aw)
-{
-    sendFrameBytes(ch, sealFrame(std::move(aw)));
 }
 
 void
 sendMessage(const Fd &fd, ArchiveWriter &&aw)
 {
-    // One contiguous buffer, one send: half the syscalls of the
-    // header-then-payload scheme, and no torn-header window.
-    sendFrameBytes(fd, sealFrame(std::move(aw)));
+    FdChannel ch(&fd);
+    sendMessage(ch, std::move(aw));
 }
 
 std::optional<Message>

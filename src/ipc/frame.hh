@@ -51,25 +51,25 @@ constexpr std::uint64_t max_frame_bytes = 64ull << 20;
 enum class MsgType : std::uint32_t
 {
     // client -> server
-    Hello = 1,       ///< open a session: network config + start tick
-    InjectBatch = 2, ///< packets buffered over the last host quantum
-    Advance = 3,     ///< advance-to-tick; replied with DeliveryBatch
-    TableGet = 4,    ///< read back the server's tuned LatencyTable
-    StatsGet = 5,    ///< pull the hosted network's statistics tree
-    CkptSave = 6,    ///< take a paired server-side checkpoint
-    CkptLoad = 7,    ///< push a checkpoint image into the session
-    Bye = 8,         ///< close the session cleanly
-    Step = 9,        ///< coalesced inject batch + advance (pipelined)
-    Ping = 10,       ///< liveness probe; legal before Hello too
+    // 2, 3 and 103 belong to the v1 quantum exchange that protocol
+    // v5 retired: never reuse them, so an old peer's frames keep
+    // failing as unknown types instead of misdecoding.
+    Hello = 1,    ///< open a session: network config + start tick
+    TableGet = 4, ///< read back the server's tuned LatencyTable
+    StatsGet = 5, ///< pull the hosted network's statistics tree
+    CkptSave = 6, ///< take a paired server-side checkpoint
+    CkptLoad = 7, ///< push a checkpoint image into the session
+    Bye = 8,      ///< close the session cleanly
+    Step = 9,     ///< one quantum: inject batch + advance target
+    Ping = 10,    ///< liveness probe; legal before Hello too
 
     // server -> client
     HelloAck = 101,
-    DeliveryBatch = 103, ///< deliveries + time/idle/accounting
     TableData = 104,
     StatsData = 105,
     CkptData = 106,
     CkptLoadAck = 107,
-    StepReply = 108, ///< DeliveryBatch payload + speculation flags
+    StepReply = 108, ///< deliveries + time/idle/accounting + flags
     Pong = 109,      ///< Ping echo: nonce + session/load state
     ErrorReply = 199, ///< request failed server-side: kind + message
 };
@@ -94,18 +94,6 @@ ArchiveWriter beginMessage(MsgType type);
 void sendMessage(const Fd &fd, ArchiveWriter &&aw);
 /** Same, over a ByteChannel (plain or fault-injecting). */
 void sendMessage(ByteChannel &ch, ArchiveWriter &&aw);
-
-/**
- * Seal @p aw (from beginMessage) into complete wire bytes — frame
- * header plus payload — without sending. Lets the server pre-encode a
- * speculative reply once and transmit it later with sendFrameBytes()
- * at the cost of a single write.
- */
-std::string sealFrame(ArchiveWriter &&aw);
-
-/** Transmit bytes produced by sealFrame(). */
-void sendFrameBytes(const Fd &fd, const std::string &frame);
-void sendFrameBytes(ByteChannel &ch, const std::string &frame);
 
 /**
  * A received message: the reader is positioned after the type field,

@@ -9,23 +9,25 @@
  * Usage: rasim-nocd [address] [--once] [--serve-limit N]
  *                   [--max-sessions N] [--max-active N]
  *                   [--quota-frames N] [--max-batch-packets N]
- *                   [--no-speculate] [--io-timeout-ms MS]
- *                   [--drain-timeout MS] [--session-timeout-ms MS]
- *                   [key=value ...]
+ *                   [--io-timeout-ms MS] [--drain-timeout MS]
+ *                   [--session-timeout-ms MS] [key=value ...]
  *
  *   --once / --serve-limit   exit after serving N sessions (tooling)
  *   --max-sessions           concurrent-session admission cap
  *   --max-active             sessions computing at once (0 = auto)
  *   --quota-frames           consecutive grants before a forced yield
  *   --max-batch-packets      per-batch quota (refused as backpressure)
- *   --no-speculate           disable server-side speculation
+ *   --io-timeout-ms          drop a session silent for this long
  *   --drain-timeout          SIGTERM grace period for live sessions
  *   --session-timeout-ms     watchdog: reap frame-less sessions
  *
- * Any key=value argument is parsed as a config setting and folded in
- * through NocServerOptions::fromConfig — the hook for the shared
- * "fault.transport.*" chaos keys (and any "server.*" key) without a
- * dedicated flag each. Flags win over key=value settings.
+ * Every flag (and the positional address) is another spelling of one
+ * "server.*" config key, so flags and key=value arguments go through
+ * the one validated parser, NocServerOptions::fromConfig — which also
+ * reads the shared "fault.transport.*" chaos keys. Flags win over
+ * key=value settings. A malformed or out-of-range value, an unknown
+ * flag or a flag without its value exits with status 2 before the
+ * daemon listens.
  *
  * Signals: SIGTERM drains — the daemon stops accepting, lets every
  * live session finish its in-flight request and close at a frame
@@ -39,8 +41,8 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "ipc/nocd_server.hh"
 #include "sim/config.hh"
@@ -66,6 +68,33 @@ onInt(int)
         running_server->stop(); // plain atomic stores: safe here
 }
 
+/** The config key each value-taking flag spells. */
+struct FlagKey
+{
+    const char *flag;
+    const char *key;
+};
+
+constexpr FlagKey flag_keys[] = {
+    {"--serve-limit", "server.serve_limit"},
+    {"--max-sessions", "server.max_sessions"},
+    {"--max-active", "server.max_active"},
+    {"--quota-frames", "server.quota_frames"},
+    {"--max-batch-packets", "server.max_batch_packets"},
+    {"--io-timeout-ms", "server.io_timeout_ms"},
+    {"--drain-timeout", "server.drain_timeout_ms"},
+    {"--session-timeout-ms", "server.session_timeout_ms"},
+};
+
+const char *
+keyOfFlag(const char *flag)
+{
+    for (const FlagKey &fk : flag_keys)
+        if (std::strcmp(flag, fk.flag) == 0)
+            return fk.key;
+    return nullptr;
+}
+
 int
 usage(const char *argv0)
 {
@@ -73,9 +102,8 @@ usage(const char *argv0)
                  "usage: %s [address] [--once] [--serve-limit N] "
                  "[--max-sessions N] [--max-active N] "
                  "[--quota-frames N] [--max-batch-packets N] "
-                 "[--no-speculate] [--io-timeout-ms MS] "
-                 "[--drain-timeout MS] [--session-timeout-ms MS] "
-                 "[key=value ...]\n"
+                 "[--io-timeout-ms MS] [--drain-timeout MS] "
+                 "[--session-timeout-ms MS] [key=value ...]\n"
                  "  address    unix:/path, tcp:host:port, or a bare "
                  "path (default unix:/tmp/rasim-nocd.sock)\n"
                  "  key=value  any server.* or fault.transport.* "
@@ -89,58 +117,34 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    // key=value settings first (parseArgs skips everything else), so
-    // explicit flags below override them.
     rasim::Config cfg;
-    cfg.parseArgs(argc - 1, argv + 1);
     rasim::ipc::NocServerOptions opts;
     try {
+        // Config errors throw instead of exiting, so every bad value
+        // gets the same status 2 as a bad flag.
+        rasim::logging::ThrowOnError guard;
+        // key=value settings first, so the flags below override them.
+        cfg.parseArgs(argc, argv);
+        for (int i = 1; i < argc; ++i) {
+            const char *arg = argv[i];
+            if (std::strchr(arg, '=') != nullptr)
+                continue; // consumed by parseArgs above
+            if (std::strcmp(arg, "--once") == 0) {
+                cfg.set("server.serve_limit", std::string("1"));
+            } else if (const char *key = keyOfFlag(arg)) {
+                if (i + 1 >= argc)
+                    return usage(argv[0]);
+                cfg.set(key, std::string(argv[++i]));
+            } else if (arg[0] == '-') {
+                return usage(argv[0]);
+            } else {
+                cfg.set("server.address", std::string(arg));
+            }
+        }
         opts = rasim::ipc::NocServerOptions::fromConfig(cfg);
     } catch (const rasim::SimError &err) {
         std::fprintf(stderr, "rasim-nocd: %s\n", err.what());
         return 2;
-    }
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strchr(arg, '=') != nullptr) {
-            continue; // consumed by the Config pass above
-        } else if (std::strcmp(arg, "--once") == 0) {
-            opts.serve_limit = 1;
-        } else if (std::strcmp(arg, "--serve-limit") == 0 &&
-                   i + 1 < argc) {
-            opts.serve_limit =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        } else if (std::strcmp(arg, "--max-sessions") == 0 &&
-                   i + 1 < argc) {
-            opts.max_sessions =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        } else if (std::strcmp(arg, "--max-active") == 0 &&
-                   i + 1 < argc) {
-            opts.max_active = std::atoi(argv[++i]);
-        } else if (std::strcmp(arg, "--quota-frames") == 0 &&
-                   i + 1 < argc) {
-            opts.quota_frames =
-                static_cast<std::uint32_t>(std::atoll(argv[++i]));
-        } else if (std::strcmp(arg, "--max-batch-packets") == 0 &&
-                   i + 1 < argc) {
-            opts.max_batch_packets =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        } else if (std::strcmp(arg, "--no-speculate") == 0) {
-            opts.speculate = false;
-        } else if (std::strcmp(arg, "--io-timeout-ms") == 0 &&
-                   i + 1 < argc) {
-            opts.io_timeout_ms = std::atof(argv[++i]);
-        } else if (std::strcmp(arg, "--drain-timeout") == 0 &&
-                   i + 1 < argc) {
-            opts.drain_timeout_ms = std::atof(argv[++i]);
-        } else if (std::strcmp(arg, "--session-timeout-ms") == 0 &&
-                   i + 1 < argc) {
-            opts.session_timeout_ms = std::atof(argv[++i]);
-        } else if (arg[0] == '-') {
-            return usage(argv[0]);
-        } else {
-            opts.address = arg;
-        }
     }
     // Hygiene: a misspelled fault.transport.* / server.* key should
     // not silently configure nothing.

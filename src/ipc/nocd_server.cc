@@ -24,10 +24,10 @@ namespace ipc
 {
 
 /**
- * One hosted network and everything that shadows it, including the
- * session's speculation state. Sessions share nothing mutable with
- * each other, which is what keeps every concurrent session
- * bit-identical to a solo run against a dedicated server.
+ * One hosted network and everything that shadows it. Sessions share
+ * nothing mutable with each other, which is what keeps every
+ * concurrent session bit-identical to a solo run against a dedicated
+ * server.
  */
 struct NocServer::Session
 {
@@ -169,16 +169,6 @@ struct NocServer::Session
         return rep;
     }
 
-    /** Record the stride of the client's quantum clock; the predictor
-     *  assumes the next Step lands one stride further on. */
-    void
-    noteStep(const StepRequest &req)
-    {
-        if (req.target > last_target)
-            last_delta = req.target - last_target;
-        last_target = req.target;
-    }
-
     HelloRequest hello;
     std::unique_ptr<Simulation> sim;
     std::unique_ptr<ParallelEngine> engine;
@@ -187,17 +177,6 @@ struct NocServer::Session
     noc::NetworkModel *net = nullptr;
     std::unique_ptr<abstractnet::LatencyTable> table;
     std::vector<noc::PacketPtr> deliveries;
-
-    /// @name Speculation state (see maybeSpeculate / rebase)
-    /// @{
-    bool spec_armed = false;    ///< predictor wants the next gap
-    bool spec_valid = false;    ///< state is speculatively advanced
-    Tick spec_predicted = 0;    ///< tick the speculation ran to
-    std::string spec_snapshot;  ///< committed state (rebase target)
-    std::string spec_frame;     ///< pre-sealed StepReply for a hit
-    Tick last_target = 0;       ///< last Step's advance target
-    Tick last_delta = 0;        ///< last observed quantum stride
-    /// @}
 };
 
 /** One session thread. The Fd lives here so its lifetime matches the
@@ -298,12 +277,12 @@ NocServerOptions::fromConfig(const Config &cfg)
         cfg.getUInt("server.quota_frames", o.quota_frames));
     o.max_batch_packets =
         cfg.getUInt("server.max_batch_packets", o.max_batch_packets);
-    o.speculate = cfg.getBool("server.speculate", o.speculate);
     o.drain_timeout_ms =
         cfg.getDouble("server.drain_timeout_ms", o.drain_timeout_ms);
     o.session_timeout_ms =
         cfg.getDouble("server.session_timeout_ms", o.session_timeout_ms);
-    if (o.drain_timeout_ms < 0.0 || o.session_timeout_ms < 0.0)
+    if (o.io_timeout_ms < 0.0 || o.drain_timeout_ms < 0.0 ||
+        o.session_timeout_ms < 0.0)
         fatal("server.*_timeout_ms must be non-negative");
     o.fault = TransportFaultOptions::fromConfig(cfg);
     return o;
@@ -420,8 +399,6 @@ NocServer::counters() const
     c.sessions_rejected =
         sessions_rejected_.load(std::memory_order_relaxed);
     c.frames = frames_.load(std::memory_order_relaxed);
-    c.spec_hits = spec_hits_.load(std::memory_order_relaxed);
-    c.spec_rebases = spec_rebases_.load(std::memory_order_relaxed);
     c.sched_waits = sched_waits_.load(std::memory_order_relaxed);
     c.quota_yields = quota_yields_.load(std::memory_order_relaxed);
     c.quota_trips = quota_trips_.load(std::memory_order_relaxed);
@@ -607,11 +584,6 @@ NocServer::serveConnection(Worker &w, std::uint64_t id)
             drainTail(conn, session, id);
             return;
         }
-        // The gap while the client simulates its own quantum is free
-        // compute: run the predicted next quantum now, so a matching
-        // Step is answered with a pre-sealed reply.
-        if (session)
-            maybeSpeculate(conn, *session, id);
         std::optional<Message> msg;
         try {
             msg = recvMessage(conn, opts_.io_timeout_ms, &wake_);
@@ -662,65 +634,6 @@ NocServer::drainTail(ByteChannel &conn,
     }
 }
 
-void
-NocServer::rebase(Session &session)
-{
-    spec_rebases_.fetch_add(1, std::memory_order_relaxed);
-    ArchiveReader ar(std::move(session.spec_snapshot));
-    if (!ar.ok()) {
-        throw SimError(ErrorKind::Internal,
-                       "speculation snapshot unreadable: " + ar.error());
-    }
-    session.restore(ar);
-    session.spec_snapshot.clear();
-    session.spec_frame.clear();
-    session.spec_valid = false;
-}
-
-void
-NocServer::maybeSpeculate(ByteChannel &conn, Session &session,
-                          std::uint64_t id)
-{
-    if (!session.spec_armed || session.spec_valid)
-        return;
-    session.spec_armed = false;
-    // If the next request already arrived, real work beats
-    // speculative work.
-    if (conn.readable())
-        return;
-
-    Tick predicted = session.last_target + session.last_delta;
-    ArchiveWriter snap;
-    session.save(snap);
-    std::string snapshot = snap.finish();
-    try {
-        bool waited = false;
-        {
-            Turn turn(*this, id);
-            session.deliveries.clear();
-            session.net->advanceTo(predicted);
-            waited = turn.waited();
-        }
-        AdvanceReply rep = session.takeReply();
-        std::uint8_t flags = step_flag_spec_hit;
-        if (waited)
-            flags |= step_flag_throttled;
-        ArchiveWriter aw = beginMessage(MsgType::StepReply);
-        encodeStepReply(aw, rep, flags);
-        session.spec_frame = sealFrame(std::move(aw));
-        session.spec_snapshot = std::move(snapshot);
-        session.spec_predicted = predicted;
-        session.spec_valid = true;
-    } catch (const SimError &) {
-        // Speculation must never hurt the session: roll back and let
-        // the real request reproduce (and report) any simulation
-        // error on the committed path.
-        ArchiveReader ar(std::move(snapshot));
-        session.restore(ar);
-        session.spec_valid = false;
-    }
-}
-
 bool
 NocServer::dispatch(ByteChannel &conn, Message &msg,
                     std::unique_ptr<Session> &session, std::uint64_t id)
@@ -731,8 +644,7 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
         // Liveness probes are legal on any connection, session or not:
         // the supervisor's heartbeat and the client's standby prober
         // must be able to ask "are you alive?" without opening (or
-        // disturbing) a session — in particular a Ping never costs a
-        // speculation rebase.
+        // disturbing) a session.
         if (msg.type == MsgType::Ping) {
             PingRequest req = decodePing(msg.ar);
             msg.done();
@@ -755,25 +667,6 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
                            std::string("request ") + toString(msg.type) +
                                " before Hello");
         }
-        // Any non-Step request consumes the committed state: undo a
-        // live speculation before serving it. (A Step resolves its
-        // own hit-or-rebase below; Bye tears the state down anyway.)
-        if (session && session->spec_valid &&
-            msg.type != MsgType::Step && msg.type != MsgType::Bye) {
-            rebase(*session);
-        }
-        auto checkQuota = [&](std::size_t n) {
-            if (opts_.max_batch_packets > 0 &&
-                n > opts_.max_batch_packets) {
-                quota_trips_.fetch_add(1, std::memory_order_relaxed);
-                throw SimError(
-                    ErrorKind::Transport,
-                    "backpressure: inject batch of " +
-                        std::to_string(n) +
-                        " packets exceeds server quota of " +
-                        std::to_string(opts_.max_batch_packets));
-            }
-        };
         switch (msg.type) {
           case MsgType::Hello: {
             HelloRequest req = decodeHello(msg.ar);
@@ -792,57 +685,19 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
             sendMessage(conn, std::move(aw));
             return true;
           }
-          case MsgType::InjectBatch: {
-            // Unacknowledged on purpose: one round-trip per quantum.
-            // An injection failure surfaces on the next Advance reply.
-            auto pkts = decodePackets(msg.ar);
-            msg.done();
-            checkQuota(pkts.size());
-            for (const auto &pkt : pkts)
-                session->net->inject(pkt);
-            return true;
-          }
-          case MsgType::Advance: {
-            Tick target = decodeAdvance(msg.ar);
-            msg.done();
-            {
-                Turn turn(*this, id);
-                session->deliveries.clear();
-                session->net->advanceTo(target);
-            }
-            AdvanceReply rep = session->takeReply();
-            ArchiveWriter aw = beginMessage(MsgType::DeliveryBatch);
-            encodeAdvanceReply(aw, rep);
-            sendMessage(conn, std::move(aw));
-            return true;
-          }
           case MsgType::Step: {
             StepRequest req = decodeStep(msg.ar);
             msg.done();
-            std::uint8_t flags = 0;
-            if (session->spec_valid) {
-                // An attested Step cannot take the pre-sealed frame:
-                // the digest was not computed when the reply was
-                // sealed, so fall through to the rebase+execute path.
-                if (!req.attest && req.packets.empty() &&
-                    req.target == session->spec_predicted) {
-                    // Spec hit: the state already sits at the target
-                    // and the reply was sealed during the gap.
-                    spec_hits_.fetch_add(1, std::memory_order_relaxed);
-                    sendFrameBytes(conn, session->spec_frame);
-                    session->spec_frame.clear();
-                    session->spec_snapshot.clear();
-                    session->spec_valid = false;
-                    session->noteStep(req);
-                    session->spec_armed = opts_.speculate &&
-                                          req.speculate &&
-                                          !session->net->idle();
-                    return true;
-                }
-                rebase(*session);
-                flags |= step_flag_rebased;
+            if (opts_.max_batch_packets > 0 &&
+                req.packets.size() > opts_.max_batch_packets) {
+                quota_trips_.fetch_add(1, std::memory_order_relaxed);
+                throw SimError(
+                    ErrorKind::Transport,
+                    "backpressure: inject batch of " +
+                        std::to_string(req.packets.size()) +
+                        " packets exceeds server quota of " +
+                        std::to_string(opts_.max_batch_packets));
             }
-            checkQuota(req.packets.size());
             bool waited = false;
             {
                 Turn turn(*this, id);
@@ -852,8 +707,7 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
                 session->net->advanceTo(req.target);
                 waited = turn.waited();
             }
-            if (waited)
-                flags |= step_flag_throttled;
+            std::uint8_t flags = waited ? step_flag_throttled : 0;
             AdvanceReply rep = session->takeReply();
             std::uint64_t digest = 0;
             if (req.attest) {
@@ -863,14 +717,6 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
             ArchiveWriter aw = beginMessage(MsgType::StepReply);
             encodeStepReply(aw, rep, flags, digest);
             sendMessage(conn, std::move(aw));
-            session->noteStep(req);
-            // Arm the predictor only for a drain-shaped quantum: no
-            // injections arrived and traffic is still in flight, so
-            // the next Step is very likely "same stride, empty batch".
-            session->spec_armed = opts_.speculate && req.speculate &&
-                                  req.packets.empty() &&
-                                  session->last_delta > 0 &&
-                                  !session->net->idle();
             return true;
           }
           case MsgType::TableGet: {

@@ -5,9 +5,9 @@
  * behind a socket speaking the quantum-RPC protocol.
  *
  * Since protocol v2 the daemon multiplexes: every accepted connection
- * gets its own session — network, engine, shadow table, speculation
- * state — served on its own thread, so N clients co-simulate against
- * one daemon concurrently. Determinism survives because sessions
+ * gets its own session — network, engine, shadow table — served on
+ * its own thread, so N clients co-simulate against one daemon
+ * concurrently. Determinism survives because sessions
  * share *nothing* stateful (the packet pool is a thread-safe slab
  * allocator whose slot indices are never part of simulation state);
  * each session remains bit-identical to a solo run against a
@@ -24,15 +24,10 @@
  * the daemon. Admission control (server.max_sessions) rejects
  * connections beyond the concurrent cap at Hello time.
  *
- * Speculation: after answering a Step whose inject batch was empty,
- * a session may snapshot its committed state and speculatively
- * execute the predicted next quantum during the client's compute
- * gap, pre-encoding the reply. A matching next Step is answered
- * from the cache (spec hit); anything else rolls the session back
- * to the snapshot first (deterministic rebase). The simulation
- * payload of the reply is bit-identical either way — only the
- * observability flags byte records which path ran — see DESIGN.md
- * section 11.
+ * A session never runs ahead of its client: every Step is executed
+ * when it arrives and answered at once (protocol v5), because under
+ * reciprocal coupling the next quantum's injections depend on this
+ * quantum's deliveries.
  *
  * The server also keeps a shadow LatencyTable per session, tuned from
  * every delivery in delivery order — the same order the client-side
@@ -94,9 +89,6 @@ struct NocServerOptions
     /** Hard per-batch packet quota; a larger inject batch is refused
      *  with a "backpressure:" ErrorReply. 0 = unlimited. */
     std::uint64_t max_batch_packets = 1u << 20;
-    /** Honour client speculation hints (speculative execution of the
-     *  predicted next quantum during the client's compute gap). */
-    bool speculate = true;
     /** drain(): how long to wait for live sessions to finish their
      *  in-flight work before hard-stopping, in ms (0 = forever). */
     double drain_timeout_ms = 5000.0;
@@ -116,7 +108,7 @@ struct NocServerOptions
     static NocServerOptions fromConfig(const Config &cfg);
 };
 
-/** Monotonic scheduler/speculation/admission counters, exported for
+/** Monotonic scheduler/admission counters, exported for
  *  observability and asserted sane by the multi-session soak test. */
 struct NocServerCounters
 {
@@ -125,8 +117,6 @@ struct NocServerCounters
     std::uint64_t sessions_peak = 0;     ///< high-water mark of active
     std::uint64_t sessions_rejected = 0; ///< refused over the cap
     std::uint64_t frames = 0;            ///< requests dispatched
-    std::uint64_t spec_hits = 0;         ///< pre-computed Step replies
-    std::uint64_t spec_rebases = 0;      ///< speculations rolled back
     std::uint64_t sched_waits = 0;       ///< grants that had to queue
     std::uint64_t quota_yields = 0;      ///< forced round-robin yields
     std::uint64_t quota_trips = 0;       ///< batches refused (quota)
@@ -176,7 +166,7 @@ class NocServer
         return sessions_served_.load(std::memory_order_relaxed);
     }
 
-    /** Snapshot of the scheduler/speculation/admission counters. */
+    /** Snapshot of the scheduler/admission counters. */
     NocServerCounters counters() const;
 
   private:
@@ -233,14 +223,6 @@ class NocServer
     void drainTail(ByteChannel &conn, std::unique_ptr<Session> &session,
                    std::uint64_t id);
 
-    /** Speculatively execute the predicted next quantum if the
-     *  session armed it and no request is already waiting. */
-    void maybeSpeculate(ByteChannel &conn, Session &session,
-                        std::uint64_t id);
-
-    /** Roll a live speculation back to its snapshot. */
-    void rebase(Session &session);
-
     /** Join finished workers; with @p all also join the live ones. */
     void reapWorkers(bool all);
 
@@ -269,8 +251,6 @@ class NocServer
     std::atomic<std::uint64_t> sessions_peak_{0};
     std::atomic<std::uint64_t> sessions_rejected_{0};
     std::atomic<std::uint64_t> frames_{0};
-    std::atomic<std::uint64_t> spec_hits_{0};
-    std::atomic<std::uint64_t> spec_rebases_{0};
     std::atomic<std::uint64_t> sched_waits_{0};
     std::atomic<std::uint64_t> quota_yields_{0};
     std::atomic<std::uint64_t> quota_trips_{0};

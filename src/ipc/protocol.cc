@@ -49,8 +49,16 @@ checkCount(std::uint64_t count, std::uint64_t min_bytes_each,
     }
 }
 
+void
+encodePackets(ArchiveWriter &aw, const std::vector<noc::PacketPtr> &pkts)
+{
+    aw.putU64(pkts.size());
+    for (const auto &pkt : pkts)
+        noc::savePacket(aw, *pkt);
+}
+
 std::vector<noc::PacketPtr>
-decodePacketsRaw(ArchiveReader &ar)
+decodePackets(ArchiveReader &ar)
 {
     std::uint64_t count = ar.getU64();
     // A serialized packet is ~57 bytes; 32 is a safe lower bound.
@@ -60,19 +68,6 @@ decodePacketsRaw(ArchiveReader &ar)
     for (std::uint64_t i = 0; i < count; ++i)
         pkts.push_back(noc::restorePacket(ar));
     return pkts;
-}
-
-AdvanceReply
-decodeAdvanceReplyRaw(ArchiveReader &ar)
-{
-    AdvanceReply rep;
-    rep.cur_time = ar.getU64();
-    rep.idle = ar.getBool();
-    rep.injected = ar.getU64();
-    rep.delivered = ar.getU64();
-    rep.in_flight = ar.getU64();
-    rep.deliveries = decodePacketsRaw(ar);
-    return rep;
 }
 
 } // namespace
@@ -148,55 +143,9 @@ decodeHelloReply(ArchiveReader &ar)
 }
 
 void
-encodePackets(ArchiveWriter &aw, const std::vector<noc::PacketPtr> &pkts)
-{
-    aw.putU64(pkts.size());
-    for (const auto &pkt : pkts)
-        noc::savePacket(aw, *pkt);
-}
-
-std::vector<noc::PacketPtr>
-decodePackets(ArchiveReader &ar)
-{
-    return guardedDecode("packet batch",
-                         [&] { return decodePacketsRaw(ar); });
-}
-
-void
-encodeAdvance(ArchiveWriter &aw, Tick target)
-{
-    aw.putU64(target);
-}
-
-Tick
-decodeAdvance(ArchiveReader &ar)
-{
-    return guardedDecode("Advance", [&] { return ar.getU64(); });
-}
-
-void
-encodeAdvanceReply(ArchiveWriter &aw, const AdvanceReply &rep)
-{
-    aw.putU64(rep.cur_time);
-    aw.putBool(rep.idle);
-    aw.putU64(rep.injected);
-    aw.putU64(rep.delivered);
-    aw.putU64(rep.in_flight);
-    encodePackets(aw, rep.deliveries);
-}
-
-AdvanceReply
-decodeAdvanceReply(ArchiveReader &ar)
-{
-    return guardedDecode("DeliveryBatch",
-                         [&] { return decodeAdvanceReplyRaw(ar); });
-}
-
-void
 encodeStep(ArchiveWriter &aw, const StepRequest &req)
 {
     aw.putU64(req.target);
-    aw.putBool(req.speculate);
     aw.putBool(req.attest);
     encodePackets(aw, req.packets);
 }
@@ -207,9 +156,8 @@ decodeStep(ArchiveReader &ar)
     return guardedDecode("Step", [&] {
         StepRequest req;
         req.target = ar.getU64();
-        req.speculate = ar.getBool();
         req.attest = ar.getBool();
-        req.packets = decodePacketsRaw(ar);
+        req.packets = decodePackets(ar);
         return req;
     });
 }
@@ -219,7 +167,12 @@ encodeStepReply(ArchiveWriter &aw, const AdvanceReply &rep,
                 std::uint8_t flags, std::uint64_t digest)
 {
     aw.putU8(flags);
-    encodeAdvanceReply(aw, rep);
+    aw.putU64(rep.cur_time);
+    aw.putBool(rep.idle);
+    aw.putU64(rep.injected);
+    aw.putU64(rep.delivered);
+    aw.putU64(rep.in_flight);
+    encodePackets(aw, rep.deliveries);
     if (flags & step_flag_attested)
         aw.putU64(digest);
 }
@@ -230,7 +183,13 @@ decodeStepReply(ArchiveReader &ar, std::uint8_t &flags,
 {
     return guardedDecode("StepReply", [&] {
         flags = ar.getU8();
-        AdvanceReply rep = decodeAdvanceReplyRaw(ar);
+        AdvanceReply rep;
+        rep.cur_time = ar.getU64();
+        rep.idle = ar.getBool();
+        rep.injected = ar.getU64();
+        rep.delivered = ar.getU64();
+        rep.in_flight = ar.getU64();
+        rep.deliveries = decodePackets(ar);
         std::uint64_t d =
             (flags & step_flag_attested) ? ar.getU64() : 0;
         if (digest)

@@ -9,27 +9,24 @@
  * Session lifecycle:
  *
  *   Hello -> HelloAck                 build the hosted network
- *   { Step -> StepReply }             once per quantum (pipelined v2:
- *                                     inject batch + advance coalesced
- *                                     into one frame each way)
- *   { InjectBatch* Advance -> DeliveryBatch }   v1 blocking form,
- *                                     still spoken (network.pipeline
- *                                     .enabled=false and old tools)
+ *   { Step -> StepReply }             once per quantum: the inject
+ *                                     batch and the advance target
+ *                                     in one frame each way
  *   TableGet -> TableData             tuned-table readback (optional)
  *   StatsGet -> StatsData             stats pull (optional)
  *   CkptSave -> CkptData              paired checkpoint (optional)
  *   CkptLoad -> CkptLoadAck           cross-process restore (optional)
+ *   Ping -> Pong                      liveness probe (legal anywhere)
  *   Bye (or EOF)                      tear the session down
  *
  * Any request can instead be answered with ErrorReply carrying an
  * ErrorKind + message, which the client re-raises as a SimError.
  *
- * After replying to a Step whose inject batch was empty, the server
- * may speculatively execute the predicted next quantum; the flags
- * byte of the following StepReply records whether that speculation
- * hit (the reply was pre-computed) or was rebased (state rolled back
- * and re-executed) — either way the reply bytes are bit-identical to
- * an unspeculated server, see DESIGN.md section 11.
+ * Since v5 Step is the only way a quantum crosses the wire (the v1
+ * two-frame exchange is retired). Under reciprocal coupling quantum
+ * N's deliveries re-tune the latency table before quantum N+1's
+ * injections read it, so every quantum is one strict request/reply
+ * and the server never runs ahead of the client.
  *
  * Decoder hardening: every decode* function below converts archive
  * reader misuse on CRC-valid-but-malformed payloads into typed
@@ -58,13 +55,15 @@ namespace ipc
 
 /** Protocol revision, checked in Hello independently of the archive
  *  format version (the archive guards encoding, this guards meaning).
- *  v2 added the coalesced Step/StepReply exchange and server-side
- *  speculation; v3 added Ping/Pong liveness frames and the CRC64
- *  replica-attestation digests carried by CkptData, CkptLoadAck and
- *  attested StepReplies; v4 carries the compute-kernel selection
- *  (network.kernel, kernel.simd) in Hello so the server builds the
- *  same backend the client configured. */
-constexpr std::uint32_t protocol_version = 4;
+ *  v2 added the coalesced Step/StepReply exchange; v3 added Ping/Pong
+ *  liveness frames and the CRC64 replica-attestation digests carried
+ *  by CkptData, CkptLoadAck and attested StepReplies; v4 carries the
+ *  compute-kernel selection (network.kernel, kernel.simd) in Hello so
+ *  the server builds the same backend the client configured; v5
+ *  retires the v1 two-frame exchange (message types 2, 3 and 103)
+ *  and the Step request's run-ahead hint byte, leaving Step/StepReply
+ *  as the only quantum exchange. */
+constexpr std::uint32_t protocol_version = 5;
 
 /** Session-opening handshake: everything the server needs to build a
  *  deterministic twin of the in-process backend. */
@@ -92,8 +91,8 @@ struct HelloReply
     Tick cur_time = 0;
 };
 
-/** Advance reply: the quantum's deliveries plus the mirrored state the
- *  client needs to answer NetworkModel queries locally. */
+/** StepReply body: the quantum's deliveries plus the mirrored state
+ *  the client needs to answer NetworkModel queries locally. */
 struct AdvanceReply
 {
     Tick cur_time = 0;
@@ -104,13 +103,11 @@ struct AdvanceReply
     std::vector<noc::PacketPtr> deliveries;
 };
 
-/** Coalesced quantum request (v2): the inject batch and the advance
- *  target travel in one frame, halving the frames per busy quantum. */
+/** Quantum request: the inject batch and the advance target travel
+ *  in one frame. */
 struct StepRequest
 {
     Tick target = 0;
-    /** Client permits the server to speculate the next quantum. */
-    bool speculate = false;
     /** Client wants a CRC64 state digest with the reply (v3): the
      *  server serializes its post-advance state and attests it, so a
      *  recovery replay can prove the rebuilt replica reconverged. */
@@ -118,12 +115,10 @@ struct StepRequest
     std::vector<noc::PacketPtr> packets;
 };
 
-/** @name StepReply flag bits (observability only — the reply payload
- *  is bit-identical whether or not speculation was involved; the
- *  attested bit additionally gates a digest field). */
+/** @name StepReply flag bits (the throttled bit is observability
+ *  only; the attested bit additionally gates a digest field). Bits 1
+ *  and 2 were retired in v5 and stay unassigned. */
 /// @{
-constexpr std::uint8_t step_flag_spec_hit = 1; ///< reply pre-computed
-constexpr std::uint8_t step_flag_rebased = 2;  ///< speculation undone
 constexpr std::uint8_t step_flag_throttled = 4; ///< fair-sched wait
 constexpr std::uint8_t step_flag_attested = 8;  ///< digest appended
 /// @}
@@ -184,10 +179,6 @@ struct CkptLoadReply
 /// @{
 void encodeHello(ArchiveWriter &aw, const HelloRequest &req);
 void encodeHelloReply(ArchiveWriter &aw, const HelloReply &rep);
-void encodePackets(ArchiveWriter &aw,
-                   const std::vector<noc::PacketPtr> &pkts);
-void encodeAdvance(ArchiveWriter &aw, Tick target);
-void encodeAdvanceReply(ArchiveWriter &aw, const AdvanceReply &rep);
 void encodeStep(ArchiveWriter &aw, const StepRequest &req);
 /** @p digest is written only when @p flags has step_flag_attested. */
 void encodeStepReply(ArchiveWriter &aw, const AdvanceReply &rep,
@@ -206,9 +197,6 @@ void encodeError(ArchiveWriter &aw, ErrorKind kind,
 /// @{
 HelloRequest decodeHello(ArchiveReader &ar);
 HelloReply decodeHelloReply(ArchiveReader &ar);
-std::vector<noc::PacketPtr> decodePackets(ArchiveReader &ar);
-Tick decodeAdvance(ArchiveReader &ar);
-AdvanceReply decodeAdvanceReply(ArchiveReader &ar);
 StepRequest decodeStep(ArchiveReader &ar);
 /** @p flags receives the step_flag_* bits; @p digest the attestation
  *  digest (0 unless step_flag_attested is set). */

@@ -97,8 +97,8 @@ Fd acceptOn(const Fd &listener, double timeout_ms,
             const std::atomic<bool> *stop = nullptr);
 
 /** True when a read on @p fd would not block right now (payload bytes
- *  or an EOF already pending). Never blocks: the server uses it to
- *  skip speculative work when the next request has already arrived. */
+ *  or an EOF already pending). Never blocks: a draining server uses it
+ *  to serve only the requests already buffered on the socket. */
 bool readable(const Fd &fd);
 
 /**

@@ -39,9 +39,6 @@ RemoteOptions::fromConfig(const Config &cfg)
     o.model = cfg.getString("remote.model", o.model);
     o.engine_workers =
         static_cast<int>(cfg.getUInt("remote.engine_workers", 0));
-    o.pipeline = cfg.getBool("network.pipeline.enabled", o.pipeline);
-    o.speculate =
-        cfg.getBool("network.pipeline.speculate", o.speculate);
 
     // Failover set: a comma-separated endpoint list overrides the
     // single remote.socket address (and becomes the primary).
@@ -120,10 +117,8 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
                     "quantum RPC round-trips completed"),
       elidedQuanta(this, "elided_quanta",
                    "idle quanta served without touching the wire"),
-      specHits(this, "spec_hits",
-               "quantum replies the server had pre-computed"),
-      specRebases(this, "spec_rebases",
-                  "server speculations rolled back before serving"),
+      specHits(this, "spec_hits", "retired counter, always 0"),
+      specRebases(this, "spec_rebases", "retired counter, always 0"),
       schedThrottles(this, "sched_throttles",
                      "replies delayed by the server's fair scheduler"),
       health(this, "health"),
@@ -561,25 +556,11 @@ RemoteNetwork::replayJournal()
             test_hooks.on_replay(i);
         ipc::StepRequest req;
         req.target = rec.target;
-        req.speculate = false;
         req.attest = rec.attested;
         req.packets = rec.packets;
-        ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::Step);
-        ipc::encodeStep(aw, req);
-        ipc::sendMessage(*chan_, std::move(aw));
-        ipc::Message msg = expectReply(options_.quantum_timeout_ms);
-        if (msg.type == ipc::MsgType::ErrorReply)
-            ipc::throwDecodedError(msg.ar);
-        if (msg.type != ipc::MsgType::StepReply) {
-            throw SimError(ErrorKind::Transport,
-                           std::string("expected StepReply, got ") +
-                               ipc::toString(msg.type));
-        }
         std::uint8_t flags = 0;
         std::uint64_t digest = 0;
-        ipc::AdvanceReply rep =
-            ipc::decodeStepReply(msg.ar, flags, &digest);
-        msg.done();
+        ipc::AdvanceReply rep = exchangeStep(req, flags, digest);
         // The original exchange attested this quantum: the rebuilt
         // replica must reproduce that digest exactly, or its state
         // has diverged from the run the journal records — quarantine
@@ -598,8 +579,8 @@ RemoteNetwork::replayJournal()
                     ": digest " + std::to_string(digest) + " != " +
                     std::to_string(rec.digest));
         }
-        // The replies' deliveries (and spec flags) were already
-        // applied in the original run; only the clock mirror moves.
+        // The replies' deliveries were already applied in the
+        // original run; only the clock mirror moves.
         server_time_ = rep.cur_time;
     }
 }
@@ -650,11 +631,10 @@ RemoteNetwork::applyReply(const ipc::AdvanceReply &rep)
     }
 }
 
-void
-RemoteNetwork::stepOnce(const ipc::StepRequest &req, bool count_flags)
+ipc::AdvanceReply
+RemoteNetwork::exchangeStep(const ipc::StepRequest &req,
+                            std::uint8_t &flags, std::uint64_t &digest)
 {
-    if (test_hooks.on_op)
-        test_hooks.on_op(op_counter_++);
     ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::Step);
     ipc::encodeStep(aw, req);
     ipc::sendMessage(*chan_, std::move(aw));
@@ -667,51 +647,25 @@ RemoteNetwork::stepOnce(const ipc::StepRequest &req, bool count_flags)
                        std::string("expected StepReply, got ") +
                            ipc::toString(msg.type));
     }
-    std::uint8_t flags = 0;
-    std::uint64_t digest = 0;
     ipc::AdvanceReply rep = ipc::decodeStepReply(msg.ar, flags, &digest);
     msg.done();
+    return rep;
+}
+
+void
+RemoteNetwork::stepOnce(const ipc::StepRequest &req)
+{
+    if (test_hooks.on_op)
+        test_hooks.on_op(op_counter_++);
+    std::uint8_t flags = 0;
+    std::uint64_t digest = 0;
+    ipc::AdvanceReply rep = exchangeStep(req, flags, digest);
     last_step_attested_ = (flags & ipc::step_flag_attested) != 0;
     last_step_digest_ = digest;
     if (test_hooks.corrupt_attest)
         last_step_digest_ ^= 1;
-    if (count_flags) {
-        if (flags & ipc::step_flag_spec_hit)
-            ++specHits;
-        if (flags & ipc::step_flag_rebased)
-            ++specRebases;
-        if (flags & ipc::step_flag_throttled)
-            ++schedThrottles;
-    }
-    applyReply(rep);
-}
-
-void
-RemoteNetwork::advanceOnce(Tick t, const std::vector<PacketPtr> &packets)
-{
-    // v1 blocking exchange, kept for old servers and as the
-    // differential baseline (network.pipeline.enabled=false).
-    if (test_hooks.on_op)
-        test_hooks.on_op(op_counter_++);
-    if (!packets.empty()) {
-        ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::InjectBatch);
-        ipc::encodePackets(aw, packets);
-        ipc::sendMessage(*chan_, std::move(aw));
-    }
-    ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::Advance);
-    ipc::encodeAdvance(aw, t);
-    ipc::sendMessage(*chan_, std::move(aw));
-
-    ipc::Message msg = expectReply(options_.quantum_timeout_ms);
-    if (msg.type == ipc::MsgType::ErrorReply)
-        ipc::throwDecodedError(msg.ar);
-    if (msg.type != ipc::MsgType::DeliveryBatch) {
-        throw SimError(ErrorKind::Transport,
-                       std::string("expected DeliveryBatch, got ") +
-                           ipc::toString(msg.type));
-    }
-    ipc::AdvanceReply rep = ipc::decodeAdvanceReply(msg.ar);
-    msg.done();
+    if (flags & ipc::step_flag_throttled)
+        ++schedThrottles;
     applyReply(rep);
 }
 
@@ -732,7 +686,7 @@ RemoteNetwork::advanceTo(Tick t)
     // most of the amortized per-quantum overhead goes: long idle
     // stretches (warmup, drain tails, disengaged phases) cost zero
     // syscalls.
-    if (options_.pipeline && idle_ && pending_.empty()) {
+    if (idle_ && pending_.empty()) {
         if (t > cur_time_) {
             cur_time_ = t;
             ++elidedQuanta;
@@ -743,37 +697,27 @@ RemoteNetwork::advanceTo(Tick t)
     // Build the quantum request once; every retry attempt re-sends
     // identical bytes against a recovered session, and the request
     // joins the journal on success so later recoveries replay it.
-    std::vector<PacketPtr> packets = std::move(pending_);
+    // One Step exchange: inject batch + advance target in one frame,
+    // reply in one frame — two syscalls a quantum.
+    ipc::StepRequest req;
+    req.target = t;
+    req.packets = std::move(pending_);
     pending_.clear();
-    if (options_.pipeline) {
-        // Coalesced v2 exchange: inject batch + advance target in
-        // one frame, reply in one frame — two syscalls a quantum.
-        ipc::StepRequest req;
-        req.target = t;
-        req.speculate = options_.speculate;
-        req.packets = std::move(packets);
-        // Periodic attestation: every attest_quanta-th pipelined
-        // quantum carries a digest request, journaled with its
-        // answer. The cadence counts issued quanta, so it is a pure
-        // function of simulated progress and survives retries (the
-        // identical request is re-sent).
-        ++attest_counter_;
-        req.attest = options_.attest_quanta != 0 &&
-                     attest_counter_ % options_.attest_quanta == 0;
-        runWithRetry([&] {
-            stepOnce(req, true);
-            return 0;
-        });
-        journal_.push_back({t, std::move(req.packets),
-                            req.attest && last_step_attested_,
-                            last_step_digest_});
-    } else {
-        runWithRetry([&] {
-            advanceOnce(t, packets);
-            return 0;
-        });
-        journal_.push_back({t, std::move(packets), false, 0});
-    }
+    // Periodic attestation: every attest_quanta-th issued quantum
+    // carries a digest request, journaled with its answer. The cadence
+    // counts issued quanta, so it is a pure function of simulated
+    // progress and survives retries (the identical request is
+    // re-sent).
+    ++attest_counter_;
+    req.attest = options_.attest_quanta != 0 &&
+                 attest_counter_ % options_.attest_quanta == 0;
+    runWithRetry([&] {
+        stepOnce(req);
+        return 0;
+    });
+    journal_.push_back({t, std::move(req.packets),
+                        req.attest && last_step_attested_,
+                        last_step_digest_});
     ++quanta_since_base_;
     if (options_.ckpt_quanta != 0 &&
         quanta_since_base_ >= options_.ckpt_quanta)
@@ -785,8 +729,8 @@ RemoteNetwork::syncNow()
 {
     if (server_time_ >= cur_time_)
         return;
-    // Idle elision left the server's clock behind; an empty,
-    // unspeculated Step brings it to the client's tick so paired
+    // Idle elision left the server's clock behind; an empty Step
+    // brings it to the client's tick so paired
     // state (tables, stats, checkpoints) is read at the same time on
     // both sides. The fabric was idle throughout, so the reply cannot
     // carry deliveries. Not journaled: a recovery replay ends at the
@@ -796,21 +740,9 @@ RemoteNetwork::syncNow()
         test_hooks.on_op(op_counter_++);
     ipc::StepRequest req;
     req.target = cur_time_;
-    ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::Step);
-    ipc::encodeStep(aw, req);
-    ipc::sendMessage(*chan_, std::move(aw));
-    ipc::Message msg = expectReply(options_.quantum_timeout_ms);
-    if (msg.type == ipc::MsgType::ErrorReply)
-        ipc::throwDecodedError(msg.ar);
-    if (msg.type != ipc::MsgType::StepReply) {
-        throw SimError(ErrorKind::Transport,
-                       std::string("expected StepReply, got ") +
-                           ipc::toString(msg.type));
-    }
     std::uint8_t flags = 0;
-    ipc::AdvanceReply rep = ipc::decodeStepReply(msg.ar, flags);
-    msg.done();
-    applyReply(rep);
+    std::uint64_t digest = 0;
+    applyReply(exchangeStep(req, flags, digest));
 }
 
 ipc::CkptReply

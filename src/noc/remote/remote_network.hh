@@ -5,27 +5,23 @@
  * protocol. Selected with network.backend=remote.
  *
  * Determinism: injections buffer locally (inject() never performs IO)
- * and flush at advanceTo() — as one coalesced Step frame when
- * network.pipeline.enabled (the default), or as the v1
- * InjectBatch + Advance pair otherwise; the server simulates the
- * quantum and replies with the deliveries in delivery order, which
- * this client replays through the delivery handler in that exact
- * order. Every value the rest of the system reads between quanta
- * (curTime, idle, accounting) is mirrored from the last reply, so a
- * remote run is bit-identical to hosting the same network in-process.
+ * and flush at advanceTo() as one Step frame carrying the inject batch
+ * and the advance target; the server simulates the quantum and replies
+ * with the deliveries in delivery order, which this client replays
+ * through the delivery handler in that exact order. Every value the
+ * rest of the system reads between quanta (curTime, idle, accounting)
+ * is mirrored from the last reply, so a remote run is bit-identical to
+ * hosting the same network in-process.
  *
- * Pipelining: under reciprocal coupling quantum N's deliveries re-tune
- * the latency table before quantum N+1's injections sample it, so the
- * client cannot overlap its own RPCs without breaking bit-identity.
- * The amortized cost per quantum drops instead by (a) coalescing
- * inject+advance into one Step frame, (b) eliding the RPC entirely
- * while the fabric is idle and nothing is buffered (the server's own
- * idle fast-forward catches its clock up on the next real exchange),
- * and (c) letting the server speculatively execute the predicted next
- * quantum during the client's compute gap (network.pipeline.speculate)
- * so a matching Step is answered from a pre-sealed reply. All three
- * preserve the delivery stream, stats tree and tuned table bit for
- * bit.
+ * One exchange per quantum (protocol v5): under reciprocal coupling
+ * quantum N's deliveries re-tune the latency table before quantum
+ * N+1's injections sample it, so neither side can run ahead of the
+ * other without breaking bit-identity. The amortized cost per quantum
+ * drops instead by (a) sending inject batch and advance target in one
+ * Step frame, and (b) eliding the RPC entirely while the fabric is
+ * idle and nothing is buffered (the server's own idle fast-forward
+ * catches its clock up on the next real exchange). Both preserve the
+ * delivery stream, stats tree and tuned table bit for bit.
  *
  * Failure: every transport fault or quantum timeout is first fought
  * locally. The deterministic retry policy (network.remote.retry.*)
@@ -135,18 +131,12 @@ struct RemoteOptions
     std::vector<std::string> endpoints;
     /** Budget for connect + Hello handshake, in ms. */
     double connect_timeout_ms = 5000.0;
-    /** Budget for one quantum's DeliveryBatch, in ms (0 = forever). */
+    /** Budget for one quantum's StepReply, in ms (0 = forever). */
     double quantum_timeout_ms = 30000.0;
     /** Hosted model on the server: "cycle" or "deflection". */
     std::string model = "cycle";
     /** Server-side ParallelEngine workers (0 = serial). */
     int engine_workers = 0;
-    /** Speak the coalesced Step exchange and elide idle quanta
-     *  (network.pipeline.enabled). Off = v1 blocking exchange. */
-    bool pipeline = true;
-    /** Permit server-side speculation of the predicted next quantum
-     *  (network.pipeline.speculate; only meaningful with pipeline). */
-    bool speculate = true;
     /** Refresh the recovery base image (and replicate it to the
      *  standby) every this many successful quanta; 0 = only explicit
      *  checkpoints refresh the base, so the journal spans the whole
@@ -157,7 +147,7 @@ struct RemoteOptions
      *  (network.remote.heartbeat_ms). */
     double heartbeat_ms = 0.0;
     /** Request a CRC64 state attestation with every this many
-     *  pipelined quanta, journaling the digest so a recovery replay
+     *  issued quanta, journaling the digest so a recovery replay
      *  can prove the rebuilt replica reconverged; 0 = attest only at
      *  checkpoints (network.remote.attest_quanta). */
     std::uint64_t attest_quanta = 0;
@@ -171,8 +161,8 @@ struct RemoteOptions
     /** Client-side transport chaos (fault.transport.*). */
     TransportFaultOptions fault;
 
-    /** Read the "remote.*", "network.remote.*", "network.pipeline.*"
-     *  and "fault.transport.*" keys. */
+    /** Read the "remote.*", "network.remote.*" and "fault.transport.*"
+     *  keys. */
     static RemoteOptions fromConfig(const Config &cfg);
 };
 
@@ -265,8 +255,10 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /// @{
     stats::Scalar rpcRoundTrips;  ///< quantum round-trips completed
     stats::Scalar elidedQuanta;   ///< idle quanta served without IO
-    stats::Scalar specHits;       ///< replies the server pre-computed
-    stats::Scalar specRebases;    ///< server speculations rolled back
+    // Retired with protocol v5 and always 0; still registered because
+    // the perfbench harness reports them as remote.spec_*.
+    stats::Scalar specHits;
+    stats::Scalar specRebases;
     stats::Scalar schedThrottles; ///< replies delayed by fair-sched
     /// @}
 
@@ -295,8 +287,8 @@ class RemoteNetwork : public SimObject, public NetworkModel
      */
     struct TestHooks
     {
-        /** Before each raw exchange hits the wire (Step, Advance,
-         *  sync, checkpoint), with a running operation index. */
+        /** Before each raw exchange hits the wire (Step, sync,
+         *  checkpoint), with a running operation index. */
         std::function<void(std::uint64_t)> on_op;
         /** Before the CkptSave request is sent. */
         std::function<void()> on_ckpt_save;
@@ -436,13 +428,17 @@ class RemoteNetwork : public SimObject, public NetworkModel
                                           const SimError &send_err);
     /** Mirror a quantum reply and replay its deliveries in order. */
     void applyReply(const ipc::AdvanceReply &rep);
+    /** Send @p req on the live channel and decode its StepReply
+     *  (no retry, nothing applied): the one wire exchange of a
+     *  quantum, shared by stepOnce, syncNow and journal replay. */
+    ipc::AdvanceReply exchangeStep(const ipc::StepRequest &req,
+                                   std::uint8_t &flags,
+                                   std::uint64_t &digest);
     /** One raw quantum exchange (no retry): send @p req, apply the
-     *  reply. @p flags_out: count spec/sched flags. */
-    void stepOnce(const ipc::StepRequest &req, bool count_flags);
-    /** One raw v1 exchange (no retry): InjectBatch + Advance. */
-    void advanceOnce(Tick t, const std::vector<PacketPtr> &packets);
-    /** Raw idle catch-up of the server clock (no retry): an empty,
-     *  unspeculated Step to cur_time_, so paired state (tables,
+     *  reply, count a throttled flag. */
+    void stepOnce(const ipc::StepRequest &req);
+    /** Raw idle catch-up of the server clock (no retry): an empty
+     *  Step to cur_time_, so paired state (tables,
      *  stats, checkpoints) is read at the same tick on both sides. */
     void syncNow();
     /** Raw CkptSave exchange (no retry): the server's image at its
@@ -491,7 +487,7 @@ class RemoteNetwork : public SimObject, public NetworkModel
     std::uint64_t reprime_backoff_ = 1; ///< quanta; doubles per failure
 
     // Attestation bookkeeping.
-    std::uint64_t attest_counter_ = 0; ///< pipelined quanta issued
+    std::uint64_t attest_counter_ = 0; ///< quanta issued
     std::uint64_t last_step_digest_ = 0; ///< from the last StepReply
     bool last_step_attested_ = false;
     std::uint64_t op_counter_ = 0; ///< raw exchanges (test_hooks.on_op)

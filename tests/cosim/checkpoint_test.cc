@@ -66,16 +66,26 @@ snapshotStats(const stats::Group &g,
         snapshotStats(*c, out);
 }
 
+/** One differential run. gtest prints a parameter's raw bytes into
+ *  its ctest name, so every byte here is fixed: no padding and no
+ *  heap pointer (a std::string name put one there, and the test's
+ *  name changed from build to build). The name array brings the
+ *  struct to the 48 bytes the test names have always shown. */
 struct Scenario
 {
-    std::string name;
     Mode mode = Mode::CosimCycle;
     bool conservative = false;
     bool parallel = false;
     bool drop = false;   ///< fault: drop every 9th packet
     bool delay = false;  ///< fault: delay every 5th packet
     bool poison = false; ///< fault: poison every 11th delivery
+    char name[39] = {};
 };
+static_assert(sizeof(Scenario) == 48 &&
+                  sizeof(Scenario) ==
+                      sizeof(Mode) + 5 * sizeof(bool) +
+                          sizeof(Scenario::name),
+              "Scenario must be 48 bytes with no padding");
 
 FullSystemOptions
 scenarioOptions(const Scenario &s)
@@ -202,20 +212,20 @@ TEST_P(CheckpointDifferential, ResumeIsBitIdentical)
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, CheckpointDifferential,
     testing::Values(
-        Scenario{"reciprocal_serial", Mode::CosimCycle, false, false,
-                 false, false, false},
-        Scenario{"conservative_serial", Mode::CosimCycle, true, false,
-                 false, false, false},
-        Scenario{"reciprocal_parallel_faults", Mode::CosimCycle, false,
-                 true, false, true, true},
-        Scenario{"conservative_degrades", Mode::CosimCycle, true, false,
-                 true, false, false},
-        Scenario{"overlapped_gpu_faults", Mode::CosimGpu, false, false,
-                 false, true, false},
-        Scenario{"monolithic", Mode::Monolithic, false, false, false,
-                 false, false}),
+        Scenario{Mode::CosimCycle, false, false, false, false, false,
+                 "reciprocal_serial"},
+        Scenario{Mode::CosimCycle, true, false, false, false, false,
+                 "conservative_serial"},
+        Scenario{Mode::CosimCycle, false, true, false, true, true,
+                 "reciprocal_parallel_faults"},
+        Scenario{Mode::CosimCycle, true, false, true, false, false,
+                 "conservative_degrades"},
+        Scenario{Mode::CosimGpu, false, false, false, true, false,
+                 "overlapped_gpu_faults"},
+        Scenario{Mode::Monolithic, false, false, false, false, false,
+                 "monolithic"}),
     [](const testing::TestParamInfo<Scenario> &info) {
-        return info.param.name;
+        return std::string(info.param.name);
     });
 
 TEST(Checkpoint, RunsExactlyTheRequestedQuanta)
@@ -251,7 +261,7 @@ TEST(Checkpoint, QuarantinedBridgeRestoresQuarantined)
     // Dropped packets violate conservation, so the conservative run
     // degrades; the archived state machine must come back verbatim —
     // still quarantined, same cooldown trajectory.
-    Scenario s{"", Mode::CosimCycle, true, false, true, false, false};
+    Scenario s{Mode::CosimCycle, true, false, true, false, false, ""};
     FullSystemOptions opts = scenarioOptions(s);
     opts.health.recovery_quanta = 1000; // stay degraded for the test
 

@@ -75,16 +75,26 @@ class DrainWatchdogTest : public ::testing::Test
         rep->done();
     }
 
-    AdvanceReply
-    advance(const Fd &fd, Tick target)
+    /** Send an empty Step to @p target (one frame, no reply read). */
+    void
+    sendStep(const Fd &fd, Tick target)
     {
-        ArchiveWriter aw = beginMessage(MsgType::Advance);
-        encodeAdvance(aw, target);
+        StepRequest req;
+        req.target = target;
+        ArchiveWriter aw = beginMessage(MsgType::Step);
+        encodeStep(aw, req);
         sendMessage(fd, std::move(aw));
+    }
+
+    AdvanceReply
+    step(const Fd &fd, Tick target)
+    {
+        sendStep(fd, target);
         auto rep = recvMessage(fd, 5000.0);
         EXPECT_TRUE(rep.has_value());
-        EXPECT_EQ(rep->type, MsgType::DeliveryBatch);
-        AdvanceReply ar = decodeAdvanceReply(rep->ar);
+        EXPECT_EQ(rep->type, MsgType::StepReply);
+        std::uint8_t flags = 0;
+        AdvanceReply ar = decodeStepReply(rep->ar, flags);
         rep->done();
         return ar;
     }
@@ -104,7 +114,7 @@ TEST_F(DrainWatchdogTest, DrainClosesSessionsAtFrameBoundaries)
     hello(fd);
     // A complete request/reply exchange proves the session is live
     // and the previous reply went out whole.
-    AdvanceReply rep = advance(fd, 100);
+    AdvanceReply rep = step(fd, 100);
     EXPECT_EQ(rep.cur_time, 100u);
 
     server_->drain();
@@ -130,19 +140,18 @@ TEST_F(DrainWatchdogTest, DrainLetsAnInFlightRequestFinish)
     Fd fd = connectTo(addr_, 2000.0);
     hello(fd);
 
-    // Race drain() against an in-flight Advance: whichever way the
+    // Race drain() against an in-flight Step: whichever way the
     // timing falls, the reply must arrive either whole or not at all
     // (clean EOF) — a torn frame would surface as a Transport throw
     // from recvMessage.
-    ArchiveWriter aw = beginMessage(MsgType::Advance);
-    encodeAdvance(aw, 5000);
-    sendMessage(fd, std::move(aw));
+    sendStep(fd, 5000);
     server_->drain();
     try {
         auto rep = recvMessage(fd, 5000.0);
         if (rep) {
-            EXPECT_EQ(rep->type, MsgType::DeliveryBatch);
-            (void)decodeAdvanceReply(rep->ar);
+            EXPECT_EQ(rep->type, MsgType::StepReply);
+            std::uint8_t flags = 0;
+            (void)decodeStepReply(rep->ar, flags);
             rep->done();
             // After the served request the drain closes cleanly.
             auto eof = recvMessage(fd, 5000.0);
@@ -190,7 +199,7 @@ TEST_F(DrainWatchdogTest, WatchdogReapsASessionThatStopsFraming)
     Fd fresh = connectTo(addr_, 2000.0);
     hello(fresh);
     for (Tick t = 100; t <= 400; t += 100) {
-        AdvanceReply rep = advance(fresh, t);
+        AdvanceReply rep = step(fresh, t);
         EXPECT_EQ(rep.cur_time, t);
         std::this_thread::sleep_for(std::chrono::milliseconds(60));
     }

@@ -99,10 +99,12 @@ class FaultyTransportTest : public ::testing::Test
     }
 
     void
-    sendAdvance(ByteChannel &ch, Tick target)
+    sendStep(ByteChannel &ch, Tick target)
     {
-        ArchiveWriter aw = beginMessage(MsgType::Advance);
-        encodeAdvance(aw, target);
+        StepRequest req;
+        req.target = target;
+        ArchiveWriter aw = beginMessage(MsgType::Step);
+        encodeStep(aw, req);
         sendMessage(ch, std::move(aw));
     }
 
@@ -158,7 +160,7 @@ TEST_F(FaultyTransportTest, CorruptedSendTripsTheServersCrc)
     // decoder trips on the CRC and drops the session; the client
     // notices at the reply — a closed stream, not a hang.
     ch->failNextSend(TransportFaultKind::Corrupt);
-    sendAdvance(*ch, 100);
+    sendStep(*ch, 100);
     try {
         auto rep = recvMessage(*ch, 5000.0);
         EXPECT_FALSE(rep.has_value()) << "server accepted a bad CRC";
@@ -191,7 +193,7 @@ TEST_F(FaultyTransportTest, RecvFaultsMapOntoTheFrameTaxonomy)
     for (const Case &c : cases) {
         auto ch = connectFaulty();
         hello(*ch);
-        sendAdvance(*ch, 100);
+        sendStep(*ch, 100);
         ch->failNextRecv(c.kind);
         try {
             (void)recvMessage(*ch, 5000.0);
@@ -212,9 +214,9 @@ TEST_F(FaultyTransportTest, ScheduledCorruptionTripsTheArchiveCrc)
     // The probability schedule applies Corrupt only to *payload*
     // reads (header bands have no corrupt entry), so a CRC trip is
     // always an archive-level failure with framing intact. Client
-    // ops: 0 Hello send, 1/2 its reply, 3 Advance send, 4/5 its
+    // ops: 0 Hello send, 1/2 its reply, 3 Step send, 4/5 its
     // reply — arming the schedule at op 5 corrupts exactly the
-    // DeliveryBatch payload.
+    // StepReply payload.
     startServer();
     TransportFaultOptions opts;
     opts.enabled = true;
@@ -223,7 +225,7 @@ TEST_F(FaultyTransportTest, ScheduledCorruptionTripsTheArchiveCrc)
     auto inner = std::make_unique<FdChannel>(connectTo(addr_, 2000.0));
     FaultyTransport ch(std::move(inner), opts);
     hello(ch);
-    sendAdvance(ch, 100);
+    sendStep(ch, 100);
     try {
         (void)recvMessage(ch, 5000.0);
         FAIL() << "corrupted reply decoded";
@@ -239,8 +241,8 @@ TEST_F(FaultyTransportTest, ScheduledCorruptionTripsTheArchiveCrc)
 TEST_F(FaultyTransportTest, ServerSideChaosTearsReplyMidFrame)
 {
     // Server-side schedule: ops 0-2 serve the Hello exchange (recv
-    // header, recv payload, send ack); op 3/4 receive the Advance;
-    // op 5 — the DeliveryBatch reply — is the first armed op and
+    // header, recv payload, send ack); op 3/4 receive the Step;
+    // op 5 — the StepReply — is the first armed op and
     // tears with probability 1. The client must see the torn reply as
     // a Transport error mid-payload: the mid-frame-kill scenario,
     // with the daemon alive throughout.
@@ -253,7 +255,7 @@ TEST_F(FaultyTransportTest, ServerSideChaosTearsReplyMidFrame)
     Fd fd = connectTo(addr_, 2000.0);
     FdChannel ch(std::move(fd));
     hello(ch);
-    sendAdvance(ch, 100);
+    sendStep(ch, 100);
     try {
         (void)recvMessage(ch, 5000.0);
         FAIL() << "torn server reply decoded";

@@ -88,6 +88,19 @@ somePackets()
     return pkts;
 }
 
+/** Seal a beginMessage() writer into the complete wire bytes that
+ *  sendMessage() would put on the socket: frame header + payload. */
+std::string
+sealFrame(ArchiveWriter &&aw)
+{
+    aw.endSection();
+    std::string payload = aw.finish();
+    std::uint64_t len = payload.size();
+    std::string frame(frame_magic, sizeof(frame_magic));
+    frame.append(reinterpret_cast<const char *>(&len), sizeof(len));
+    return frame + payload;
+}
+
 /** One valid wire frame (header + payload) per message type: the
  *  fuzzer's corpus. Every decoder is reachable from here. */
 std::vector<std::string>
@@ -108,19 +121,9 @@ buildCorpus()
         add(std::move(aw));
     }
     {
-        ArchiveWriter aw = beginMessage(MsgType::InjectBatch);
-        encodePackets(aw, somePackets());
-        add(std::move(aw));
-    }
-    {
-        ArchiveWriter aw = beginMessage(MsgType::Advance);
-        encodeAdvance(aw, 8192);
-        add(std::move(aw));
-    }
-    {
         StepRequest req;
         req.target = 12288;
-        req.speculate = true;
+        req.attest = true;
         req.packets = somePackets();
         ArchiveWriter aw = beginMessage(MsgType::Step);
         encodeStep(aw, req);
@@ -150,12 +153,10 @@ buildCorpus()
         rep.injected = 3;
         rep.delivered = 3;
         rep.deliveries = somePackets();
-        ArchiveWriter aw = beginMessage(MsgType::DeliveryBatch);
-        encodeAdvanceReply(aw, rep);
+        ArchiveWriter aw = beginMessage(MsgType::StepReply);
+        encodeStepReply(aw, rep, step_flag_throttled | step_flag_attested,
+                        0x5eed);
         add(std::move(aw));
-        ArchiveWriter aw2 = beginMessage(MsgType::StepReply);
-        encodeStepReply(aw2, rep, step_flag_spec_hit);
-        add(std::move(aw2));
     }
     {
         ArchiveWriter aw = beginMessage(MsgType::TableData);
@@ -198,12 +199,6 @@ decodeAs(Message &msg, const abstractnet::LatencyTable &proto)
       case MsgType::Hello:
         decodeHello(msg.ar);
         break;
-      case MsgType::InjectBatch:
-        decodePackets(msg.ar);
-        break;
-      case MsgType::Advance:
-        decodeAdvance(msg.ar);
-        break;
       case MsgType::Step:
         decodeStep(msg.ar);
         break;
@@ -213,9 +208,6 @@ decodeAs(Message &msg, const abstractnet::LatencyTable &proto)
         break;
       case MsgType::HelloAck:
         decodeHelloReply(msg.ar);
-        break;
-      case MsgType::DeliveryBatch:
-        decodeAdvanceReply(msg.ar);
         break;
       case MsgType::StepReply: {
         std::uint8_t flags = 0;
@@ -384,10 +376,10 @@ TEST(FrameFuzz, SeededMutationsNeverCrashHangOrMisdecode)
 
 TEST(FrameFuzz, LyingTypeWithForeignBodyIsRefused)
 {
-    // CRC-valid frame claiming to be Hello but carrying an Advance
-    // body: the structural decoder must refuse it as Transport.
+    // CRC-valid frame claiming to be Hello but carrying a bare tick as
+    // its body: the structural decoder must refuse it as Transport.
     ArchiveWriter aw = beginMessage(MsgType::Hello);
-    encodeAdvance(aw, 4096);
+    aw.putU64(4096);
     std::string frame = sealFrame(std::move(aw));
 
     auto [w, r] = makePair();
@@ -407,23 +399,38 @@ TEST(FrameFuzz, LyingTypeWithForeignBodyIsRefused)
 
 TEST(FrameFuzz, UnknownMessageTypeIsRefusedAtReceive)
 {
-    // A type value no build speaks: refused before any payload decode
-    // runs, with a hint that the peer may be newer.
-    ArchiveWriter aw;
-    aw.beginSection("msg");
-    aw.putU32(57);
-    std::string frame = sealFrame(std::move(aw));
+    // A type value no build speaks — or one a v4 peer still sends (2,
+    // 3 and 103: the retired two-frame quantum exchange) — is refused
+    // before any payload decode runs, with a hint that the peer may
+    // speak another protocol.
+    for (std::uint32_t raw : {57u, 2u, 3u, 103u}) {
+        ArchiveWriter aw;
+        aw.beginSection("msg");
+        aw.putU32(raw);
+        aw.putU64(4096);
+        std::string frame = sealFrame(std::move(aw));
 
-    auto [w, r] = makePair();
-    sendAll(w, frame.data(), frame.size());
-    EXPECT_SIM_ERROR(recvMessage(r, 1000.0), "unknown message type");
+        auto [w, r] = makePair();
+        sendAll(w, frame.data(), frame.size());
+        try {
+            (void)recvMessage(r, 1000.0);
+            FAIL() << "type " << raw << " accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Transport) << "type " << raw;
+            EXPECT_NE(std::string(e.what()).find("unknown message type"),
+                      std::string::npos)
+                << "type " << raw << ": " << e.what();
+        }
+    }
 }
 
 TEST(FrameFuzz, ForgedPacketCountRefusedBeforeAllocation)
 {
     // A count no legal frame could carry must be refused up front —
     // not answered with a multi-gigabyte reserve (bad_alloc/OOM).
-    ArchiveWriter aw = beginMessage(MsgType::InjectBatch);
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    aw.putU64(4096); // target
+    aw.putBool(false); // attest
     aw.putU64(std::uint64_t(1) << 40);
     std::string frame = sealFrame(std::move(aw));
 
@@ -431,7 +438,7 @@ TEST(FrameFuzz, ForgedPacketCountRefusedBeforeAllocation)
     sendAll(w, frame.data(), frame.size());
     auto msg = recvMessage(r, 1000.0);
     ASSERT_TRUE(msg.has_value());
-    EXPECT_SIM_ERROR(decodePackets(msg->ar), "implausible packet count");
+    EXPECT_SIM_ERROR(decodeStep(msg->ar), "implausible packet count");
 }
 
 TEST(FrameFuzz, ForgedStatRowCountRefusedBeforeAllocation)
@@ -453,8 +460,10 @@ TEST(FrameFuzz, TrailingBytesRefusedByDone)
     // A structurally valid body followed by bytes this build does not
     // understand: silent acceptance would desynchronise the peers, so
     // done() must refuse.
-    ArchiveWriter aw = beginMessage(MsgType::Advance);
-    encodeAdvance(aw, 4096);
+    StepRequest req;
+    req.target = 4096;
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    encodeStep(aw, req);
     aw.putU32(0xdead);
     std::string frame = sealFrame(std::move(aw));
 
@@ -462,7 +471,7 @@ TEST(FrameFuzz, TrailingBytesRefusedByDone)
     sendAll(w, frame.data(), frame.size());
     auto msg = recvMessage(r, 1000.0);
     ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(decodeAdvance(msg->ar), 4096u);
+    EXPECT_EQ(decodeStep(msg->ar).target, 4096u);
     EXPECT_SIM_ERROR(msg->done(), "malformed message payload");
 }
 

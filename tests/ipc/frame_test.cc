@@ -69,15 +69,21 @@ frameHeader(std::uint64_t len)
 TEST(Frame, RoundTrip)
 {
     auto [a, b] = makePair();
-    ArchiveWriter aw = beginMessage(MsgType::Advance);
-    encodeAdvance(aw, 4096);
+    StepRequest req;
+    req.target = 4096;
+    req.attest = true;
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    encodeStep(aw, req);
     sendMessage(a, std::move(aw));
 
     auto msg = recvMessage(b, 1000.0);
     ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(msg->type, MsgType::Advance);
-    EXPECT_EQ(decodeAdvance(msg->ar), 4096u);
+    EXPECT_EQ(msg->type, MsgType::Step);
+    StepRequest got = decodeStep(msg->ar);
     msg->done();
+    EXPECT_EQ(got.target, 4096u);
+    EXPECT_TRUE(got.attest);
+    EXPECT_TRUE(got.packets.empty());
 }
 
 TEST(Frame, CleanEofAtBoundaryIsNotAnError)
@@ -223,13 +229,16 @@ TEST(Protocol, PacketBatchRoundTrip)
     pkts.push_back(
         noc::makePacket(8, 3, 0, noc::MsgClass::Response, 72, 105));
 
-    ArchiveWriter aw = beginMessage(MsgType::InjectBatch);
-    encodePackets(aw, pkts);
+    StepRequest req;
+    req.target = 200;
+    req.packets = pkts;
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    encodeStep(aw, req);
     sendMessage(a, std::move(aw));
 
     auto msg = recvMessage(b, 1000.0);
     ASSERT_TRUE(msg.has_value());
-    std::vector<noc::PacketPtr> got = decodePackets(msg->ar);
+    std::vector<noc::PacketPtr> got = decodeStep(msg->ar).packets;
     msg->done();
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0]->id, 7u);

@@ -8,8 +8,8 @@
  * the daemon's operational contracts: admission control refuses
  * connections over server.max_sessions with a typed error, oversize
  * inject batches are refused as "backpressure:" (and the session
- * survives via reconnect), and the scheduler/speculation counters
- * export sanely.
+ * survives via reconnect), and the scheduler counters export
+ * sanely.
  */
 
 #include <gtest/gtest.h>
@@ -236,7 +236,6 @@ TEST_F(MultiSession, ConcurrentSessionsBitIdenticalToSolo)
     // Counter sanity: derived counters never exceed their base.
     EXPECT_LE(c.quota_yields, c.sched_waits);
     EXPECT_LE(c.sched_waits, c.frames);
-    EXPECT_LE(c.spec_hits + c.spec_rebases, c.frames);
     EXPECT_EQ(c.quota_trips, 0u);
 }
 

@@ -7,10 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <sstream>
+#include <csignal>
 #include <string>
 #include <thread>
 #include <utility>
@@ -79,26 +80,12 @@ class ServerFixture : public ::testing::Test
         return hr;
     }
 
+    /** One quantum exchange: inject @p pkts, advance to @p target. */
     AdvanceReply
-    advance(const Fd &fd, Tick target)
-    {
-        ArchiveWriter aw = beginMessage(MsgType::Advance);
-        encodeAdvance(aw, target);
-        Message rep = call(fd, std::move(aw));
-        EXPECT_EQ(rep.type, MsgType::DeliveryBatch);
-        AdvanceReply ar = decodeAdvanceReply(rep.ar);
-        rep.done();
-        return ar;
-    }
-
-    /** Coalesced v2 quantum exchange; returns the reply + flag bits. */
-    std::pair<AdvanceReply, std::uint8_t>
-    step(const Fd &fd, Tick target, bool speculate,
-         std::vector<noc::PacketPtr> pkts = {})
+    step(const Fd &fd, Tick target, std::vector<noc::PacketPtr> pkts = {})
     {
         StepRequest req;
         req.target = target;
-        req.speculate = speculate;
         req.packets = std::move(pkts);
         ArchiveWriter aw = beginMessage(MsgType::Step);
         encodeStep(aw, req);
@@ -107,17 +94,7 @@ class ServerFixture : public ::testing::Test
         std::uint8_t flags = 0;
         AdvanceReply ar = decodeStepReply(rep.ar, flags);
         rep.done();
-        return {ar, flags};
-    }
-
-    std::vector<StatRow>
-    statsRows(const Fd &fd)
-    {
-        Message rep = call(fd, beginMessage(MsgType::StatsGet));
-        EXPECT_EQ(rep.type, MsgType::StatsData);
-        std::vector<StatRow> rows = decodeStatsReply(rep.ar);
-        rep.done();
-        return rows;
+        return ar;
     }
 
     std::string addr_;
@@ -149,11 +126,8 @@ TEST_F(ServerFixture, InjectAdvanceDelivers)
         noc::makePacket(1, 0, 15, noc::MsgClass::Request, 8, 5));
     pkts.push_back(
         noc::makePacket(2, 3, 12, noc::MsgClass::Response, 72, 7));
-    ArchiveWriter aw = beginMessage(MsgType::InjectBatch);
-    encodePackets(aw, pkts);
-    sendMessage(fd, std::move(aw)); // deliberately unacknowledged
 
-    AdvanceReply rep = advance(fd, 5000);
+    AdvanceReply rep = step(fd, 5000, std::move(pkts));
     EXPECT_EQ(rep.cur_time, 5000u);
     EXPECT_TRUE(rep.idle);
     EXPECT_EQ(rep.injected, 2u);
@@ -167,8 +141,10 @@ TEST_F(ServerFixture, InjectAdvanceDelivers)
 TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 {
     Fd fd = connect();
-    ArchiveWriter aw = beginMessage(MsgType::Advance);
-    encodeAdvance(aw, 100);
+    StepRequest req;
+    req.target = 100;
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    encodeStep(aw, req);
     Message rep = call(fd, std::move(aw));
     ASSERT_EQ(rep.type, MsgType::ErrorReply);
     try {
@@ -183,20 +159,25 @@ TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 
 TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
 {
-    Fd fd = connect();
-    HelloRequest req;
-    req.proto = protocol_version + 1;
-    ArchiveWriter aw = beginMessage(MsgType::Hello);
-    encodeHello(aw, req);
-    Message rep = call(fd, std::move(aw));
-    ASSERT_EQ(rep.type, MsgType::ErrorReply);
-    try {
-        throwDecodedError(rep.ar);
-        FAIL() << "throwDecodedError returned";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Transport);
-        EXPECT_NE(std::string(e.what()).find("version mismatch"),
-                  std::string::npos);
+    // A newer peer, and a v4 peer that would still send the retired
+    // two-frame quantum exchange.
+    for (std::uint32_t proto : {protocol_version + 1, 4u}) {
+        Fd fd = connect();
+        HelloRequest req;
+        req.proto = proto;
+        ArchiveWriter aw = beginMessage(MsgType::Hello);
+        encodeHello(aw, req);
+        Message rep = call(fd, std::move(aw));
+        ASSERT_EQ(rep.type, MsgType::ErrorReply) << "proto " << proto;
+        try {
+            throwDecodedError(rep.ar);
+            FAIL() << "throwDecodedError returned";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Transport);
+            EXPECT_NE(std::string(e.what()).find("version mismatch"),
+                      std::string::npos)
+                << "proto " << proto;
+        }
     }
 }
 
@@ -230,10 +211,7 @@ TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)
     std::vector<noc::PacketPtr> pkts;
     pkts.push_back(
         noc::makePacket(1, 0, 15, noc::MsgClass::Request, 8, 5));
-    ArchiveWriter inj = beginMessage(MsgType::InjectBatch);
-    encodePackets(inj, pkts);
-    sendMessage(fd, std::move(inj));
-    AdvanceReply a1 = advance(fd, 1000);
+    AdvanceReply a1 = step(fd, 1000, pkts);
     EXPECT_EQ(a1.delivered, 1u);
 
     Message ck = call(fd, beginMessage(MsgType::CkptSave));
@@ -249,10 +227,7 @@ TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)
     std::vector<noc::PacketPtr> more;
     more.push_back(
         noc::makePacket(2, 1, 14, noc::MsgClass::Forward, 8, 1500));
-    ArchiveWriter inj2 = beginMessage(MsgType::InjectBatch);
-    encodePackets(inj2, more);
-    sendMessage(fd, std::move(inj2));
-    AdvanceReply a2 = advance(fd, 3000);
+    AdvanceReply a2 = step(fd, 3000, more);
     EXPECT_EQ(a2.delivered, 2u);
 
     ArchiveWriter load = beginMessage(MsgType::CkptLoad);
@@ -267,10 +242,7 @@ TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)
     EXPECT_EQ(lr.digest, crc64(image));
 
     // The restored session replays the diverged tail identically.
-    ArchiveWriter inj3 = beginMessage(MsgType::InjectBatch);
-    encodePackets(inj3, more);
-    sendMessage(fd, std::move(inj3));
-    AdvanceReply a3 = advance(fd, 3000);
+    AdvanceReply a3 = step(fd, 3000, more);
     EXPECT_EQ(a3.delivered, a2.delivered);
     EXPECT_EQ(a3.injected, a2.injected);
 }
@@ -318,7 +290,7 @@ TEST_F(ServerFixture, PingInSessionReportsSessionState)
     Fd fd = connect();
     HelloRequest hreq;
     hello(fd, hreq);
-    step(fd, 500, false);
+    step(fd, 500);
 
     PingRequest req;
     req.nonce = 42;
@@ -392,100 +364,82 @@ TEST_F(ServerFixture, ServerSurvivesAVanishedClient)
     req.params.rows = 4;
     HelloReply hr = hello(fd, req);
     EXPECT_EQ(hr.num_nodes, 16u);
-    AdvanceReply rep = advance(fd, 100);
+    AdvanceReply rep = step(fd, 100);
     EXPECT_EQ(rep.cur_time, 100u);
 }
 
-// The differential tests drive speculation through RemoteNetwork, but
-// their workloads drain within a quantum, so the predictor rarely
-// arms. This test forces both speculation outcomes deterministically:
-// the client sleeps between quanta, guaranteeing the server's
-// readable() poll sees an empty socket and the predicted quantum
-// actually executes. A matching Step must then be answered from the
-// pre-sealed frame (spec_hit), a mismatched one must roll the session
-// back first (rebased) — and in both cases every reply and the final
-// stats tree must be bit-identical to a session that declined
-// speculation entirely.
-TEST_F(ServerFixture, SpeculationHitAndRebaseAreBitIdentical)
+/** Run the rasim-nocd binary with @p args; returns its exit status
+ *  (-1 when it had to be killed) and its combined stdout/stderr. */
+std::pair<int, std::string>
+runNocd(const std::vector<std::string> &args)
 {
-    auto burst = [] {
-        // Enough traffic that a 4x4 mesh stays busy well past tick
-        // 100 with 20-tick quanta (same shape as the mid-speculation
-        // kill test in remote_equivalence_test).
-        std::vector<noc::PacketPtr> pkts;
-        for (int i = 0; i < 256; ++i)
-            pkts.push_back(noc::makePacket(
-                static_cast<PacketId>(i + 1), i % 16, (i * 7 + 3) % 16,
-                noc::MsgClass::Request, 64, 5));
-        return pkts;
-    };
-    auto summarize = [](const AdvanceReply &r) {
-        std::ostringstream os;
-        os << r.cur_time << '/' << r.idle << '/' << r.injected << '/'
-           << r.delivered << '/' << r.in_flight;
-        for (const auto &p : r.deliveries)
-            os << ' ' << p->id << ':' << p->deliver_tick << ':'
-               << p->hops;
-        return os.str();
-    };
-    HelloRequest hreq;
-    hreq.params.columns = 4;
-    hreq.params.rows = 4;
-    // Quantum schedule: inject burst -> three drain quanta -> one
-    // off-stride quantum (90, where the predictor will expect 100).
-    const std::vector<Tick> targets = {20, 40, 60, 80, 90};
-
-    // Reference session: identical requests, speculation declined.
-    std::vector<std::string> ref;
-    std::vector<StatRow> ref_stats;
-    {
-        Fd fd = connect();
-        hello(fd, hreq);
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-            auto [rep, flags] = step(
-                fd, targets[i], false,
-                i == 0 ? burst() : std::vector<noc::PacketPtr>{});
-            EXPECT_EQ(flags & (step_flag_spec_hit | step_flag_rebased),
-                      0)
-                << "server speculated against the client's wishes";
-            ref.push_back(summarize(rep));
-            EXPECT_FALSE(rep.idle) << "workload drained too early at "
-                                   << targets[i];
-        }
-        ref_stats = statsRows(fd);
+    int out[2];
+    EXPECT_EQ(::pipe(out), 0);
+    pid_t pid = ::fork();
+    if (pid == 0) {
+        ::dup2(out[1], STDOUT_FILENO);
+        ::dup2(out[1], STDERR_FILENO);
+        ::close(out[0]);
+        std::vector<char *> argv;
+        argv.push_back(const_cast<char *>(RASIM_NOCD_PATH));
+        for (const std::string &a : args)
+            argv.push_back(const_cast<char *>(a.c_str()));
+        argv.push_back(nullptr);
+        ::execv(RASIM_NOCD_PATH, argv.data());
+        ::_exit(127);
     }
-    const std::uint64_t hits_before = server_->counters().spec_hits;
-    const std::uint64_t rebases_before =
-        server_->counters().spec_rebases;
-
-    // Speculative session: the sleep before each Step guarantees the
-    // server's gap, so after the first drain-shaped quantum (40) the
-    // predicted quantum provably runs.
-    Fd fd = connect();
-    hello(fd, hreq);
-    std::vector<std::uint8_t> flags_seen;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        auto [rep, flags] = step(
-            fd, targets[i], true,
-            i == 0 ? burst() : std::vector<noc::PacketPtr>{});
-        flags_seen.push_back(flags);
-        EXPECT_EQ(summarize(rep), ref[i])
-            << "speculative reply diverged at target " << targets[i];
+    ::close(out[1]);
+    // A binary that accepted its arguments would serve forever: give
+    // it a bounded window, then kill it.
+    int status = 0;
+    bool exited = false;
+    for (int i = 0; i < 500 && !exited; ++i) {
+        exited = ::waitpid(pid, &status, WNOHANG) == pid;
+        if (!exited)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    // Steps 60 and 80 match the prediction armed by the preceding
-    // drain quantum; 90 breaks the stride while a speculation to 100
-    // sits completed, forcing the rebase path.
-    EXPECT_TRUE(flags_seen[2] & step_flag_spec_hit);
-    EXPECT_TRUE(flags_seen[3] & step_flag_spec_hit);
-    EXPECT_TRUE(flags_seen[4] & step_flag_rebased);
-    EXPECT_FALSE(flags_seen[4] & step_flag_spec_hit);
+    if (!exited) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+    }
+    std::string text;
+    char buf[512];
+    for (ssize_t n; (n = ::read(out[0], buf, sizeof(buf))) > 0;)
+        text.append(buf, static_cast<std::size_t>(n));
+    ::close(out[0]);
+    return {exited && WIFEXITED(status) ? WEXITSTATUS(status) : -1,
+            text};
+}
 
-    // The rebased session's statistics — including per-router flit
-    // counts — must match the unspeculated reference exactly.
-    EXPECT_EQ(statsRows(fd), ref_stats);
-    EXPECT_GE(server_->counters().spec_hits, hits_before + 2);
-    EXPECT_GE(server_->counters().spec_rebases, rebases_before + 1);
+// Every flag is a spelling of a server.* key, validated by the one
+// NocServerOptions::fromConfig parser: a bad value in either spelling,
+// or a retired flag, exits 2 before the daemon listens.
+TEST(NocdFlags, BadValuesAndRetiredFlagsExitBeforeListening)
+{
+    const std::string path =
+        "/tmp/rasim-nocd-flags-" + std::to_string(::getpid()) + ".sock";
+    const std::string addr = "unix:" + path;
+    const std::vector<std::vector<std::string>> cases = {
+        {addr, "--drain-timeout", "-5"},
+        {addr, "--session-timeout-ms", "-1"},
+        {addr, "--io-timeout-ms", "abc"},
+        {addr, "--max-sessions", "abc"},
+        {addr, "--quota-frames", "-3"},
+        {"server.drain_timeout_ms=-5", addr},
+        {addr, "--no-speculate"},
+        {addr, "--drain-timeout"},
+    };
+    for (const auto &args : cases) {
+        std::string what;
+        for (const std::string &a : args)
+            what += a + " ";
+        auto [code, out] = runNocd(args);
+        EXPECT_EQ(code, 2) << what << "\n" << out;
+        EXPECT_EQ(out.find("listening"), std::string::npos) << what;
+        EXPECT_NE(::access(path.c_str(), F_OK), 0)
+            << what << ": left a socket behind";
+        ::unlink(path.c_str());
+    }
 }
 
 } // namespace

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/expect_error.hh"
+#include "ipc/nocd_server.hh"
 #include "ipc/retry.hh"
+#include "noc/remote/remote_network.hh"
 #include "sim/config.hh"
 #include "sim/fault_injector.hh"
 #include "sim/rng.hh"
@@ -391,17 +394,24 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
     cfg.parseArg("network.remote.retry.max_attemps=9"); // sic
     cfg.parseArg("fault.transport.torn_frmae=0.5");     // sic
     cfg.parseArg("network.remote.retry.base_ms=1");
-    (void)RetryOptions::fromConfig(cfg);
-    (void)TransportFaultOptions::fromConfig(cfg);
-    // The misspellings were never read, so the warnUnread() pass in
-    // FullSystem / rasim-nocd will name them instead of silently
-    // falling back to defaults.
-    auto unread_net = cfg.unreadKeysWithPrefix("network.");
-    ASSERT_EQ(unread_net.size(), 1u);
-    EXPECT_EQ(unread_net[0], "network.remote.retry.max_attemps");
-    auto unread_fault = cfg.unreadKeysWithPrefix("fault.");
-    ASSERT_EQ(unread_fault.size(), 1u);
-    EXPECT_EQ(unread_fault[0], "fault.transport.torn_frmae");
+    // Retired keys: the v1 exchange switch and the run-ahead knobs.
+    cfg.parseArg("network.pipeline.enabled=false");
+    cfg.parseArg("network.pipeline.speculate=false");
+    cfg.parseArg("server.speculate=false");
+    (void)noc::remote::RemoteOptions::fromConfig(cfg);
+    (void)NocServerOptions::fromConfig(cfg);
+    // The misspelled and retired keys were never read, so the
+    // warnUnread() pass in FullSystem / rasim-nocd will name them
+    // instead of silently falling back to defaults.
+    EXPECT_EQ(cfg.unreadKeysWithPrefix("network."),
+              (std::vector<std::string>{
+                  "network.pipeline.enabled",
+                  "network.pipeline.speculate",
+                  "network.remote.retry.max_attemps"}));
+    EXPECT_EQ(cfg.unreadKeysWithPrefix("fault."),
+              (std::vector<std::string>{"fault.transport.torn_frmae"}));
+    EXPECT_EQ(cfg.unreadKeysWithPrefix("server."),
+              (std::vector<std::string>{"server.speculate"}));
 }
 
 } // namespace
