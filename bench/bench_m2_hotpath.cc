@@ -16,6 +16,11 @@
  *    quantum past warm-up, reporting end-to-end packets/sec and the
  *    honest steady-state heap allocations per quantum.
  *
+ * 3. Kernel sweep: a 16x16 CycleNetwork under each compute kernel
+ *    (object, soa-scalar, soa-avx2) at offered loads from near idle
+ *    (0.0002 pkt/node/cycle) to 0.03, reporting ns per router-cycle
+ *    and the soa speedup over object at each point.
+ *
  * A counting global allocator (defined in this translation unit, so it
  * only governs this binary) attributes heap traffic to each lane.
  * Results go to stdout and to BENCH_hotpath.json in the working
@@ -287,8 +292,13 @@ runSystem(Tick warm_ticks, Tick run_ticks)
 // traffic and must deliver the identical packet stream (checksummed),
 // so the throughput ratio isolates the kernel: flat SoA state plus the
 // active-node worklist versus pointer-chasing every component every
-// cycle.
+// cycle. The lanes are swept over offered load: near idle the soa
+// kernel wins mostly by skipping idle routers, under load by its
+// allocators.
 // ---------------------------------------------------------------------
+
+constexpr int kernel_mesh_side = 16;
+constexpr Tick kernel_quantum = 1000;
 
 struct KernelLaneResult
 {
@@ -300,15 +310,15 @@ struct KernelLaneResult
 
 KernelLaneResult
 runKernelLane(const char *kernel, const char *simd,
-              std::uint64_t warm_quanta, std::uint64_t quanta)
+              int packets_per_quantum, std::uint64_t warm_quanta,
+              std::uint64_t quanta)
 {
-    constexpr Tick quantum = 1000;
-    constexpr int packets_per_kquantum = 48;
+    constexpr Tick quantum = kernel_quantum;
 
     Simulation sim;
     noc::NocParams p;
-    p.columns = 16;
-    p.rows = 16;
+    p.columns = kernel_mesh_side;
+    p.rows = kernel_mesh_side;
     p.kernel = kernel;
     p.simd = simd;
     noc::CycleNetwork net(sim, "bench", p);
@@ -323,7 +333,7 @@ runKernelLane(const char *kernel, const char *simd,
     std::size_t nodes = net.numNodes();
     auto step = [&](std::uint64_t q) {
         Tick base = q * quantum;
-        for (int i = 0; i < packets_per_kquantum; ++i) {
+        for (int i = 0; i < packets_per_quantum; ++i) {
             net.inject(noc::makePacket(
                 static_cast<PacketId>(next_id++),
                 static_cast<NodeId>(rng.range(nodes)),
@@ -353,6 +363,65 @@ runKernelLane(const char *kernel, const char *simd,
     r.allocs_per_quantum = static_cast<double>(allocs1 - allocs0) /
                            static_cast<double>(quanta);
     return r;
+}
+
+/** One offered-load point of the kernel sweep. */
+struct KernelPoint
+{
+    double offered_load = 0.0; ///< packets per node per cycle
+    int packets_per_quantum = 0;
+    std::uint64_t quanta = 0;
+    KernelLaneResult object, soa_scalar, soa_avx2;
+    bool have_avx2 = false;
+
+    double scalarSpeedup() const
+    {
+        return object.ns_per_router_cycle /
+               soa_scalar.ns_per_router_cycle;
+    }
+    double avx2Speedup() const
+    {
+        return object.ns_per_router_cycle / soa_avx2.ns_per_router_cycle;
+    }
+};
+
+/** Run every kernel at one load; false on a checksum mismatch. */
+bool
+runKernelPoint(KernelPoint &pt, std::uint64_t warm_quanta)
+{
+    constexpr int nodes = kernel_mesh_side * kernel_mesh_side;
+    pt.packets_per_quantum = static_cast<int>(
+        pt.offered_load * nodes * kernel_quantum + 0.5);
+    pt.object = runKernelLane("object", "auto", pt.packets_per_quantum,
+                              warm_quanta, pt.quanta);
+    pt.soa_scalar = runKernelLane("soa", "scalar",
+                                  pt.packets_per_quantum, warm_quanta,
+                                  pt.quanta);
+    pt.have_avx2 = cpuid::simdCompiledIn() && cpuid::hostHasAvx2();
+    if (pt.have_avx2)
+        pt.soa_avx2 = runKernelLane("soa", "avx2",
+                                    pt.packets_per_quantum, warm_quanta,
+                                    pt.quanta);
+    if (pt.soa_scalar.checksum != pt.object.checksum ||
+        (pt.have_avx2 && pt.soa_avx2.checksum != pt.object.checksum)) {
+        std::fprintf(stderr,
+                     "kernel lane checksum mismatch at %.4f "
+                     "pkt/node/cycle\n",
+                     pt.offered_load);
+        return false;
+    }
+    return true;
+}
+
+void
+writeLaneJson(FILE *f, const char *name, const KernelLaneResult &k)
+{
+    std::fprintf(f,
+                 "      \"%s\": {\"router_cycles_per_sec\": %.1f, "
+                 "\"ns_per_router_cycle\": %.4f, "
+                 "\"allocs_per_quantum\": %.3f},\n",
+                 name, k.router_cycles_per_sec, k.ns_per_router_cycle,
+                 k.allocs_per_quantum);
 }
 
 } // namespace
@@ -397,46 +466,42 @@ main(int argc, char **argv)
                 sys.packets_per_sec, sys.allocs_per_quantum,
                 static_cast<unsigned long long>(sys.quanta));
 
-    // Kernel lanes: 16x16 CycleNetwork, identical seeded traffic.
-    const std::uint64_t kwarm = quick ? 50 : 100;
-    const std::uint64_t kquanta = quick ? 40 : 300;
-    KernelLaneResult kobj = runKernelLane("object", "auto", kwarm, kquanta);
-    KernelLaneResult ksoa = runKernelLane("soa", "scalar", kwarm, kquanta);
-    bool have_avx2 = cpuid::simdCompiledIn() && cpuid::hostHasAvx2();
-    KernelLaneResult ksimd;
-    if (have_avx2)
-        ksimd = runKernelLane("soa", "avx2", kwarm, kquanta);
-    if (ksoa.checksum != kobj.checksum ||
-        (have_avx2 && ksimd.checksum != kobj.checksum)) {
-        std::fprintf(stderr, "kernel lane checksum mismatch\n");
-        return 1;
-    }
-    double soa_speedup =
-        ksoa.router_cycles_per_sec / kobj.router_cycles_per_sec;
-    double simd_speedup =
-        have_avx2
-            ? ksimd.router_cycles_per_sec / kobj.router_cycles_per_sec
-            : 0.0;
+    // Kernel sweep: 16x16 CycleNetwork, identical seeded traffic per
+    // point. Busier points run fewer quanta so each costs about the
+    // same wall time; each warms up for half its measured quanta.
+    std::vector<KernelPoint> sweep(4);
+    sweep[0].offered_load = 0.0002;
+    sweep[1].offered_load = 0.002;
+    sweep[2].offered_load = 0.01;
+    sweep[3].offered_load = 0.03;
+    sweep[0].quanta = quick ? 40 : 300;
+    sweep[1].quanta = quick ? 10 : 60;
+    sweep[2].quanta = quick ? 4 : 20;
+    sweep[3].quanta = quick ? 2 : 10;
+    for (KernelPoint &pt : sweep)
+        if (!runKernelPoint(pt, pt.quanta / 2))
+            return 1;
 
-    benchutil::printRow(
-        {"kernel lane", "Mrouter-cyc/s", "ns/router-cyc",
-         "allocs/quantum"});
-    auto kernelRow = [](const char *name, const KernelLaneResult &k) {
+    benchutil::printRow({"pkt/node/cyc", "kernel", "Mrouter-cyc/s",
+                         "ns/router-cyc", "vs object",
+                         "allocs/quantum"});
+    auto kernelRow = [](const KernelPoint &pt, const char *name,
+                        const KernelLaneResult &k, double speedup) {
         benchutil::printRow(
-            {name, benchutil::fmt(k.router_cycles_per_sec / 1e6, 1),
+            {benchutil::fmt(pt.offered_load, 4), name,
+             benchutil::fmt(k.router_cycles_per_sec / 1e6, 1),
              benchutil::fmt(k.ns_per_router_cycle, 3),
+             benchutil::fmt(speedup, 2) + "x",
              benchutil::fmt(k.allocs_per_quantum, 2)});
     };
-    kernelRow("object", kobj);
-    kernelRow("soa-scalar", ksoa);
-    if (have_avx2)
-        kernelRow("soa-avx2", ksimd);
-    else
+    for (const KernelPoint &pt : sweep) {
+        kernelRow(pt, "object", pt.object, 1.0);
+        kernelRow(pt, "soa-scalar", pt.soa_scalar, pt.scalarSpeedup());
+        if (pt.have_avx2)
+            kernelRow(pt, "soa-avx2", pt.soa_avx2, pt.avx2Speedup());
+    }
+    if (!sweep[0].have_avx2)
         std::printf("soa-avx2: n/a (build or host lacks AVX2)\n");
-    std::printf("soa kernel speedup vs object: %.2fx scalar", soa_speedup);
-    if (have_avx2)
-        std::printf(", %.2fx avx2", simd_speedup);
-    std::printf(" (target >= 1.5x)\n");
 
     const char *path = "BENCH_hotpath.json";
     if (FILE *f = std::fopen(path, "w")) {
@@ -459,41 +524,45 @@ main(int argc, char **argv)
             "    \"packets_per_sec\": %.1f,\n"
             "    \"allocs_per_quantum\": %.3f\n"
             "  },\n"
-            "  \"kernel\": {\n"
-            "    \"mesh\": \"16x16\",\n"
-            "    \"quanta\": %llu,\n"
-            "    \"object\": {\"router_cycles_per_sec\": %.1f, "
-            "\"ns_per_router_cycle\": %.4f, "
-            "\"allocs_per_quantum\": %.3f},\n"
-            "    \"soa_scalar\": {\"router_cycles_per_sec\": %.1f, "
-            "\"ns_per_router_cycle\": %.4f, "
-            "\"allocs_per_quantum\": %.3f},\n",
+            "  \"kernel_sweep\": {\n"
+            "    \"mesh\": \"%dx%d\",\n"
+            "    \"quantum_cycles\": %llu,\n"
+            "    \"points\": [\n",
             quick ? "true" : "false",
             static_cast<unsigned long long>(quanta), packets_per_quantum,
             legacy.packets_per_sec, legacy.allocs_per_quantum,
             pooled.packets_per_sec, pooled.allocs_per_quantum, speedup,
             static_cast<unsigned long long>(sys.quanta),
             sys.packets_per_sec, sys.allocs_per_quantum,
-            static_cast<unsigned long long>(kquanta),
-            kobj.router_cycles_per_sec, kobj.ns_per_router_cycle,
-            kobj.allocs_per_quantum, ksoa.router_cycles_per_sec,
-            ksoa.ns_per_router_cycle, ksoa.allocs_per_quantum);
-        if (have_avx2)
-            std::fprintf(
-                f,
-                "    \"soa_avx2\": {\"router_cycles_per_sec\": %.1f, "
-                "\"ns_per_router_cycle\": %.4f, "
-                "\"allocs_per_quantum\": %.3f},\n"
-                "    \"soa_avx2_speedup\": %.3f,\n",
-                ksimd.router_cycles_per_sec, ksimd.ns_per_router_cycle,
-                ksimd.allocs_per_quantum, simd_speedup);
-        else
-            std::fprintf(f, "    \"soa_avx2\": null,\n");
-        std::fprintf(f,
-                     "    \"soa_speedup\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     soa_speedup);
+            kernel_mesh_side, kernel_mesh_side,
+            static_cast<unsigned long long>(kernel_quantum));
+        for (std::size_t k = 0; k < sweep.size(); ++k) {
+            const KernelPoint &pt = sweep[k];
+            std::fprintf(f,
+                         "     {\n"
+                         "      \"offered_load\": %.4f,\n"
+                         "      \"packets_per_quantum\": %d,\n"
+                         "      \"quanta\": %llu,\n",
+                         pt.offered_load, pt.packets_per_quantum,
+                         static_cast<unsigned long long>(pt.quanta));
+            writeLaneJson(f, "object", pt.object);
+            writeLaneJson(f, "soa_scalar", pt.soa_scalar);
+            if (pt.have_avx2) {
+                writeLaneJson(f, "soa_avx2", pt.soa_avx2);
+                std::fprintf(f, "      \"soa_avx2_speedup\": %.3f,\n",
+                             pt.avx2Speedup());
+            } else {
+                std::fprintf(f, "      \"soa_avx2\": null,\n");
+            }
+            std::fprintf(f,
+                         "      \"soa_scalar_speedup\": %.3f\n"
+                         "     }%s\n",
+                         pt.scalarSpeedup(),
+                         k + 1 < sweep.size() ? "," : "");
+        }
+        std::fprintf(f, "    ]\n"
+                        "  }\n"
+                        "}\n");
         std::fclose(f);
         std::printf("wrote %s\n", path);
     } else {

@@ -1,5 +1,7 @@
 #include "noc/kernel/soa_cycle.hh"
 
+#include <bit>
+
 #include "noc/routing.hh"
 #include "noc/topology.hh"
 #include "sim/logging.hh"
@@ -21,6 +23,40 @@ roundPow2(std::uint32_t v)
     while (c < v)
         c <<= 1;
     return c;
+}
+
+/** A round-robin pointer from an archive. The arbiters advance by
+ *  increment-and-wrap, so a pointer must already lie in [0, n). */
+std::int32_t
+getPointer(ArchiveReader &ar, int n, const char *what)
+{
+    std::int64_t v = ar.getI64();
+    if (v < 0 || v >= n)
+        panic("soa restore: ", what, " pointer ", v,
+              " outside [0, ", n, ")");
+    return static_cast<std::int32_t>(v);
+}
+
+/** x + 1 modulo n, for x in [0, n): the arbiters' step, free of a
+ *  division by a runtime n. */
+inline int
+wrapInc(int x, int n)
+{
+    return x + 1 == n ? 0 : x + 1;
+}
+
+/** Bits of @p m at positions >= @p from (from < 32). */
+inline std::uint32_t
+bitsFrom(std::uint32_t m, int from)
+{
+    return m & (~0u << from);
+}
+
+/** Bits of @p m at positions < @p from (from < 32). */
+inline std::uint32_t
+bitsBelow(std::uint32_t m, int from)
+{
+    return m & ~(~0u << from);
 }
 
 } // namespace
@@ -72,6 +108,12 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
         fatal("network.kernel=soa supports at most ", max_ports,
               " ports per router; topology '", topo.name(), "' has ",
               P_);
+    if (V_ > max_vcs)
+        fatal("network.kernel=soa supports at most ", max_vcs,
+              " VCs per port (got ", V_, " = ", num_vnets,
+              " vnets x ", params_.vc_classes, " classes x ",
+              params_.vcs_per_vnet, " vcs_per_vnet); use "
+              "network.kernel=object");
     if (D_ > 65535)
         fatal("network.kernel=soa supports buffer_depth up to 65535 "
               "(got ", D_, "); use network.kernel=object");
@@ -100,6 +142,8 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     fifo_.assign(npv * D_, Flit{});
     fifo_head_.assign(npv, 0);
     fifo_size_.assign(npv, 0);
+    nonempty_.assign(np, 0);
+    needva_.assign(np, 0);
     ip_sa_rr_.assign(np, 0);
     op_sa_rr_.assign(np, 0);
     op_va_rr_.assign(np * C_, 0);
@@ -288,8 +332,9 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
                        popCredit(inj)];
 
     // Inject at most one flit per cycle, round-robin over vnets.
-    for (int k = 0; k < num_vnets; ++k) {
-        int v = (nic_rr_vnet_[i] + k) % num_vnets;
+    const int vpv = params_.vcs_per_vnet;
+    int v = nic_rr_vnet_[i];
+    for (int k = 0; k < num_vnets; ++k, v = wrapInc(v, num_vnets)) {
         FlitRing &q = nicq_[static_cast<std::size_t>(i) * num_vnets + v];
         if (q.size == 0)
             continue;
@@ -302,14 +347,14 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
             std::int32_t &rr =
                 nic_va_rr_[static_cast<std::size_t>(i) * num_vnets + v];
             vc = -1;
-            for (int t = 0; t < params_.vcs_per_vnet; ++t) {
-                int cand = params_.vcIndex(
-                    v, 0, (rr + t) % params_.vcs_per_vnet);
+            int idx = rr;
+            for (int t = 0; t < vpv; ++t, idx = wrapInc(idx, vpv)) {
+                int cand = params_.vcIndex(v, 0, idx);
                 std::size_t x =
                     static_cast<std::size_t>(i) * V_ + cand;
                 if (!inj_busy_[x] && inj_credits_[x] > 0) {
                     vc = cand;
-                    rr = ((rr + t) + 1) % params_.vcs_per_vnet;
+                    rr = wrapInc(idx, vpv);
                     break;
                 }
             }
@@ -340,7 +385,7 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
         }
         pushFlit(inj, now, std::move(f));
         ++d_flits_sent_[i];
-        nic_rr_vnet_[i] = (v + 1) % num_vnets;
+        nic_rr_vnet_[i] = wrapInc(v, num_vnets);
         break;
     }
 }
@@ -411,13 +456,14 @@ SoaCycleFabric::allocateOutVc(int i, int out_port, int vnet, int cls)
     std::int32_t &rr =
         op_va_rr_[pi(i, out_port) * C_ + vnet * params_.vc_classes +
                   cls];
-    for (int k = 0; k < params_.vcs_per_vnet; ++k) {
-        int idx = (rr + k) % params_.vcs_per_vnet;
+    const int vpv = params_.vcs_per_vnet;
+    int idx = rr;
+    for (int k = 0; k < vpv; ++k, idx = wrapInc(idx, vpv)) {
         int vc = params_.vcIndex(vnet, cls, idx);
         std::size_t x = vi(i, out_port, vc);
         if (!ovc_busy_[x]) {
             ovc_busy_[x] = 1;
-            rr = (idx + 1) % params_.vcs_per_vnet;
+            rr = wrapInc(idx, vpv);
             return vc;
         }
     }
@@ -425,19 +471,22 @@ SoaCycleFabric::allocateOutVc(int i, int out_port, int vnet, int cls)
 }
 
 void
-SoaCycleFabric::routerComputeVa(int i, Cycle now)
+SoaCycleFabric::routerComputeVa(int i)
 {
     // Rotate the starting input port each cycle so no port enjoys
-    // permanent priority for fresh output VCs.
-    int start = static_cast<int>(now % P_);
-    for (int k = 0; k < P_; ++k) {
-        int p = (start + k) % P_;
-        for (int v = 0; v < V_; ++v) {
-            std::size_t x = vi(i, p, v);
-            if (ivc_state_[x] != vc_need_va)
-                continue;
-            if (fifo_size_[x] == 0)
-                panic("router", i, ": NeedVA VC with empty fifo");
+    // permanent priority for fresh output VCs. Within a port, NeedVA
+    // VCs come off the mask in ascending bit (= VC index) order.
+    int p = phase_va_start_;
+    for (int k = 0; k < P_; ++k, p = wrapInc(p, P_)) {
+        std::size_t pp = pi(i, p);
+        std::uint32_t need = needva_[pp];
+        if (need == 0)
+            continue;
+        if (need & ~nonempty_[pp])
+            panic("router", i, ": NeedVA VC with empty fifo");
+        for (; need != 0; need &= need - 1) {
+            int v = std::countr_zero(need);
+            std::size_t x = pp * V_ + v;
             const Flit &head = fifo_[x * D_ + fifo_head_[x]];
             if (!head.isHead())
                 panic("router", i, ": NeedVA VC fronted by body flit");
@@ -450,6 +499,7 @@ SoaCycleFabric::routerComputeVa(int i, Cycle now)
             if (out_vc < 0)
                 continue; // retry next cycle
             ivc_state_[x] = vc_active;
+            needva_[pp] &= ~(1u << v);
             ivc_out_port_[x] = static_cast<std::int16_t>(out_port);
             ivc_out_vc_[x] = static_cast<std::int16_t>(out_vc);
             ivc_out_class_[x] = cls;
@@ -458,58 +508,75 @@ SoaCycleFabric::routerComputeVa(int i, Cycle now)
     }
 }
 
+int
+SoaCycleFabric::firstReadyVc(int i, std::size_t pp, std::uint32_t mask,
+                             Cycle now) const
+{
+    for (; mask != 0; mask &= mask - 1) {
+        int v = std::countr_zero(mask);
+        std::size_t x = pp * V_ + v;
+        if (ivc_state_[x] != vc_active)
+            continue;
+        if (fifo_[x * D_ + fifo_head_[x]].ready_cycle > now)
+            continue;
+        if (ovc_credits_[vi(i, ivc_out_port_[x], ivc_out_vc_[x])] <= 0)
+            continue;
+        return v;
+    }
+    return -1;
+}
+
 void
 SoaCycleFabric::routerComputeSa(int i, Cycle now)
 {
-    int winner[max_ports];
+    int winner[max_ports] = {};
+    std::uint32_t requests[max_ports] = {}; ///< per out-port: in-ports
+    std::uint32_t out_ports = 0;            ///< out-ports requested
 
-    // Input stage: each input port nominates one ready VC.
+    // Input stage: each input port nominates one ready VC, scanning
+    // its active VCs round-robin from ip_sa_rr_ (upper bits first,
+    // then the wrapped lower bits), and files a request with that
+    // VC's output port.
     for (int p = 0; p < P_; ++p) {
-        winner[p] = -1;
-        std::size_t base = vi(i, p, 0);
-        int rr = ip_sa_rr_[pi(i, p)];
-        for (int k = 0; k < V_; ++k) {
-            int v = (rr + k) % V_;
-            std::size_t x = base + v;
-            if (ivc_state_[x] != vc_active || fifo_size_[x] == 0)
-                continue;
-            const Flit &f = fifo_[x * D_ + fifo_head_[x]];
-            if (f.ready_cycle > now)
-                continue;
-            if (ovc_credits_[vi(i, ivc_out_port_[x],
-                                ivc_out_vc_[x])] <= 0)
-                continue;
-            winner[p] = v;
-            break;
-        }
+        std::size_t pp = pi(i, p);
+        std::uint32_t cand = nonempty_[pp] & ~needva_[pp];
+        if (cand == 0)
+            continue;
+        int rr = ip_sa_rr_[pp];
+        int v = firstReadyVc(i, pp, bitsFrom(cand, rr), now);
+        if (v < 0)
+            v = firstReadyVc(i, pp, bitsBelow(cand, rr), now);
+        if (v < 0)
+            continue;
+        winner[p] = v;
+        int op = ivc_out_port_[pp * V_ + v];
+        out_ports |= 1u << op;
+        requests[op] |= 1u << p;
     }
 
-    // Output stage: each output port grants one input port.
-    for (int op = 0; op < P_; ++op) {
-        if (out_link_[pi(i, op)] < 0)
+    // Output stage: each requested output port grants one input port,
+    // round-robin from op_sa_rr_. Every input port requests at most
+    // one output port, so grants never contend with each other.
+    for (; out_ports != 0; out_ports &= out_ports - 1) {
+        int op = std::countr_zero(out_ports);
+        std::int32_t out_id = out_link_[pi(i, op)];
+        if (out_id < 0)
             continue;
-        int granted = -1;
-        int rr = op_sa_rr_[pi(i, op)];
-        for (int k = 0; k < P_; ++k) {
-            int p = (rr + k) % P_;
-            if (winner[p] < 0)
-                continue;
-            if (ivc_out_port_[vi(i, p, winner[p])] != op)
-                continue;
-            granted = p;
-            break;
-        }
-        if (granted < 0)
-            continue;
-        op_sa_rr_[pi(i, op)] = (granted + 1) % P_;
+        std::uint32_t req = requests[op];
+        std::uint32_t hi = bitsFrom(req, op_sa_rr_[pi(i, op)]);
+        int granted = std::countr_zero(hi != 0 ? hi : req);
+        op_sa_rr_[pi(i, op)] = wrapInc(granted, P_);
 
         // Switch + link traversal for the granted flit.
-        std::size_t x = vi(i, granted, winner[granted]);
-        ip_sa_rr_[pi(i, granted)] = (winner[granted] + 1) % V_;
+        int v = winner[granted];
+        std::size_t gp = pi(i, granted);
+        std::size_t x = gp * V_ + v;
+        ip_sa_rr_[gp] = wrapInc(v, V_);
         Flit f = std::move(fifo_[x * D_ + fifo_head_[x]]);
         std::uint16_t h = static_cast<std::uint16_t>(fifo_head_[x] + 1);
         fifo_head_[x] = h == D_ ? 0 : h;
-        --fifo_size_[x];
+        if (--fifo_size_[x] == 0)
+            nonempty_[gp] &= ~(1u << v);
         --compute_occ_[static_cast<std::size_t>(i) * compute_words +
                        occ_buffered];
         int out_vc = ivc_out_vc_[x];
@@ -525,12 +592,12 @@ SoaCycleFabric::routerComputeSa(int i, Cycle now)
         ++d_flits_routed_[i];
 
         bool was_tail = f.isTail();
-        pushFlit(links_[out_link_[pi(i, op)]], now, std::move(f));
+        pushFlit(links_[out_id], now, std::move(f));
 
         // Return the freed buffer slot to the upstream sender.
-        std::int32_t in_id = in_link_[pi(i, granted)];
+        std::int32_t in_id = in_link_[gp];
         if (in_id >= 0)
-            pushCredit(links_[in_id], now, winner[granted]);
+            pushCredit(links_[in_id], now, v);
 
         if (was_tail) {
             ovc_busy_[vi(i, op, out_vc)] = 0;
@@ -544,17 +611,22 @@ SoaCycleFabric::routerComputeSa(int i, Cycle now)
                           ": tail departed but next flit is not a "
                           "head");
                 ivc_state_[x] = vc_need_va;
+                needva_[gp] |= 1u << v;
             }
         }
-
-        winner[granted] = -1; // one grant per input port per cycle
     }
 }
 
 void
 SoaCycleFabric::routerCommit(int i, Cycle now)
 {
+    // A zero occupancy word proves the link pipeline behind it empty,
+    // so the port is skipped without touching its link.
+    const std::uint32_t *occ =
+        &commit_occ_[static_cast<std::size_t>(i) * commit_words];
     for (int p = 0; p < P_; ++p) {
+        if (occ[p] == 0)
+            continue;
         std::int32_t in_id = in_link_[pi(i, p)];
         if (in_id < 0)
             continue;
@@ -572,6 +644,7 @@ SoaCycleFabric::routerCommit(int i, Cycle now)
             ++d_buffer_writes_[i];
             bool was_empty = fifo_size_[x] == 0;
             bool is_head = f.isHead();
+            std::uint32_t bit = 1u << f.vc;
             std::uint16_t slot =
                 static_cast<std::uint16_t>(fifo_head_[x] +
                                            fifo_size_[x]);
@@ -579,6 +652,7 @@ SoaCycleFabric::routerCommit(int i, Cycle now)
                 slot = static_cast<std::uint16_t>(slot - D_);
             fifo_[x * D_ + slot] = std::move(f);
             ++fifo_size_[x];
+            nonempty_[pi(i, p)] |= bit;
             ++compute_occ_[static_cast<std::size_t>(i) *
                                compute_words +
                            occ_buffered];
@@ -587,10 +661,13 @@ SoaCycleFabric::routerCommit(int i, Cycle now)
                     panic("router", i,
                           ": idle VC must receive a head flit first");
                 ivc_state_[x] = vc_need_va;
+                needva_[pi(i, p)] |= bit;
             }
         }
     }
     for (int p = 0; p < P_; ++p) {
+        if (occ[occ_out_credit_base + p] == 0)
+            continue;
         std::int32_t out_id = out_link_[pi(i, p)];
         if (out_id < 0)
             continue;
@@ -665,6 +742,7 @@ SoaCycleFabric::compute(StepEngine &engine, Cycle now,
     if (compute_list_.empty())
         return;
     phase_now_ = now;
+    phase_va_start_ = static_cast<int>(now % P_);
     phase_stalled_ = &stalled;
     engine.forRange(
         compute_list_.size(), [this](std::size_t b, std::size_t e) {
@@ -674,7 +752,7 @@ SoaCycleFabric::compute(StepEngine &engine, Cycle now,
                 int i = compute_list_[k];
                 nicCompute(i, now);
                 if (!stalled[i]) {
-                    routerComputeVa(i, now);
+                    routerComputeVa(i);
                     routerComputeSa(i, now);
                 }
             }
@@ -852,8 +930,7 @@ SoaCycleFabric::restore(ArchiveReader &ar)
     for (int i = 0; i < n_; ++i) {
         ar.expectSection("router");
         for (int p = 0; p < P_; ++p) {
-            ip_sa_rr_[pi(i, p)] =
-                static_cast<std::int32_t>(ar.getI64());
+            ip_sa_rr_[pi(i, p)] = getPointer(ar, V_, "input SA");
             for (int v = 0; v < V_; ++v) {
                 std::size_t x = vi(i, p, v);
                 ivc_state_[x] = ar.getU8();
@@ -874,14 +951,13 @@ SoaCycleFabric::restore(ArchiveReader &ar)
             }
         }
         for (int p = 0; p < P_; ++p) {
-            op_sa_rr_[pi(i, p)] =
-                static_cast<std::int32_t>(ar.getI64());
+            op_sa_rr_[pi(i, p)] = getPointer(ar, P_, "output SA");
             std::uint64_t n_rr = ar.getU64();
             if (n_rr != static_cast<std::uint64_t>(C_))
                 panic("router ", i, ": VA arbiter shape mismatch");
             for (int c = 0; c < C_; ++c)
                 op_va_rr_[pi(i, p) * C_ + c] =
-                    static_cast<std::int32_t>(ar.getI64());
+                    getPointer(ar, params_.vcs_per_vnet, "VA");
             for (int v = 0; v < V_; ++v) {
                 std::size_t x = vi(i, p, v);
                 ovc_busy_[x] = ar.getBool() ? 1 : 0;
@@ -911,8 +987,8 @@ SoaCycleFabric::restore(ArchiveReader &ar)
         }
         for (int v = 0; v < num_vnets; ++v)
             nic_va_rr_[static_cast<std::size_t>(i) * num_vnets + v] =
-                static_cast<std::int32_t>(ar.getI64());
-        nic_rr_vnet_[i] = static_cast<std::int32_t>(ar.getI64());
+                getPointer(ar, params_.vcs_per_vnet, "NIC VA");
+        nic_rr_vnet_[i] = getPointer(ar, num_vnets, "NIC vnet");
         nic_queued_[i] = ar.getU64();
         rx_[i].clear();
         std::uint64_t n_rx = ar.getU64();
@@ -957,9 +1033,19 @@ SoaCycleFabric::rebuildOccupancy()
     std::fill(commit_occ_.begin(), commit_occ_.end(), 0);
     for (int i = 0; i < n_; ++i) {
         std::uint32_t buffered = 0;
-        for (int p = 0; p < P_; ++p)
-            for (int v = 0; v < V_; ++v)
-                buffered += fifo_size_[vi(i, p, v)];
+        for (int p = 0; p < P_; ++p) {
+            std::uint32_t nonempty = 0, needva = 0;
+            for (int v = 0; v < V_; ++v) {
+                std::size_t x = vi(i, p, v);
+                buffered += fifo_size_[x];
+                if (fifo_size_[x] > 0)
+                    nonempty |= 1u << v;
+                if (ivc_state_[x] == vc_need_va)
+                    needva |= 1u << v;
+            }
+            nonempty_[pi(i, p)] = nonempty;
+            needva_[pi(i, p)] = needva;
+        }
         compute_occ_[static_cast<std::size_t>(i) * compute_words +
                      occ_buffered] = buffered;
         std::uint32_t queued = 0;

@@ -88,6 +88,8 @@ class SoaCycleFabric : public CycleFabric
     static constexpr std::size_t commit_words = 16;
 
     static constexpr int max_ports = 16;
+    /** VC bitmasks are one u32 per (node, port). */
+    static constexpr int max_vcs = 32;
 
     struct TimedFlit
     {
@@ -198,8 +200,12 @@ class SoaCycleFabric : public CycleFabric
 
     // Per-node stages (transliterations of Nic/Router per-cycle code).
     void nicCompute(int i, Cycle now);
-    void routerComputeVa(int i, Cycle now);
+    void routerComputeVa(int i);
     void routerComputeSa(int i, Cycle now);
+    /** SA input stage: lowest VC of @p mask (in-port @p pp) whose
+     *  head flit is ready and has a downstream credit, or -1. */
+    int firstReadyVc(int i, std::size_t pp, std::uint32_t mask,
+                     Cycle now) const;
     void routerCommit(int i, Cycle now);
     void nicCommit(int i, Cycle now);
 
@@ -231,6 +237,11 @@ class SoaCycleFabric : public CycleFabric
     std::vector<Flit> fifo_;
     std::vector<std::uint16_t> fifo_head_;
     std::vector<std::uint16_t> fifo_size_;
+    // Per-(node, port) VC bitmasks [n*P], bit v = VC v: FIFO holds a
+    // flit / VC state is NeedVA. VA walks needva_, SA walks
+    // nonempty_ & ~needva_, in place of full P*V scans.
+    std::vector<std::uint32_t> nonempty_;
+    std::vector<std::uint32_t> needva_;
     // Per-port arbiters [n*P], per-pool VA pointers [n*P*C].
     std::vector<std::int32_t> ip_sa_rr_;
     std::vector<std::int32_t> op_sa_rr_;
@@ -265,6 +276,7 @@ class SoaCycleFabric : public CycleFabric
     // past its inline buffer and costs a heap allocation per phase.
     // Set before the engine call, read-only inside the phase.
     Cycle phase_now_ = 0;
+    int phase_va_start_ = 0; ///< phase_now_ % P_: VA's first in-port
     const std::vector<char> *phase_stalled_ = nullptr;
 
     // Per-node route scratch (reserved; no steady-state allocation).

@@ -159,8 +159,11 @@ ParallelEngine::runPhase(std::size_t n,
     }
     if (pending_.load(std::memory_order_acquire) != 0) {
         std::unique_lock<std::mutex> lock(mutex_);
+        // Acquire pairs with the last worker's fetch_sub: without it,
+        // seeing 0 orders nothing, and the workers' reads of *fn and
+        // their errors_ writes race the caller freeing the phase.
         done_cv_.wait(lock, [this] {
-            return pending_.load(std::memory_order_relaxed) == 0;
+            return pending_.load(std::memory_order_acquire) == 0;
         });
     }
 

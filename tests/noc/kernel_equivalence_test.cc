@@ -5,7 +5,9 @@
  * backends — same deliveries, same rendered stats tree, and the same
  * checkpoint *bytes*, which is what makes checkpoints interchangeable
  * across kernels. Also covers the SIMD lane (scalar vs dispatched
- * AVX2 must agree) and the typed rejection of bad kernel/simd config.
+ * AVX2 must agree), a matrix of cycle-network shapes that drives the
+ * soa kernel's VC-bitmask allocators down every path, and the typed
+ * rejection of bad kernel/simd config.
  */
 
 #include <gtest/gtest.h>
@@ -75,43 +77,89 @@ testParams(const std::string &kernel, const std::string &simd = "auto")
     return p;
 }
 
+/** Seeded uniform-random traffic: `packets` packets, `per_tick` of
+ *  them injected per tick. */
+struct Traffic
+{
+    int packets = 400;
+    int per_tick = 3;
+};
+
+constexpr Tick checkpoint_tick = 200;
+constexpr Tick run_end = 20000;
+
 template <typename Net>
 void
-injectTraffic(Net &net)
+injectTraffic(Net &net, const Traffic &t)
 {
     Rng rng(0x50a, 7);
     std::size_t nodes = net.numNodes();
-    for (int i = 0; i < 400; ++i) {
+    for (int i = 0; i < t.packets; ++i) {
         net.inject(makePacket(
             static_cast<PacketId>(i + 1),
             static_cast<NodeId>(rng.range(nodes)),
             static_cast<NodeId>(rng.range(nodes)),
             static_cast<MsgClass>(rng.range(3)),
-            rng.bernoulli(0.5) ? 8 : 64, static_cast<Tick>(i / 3)));
+            rng.bernoulli(0.5) ? 8 : 64,
+            static_cast<Tick>(i / t.per_tick)));
     }
 }
 
-/** Run to completion, snapshotting a mid-run checkpoint at tick 200. */
 template <typename Net>
-RunResult
-runKernel(const std::string &kernel, const std::string &simd = "auto")
+void
+recordDeliveries(Net &net, RunResult &r)
 {
-    Simulation sim;
-    Net net(sim, "net", testParams(kernel, simd));
-    RunResult r;
     net.setDeliveryHandler([&r](const PacketPtr &pkt) {
         r.deliveries.push_back(
             {pkt->id, pkt->deliver_tick, pkt->latency(), pkt->hops});
     });
-    injectTraffic(net);
-    net.advanceTo(200);
+}
+
+/** Run to completion, snapshotting a mid-run checkpoint. */
+template <typename Net>
+RunResult
+runNet(const NocParams &params, const Traffic &traffic = {})
+{
+    Simulation sim;
+    Net net(sim, "net", params);
+    RunResult r;
+    recordDeliveries(net, r);
+    injectTraffic(net, traffic);
+    net.advanceTo(checkpoint_tick);
     {
         ArchiveWriter aw;
         net.save(aw);
         saveStats(aw, net);
         r.archive = aw.finish();
     }
-    net.advanceTo(20000);
+    net.advanceTo(run_end);
+    EXPECT_TRUE(net.idle());
+    snapshotStats(net, r.stats);
+    return r;
+}
+
+template <typename Net>
+RunResult
+runKernel(const std::string &kernel, const std::string &simd = "auto")
+{
+    return runNet<Net>(testParams(kernel, simd));
+}
+
+/** Restore `image` (a runNet checkpoint) into a fresh network and run
+ *  it to the end; deliveries are those after the checkpoint. */
+template <typename Net>
+RunResult
+resumeNet(const NocParams &params, std::string image)
+{
+    Simulation sim;
+    Net net(sim, "net", params);
+    RunResult r;
+    recordDeliveries(net, r);
+    ArchiveReader ar(std::move(image));
+    EXPECT_TRUE(ar.ok()) << ar.error();
+    net.restore(ar);
+    restoreStats(ar, net);
+    net.advanceTo(run_end);
     EXPECT_TRUE(net.idle());
     snapshotStats(net, r.stats);
     return r;
@@ -143,6 +191,86 @@ TEST(KernelEquivalence, CycleNetworkSoaMatchesObject)
     RunResult soa = runKernel<CycleNetwork>("soa");
     expectSameRun(object, soa, "cycle soa");
 }
+
+/**
+ * Cycle-network shapes beyond the default light-load XY mesh, each
+ * aimed at a soa VA/SA path: adaptive output selection, dateline VC
+ * classes (12 VCs per port), deep VC pools with shallow buffers and a
+ * one-stage pipeline, and a saturating burst whose round-robin
+ * pointers keep wrapping past bit 0 of the VC masks.
+ */
+struct MaskCase
+{
+    const char *name;
+    NocParams params;
+    Traffic traffic;
+};
+
+const std::vector<MaskCase> &
+maskCases()
+{
+    static const std::vector<MaskCase> cases = [] {
+        std::vector<MaskCase> c;
+        NocParams westfirst = testParams("object");
+        westfirst.routing = "westfirst";
+        c.push_back({"westfirst", westfirst, {800, 4}});
+
+        NocParams torus = testParams("object");
+        torus.topology = "torus";
+        torus.vc_classes = 2;
+        c.push_back({"torus_datelines", torus, {400, 3}});
+
+        NocParams deep = testParams("object");
+        deep.vcs_per_vnet = 4;
+        deep.buffer_depth = 2;
+        deep.pipeline_stages = 1;
+        c.push_back({"vcs4_depth2_stages1", deep, {600, 4}});
+
+        NocParams burst = testParams("object");
+        burst.columns = 4;
+        burst.rows = 4;
+        c.push_back({"saturating_burst", burst, {1500, 150}});
+        return c;
+    }();
+    return cases;
+}
+
+class CycleKernelMatrix : public testing::TestWithParam<int>
+{
+};
+
+TEST_P(CycleKernelMatrix, SoaMatchesObject)
+{
+    const MaskCase &c = maskCases()[GetParam()];
+    NocParams p = c.params;
+    ASSERT_LE(p.totalVcs(), 32);
+    p.kernel = "object";
+    RunResult object = runNet<CycleNetwork>(p, c.traffic);
+    ASSERT_EQ(object.deliveries.size(),
+              static_cast<std::size_t>(c.traffic.packets));
+    p.kernel = "soa";
+    RunResult soa = runNet<CycleNetwork>(p, c.traffic);
+    expectSameRun(object, soa, c.name);
+
+    // The object checkpoint, taken mid-run, resumed on soa: the VC
+    // masks are rebuilt from the restored FIFOs and VC states, so the
+    // rest of the run must match the object run's tail.
+    RunResult resumed = resumeNet<CycleNetwork>(p, object.archive);
+    ASSERT_LT(resumed.deliveries.size(), object.deliveries.size());
+    RunResult tail;
+    tail.deliveries.assign(object.deliveries.end() -
+                               resumed.deliveries.size(),
+                           object.deliveries.end());
+    tail.stats = object.stats; // both archives stay empty
+    expectSameRun(tail, resumed, std::string(c.name) + " object->soa");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaskPaths, CycleKernelMatrix,
+    testing::Range(0, static_cast<int>(maskCases().size())),
+    [](const testing::TestParamInfo<int> &info) {
+        return std::string(maskCases()[info.param].name);
+    });
 
 TEST(KernelEquivalence, DeflectionNetworkSoaMatchesObject)
 {
@@ -208,6 +336,27 @@ TEST(KernelEquivalence, SoaWithUnsatisfiableAvx2Rejected)
             "avx2");
     }
     cpuid::clearHostOverrideForTest();
+}
+
+TEST(KernelEquivalence, SoaRejectsMoreThan32VcsPerPort)
+{
+    // 3 vnets x 2 classes x 6 VCs = 36 VCs per port: more than the
+    // soa kernel's 32-bit VC masks hold. The object kernel has no such
+    // limit and builds the same configuration.
+    NocParams p = testParams("soa");
+    p.vcs_per_vnet = 6;
+    p.vc_classes = 2;
+    ASSERT_EQ(p.totalVcs(), 36);
+    p.validate();
+    {
+        Simulation sim;
+        EXPECT_SIM_ERROR(CycleNetwork(sim, "net", p),
+                         "at most 32 VCs per port");
+    }
+    p.kernel = "object";
+    Simulation sim;
+    CycleNetwork obj(sim, "net", p);
+    EXPECT_EQ(std::string(obj.fabric().kindName()), "object");
 }
 
 } // namespace
