@@ -18,8 +18,10 @@
  *
  * 3. Kernel sweep: a 16x16 CycleNetwork under each compute kernel
  *    (object, soa-scalar, soa-avx2) at offered loads from near idle
- *    (0.0002 pkt/node/cycle) to 0.03, reporting ns per router-cycle
- *    and the soa speedup over object at each point.
+ *    (0.0002 pkt/node/cycle) to 0.03, reporting ns per router-cycle,
+ *    heap allocations per quantum and the soa speedup over object at
+ *    each point. The binary exits 1 if a soa lane's deliveries differ
+ *    from object's or a soa lane allocates after warm-up.
  *
  * A counting global allocator (defined in this translation unit, so it
  * only governs this binary) attributes heap traffic to each lane.
@@ -569,5 +571,18 @@ main(int argc, char **argv)
         std::perror("BENCH_hotpath.json");
         return 1;
     }
-    return 0;
+
+    // The soa kernel must run allocation-free once warm, at every load.
+    int status = 0;
+    for (const KernelPoint &pt : sweep) {
+        if (pt.soa_scalar.allocs_per_quantum > 0.0 ||
+            (pt.have_avx2 && pt.soa_avx2.allocs_per_quantum > 0.0)) {
+            std::fprintf(stderr,
+                         "soa kernel allocated on the heap at %.4f "
+                         "pkt/node/cycle\n",
+                         pt.offered_load);
+            status = 1;
+        }
+    }
+    return status;
 }

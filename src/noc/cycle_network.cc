@@ -1,6 +1,7 @@
 #include "noc/cycle_network.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -39,6 +40,8 @@ CycleNetwork::CycleNetwork(Simulation &sim, const std::string &name,
     }
 
     stalled_.assign(topo_->numNodes(), 0);
+    all_nodes_.resize(topo_->numNodes());
+    std::iota(all_nodes_.begin(), all_nodes_.end(), 0);
     fabric_ = kernel::makeCycleFabric(this, params_, *topo_, *routing_);
     inform("network '", name, "': compute kernel ",
            fabric_->description());
@@ -146,8 +149,8 @@ CycleNetwork::stepCycle()
     fabric_->commit(*engine_, now, stalled_);
 
     // Sequential: fire delivery callbacks in node order.
-    std::size_t n = numNodes();
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<int> *nodes = fabric_->completedNodes();
+    for (int i : nodes ? *nodes : all_nodes_) {
         std::vector<PacketPtr> &done = fabric_->completed(i);
         for (const PacketPtr &pkt : done)
             applyDelivery(pkt);
@@ -161,6 +164,15 @@ CycleNetwork::stepCycle()
 void
 CycleNetwork::advanceTo(Tick t)
 {
+    // Fold the fabric's batched stat increments once per call, also
+    // when a delivery handler or a fabric check throws mid-way, so no
+    // reader outside advanceTo ever sees a pending increment.
+    struct FlushStats
+    {
+        kernel::CycleFabric &fabric;
+        ~FlushStats() { fabric.flushStats(); }
+    } flush{*fabric_};
+
     while (time_ < t) {
         // Fast-forward through provably idle stretches: nothing in the
         // fabric and no injection due before the horizon.

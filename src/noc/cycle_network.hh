@@ -63,9 +63,6 @@ class CycleNetwork : public SimObject, public NetworkModel
     /** The active compute backend (object or soa). */
     const kernel::CycleFabric &fabric() const { return *fabric_; }
 
-    /** Run exactly one cycle (tests; advanceTo is the public driver). */
-    void stepCycle();
-
     /** Packets handed to inject() so far. */
     std::uint64_t injectedCount() const { return injected_; }
     /** Packets delivered so far. */
@@ -98,6 +95,9 @@ class CycleNetwork : public SimObject, public NetworkModel
     /// @}
 
   private:
+    /** Run exactly one cycle. Stat increments the fabric batches stay
+     *  pending until advanceTo() calls flushStats(). */
+    void stepCycle();
     void applyDelivery(const PacketPtr &pkt);
 
     struct InjectOrder
@@ -121,6 +121,8 @@ class CycleNetwork : public SimObject, public NetworkModel
     /** Fault hook: routers whose pipeline is wedged (see
      *  setNodeStalled). Written only between cycles. */
     std::vector<char> stalled_;
+    /** 0..n-1: the drain order when the fabric lists no nodes. */
+    std::vector<int> all_nodes_;
 
     Tick time_ = 0;
     std::uint64_t injected_ = 0;

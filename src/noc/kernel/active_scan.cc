@@ -13,14 +13,20 @@ void
 activeScanScalar(const std::uint32_t *occ, std::size_t blocks,
                  std::size_t words_per_block, std::vector<int> &out)
 {
+    // Branch-free: write every index, keep it by advancing the count
+    // only past non-zero blocks.
+    std::size_t n = out.size();
+    out.resize(n + blocks);
+    int *dst = out.data();
     for (std::size_t i = 0; i < blocks; ++i) {
         const std::uint32_t *block = occ + i * words_per_block;
         std::uint32_t acc = 0;
         for (std::size_t w = 0; w < words_per_block; ++w)
             acc |= block[w];
-        if (acc)
-            out.push_back(static_cast<int>(i));
+        dst[n] = static_cast<int>(i);
+        n += acc != 0;
     }
+    out.resize(n);
 }
 
 ActiveScanFn

@@ -33,7 +33,10 @@ namespace kernel
  * Append to @p out the ascending indices i in [0, blocks) for which
  * the u32 words occ[i*words_per_block .. (i+1)*words_per_block) are
  * not all zero. @p words_per_block must be a multiple of 8 (32-byte
- * chunks). @p out is NOT cleared.
+ * chunks). @p out is NOT cleared. Both implementations are
+ * branch-free per block: they grow @p out by @p blocks, write every
+ * index and advance the count by (block != 0), then trim, so a
+ * caller that reserved room never reallocates.
  */
 using ActiveScanFn = void (*)(const std::uint32_t *occ,
                               std::size_t blocks,

@@ -26,7 +26,12 @@ activeScanAvx2(const std::uint32_t *occ, std::size_t blocks,
 {
     // words_per_block is a multiple of 8, so every block is a whole
     // number of 256-bit chunks; OR them together and test for zero.
+    // Then, as in the scalar scan, write every index and advance the
+    // count only past non-zero blocks.
     const std::size_t chunks = words_per_block / 8;
+    std::size_t n = out.size();
+    out.resize(n + blocks);
+    int *dst = out.data();
     for (std::size_t i = 0; i < blocks; ++i) {
         const __m256i *block = reinterpret_cast<const __m256i *>(
             occ + i * words_per_block);
@@ -34,9 +39,10 @@ activeScanAvx2(const std::uint32_t *occ, std::size_t blocks,
         for (std::size_t c = 1; c < chunks; ++c)
             acc = _mm256_or_si256(acc,
                                   _mm256_loadu_si256(block + c));
-        if (!_mm256_testz_si256(acc, acc))
-            out.push_back(static_cast<int>(i));
+        dst[n] = static_cast<int>(i);
+        n += !_mm256_testz_si256(acc, acc);
     }
+    out.resize(n);
 }
 
 } // namespace kernel

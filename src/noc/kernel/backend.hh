@@ -9,7 +9,7 @@
  *  - "object": the per-object Router/Nic/Link reference implementation
  *    (pointer-linked components stepped one at a time), and
  *  - "soa": the structure-of-arrays kernel — all per-router/per-port/
- *    per-VC state in flat, contiguous, index-addressed arrays, the
+ *    per-VC state in contiguous, index-addressed record arrays, the
  *    RC/VA/SA/ST+LT stages run as batched passes over an active-node
  *    worklist, with an AVX2 occupancy scan behind runtime CPU dispatch.
  *
@@ -70,7 +70,7 @@ struct RouterActivity
  * orchestrator drives one cycle as: enqueue due packets (sequential),
  * compute (parallel phase 1: allocation + traversal), commit (parallel
  * phase 2: buffer writes + credit returns), then drain completed(i)
- * sequentially in node order.
+ * of completedNodes() sequentially in node order.
  */
 class CycleFabric
 {
@@ -100,6 +100,25 @@ class CycleFabric
      * (sequentially, so delivery callbacks never run concurrently).
      */
     virtual std::vector<PacketPtr> &completed(std::size_t node) = 0;
+
+    /**
+     * Ascending nodes whose completed() may be non-empty after this
+     * cycle's commit. Draining an empty list is the identity, so a
+     * backend may list just the nodes that ejected a tail (soa); the
+     * default, nullptr, means every node (object).
+     */
+    virtual const std::vector<int> *completedNodes() const
+    {
+        return nullptr;
+    }
+
+    /**
+     * Fold stat increments a backend batched during compute/commit
+     * into its stats tree, in node order. The orchestrator calls it
+     * once at the end of every advanceTo, so stats, routerActivity()
+     * and save() never see a pending increment. No-op by default.
+     */
+    virtual void flushStats() {}
 
     virtual RouterActivity routerActivity(std::size_t node) const = 0;
 

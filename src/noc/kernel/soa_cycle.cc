@@ -85,9 +85,9 @@ SoaCycleFabric::FlitRing::grow()
 {
     std::size_t old = buf.size();
     std::size_t ncap = old ? old * 2 : 8;
-    std::vector<Flit> nb(ncap);
+    std::vector<SoaFlit> nb(ncap);
     for (std::uint32_t k = 0; k < size; ++k)
-        nb[k] = std::move(buf[(head + k) & (old - 1)]);
+        nb[k] = buf[(head + k) & (old - 1)];
     buf = std::move(nb);
     head = 0;
 }
@@ -134,23 +134,11 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
 
     std::size_t npv = static_cast<std::size_t>(n_) * P_ * V_;
     std::size_t np = static_cast<std::size_t>(n_) * P_;
-    ivc_state_.assign(npv, vc_idle);
-    ivc_out_port_.assign(npv, -1);
-    ivc_out_vc_.assign(npv, -1);
-    ivc_out_class_.assign(npv, 0);
-    ivc_out_dim_.assign(npv, 2);
-    fifo_.assign(npv * D_, Flit{});
-    fifo_head_.assign(npv, 0);
-    fifo_size_.assign(npv, 0);
-    nonempty_.assign(np, 0);
-    needva_.assign(np, 0);
-    ip_sa_rr_.assign(np, 0);
-    op_sa_rr_.assign(np, 0);
+    in_vc_.assign(npv, InVc{});
+    out_vc_.assign(npv, OutVc{});
+    ports_.assign(np, Port{});
+    fifo_.assign(npv * D_, SoaFlit{});
     op_va_rr_.assign(np * C_, 0);
-    ovc_busy_.assign(npv, 0);
-    ovc_credits_.assign(npv, 0);
-    in_link_.assign(np, -1);
-    out_link_.assign(np, -1);
 
     nicq_.assign(static_cast<std::size_t>(n_) * num_vnets, FlitRing{});
     // Pre-size every injection ring past the common case (a couple of
@@ -165,8 +153,23 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     nic_va_rr_.assign(static_cast<std::size_t>(n_) * num_vnets, 0);
     nic_rr_vnet_.assign(n_, 0);
     nic_queued_.assign(n_, 0);
+
+    // First-touch reservations, so the first cycles allocate no more
+    // than steady state does: a node reassembles at most one packet
+    // per ejection VC and ejects at most one tail per cycle; the slot
+    // table starts with room for one packet per input VC.
     rx_.resize(n_);
     completed_.resize(n_);
+    freed_.resize(n_);
+    for (int i = 0; i < n_; ++i) {
+        rx_[i].reserve(V_);
+        completed_[i].reserve(1);
+        freed_[i].reserve(1);
+    }
+    completed_nodes_.reserve(n_);
+    slot_owner_.reserve(npv);
+    slot_pkt_.reserve(npv);
+    free_slots_.reserve(npv);
 
     compute_occ_.assign(static_cast<std::size_t>(n_) * compute_words,
                         0);
@@ -177,11 +180,7 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     for (auto &s : route_scratch_)
         s.reserve(8);
 
-    d_flits_routed_.assign(n_, 0);
-    d_buffer_writes_.assign(n_, 0);
-    d_link_traversals_.assign(n_, 0);
-    d_flits_sent_.assign(n_, 0);
-    d_flits_received_.assign(n_, 0);
+    deltas_.assign(n_, StatDeltas{});
 
     // Links in the object backend's creation order (the archive link
     // order): all router-to-router links, then per node the injection
@@ -214,11 +213,11 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
                 &commit_occ_[static_cast<std::size_t>(i) *
                                  commit_words +
                              occ_out_credit_base + p]);
-            out_link_[pi(i, p)] = id;
-            in_link_[pi(j, q)] = id;
+            ports_[pi(i, p)].out_link = id;
+            ports_[pi(j, q)].in_link = id;
             // connectOutput: initial credits = downstream depth.
             for (int v = 0; v < V_; ++v)
-                ovc_credits_[vi(i, p, v)] = params_.buffer_depth;
+                out_vc_[vi(i, p, v)].credits = params_.buffer_depth;
         }
     }
     for (int i = 0; i < n_; ++i) {
@@ -228,7 +227,7 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
                          port_local],
             &compute_occ_[static_cast<std::size_t>(i) * compute_words +
                           occ_inj_credits]);
-        in_link_[pi(i, port_local)] = inj;
+        ports_[pi(i, port_local)].in_link = inj;
 
         std::int32_t ej = add_link(
             1,
@@ -236,9 +235,9 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
                          occ_ej_flits],
             &commit_occ_[static_cast<std::size_t>(i) * commit_words +
                          occ_out_credit_base + port_local]);
-        out_link_[pi(i, port_local)] = ej;
+        ports_[pi(i, port_local)].out_link = ej;
         for (int v = 0; v < V_; ++v)
-            ovc_credits_[vi(i, port_local, v)] = params_.buffer_depth;
+            out_vc_[vi(i, port_local, v)].credits = params_.buffer_depth;
     }
 }
 
@@ -250,24 +249,23 @@ SoaCycleFabric::description() const
 }
 
 void
-SoaCycleFabric::pushFlit(SoaLink &l, Cycle now, Flit f)
+SoaCycleFabric::pushFlit(SoaLink &l, Cycle now, const SoaFlit &f)
 {
     if (l.fsize >= l.cap)
         panic("soa link: flit ring overflow "
               "(credit protocol violated)");
     TimedFlit &slot = l.flits[(l.fhead + l.fsize) & (l.cap - 1)];
     slot.cycle = now + l.latency - 1;
-    slot.flit = std::move(f);
+    slot.flit = f;
     ++l.fsize;
     ++*l.flit_occ;
 }
 
-Flit
+SoaCycleFabric::SoaFlit
 SoaCycleFabric::popFlit(SoaLink &l)
 {
-    Flit f = std::move(l.flits[l.fhead].flit);
-    l.fhead = (l.fhead + 1) & (l.cap - 1);
-    --l.fsize;
+    SoaFlit f = l.flits[l.fhead].flit;
+    l.fhead = --l.fsize == 0 ? 0 : (l.fhead + 1) & (l.cap - 1);
     --*l.flit_occ;
     return f;
 }
@@ -289,8 +287,7 @@ int
 SoaCycleFabric::popCredit(SoaLink &l)
 {
     int vc = l.credits[l.chead].vc;
-    l.chead = (l.chead + 1) & (l.cap - 1);
-    --l.csize;
+    l.chead = --l.csize == 0 ? 0 : (l.chead + 1) & (l.cap - 1);
     --*l.cred_occ;
     return vc;
 }
@@ -300,11 +297,23 @@ SoaCycleFabric::enqueue(std::size_t node, const PacketPtr &pkt,
                         Cycle now)
 {
     (void)now;
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(slot_owner_.size());
+        slot_owner_.push_back(pkt);
+        slot_pkt_.push_back(pkt.get());
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+        slot_owner_[slot] = pkt;
+        slot_pkt_[slot] = pkt.get();
+    }
+
     std::uint32_t nflits = params_.flitsPerPacket(pkt->size_bytes);
     auto vnet = static_cast<std::uint8_t>(pkt->cls);
     FlitRing &q = nicq_[node * num_vnets + vnet];
     for (std::uint32_t i = 0; i < nflits; ++i) {
-        Flit f;
+        SoaFlit f;
         if (nflits == 1)
             f.type = Flit::Type::HeadTail;
         else if (i == 0)
@@ -315,8 +324,8 @@ SoaCycleFabric::enqueue(std::size_t node, const PacketPtr &pkt,
             f.type = Flit::Type::Body;
         f.vnet = vnet;
         f.seq = static_cast<std::uint16_t>(i);
-        f.pkt = pkt;
-        q.push(std::move(f));
+        f.slot = slot;
+        q.push(f);
     }
     nic_queued_[node] += nflits;
     compute_occ_[node * compute_words + occ_nic_queued] += nflits;
@@ -326,7 +335,7 @@ void
 SoaCycleFabric::nicCompute(int i, Cycle now)
 {
     // Credits from the router (input buffer slots freed).
-    SoaLink &inj = links_[in_link_[pi(i, port_local)]];
+    SoaLink &inj = links_[ports_[pi(i, port_local)].in_link];
     while (creditReady(inj, now))
         ++inj_credits_[static_cast<std::size_t>(i) * V_ +
                        popCredit(inj)];
@@ -338,7 +347,7 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
         FlitRing &q = nicq_[static_cast<std::size_t>(i) * num_vnets + v];
         if (q.size == 0)
             continue;
-        Flit &front = q.front();
+        SoaFlit &front = q.front();
         int vc = nicq_cur_vc_[static_cast<std::size_t>(i) * num_vnets +
                               v];
         if (front.isHead()) {
@@ -363,14 +372,14 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
             inj_busy_[static_cast<std::size_t>(i) * V_ + vc] = 1;
             nicq_cur_vc_[static_cast<std::size_t>(i) * num_vnets + v] =
                 vc;
-            front.pkt->enter_tick = now;
+            slot_pkt_[front.slot]->enter_tick = now;
         } else if (vc < 0 ||
                    inj_credits_[static_cast<std::size_t>(i) * V_ +
                                 vc] <= 0) {
             continue; // streaming body flits but out of credits
         }
 
-        Flit f = q.pop();
+        SoaFlit f = q.pop();
         --nic_queued_[i];
         --compute_occ_[static_cast<std::size_t>(i) * compute_words +
                        occ_nic_queued];
@@ -383,8 +392,8 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
             nicq_cur_vc_[static_cast<std::size_t>(i) * num_vnets + v] =
                 -1;
         }
-        pushFlit(inj, now, std::move(f));
-        ++d_flits_sent_[i];
+        pushFlit(inj, now, f);
+        ++deltas_[i].flits_sent;
         nic_rr_vnet_[i] = wrapInc(v, num_vnets);
         break;
     }
@@ -406,7 +415,8 @@ SoaCycleFabric::dimOf(int port)
 }
 
 std::uint8_t
-SoaCycleFabric::nextVcClass(int i, const Flit &head, int out_port) const
+SoaCycleFabric::nextVcClass(int i, const SoaFlit &head,
+                            int out_port) const
 {
     if (params_.vc_classes == 1 || out_port == port_local)
         return 0;
@@ -420,7 +430,7 @@ SoaCycleFabric::nextVcClass(int i, const Flit &head, int out_port) const
 }
 
 int
-SoaCycleFabric::selectOutputPort(int i, const Flit &head,
+SoaCycleFabric::selectOutputPort(int i, const SoaFlit &head,
                                  const std::vector<int> &cand,
                                  int in_port) const
 {
@@ -438,9 +448,9 @@ SoaCycleFabric::selectOutputPort(int i, const Flit &head,
         int credits = 0;
         for (int k = 0; k < params_.vcs_per_vnet; ++k) {
             int vc = params_.vcIndex(head.vnet, cls, k);
-            std::size_t x = vi(i, port, vc);
-            if (!ovc_busy_[x])
-                credits += ovc_credits_[x];
+            const OutVc &o = out_vc_[vi(i, port, vc)];
+            if (!o.busy)
+                credits += o.credits;
         }
         if (credits > best_credits) {
             best_credits = credits;
@@ -460,9 +470,9 @@ SoaCycleFabric::allocateOutVc(int i, int out_port, int vnet, int cls)
     int idx = rr;
     for (int k = 0; k < vpv; ++k, idx = wrapInc(idx, vpv)) {
         int vc = params_.vcIndex(vnet, cls, idx);
-        std::size_t x = vi(i, out_port, vc);
-        if (!ovc_busy_[x]) {
-            ovc_busy_[x] = 1;
+        OutVc &o = out_vc_[vi(i, out_port, vc)];
+        if (!o.busy) {
+            o.busy = 1;
             rr = wrapInc(idx, vpv);
             return vc;
         }
@@ -479,31 +489,33 @@ SoaCycleFabric::routerComputeVa(int i)
     int p = phase_va_start_;
     for (int k = 0; k < P_; ++k, p = wrapInc(p, P_)) {
         std::size_t pp = pi(i, p);
-        std::uint32_t need = needva_[pp];
+        Port &port = ports_[pp];
+        std::uint32_t need = port.needva;
         if (need == 0)
             continue;
-        if (need & ~nonempty_[pp])
+        if (need & ~port.nonempty)
             panic("router", i, ": NeedVA VC with empty fifo");
         for (; need != 0; need &= need - 1) {
             int v = std::countr_zero(need);
             std::size_t x = pp * V_ + v;
-            const Flit &head = fifo_[x * D_ + fifo_head_[x]];
+            const SoaFlit &head = fifoFront(x);
             if (!head.isHead())
                 panic("router", i, ": NeedVA VC fronted by body flit");
             auto &scratch = route_scratch_[i];
             scratch.clear();
-            routing_.route(topo_, i, head.pkt->dst, scratch);
+            routing_.route(topo_, i, slot_pkt_[head.slot]->dst, scratch);
             int out_port = selectOutputPort(i, head, scratch, p);
             std::uint8_t cls = nextVcClass(i, head, out_port);
             int out_vc = allocateOutVc(i, out_port, head.vnet, cls);
             if (out_vc < 0)
                 continue; // retry next cycle
-            ivc_state_[x] = vc_active;
-            needva_[pp] &= ~(1u << v);
-            ivc_out_port_[x] = static_cast<std::int16_t>(out_port);
-            ivc_out_vc_[x] = static_cast<std::int16_t>(out_vc);
-            ivc_out_class_[x] = cls;
-            ivc_out_dim_[x] = dimOf(out_port);
+            InVc &ivc = in_vc_[x];
+            ivc.state = vc_active;
+            port.needva &= ~(1u << v);
+            ivc.out_port = static_cast<std::int16_t>(out_port);
+            ivc.out_vc = static_cast<std::int16_t>(out_vc);
+            ivc.out_class = cls;
+            ivc.out_dim = dimOf(out_port);
         }
     }
 }
@@ -515,11 +527,12 @@ SoaCycleFabric::firstReadyVc(int i, std::size_t pp, std::uint32_t mask,
     for (; mask != 0; mask &= mask - 1) {
         int v = std::countr_zero(mask);
         std::size_t x = pp * V_ + v;
-        if (ivc_state_[x] != vc_active)
+        const InVc &ivc = in_vc_[x];
+        if (ivc.state != vc_active)
             continue;
-        if (fifo_[x * D_ + fifo_head_[x]].ready_cycle > now)
+        if (fifoFront(x).ready_cycle > now)
             continue;
-        if (ovc_credits_[vi(i, ivc_out_port_[x], ivc_out_vc_[x])] <= 0)
+        if (out_vc_[vi(i, ivc.out_port, ivc.out_vc)].credits <= 0)
             continue;
         return v;
     }
@@ -534,84 +547,90 @@ SoaCycleFabric::routerComputeSa(int i, Cycle now)
     std::uint32_t out_ports = 0;            ///< out-ports requested
 
     // Input stage: each input port nominates one ready VC, scanning
-    // its active VCs round-robin from ip_sa_rr_ (upper bits first,
+    // its active VCs round-robin from ip_sa_rr (upper bits first,
     // then the wrapped lower bits), and files a request with that
     // VC's output port.
     for (int p = 0; p < P_; ++p) {
         std::size_t pp = pi(i, p);
-        std::uint32_t cand = nonempty_[pp] & ~needva_[pp];
+        const Port &port = ports_[pp];
+        std::uint32_t cand = port.nonempty & ~port.needva;
         if (cand == 0)
             continue;
-        int rr = ip_sa_rr_[pp];
+        int rr = port.ip_sa_rr;
         int v = firstReadyVc(i, pp, bitsFrom(cand, rr), now);
         if (v < 0)
             v = firstReadyVc(i, pp, bitsBelow(cand, rr), now);
         if (v < 0)
             continue;
         winner[p] = v;
-        int op = ivc_out_port_[pp * V_ + v];
+        int op = in_vc_[pp * V_ + v].out_port;
         out_ports |= 1u << op;
         requests[op] |= 1u << p;
     }
 
     // Output stage: each requested output port grants one input port,
-    // round-robin from op_sa_rr_. Every input port requests at most
+    // round-robin from op_sa_rr. Every input port requests at most
     // one output port, so grants never contend with each other.
     for (; out_ports != 0; out_ports &= out_ports - 1) {
         int op = std::countr_zero(out_ports);
-        std::int32_t out_id = out_link_[pi(i, op)];
+        Port &oport = ports_[pi(i, op)];
+        std::int32_t out_id = oport.out_link;
         if (out_id < 0)
             continue;
         std::uint32_t req = requests[op];
-        std::uint32_t hi = bitsFrom(req, op_sa_rr_[pi(i, op)]);
+        std::uint32_t hi = bitsFrom(req, oport.op_sa_rr);
         int granted = std::countr_zero(hi != 0 ? hi : req);
-        op_sa_rr_[pi(i, op)] = wrapInc(granted, P_);
+        oport.op_sa_rr = wrapInc(granted, P_);
 
         // Switch + link traversal for the granted flit.
         int v = winner[granted];
         std::size_t gp = pi(i, granted);
+        Port &gport = ports_[gp];
         std::size_t x = gp * V_ + v;
-        ip_sa_rr_[gp] = wrapInc(v, V_);
-        Flit f = std::move(fifo_[x * D_ + fifo_head_[x]]);
-        std::uint16_t h = static_cast<std::uint16_t>(fifo_head_[x] + 1);
-        fifo_head_[x] = h == D_ ? 0 : h;
-        if (--fifo_size_[x] == 0)
-            nonempty_[gp] &= ~(1u << v);
+        InVc &ivc = in_vc_[x];
+        gport.ip_sa_rr = wrapInc(v, V_);
+        SoaFlit f = fifo_[x * D_ + ivc.fifo_head];
+        if (--ivc.fifo_size == 0) {
+            ivc.fifo_head = 0;
+            gport.nonempty &= ~(1u << v);
+        } else {
+            std::uint16_t h = static_cast<std::uint16_t>(ivc.fifo_head + 1);
+            ivc.fifo_head = h == D_ ? 0 : h;
+        }
         --compute_occ_[static_cast<std::size_t>(i) * compute_words +
                        occ_buffered];
-        int out_vc = ivc_out_vc_[x];
+        int out_vc = ivc.out_vc;
         f.vc = static_cast<std::int8_t>(out_vc);
-        f.vc_class = ivc_out_class_[x];
+        f.vc_class = ivc.out_class;
         if (op != port_local) {
-            f.last_dim = ivc_out_dim_[x];
-            ++d_link_traversals_[i];
+            f.last_dim = ivc.out_dim;
+            ++deltas_[i].link_traversals;
             if (f.isHead())
-                ++f.pkt->hops;
+                ++slot_pkt_[f.slot]->hops;
         }
-        --ovc_credits_[vi(i, op, out_vc)];
-        ++d_flits_routed_[i];
+        OutVc &ovc = out_vc_[vi(i, op, out_vc)];
+        --ovc.credits;
+        ++deltas_[i].flits_routed;
 
-        bool was_tail = f.isTail();
-        pushFlit(links_[out_id], now, std::move(f));
+        pushFlit(links_[out_id], now, f);
 
         // Return the freed buffer slot to the upstream sender.
-        std::int32_t in_id = in_link_[gp];
-        if (in_id >= 0)
-            pushCredit(links_[in_id], now, v);
+        if (gport.in_link >= 0)
+            pushCredit(links_[gport.in_link], now, v);
 
-        if (was_tail) {
-            ovc_busy_[vi(i, op, out_vc)] = 0;
-            ivc_out_port_[x] = -1;
-            ivc_out_vc_[x] = -1;
-            if (fifo_size_[x] == 0) {
-                ivc_state_[x] = vc_idle;
+        if (f.isTail()) {
+            ovc.busy = 0;
+            ivc.out_port = -1;
+            ivc.out_vc = -1;
+            if (ivc.fifo_size == 0) {
+                ivc.state = vc_idle;
             } else {
-                if (!fifo_[x * D_ + fifo_head_[x]].isHead())
+                if (!fifoFront(x).isHead())
                     panic("router", i,
                           ": tail departed but next flit is not a "
                           "head");
-                ivc_state_[x] = vc_need_va;
-                needva_[gp] |= 1u << v;
+                ivc.state = vc_need_va;
+                gport.needva |= 1u << v;
             }
         }
     }
@@ -627,73 +646,72 @@ SoaCycleFabric::routerCommit(int i, Cycle now)
     for (int p = 0; p < P_; ++p) {
         if (occ[p] == 0)
             continue;
-        std::int32_t in_id = in_link_[pi(i, p)];
-        if (in_id < 0)
+        Port &port = ports_[pi(i, p)];
+        if (port.in_link < 0)
             continue;
-        SoaLink &l = links_[in_id];
+        SoaLink &l = links_[port.in_link];
         while (flitReady(l, now)) {
-            Flit f = popFlit(l);
+            SoaFlit f = popFlit(l);
             if (f.vc < 0 || f.vc >= V_)
                 panic("router", i, ": flit with unallocated VC");
             std::size_t x = vi(i, p, f.vc);
-            if (fifo_size_[x] >= D_)
+            InVc &ivc = in_vc_[x];
+            if (ivc.fifo_size >= D_)
                 panic("router", i, " port ", portName(p), " vc ",
                       static_cast<int>(f.vc),
                       ": buffer overflow (credit protocol violated)");
             f.ready_cycle = now + params_.pipeline_stages;
-            ++d_buffer_writes_[i];
-            bool was_empty = fifo_size_[x] == 0;
-            bool is_head = f.isHead();
+            ++deltas_[i].buffer_writes;
+            bool was_empty = ivc.fifo_size == 0;
             std::uint32_t bit = 1u << f.vc;
-            std::uint16_t slot =
-                static_cast<std::uint16_t>(fifo_head_[x] +
-                                           fifo_size_[x]);
-            if (slot >= D_)
-                slot = static_cast<std::uint16_t>(slot - D_);
-            fifo_[x * D_ + slot] = std::move(f);
-            ++fifo_size_[x];
-            nonempty_[pi(i, p)] |= bit;
+            std::uint32_t slot = ivc.fifo_head + ivc.fifo_size;
+            if (slot >= static_cast<std::uint32_t>(D_))
+                slot -= D_;
+            fifo_[x * D_ + slot] = f;
+            ++ivc.fifo_size;
+            port.nonempty |= bit;
             ++compute_occ_[static_cast<std::size_t>(i) *
                                compute_words +
                            occ_buffered];
-            if (ivc_state_[x] == vc_idle) {
-                if (!was_empty || !is_head)
+            if (ivc.state == vc_idle) {
+                if (!was_empty || !f.isHead())
                     panic("router", i,
                           ": idle VC must receive a head flit first");
-                ivc_state_[x] = vc_need_va;
-                needva_[pi(i, p)] |= bit;
+                ivc.state = vc_need_va;
+                port.needva |= bit;
             }
         }
     }
     for (int p = 0; p < P_; ++p) {
         if (occ[occ_out_credit_base + p] == 0)
             continue;
-        std::int32_t out_id = out_link_[pi(i, p)];
+        std::int32_t out_id = ports_[pi(i, p)].out_link;
         if (out_id < 0)
             continue;
         SoaLink &l = links_[out_id];
         while (creditReady(l, now))
-            ++ovc_credits_[vi(i, p, popCredit(l))];
+            ++out_vc_[vi(i, p, popCredit(l))].credits;
     }
 }
 
 void
 SoaCycleFabric::nicCommit(int i, Cycle now)
 {
-    SoaLink &ej = links_[out_link_[pi(i, port_local)]];
+    SoaLink &ej = links_[ports_[pi(i, port_local)].out_link];
     while (flitReady(ej, now)) {
-        Flit f = popFlit(ej);
+        SoaFlit f = popFlit(ej);
         // The ejection buffer drains instantly: return the credit for
         // the slot right away.
         pushCredit(ej, now, f.vc);
-        ++d_flits_received_[i];
-        PacketPtr pkt = f.pkt;
+        ++deltas_[i].flits_received;
+        Packet *pkt = slot_pkt_[f.slot];
         std::uint32_t want = params_.flitsPerPacket(pkt->size_bytes);
         std::uint32_t got = ++rx_[i][pkt->id];
         if (got == want) {
             rx_[i].erase(pkt->id);
             pkt->deliver_tick = now + 1;
-            completed_[i].push_back(std::move(pkt));
+            completed_[i].push_back(std::move(slot_owner_[f.slot]));
+            freed_[i].push_back(f.slot);
         } else if (got > want) {
             panic("nic", i, ": duplicate flits for packet ", pkt->id);
         }
@@ -701,35 +719,21 @@ SoaCycleFabric::nicCommit(int i, Cycle now)
 }
 
 void
-SoaCycleFabric::flushNodeStats(int i)
+SoaCycleFabric::flushStats()
 {
-    // Counters are integer-valued and far below 2^53, so a batched
-    // double add lands on the same value as the object backend's
-    // per-event increments.
-    if (d_flits_routed_[i]) {
-        router_stats_[i]->flitsRouted +=
-            static_cast<double>(d_flits_routed_[i]);
-        d_flits_routed_[i] = 0;
-    }
-    if (d_buffer_writes_[i]) {
-        router_stats_[i]->bufferWrites +=
-            static_cast<double>(d_buffer_writes_[i]);
-        d_buffer_writes_[i] = 0;
-    }
-    if (d_link_traversals_[i]) {
-        router_stats_[i]->linkTraversals +=
-            static_cast<double>(d_link_traversals_[i]);
-        d_link_traversals_[i] = 0;
-    }
-    if (d_flits_sent_[i]) {
-        nic_stats_[i]->flitsSent +=
-            static_cast<double>(d_flits_sent_[i]);
-        d_flits_sent_[i] = 0;
-    }
-    if (d_flits_received_[i]) {
+    // The deltas are integer-valued and every running total stays far
+    // below 2^53, so one batched double add lands on the same value
+    // as the object backend's per-event increments.
+    for (int i = 0; i < n_; ++i) {
+        StatDeltas &d = deltas_[i];
+        RouterStats &r = *router_stats_[i];
+        r.flitsRouted += static_cast<double>(d.flits_routed);
+        r.bufferWrites += static_cast<double>(d.buffer_writes);
+        r.linkTraversals += static_cast<double>(d.link_traversals);
+        nic_stats_[i]->flitsSent += static_cast<double>(d.flits_sent);
         nic_stats_[i]->flitsReceived +=
-            static_cast<double>(d_flits_received_[i]);
-        d_flits_received_[i] = 0;
+            static_cast<double>(d.flits_received);
+        d = StatDeltas{};
     }
 }
 
@@ -763,36 +767,49 @@ void
 SoaCycleFabric::commit(StepEngine &engine, Cycle now,
                        const std::vector<char> &stalled)
 {
+    completed_nodes_.clear();
     commit_list_.clear();
     scan_(commit_occ_.data(), n_, commit_words, commit_list_);
-    if (!commit_list_.empty()) {
-        phase_now_ = now;
-        phase_stalled_ = &stalled;
-        engine.forRange(
-            commit_list_.size(), [this](std::size_t b, std::size_t e) {
-                Cycle now = phase_now_;
-                const std::vector<char> &stalled = *phase_stalled_;
-                for (std::size_t k = b; k < e; ++k) {
-                    int i = commit_list_[k];
-                    if (!stalled[i])
-                        routerCommit(i, now);
-                    nicCommit(i, now);
-                }
-            });
+    if (commit_list_.empty())
+        return;
+    phase_now_ = now;
+    phase_stalled_ = &stalled;
+    engine.forRange(
+        commit_list_.size(), [this](std::size_t b, std::size_t e) {
+            Cycle now = phase_now_;
+            const std::vector<char> &stalled = *phase_stalled_;
+            for (std::size_t k = b; k < e; ++k) {
+                int i = commit_list_[k];
+                if (!stalled[i])
+                    routerCommit(i, now);
+                nicCommit(i, now);
+            }
+        });
+    // Sequential post-barrier pass: return the slots of packets whose
+    // tail ejected to the free list in node order, and list the nodes
+    // with deliveries for the orchestrator.
+    for (int i : commit_list_) {
+        if (freed_[i].empty())
+            continue;
+        for (std::uint32_t s : freed_[i]) {
+            slot_pkt_[s] = nullptr;
+            free_slots_.push_back(s);
+        }
+        freed_[i].clear();
+        completed_nodes_.push_back(i);
     }
-    // Sequential post-barrier stat flush: only nodes visited this
-    // cycle can hold non-zero deltas; flushing is idempotent, so a
-    // node on both lists is fine.
-    for (int i : compute_list_)
-        flushNodeStats(i);
-    for (int i : commit_list_)
-        flushNodeStats(i);
 }
 
 std::vector<PacketPtr> &
 SoaCycleFabric::completed(std::size_t node)
 {
     return completed_[node];
+}
+
+const std::vector<int> *
+SoaCycleFabric::completedNodes() const
+{
+    return &completed_nodes_;
 }
 
 RouterActivity
@@ -806,65 +823,81 @@ SoaCycleFabric::routerActivity(std::size_t node) const
 }
 
 void
+SoaCycleFabric::saveSoaFlit(ArchiveWriter &aw, const SoaFlit &f) const
+{
+    aw.putU8(static_cast<std::uint8_t>(f.type));
+    aw.putU8(f.vnet);
+    aw.putU8(static_cast<std::uint8_t>(f.vc));
+    aw.putU8(f.vc_class);
+    aw.putU8(f.last_dim);
+    aw.putU32(f.seq);
+    aw.putU64(f.ready_cycle);
+    aw.putU64(slot_pkt_[f.slot]->id);
+    aw.putBool(true);
+}
+
+SoaCycleFabric::SoaFlit
+SoaCycleFabric::restoreSoaFlit(
+    ArchiveReader &ar, const FlatMap<PacketId, std::uint32_t> &slot_of)
+{
+    SoaFlit f;
+    f.type = static_cast<Flit::Type>(ar.getU8());
+    f.vnet = ar.getU8();
+    f.vc = static_cast<std::int8_t>(ar.getU8());
+    f.vc_class = ar.getU8();
+    f.last_dim = ar.getU8();
+    f.seq = static_cast<std::uint16_t>(ar.getU32());
+    f.ready_cycle = ar.getU64();
+    PacketId id = ar.getU64();
+    if (!ar.getBool())
+        panic("soa restore: flit without a packet");
+    f.slot = slot_of.at(id);
+    return f;
+}
+
+void
 SoaCycleFabric::save(ArchiveWriter &aw) const
 {
-    // Packet table: same collection set (and the table orders by id),
-    // so the bytes match the object backend.
+    // Packet table: every occupied slot is a packet with a flit in a
+    // FIFO, NIC queue or link, the set the object backend collects,
+    // and the table orders by id, so the bytes match.
     PacketTable table;
-    for (int i = 0; i < n_; ++i)
-        for (int p = 0; p < P_; ++p)
-            for (int v = 0; v < V_; ++v) {
-                std::size_t x = vi(i, p, v);
-                for (std::uint16_t k = 0; k < fifo_size_[x]; ++k) {
-                    std::uint32_t s = fifo_head_[x] + k;
-                    if (s >= static_cast<std::uint32_t>(D_))
-                        s -= D_;
-                    collectPacket(table, fifo_[x * D_ + s].pkt);
-                }
-            }
-    for (int i = 0; i < n_; ++i)
-        for (int v = 0; v < num_vnets; ++v) {
-            const FlitRing &q =
-                nicq_[static_cast<std::size_t>(i) * num_vnets + v];
-            for (std::uint32_t k = 0; k < q.size; ++k)
-                collectPacket(table, q.at(k).pkt);
-        }
-    for (const SoaLink &l : links_)
-        for (std::uint32_t k = 0; k < l.fsize; ++k)
-            collectPacket(
-                table, l.flits[(l.fhead + k) & (l.cap - 1)].flit.pkt);
+    for (std::size_t s = 0; s < slot_pkt_.size(); ++s)
+        if (slot_pkt_[s])
+            collectPacket(table, slot_owner_[s]);
     savePacketTable(aw, table);
 
     // Per-router sections, identical field order to Router::save.
     for (int i = 0; i < n_; ++i) {
         aw.beginSection("router");
         for (int p = 0; p < P_; ++p) {
-            aw.putI64(ip_sa_rr_[pi(i, p)]);
+            aw.putI64(ports_[pi(i, p)].ip_sa_rr);
             for (int v = 0; v < V_; ++v) {
                 std::size_t x = vi(i, p, v);
-                aw.putU8(ivc_state_[x]);
-                aw.putI64(ivc_out_port_[x]);
-                aw.putI64(ivc_out_vc_[x]);
-                aw.putU8(ivc_out_class_[x]);
-                aw.putU8(ivc_out_dim_[x]);
-                aw.putU64(fifo_size_[x]);
-                for (std::uint16_t k = 0; k < fifo_size_[x]; ++k) {
-                    std::uint32_t s = fifo_head_[x] + k;
+                const InVc &ivc = in_vc_[x];
+                aw.putU8(ivc.state);
+                aw.putI64(ivc.out_port);
+                aw.putI64(ivc.out_vc);
+                aw.putU8(ivc.out_class);
+                aw.putU8(ivc.out_dim);
+                aw.putU64(ivc.fifo_size);
+                for (std::uint16_t k = 0; k < ivc.fifo_size; ++k) {
+                    std::uint32_t s = ivc.fifo_head + k;
                     if (s >= static_cast<std::uint32_t>(D_))
                         s -= D_;
-                    saveFlit(aw, fifo_[x * D_ + s]);
+                    saveSoaFlit(aw, fifo_[x * D_ + s]);
                 }
             }
         }
         for (int p = 0; p < P_; ++p) {
-            aw.putI64(op_sa_rr_[pi(i, p)]);
+            aw.putI64(ports_[pi(i, p)].op_sa_rr);
             aw.putU64(C_);
             for (int c = 0; c < C_; ++c)
                 aw.putI64(op_va_rr_[pi(i, p) * C_ + c]);
             for (int v = 0; v < V_; ++v) {
-                std::size_t x = vi(i, p, v);
-                aw.putBool(ovc_busy_[x] != 0);
-                aw.putI64(ovc_credits_[x]);
+                const OutVc &o = out_vc_[vi(i, p, v)];
+                aw.putBool(o.busy != 0);
+                aw.putI64(o.credits);
             }
         }
         aw.endSection();
@@ -881,7 +914,7 @@ SoaCycleFabric::save(ArchiveWriter &aw) const
             const FlitRing &q = nicq_[x];
             aw.putU64(q.size);
             for (std::uint32_t k = 0; k < q.size; ++k)
-                saveFlit(aw, q.at(k));
+                saveSoaFlit(aw, q.at(k));
         }
         for (int v = 0; v < V_; ++v) {
             std::size_t x = static_cast<std::size_t>(i) * V_ + v;
@@ -909,7 +942,7 @@ SoaCycleFabric::save(ArchiveWriter &aw) const
         for (std::uint32_t k = 0; k < l.fsize; ++k) {
             const TimedFlit &tf = l.flits[(l.fhead + k) & (l.cap - 1)];
             aw.putU64(tf.cycle);
-            saveFlit(aw, tf.flit);
+            saveSoaFlit(aw, tf.flit);
         }
         aw.putU64(l.csize);
         for (std::uint32_t k = 0; k < l.csize; ++k) {
@@ -925,33 +958,44 @@ SoaCycleFabric::save(ArchiveWriter &aw) const
 void
 SoaCycleFabric::restore(ArchiveReader &ar)
 {
+    // Rebuild the slot table from the packet table, one slot per
+    // packet in id order.
     PacketTable table = restorePacketTable(ar);
+    slot_owner_.clear();
+    slot_pkt_.clear();
+    free_slots_.clear();
+    FlatMap<PacketId, std::uint32_t> slot_of;
+    slot_of.reserve(table.size());
+    for (const auto &[id, pkt] : table) {
+        slot_of.emplace(id, static_cast<std::uint32_t>(slot_owner_.size()));
+        slot_owner_.push_back(pkt);
+        slot_pkt_.push_back(pkt.get());
+    }
 
     for (int i = 0; i < n_; ++i) {
         ar.expectSection("router");
         for (int p = 0; p < P_; ++p) {
-            ip_sa_rr_[pi(i, p)] = getPointer(ar, V_, "input SA");
+            ports_[pi(i, p)].ip_sa_rr = getPointer(ar, V_, "input SA");
             for (int v = 0; v < V_; ++v) {
                 std::size_t x = vi(i, p, v);
-                ivc_state_[x] = ar.getU8();
-                ivc_out_port_[x] =
-                    static_cast<std::int16_t>(ar.getI64());
-                ivc_out_vc_[x] =
-                    static_cast<std::int16_t>(ar.getI64());
-                ivc_out_class_[x] = ar.getU8();
-                ivc_out_dim_[x] = ar.getU8();
+                InVc &ivc = in_vc_[x];
+                ivc.state = ar.getU8();
+                ivc.out_port = static_cast<std::int16_t>(ar.getI64());
+                ivc.out_vc = static_cast<std::int16_t>(ar.getI64());
+                ivc.out_class = ar.getU8();
+                ivc.out_dim = ar.getU8();
                 std::uint64_t sz = ar.getU64();
                 if (sz > static_cast<std::uint64_t>(D_))
                     panic("soa restore: fifo larger than "
                           "buffer_depth");
-                fifo_head_[x] = 0;
-                fifo_size_[x] = static_cast<std::uint16_t>(sz);
+                ivc.fifo_head = 0;
+                ivc.fifo_size = static_cast<std::uint16_t>(sz);
                 for (std::uint64_t k = 0; k < sz; ++k)
-                    fifo_[x * D_ + k] = restoreFlit(ar, table);
+                    fifo_[x * D_ + k] = restoreSoaFlit(ar, slot_of);
             }
         }
         for (int p = 0; p < P_; ++p) {
-            op_sa_rr_[pi(i, p)] = getPointer(ar, P_, "output SA");
+            ports_[pi(i, p)].op_sa_rr = getPointer(ar, P_, "output SA");
             std::uint64_t n_rr = ar.getU64();
             if (n_rr != static_cast<std::uint64_t>(C_))
                 panic("router ", i, ": VA arbiter shape mismatch");
@@ -959,10 +1003,9 @@ SoaCycleFabric::restore(ArchiveReader &ar)
                 op_va_rr_[pi(i, p) * C_ + c] =
                     getPointer(ar, params_.vcs_per_vnet, "VA");
             for (int v = 0; v < V_; ++v) {
-                std::size_t x = vi(i, p, v);
-                ovc_busy_[x] = ar.getBool() ? 1 : 0;
-                ovc_credits_[x] =
-                    static_cast<std::int32_t>(ar.getI64());
+                OutVc &o = out_vc_[vi(i, p, v)];
+                o.busy = ar.getBool() ? 1 : 0;
+                o.credits = static_cast<std::int32_t>(ar.getI64());
             }
         }
         ar.endSection();
@@ -978,7 +1021,7 @@ SoaCycleFabric::restore(ArchiveReader &ar)
             q.size = 0;
             std::uint64_t sz = ar.getU64();
             for (std::uint64_t k = 0; k < sz; ++k)
-                q.push(restoreFlit(ar, table));
+                q.push(restoreSoaFlit(ar, slot_of));
         }
         for (int v = 0; v < V_; ++v) {
             std::size_t x = static_cast<std::size_t>(i) * V_ + v;
@@ -997,8 +1040,10 @@ SoaCycleFabric::restore(ArchiveReader &ar)
             rx_[i][id] = ar.getU32();
         }
         completed_[i].clear();
+        freed_[i].clear();
         ar.endSection();
     }
+    completed_nodes_.clear();
 
     for (SoaLink &l : links_) {
         ar.expectSection("link");
@@ -1009,7 +1054,7 @@ SoaCycleFabric::restore(ArchiveReader &ar)
         l.fsize = static_cast<std::uint32_t>(nf);
         for (std::uint64_t k = 0; k < nf; ++k) {
             l.flits[k].cycle = ar.getU64();
-            l.flits[k].flit = restoreFlit(ar, table);
+            l.flits[k].flit = restoreSoaFlit(ar, slot_of);
         }
         l.chead = 0;
         std::uint64_t nc = ar.getU64();
@@ -1034,17 +1079,17 @@ SoaCycleFabric::rebuildOccupancy()
     for (int i = 0; i < n_; ++i) {
         std::uint32_t buffered = 0;
         for (int p = 0; p < P_; ++p) {
-            std::uint32_t nonempty = 0, needva = 0;
+            Port &port = ports_[pi(i, p)];
+            port.nonempty = 0;
+            port.needva = 0;
             for (int v = 0; v < V_; ++v) {
-                std::size_t x = vi(i, p, v);
-                buffered += fifo_size_[x];
-                if (fifo_size_[x] > 0)
-                    nonempty |= 1u << v;
-                if (ivc_state_[x] == vc_need_va)
-                    needva |= 1u << v;
+                const InVc &ivc = in_vc_[vi(i, p, v)];
+                buffered += ivc.fifo_size;
+                if (ivc.fifo_size > 0)
+                    port.nonempty |= 1u << v;
+                if (ivc.state == vc_need_va)
+                    port.needva |= 1u << v;
             }
-            nonempty_[pi(i, p)] = nonempty;
-            needva_[pi(i, p)] = needva;
         }
         compute_occ_[static_cast<std::size_t>(i) * compute_words +
                      occ_buffered] = buffered;
@@ -1062,11 +1107,7 @@ SoaCycleFabric::rebuildOccupancy()
     }
     compute_list_.clear();
     commit_list_.clear();
-    std::fill(d_flits_routed_.begin(), d_flits_routed_.end(), 0);
-    std::fill(d_buffer_writes_.begin(), d_buffer_writes_.end(), 0);
-    std::fill(d_link_traversals_.begin(), d_link_traversals_.end(), 0);
-    std::fill(d_flits_sent_.begin(), d_flits_sent_.end(), 0);
-    std::fill(d_flits_received_.begin(), d_flits_received_.end(), 0);
+    std::fill(deltas_.begin(), deltas_.end(), StatDeltas{});
 }
 
 } // namespace kernel

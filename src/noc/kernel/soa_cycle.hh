@@ -4,8 +4,11 @@
  *
  * All per-router/per-port/per-VC state — VC state machines, arbiter
  * pointers, credits, in-flight flit slots and link shift registers —
- * lives in flat, contiguous, index-addressed arrays instead of
- * pointer-linked Router/Nic/Link objects. The RC/VA/SA/ST+LT stages
+ * lives in contiguous, index-addressed arrays of small records (one
+ * per input VC, output VC and (node, port)) instead of pointer-linked
+ * Router/Nic/Link objects. Flits are trivially copyable and name
+ * their packet by an index into a fabric-owned slot table, so moving
+ * one never touches a refcount. The RC/VA/SA/ST+LT stages
  * run as batched passes over an active-node worklist rebuilt each
  * cycle from per-node occupancy blocks (see active_scan.hh); nodes
  * with no buffered flits, queued packets or in-flight link traffic
@@ -17,6 +20,9 @@
  * partition-local state plus the single-writer ends of links — so
  * results are bit-identical to the object backend on deliveries,
  * stats and archive bytes, under serial and parallel engines alike.
+ * Router/NIC stat increments collect in per-node deltas that
+ * flushStats() folds in node order; the orchestrator calls it once
+ * per advanceTo, and the integer-valued double adds are exact.
  *
  * Occupancy single-writer discipline (TSan-clean without atomics):
  * every occupancy word has exactly one writing node per phase —
@@ -30,6 +36,7 @@
 #define RASIM_NOC_KERNEL_SOA_CYCLE_HH
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "noc/kernel/active_scan.hh"
@@ -63,6 +70,8 @@ class SoaCycleFabric : public CycleFabric
     void commit(StepEngine &engine, Cycle now,
                 const std::vector<char> &stalled) override;
     std::vector<PacketPtr> &completed(std::size_t node) override;
+    const std::vector<int> *completedNodes() const override;
+    void flushStats() override;
     RouterActivity routerActivity(std::size_t node) const override;
 
     void save(ArchiveWriter &aw) const override;
@@ -91,10 +100,78 @@ class SoaCycleFabric : public CycleFabric
     /** VC bitmasks are one u32 per (node, port). */
     static constexpr int max_vcs = 32;
 
+    /**
+     * A flit as this kernel stores it: the fields of noc::Flit with
+     * the packet as an index into the slot table (slot_pkt_,
+     * slot_owner_) instead of a refcounted handle, so moving a flit
+     * is a plain copy.
+     */
+    struct SoaFlit
+    {
+        Cycle ready_cycle = 0;
+        std::uint32_t slot = 0;
+        std::uint16_t seq = 0;
+        Flit::Type type = Flit::Type::HeadTail;
+        std::uint8_t vnet = 0;
+        std::int8_t vc = -1;
+        std::uint8_t vc_class = 0;
+        std::uint8_t last_dim = 2;
+
+        bool isHead() const
+        {
+            return type == Flit::Type::Head ||
+                   type == Flit::Type::HeadTail;
+        }
+        bool isTail() const
+        {
+            return type == Flit::Type::Tail ||
+                   type == Flit::Type::HeadTail;
+        }
+    };
+    static_assert(std::is_trivially_copyable_v<SoaFlit>);
+    static_assert(sizeof(SoaFlit) <= 24);
+
+    /** Input VC: state machine, allocated route and FIFO ring. */
+    struct InVc
+    {
+        std::uint8_t state = vc_idle;
+        std::uint8_t out_class = 0;
+        std::uint8_t out_dim = 2;
+        std::int16_t out_port = -1;
+        std::int16_t out_vc = -1;
+        std::uint16_t fifo_head = 0;
+        std::uint16_t fifo_size = 0;
+    };
+    static_assert(sizeof(InVc) == 12);
+
+    /** Output VC: held by a packet, credits for the downstream FIFO. */
+    struct OutVc
+    {
+        std::int32_t credits = 0;
+        std::uint8_t busy = 0;
+    };
+
+    /**
+     * One (node, port): VC bitmasks (bit v = VC v; nonempty: the FIFO
+     * holds a flit, needva: the VC state is NeedVA; VA walks needva,
+     * SA walks nonempty & ~needva), the input and output SA pointers,
+     * and the link index on each side (-1 when unconnected).
+     */
+    struct Port
+    {
+        std::uint32_t nonempty = 0;
+        std::uint32_t needva = 0;
+        std::int32_t ip_sa_rr = 0;
+        std::int32_t op_sa_rr = 0;
+        std::int32_t in_link = -1;
+        std::int32_t out_link = -1;
+    };
+    static_assert(sizeof(Port) == 24);
+
     struct TimedFlit
     {
         Cycle cycle = 0;
-        Flit flit;
+        SoaFlit flit;
     };
 
     struct TimedCredit
@@ -107,9 +184,9 @@ class SoaCycleFabric : public CycleFabric
      * A link's two pipelines as fixed-capacity rings. Capacity is the
      * provable bound totalVcs * buffer_depth + latency + 2 (credit
      * conservation caps in-flight flits and outstanding credits at
-     * the downstream buffer pool size). The occ pointers address the
-     * occupancy word of each pipeline's consumer; push/pop helpers
-     * keep them in sync.
+     * the downstream buffer pool size). A ring that drains restarts
+     * at slot 0. The occ pointers address the occupancy word of each
+     * pipeline's consumer; push/pop helpers keep them in sync.
      */
     struct SoaLink
     {
@@ -125,33 +202,32 @@ class SoaCycleFabric : public CycleFabric
 
     /** Growable power-of-two ring for NIC injection queues: amortised
      *  allocation only up to the high-water mark, then steady-state
-     *  allocation-free. */
+     *  allocation-free. Restarts at slot 0 when it drains. */
     struct FlitRing
     {
-        std::vector<Flit> buf;
+        std::vector<SoaFlit> buf;
         std::uint32_t head = 0, size = 0;
 
-        Flit &front() { return buf[head]; }
-        const Flit &at(std::uint32_t k) const
+        SoaFlit &front() { return buf[head]; }
+        const SoaFlit &at(std::uint32_t k) const
         {
             return buf[(head + k) & (buf.size() - 1)];
         }
 
         void
-        push(Flit f)
+        push(const SoaFlit &f)
         {
             if (size == buf.size())
                 grow();
-            buf[(head + size) & (buf.size() - 1)] = std::move(f);
+            buf[(head + size) & (buf.size() - 1)] = f;
             ++size;
         }
 
-        Flit
+        SoaFlit
         pop()
         {
-            Flit f = std::move(buf[head]);
-            head = (head + 1) & (buf.size() - 1);
-            --size;
+            SoaFlit f = buf[head];
+            head = --size == 0 ? 0 : (head + 1) & (buf.size() - 1);
             return f;
         }
 
@@ -173,6 +249,16 @@ class SoaCycleFabric : public CycleFabric
         stats::Scalar flitsReceived;
     };
 
+    /** One node's stat increments since the last flushStats(). */
+    struct StatDeltas
+    {
+        std::uint64_t flits_routed = 0;
+        std::uint64_t buffer_writes = 0;
+        std::uint64_t link_traversals = 0;
+        std::uint64_t flits_sent = 0;
+        std::uint64_t flits_received = 0;
+    };
+
     // Index helpers over the flat arrays.
     std::size_t pi(int node, int port) const
     {
@@ -182,15 +268,20 @@ class SoaCycleFabric : public CycleFabric
     {
         return pi(node, port) * V_ + vc;
     }
+    /** The flit at the head of input VC @p x. */
+    const SoaFlit &fifoFront(std::size_t x) const
+    {
+        return fifo_[x * D_ + in_vc_[x].fifo_head];
+    }
 
     // Link pipelines (occupancy maintained inside).
-    void pushFlit(SoaLink &l, Cycle now, Flit f);
+    void pushFlit(SoaLink &l, Cycle now, const SoaFlit &f);
     bool flitReady(const SoaLink &l, Cycle now) const
     {
         return l.fsize > 0 &&
                l.flits[l.fhead].cycle <= now;
     }
-    Flit popFlit(SoaLink &l);
+    SoaFlit popFlit(SoaLink &l);
     void pushCredit(SoaLink &l, Cycle now, int vc);
     bool creditReady(const SoaLink &l, Cycle now) const
     {
@@ -209,15 +300,19 @@ class SoaCycleFabric : public CycleFabric
     void routerCommit(int i, Cycle now);
     void nicCommit(int i, Cycle now);
 
-    int selectOutputPort(int i, const Flit &head,
+    int selectOutputPort(int i, const SoaFlit &head,
                          const std::vector<int> &cand,
                          int in_port) const;
-    std::uint8_t nextVcClass(int i, const Flit &head,
+    std::uint8_t nextVcClass(int i, const SoaFlit &head,
                              int out_port) const;
     static std::uint8_t dimOf(int port);
     int allocateOutVc(int i, int out_port, int vnet, int cls);
 
-    void flushNodeStats(int i);
+    /** Checkpoint a flit with the bytes saveFlit writes. */
+    void saveSoaFlit(ArchiveWriter &aw, const SoaFlit &f) const;
+    static SoaFlit
+    restoreSoaFlit(ArchiveReader &ar,
+                   const FlatMap<PacketId, std::uint32_t> &slot_of);
     void rebuildOccupancy();
 
     const NocParams &params_;
@@ -227,32 +322,25 @@ class SoaCycleFabric : public CycleFabric
     cpuid::SimdLevel simd_ = cpuid::SimdLevel::Scalar;
     ActiveScanFn scan_ = nullptr;
 
-    // Input VC state [n*P*V].
-    std::vector<std::uint8_t> ivc_state_;
-    std::vector<std::int16_t> ivc_out_port_;
-    std::vector<std::int16_t> ivc_out_vc_;
-    std::vector<std::uint8_t> ivc_out_class_;
-    std::vector<std::uint8_t> ivc_out_dim_;
-    // Input FIFOs: flat rings of depth D [n*P*V*D].
-    std::vector<Flit> fifo_;
-    std::vector<std::uint16_t> fifo_head_;
-    std::vector<std::uint16_t> fifo_size_;
-    // Per-(node, port) VC bitmasks [n*P], bit v = VC v: FIFO holds a
-    // flit / VC state is NeedVA. VA walks needva_, SA walks
-    // nonempty_ & ~needva_, in place of full P*V scans.
-    std::vector<std::uint32_t> nonempty_;
-    std::vector<std::uint32_t> needva_;
-    // Per-port arbiters [n*P], per-pool VA pointers [n*P*C].
-    std::vector<std::int32_t> ip_sa_rr_;
-    std::vector<std::int32_t> op_sa_rr_;
+    std::vector<InVc> in_vc_;   ///< [n*P*V]
+    std::vector<OutVc> out_vc_; ///< [n*P*V]
+    std::vector<Port> ports_;   ///< [n*P]
+    /** Input FIFOs: flat rings of depth D [n*P*V*D]. */
+    std::vector<SoaFlit> fifo_;
+    /** Per-pool VA pointers [n*P*C]. */
     std::vector<std::int32_t> op_va_rr_;
-    // Output VC state [n*P*V].
-    std::vector<std::uint8_t> ovc_busy_;
-    std::vector<std::int32_t> ovc_credits_;
-    // Wiring: link index per (node, port), -1 when unconnected [n*P].
-    std::vector<std::int32_t> in_link_;
-    std::vector<std::int32_t> out_link_;
     std::vector<SoaLink> links_;
+
+    // Packet slot table: one entry per packet inside the fabric,
+    // indexed by SoaFlit::slot. enqueue() takes a slot (sequential);
+    // tail ejection moves the owner into completed_ and parks the
+    // slot on freed_[node]; commit() returns parked slots to
+    // free_slots_ sequentially in node order. A free slot's raw
+    // pointer is null.
+    std::vector<PacketPtr> slot_owner_;
+    std::vector<Packet *> slot_pkt_;
+    std::vector<std::uint32_t> free_slots_;
+    std::vector<std::vector<std::uint32_t>> freed_; ///< [n]
 
     // NIC state.
     std::vector<FlitRing> nicq_;              ///< [n*num_vnets]
@@ -264,6 +352,8 @@ class SoaCycleFabric : public CycleFabric
     std::vector<std::uint64_t> nic_queued_;   ///< [n]
     std::vector<FlatMap<PacketId, std::uint32_t>> rx_; ///< [n]
     std::vector<std::vector<PacketPtr>> completed_;    ///< [n]
+    /** Ascending nodes whose completed_ is non-empty this cycle. */
+    std::vector<int> completed_nodes_;
 
     // Occupancy blocks + per-cycle worklists.
     std::vector<std::uint32_t> compute_occ_; ///< [n*compute_words]
@@ -282,13 +372,8 @@ class SoaCycleFabric : public CycleFabric
     // Per-node route scratch (reserved; no steady-state allocation).
     std::vector<std::vector<int>> route_scratch_;
 
-    // Per-cycle stat deltas, flushed sequentially after commit so
-    // checkpoint-visible Scalars match the object backend exactly.
-    std::vector<std::uint64_t> d_flits_routed_;
-    std::vector<std::uint64_t> d_buffer_writes_;
-    std::vector<std::uint64_t> d_link_traversals_;
-    std::vector<std::uint64_t> d_flits_sent_;
-    std::vector<std::uint64_t> d_flits_received_;
+    /** Stat increments [n], folded into the Scalars by flushStats(). */
+    std::vector<StatDeltas> deltas_;
 
     std::vector<std::unique_ptr<RouterStats>> router_stats_;
     std::vector<std::unique_ptr<NicStats>> nic_stats_;

@@ -6,8 +6,10 @@
  * checkpoint *bytes*, which is what makes checkpoints interchangeable
  * across kernels. Also covers the SIMD lane (scalar vs dispatched
  * AVX2 must agree), a matrix of cycle-network shapes that drives the
- * soa kernel's VC-bitmask allocators down every path, and the typed
- * rejection of bad kernel/simd config.
+ * soa kernel's VC-bitmask allocators down every path and resumes
+ * checkpoints across kernels both ways, stats visibility under the
+ * soa kernel's per-advanceTo stat fold, packet-pool leak checks, and
+ * the typed rejection of bad kernel/simd config.
  */
 
 #include <gtest/gtest.h>
@@ -38,12 +40,14 @@ struct Delivery
     Tick deliver_tick;
     Tick latency;
     std::uint32_t hops;
+    std::uint32_t size_bytes;
 
     bool
     operator==(const Delivery &o) const
     {
         return id == o.id && deliver_tick == o.deliver_tick &&
-               latency == o.latency && hops == o.hops;
+               latency == o.latency && hops == o.hops &&
+               size_bytes == o.size_bytes;
     }
 };
 
@@ -110,32 +114,42 @@ void
 recordDeliveries(Net &net, RunResult &r)
 {
     net.setDeliveryHandler([&r](const PacketPtr &pkt) {
-        r.deliveries.push_back(
-            {pkt->id, pkt->deliver_tick, pkt->latency(), pkt->hops});
+        r.deliveries.push_back({pkt->id, pkt->deliver_tick,
+                                pkt->latency(), pkt->hops,
+                                pkt->size_bytes});
     });
 }
 
-/** Run to completion, snapshotting a mid-run checkpoint. */
+/** Run to completion, snapshotting a checkpoint at @p checkpoint.
+ *  A drained network holds no packet, so the packet pool is back to
+ *  its pre-traffic occupancy. */
 template <typename Net>
 RunResult
-runNet(const NocParams &params, const Traffic &traffic = {})
+runNet(const NocParams &params, const Traffic &traffic = {},
+       Tick checkpoint = checkpoint_tick)
 {
-    Simulation sim;
-    Net net(sim, "net", params);
-    RunResult r;
-    recordDeliveries(net, r);
-    injectTraffic(net, traffic);
-    net.advanceTo(checkpoint_tick);
+    std::uint64_t live0 = packetPool().stats().live;
     {
-        ArchiveWriter aw;
-        net.save(aw);
-        saveStats(aw, net);
-        r.archive = aw.finish();
+        Simulation sim;
+        Net net(sim, "net", params);
+        RunResult r;
+        recordDeliveries(net, r);
+        injectTraffic(net, traffic);
+        net.advanceTo(checkpoint);
+        {
+            ArchiveWriter aw;
+            net.save(aw);
+            saveStats(aw, net);
+            r.archive = aw.finish();
+        }
+        net.advanceTo(run_end);
+        EXPECT_TRUE(net.idle());
+        EXPECT_EQ(packetPool().stats().live, live0)
+            << "packets leaked by a drained " << params.kernel
+            << " network";
+        snapshotStats(net, r.stats);
+        return r;
     }
-    net.advanceTo(run_end);
-    EXPECT_TRUE(net.idle());
-    snapshotStats(net, r.stats);
-    return r;
 }
 
 template <typename Net>
@@ -155,14 +169,30 @@ resumeNet(const NocParams &params, std::string image)
     Net net(sim, "net", params);
     RunResult r;
     recordDeliveries(net, r);
+    std::uint64_t live0 = packetPool().stats().live;
     ArchiveReader ar(std::move(image));
     EXPECT_TRUE(ar.ok()) << ar.error();
     net.restore(ar);
     restoreStats(ar, net);
     net.advanceTo(run_end);
     EXPECT_TRUE(net.idle());
+    EXPECT_EQ(packetPool().stats().live, live0)
+        << "packets leaked by a drained " << params.kernel
+        << " network after restore";
     snapshotStats(net, r.stats);
     return r;
+}
+
+/** The tail of @p full that a run resumed from its checkpoint must
+ *  reproduce: the last @p resumed deliveries and the final stats. */
+RunResult
+tailOf(const RunResult &full, std::size_t resumed)
+{
+    RunResult tail;
+    tail.deliveries.assign(full.deliveries.end() - resumed,
+                           full.deliveries.end());
+    tail.stats = full.stats; // both archives stay empty
+    return tail;
 }
 
 void
@@ -196,14 +226,17 @@ TEST(KernelEquivalence, CycleNetworkSoaMatchesObject)
  * Cycle-network shapes beyond the default light-load XY mesh, each
  * aimed at a soa VA/SA path: adaptive output selection, dateline VC
  * classes (12 VCs per port), deep VC pools with shallow buffers and a
- * one-stage pipeline, and a saturating burst whose round-robin
- * pointers keep wrapping past bit 0 of the VC masks.
+ * one-stage pipeline, a saturating burst whose round-robin pointers
+ * keep wrapping past bit 0 of the VC masks, and a checkpoint late in
+ * a long run, after the soa packet slots have been recycled many
+ * times and while multi-flit packets are partly ejected.
  */
 struct MaskCase
 {
     const char *name;
     NocParams params;
     Traffic traffic;
+    Tick checkpoint = checkpoint_tick;
 };
 
 const std::vector<MaskCase> &
@@ -230,6 +263,9 @@ maskCases()
         burst.columns = 4;
         burst.rows = 4;
         c.push_back({"saturating_burst", burst, {1500, 150}});
+
+        c.push_back({"late_checkpoint", testParams("object"), {4000, 3},
+                     1201});
         return c;
     }();
     return cases;
@@ -245,24 +281,55 @@ TEST_P(CycleKernelMatrix, SoaMatchesObject)
     NocParams p = c.params;
     ASSERT_LE(p.totalVcs(), 32);
     p.kernel = "object";
-    RunResult object = runNet<CycleNetwork>(p, c.traffic);
+    RunResult object = runNet<CycleNetwork>(p, c.traffic, c.checkpoint);
     ASSERT_EQ(object.deliveries.size(),
               static_cast<std::size_t>(c.traffic.packets));
     p.kernel = "soa";
-    RunResult soa = runNet<CycleNetwork>(p, c.traffic);
+    RunResult soa = runNet<CycleNetwork>(p, c.traffic, c.checkpoint);
     expectSameRun(object, soa, c.name);
 
     // The object checkpoint, taken mid-run, resumed on soa: the VC
-    // masks are rebuilt from the restored FIFOs and VC states, so the
-    // rest of the run must match the object run's tail.
+    // masks and the packet slot table are rebuilt from the restored
+    // FIFOs, queues and links, so the rest of the run must match the
+    // object run's tail. The soa checkpoint resumed on object must
+    // match it too.
     RunResult resumed = resumeNet<CycleNetwork>(p, object.archive);
     ASSERT_LT(resumed.deliveries.size(), object.deliveries.size());
-    RunResult tail;
-    tail.deliveries.assign(object.deliveries.end() -
-                               resumed.deliveries.size(),
-                           object.deliveries.end());
-    tail.stats = object.stats; // both archives stay empty
-    expectSameRun(tail, resumed, std::string(c.name) + " object->soa");
+    expectSameRun(tailOf(object, resumed.deliveries.size()), resumed,
+                  std::string(c.name) + " object->soa");
+
+    p.kernel = "object";
+    RunResult back = resumeNet<CycleNetwork>(p, soa.archive);
+    expectSameRun(tailOf(soa, back.deliveries.size()), back,
+                  std::string(c.name) + " soa->object");
+}
+
+TEST(KernelEquivalence, LateCheckpointCatchesPartlyEjectedPackets)
+{
+    // The late_checkpoint case is only a slot-recycling test if most
+    // packets were delivered before its checkpoint, and a reassembly
+    // test if a multi-flit packet was mid-ejection at it. A node
+    // ejects at most one flit per cycle, so an F-flit packet whose
+    // tail ejected in the F-1 cycles after the checkpoint (deliver
+    // tick in (T, T+F)) had its head ejected before it.
+    const MaskCase *late = nullptr;
+    for (const MaskCase &c : maskCases())
+        if (std::string(c.name) == "late_checkpoint")
+            late = &c;
+    ASSERT_NE(late, nullptr);
+    NocParams p = late->params;
+    p.kernel = "soa";
+    RunResult r = runNet<CycleNetwork>(p, late->traffic, late->checkpoint);
+    std::size_t before = 0, partly = 0;
+    for (const Delivery &d : r.deliveries) {
+        Tick flits = p.flitsPerPacket(d.size_bytes);
+        if (d.deliver_tick <= late->checkpoint)
+            ++before;
+        else if (flits > 1 && d.deliver_tick < late->checkpoint + flits)
+            ++partly;
+    }
+    EXPECT_GT(before, static_cast<std::size_t>(late->traffic.packets) / 2);
+    EXPECT_GT(partly, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -271,6 +338,76 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<int> &info) {
         return std::string(maskCases()[info.param].name);
     });
+
+/** Stats below @p net, keyed by path relative to it. */
+std::vector<std::tuple<std::string, std::string, double>>
+relativeStats(const CycleNetwork &net)
+{
+    std::vector<std::tuple<std::string, std::string, double>> all;
+    snapshotStats(net, all);
+    for (auto &entry : all)
+        std::get<0>(entry).erase(0, net.path().size());
+    return all;
+}
+
+TEST(KernelEquivalence, StatsVisibleAfterEveryAdvance)
+{
+    // The soa kernel batches router/NIC stat increments and folds them
+    // once per advanceTo. Step both kernels in strides of 1 and 37
+    // cycles through bursts separated by idle gaps (so the fast-forward
+    // path ends some calls early): after every call, every node's
+    // routerActivity and the whole stats tree must already match, and
+    // a checkpoint taken between calls must be byte-identical.
+    for (Tick stride : {Tick(1), Tick(37)}) {
+        Simulation sim;
+        CycleNetwork object(sim, "object", testParams("object"));
+        CycleNetwork soa(sim, "soa", testParams("soa"));
+        for (CycleNetwork *net : {&object, &soa}) {
+            Rng rng(0x57a7, 11);
+            for (int k = 0; k < 240; ++k) {
+                // Four bursts of 60 packets, 700 cycles apart.
+                Tick at = static_cast<Tick>(k / 60) * 700 + (k % 60) / 3;
+                net->inject(makePacket(
+                    static_cast<PacketId>(k + 1),
+                    static_cast<NodeId>(rng.range(36)),
+                    static_cast<NodeId>(rng.range(36)),
+                    static_cast<MsgClass>(rng.range(3)),
+                    rng.bernoulli(0.5) ? 8 : 64, at));
+            }
+        }
+        bool saved = false, saw_idle = false;
+        for (Tick t = stride; t <= 2900; t += stride) {
+            object.advanceTo(t);
+            soa.advanceTo(t);
+            ASSERT_EQ(soa.deliveredCount(), object.deliveredCount())
+                << "stride " << stride << " tick " << t;
+            saw_idle = saw_idle || object.inFlight() == 0;
+            for (std::size_t i = 0; i < object.numNodes(); ++i) {
+                kernel::RouterActivity a = object.routerActivity(i);
+                kernel::RouterActivity b = soa.routerActivity(i);
+                ASSERT_EQ(b.flits_routed, a.flits_routed)
+                    << "stride " << stride << " tick " << t << " node "
+                    << i;
+                ASSERT_EQ(b.buffer_writes, a.buffer_writes);
+                ASSERT_EQ(b.link_traversals, a.link_traversals);
+            }
+            ASSERT_EQ(relativeStats(soa), relativeStats(object))
+                << "stride " << stride << " tick " << t;
+            if (!saved && t >= 730 && object.inFlight() > 0) {
+                ArchiveWriter ao, as;
+                object.save(ao);
+                soa.save(as);
+                EXPECT_EQ(as.finish(), ao.finish())
+                    << "stride " << stride << " tick " << t;
+                saved = true;
+            }
+        }
+        EXPECT_TRUE(saved);
+        EXPECT_TRUE(saw_idle);
+        EXPECT_TRUE(object.idle());
+        EXPECT_EQ(object.deliveredCount(), 240u);
+    }
+}
 
 TEST(KernelEquivalence, DeflectionNetworkSoaMatchesObject)
 {
