@@ -12,9 +12,13 @@
  *    handles, FlatMap, InlineCallable). Both lanes compute the same
  *    checksum, so the comparison is like-for-like.
  *
- * 2. System lane: a real CosimCycle FullSystem advanced quantum by
+ * 2. System lanes: a real CosimCycle FullSystem advanced quantum by
  *    quantum past warm-up, reporting end-to-end packets/sec and the
- *    honest steady-state heap allocations per quantum.
+ *    honest steady-state heap allocations per quantum — once on the
+ *    object kernel and once on the soa kernel. The soa lane isolates
+ *    the host side (cores, L1s, directories, event queue, bridge),
+ *    because the soa kernel itself allocates nothing; the binary exits
+ *    1 if that lane exceeds 1 allocation per quantum after warm-up.
  *
  * 3. Kernel sweep: a 16x16 CycleNetwork under each compute kernel
  *    (object, soa-scalar, soa-avx2) at offered loads from near idle
@@ -258,8 +262,11 @@ struct SystemResult
     std::uint64_t quanta = 0;
 };
 
+/** Host-side allocation budget of the soa system lane, per quantum. */
+constexpr double system_soa_alloc_budget = 1.0;
+
 SystemResult
-runSystem(Tick warm_ticks, Tick run_ticks)
+runSystem(const char *kernel, Tick warm_ticks, Tick run_ticks)
 {
     cosim::FullSystemOptions o;
     o.mode = cosim::Mode::CosimCycle;
@@ -268,6 +275,7 @@ runSystem(Tick warm_ticks, Tick run_ticks)
     o.quantum = 64;
     o.noc.columns = 4;
     o.noc.rows = 4;
+    o.noc.kernel = kernel;
     o.mem.l1_sets = 16;
     cosim::FullSystem sys(Config(), o);
 
@@ -462,11 +470,15 @@ main(int argc, char **argv)
                          benchutil::fmt(pooled.allocs_per_quantum, 2)});
     std::printf("micro speedup: %.2fx (target >= 1.3x)\n", speedup);
 
-    SystemResult sys = runSystem(sys_warm, sys_run);
-    std::printf("system (cosim 4x4, quantum 64): %.0f packets/s, "
-                "%.2f allocs/quantum over %llu quanta\n",
-                sys.packets_per_sec, sys.allocs_per_quantum,
-                static_cast<unsigned long long>(sys.quanta));
+    SystemResult sys = runSystem("object", sys_warm, sys_run);
+    SystemResult sys_soa = runSystem("soa", sys_warm, sys_run);
+    for (auto [name, r] : {std::pair{"system", &sys},
+                           std::pair{"system-soa", &sys_soa}}) {
+        std::printf("%s (cosim 4x4, quantum 64): %.0f packets/s, "
+                    "%.2f allocs/quantum over %llu quanta\n",
+                    name, r->packets_per_sec, r->allocs_per_quantum,
+                    static_cast<unsigned long long>(r->quanta));
+    }
 
     // Kernel sweep: 16x16 CycleNetwork, identical seeded traffic per
     // point. Busier points run fewer quanta so each costs about the
@@ -522,9 +534,18 @@ main(int argc, char **argv)
             "  },\n"
             "  \"system\": {\n"
             "    \"mode\": \"cosim\",\n"
+            "    \"kernel\": \"object\",\n"
             "    \"quanta\": %llu,\n"
             "    \"packets_per_sec\": %.1f,\n"
             "    \"allocs_per_quantum\": %.3f\n"
+            "  },\n"
+            "  \"system_soa\": {\n"
+            "    \"mode\": \"cosim\",\n"
+            "    \"kernel\": \"soa\",\n"
+            "    \"quanta\": %llu,\n"
+            "    \"packets_per_sec\": %.1f,\n"
+            "    \"allocs_per_quantum\": %.3f,\n"
+            "    \"allocs_per_quantum_budget\": %.1f\n"
             "  },\n"
             "  \"kernel_sweep\": {\n"
             "    \"mesh\": \"%dx%d\",\n"
@@ -536,7 +557,9 @@ main(int argc, char **argv)
             pooled.packets_per_sec, pooled.allocs_per_quantum, speedup,
             static_cast<unsigned long long>(sys.quanta),
             sys.packets_per_sec, sys.allocs_per_quantum,
-            kernel_mesh_side, kernel_mesh_side,
+            static_cast<unsigned long long>(sys_soa.quanta),
+            sys_soa.packets_per_sec, sys_soa.allocs_per_quantum,
+            system_soa_alloc_budget, kernel_mesh_side, kernel_mesh_side,
             static_cast<unsigned long long>(kernel_quantum));
         for (std::size_t k = 0; k < sweep.size(); ++k) {
             const KernelPoint &pt = sweep[k];
@@ -572,8 +595,16 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // The soa kernel must run allocation-free once warm, at every load.
+    // The host side must stay (nearly) allocation-free once warm.
     int status = 0;
+    if (sys_soa.allocs_per_quantum > system_soa_alloc_budget) {
+        std::fprintf(stderr,
+                     "system-soa lane made %.2f allocs/quantum "
+                     "(budget %.1f)\n",
+                     sys_soa.allocs_per_quantum, system_soa_alloc_budget);
+        status = 1;
+    }
+    // The soa kernel must run allocation-free once warm, at every load.
     for (const KernelPoint &pt : sweep) {
         if (pt.soa_scalar.allocs_per_quantum > 0.0 ||
             (pt.have_avx2 && pt.soa_avx2.allocs_per_quantum > 0.0)) {

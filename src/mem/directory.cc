@@ -58,7 +58,7 @@ Directory::handleMessage(const CoherenceMsg &msg)
       case MsgType::PutM: {
         Entry &entry = entries_[msg.addr];
         if (entry.busy) {
-            entry.queue.push_back(msg);
+            entry.queue.push(msg);
             ++queuedMessages;
             return;
         }
@@ -240,8 +240,7 @@ Directory::unblock(Addr addr, Entry &entry)
     entry.pending_requestor = invalid_node;
     --busy_count_;
     while (!entry.queue.empty() && !entry.busy) {
-        CoherenceMsg next = entry.queue.front();
-        entry.queue.pop_front();
+        CoherenceMsg next = entry.queue.pop();
         process(next);
         // process() may have re-marked the entry busy; remaining
         // messages stay queued (entry reference remains valid: no
@@ -280,6 +279,13 @@ Directory::probeSharerCount(Addr addr) const
 {
     const Entry *entry = entries_.find(params_.blockAlign(addr));
     return entry ? entry->sharers.size() : 0;
+}
+
+std::size_t
+Directory::probeQueued(Addr addr) const
+{
+    const Entry *entry = entries_.find(params_.blockAlign(addr));
+    return entry ? entry->queue.size() : 0;
 }
 
 void
@@ -339,7 +345,7 @@ Directory::restore(ArchiveReader &ar)
         entry.pending_requestor = ar.getU32();
         std::uint64_t n_queued = ar.getU64();
         for (std::uint64_t q = 0; q < n_queued; ++q)
-            entry.queue.push_back(restoreMsg(ar));
+            entry.queue.push(restoreMsg(ar));
     }
 
     pending_sends_.clear();

@@ -10,7 +10,7 @@
 #define RASIM_MEM_DIRECTORY_HH
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <vector>
 
 #include "mem/dram.hh"
@@ -20,6 +20,7 @@
 #include "sim/flat_map.hh"
 #include "sim/serialize.hh"
 #include "sim/sim_object.hh"
+#include "sim/small_vector.hh"
 #include "stats/stat.hh"
 
 namespace rasim
@@ -28,9 +29,11 @@ namespace mem
 {
 
 /**
- * Sharer set as a sorted vector: iteration is ascending (same order the
- * std::set it replaced produced) and clear() keeps the capacity, so the
- * steady-state protocol churn of insert/clear allocates nothing.
+ * Sharer set as a sorted small vector: iteration is ascending (same
+ * order the std::set it replaced produced, which checkpoints rely on).
+ * Up to inline_sharers nodes live inside the set itself, so a block
+ * with narrow sharing — nearly all of them — owns no heap memory; wider
+ * sharing spills once and clear() keeps the spilled capacity.
  */
 class NodeSet
 {
@@ -58,8 +61,50 @@ class NodeSet
     auto begin() const { return nodes_.begin(); }
     auto end() const { return nodes_.end(); }
 
+    static constexpr std::size_t inline_sharers = 4;
+
   private:
-    std::vector<NodeId> nodes_;
+    SmallVector<NodeId, inline_sharers> nodes_;
+};
+
+/**
+ * FIFO of coherence requests queued behind a busy block: a vector plus
+ * a head index. An empty queue owns no heap memory — every directory
+ * entry holds one, and a std::deque would allocate a map and a node
+ * even when empty — and draining it keeps the capacity.
+ */
+class MsgQueue
+{
+  public:
+    bool empty() const { return head_ == msgs_.size(); }
+    std::size_t size() const { return msgs_.size() - head_; }
+
+    void push(const CoherenceMsg &msg) { msgs_.push_back(msg); }
+
+    /** Remove and return the oldest message. @pre !empty(). */
+    CoherenceMsg
+    pop()
+    {
+        CoherenceMsg msg = msgs_[head_++];
+        if (head_ == msgs_.size()) {
+            msgs_.clear();
+            head_ = 0;
+        } else if (head_ >= 64 && 2 * head_ >= msgs_.size()) {
+            // A block that stays busy never drains: drop the consumed
+            // prefix so the vector tracks the live length.
+            msgs_.erase(msgs_.begin(), msgs_.begin() + head_);
+            head_ = 0;
+        }
+        return msg;
+    }
+
+    /** Oldest-first iteration over the queued messages. */
+    auto begin() const { return msgs_.begin() + head_; }
+    auto end() const { return msgs_.end(); }
+
+  private:
+    std::vector<CoherenceMsg> msgs_;
+    std::uint32_t head_ = 0;
 };
 
 class Directory : public SimObject, public Serializable
@@ -80,6 +125,8 @@ class Directory : public SimObject, public Serializable
     /** Introspection for tests: 'I'/'S'/'M', 'B' while busy. */
     char probeState(Addr addr) const;
     std::size_t probeSharerCount(Addr addr) const;
+    /** Requests queued behind the block's in-flight transaction. */
+    std::size_t probeQueued(Addr addr) const;
 
     void save(ArchiveWriter &aw) const override;
     void restore(ArchiveReader &ar) override;
@@ -96,16 +143,17 @@ class Directory : public SimObject, public Serializable
 
     struct Entry
     {
-        DirState state = DirState::I;
         NodeSet sharers;
+        /** Requests waiting for the in-flight transaction to finish. */
+        MsgQueue queue;
         NodeId owner = invalid_node;
+        /** Requestor of the in-flight forward transaction. */
+        NodeId pending_requestor = invalid_node;
+        DirState state = DirState::I;
         /** Data present in the L2 slice (no DRAM access needed). */
         bool cached = false;
         /** A forward-based transaction is in flight. */
         bool busy = false;
-        /** Requestor of the in-flight forward transaction. */
-        NodeId pending_requestor = invalid_node;
-        std::deque<CoherenceMsg> queue;
     };
 
     void process(const CoherenceMsg &msg);

@@ -71,12 +71,12 @@ L1Cache::allocateLine(Addr block)
         }
     }
     // Evict a stable line. Transient lines cannot be victimised.
-    std::vector<int> candidates;
+    WayMask candidates = 0;
     for (int w = 0; w < params_.l1_ways; ++w) {
         if (set[w].state == State::S || set[w].state == State::M)
-            candidates.push_back(w);
+            candidates |= WayMask{1} << w;
     }
-    if (candidates.empty())
+    if (candidates == 0)
         return nullptr;
     int way = repl_->victim(setOf(block), candidates);
     Line &victim = set[way];
@@ -416,10 +416,10 @@ L1Cache::finishMshr(Addr block)
 void
 L1Cache::processDeferred(Addr block)
 {
-    std::deque<CoherenceMsg> *dp = deferred_.find(block);
+    std::vector<CoherenceMsg> *dp = deferred_.find(block);
     if (!dp)
         return;
-    std::deque<CoherenceMsg> msgs = std::move(*dp);
+    std::vector<CoherenceMsg> msgs = std::move(*dp);
     deferred_.erase(block);
     for (const CoherenceMsg &msg : msgs)
         handleFwd(msg);

@@ -18,7 +18,6 @@
 #ifndef RASIM_MEM_L1_CACHE_HH
 #define RASIM_MEM_L1_CACHE_HH
 
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "sim/flat_map.hh"
 #include "sim/serialize.hh"
 #include "sim/sim_object.hh"
+#include "sim/small_vector.hh"
 #include "stats/stat.hh"
 
 namespace rasim
@@ -128,7 +128,9 @@ class L1Cache : public SimObject, public Serializable
         bool data_received = false;
         bool was_invalidated = false;
         int pending_acks = 0;
-        std::vector<std::pair<bool, Callback>> waiters;
+        /** (is_write, completion) of every core operation waiting on
+         *  this miss; one or two almost always, so they sit inline. */
+        SmallVector<std::pair<bool, Callback>, 2> waiters;
     };
 
     int setOf(Addr block) const;
@@ -167,7 +169,7 @@ class L1Cache : public SimObject, public Serializable
     /** Dirty blocks evicted but not yet acknowledged by the home. */
     FlatMap<Addr, bool> wb_buffer_;
     /** Forwards stalled until the local transaction completes. */
-    FlatMap<Addr, std::deque<CoherenceMsg>> deferred_;
+    FlatMap<Addr, std::vector<CoherenceMsg>> deferred_;
     Callback retry_cb_;
     CompletionFactory completion_factory_;
     /** Hit completions in flight, keyed by their event's insertion

@@ -1,5 +1,6 @@
 #include "mem/memory_system.hh"
 
+#include "mem/replacement.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -36,6 +37,8 @@ MemParams::validate() const
         fatal("mem: block_bytes must be a power of two");
     if (l1_sets < 1 || l1_ways < 1)
         fatal("mem: L1 geometry must be positive");
+    if (l1_ways > max_ways)
+        fatal("mem: l1_ways must be at most ", max_ways);
     if (mshrs < 1)
         fatal("mem: need at least one MSHR");
     if (wb_buffer < 1)

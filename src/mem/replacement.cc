@@ -1,5 +1,7 @@
 #include "mem/replacement.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace rasim
@@ -12,6 +14,9 @@ ReplacementPolicy::ReplacementPolicy(int num_sets, int num_ways)
 {
     if (num_sets < 1 || num_ways < 1)
         panic("replacement policy needs positive geometry");
+    if (num_ways > max_ways)
+        panic("replacement policy supports at most ", max_ways,
+              " ways, not ", num_ways);
 }
 
 LruPolicy::LruPolicy(int num_sets, int num_ways)
@@ -30,12 +35,13 @@ LruPolicy::touch(int set, int way, Tick now)
 }
 
 int
-LruPolicy::victim(int set, const std::vector<int> &candidates)
+LruPolicy::victim(int set, WayMask candidates)
 {
-    if (candidates.empty())
+    if (candidates == 0)
         panic("lru: no eviction candidates");
-    int best = candidates[0];
-    for (int way : candidates) {
+    int best = std::countr_zero(candidates);
+    for (WayMask m = candidates; m; m &= m - 1) {
+        int way = std::countr_zero(m);
         auto i = static_cast<std::size_t>(set) * num_ways_ + way;
         auto b = static_cast<std::size_t>(set) * num_ways_ + best;
         if (last_use_[i] < last_use_[b] ||
@@ -100,12 +106,13 @@ FifoPolicy::filled(int set, int way)
 }
 
 int
-FifoPolicy::victim(int set, const std::vector<int> &candidates)
+FifoPolicy::victim(int set, WayMask candidates)
 {
-    if (candidates.empty())
+    if (candidates == 0)
         panic("fifo: no eviction candidates");
-    int best = candidates[0];
-    for (int way : candidates) {
+    int best = std::countr_zero(candidates);
+    for (WayMask m = candidates; m; m &= m - 1) {
+        int way = std::countr_zero(m);
         auto i = static_cast<std::size_t>(set) * num_ways_ + way;
         auto b = static_cast<std::size_t>(set) * num_ways_ + best;
         if (fill_seq_[i] < fill_seq_[b])
@@ -155,13 +162,17 @@ RandomPolicy::touch(int set, int way, Tick now)
 }
 
 int
-RandomPolicy::victim(int set, const std::vector<int> &candidates)
+RandomPolicy::victim(int set, WayMask candidates)
 {
     (void)set;
-    if (candidates.empty())
+    if (candidates == 0)
         panic("random: no eviction candidates");
-    return candidates[rng_.range(
-        static_cast<std::uint32_t>(candidates.size()))];
+    // The k-th candidate in ascending way order.
+    std::uint32_t k = rng_.range(
+        static_cast<std::uint32_t>(std::popcount(candidates)));
+    for (; k > 0; --k)
+        candidates &= candidates - 1;
+    return std::countr_zero(candidates);
 }
 
 void

@@ -21,6 +21,15 @@ namespace mem
 {
 
 /**
+ * Eviction candidates of one set: bit w set means way w may be
+ * victimised. Candidates are visited in ascending way order.
+ */
+using WayMask = std::uint64_t;
+
+/** Ways a WayMask can name; caches are validated against it. */
+constexpr int max_ways = 64;
+
+/**
  * Replacement state for one cache: sets x ways. The cache reports
  * touches and asks for victims among the ways it marks evictable.
  */
@@ -34,10 +43,10 @@ class ReplacementPolicy
     virtual void touch(int set, int way, Tick now) = 0;
 
     /**
-     * Pick the victim among @p candidates (way indices) in @p set.
-     * @pre candidates is non-empty.
+     * Pick the victim among the ways set in @p candidates in @p set.
+     * @pre candidates != 0.
      */
-    virtual int victim(int set, const std::vector<int> &candidates) = 0;
+    virtual int victim(int set, WayMask candidates) = 0;
 
     virtual std::string name() const = 0;
 
@@ -57,7 +66,7 @@ class LruPolicy : public ReplacementPolicy
   public:
     LruPolicy(int num_sets, int num_ways);
     void touch(int set, int way, Tick now) override;
-    int victim(int set, const std::vector<int> &candidates) override;
+    int victim(int set, WayMask candidates) override;
     std::string name() const override { return "lru"; }
     void save(ArchiveWriter &aw) const override;
     void restore(ArchiveReader &ar) override;
@@ -74,7 +83,7 @@ class FifoPolicy : public ReplacementPolicy
   public:
     FifoPolicy(int num_sets, int num_ways);
     void touch(int set, int way, Tick now) override;
-    int victim(int set, const std::vector<int> &candidates) override;
+    int victim(int set, WayMask candidates) override;
     std::string name() const override { return "fifo"; }
 
     /** The cache calls this on fill (not on hit). */
@@ -94,7 +103,7 @@ class RandomPolicy : public ReplacementPolicy
   public:
     RandomPolicy(int num_sets, int num_ways, Rng rng);
     void touch(int set, int way, Tick now) override;
-    int victim(int set, const std::vector<int> &candidates) override;
+    int victim(int set, WayMask candidates) override;
     std::string name() const override { return "random"; }
     void save(ArchiveWriter &aw) const override;
     void restore(ArchiveReader &ar) override;

@@ -68,6 +68,8 @@ class Event
 
     Tick when_ = 0;
     Priority priority_;
+    /** Position in the queue's heap (valid while scheduled()). */
+    std::uint32_t heap_pos_ = 0;
     std::uint64_t sequence_ = 0;
     EventQueue *queue_ = nullptr;
 };

@@ -1,5 +1,6 @@
 #include "sim/eventq.hh"
 
+#include <functional>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -47,8 +48,8 @@ EventQueue::~EventQueue()
     // components, which are usually destroyed after the queue. Lambda
     // events are the exception — the queue owns those and reclaims the
     // whole pool, pending or idle alike.
-    for (Event *ev : events_)
-        ev->queue_ = nullptr;
+    for (const Entry &e : heap_)
+        e.ev->queue_ = nullptr;
     for (LambdaEvent *le : lambda_store_)
         delete le;
 }
@@ -75,6 +76,78 @@ EventQueue::recycleLambda(LambdaEvent *ev)
     lambda_free_.push_back(ev);
 }
 
+std::size_t
+EventQueue::RestoredKeyHash::operator()(const RestoredKey &k) const
+{
+    // Sequences of pending events are unique in any valid checkpoint.
+    return std::hash<std::uint64_t>{}(k.sequence);
+}
+
+void
+EventQueue::place(std::size_t pos, const Entry &e)
+{
+    heap_[pos] = e;
+    e.ev->heap_pos_ = static_cast<std::uint32_t>(pos);
+}
+
+void
+EventQueue::siftUp(std::size_t pos, Entry e)
+{
+    while (pos > 0) {
+        std::size_t parent = (pos - 1) / 2;
+        if (!(e < heap_[parent]))
+            break;
+        place(pos, heap_[parent]);
+        pos = parent;
+    }
+    place(pos, e);
+}
+
+void
+EventQueue::siftDown(std::size_t pos, Entry e)
+{
+    const std::size_t n = heap_.size();
+    for (;;) {
+        std::size_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap_[child + 1] < heap_[child])
+            ++child;
+        if (!(heap_[child] < e))
+            break;
+        place(pos, heap_[child]);
+        pos = child;
+    }
+    place(pos, e);
+}
+
+void
+EventQueue::push(Event *ev)
+{
+    ev->queue_ = this;
+    heap_.push_back(Entry{ev->when_, ev->sequence_, ev->priority_, ev});
+    siftUp(heap_.size() - 1, heap_.back());
+}
+
+void
+EventQueue::removeAt(std::size_t pos)
+{
+    Entry gone = heap_[pos];
+    gone.ev->queue_ = nullptr;
+    if (!restored_.empty())
+        restored_.erase(RestoredKey{gone.when, gone.priority,
+                                    gone.sequence});
+    Entry last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size())
+        return;
+    // The former tail may belong above or below the hole.
+    if (pos > 0 && last < heap_[(pos - 1) / 2])
+        siftUp(pos, last);
+    else
+        siftDown(pos, last);
+}
+
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
@@ -86,8 +159,7 @@ EventQueue::schedule(Event *ev, Tick when)
               " in the past (now ", cur_tick_, ")");
     ev->when_ = when;
     ev->sequence_ = next_sequence_++;
-    ev->queue_ = this;
-    events_.insert(ev);
+    push(ev);
 }
 
 void
@@ -96,8 +168,7 @@ EventQueue::deschedule(Event *ev)
     if (ev->queue_ != this)
         panic("deschedule of event '", ev->description(),
               "' not on this queue");
-    events_.erase(ev);
-    ev->queue_ = nullptr;
+    removeAt(ev->heap_pos_);
 }
 
 void
@@ -119,8 +190,8 @@ void
 EventQueue::restoreState(Tick cur_tick, std::uint64_t next_sequence,
                          std::uint64_t num_processed)
 {
-    if (!events_.empty())
-        panic("restoreState on a queue with ", events_.size(),
+    if (!heap_.empty())
+        panic("restoreState on a queue with ", heap_.size(),
               " pending event(s)");
     cur_tick_ = cur_tick;
     next_sequence_ = next_sequence;
@@ -140,12 +211,13 @@ EventQueue::scheduleWithSequence(Event *ev, Tick when,
     if (sequence >= next_sequence_)
         panic("event '", ev->description(), "' restored with sequence ",
               sequence, " >= next sequence ", next_sequence_);
-    ev->when_ = when;
-    ev->sequence_ = sequence;
-    ev->queue_ = this;
-    if (!events_.insert(ev).second)
+    if (!restored_.insert(RestoredKey{when, ev->priority_, sequence})
+             .second)
         panic("event '", ev->description(),
               "' restored with duplicate (when, priority, sequence)");
+    ev->when_ = when;
+    ev->sequence_ = sequence;
+    push(ev);
 }
 
 void
@@ -160,21 +232,19 @@ EventQueue::scheduleLambdaWithSequence(Tick when, InlineCallable fn,
 Tick
 EventQueue::nextTick() const
 {
-    if (events_.empty())
+    if (heap_.empty())
         panic("nextTick() on empty event queue");
-    return (*events_.begin())->when();
+    return heap_.front().when;
 }
 
 bool
 EventQueue::serviceOne()
 {
-    if (events_.empty())
+    if (heap_.empty())
         return false;
-    auto it = events_.begin();
-    Event *ev = *it;
-    events_.erase(it);
-    cur_tick_ = ev->when_;
-    ev->queue_ = nullptr;
+    Event *ev = heap_.front().ev;
+    cur_tick_ = heap_.front().when;
+    removeAt(0);
     ++num_processed_;
     ev->process();
     return true;
@@ -183,7 +253,7 @@ EventQueue::serviceOne()
 void
 EventQueue::serviceUntil(Tick until)
 {
-    while (!events_.empty() && (*events_.begin())->when() <= until)
+    while (!heap_.empty() && heap_.front().when <= until)
         serviceOne();
     if (cur_tick_ < until)
         cur_tick_ = until;

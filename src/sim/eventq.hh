@@ -7,8 +7,8 @@
 #define RASIM_SIM_EVENTQ_HH
 
 #include <cstdint>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/callable.hh"
@@ -24,9 +24,16 @@ class LambdaEvent;
  * Ordered queue of pending events plus the current simulated time.
  *
  * Events with equal tick execute in ascending priority, then insertion
- * order, making simultaneous-event behaviour deterministic. Descheduling
- * is supported (components cancel timeouts/retries), hence the ordered
- * set rather than a binary heap.
+ * order, making simultaneous-event behaviour deterministic. The queue
+ * is an indexed binary min-heap over flat {when, priority, sequence,
+ * Event*} entries: the keys sit inline, so sifting never dereferences
+ * an event, and each event records its heap position, so deschedule()
+ * and reschedule() stay O(log n). (when, priority, sequence) is a
+ * strict total order, so the firing order is fully determined by the
+ * keys and not by the heap's shape. After the heap reaches its
+ * working-set size, scheduling allocates nothing. (Binary, because on
+ * host_tuned256 with a 4-vCPU Xeon it ran ~5% faster than a 4-ary and
+ * ~10% faster than an 8-ary heap.)
  */
 class EventQueue
 {
@@ -51,8 +58,9 @@ class EventQueue
 
     /**
      * Schedule a one-shot event running @p fn; the event object is
-     * recycled from a queue-owned free list after it fires, so the
-     * steady state allocates nothing. Convenient for fire-and-forget
+     * recycled from a queue-owned free list after it fires, so once the
+     * free list and the heap reach their high-water marks this
+     * allocates nothing. Convenient for fire-and-forget
      * callbacks like packet deliveries. The callable must fit
      * InlineCallable's inline buffer (enforced at compile time).
      */
@@ -60,10 +68,10 @@ class EventQueue
                         Event::Priority pri = Event::default_pri);
 
     /** True when no events are pending. */
-    bool empty() const { return events_.empty(); }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return events_.size(); }
+    std::size_t size() const { return heap_.size(); }
 
     /** Tick of the earliest pending event. @pre !empty(). */
     Tick nextTick() const;
@@ -103,7 +111,13 @@ class EventQueue
      * schedule() that reuses a saved insertion sequence instead of
      * assigning a fresh one; used only when re-creating the pending
      * events of a checkpoint so same-tick ordering is preserved
-     * exactly. Does not advance nextSequence().
+     * exactly. Does not advance nextSequence(). Panics on a past tick,
+     * on a sequence >= nextSequence() and on a (when, priority,
+     * sequence) equal to that of another restored event still pending
+     * (a corrupt or twice-applied checkpoint). Fresh events need no
+     * check: restoreState() requires an empty queue, so every fresh
+     * sequence is at or above the restored nextSequence(), which every
+     * saved sequence is below.
      */
     void scheduleWithSequence(Event *ev, Tick when,
                               std::uint64_t sequence);
@@ -129,24 +143,60 @@ class EventQueue
     /** Return a fired lambda event to the free list. */
     void recycleLambda(LambdaEvent *ev);
 
-    struct Before
+    /** One heap slot: the ordering key inline, plus its event. */
+    struct Entry
     {
+        Tick when;
+        std::uint64_t sequence;
+        Event::Priority priority;
+        Event *ev;
+
         bool
-        operator()(const Event *a, const Event *b) const
+        operator<(const Entry &o) const
         {
-            if (a->when() != b->when())
-                return a->when() < b->when();
-            if (a->priority() != b->priority())
-                return a->priority() < b->priority();
-            return a->sequence_ < b->sequence_;
+            if (when != o.when)
+                return when < o.when;
+            if (priority != o.priority)
+                return priority < o.priority;
+            return sequence < o.sequence;
         }
+    };
+
+    /** Insert a stamped event (when_/sequence_ already set). */
+    void push(Event *ev);
+    /** Remove the entry at heap position @p pos. */
+    void removeAt(std::size_t pos);
+    /** Store @p e at @p pos and record the position in its event. */
+    void place(std::size_t pos, const Entry &e);
+    void siftUp(std::size_t pos, Entry e);
+    void siftDown(std::size_t pos, Entry e);
+
+    /** (when, priority, sequence) of a restored event, for the
+     *  duplicate guard of scheduleWithSequence(). */
+    struct RestoredKey
+    {
+        Tick when;
+        Event::Priority priority;
+        std::uint64_t sequence;
+
+        bool operator==(const RestoredKey &) const = default;
+    };
+
+    struct RestoredKeyHash
+    {
+        std::size_t operator()(const RestoredKey &k) const;
     };
 
     std::string name_;
     Tick cur_tick_ = 0;
     std::uint64_t next_sequence_ = 0;
     std::uint64_t num_processed_ = 0;
-    std::set<Event *, Before> events_;
+    /** Pending events, a min-heap on Entry::operator<. */
+    std::vector<Entry> heap_;
+    /** Keys of restored events still pending; empty outside the
+     *  window between a checkpoint restore and the restored events
+     *  leaving the queue. */
+    std::unordered_set<RestoredKey, RestoredKeyHash> restored_;
     /** Every lambda event this queue ever created (owned). */
     std::vector<LambdaEvent *> lambda_store_;
     /** The idle subset of lambda_store_, ready for reuse. */

@@ -37,6 +37,16 @@ ParallelEngine::ParallelEngine(int num_workers)
 {
     if (num_workers < 0)
         fatal("parallel engine needs a non-negative worker count");
+    // Not clamped: results are bit-identical at any worker count, and
+    // oversubscribed sweeps are legitimate experiments — but a run the
+    // host cannot parallelise should say so.
+    unsigned hw = std::thread::hardware_concurrency();
+    if (hw > 0 && static_cast<unsigned>(num_workers) > hw - 1)
+        warn("parallel engine: ", num_workers,
+             " worker(s) plus the calling thread oversubscribe this "
+             "host's ", hw,
+             " hardware thread(s); results are unchanged but phases "
+             "may run slower than serial");
     errors_.resize(num_workers + 1);
     workers_.reserve(num_workers);
     for (int i = 0; i < num_workers; ++i)

@@ -3,7 +3,7 @@
  * Tests for the shared execution-engine layer: the forEach() coverage
  * property every engine must satisfy, pool reuse across phases,
  * exception safety (a throwing phase must neither deadlock nor poison
- * the pool), and the worker-count API.
+ * the pool), the worker-count API and its oversubscription warning.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +13,11 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/step_engine.hh"
 
@@ -72,6 +75,44 @@ TEST(ParallelEngine, WorkerCountApi)
     ParallelEngine none(0);
     EXPECT_EQ(none.numWorkers(), 0);
     EXPECT_GE(ParallelEngine::defaultWorkerCount(), 1);
+}
+
+TEST(ParallelEngine, OversubscribedPoolWarnsOnceWithoutClamping)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int fits = hw > 1 ? static_cast<int>(hw - 1) : 0;
+
+    std::uint64_t before = rasim::warnCount();
+    ::testing::internal::CaptureStderr();
+    {
+        ParallelEngine engine(fits);
+        EXPECT_EQ(engine.numWorkers(), fits);
+    }
+    std::string quiet = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rasim::warnCount(), before);
+    EXPECT_EQ(quiet.find("oversubscribe"), std::string::npos);
+
+    ::testing::internal::CaptureStderr();
+    {
+        ParallelEngine engine(fits + 1);
+        EXPECT_EQ(engine.numWorkers(), fits + 1); // not clamped
+        std::atomic<int> visits{0};
+        engine.forEach(64, [&](std::size_t) { ++visits; });
+        EXPECT_EQ(visits.load(), 64);
+    }
+    std::string loud = ::testing::internal::GetCapturedStderr();
+    if (hw == 0) {
+        // Unknown host size: nothing to compare against, no warning.
+        EXPECT_EQ(rasim::warnCount(), before);
+    } else {
+        EXPECT_EQ(rasim::warnCount(), before + 1);
+        EXPECT_NE(loud.find("warn: parallel engine: " +
+                            std::to_string(fits + 1) +
+                            " worker(s) plus the calling thread "
+                            "oversubscribe"),
+                  std::string::npos)
+            << loud;
+    }
 }
 
 TEST(ParallelEngine, NegativeWorkerCountIsFatal)
