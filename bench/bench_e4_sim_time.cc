@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -53,7 +52,9 @@ struct Measured
  * StepEngine decorator measuring the time spent inside the
  * data-parallel phases — separates the parallelisable fraction of a
  * serial run from the sequential residue (injection drain, delivery
- * callbacks, stat reduction).
+ * callbacks, stat reduction). The object kernel dispatches forEach
+ * phases, the soa kernel forRange phases (whose worklist scans run
+ * inside the phase).
  */
 class PhaseTimingEngine : public StepEngine
 {
@@ -64,10 +65,17 @@ class PhaseTimingEngine : public StepEngine
     {
         auto t0 = std::chrono::steady_clock::now();
         inner_.forEach(n, fn);
-        ns_ += std::chrono::duration<double, std::nano>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-        ++phases_;
+        account(t0);
+    }
+
+    void
+    forRange(std::size_t n,
+             const std::function<void(std::size_t, std::size_t)> &fn)
+        override
+    {
+        auto t0 = std::chrono::steady_clock::now();
+        inner_.forRange(n, fn);
+        account(t0);
     }
 
     const char *name() const override { return "phase-timing"; }
@@ -76,6 +84,15 @@ class PhaseTimingEngine : public StepEngine
     std::uint64_t phases() const { return phases_; }
 
   private:
+    void
+    account(std::chrono::steady_clock::time_point t0)
+    {
+        ns_ += std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+        ++phases_;
+    }
+
     SerialEngine inner_;
     double ns_ = 0.0;
     std::uint64_t phases_ = 0;
@@ -91,12 +108,13 @@ struct NocMeasured
 
 /** High-load random traffic on an 8x8 mesh, wall-clock measured. */
 NocMeasured
-measureNoc(StepEngine *engine)
+measureNoc(const char *kernel, StepEngine *engine)
 {
     Simulation sim;
     noc::NocParams p;
     p.columns = 8;
     p.rows = 8;
+    p.kernel = kernel;
     noc::CycleNetwork net(sim, "noc", p);
     if (engine)
         net.setEngine(engine);
@@ -227,48 +245,60 @@ main(int argc, char **argv)
 
     // E4b: the host-side pool engine, serial vs parallel stepping of
     // the detailed network itself (8x8 mesh, high uniform-random
-    // load). The serial run is instrumented to split the phase
-    // (parallelisable) time from the sequential residue; the modelled
-    // column applies static sharding over the pool slots plus a
-    // per-phase barrier-handoff cost — the DESIGN.md substitution for
-    // hosts (like the reference machine) without enough cores to
-    // measure real concurrency.
+    // load), on each compute kernel. The serial run is instrumented to
+    // split the phase (parallelisable) time from the sequential
+    // residue; the modelled column applies static sharding over the
+    // pool slots plus a per-phase barrier-handoff cost — the DESIGN.md
+    // substitution for hosts without enough cores to measure real
+    // concurrency. Every row is a measured run except the two
+    // model_* columns.
     constexpr double handoff_ns = 1000.0; // spin-barrier phase handoff
 
     printHeader("E4b: serial vs pool engine, cycle network, 8x8 mesh, "
                 "high load");
-    auto timing = std::make_unique<PhaseTimingEngine>();
-    NocMeasured serial = measureNoc(timing.get());
-    serial.phase_ns = timing->phaseNs();
-    serial.phases = timing->phases();
-    double residue_ns = serial.wall_ns - serial.phase_ns;
-
-    std::printf("  serial: %.1f ms total, %.1f ms in phases (%.0f%%), "
-                "%llu cycles\n",
-                serial.wall_ns / 1e6, serial.phase_ns / 1e6,
-                100.0 * serial.phase_ns / serial.wall_ns,
-                static_cast<unsigned long long>(serial.cycles));
-
-    printRow({"workers", "measured_ms", "meas_speedup", "modelled_ms",
-              "model_speedup"});
     const std::vector<int> worker_counts =
         quick ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
+    const char *const kernels[] = {"object", "soa"};
+    NocMeasured serial[2];
+    for (int k = 0; k < 2; ++k) {
+        PhaseTimingEngine timing;
+        serial[k] = measureNoc(kernels[k], &timing);
+        serial[k].phase_ns = timing.phaseNs();
+        serial[k].phases = timing.phases();
+        std::printf("  serial %-6s: %.1f ms total, %.1f ms in %llu "
+                    "phases (%.0f%%), %llu cycles\n",
+                    kernels[k], serial[k].wall_ns / 1e6,
+                    serial[k].phase_ns / 1e6,
+                    static_cast<unsigned long long>(serial[k].phases),
+                    100.0 * serial[k].phase_ns / serial[k].wall_ns,
+                    static_cast<unsigned long long>(serial[k].cycles));
+    }
+
+    printRow({"workers", "kernel", "measured_ms", "meas_speedup",
+              "model_ms", "model_speedup"});
     for (int workers : worker_counts) {
         ParallelEngine pool(workers);
-        NocMeasured m = measureNoc(&pool);
-        double modelled_ns =
-            residue_ns + serial.phase_ns / (workers + 1) +
-            static_cast<double>(serial.phases) * handoff_ns;
-        printRow({std::to_string(workers), fmt(m.wall_ns / 1e6),
-                  fmt(serial.wall_ns / m.wall_ns) + "x",
-                  fmt(modelled_ns / 1e6),
-                  fmt(serial.wall_ns / modelled_ns) + "x"});
+        for (int k = 0; k < 2; ++k) {
+            const NocMeasured &ser = serial[k];
+            NocMeasured m = measureNoc(kernels[k], &pool);
+            double residue_ns = ser.wall_ns - ser.phase_ns;
+            double modelled_ns =
+                residue_ns + ser.phase_ns / (workers + 1) +
+                static_cast<double>(ser.phases) * handoff_ns;
+            printRow({std::to_string(workers), kernels[k],
+                      fmt(m.wall_ns / 1e6),
+                      fmt(ser.wall_ns / m.wall_ns) + "x",
+                      fmt(modelled_ns / 1e6),
+                      fmt(ser.wall_ns / modelled_ns) + "x"});
+        }
     }
     std::printf(
-        "\n(modelled: residue + phase/(workers+1) + %.0f ns/phase "
-        "handoff; measured column reflects this host's %u core(s) — "
-        "results are bit-identical to serial either way)\n",
-        handoff_ns, std::thread::hardware_concurrency());
+        "\n(measured_ms/meas_speedup: real pool runs against the same "
+        "kernel's serial run on this host's %u hardware thread(s); "
+        "model_*: modelled as residue + phase/(workers+1) + %.0f "
+        "ns/phase handoff. Results are bit-identical to serial either "
+        "way)\n",
+        std::thread::hardware_concurrency(), handoff_ns);
 
     // E4c: the out-of-process backend. The same 8x8 co-simulation with
     // the detailed network hosted in a rasim-nocd server (here on a

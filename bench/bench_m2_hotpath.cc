@@ -24,8 +24,14 @@
  *    (object, soa-scalar, soa-avx2) at offered loads from near idle
  *    (0.0002 pkt/node/cycle) to 0.03, reporting ns per router-cycle,
  *    heap allocations per quantum and the soa speedup over object at
- *    each point. The binary exits 1 if a soa lane's deliveries differ
- *    from object's or a soa lane allocates after warm-up.
+ *    each point, plus a soa-pool2 lane: the soa kernel (best SIMD
+ *    level) on a 2-worker ParallelEngine, whose ranges build their
+ *    worklists inside each phase. The binary exits 1 if a soa lane's
+ *    deliveries differ from object's or a soa lane allocates after
+ *    warm-up.
+ *
+ * 4. Barrier cost: ns per empty phase on that 2-worker pool, i.e. the
+ *    handoff a pooled cycle pays twice whatever its work.
  *
  * A counting global allocator (defined in this translation unit, so it
  * only governs this binary) attributes heap traffic to each lane.
@@ -43,6 +49,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -52,6 +59,7 @@
 #include "sim/callable.hh"
 #include "sim/cpuid.hh"
 #include "sim/flat_map.hh"
+#include "sim/parallel_engine.hh"
 #include "sim/pool.hh"
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
@@ -318,10 +326,14 @@ struct KernelLaneResult
     std::uint64_t checksum = 0;
 };
 
+/** Workers of the soa-pool2 lane's engine. */
+constexpr int pool_lane_workers = 2;
+
+/** One lane; @p engine null runs the network's serial engine. */
 KernelLaneResult
 runKernelLane(const char *kernel, const char *simd,
               int packets_per_quantum, std::uint64_t warm_quanta,
-              std::uint64_t quanta)
+              std::uint64_t quanta, StepEngine *engine = nullptr)
 {
     constexpr Tick quantum = kernel_quantum;
 
@@ -332,6 +344,8 @@ runKernelLane(const char *kernel, const char *simd,
     p.kernel = kernel;
     p.simd = simd;
     noc::CycleNetwork net(sim, "bench", p);
+    if (engine)
+        net.setEngine(engine);
 
     KernelLaneResult r;
     net.setDeliveryHandler([&r](const noc::PacketPtr &pkt) {
@@ -381,7 +395,7 @@ struct KernelPoint
     double offered_load = 0.0; ///< packets per node per cycle
     int packets_per_quantum = 0;
     std::uint64_t quanta = 0;
-    KernelLaneResult object, soa_scalar, soa_avx2;
+    KernelLaneResult object, soa_scalar, soa_avx2, soa_pool;
     bool have_avx2 = false;
 
     double scalarSpeedup() const
@@ -392,6 +406,10 @@ struct KernelPoint
     double avx2Speedup() const
     {
         return object.ns_per_router_cycle / soa_avx2.ns_per_router_cycle;
+    }
+    double poolSpeedup() const
+    {
+        return object.ns_per_router_cycle / soa_pool.ns_per_router_cycle;
     }
 };
 
@@ -412,8 +430,14 @@ runKernelPoint(KernelPoint &pt, std::uint64_t warm_quanta)
         pt.soa_avx2 = runKernelLane("soa", "avx2",
                                     pt.packets_per_quantum, warm_quanta,
                                     pt.quanta);
+    {
+        ParallelEngine pool(pool_lane_workers);
+        pt.soa_pool = runKernelLane("soa", "auto", pt.packets_per_quantum,
+                                    warm_quanta, pt.quanta, &pool);
+    }
     if (pt.soa_scalar.checksum != pt.object.checksum ||
-        (pt.have_avx2 && pt.soa_avx2.checksum != pt.object.checksum)) {
+        (pt.have_avx2 && pt.soa_avx2.checksum != pt.object.checksum) ||
+        pt.soa_pool.checksum != pt.object.checksum) {
         std::fprintf(stderr,
                      "kernel lane checksum mismatch at %.4f "
                      "pkt/node/cycle\n",
@@ -432,6 +456,22 @@ writeLaneJson(FILE *f, const char *name, const KernelLaneResult &k)
                  "\"allocs_per_quantum\": %.3f},\n",
                  name, k.router_cycles_per_sec, k.ns_per_router_cycle,
                  k.allocs_per_quantum);
+}
+
+/** Mean ns of an empty forRange phase on a @p workers pool. */
+double
+emptyPhaseNs(int workers, int phases)
+{
+    ParallelEngine pool(workers);
+    std::function<void(std::size_t, std::size_t)> nothing =
+        [](std::size_t, std::size_t) {};
+    for (int k = 0; k < phases / 10; ++k)
+        pool.forRange(workers + 1, nothing);
+    double secs = benchutil::timeIt([&] {
+        for (int k = 0; k < phases; ++k)
+            pool.forRange(workers + 1, nothing);
+    });
+    return secs * 1e9 / phases;
 }
 
 } // namespace
@@ -513,9 +553,17 @@ main(int argc, char **argv)
         kernelRow(pt, "soa-scalar", pt.soa_scalar, pt.scalarSpeedup());
         if (pt.have_avx2)
             kernelRow(pt, "soa-avx2", pt.soa_avx2, pt.avx2Speedup());
+        kernelRow(pt, "soa-pool2", pt.soa_pool, pt.poolSpeedup());
     }
     if (!sweep[0].have_avx2)
         std::printf("soa-avx2: n/a (build or host lacks AVX2)\n");
+
+    const int empty_phases = quick ? 20000 : 200000;
+    double empty_ns = emptyPhaseNs(pool_lane_workers, empty_phases);
+    std::printf("empty phase on a %d-worker pool: %.0f ns "
+                "(%d phases, %u hardware threads)\n",
+                pool_lane_workers, empty_ns, empty_phases,
+                std::thread::hardware_concurrency());
 
     const char *path = "BENCH_hotpath.json";
     if (FILE *f = std::fopen(path, "w")) {
@@ -547,6 +595,7 @@ main(int argc, char **argv)
             "    \"allocs_per_quantum\": %.3f,\n"
             "    \"allocs_per_quantum_budget\": %.1f\n"
             "  },\n"
+            "  \"empty_phase_ns\": {\"workers\": %d, \"ns\": %.1f},\n"
             "  \"kernel_sweep\": {\n"
             "    \"mesh\": \"%dx%d\",\n"
             "    \"quantum_cycles\": %llu,\n"
@@ -559,7 +608,8 @@ main(int argc, char **argv)
             sys.packets_per_sec, sys.allocs_per_quantum,
             static_cast<unsigned long long>(sys_soa.quanta),
             sys_soa.packets_per_sec, sys_soa.allocs_per_quantum,
-            system_soa_alloc_budget, kernel_mesh_side, kernel_mesh_side,
+            system_soa_alloc_budget, pool_lane_workers, empty_ns,
+            kernel_mesh_side, kernel_mesh_side,
             static_cast<unsigned long long>(kernel_quantum));
         for (std::size_t k = 0; k < sweep.size(); ++k) {
             const KernelPoint &pt = sweep[k];
@@ -579,6 +629,9 @@ main(int argc, char **argv)
             } else {
                 std::fprintf(f, "      \"soa_avx2\": null,\n");
             }
+            writeLaneJson(f, "soa_pool2", pt.soa_pool);
+            std::fprintf(f, "      \"soa_pool2_speedup\": %.3f,\n",
+                         pt.poolSpeedup());
             std::fprintf(f,
                          "      \"soa_scalar_speedup\": %.3f\n"
                          "     }%s\n",
@@ -607,7 +660,8 @@ main(int argc, char **argv)
     // The soa kernel must run allocation-free once warm, at every load.
     for (const KernelPoint &pt : sweep) {
         if (pt.soa_scalar.allocs_per_quantum > 0.0 ||
-            (pt.have_avx2 && pt.soa_avx2.allocs_per_quantum > 0.0)) {
+            (pt.have_avx2 && pt.soa_avx2.allocs_per_quantum > 0.0) ||
+            pt.soa_pool.allocs_per_quantum > 0.0) {
             std::fprintf(stderr,
                          "soa kernel allocated on the heap at %.4f "
                          "pkt/node/cycle\n",

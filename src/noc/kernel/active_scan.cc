@@ -9,24 +9,22 @@ namespace noc
 namespace kernel
 {
 
-void
+std::size_t
 activeScanScalar(const std::uint32_t *occ, std::size_t blocks,
-                 std::size_t words_per_block, std::vector<int> &out)
+                 std::size_t words_per_block, int *out)
 {
     // Branch-free: write every index, keep it by advancing the count
     // only past non-zero blocks.
-    std::size_t n = out.size();
-    out.resize(n + blocks);
-    int *dst = out.data();
+    std::size_t n = 0;
     for (std::size_t i = 0; i < blocks; ++i) {
         const std::uint32_t *block = occ + i * words_per_block;
         std::uint32_t acc = 0;
         for (std::size_t w = 0; w < words_per_block; ++w)
             acc |= block[w];
-        dst[n] = static_cast<int>(i);
+        out[n] = static_cast<int>(i);
         n += acc != 0;
     }
-    out.resize(n);
+    return n;
 }
 
 ActiveScanFn

@@ -20,18 +20,16 @@ namespace noc
 namespace kernel
 {
 
-void
+std::size_t
 activeScanAvx2(const std::uint32_t *occ, std::size_t blocks,
-               std::size_t words_per_block, std::vector<int> &out)
+               std::size_t words_per_block, int *out)
 {
     // words_per_block is a multiple of 8, so every block is a whole
     // number of 256-bit chunks; OR them together and test for zero.
     // Then, as in the scalar scan, write every index and advance the
     // count only past non-zero blocks.
     const std::size_t chunks = words_per_block / 8;
-    std::size_t n = out.size();
-    out.resize(n + blocks);
-    int *dst = out.data();
+    std::size_t n = 0;
     for (std::size_t i = 0; i < blocks; ++i) {
         const __m256i *block = reinterpret_cast<const __m256i *>(
             occ + i * words_per_block);
@@ -39,10 +37,10 @@ activeScanAvx2(const std::uint32_t *occ, std::size_t blocks,
         for (std::size_t c = 1; c < chunks; ++c)
             acc = _mm256_or_si256(acc,
                                   _mm256_loadu_si256(block + c));
-        dst[n] = static_cast<int>(i);
+        out[n] = static_cast<int>(i);
         n += !_mm256_testz_si256(acc, acc);
     }
-    out.resize(n);
+    return n;
 }
 
 } // namespace kernel

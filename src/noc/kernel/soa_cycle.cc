@@ -1,6 +1,7 @@
 #include "noc/kernel/soa_cycle.hh"
 
 #include <bit>
+#include <cstring>
 
 #include "noc/routing.hh"
 #include "noc/topology.hh"
@@ -161,6 +162,7 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     rx_.resize(n_);
     completed_.resize(n_);
     freed_.resize(n_);
+    done_.assign((static_cast<std::size_t>(n_) + 7) & ~std::size_t{7}, 0);
     for (int i = 0; i < n_; ++i) {
         rx_[i].reserve(V_);
         completed_[i].reserve(1);
@@ -174,8 +176,8 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     compute_occ_.assign(static_cast<std::size_t>(n_) * compute_words,
                         0);
     commit_occ_.assign(static_cast<std::size_t>(n_) * commit_words, 0);
-    compute_list_.reserve(n_);
-    commit_list_.reserve(n_);
+    ranges_ = WorkRanges(n_);
+    worklist_.assign(n_, 0);
     route_scratch_.resize(n_);
     for (auto &s : route_scratch_)
         s.reserve(8);
@@ -712,6 +714,7 @@ SoaCycleFabric::nicCommit(int i, Cycle now)
             pkt->deliver_tick = now + 1;
             completed_[i].push_back(std::move(slot_owner_[f.slot]));
             freed_[i].push_back(f.slot);
+            done_[i] = 1;
         } else if (got > want) {
             panic("nic", i, ": duplicate flits for packet ", pkt->id);
         }
@@ -721,6 +724,11 @@ SoaCycleFabric::nicCommit(int i, Cycle now)
 void
 SoaCycleFabric::flushStats()
 {
+    // Once per advanceTo: re-cut the node ranges by the work each node
+    // did since the last cut (never per cycle, so slots keep their
+    // nodes' state in cache across a whole quantum).
+    ranges_.rebalance();
+
     // The deltas are integer-valued and every running total stays far
     // below 2^53, so one batched double add lands on the same value
     // as the object backend's per-event increments.
@@ -737,23 +745,31 @@ SoaCycleFabric::flushStats()
     }
 }
 
+std::size_t
+SoaCycleFabric::scanRange(const std::vector<std::uint32_t> &occ,
+                          std::size_t words, std::size_t lo,
+                          std::size_t hi)
+{
+    return scan_(occ.data() + lo * words, hi - lo, words,
+                 worklist_.data() + lo);
+}
+
 void
 SoaCycleFabric::compute(StepEngine &engine, Cycle now,
                         const std::vector<char> &stalled)
 {
-    compute_list_.clear();
-    scan_(compute_occ_.data(), n_, compute_words, compute_list_);
-    if (compute_list_.empty())
-        return;
     phase_now_ = now;
     phase_va_start_ = static_cast<int>(now % P_);
     phase_stalled_ = &stalled;
     engine.forRange(
-        compute_list_.size(), [this](std::size_t b, std::size_t e) {
+        ranges_.units(), [this](std::size_t b, std::size_t e) {
+            auto [lo, hi] = ranges_.nodes(b, e);
+            std::size_t cnt = scanRange(compute_occ_, compute_words, lo, hi);
             Cycle now = phase_now_;
             const std::vector<char> &stalled = *phase_stalled_;
-            for (std::size_t k = b; k < e; ++k) {
-                int i = compute_list_[k];
+            for (std::size_t k = 0; k < cnt; ++k) {
+                int i = static_cast<int>(lo) + worklist_[lo + k];
+                ranges_.visit(i);
                 nicCompute(i, now);
                 if (!stalled[i]) {
                     routerComputeVa(i);
@@ -768,35 +784,42 @@ SoaCycleFabric::commit(StepEngine &engine, Cycle now,
                        const std::vector<char> &stalled)
 {
     completed_nodes_.clear();
-    commit_list_.clear();
-    scan_(commit_occ_.data(), n_, commit_words, commit_list_);
-    if (commit_list_.empty())
-        return;
     phase_now_ = now;
     phase_stalled_ = &stalled;
     engine.forRange(
-        commit_list_.size(), [this](std::size_t b, std::size_t e) {
+        ranges_.units(), [this](std::size_t b, std::size_t e) {
+            auto [lo, hi] = ranges_.nodes(b, e);
+            std::size_t cnt = scanRange(commit_occ_, commit_words, lo, hi);
             Cycle now = phase_now_;
             const std::vector<char> &stalled = *phase_stalled_;
-            for (std::size_t k = b; k < e; ++k) {
-                int i = commit_list_[k];
+            for (std::size_t k = 0; k < cnt; ++k) {
+                int i = static_cast<int>(lo) + worklist_[lo + k];
+                ranges_.visit(i);
                 if (!stalled[i])
                     routerCommit(i, now);
                 nicCommit(i, now);
             }
         });
-    // Sequential post-barrier pass: return the slots of packets whose
-    // tail ejected to the free list in node order, and list the nodes
-    // with deliveries for the orchestrator.
-    for (int i : commit_list_) {
-        if (freed_[i].empty())
+    // Sequential post-barrier pass over the done flags, eight at a
+    // time: return the slots of packets whose tail ejected to the free
+    // list in node order, and list the nodes with deliveries for the
+    // orchestrator.
+    for (std::size_t w = 0; w < done_.size(); w += 8) {
+        std::uint64_t any;
+        std::memcpy(&any, &done_[w], sizeof any);
+        if (any == 0)
             continue;
-        for (std::uint32_t s : freed_[i]) {
-            slot_pkt_[s] = nullptr;
-            free_slots_.push_back(s);
+        for (std::size_t i = w; i < w + 8; ++i) {
+            if (!done_[i])
+                continue;
+            for (std::uint32_t s : freed_[i]) {
+                slot_pkt_[s] = nullptr;
+                free_slots_.push_back(s);
+            }
+            freed_[i].clear();
+            done_[i] = 0;
+            completed_nodes_.push_back(static_cast<int>(i));
         }
-        freed_[i].clear();
-        completed_nodes_.push_back(i);
     }
 }
 
@@ -1041,6 +1064,7 @@ SoaCycleFabric::restore(ArchiveReader &ar)
         }
         completed_[i].clear();
         freed_[i].clear();
+        done_[i] = 0;
         ar.endSection();
     }
     completed_nodes_.clear();
@@ -1105,8 +1129,6 @@ SoaCycleFabric::rebuildOccupancy()
         *l.flit_occ += l.fsize;
         *l.cred_occ += l.csize;
     }
-    compute_list_.clear();
-    commit_list_.clear();
     std::fill(deltas_.begin(), deltas_.end(), StatDeltas{});
 }
 

@@ -9,10 +9,19 @@
  * Router/Nic/Link objects. Flits are trivially copyable and name
  * their packet by an index into a fabric-owned slot table, so moving
  * one never touches a refcount. The RC/VA/SA/ST+LT stages
- * run as batched passes over an active-node worklist rebuilt each
- * cycle from per-node occupancy blocks (see active_scan.hh); nodes
+ * run as batched passes over active-node worklists built inside each
+ * phase from per-node occupancy blocks (see active_scan.hh); nodes
  * with no buffered flits, queued packets or in-flight link traffic
  * are provably no-ops and are skipped entirely.
+ *
+ * Parallel shape: each phase is one engine.forRange() over the
+ * cumulative-work units of WorkRanges (work_ranges.hh), so an engine
+ * slot owns the same contiguous node block in compute and commit,
+ * cycle after cycle, sized by the work its nodes did; the cut moves
+ * at most once per advanceTo, in flushStats(). A range scans its own
+ * occupancy sub-block into its own slice of a node-indexed scratch
+ * array and visits the nodes it finds, so no worklist pass runs on
+ * the calling thread between phases.
  *
  * Determinism: each pass executes the exact same per-node operation
  * sequence as the object backend (same arbiter rotations, same
@@ -29,7 +38,8 @@
  * compute-block words are written only by their own node; a
  * commit-block word for an input port is incremented only by the
  * one upstream sender (compute) and decremented only by the owner
- * (commit). Worklists are rebuilt sequentially between phases.
+ * (commit). A range therefore scans only words that no other range
+ * writes in the same phase, and sees what a pre-phase scan would.
  */
 
 #ifndef RASIM_NOC_KERNEL_SOA_CYCLE_HH
@@ -41,6 +51,7 @@
 
 #include "noc/kernel/active_scan.hh"
 #include "noc/kernel/backend.hh"
+#include "noc/kernel/work_ranges.hh"
 #include "sim/cpuid.hh"
 #include "sim/flat_map.hh"
 #include "stats/group.hh"
@@ -314,6 +325,11 @@ class SoaCycleFabric : public CycleFabric
     restoreSoaFlit(ArchiveReader &ar,
                    const FlatMap<PacketId, std::uint32_t> &slot_of);
     void rebuildOccupancy();
+    /** Scan nodes [lo, hi) of @p occ into worklist_[lo, ...); returns
+     *  the count (entries are relative to lo). */
+    std::size_t scanRange(const std::vector<std::uint32_t> &occ,
+                          std::size_t words, std::size_t lo,
+                          std::size_t hi);
 
     const NocParams &params_;
     const Topology &topo_;
@@ -333,14 +349,16 @@ class SoaCycleFabric : public CycleFabric
 
     // Packet slot table: one entry per packet inside the fabric,
     // indexed by SoaFlit::slot. enqueue() takes a slot (sequential);
-    // tail ejection moves the owner into completed_ and parks the
-    // slot on freed_[node]; commit() returns parked slots to
-    // free_slots_ sequentially in node order. A free slot's raw
-    // pointer is null.
+    // tail ejection moves the owner into completed_, parks the slot
+    // on freed_[node] and raises done_[node]; commit() returns parked
+    // slots to free_slots_ sequentially in node order. A free slot's
+    // raw pointer is null.
     std::vector<PacketPtr> slot_owner_;
     std::vector<Packet *> slot_pkt_;
     std::vector<std::uint32_t> free_slots_;
     std::vector<std::vector<std::uint32_t>> freed_; ///< [n]
+    /** 1 where freed_ is non-empty [n, padded to a multiple of 8]. */
+    std::vector<char> done_;
 
     // NIC state.
     std::vector<FlitRing> nicq_;              ///< [n*num_vnets]
@@ -355,11 +373,13 @@ class SoaCycleFabric : public CycleFabric
     /** Ascending nodes whose completed_ is non-empty this cycle. */
     std::vector<int> completed_nodes_;
 
-    // Occupancy blocks + per-cycle worklists.
+    // Occupancy blocks, the node ranges the phases split them by, and
+    // the worklist scratch: range [lo, hi) writes its worklist (node
+    // indices relative to lo) into worklist_[lo, hi).
     std::vector<std::uint32_t> compute_occ_; ///< [n*compute_words]
     std::vector<std::uint32_t> commit_occ_;  ///< [n*commit_words]
-    std::vector<int> compute_list_;
-    std::vector<int> commit_list_;
+    WorkRanges ranges_;
+    std::vector<int> worklist_; ///< [n]
 
     // Phase arguments parked in members so the forRange lambda only
     // captures `this` (8 bytes): a fatter capture spills std::function

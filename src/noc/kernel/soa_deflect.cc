@@ -308,8 +308,9 @@ void
 SoaDeflectFabric::route(StepEngine &engine, Cycle now,
                         const std::vector<char> &stalled)
 {
-    route_list_.clear();
-    scan_(route_occ_.data(), n_, occ_words, route_list_);
+    route_list_.resize(n_);
+    route_list_.resize(
+        scan_(route_occ_.data(), n_, occ_words, route_list_.data()));
     if (route_list_.empty())
         return;
     phase_now_ = now;
@@ -325,8 +326,9 @@ SoaDeflectFabric::route(StepEngine &engine, Cycle now,
 void
 SoaDeflectFabric::gather(StepEngine &engine)
 {
-    gather_list_.clear();
-    scan_(gather_occ_.data(), n_, occ_words, gather_list_);
+    gather_list_.resize(n_);
+    gather_list_.resize(
+        scan_(gather_occ_.data(), n_, occ_words, gather_list_.data()));
     if (gather_list_.empty())
         return;
     engine.forRange(gather_list_.size(),

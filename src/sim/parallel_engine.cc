@@ -102,33 +102,34 @@ ParallelEngine::workerLoop(int worker_index)
 {
     std::uint64_t seen = 0;
     for (;;) {
-        // Fast path: spin briefly for the next phase publication.
+        // Fast path: spin briefly for the next phase publication. A
+        // new generation seen here (acquire, pairing with the caller's
+        // release bump) already orders the job fields written before
+        // it, so the worker reads them without the mutex; the caller
+        // cannot overwrite them until this worker has dropped pending_.
         int spins = 0;
-        while (generation_.load(std::memory_order_acquire) == seen &&
-               !shutdown_.load(std::memory_order_acquire) &&
-               spins < spin_limit) {
+        std::uint64_t gen = generation_.load(std::memory_order_acquire);
+        while (gen == seen && spins < spin_limit &&
+               !shutdown_.load(std::memory_order_acquire)) {
             ++spins;
             cpuRelax();
+            gen = generation_.load(std::memory_order_acquire);
         }
-        std::size_t n;
-        const std::function<void(std::size_t)> *fn;
-        const std::function<void(std::size_t, std::size_t)> *range_fn;
-        {
+        if (gen == seen) {
+            // Slow path: block until a phase or shutdown arrives.
             std::unique_lock<std::mutex> lock(mutex_);
             start_cv_.wait(lock, [this, seen] {
                 return shutdown_.load(std::memory_order_relaxed) ||
                        generation_.load(std::memory_order_relaxed) !=
                            seen;
             });
-            if (generation_.load(std::memory_order_relaxed) == seen)
+            gen = generation_.load(std::memory_order_relaxed);
+            if (gen == seen)
                 return; // shutdown with no new phase pending
-            seen = generation_.load(std::memory_order_relaxed);
-            n = job_n_;
-            fn = job_fn_;
-            range_fn = job_range_fn_;
         }
+        seen = gen;
 
-        runPartition(worker_index + 1, n, fn, range_fn,
+        runPartition(worker_index + 1, job_n_, job_fn_, job_range_fn_,
                      errors_[worker_index + 1]);
 
         if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

@@ -7,10 +7,20 @@
  *
  * Results are bit-identical to SerialEngine because phases only touch
  * partition-local state; the pool changes *where* iterations run, not
- * what they compute. Workers are started once and handed phases
- * through a generation-counter barrier (no spawn-per-call); they spin
- * briefly before blocking so the per-phase dispatch latency stays in
- * the microsecond range on multicore hosts.
+ * what they compute. Slot s of S (the caller is slot 0) always gets
+ * the static block [n*s/S, n*(s+1)/S), so a caller that keeps n fixed
+ * keeps every index on the same thread from phase to phase.
+ *
+ * Handoff: workers are started once (no spawn-per-call). The caller
+ * writes the job and bumps generation_ (release) under mutex_, then
+ * notifies start_cv_. A worker spins on generation_ with acquire
+ * loads; one that sees the bump reads the job straight away, without
+ * the mutex or the condition variable, and blocks on start_cv_ only
+ * once its spin limit has expired. The caller runs slot 0, then spins
+ * on pending_ (acquire, pairing with each worker's final decrement)
+ * and blocks on done_cv_ only if its own spin expires. The caller
+ * does not touch the job again until pending_ is zero, which is what
+ * makes the workers' lock-free reads of it race-free.
  */
 
 #ifndef RASIM_SIM_PARALLEL_ENGINE_HH

@@ -1,13 +1,15 @@
 /**
  * @file
  * The occupancy-block scan behind the soa kernels' worklists: every
- * implementation must append exactly the ascending indices of the
- * non-zero blocks, for both block widths the fabrics use, and the
- * AVX2 lane must agree with the scalar reference on every pattern.
+ * implementation must write exactly the ascending indices of the
+ * non-zero blocks and return their count, for both block widths the
+ * fabrics use, and the AVX2 lane must agree with the scalar reference
+ * on every pattern.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -56,8 +58,8 @@ expectAllMatch(const std::vector<std::uint32_t> &occ, std::size_t words,
     std::size_t blocks = occ.size() / words;
     std::vector<int> want = reference(occ, words);
     for (const auto &[name, scan] : scans()) {
-        std::vector<int> got;
-        scan(occ.data(), blocks, words, got);
+        std::vector<int> got(blocks);
+        got.resize(scan(occ.data(), blocks, words, got.data()));
         EXPECT_EQ(got, want) << name << ", " << words
                              << "-word blocks, " << what;
     }
@@ -86,9 +88,9 @@ TEST(ActiveScan, SingleSetWordAtEachPosition)
             std::vector<std::uint32_t> occ(blocks * words, 0);
             occ[pos] = 1u << (pos % 32);
             expectAllMatch(occ, words, "single word");
-            std::vector<int> got;
-            activeScanScalar(occ.data(), blocks, words, got);
-            ASSERT_EQ(got.size(), 1u);
+            int got[4];
+            ASSERT_EQ(activeScanScalar(occ.data(), blocks, words, got),
+                      1u);
             EXPECT_EQ(got[0], static_cast<int>(pos / words));
         }
     }
@@ -116,22 +118,58 @@ TEST(ActiveScan, ZeroBlocksAppendsNothing)
     for (const auto &[name, scan] : scans()) {
         std::vector<int> out{7, 9};
         std::uint32_t dummy[16] = {1};
-        scan(dummy, 0, 8, out);
+        EXPECT_EQ(scan(dummy, 0, 8, out.data()), 0u) << name;
         EXPECT_EQ(out, (std::vector<int>{7, 9})) << name;
     }
 }
 
 TEST(ActiveScan, AppendsToNonEmptyOutput)
 {
+    // A scan into the middle of a buffer leaves the entries before it
+    // alone: the soa fabric's ranges share one node-indexed scratch
+    // array, each writing only from its own first node on.
     for (std::size_t words : widths) {
         std::vector<std::uint32_t> occ(6 * words, 0);
         occ[1 * words] = 1;
         occ[4 * words + words - 1] = 1;
         for (const auto &[name, scan] : scans()) {
-            std::vector<int> out{42, -1};
-            scan(occ.data(), 6, words, out);
+            std::vector<int> out(8, -7);
+            out[0] = 42;
+            out[1] = -1;
+            std::size_t cnt = scan(occ.data(), 6, words, out.data() + 2);
+            out.resize(2 + cnt);
             EXPECT_EQ(out, (std::vector<int>{42, -1, 1, 4}))
                 << name << ", " << words << "-word blocks";
+        }
+    }
+}
+
+TEST(ActiveScan, SubBlockIndicesCountFromItsFirstNode)
+{
+    // Scanning nodes [lo, hi) of a larger array gives the reference
+    // indices in that window, shifted by lo.
+    Rng rng(0x5b, 2);
+    for (std::size_t words : widths) {
+        std::size_t blocks = 97;
+        std::vector<std::uint32_t> occ(blocks * words, 0);
+        for (std::uint32_t &w : occ)
+            if (rng.bernoulli(0.03))
+                w = 1;
+        std::vector<int> all = reference(occ, words);
+        for (std::size_t lo = 0; lo <= blocks; lo += 13) {
+            std::size_t hi = std::min(blocks, lo + 29);
+            std::vector<int> want;
+            for (int i : all)
+                if (static_cast<std::size_t>(i) >= lo &&
+                    static_cast<std::size_t>(i) < hi)
+                    want.push_back(i - static_cast<int>(lo));
+            for (const auto &[name, scan] : scans()) {
+                std::vector<int> got(hi - lo + 1);
+                got.resize(scan(occ.data() + lo * words, hi - lo, words,
+                                got.data()));
+                EXPECT_EQ(got, want) << name << ", [" << lo << ", "
+                                     << hi << ")";
+            }
         }
     }
 }
@@ -147,9 +185,10 @@ TEST(ActiveScan, Avx2MatchesScalar)
         for (std::uint32_t &w : occ)
             if (rng.bernoulli(0.02))
                 w = 1u << rng.range(32);
-        std::vector<int> scalar, avx2;
-        activeScanScalar(occ.data(), 512, words, scalar);
-        activeScanAvx2(occ.data(), 512, words, avx2);
+        std::vector<int> scalar(512), avx2(512);
+        scalar.resize(activeScanScalar(occ.data(), 512, words,
+                                       scalar.data()));
+        avx2.resize(activeScanAvx2(occ.data(), 512, words, avx2.data()));
         EXPECT_EQ(avx2, scalar) << words << "-word blocks";
         EXPECT_FALSE(scalar.empty());
     }

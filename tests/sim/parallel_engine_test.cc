@@ -3,7 +3,8 @@
  * Tests for the shared execution-engine layer: the forEach() coverage
  * property every engine must satisfy, pool reuse across phases,
  * exception safety (a throwing phase must neither deadlock nor poison
- * the pool), the worker-count API and its oversubscription warning.
+ * the pool), a back-to-back handoff stress, the worker-count API and
+ * its oversubscription warning.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/expect_error.hh"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -159,6 +161,67 @@ TEST(ParallelEngine, ConcurrentThrowsSurfaceFirstBySlotOrder)
                                     }),
                      std::runtime_error);
     }
+    std::atomic<int> count{0};
+    engine.forEach(64, [&](std::size_t) { count++; });
+    EXPECT_EQ(count.load(), 64);
+}
+
+TEST(ParallelEngine, BackToBackPhaseHandoffStress)
+{
+    // 10^5 phases with no gap between them, so workers mostly pick the
+    // next phase up from their spin (the lock-free path): forEach and
+    // forRange alternate, some phases are empty, and every thirteenth
+    // throws from one or two indices. Each index is owned by one slot,
+    // so a plain counter per index is race-free exactly when the pool
+    // runs every index once (TSan checks the rest).
+    constexpr int phases = 100000;
+    constexpr std::size_t max_n = 40;
+    ParallelEngine engine(2);
+    std::vector<int> hits(max_n, 0);
+    int thrown = 0;
+    for (int p = 0; p < phases; ++p) {
+        std::size_t n = p % 9 == 0 ? 0 : 1 + (p * 7) % max_n;
+        bool throws = n > 0 && p % 13 == 0;
+        // Two throwing indices when there is room; the lower one must
+        // surface (slot order is index order).
+        std::size_t bad_lo = throws ? (p / 13) % n : max_n;
+        std::size_t bad_hi = throws ? n - 1 : max_n;
+        auto visit = [&](std::size_t i) {
+            ++hits[i];
+            if (i == bad_lo || i == bad_hi)
+                throw std::runtime_error(std::to_string(i));
+        };
+        try {
+            if (p % 2 == 0) {
+                engine.forEach(n, visit);
+            } else {
+                engine.forRange(n, [&](std::size_t b, std::size_t e) {
+                    ASSERT_LE(b, e);
+                    for (std::size_t i = b; i < e; ++i)
+                        visit(i);
+                });
+            }
+            ASSERT_FALSE(throws) << "phase " << p << " did not rethrow";
+        } catch (const std::runtime_error &e) {
+            ASSERT_TRUE(throws) << "phase " << p << ": " << e.what();
+            ASSERT_EQ(std::string(e.what()), std::to_string(bad_lo))
+                << "phase " << p << ": not the first exception";
+            ++thrown;
+        }
+        for (std::size_t i = 0; i < max_n; ++i) {
+            // A throwing phase abandons the rest of that slot's block.
+            if (throws)
+                ASSERT_LE(hits[i], 1) << "phase " << p << " i=" << i;
+            else
+                ASSERT_EQ(hits[i], i < n ? 1 : 0)
+                    << "phase " << p << " i=" << i;
+            hits[i] = 0;
+        }
+    }
+    EXPECT_GT(thrown, phases / 20);
+    EXPECT_EQ(engine.phasesRun(), static_cast<std::uint64_t>(phases));
+
+    // Still usable after the storm.
     std::atomic<int> count{0};
     engine.forEach(64, [&](std::size_t) { count++; });
     EXPECT_EQ(count.load(), 64);
