@@ -6,8 +6,8 @@
 # workers at seed-derived moments — single kills of either worker and
 # a double kill that takes the whole fleet down at once. The
 # supervisor respawns every corpse on its old endpoint, the client's
-# recovery lineage (base image + journal replay, standby promotion,
-# deterministic re-priming) carries it across, and every killed run
+# recovery lineage (a cold open of the base image plus journal replay,
+# on whichever worker answers) carries it across, and every killed run
 # must reproduce the baseline's headline results exactly.
 #
 # On a mismatch the offending seed is printed so the failure can be
@@ -73,7 +73,7 @@ kill_worker() { # <idx>
 }
 
 # The headline block is the differential claim; the health counters
-# (reconnects, failovers, reprimes, ...) are failure weather that
+# (reconnects, failovers, retries, ...) are failure weather that
 # legitimately differs between a calm run and a massacred one.
 extract() {
     sed -n '/^finished at tick/,/^reciprocal table/p' "$1"

@@ -102,8 +102,8 @@ echo "== reference run (uninterrupted) =="
 # latencies and the full statistics dump — must match the reference
 # exactly; wall-clock quantities are deliberately kept out of stats.
 # The health.* counters are transport weather, not simulation results:
-# a recovered client legitimately records the reconnects, failovers,
-# re-primes and registry-mirrored restarts its drill needed, which the
+# a recovered client legitimately records the reconnects, failovers
+# and registry-mirrored restarts its drill needed, which the
 # uninterrupted reference never did.
 extract() {
     sed -n '/^finished at tick/,$p' "$1" |

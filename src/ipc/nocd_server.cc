@@ -642,9 +642,8 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
     // ErrorReply; only transport trouble while replying propagates.
     try {
         // Liveness probes are legal on any connection, session or not:
-        // the supervisor's heartbeat and the client's standby prober
-        // must be able to ask "are you alive?" without opening (or
-        // disturbing) a session.
+        // the supervisor's heartbeat must be able to ask "are you
+        // alive?" without opening (or disturbing) a session.
         if (msg.type == MsgType::Ping) {
             PingRequest req = decodePing(msg.ar);
             msg.done();
@@ -744,7 +743,7 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
             }
             CkptReply rep;
             rep.image = image.finish();
-            // Attest the image bytes themselves: a standby restored
+            // Attest the image bytes themselves: a replica restored
             // from them re-serializes to the same bytes, so its
             // CkptLoadAck digest must equal this one.
             rep.digest = crc64(rep.image);

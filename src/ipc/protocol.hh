@@ -124,15 +124,15 @@ constexpr std::uint8_t step_flag_attested = 8;  ///< digest appended
 /// @}
 
 /** Liveness probe (v3): legal before Hello, so a sessionless
- *  connection — the supervisor's heartbeat, the client's standby
- *  prober — can ask "are you alive?" without building a network. */
+ *  connection — the supervisor's heartbeat — can ask "are you
+ *  alive?" without building a network. */
 struct PingRequest
 {
     /** Echoed verbatim in the Pong, pairing probe and answer. */
     std::uint64_t nonce = 0;
 };
 
-/** Ping echo: the prober's nonce plus enough session/load state to
+/** Ping echo: the probe's nonce plus enough session/load state to
  *  tell a healthy worker from a wedged one. */
 struct PongReply
 {
@@ -159,7 +159,7 @@ struct StatRow
 
 /** CkptData payload (v3): the checkpoint image plus the server's
  *  CRC64 attestation of it, so the client can (a) verify the bytes it
- *  holds and (b) later cross-check a standby restored from them. */
+ *  holds and (b) later cross-check a replica restored from them. */
 struct CkptReply
 {
     std::string image;

@@ -62,7 +62,7 @@ RetryPolicy::shouldRetry() const
     // endpoint's breaker is open the first failure ends the round
     // immediately, no backoff storm. One healthy endpoint is enough
     // to keep the round alive — a dead primary must never delay the
-    // failover to its standby.
+    // failover to the next endpoint.
     if (breakerAllOpen())
         return false;
     if (attempt_ >= opts_.max_attempts)

@@ -17,7 +17,7 @@
  * abstract model. The first probe that succeeds closes the breaker.
  *
  * The breaker is scoped per endpoint (setScopes): a dead primary
- * trips only its own breaker, so a failover to a healthy standby is
+ * trips only its own breaker, so a failover to a healthy endpoint is
  * never denied or slowed by the primary's failure history. A round is
  * refused outright only when every endpoint's breaker is open; an
  * endpoint with an open breaker still gets its single probe inside a

@@ -266,8 +266,7 @@ connectTo(const std::string &addr, double timeout_ms)
 {
     ParsedAddr p = parseAddress(addr);
     auto start = std::chrono::steady_clock::now();
-    std::string last_error = "timeout";
-    do {
+    for (;;) {
         Fd fd(::socket(p.is_unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0));
         if (!fd.valid()) {
             throw SimError(ErrorKind::Transport,
@@ -285,15 +284,17 @@ connectTo(const std::string &addr, double timeout_ms)
             }
             return fd;
         }
-        last_error = errnoString();
+        const std::string error = errnoString();
+        if (elapsedMs(start) >= timeout_ms) {
+            throw SimError(ErrorKind::Transport,
+                           "cannot connect to '" + addr + "' within " +
+                               std::to_string(timeout_ms) +
+                               " ms (last error: " + error + ")");
+        }
         // The server may still be starting; retry until the deadline.
         struct timespec ts = {0, 20 * 1000 * 1000};
         ::nanosleep(&ts, nullptr);
-    } while (elapsedMs(start) < timeout_ms);
-    throw SimError(ErrorKind::Transport,
-                   "cannot connect to '" + addr + "' within " +
-                       std::to_string(timeout_ms) +
-                       " ms (last error: " + last_error + ")");
+    }
 }
 
 void

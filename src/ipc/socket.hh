@@ -103,7 +103,8 @@ bool readable(const Fd &fd);
 
 /**
  * Connect to @p addr, retrying until @p timeout_ms expires (a server
- * that is still starting up is not an error until the deadline).
+ * that is still starting up is not an error until the deadline; 0 =
+ * a single attempt).
  * @throws SimError{Transport} when the deadline expires.
  */
 Fd connectTo(const std::string &addr, double timeout_ms);

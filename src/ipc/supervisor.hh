@@ -10,9 +10,8 @@
  * This is the process half of the crash-anywhere story (DESIGN.md
  * section 13): the client's recovery lineage makes a worker loss
  * survivable, the supervisor makes it *repeatable* — a respawned
- * worker re-listens on the same endpoint, the client's re-prime
- * machinery rebuilds the standby on it, and the fleet converges back
- * to one-primary-one-standby after every crash, so N sequential
+ * worker re-listens on the same endpoint, where the client's next cold
+ * open can rebuild its session from the lineage, so N sequential
  * failures end bit-identical to a fault-free run.
  *
  * The registry file is rewritten atomically (tmp + rename) on every

@@ -69,8 +69,6 @@ RemoteOptions::fromConfig(const Config &cfg)
     }
     o.ckpt_quanta =
         cfg.getUInt("network.remote.ckpt_quanta", o.ckpt_quanta);
-    o.heartbeat_ms =
-        cfg.getDouble("network.remote.heartbeat_ms", o.heartbeat_ms);
     o.attest_quanta =
         cfg.getUInt("network.remote.attest_quanta", o.attest_quanta);
     o.registry = cfg.getString("network.remote.registry", o.registry);
@@ -86,8 +84,6 @@ RemoteOptions::fromConfig(const Config &cfg)
     }
     if (o.connect_timeout_ms <= 0.0)
         fatal("remote.connect_timeout_ms must be positive");
-    if (o.heartbeat_ms < 0.0)
-        fatal("network.remote.heartbeat_ms must be non-negative");
     if (o.quantum_timeout_ms < 0.0)
         fatal("remote.quantum_timeout_ms must be non-negative");
     if (o.model != "cycle" && o.model != "deflection")
@@ -133,11 +129,10 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
       breakerTrips(&health, "breaker_trips",
                    "circuit breaker openings (exhausted retry rounds)"),
       standbyPrimeFailures(&health, "standby_prime_failures",
-                           "standby priming attempts that failed"),
-      reprimes(&health, "reprimes",
-               "standby sessions re-primed after a loss or promotion"),
+                           "retired counter, always 0"),
+      reprimes(&health, "reprimes", "retired counter, always 0"),
       heartbeatMisses(&health, "heartbeat_misses",
-                      "liveness probes an endpoint failed to answer"),
+                      "retired counter, always 0"),
       attestationMismatches(&health, "attestation_mismatches",
                             "replica state digests that diverged"),
       workerRestarts(&health, "worker_restarts",
@@ -175,23 +170,17 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
     refreshRegistry();
     retry_.setScopes(options_.endpoints.size());
     runWithRetry([] { return 0; });
-    startProber();
 }
 
 RemoteNetwork::~RemoteNetwork()
 {
-    stopProber();
-    auto bye = [](ipc::ByteChannel *ch) {
-        if (!ch || !ch->valid())
-            return;
-        try {
-            ipc::sendMessage(*ch, ipc::beginMessage(ipc::MsgType::Bye));
-        } catch (const SimError &) {
-            // Best-effort goodbye; the server treats EOF the same way.
-        }
-    };
-    bye(standby_chan_.get());
-    bye(chan_.get());
+    if (!chan_ || !chan_->valid())
+        return;
+    try {
+        ipc::sendMessage(*chan_, ipc::beginMessage(ipc::MsgType::Bye));
+    } catch (const SimError &) {
+        // Best-effort goodbye; the server treats EOF the same way.
+    }
 }
 
 std::size_t
@@ -246,8 +235,6 @@ RemoteNetwork::syncHealthStats()
     retries.set(static_cast<double>(retry_.retries()));
     breakerTrips.set(static_cast<double>(retry_.breakerTrips()));
     backoffMsTotal.set(retry_.backoffMsTotal());
-    heartbeatMisses.set(static_cast<double>(
-        heartbeat_misses_.load(std::memory_order_relaxed)));
     workerRestarts.set(static_cast<double>(registry_restarts_));
 }
 
@@ -273,12 +260,6 @@ RemoteNetwork::giveUp()
     journal_base_ = cur_time_;
     quanta_since_base_ = 0;
     pending_.clear();
-    standby_chan_.reset();
-    standby_valid_ = false;
-    // No base image, nothing to prime from: the next refreshBase()
-    // restarts the replication machinery from scratch.
-    reprime_pending_ = false;
-    reprime_backoff_ = 1;
 }
 
 void
@@ -390,29 +371,6 @@ RemoteNetwork::ckptLoadOn(ipc::ByteChannel &ch, const std::string &addr,
     return rep;
 }
 
-bool
-RemoteNetwork::promoteStandby()
-{
-    if (!standby_valid_ || !standby_chan_ || !standby_chan_->valid() ||
-        standby_tick_ != journal_base_ || base_image_.empty())
-        return false;
-    // Hot failover: the standby session already holds the base image,
-    // so recovery is the journal replay alone — no state transfer on
-    // the critical path.
-    chan_ = std::move(standby_chan_);
-    standby_valid_ = false;
-    active_ep_ = (active_ep_ + 1) % options_.endpoints.size();
-    ++failovers;
-    server_time_ = standby_tick_;
-    // The promotion consumed the standby: queue a re-prime so a
-    // second failure is survivable too (countdown runs in successful
-    // quanta, giving the supervisor time to respawn the dead worker).
-    scheduleReprime();
-    if (test_hooks.on_promote)
-        test_hooks.on_promote();
-    return true;
-}
-
 std::uint64_t
 RemoteNetwork::refreshRegistry()
 {
@@ -453,12 +411,7 @@ RemoteNetwork::refreshRegistry()
     if (addrs.empty())
         return all_up;
     registry_restarts_ = restarts_total;
-    {
-        // The heartbeat prober snapshots this list from its own
-        // thread.
-        std::lock_guard<std::mutex> lk(prober_mu_);
-        options_.endpoints = std::move(addrs);
-    }
+    options_.endpoints = std::move(addrs);
     if (active_ep_ >= options_.endpoints.size())
         active_ep_ = 0;
     retry_.setScopes(options_.endpoints.size());
@@ -474,29 +427,48 @@ RemoteNetwork::coldOpen()
     // are up.
     const std::uint64_t up_mask = refreshRegistry();
     const std::size_t n = options_.endpoints.size();
-    std::optional<SimError> last;
-    // Two passes over the ring starting at the active endpoint: the
-    // likely-healthy endpoints (registry says up, breaker closed)
-    // first, then the suspect ones as last-resort probes. A dead
-    // primary with an open breaker therefore costs the failover to a
-    // healthy standby nothing at all.
+    // Walk the ring from the active endpoint: the likely-healthy
+    // endpoints (registry says up, breaker closed) first, then the
+    // suspect ones as last-resort probes.
+    std::vector<std::size_t> order;
     for (int pass = 0; pass < 2; ++pass) {
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t ep = (active_ep_ + i) % n;
             const bool healthy = (ep >= 64 ||
                                   (up_mask & (std::uint64_t(1) << ep))) &&
                                  !retry_.breakerOpen(ep);
-            if ((pass == 0) != healthy)
+            if ((pass == 0) == healthy)
+                order.push_back(ep);
+        }
+    }
+    // Two sweeps. With more than one endpoint, the first gives each a
+    // single connect attempt, so a dead server whose socket refuses
+    // costs the failover to a live one behind it no connect timeout.
+    // The second waits the connect budget on the endpoints that
+    // refused, for a fleet that is still (re)starting.
+    std::vector<bool> refused(n, false);
+    std::optional<SimError> last;
+    for (int sweep = 0; sweep < 2; ++sweep) {
+        for (const std::size_t ep : order) {
+            if (sweep == 1 && !refused[ep])
                 continue;
+            const bool quick = sweep == 0 && n > 1;
             const std::string &addr = options_.endpoints[ep];
+            std::unique_ptr<ipc::ByteChannel> ch;
             try {
                 // Cap the connect wait to the retry round's remaining
                 // deadline, so a dead endpoint cannot eat the budget
                 // of the live ones behind it.
-                double budget =
-                    retry_.capToDeadline(options_.connect_timeout_ms);
-                std::unique_ptr<ipc::ByteChannel> ch =
-                    openChannelTo(ep, budget);
+                ch = openChannelTo(
+                    ep, quick ? 0.0
+                              : retry_.capToDeadline(
+                                    options_.connect_timeout_ms));
+            } catch (const SimError &e) {
+                last = e;
+                refused[ep] = quick;
+                continue;
+            }
+            try {
                 // With a base image the fresh fabric starts at tick 0
                 // and the image rewinds it to the base; without one
                 // the lineage is empty and the session starts cold at
@@ -592,11 +564,13 @@ RemoteNetwork::ensureSession()
         return;
     chan_.reset();
     const bool recon = ever_connected_;
-    if (!promoteStandby())
-        coldOpen();
+    coldOpen();
     ever_connected_ = true;
-    if (recon)
+    if (recon) {
         ++reconnects;
+        if (test_hooks.on_recover)
+            test_hooks.on_recover();
+    }
     // By the server's determinism, re-issuing the journaled quanta
     // against the restored base reproduces the pre-failure state —
     // deliveries, stats and tuned table — bit for bit.
@@ -674,10 +648,6 @@ RemoteNetwork::advanceTo(Tick t)
 {
     // The abort request is sticky until the next advanceTo() call.
     abort_.store(false, std::memory_order_relaxed);
-
-    // Quantum-boundary replica maintenance: act on anything the
-    // heartbeat prober flagged, and run a due re-prime.
-    maintainReplicas();
 
     // Idle elision: an idle fabric with nothing buffered cannot
     // produce a delivery, so the quantum needs no RPC at all — the
@@ -793,187 +763,11 @@ RemoteNetwork::refreshBase()
         syncNow();
         ipc::CkptReply ckpt = ckptSaveNow();
         adoptBase(std::move(ckpt.image), ckpt.digest);
-        replicateToStandby();
     } catch (const SimError &) {
         // Single attempt: the old lineage (longer journal) is still
         // valid, and the next operation's retry round recovers the
         // dropped connection.
         markDisconnected();
-    }
-}
-
-void
-RemoteNetwork::scheduleReprime()
-{
-    reprime_pending_ = true;
-    reprime_countdown_ = reprime_backoff_;
-    // Exponential in successful quanta, capped: frequent enough to
-    // converge quickly once the supervisor has respawned the dead
-    // worker, sparse enough not to burn every quantum on a connect
-    // attempt to a corpse.
-    reprime_backoff_ = std::min<std::uint64_t>(reprime_backoff_ * 2, 64);
-}
-
-void
-RemoteNetwork::replicateToStandby()
-{
-    if (options_.endpoints.size() < 2 || base_image_.empty())
-        return;
-    const std::size_t ep = (active_ep_ + 1) % options_.endpoints.size();
-    const std::string &addr = options_.endpoints[ep];
-    const bool was_pending = reprime_pending_;
-    try {
-        if (!standby_chan_ || !standby_chan_->valid()) {
-            standby_chan_ =
-                openChannelTo(ep, options_.connect_timeout_ms);
-            helloOn(*standby_chan_, addr, 0);
-        }
-        ipc::CkptLoadReply ack =
-            ckptLoadOn(*standby_chan_, addr, base_image_);
-        standby_tick_ = ack.cur_time;
-        // Replica attestation: the standby re-serialized what it
-        // restored; if that digest is not the base's, the standby
-        // holds diverged state and must not be promoted — quarantine
-        // it and retry the priming from scratch later.
-        if (ack.digest != base_digest_) {
-            ++attestationMismatches;
-            throw SimError(ErrorKind::Transport,
-                           "standby '" + addr +
-                               "' failed attestation: digest " +
-                               std::to_string(ack.digest) + " != " +
-                               std::to_string(base_digest_));
-        }
-        standby_valid_ = standby_tick_ == journal_base_;
-        if (standby_valid_) {
-            retry_.noteSuccess(ep);
-            if (was_pending) {
-                ++reprimes;
-                reprime_pending_ = false;
-                reprime_backoff_ = 1;
-            }
-        }
-    } catch (const SimError &) {
-        // A dead or diverged standby costs nothing until the primary
-        // also dies — but it is never silently forgotten: the failure
-        // is counted and a deterministic re-prime retry is queued, so
-        // the client regains a standby once the worker comes back.
-        standby_chan_.reset();
-        standby_valid_ = false;
-        ++standbyPrimeFailures;
-        scheduleReprime();
-    }
-}
-
-void
-RemoteNetwork::maintainReplicas()
-{
-    // Consume the prober's verdicts first: suspicions about the
-    // active endpoint drop the connection now (so the coming
-    // ensureSession fails over before wasting a quantum timeout on a
-    // corpse), suspicions about the standby quarantine it.
-    std::uint64_t suspects =
-        suspect_mask_.exchange(0, std::memory_order_acq_rel);
-    if (suspects != 0) {
-        syncHealthStats();
-        if (active_ep_ < 64 &&
-            (suspects & (std::uint64_t(1) << active_ep_)))
-            markDisconnected();
-        const std::size_t standby_ep =
-            (active_ep_ + 1) % options_.endpoints.size();
-        if (standby_valid_ && standby_ep < 64 &&
-            (suspects & (std::uint64_t(1) << standby_ep))) {
-            standby_chan_.reset();
-            standby_valid_ = false;
-            scheduleReprime();
-        }
-    }
-    if (reprime_pending_) {
-        if (reprime_countdown_ > 0)
-            --reprime_countdown_;
-        if (reprime_countdown_ == 0)
-            replicateToStandby();
-    }
-}
-
-void
-RemoteNetwork::startProber()
-{
-    if (options_.heartbeat_ms <= 0.0)
-        return;
-    prober_ = std::thread([this] { proberLoop(); });
-}
-
-void
-RemoteNetwork::stopProber()
-{
-    if (!prober_.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> lk(prober_mu_);
-        prober_stop_ = true;
-    }
-    prober_cv_.notify_all();
-    prober_.join();
-}
-
-void
-RemoteNetwork::proberLoop()
-{
-    // Dedicated plain connections, one per endpoint, reconnected on
-    // demand: never the RPC session channel (a probe must not race a
-    // quantum exchange) and never chaos-wrapped (a probe must not
-    // consume fault-schedule draws, or running the prober would
-    // change a chaos run's outcome).
-    std::vector<std::unique_ptr<ipc::ByteChannel>> probes;
-    std::uint64_t nonce = 0;
-    for (;;) {
-        std::vector<std::string> eps;
-        {
-            std::unique_lock<std::mutex> lk(prober_mu_);
-            prober_cv_.wait_for(
-                lk,
-                std::chrono::duration<double, std::milli>(
-                    options_.heartbeat_ms),
-                [this] { return prober_stop_; });
-            if (prober_stop_)
-                return;
-            eps = options_.endpoints;
-        }
-        if (probes.size() < eps.size())
-            probes.resize(eps.size());
-        for (std::size_t i = 0; i < eps.size() && i < 64; ++i) {
-            bool alive = false;
-            try {
-                if (!probes[i] || !probes[i]->valid()) {
-                    ipc::Fd fd =
-                        ipc::connectTo(eps[i], options_.heartbeat_ms);
-                    probes[i] = std::make_unique<ipc::FdChannel>(
-                        std::move(fd));
-                }
-                ipc::PingRequest req;
-                req.nonce = ++nonce;
-                ArchiveWriter aw =
-                    ipc::beginMessage(ipc::MsgType::Ping);
-                ipc::encodePing(aw, req);
-                ipc::sendMessage(*probes[i], std::move(aw));
-                auto msg = ipc::recvMessage(*probes[i],
-                                            options_.heartbeat_ms);
-                alive = msg && msg->type == ipc::MsgType::Pong &&
-                        ipc::decodePong(msg->ar).nonce == req.nonce;
-            } catch (const SimError &) {
-                alive = false;
-            }
-            if (!alive) {
-                // A missed beat is only a suspicion — the RPC path
-                // consumes it at the next quantum boundary and the
-                // retry machinery does the actual failing over.
-                probes[i].reset();
-                heartbeat_misses_.fetch_add(1,
-                                            std::memory_order_relaxed);
-                suspect_mask_.fetch_or(std::uint64_t(1) << i,
-                                       std::memory_order_acq_rel);
-            }
-        }
     }
 }
 
@@ -1072,7 +866,6 @@ RemoteNetwork::save(ArchiveWriter &aw)
     if (!ckpt.image.empty()) {
         // An explicit checkpoint is also a fresh recovery base.
         adoptBase(ckpt.image, ckpt.digest);
-        replicateToStandby();
     }
     aw.putBool(!ckpt.image.empty());
     if (!ckpt.image.empty())
@@ -1103,8 +896,6 @@ RemoteNetwork::restore(ArchiveReader &ar)
     // the restored image becomes the new recovery base (empty image =
     // cold Hello at the saved tick, rebuilding an empty fabric).
     markDisconnected();
-    standby_chan_.reset();
-    standby_valid_ = false;
     journal_.clear();
     quanta_since_base_ = 0;
     journal_base_ = cur_time_;
@@ -1117,8 +908,6 @@ RemoteNetwork::restore(ArchiveReader &ar)
         base_digest_ ^= 1;
 
     runWithRetry([] { return 0; });
-    if (has_image)
-        replicateToStandby();
     pending_ = std::move(pending);
 }
 

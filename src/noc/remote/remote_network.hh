@@ -31,10 +31,11 @@
  * journal of every quantum request issued since. Replaying the journal
  * into a fresh session reproduces, by the server's own determinism,
  * the exact pre-failure state — so the retried quantum proceeds as if
- * nothing happened, bit for bit. With network.remote.endpoints listing
- * standby servers the client also keeps a warm standby session primed
- * with each base image refresh and promotes it on a primary loss (hot
- * failover). Only when the retry budget or circuit breaker is
+ * nothing happened, bit for bit. Failover is the same cold open: with
+ * network.remote.endpoints listing several servers, the reconnect
+ * walks that ring from the active endpoint, so a dead server's
+ * successor is rebuilt from the lineage exactly like a reconnect to
+ * the same one. Only when the retry budget or circuit breaker is
  * exhausted does the failure surface inside advanceTo() as a typed
  * SimError — precisely where the co-simulation bridge's health
  * machinery catches backend failures and degrades the run to the
@@ -51,46 +52,32 @@
  *
  * Self-healing (v3, DESIGN.md section 13): the client can run against
  * a rasim-supervisor-managed worker fleet and survive any number of
- * worker crashes, not just the first.
- *
- *  - Liveness: with network.remote.heartbeat_ms > 0 a background
- *    prober Pings every endpoint over dedicated plain connections and
- *    flags the ones that miss; the flags are consumed at the next
- *    quantum boundary (a suspect primary is dropped pre-emptively, a
- *    suspect standby is quarantined), so a dead peer is detected
- *    within a bounded interval instead of at the next failing RPC.
- *    Default 0 = off: the prober adds wall-clock-dependent connection
- *    churn, so bit-reproducible chaos runs leave it disabled.
- *
- *  - Re-priming: a consumed standby (after a promotion) or a failed
- *    priming attempt schedules a deterministic quanta-counted retry
- *    with exponential backoff, so the client converges back to
- *    one-primary-one-standby as soon as the supervisor respawns the
- *    dead worker — N sequential failures are survivable, not one.
+ * worker crashes, not just the first — every loss is one more cold
+ * open plus replay, on whichever worker answers.
  *
  *  - Attestation: CkptData and CkptLoadAck carry CRC64 digests of the
  *    serialized network state, and every network.remote.attest_quanta
- *    quanta a Step requests one; the client cross-checks primary
- *    against standby at priming time and the rebuilt replica against
- *    the journal during replay, quarantining (and re-priming) any
- *    replica whose state diverged instead of silently computing on it.
+ *    quanta a Step requests one; the client checks the restored base
+ *    on every cold open and the rebuilt replica against the journal
+ *    during replay, quarantining any replica whose state diverged
+ *    instead of silently computing on it.
  *
  *  - Registry: with network.remote.registry pointing at a supervisor's
  *    endpoints file, every cold open re-resolves the worker fleet
  *    (liveness + restart counts) and prefers endpoints the supervisor
  *    reports up.
+ *
+ * A worker that is alive but wedged is caught by the supervisor's own
+ * Ping heartbeat (which kills it) or by remote.quantum_timeout_ms.
  */
 
 #ifndef RASIM_NOC_REMOTE_REMOTE_NETWORK_HH
 #define RASIM_NOC_REMOTE_REMOTE_NETWORK_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "abstractnet/latency_table.hh"
@@ -125,9 +112,10 @@ struct RemoteOptions
 {
     /** Server address (unix:/path, tcp:host:port, or a bare path). */
     std::string socket = "unix:/tmp/rasim-nocd.sock";
-    /** Failover set, in preference order (network.remote.endpoints,
+    /** Failover ring, in preference order (network.remote.endpoints,
      *  comma-separated). Empty = just @ref socket. The first entry is
-     *  the primary; the next one hosts the warm standby session. */
+     *  the primary; a lost session cold-opens the next reachable one
+     *  from the active endpoint onward. */
     std::vector<std::string> endpoints;
     /** Budget for connect + Hello handshake, in ms. */
     double connect_timeout_ms = 5000.0;
@@ -137,15 +125,10 @@ struct RemoteOptions
     std::string model = "cycle";
     /** Server-side ParallelEngine workers (0 = serial). */
     int engine_workers = 0;
-    /** Refresh the recovery base image (and replicate it to the
-     *  standby) every this many successful quanta; 0 = only explicit
-     *  checkpoints refresh the base, so the journal spans the whole
-     *  lineage (network.remote.ckpt_quanta). */
+    /** Refresh the recovery base image every this many successful
+     *  quanta; 0 = only explicit checkpoints refresh the base, so the
+     *  journal spans the whole lineage (network.remote.ckpt_quanta). */
     std::uint64_t ckpt_quanta = 256;
-    /** Probe every endpoint with a Ping each this many ms from a
-     *  background thread; 0 = prober off
-     *  (network.remote.heartbeat_ms). */
-    double heartbeat_ms = 0.0;
     /** Request a CRC64 state attestation with every this many
      *  issued quanta, journaling the digest so a recovery replay
      *  can prove the rebuilt replica reconverged; 0 = attest only at
@@ -205,9 +188,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     {
         return options_.endpoints[active_ep_];
     }
-
-    /** True while a primed standby session could be promoted. */
-    bool standbyReady() const { return standby_valid_; }
 
     /** Packets reported delivered by the server so far. */
     std::uint64_t deliveredCount() const { return acct_.delivered; }
@@ -270,9 +250,11 @@ class RemoteNetwork : public SimObject, public NetworkModel
     stats::Scalar failovers;      ///< sessions moved to a new endpoint
     stats::Scalar backoffMsTotal; ///< wall-clock slept in backoffs
     stats::Scalar breakerTrips;   ///< circuit breaker openings
-    stats::Scalar standbyPrimeFailures; ///< priming attempts that failed
-    stats::Scalar reprimes;       ///< standbys re-primed after loss/use
-    stats::Scalar heartbeatMisses; ///< liveness probes that went dead
+    // Retired with the hot standby and the client prober and always
+    // 0; still registered because perfbench's stats digest covers them.
+    stats::Scalar standbyPrimeFailures;
+    stats::Scalar reprimes;
+    stats::Scalar heartbeatMisses;
     stats::Scalar attestationMismatches; ///< replica digests that diverged
     stats::Scalar workerRestarts; ///< fleet restarts (registry mirror)
     /// @}
@@ -280,9 +262,9 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /**
      * Crash-window test instrumentation: callbacks fired at the exact
      * client-side moments the crash-anywhere tests need to SIGKILL a
-     * worker in (inside a checkpoint stream, mid-replay, between
-     * promotion and the first Step). Never set outside tests; all
-     * default-empty. corrupt_attest flips every digest the client
+     * worker in (inside a checkpoint stream, mid-replay, between a
+     * recovery's cold open and its replay). Never set outside tests;
+     * all default-empty. corrupt_attest flips every digest the client
      * records, forcing the attestation cross-checks to fire.
      */
     struct TestHooks
@@ -294,8 +276,9 @@ class RemoteNetwork : public SimObject, public NetworkModel
         std::function<void()> on_ckpt_save;
         /** Before journal record @p i is re-issued during replay. */
         std::function<void(std::size_t)> on_replay;
-        /** After a standby promotion, before the journal replay. */
-        std::function<void()> on_promote;
+        /** After a recovery opened a session, before the journal
+         *  replay. */
+        std::function<void()> on_recover;
         /** Corrupt recorded digests (attestation negative tests). */
         bool corrupt_attest = false;
     };
@@ -318,7 +301,7 @@ class RemoteNetwork : public SimObject, public NetworkModel
 
     /** Run @p fn as one retry round: any retryable SimError drops the
      *  connection, backs off deterministically, recovers the session
-     *  (failover or reconnect + journal replay) and re-runs @p fn.
+     *  (cold open + journal replay) and re-runs @p fn.
      *  An exhausted round drops the recovery lineage (giveUp()) and
      *  rethrows, surfacing to the bridge's health machinery. */
     template <typename Fn>
@@ -338,7 +321,7 @@ class RemoteNetwork : public SimObject, public NetworkModel
                 retry_.noteFailure();
                 if (!retryable(err) || !retry_.shouldRetry()) {
                     // Only the endpoint the round died on feeds its
-                    // breaker: a healthy standby's scope stays closed,
+                    // breaker: a healthy endpoint's scope stays closed,
                     // so the next round may still reach it.
                     retry_.noteRoundFailed(active_ep_);
                     giveUp();
@@ -358,8 +341,8 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /** Mirror the retry policy's counters into the health stats. */
     void syncHealthStats();
 
-    /** Open a session if none is live: promote the standby or cold-
-     *  open an endpoint, then replay the journal. */
+    /** Open a session if none is live: cold-open an endpoint, then
+     *  replay the journal. */
     void ensureSession();
     /** Connect to @p ep and wrap the channel in the shared fault
      *  schedule when chaos is enabled. */
@@ -373,10 +356,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     ipc::CkptLoadReply ckptLoadOn(ipc::ByteChannel &ch,
                                   const std::string &addr,
                                   const std::string &image);
-    /** Promote the primed standby session to active, if it is valid
-     *  and at the journal base; schedules a re-prime so the promoted
-     *  run regains a standby (the double-failure lineage). */
-    bool promoteStandby();
     /** Open a fresh session on the first reachable endpoint (trying
      *  from the active one onward, preferring closed-breaker and
      *  registry-up endpoints) and restore the base image. */
@@ -390,22 +369,10 @@ class RemoteNetwork : public SimObject, public NetworkModel
      *  in the original run) but cross-checking every journaled
      *  attestation digest — a mismatch quarantines the replica. */
     void replayJournal();
-    /** Capture a fresh base image at the current tick, truncate the
-     *  journal and prime the standby. Failure drops the broken
-     *  connection and keeps the old (longer-journal) lineage. */
+    /** Capture a fresh base image at the current tick and truncate
+     *  the journal. Failure drops the broken connection and keeps the
+     *  old (longer-journal) lineage. */
     void refreshBase();
-    /** Push the base image into a warm session on the next endpoint
-     *  so failover needs no state transfer. A failure or digest
-     *  mismatch is counted and schedules a deterministic re-prime
-     *  retry — never silently swallowed. */
-    void replicateToStandby();
-    /** Queue a replicateToStandby() retry after an exponentially
-     *  backed-off number of successful quanta. */
-    void scheduleReprime();
-    /** Run a scheduled re-prime when its countdown expired, and
-     *  consume any endpoint suspicions the heartbeat prober raised
-     *  (quantum-boundary maintenance; no-op when nothing is due). */
-    void maintainReplicas();
     /** Drop the whole recovery lineage (exhausted round): buffered
      *  injections die with it and the next session starts from an
      *  empty fabric at the current tick. */
@@ -416,7 +383,7 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /** Receive one reply on the live channel, mapping EOF to a
      *  Transport SimError. */
     ipc::Message expectReply(double timeout_ms);
-    /** Ditto on an explicit channel (handshakes, standby priming). */
+    /** Ditto on an explicit channel (cold-open handshakes). */
     ipc::Message expectReplyOn(ipc::ByteChannel &ch,
                                const std::string &addr,
                                double timeout_ms);
@@ -447,20 +414,12 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /** Adopt @p image (and its digest) as the new recovery base. */
     void adoptBase(std::string image, std::uint64_t digest);
 
-    /** @name Heartbeat prober (background thread) */
-    /// @{
-    void startProber();
-    void stopProber();
-    void proberLoop();
-    /// @}
-
     NocParams params_;
     RemoteOptions options_;
 
     std::unique_ptr<ipc::ByteChannel> chan_;
-    std::unique_ptr<ipc::ByteChannel> standby_chan_;
-    /** One schedule across every connection (primary, standby,
-     *  reconnects), so a chaos run is reproducible end to end. */
+    /** One schedule across every connection (the first session and
+     *  every reconnect), so a chaos run is reproducible end to end. */
     TransportFaultSchedule fault_sched_;
     ipc::RetryPolicy retry_;
     std::size_t active_ep_ = 0;
@@ -476,31 +435,12 @@ class RemoteNetwork : public SimObject, public NetworkModel
     Tick journal_base_ = 0;   ///< tick the base image was taken at
     std::vector<QuantumRecord> journal_;
     std::uint64_t quanta_since_base_ = 0;
-    Tick standby_tick_ = 0;   ///< tick the standby was primed to
-    bool standby_valid_ = false;
-
-    // Re-prime scheduling: counted in successful quanta, so the retry
-    // cadence is a pure function of simulated progress (deterministic
-    // given the failure pattern), not of wall-clock time.
-    bool reprime_pending_ = false;
-    std::uint64_t reprime_countdown_ = 0;
-    std::uint64_t reprime_backoff_ = 1; ///< quanta; doubles per failure
 
     // Attestation bookkeeping.
     std::uint64_t attest_counter_ = 0; ///< quanta issued
     std::uint64_t last_step_digest_ = 0; ///< from the last StepReply
     bool last_step_attested_ = false;
     std::uint64_t op_counter_ = 0; ///< raw exchanges (test_hooks.on_op)
-
-    // Heartbeat prober state. The prober thread owns its own plain
-    // (never chaos-wrapped) connections and communicates only through
-    // these atomics, consumed at quantum boundaries.
-    std::thread prober_;
-    std::mutex prober_mu_; ///< guards the cv + endpoint list snapshot
-    std::condition_variable prober_cv_;
-    bool prober_stop_ = false;
-    std::atomic<std::uint64_t> suspect_mask_{0};
-    std::atomic<std::uint64_t> heartbeat_misses_{0};
 
     // Registry mirror (refreshRegistry).
     std::uint64_t registry_restarts_ = 0;

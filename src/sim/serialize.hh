@@ -39,7 +39,7 @@ std::uint32_t crc32(const void *data, std::size_t len);
 /** CRC-64 (ECMA-182, reflected polynomial 0xC96C5795D7870F42) of a
  *  byte buffer. The replica-attestation digest of the remote backend:
  *  two replicas whose serialized state archives agree bit for bit
- *  produce the same digest, so a diverged (or corrupt) standby is
+ *  produce the same digest, so a diverged (or corrupt) replica is
  *  caught by comparing eight bytes instead of shipping the image. */
 std::uint64_t crc64(const void *data, std::size_t len);
 std::uint64_t crc64(const std::string &bytes);

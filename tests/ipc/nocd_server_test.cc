@@ -270,7 +270,7 @@ TEST_F(ServerFixture, CorruptCheckpointImageIsRejected)
 TEST_F(ServerFixture, PingIsLegalBeforeHello)
 {
     // Liveness probes must work on a sessionless connection: this is
-    // what the supervisor's heartbeat and the client's prober send.
+    // what the supervisor's heartbeat sends.
     Fd fd = connect();
     PingRequest req;
     req.nonce = 0xfeedfacecafebeefull;

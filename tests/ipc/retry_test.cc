@@ -211,18 +211,18 @@ TEST(RetryPolicy, BreakerIsScopedPerEndpoint)
     exhaustRound(p, 0);
     exhaustRound(p, 0);
     EXPECT_TRUE(p.breakerOpen(0));
-    EXPECT_FALSE(p.breakerOpen(1)) << "the standby never failed";
+    EXPECT_FALSE(p.breakerOpen(1)) << "the secondary never failed";
     EXPECT_EQ(p.breakerTrips(), 1u);
 
     // This is the regression the scoping exists for: a dead primary's
     // open breaker must not deny the round that would fail over to
-    // the healthy standby.
+    // the healthy secondary.
     p.beginRound();
     p.noteFailure();
     EXPECT_TRUE(p.shouldRetry())
-        << "a healthy standby scope keeps the round alive";
+        << "a healthy secondary scope keeps the round alive";
 
-    // A success on the standby closes nothing of the primary's state.
+    // A success on the secondary closes nothing of the primary's state.
     p.noteSuccess(1);
     EXPECT_TRUE(p.breakerOpen(0));
     EXPECT_FALSE(p.breakerOpen(1));
@@ -394,10 +394,12 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
     cfg.parseArg("network.remote.retry.max_attemps=9"); // sic
     cfg.parseArg("fault.transport.torn_frmae=0.5");     // sic
     cfg.parseArg("network.remote.retry.base_ms=1");
-    // Retired keys: the v1 exchange switch and the run-ahead knobs.
+    // Retired keys: the v1 exchange switch, the run-ahead knobs and
+    // the client heartbeat prober.
     cfg.parseArg("network.pipeline.enabled=false");
     cfg.parseArg("network.pipeline.speculate=false");
     cfg.parseArg("server.speculate=false");
+    cfg.parseArg("network.remote.heartbeat_ms=20");
     (void)noc::remote::RemoteOptions::fromConfig(cfg);
     (void)NocServerOptions::fromConfig(cfg);
     // The misspelled and retired keys were never read, so the
@@ -407,6 +409,7 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
               (std::vector<std::string>{
                   "network.pipeline.enabled",
                   "network.pipeline.speculate",
+                  "network.remote.heartbeat_ms",
                   "network.remote.retry.max_attemps"}));
     EXPECT_EQ(cfg.unreadKeysWithPrefix("fault."),
               (std::vector<std::string>{"fault.transport.torn_frmae"}));

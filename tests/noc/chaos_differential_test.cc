@@ -9,7 +9,8 @@
  * Chaos, in other words, costs retries and wall-clock but never
  * results. On top of that: same-seed chaos runs reproduce the exact
  * retry counts and backoff totals; a primary killed mid-run fails
- * over to the warm standby and stays bit-identical; forced faults
+ * over to the second endpoint, rebuilt there from the base image and
+ * journal, and stays bit-identical; forced faults
  * are retried transparently; and an abort is never retried.
  */
 
@@ -17,6 +18,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -174,7 +176,7 @@ chaosRetry()
 /** The chaos run: the same traffic through a RemoteNetwork whose
  *  connection injects seeded faults. @p kill_after_quantum (if
  *  non-zero) stops @p to_kill at that quantum boundary — the primary
- *  dies mid-run and the client must fail over to the standby. */
+ *  dies mid-run and the client must fail over to the next endpoint. */
 RunResult
 runChaos(const NocParams &p, remote::RemoteOptions ro,
          Tick kill_after_quantum = 0, ipc::NocServer *to_kill = nullptr,
@@ -351,8 +353,9 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
 template <typename Net>
 void
 failoverMatchesDirect(const std::string &primary,
-                      const std::string &standby, const std::string &model,
-                      ipc::NocServer *to_kill, std::thread *kill_thread)
+                      const std::string &secondary,
+                      const std::string &model, ipc::NocServer *to_kill,
+                      std::thread *kill_thread)
 {
     NocParams p;
     p.columns = 8;
@@ -361,20 +364,20 @@ failoverMatchesDirect(const std::string &primary,
 
     remote::RemoteOptions ro;
     ro.socket = primary;
-    ro.endpoints = {primary, standby};
+    ro.endpoints = {primary, secondary};
     ro.model = model;
     ro.retry = chaosRetry();
-    ro.ckpt_quanta = 1; // replicate to the standby every quantum
+    ro.ckpt_quanta = 1; // refresh the base image every quantum
     // Primary dies right after the quantum at tick 2000, while the
     // fabric is still busy: the remaining 18 quanta run on the
-    // standby, fast-forwarded from the replicated base image.
+    // secondary, cold-opened from the latest base image.
     RunResult failover = runChaos(p, ro, 2000, to_kill, kill_thread);
 
     expectSameResults(failover, direct, model.c_str());
     EXPECT_GE(failover.failovers, 1.0);
     EXPECT_GE(failover.reconnects, 1.0);
-    EXPECT_EQ(failover.active_ep, standby)
-        << "the run did not end on the standby";
+    EXPECT_EQ(failover.active_ep, secondary)
+        << "the run did not end on the secondary";
 }
 
 TEST_F(ChaosDifferential, PrimaryKilledMidRunFailsOverBitIdentically)
@@ -396,6 +399,32 @@ TEST_F(ChaosDifferential,
                                              servers_[0].get(),
                                              &threads_[0]);
     servers_[0].reset();
+}
+
+TEST_F(ChaosDifferential, RefusingPrimaryCostsTheFailoverNoConnectTimeout)
+{
+    // Nothing listens on the primary, so its connects are refused. The
+    // cold open must move on to the live secondary after one attempt,
+    // not wait out the connect budget on a server that may be starting.
+    startServer(1);
+    NocParams p;
+    p.columns = 4;
+    p.rows = 4;
+    remote::RemoteOptions ro;
+    ro.socket = addr(0);
+    ro.endpoints = {addr(0), addr(1)};
+    ro.connect_timeout_ms = 5000.0;
+    ro.retry = chaosRetry();
+
+    Simulation sim;
+    const auto start = std::chrono::steady_clock::now();
+    remote::RemoteNetwork net(sim, "rnet", p, ro);
+    const double open_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(net.activeEndpoint(), addr(1));
+    EXPECT_LT(open_ms, 0.5 * ro.connect_timeout_ms)
+        << "the refused primary held the failover for a connect timeout";
 }
 
 TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
