@@ -23,6 +23,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "noc/remote/remote_network.hh"
 #include "sim/rng.hh"
@@ -316,37 +317,57 @@ main(int argc, char **argv)
     ipc::NocServer server(so);
     std::thread server_thread([&] { server.run(); });
 
-    BackendMeasured inproc = measureBackend(false, socket, remote_ops);
-    BackendMeasured remote = measureBackend(true, socket, remote_ops);
-
-    if (remote.finish != inproc.finish ||
-        remote.delivered != inproc.delivered) {
-        std::fprintf(stderr,
-                     "remote/in-process divergence: finish %llu vs "
-                     "%llu, delivered %llu vs %llu\n",
-                     static_cast<unsigned long long>(remote.finish),
-                     static_cast<unsigned long long>(inproc.finish),
-                     static_cast<unsigned long long>(remote.delivered),
-                     static_cast<unsigned long long>(inproc.delivered));
-        return 1;
+    // The two lanes alternate, each leading every other round, so a
+    // host speed swing lands on both; the overhead is taken per round.
+    const int e4c_rounds = quick ? 5 : 7;
+    std::vector<double> inproc_ms, remote_ms, overhead_us;
+    BackendMeasured inproc, remote;
+    for (int round = 0; round < e4c_rounds; ++round) {
+        for (int k = 0; k < 2; ++k) {
+            bool is_remote = (k == 1) != (round % 2 == 1);
+            BackendMeasured m =
+                measureBackend(is_remote, socket, remote_ops);
+            (is_remote ? remote_ms : inproc_ms)
+                .push_back(m.wall_s * 1e3);
+            (is_remote ? remote : inproc) = m;
+        }
+        if (remote.finish != inproc.finish ||
+            remote.delivered != inproc.delivered) {
+            std::fprintf(
+                stderr,
+                "remote/in-process divergence: finish %llu vs %llu, "
+                "delivered %llu vs %llu\n",
+                static_cast<unsigned long long>(remote.finish),
+                static_cast<unsigned long long>(inproc.finish),
+                static_cast<unsigned long long>(remote.delivered),
+                static_cast<unsigned long long>(inproc.delivered));
+            return 1;
+        }
+        overhead_us.push_back(
+            remote.quanta == 0
+                ? 0.0
+                : (remote_ms.back() - inproc_ms.back()) * 1e3 /
+                      static_cast<double>(remote.quanta));
     }
 
-    double inproc_qps = inproc.quanta / inproc.wall_s;
-    double remote_qps = remote.quanta / remote.wall_s;
-    double rpc_overhead_us =
-        remote.quanta == 0
-            ? 0.0
-            : (remote.wall_s - inproc.wall_s) * 1e6 /
-                  static_cast<double>(remote.quanta);
-    printRow({"backend", "wall_ms", "quanta", "quanta/s", "rpc_rt"});
-    printRow({"inproc", fmt(inproc.wall_s * 1e3),
+    const Quartiles inproc_q = quartiles(inproc_ms);
+    const Quartiles remote_q = quartiles(remote_ms);
+    const Quartiles overhead_q = quartiles(overhead_us);
+    double inproc_qps = inproc.quanta / (inproc_q.median / 1e3);
+    double remote_qps = remote.quanta / (remote_q.median / 1e3);
+    printRow({"backend", "wall_ms_med", "wall_ms_iqr", "quanta",
+              "quanta/s", "rpc_rt"});
+    printRow({"inproc", fmt(inproc_q.median), fmt(inproc_q.iqr()),
               std::to_string(inproc.quanta), fmt(inproc_qps, 0), "-"});
-    printRow({"remote", fmt(remote.wall_s * 1e3),
+    printRow({"remote", fmt(remote_q.median), fmt(remote_q.iqr()),
               std::to_string(remote.quanta), fmt(remote_qps, 0),
               std::to_string(remote.rpc_round_trips)});
-    std::printf("per-quantum RPC overhead: %.2f us (results "
-                "bit-identical: finish tick %llu, %llu packets)\n",
-                rpc_overhead_us,
+    std::printf("per-quantum RPC overhead over %d alternating rounds: "
+                "median %.2f us, IQR %.2f us (Q1 %.2f, Q3 %.2f); "
+                "results bit-identical in every round: finish tick "
+                "%llu, %llu packets\n",
+                e4c_rounds, overhead_q.median, overhead_q.iqr(),
+                overhead_q.q1, overhead_q.q3,
                 static_cast<unsigned long long>(remote.finish),
                 static_cast<unsigned long long>(remote.delivered));
 
@@ -472,11 +493,15 @@ main(int argc, char **argv)
             "{\n"
             "  \"quick\": %s,\n"
             "  \"target\": \"8x8 cosim, fft, quantum 256\",\n"
-            "  \"inproc\": {\"wall_ms\": %.3f, \"quanta\": %llu, "
+            "  \"rounds\": %d,\n"
+            "  \"inproc\": {\"wall_ms_median\": %.3f, "
+            "\"wall_ms_iqr\": %.3f, \"quanta\": %llu, "
             "\"quanta_per_sec\": %.1f},\n"
-            "  \"remote\": {\"wall_ms\": %.3f, \"quanta\": %llu, "
+            "  \"remote\": {\"wall_ms_median\": %.3f, "
+            "\"wall_ms_iqr\": %.3f, \"quanta\": %llu, "
             "\"quanta_per_sec\": %.1f, \"rpc_round_trips\": %llu},\n"
-            "  \"rpc_overhead_us_per_quantum\": %.3f,\n"
+            "  \"rpc_overhead_us_per_quantum\": {\"median\": %.3f, "
+            "\"iqr\": %.3f, \"q1\": %.3f, \"q3\": %.3f},\n"
             "  \"bit_identical\": true,\n"
             "  \"finish_tick\": %llu,\n"
             "  \"packets_delivered\": %llu,\n"
@@ -489,12 +514,13 @@ main(int argc, char **argv)
             "    \"deliveries_identical\": true\n"
             "  }\n"
             "}\n",
-            quick ? "true" : "false", inproc.wall_s * 1e3,
-            static_cast<unsigned long long>(inproc.quanta), inproc_qps,
-            remote.wall_s * 1e3,
+            quick ? "true" : "false", e4c_rounds, inproc_q.median,
+            inproc_q.iqr(), static_cast<unsigned long long>(inproc.quanta),
+            inproc_qps, remote_q.median, remote_q.iqr(),
             static_cast<unsigned long long>(remote.quanta), remote_qps,
             static_cast<unsigned long long>(remote.rpc_round_trips),
-            rpc_overhead_us,
+            overhead_q.median, overhead_q.iqr(), overhead_q.q1,
+            overhead_q.q3,
             static_cast<unsigned long long>(remote.finish),
             static_cast<unsigned long long>(remote.delivered),
             e4d_quanta, direct_lane.wall_s * 1e3, pipelined.wall_s * 1e3,

@@ -2,12 +2,14 @@
  * @file
  * M1: google-benchmark microbenchmarks of the simulation substrates —
  * event queue throughput, router pipeline cost vs network size,
- * cache access cost, engine dispatch overhead, abstract-model cost.
+ * cache access cost, engine dispatch overhead, abstract-model cost,
+ * CRC32/CRC64 checksum throughput.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "abstractnet/abstract_network.hh"
 #include "mem/memory_system.hh"
@@ -15,6 +17,7 @@
 #include "noc/deflection_network.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
 #include "sim/simulation.hh"
 #include "workload/traffic.hh"
 
@@ -144,6 +147,45 @@ BM_EngineDispatchOverhead(benchmark::State &state)
     benchmark::DoNotOptimize(sink.load());
 }
 BENCHMARK(BM_EngineDispatchOverhead)->Arg(0)->Arg(1)->Arg(3);
+
+/**
+ * Checksum throughput on the archive/frame hot path: every quantum's
+ * Step and StepReply frame is CRC32-sealed and CRC32-checked, and
+ * attestation and checkpoint images are CRC64-digested. Sizes: a small
+ * frame, a busy StepReply (~1.4 KB), a checkpoint-sized image.
+ */
+template <typename Fn>
+void
+crcThroughput(benchmark::State &state, Fn crc)
+{
+    const auto len = static_cast<std::size_t>(state.range(0));
+    std::vector<unsigned char> buf(len);
+    Rng rng(0xc2c, 1);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.range(256));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc(buf.data(), buf.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(len));
+}
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    crcThroughput(state, [](const void *p, std::size_t n) {
+        return crc32(p, n);
+    });
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1445)->Arg(64 << 10);
+
+void
+BM_Crc64(benchmark::State &state)
+{
+    crcThroughput(state, [](const void *p, std::size_t n) {
+        return crc64(p, n);
+    });
+}
+BENCHMARK(BM_Crc64)->Arg(64)->Arg(1445)->Arg(64 << 10);
 
 /**
  * Serial-vs-parallel stepping of the cycle network at high load:

@@ -9,6 +9,7 @@
 #ifndef RASIM_BENCH_BENCH_UTIL_HH
 #define RASIM_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -30,6 +31,36 @@ timeIt(Fn &&fn)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/** Median and quartiles of a sample (linear interpolation between
+ *  order statistics). */
+struct Quartiles
+{
+    double q1 = 0.0;
+    double median = 0.0;
+    double q3 = 0.0;
+
+    double iqr() const { return q3 - q1; }
+};
+
+inline Quartiles
+quartiles(std::vector<double> v)
+{
+    Quartiles q;
+    if (v.empty())
+        return q;
+    std::sort(v.begin(), v.end());
+    auto at = [&v](double frac) {
+        double pos = frac * static_cast<double>(v.size() - 1);
+        std::size_t lo = static_cast<std::size_t>(pos);
+        std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    q.q1 = at(0.25);
+    q.median = at(0.5);
+    q.q3 = at(0.75);
+    return q;
 }
 
 inline double

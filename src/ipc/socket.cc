@@ -1,5 +1,6 @@
 #include "ipc/socket.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -148,6 +150,33 @@ pollFor(int fd, short events, double timeout_ms,
         }
         if (rc > 0)
             return 1;
+    }
+}
+
+/** Wait for @p fd to become readable without blocking in the kernel:
+ *  non-blocking polls with a sched_yield() between them, for at most
+ *  recv_spin_us or @p timeout_ms (0 = no deadline), whichever is
+ *  shorter, and only while @p stop is clear. Same result convention
+ *  as pollFor. */
+int
+spinFor(int fd, double timeout_ms, const std::atomic<bool> *stop)
+{
+    double budget_ms = recv_spin_us / 1000.0;
+    if (timeout_ms > 0.0)
+        budget_ms = std::min(budget_ms, timeout_ms);
+    auto start = std::chrono::steady_clock::now();
+    for (;;) {
+        pollfd pfd{fd, POLLIN, 0};
+        int rc = ::poll(&pfd, 1, 0);
+        if (rc > 0)
+            return 1;
+        if (rc < 0 && errno != EINTR)
+            return -1;
+        if (stop && stop->load(std::memory_order_relaxed))
+            return 0;
+        if (elapsedMs(start) >= budget_ms)
+            return 0;
+        ::sched_yield();
     }
 }
 
@@ -322,6 +351,7 @@ recvUpTo(const Fd &fd, void *data, std::size_t len, double timeout_ms,
     char *p = static_cast<char *>(data);
     std::size_t got = 0;
     auto start = std::chrono::steady_clock::now();
+    bool spun = false; // this wait has spent its spin budget
     while (got < len) {
         if (abort && abort->load(std::memory_order_relaxed)) {
             throw SimError(ErrorKind::Timeout,
@@ -336,8 +366,9 @@ recvUpTo(const Fd &fd, void *data, std::size_t len, double timeout_ms,
                                    std::to_string(timeout_ms) + " ms");
             }
         }
-        int rc = pollFor(fd.get(), POLLIN, left > 0.0 ? left : 0.0,
-                         abort);
+        int rc = spun ? pollFor(fd.get(), POLLIN, left, abort)
+                      : spinFor(fd.get(), left, abort);
+        spun = true;
         if (rc < 0) {
             throw SimError(ErrorKind::Transport,
                            std::string("poll failed: ") + errnoString());
@@ -354,6 +385,7 @@ recvUpTo(const Fd &fd, void *data, std::size_t len, double timeout_ms,
         if (n == 0)
             return got; // EOF
         got += static_cast<std::size_t>(n);
+        spun = false;
     }
     return got;
 }

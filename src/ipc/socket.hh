@@ -116,8 +116,19 @@ Fd connectTo(const std::string &addr, double timeout_ms);
 void sendAll(const Fd &fd, const void *data, std::size_t len);
 
 /**
+ * How long a receive that finds no data spins (non-blocking polls and
+ * sched_yield) before it blocks in poll(). A quantum's reply usually
+ * lands within this window, and picking it up while still running
+ * saves waking a halted CPU, which costs tens of microseconds on a
+ * virtualised host. Chosen by a sweep on the remote co-simulation
+ * benchmark; see DESIGN.md.
+ */
+constexpr double recv_spin_us = 200.0;
+
+/**
  * Read exactly @p len bytes, honouring a wall-clock deadline and a
- * cooperative abort flag (polled between reads).
+ * cooperative abort flag (polled between reads). Each wait for more
+ * bytes first spins for up to recv_spin_us, then blocks.
  *
  * @param timeout_ms Deadline for the whole read (0 = no deadline).
  * @param abort When non-null and set, the read stops early.

@@ -1,5 +1,6 @@
 #include "sim/serialize.hh"
 
+#include <bit>
 #include <cstring>
 #include <ostream>
 #include <utility>
@@ -25,35 +26,60 @@ enum StatKind : std::uint8_t
     kind_value = 4,
 };
 
-std::uint32_t crc_table[256];
-bool crc_table_ready = false;
-
-void
-buildCrcTable()
+/**
+ * Slicing-by-8 lookup tables for a reflected CRC of up to 64 bits:
+ * t[0] is the classic byte-at-a-time table, and t[k][b] is the CRC
+ * register after byte b followed by k zero bytes, so eight table
+ * lookups fold eight input bytes at once. Built at compile time, so
+ * no thread ever sees them half-initialised.
+ */
+template <typename Word>
+struct CrcTables
 {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        crc_table[i] = c;
-    }
-    crc_table_ready = true;
-}
+    Word t[8][256] = {};
 
-std::uint64_t crc64_table[256];
-bool crc64_table_ready = false;
-
-void
-buildCrc64Table()
-{
-    for (std::uint64_t i = 0; i < 256; ++i) {
-        std::uint64_t c = i;
-        for (int k = 0; k < 8; ++k) {
-            c = (c & 1u) ? 0xc96c5795d7870f42ull ^ (c >> 1) : c >> 1;
+    constexpr explicit CrcTables(Word poly)
+    {
+        for (unsigned i = 0; i < 256; ++i) {
+            Word c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1u) ? poly ^ (c >> 1) : c >> 1;
+            t[0][i] = c;
         }
-        crc64_table[i] = c;
+        for (unsigned i = 0; i < 256; ++i) {
+            for (int k = 1; k < 8; ++k)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+        }
     }
-    crc64_table_ready = true;
+};
+
+constexpr CrcTables<std::uint32_t> crc32_tables(0xedb88320u);
+constexpr CrcTables<std::uint64_t> crc64_tables(0xc96c5795d7870f42ull);
+
+/** Advance the (pre-inverted) CRC register @p c over @p len bytes. */
+template <typename Word>
+Word
+crcUpdate(const CrcTables<Word> &tab, Word c, const unsigned char *p,
+          std::size_t len)
+{
+    // The eight-byte step xors a little-endian load into the low bytes
+    // of the register; a big-endian host takes the byte loop only.
+    if constexpr (std::endian::native == std::endian::little) {
+        for (; len >= 8; p += 8, len -= 8) {
+            std::uint64_t x = 0;
+            std::memcpy(&x, p, sizeof(x));
+            x ^= c;
+            c = tab.t[7][x & 0xffu] ^ tab.t[6][(x >> 8) & 0xffu] ^
+                tab.t[5][(x >> 16) & 0xffu] ^
+                tab.t[4][(x >> 24) & 0xffu] ^
+                tab.t[3][(x >> 32) & 0xffu] ^
+                tab.t[2][(x >> 40) & 0xffu] ^
+                tab.t[1][(x >> 48) & 0xffu] ^ tab.t[0][x >> 56];
+        }
+    }
+    for (; len > 0; ++p, --len)
+        c = tab.t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+    return c;
 }
 
 } // namespace
@@ -61,25 +87,16 @@ buildCrc64Table()
 std::uint32_t
 crc32(const void *data, std::size_t len)
 {
-    if (!crc_table_ready)
-        buildCrcTable();
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < len; ++i)
-        c = crc_table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-    return c ^ 0xffffffffu;
+    return ~crcUpdate<std::uint32_t>(
+        crc32_tables, ~0u, static_cast<const unsigned char *>(data), len);
 }
 
 std::uint64_t
 crc64(const void *data, std::size_t len)
 {
-    if (!crc64_table_ready)
-        buildCrc64Table();
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t c = ~0ull;
-    for (std::size_t i = 0; i < len; ++i)
-        c = crc64_table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-    return ~c;
+    return ~crcUpdate<std::uint64_t>(
+        crc64_tables, ~0ull, static_cast<const unsigned char *>(data),
+        len);
 }
 
 std::uint64_t
