@@ -12,23 +12,21 @@
  *    handles, FlatMap, InlineCallable). Both lanes compute the same
  *    checksum, so the comparison is like-for-like.
  *
- * 2. System lanes: a real CosimCycle FullSystem advanced quantum by
+ * 2. System lane: a real CosimCycle FullSystem advanced quantum by
  *    quantum past warm-up, reporting end-to-end packets/sec and the
- *    honest steady-state heap allocations per quantum — once on the
- *    object kernel and once on the soa kernel. The soa lane isolates
+ *    honest steady-state heap allocations per quantum. It isolates
  *    the host side (cores, L1s, directories, event queue, bridge),
  *    because the soa kernel itself allocates nothing; the binary exits
- *    1 if that lane exceeds 1 allocation per quantum after warm-up.
+ *    1 if the lane exceeds 1 allocation per quantum after warm-up.
  *
- * 3. Kernel sweep: a 16x16 CycleNetwork under each compute kernel
- *    (object, soa-scalar, soa-avx2) at offered loads from near idle
- *    (0.0002 pkt/node/cycle) to 0.03, reporting ns per router-cycle,
- *    heap allocations per quantum and the soa speedup over object at
- *    each point, plus a soa-pool2 lane: the soa kernel (best SIMD
- *    level) on a 2-worker ParallelEngine, whose ranges build their
- *    worklists inside each phase. The binary exits 1 if a soa lane's
- *    deliveries differ from object's or a soa lane allocates after
- *    warm-up.
+ * 3. Kernel sweep: a 16x16 CycleNetwork on each SIMD level of the soa
+ *    kernel (soa-scalar, soa-avx2) at offered loads from near idle
+ *    (0.0002 pkt/node/cycle) to 0.03, reporting ns per router-cycle
+ *    and heap allocations per quantum at each point, plus a soa-pool2
+ *    lane: the best SIMD level on a 2-worker ParallelEngine, whose
+ *    ranges build their worklists inside each phase. The binary exits
+ *    1 if a lane's deliveries differ from soa-scalar's or a lane
+ *    allocates after warm-up.
  *
  * 4. Barrier cost: ns per empty phase on that 2-worker pool, i.e. the
  *    handoff a pooled cycle pays twice whatever its work.
@@ -270,11 +268,11 @@ struct SystemResult
     std::uint64_t quanta = 0;
 };
 
-/** Host-side allocation budget of the soa system lane, per quantum. */
-constexpr double system_soa_alloc_budget = 1.0;
+/** Host-side allocation budget of the system lane, per quantum. */
+constexpr double system_alloc_budget = 1.0;
 
 SystemResult
-runSystem(const char *kernel, Tick warm_ticks, Tick run_ticks)
+runSystem(Tick warm_ticks, Tick run_ticks)
 {
     cosim::FullSystemOptions o;
     o.mode = cosim::Mode::CosimCycle;
@@ -283,7 +281,6 @@ runSystem(const char *kernel, Tick warm_ticks, Tick run_ticks)
     o.quantum = 64;
     o.noc.columns = 4;
     o.noc.rows = 4;
-    o.noc.kernel = kernel;
     o.mem.l1_sets = 16;
     cosim::FullSystem sys(Config(), o);
 
@@ -304,15 +301,13 @@ runSystem(const char *kernel, Tick warm_ticks, Tick run_ticks)
 }
 
 // ---------------------------------------------------------------------
-// Kernel lanes: the same detailed CycleNetwork run under each compute
-// backend — object (per-component reference), soa-scalar and, when the
-// build and host allow it, soa-avx2. All lanes see identical seeded
+// Kernel lanes: the same detailed CycleNetwork run on each SIMD level
+// of the soa kernel — soa-scalar and, when the build and host allow
+// it, soa-avx2 — and on a worker pool. All lanes see identical seeded
 // traffic and must deliver the identical packet stream (checksummed),
-// so the throughput ratio isolates the kernel: flat SoA state plus the
-// active-node worklist versus pointer-chasing every component every
-// cycle. The lanes are swept over offered load: near idle the soa
-// kernel wins mostly by skipping idle routers, under load by its
-// allocators.
+// so the throughput ratios isolate the SIMD scan and the engine. The
+// lanes are swept over offered load: near idle the kernel's cost is
+// mostly its worklist scans, under load its allocators.
 // ---------------------------------------------------------------------
 
 constexpr int kernel_mesh_side = 16;
@@ -331,9 +326,9 @@ constexpr int pool_lane_workers = 2;
 
 /** One lane; @p engine null runs the network's serial engine. */
 KernelLaneResult
-runKernelLane(const char *kernel, const char *simd,
-              int packets_per_quantum, std::uint64_t warm_quanta,
-              std::uint64_t quanta, StepEngine *engine = nullptr)
+runKernelLane(const char *simd, int packets_per_quantum,
+              std::uint64_t warm_quanta, std::uint64_t quanta,
+              StepEngine *engine = nullptr)
 {
     constexpr Tick quantum = kernel_quantum;
 
@@ -341,7 +336,6 @@ runKernelLane(const char *kernel, const char *simd,
     noc::NocParams p;
     p.columns = kernel_mesh_side;
     p.rows = kernel_mesh_side;
-    p.kernel = kernel;
     p.simd = simd;
     noc::CycleNetwork net(sim, "bench", p);
     if (engine)
@@ -395,22 +389,8 @@ struct KernelPoint
     double offered_load = 0.0; ///< packets per node per cycle
     int packets_per_quantum = 0;
     std::uint64_t quanta = 0;
-    KernelLaneResult object, soa_scalar, soa_avx2, soa_pool;
+    KernelLaneResult soa_scalar, soa_avx2, soa_pool;
     bool have_avx2 = false;
-
-    double scalarSpeedup() const
-    {
-        return object.ns_per_router_cycle /
-               soa_scalar.ns_per_router_cycle;
-    }
-    double avx2Speedup() const
-    {
-        return object.ns_per_router_cycle / soa_avx2.ns_per_router_cycle;
-    }
-    double poolSpeedup() const
-    {
-        return object.ns_per_router_cycle / soa_pool.ns_per_router_cycle;
-    }
 };
 
 /** Run every kernel at one load; false on a checksum mismatch. */
@@ -420,24 +400,20 @@ runKernelPoint(KernelPoint &pt, std::uint64_t warm_quanta)
     constexpr int nodes = kernel_mesh_side * kernel_mesh_side;
     pt.packets_per_quantum = static_cast<int>(
         pt.offered_load * nodes * kernel_quantum + 0.5);
-    pt.object = runKernelLane("object", "auto", pt.packets_per_quantum,
-                              warm_quanta, pt.quanta);
-    pt.soa_scalar = runKernelLane("soa", "scalar",
-                                  pt.packets_per_quantum, warm_quanta,
-                                  pt.quanta);
+    pt.soa_scalar = runKernelLane("scalar", pt.packets_per_quantum,
+                                  warm_quanta, pt.quanta);
     pt.have_avx2 = cpuid::simdCompiledIn() && cpuid::hostHasAvx2();
     if (pt.have_avx2)
-        pt.soa_avx2 = runKernelLane("soa", "avx2",
-                                    pt.packets_per_quantum, warm_quanta,
-                                    pt.quanta);
+        pt.soa_avx2 = runKernelLane("avx2", pt.packets_per_quantum,
+                                    warm_quanta, pt.quanta);
     {
         ParallelEngine pool(pool_lane_workers);
-        pt.soa_pool = runKernelLane("soa", "auto", pt.packets_per_quantum,
+        pt.soa_pool = runKernelLane("auto", pt.packets_per_quantum,
                                     warm_quanta, pt.quanta, &pool);
     }
-    if (pt.soa_scalar.checksum != pt.object.checksum ||
-        (pt.have_avx2 && pt.soa_avx2.checksum != pt.object.checksum) ||
-        pt.soa_pool.checksum != pt.object.checksum) {
+    const std::uint64_t want = pt.soa_scalar.checksum;
+    if ((pt.have_avx2 && pt.soa_avx2.checksum != want) ||
+        pt.soa_pool.checksum != want) {
         std::fprintf(stderr,
                      "kernel lane checksum mismatch at %.4f "
                      "pkt/node/cycle\n",
@@ -448,14 +424,15 @@ runKernelPoint(KernelPoint &pt, std::uint64_t warm_quanta)
 }
 
 void
-writeLaneJson(FILE *f, const char *name, const KernelLaneResult &k)
+writeLaneJson(FILE *f, const char *name, const KernelLaneResult &k,
+              bool last = false)
 {
     std::fprintf(f,
                  "      \"%s\": {\"router_cycles_per_sec\": %.1f, "
                  "\"ns_per_router_cycle\": %.4f, "
-                 "\"allocs_per_quantum\": %.3f},\n",
+                 "\"allocs_per_quantum\": %.3f}%s\n",
                  name, k.router_cycles_per_sec, k.ns_per_router_cycle,
-                 k.allocs_per_quantum);
+                 k.allocs_per_quantum, last ? "" : ",");
 }
 
 /** Mean ns of an empty forRange phase on a @p workers pool. */
@@ -510,15 +487,11 @@ main(int argc, char **argv)
                          benchutil::fmt(pooled.allocs_per_quantum, 2)});
     std::printf("micro speedup: %.2fx (target >= 1.3x)\n", speedup);
 
-    SystemResult sys = runSystem("object", sys_warm, sys_run);
-    SystemResult sys_soa = runSystem("soa", sys_warm, sys_run);
-    for (auto [name, r] : {std::pair{"system", &sys},
-                           std::pair{"system-soa", &sys_soa}}) {
-        std::printf("%s (cosim 4x4, quantum 64): %.0f packets/s, "
-                    "%.2f allocs/quantum over %llu quanta\n",
-                    name, r->packets_per_sec, r->allocs_per_quantum,
-                    static_cast<unsigned long long>(r->quanta));
-    }
+    SystemResult sys = runSystem(sys_warm, sys_run);
+    std::printf("system (cosim 4x4, quantum 64): %.0f packets/s, "
+                "%.2f allocs/quantum over %llu quanta\n",
+                sys.packets_per_sec, sys.allocs_per_quantum,
+                static_cast<unsigned long long>(sys.quanta));
 
     // Kernel sweep: 16x16 CycleNetwork, identical seeded traffic per
     // point. Busier points run fewer quanta so each costs about the
@@ -537,23 +510,20 @@ main(int argc, char **argv)
             return 1;
 
     benchutil::printRow({"pkt/node/cyc", "kernel", "Mrouter-cyc/s",
-                         "ns/router-cyc", "vs object",
-                         "allocs/quantum"});
+                         "ns/router-cyc", "allocs/quantum"});
     auto kernelRow = [](const KernelPoint &pt, const char *name,
-                        const KernelLaneResult &k, double speedup) {
+                        const KernelLaneResult &k) {
         benchutil::printRow(
             {benchutil::fmt(pt.offered_load, 4), name,
              benchutil::fmt(k.router_cycles_per_sec / 1e6, 1),
              benchutil::fmt(k.ns_per_router_cycle, 3),
-             benchutil::fmt(speedup, 2) + "x",
              benchutil::fmt(k.allocs_per_quantum, 2)});
     };
     for (const KernelPoint &pt : sweep) {
-        kernelRow(pt, "object", pt.object, 1.0);
-        kernelRow(pt, "soa-scalar", pt.soa_scalar, pt.scalarSpeedup());
+        kernelRow(pt, "soa-scalar", pt.soa_scalar);
         if (pt.have_avx2)
-            kernelRow(pt, "soa-avx2", pt.soa_avx2, pt.avx2Speedup());
-        kernelRow(pt, "soa-pool2", pt.soa_pool, pt.poolSpeedup());
+            kernelRow(pt, "soa-avx2", pt.soa_avx2);
+        kernelRow(pt, "soa-pool2", pt.soa_pool);
     }
     if (!sweep[0].have_avx2)
         std::printf("soa-avx2: n/a (build or host lacks AVX2)\n");
@@ -582,13 +552,6 @@ main(int argc, char **argv)
             "  },\n"
             "  \"system\": {\n"
             "    \"mode\": \"cosim\",\n"
-            "    \"kernel\": \"object\",\n"
-            "    \"quanta\": %llu,\n"
-            "    \"packets_per_sec\": %.1f,\n"
-            "    \"allocs_per_quantum\": %.3f\n"
-            "  },\n"
-            "  \"system_soa\": {\n"
-            "    \"mode\": \"cosim\",\n"
             "    \"kernel\": \"soa\",\n"
             "    \"quanta\": %llu,\n"
             "    \"packets_per_sec\": %.1f,\n"
@@ -606,9 +569,7 @@ main(int argc, char **argv)
             pooled.packets_per_sec, pooled.allocs_per_quantum, speedup,
             static_cast<unsigned long long>(sys.quanta),
             sys.packets_per_sec, sys.allocs_per_quantum,
-            static_cast<unsigned long long>(sys_soa.quanta),
-            sys_soa.packets_per_sec, sys_soa.allocs_per_quantum,
-            system_soa_alloc_budget, pool_lane_workers, empty_ns,
+            system_alloc_budget, pool_lane_workers, empty_ns,
             kernel_mesh_side, kernel_mesh_side,
             static_cast<unsigned long long>(kernel_quantum));
         for (std::size_t k = 0; k < sweep.size(); ++k) {
@@ -620,23 +581,13 @@ main(int argc, char **argv)
                          "      \"quanta\": %llu,\n",
                          pt.offered_load, pt.packets_per_quantum,
                          static_cast<unsigned long long>(pt.quanta));
-            writeLaneJson(f, "object", pt.object);
             writeLaneJson(f, "soa_scalar", pt.soa_scalar);
-            if (pt.have_avx2) {
+            if (pt.have_avx2)
                 writeLaneJson(f, "soa_avx2", pt.soa_avx2);
-                std::fprintf(f, "      \"soa_avx2_speedup\": %.3f,\n",
-                             pt.avx2Speedup());
-            } else {
+            else
                 std::fprintf(f, "      \"soa_avx2\": null,\n");
-            }
-            writeLaneJson(f, "soa_pool2", pt.soa_pool);
-            std::fprintf(f, "      \"soa_pool2_speedup\": %.3f,\n",
-                         pt.poolSpeedup());
-            std::fprintf(f,
-                         "      \"soa_scalar_speedup\": %.3f\n"
-                         "     }%s\n",
-                         pt.scalarSpeedup(),
-                         k + 1 < sweep.size() ? "," : "");
+            writeLaneJson(f, "soa_pool2", pt.soa_pool, true);
+            std::fprintf(f, "     }%s\n", k + 1 < sweep.size() ? "," : "");
         }
         std::fprintf(f, "    ]\n"
                         "  }\n"
@@ -650,11 +601,11 @@ main(int argc, char **argv)
 
     // The host side must stay (nearly) allocation-free once warm.
     int status = 0;
-    if (sys_soa.allocs_per_quantum > system_soa_alloc_budget) {
+    if (sys.allocs_per_quantum > system_alloc_budget) {
         std::fprintf(stderr,
-                     "system-soa lane made %.2f allocs/quantum "
+                     "system lane made %.2f allocs/quantum "
                      "(budget %.1f)\n",
-                     sys_soa.allocs_per_quantum, system_soa_alloc_budget);
+                     sys.allocs_per_quantum, system_alloc_budget);
         status = 1;
     }
     // The soa kernel must run allocation-free once warm, at every load.

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Build the simulator with ThreadSanitizer and run the test labels
+# Build the simulator (and the test-only object oracle the noc
+# differentials link) with ThreadSanitizer and run the test labels
 # that exercise concurrency: sim (engine unit/property tests), noc
-# (serial-vs-parallel differentials, including the network.kernel=soa
-# lanes whose flat occupancy arrays rely on the single-writer-per-phase
-# discipline TSan validates), cosim (overlapped bridge determinism) and
-# ipc (the multiplexing rasim-nocd daemon — session threads, fair
+# (serial-vs-parallel differentials of the soa kernel, whose flat
+# occupancy arrays rely on the single-writer-per-phase discipline TSan
+# validates, and of the oracle), cosim (overlapped bridge determinism)
+# and ipc (the multiplexing rasim-nocd daemon — session threads, fair
 # scheduler, drain and watchdog, and the multi-session soak).
 #
 # Usage: scripts/run_tsan.sh [build-dir]

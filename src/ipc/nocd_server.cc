@@ -33,13 +33,6 @@ struct NocServer::Session
 {
     explicit Session(const HelloRequest &req) : hello(req)
     {
-        if (req.proto != protocol_version) {
-            throw SimError(
-                ErrorKind::Transport,
-                "protocol version mismatch: client speaks v" +
-                    std::to_string(req.proto) + ", server speaks v" +
-                    std::to_string(protocol_version));
-        }
         sim = std::make_unique<Simulation>();
         if (req.model == "cycle") {
             cycle = std::make_unique<noc::CycleNetwork>(*sim, "net",

@@ -87,7 +87,6 @@ encodeHello(ArchiveWriter &aw, const HelloRequest &req)
     aw.putU32(static_cast<std::uint32_t>(req.params.link_latency));
     aw.putU32(static_cast<std::uint32_t>(req.params.pipeline_stages));
     aw.putU32(req.params.flit_bytes);
-    aw.putString(req.params.kernel);
     aw.putString(req.params.simd);
     aw.putU32(static_cast<std::uint32_t>(req.engine_workers));
     aw.putU64(req.start_tick);
@@ -102,6 +101,17 @@ decodeHello(ArchiveReader &ar)
     return guardedDecode("Hello", [&] {
         HelloRequest req;
         req.proto = ar.getU32();
+        // Checked before any other field: another revision lays the
+        // rest of the Hello out differently (v4/v5 carried a kernel
+        // string), so its fields would decode as garbage.
+        if (req.proto != protocol_version) {
+            throw SimError(ErrorKind::Transport,
+                           "malformed Hello payload: protocol version "
+                           "mismatch: client speaks v" +
+                               std::to_string(req.proto) +
+                               ", server speaks v" +
+                               std::to_string(protocol_version));
+        }
         req.model = ar.getString();
         req.params.columns = static_cast<int>(ar.getU32());
         req.params.rows = static_cast<int>(ar.getU32());
@@ -113,7 +123,6 @@ decodeHello(ArchiveReader &ar)
         req.params.link_latency = static_cast<int>(ar.getU32());
         req.params.pipeline_stages = static_cast<int>(ar.getU32());
         req.params.flit_bytes = ar.getU32();
-        req.params.kernel = ar.getString();
         req.params.simd = ar.getString();
         req.engine_workers = static_cast<int>(ar.getU32());
         req.start_tick = ar.getU64();

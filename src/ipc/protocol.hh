@@ -62,8 +62,9 @@ namespace ipc
  *  the server builds the same backend the client configured; v5
  *  retires the v1 two-frame exchange (message types 2, 3 and 103)
  *  and the Step request's run-ahead hint byte, leaving Step/StepReply
- *  as the only quantum exchange. */
-constexpr std::uint32_t protocol_version = 5;
+ *  as the only quantum exchange; v6 drops Hello's kernel string —
+ *  the server always hosts the soa kernel, and kernel.simd stays. */
+constexpr std::uint32_t protocol_version = 6;
 
 /** Session-opening handshake: everything the server needs to build a
  *  deterministic twin of the in-process backend. */
@@ -195,6 +196,8 @@ void encodeError(ArchiveWriter &aw, ErrorKind kind,
 
 /** @name Payload decoders (consume a recvMessage() payload) */
 /// @{
+/** Refuses a Hello of another protocol revision (typed Transport
+ *  error) before it reads any field past the version. */
 HelloRequest decodeHello(ArchiveReader &ar);
 HelloReply decodeHelloReply(ArchiveReader &ar);
 StepRequest decodeStep(ArchiveReader &ar);

@@ -1,7 +1,6 @@
 #include "noc/cycle_network.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -12,7 +11,8 @@ namespace noc
 {
 
 CycleNetwork::CycleNetwork(Simulation &sim, const std::string &name,
-                           const NocParams &params, SimObject *parent)
+                           const NocParams &params, SimObject *parent,
+                           FabricFactory make_fabric)
     : SimObject(sim, name, parent),
       packetsInjected(this, "packets_injected",
                       "packets handed to the network"),
@@ -40,9 +40,7 @@ CycleNetwork::CycleNetwork(Simulation &sim, const std::string &name,
     }
 
     stalled_.assign(topo_->numNodes(), 0);
-    all_nodes_.resize(topo_->numNodes());
-    std::iota(all_nodes_.begin(), all_nodes_.end(), 0);
-    fabric_ = kernel::makeCycleFabric(this, params_, *topo_, *routing_);
+    fabric_ = make_fabric(this, params_, *topo_, *routing_);
     inform("network '", name, "': compute kernel ",
            fabric_->description());
 }
@@ -149,8 +147,7 @@ CycleNetwork::stepCycle()
     fabric_->commit(*engine_, now, stalled_);
 
     // Sequential: fire delivery callbacks in node order.
-    const std::vector<int> *nodes = fabric_->completedNodes();
-    for (int i : nodes ? *nodes : all_nodes_) {
+    for (int i : fabric_->completedNodes()) {
         std::vector<PacketPtr> &done = fabric_->completed(i);
         for (const PacketPtr &pkt : done)
             applyDelivery(pkt);

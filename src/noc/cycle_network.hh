@@ -4,8 +4,9 @@
  * exchangeable execution engine. The network itself is a thin
  * orchestrator — injection heap, aggregate statistics, delivery
  * callbacks — while the per-cycle router/NIC/link state machine lives
- * behind a swappable compute backend (see noc/kernel/backend.hh)
- * selected by `network.kernel`.
+ * in its compute backend (see noc/kernel/backend.hh): the soa kernel,
+ * or the object oracle that the differential tests inject through
+ * the constructor's fabric factory.
  */
 
 #ifndef RASIM_NOC_CYCLE_NETWORK_HH
@@ -36,8 +37,13 @@ namespace noc
 class CycleNetwork : public SimObject, public NetworkModel
 {
   public:
+    using FabricFactory = kernel::CycleFabricFactory;
+
+    /** @p make_fabric is a test seam: the default builds the soa
+     *  kernel, the differentials pass the object oracle. */
     CycleNetwork(Simulation &sim, const std::string &name,
-                 const NocParams &params, SimObject *parent = nullptr);
+                 const NocParams &params, SimObject *parent = nullptr,
+                 FabricFactory make_fabric = kernel::makeCycleFabric);
     ~CycleNetwork() override;
 
     // NetworkModel interface.
@@ -60,7 +66,8 @@ class CycleNetwork : public SimObject, public NetworkModel
     const NocParams &params() const { return params_; }
     const Topology &topology() const { return *topo_; }
 
-    /** The active compute backend (object or soa). */
+    /** The compute backend (the soa kernel unless a test injected
+     *  another). */
     const kernel::CycleFabric &fabric() const { return *fabric_; }
 
     /** Packets handed to inject() so far. */
@@ -121,8 +128,6 @@ class CycleNetwork : public SimObject, public NetworkModel
     /** Fault hook: routers whose pipeline is wedged (see
      *  setNodeStalled). Written only between cycles. */
     std::vector<char> stalled_;
-    /** 0..n-1: the drain order when the fabric lists no nodes. */
-    std::vector<int> all_nodes_;
 
     Tick time_ = 0;
     std::uint64_t injected_ = 0;

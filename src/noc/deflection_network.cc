@@ -13,7 +13,8 @@ namespace noc
 DeflectionNetwork::DeflectionNetwork(Simulation &sim,
                                      const std::string &name,
                                      const NocParams &params,
-                                     SimObject *parent)
+                                     SimObject *parent,
+                                     FabricFactory make_fabric)
     : SimObject(sim, name, parent),
       packetsInjected(this, "packets_injected",
                       "packets handed to the network"),
@@ -35,7 +36,7 @@ DeflectionNetwork::DeflectionNetwork(Simulation &sim,
     topo_ = makeTopology(params_.topology, params_.columns,
                          params_.rows);
     stalled_.assign(topo_->numNodes(), 0);
-    fabric_ = kernel::makeDeflectFabric(params_, *topo_);
+    fabric_ = make_fabric(params_, *topo_);
     inform("network '", name, "': compute kernel ",
            fabric_->description());
 }

@@ -12,15 +12,16 @@
  * alone and is reassembled at the destination NIC), the classic
  * bufferless formulation.
  *
- * Like CycleNetwork, the network is a thin orchestrator over a
- * swappable compute backend (see noc/kernel/backend.hh) selected by
- * `network.kernel`. The per-cycle update is phase-structured so an
- * exchangeable StepEngine can run it data-parallel and bit-identical
- * to serial execution: a route phase in which node i consumes its own
- * arrival set and writes only its own per-port output staging, a
- * gather phase in which node j pulls from its upstream neighbours'
- * staging in a fixed order, and a sequential reduction that folds
- * per-node scratch (stats, deliveries, counters) in node-index order.
+ * Like CycleNetwork, the network is a thin orchestrator over its
+ * compute backend (see noc/kernel/backend.hh): the soa kernel, or the
+ * object oracle the differential tests inject. The per-cycle update
+ * is phase-structured so an exchangeable StepEngine can run it
+ * data-parallel and bit-identical to serial execution: a route phase
+ * in which node i consumes its own arrival set and writes only its
+ * own per-port output staging, a gather phase in which node j pulls
+ * from its upstream neighbours' staging in a fixed order, and a
+ * sequential reduction that folds per-node scratch (stats,
+ * deliveries, counters) in node-index order.
  */
 
 #ifndef RASIM_NOC_DEFLECTION_NETWORK_HH
@@ -51,14 +52,20 @@ namespace noc
 class DeflectionNetwork : public SimObject, public NetworkModel
 {
   public:
+    using FabricFactory = kernel::DeflectFabricFactory;
+
     /**
      * Uses NocParams for geometry, link width and per-hop latency
      * (pipeline_stages); buffering/VC parameters are ignored — the
-     * whole point of the organisation.
+     * whole point of the organisation. @p make_fabric is a test
+     * seam: the default builds the soa kernel, the differentials pass
+     * the object oracle.
      */
     DeflectionNetwork(Simulation &sim, const std::string &name,
                       const NocParams &params,
-                      SimObject *parent = nullptr);
+                      SimObject *parent = nullptr,
+                      FabricFactory make_fabric =
+                          kernel::makeDeflectFabric);
     ~DeflectionNetwork() override;
 
     // NetworkModel interface.
@@ -81,7 +88,8 @@ class DeflectionNetwork : public SimObject, public NetworkModel
     const NocParams &params() const { return params_; }
     const Topology &topology() const { return *topo_; }
 
-    /** The active compute backend (object or soa). */
+    /** The compute backend (the soa kernel unless a test injected
+     *  another). */
     const kernel::DeflectFabric &fabric() const { return *fabric_; }
 
     /** Checkpoint the full fabric state between cycles. */

@@ -4,19 +4,21 @@
  * (CycleNetwork, DeflectionNetwork) are thin orchestrators — they own
  * injection heaps, aggregate statistics and delivery callbacks — while
  * the per-cycle router/NIC/link state machine lives behind one of the
- * fabric interfaces below, selected by `network.kernel`:
+ * fabric interfaces below.
  *
- *  - "object": the per-object Router/Nic/Link reference implementation
- *    (pointer-linked components stepped one at a time), and
- *  - "soa": the structure-of-arrays kernel — all per-router/per-port/
- *    per-VC state in contiguous, index-addressed record arrays, the
- *    RC/VA/SA/ST+LT stages run as batched passes over an active-node
- *    worklist, with an AVX2 occupancy scan behind runtime CPU dispatch.
- *
- * Both backends implement the same algorithm in the same per-node
- * operation order, so results are bit-identical: deliveries, the full
- * stats tree, and — because both emit the same archive byte stream —
- * checkpoints are interchangeable across backends.
+ * The library has one implementation of each: the structure-of-arrays
+ * kernel (soa_cycle.hh, soa_deflect.hh), which keeps all per-router/
+ * per-port/per-VC state in contiguous, index-addressed record arrays,
+ * runs the RC/VA/SA/ST+LT stages as batched passes over an
+ * active-node worklist, and dispatches an AVX2 occupancy scan at
+ * runtime. A network builds its fabric through a factory passed as its
+ * last constructor argument, makeCycleFabric / makeDeflectFabric (soa)
+ * by default. That argument is a test seam, not a configuration
+ * point: the differential tests pass the object oracle there
+ * (tests/noc/oracle/, the per-object Router/Nic/Link reference
+ * implementation), which runs the same algorithm in the same per-node
+ * operation order, so deliveries, the full stats tree and checkpoint
+ * bytes must all be bit-identical between the two.
  */
 
 #ifndef RASIM_NOC_KERNEL_BACKEND_HH
@@ -47,16 +49,6 @@ class RoutingAlgorithm;
 namespace kernel
 {
 
-enum class KernelKind
-{
-    Object,
-    Soa,
-};
-
-/** Parse a `network.kernel` value; fatal() on an unknown name. */
-KernelKind kernelKindFromString(const std::string &s);
-const char *kernelKindName(KernelKind kind);
-
 /** Per-router activity counters consumed by the power model. */
 struct RouterActivity
 {
@@ -76,8 +68,6 @@ class CycleFabric
 {
   public:
     virtual ~CycleFabric() = default;
-
-    virtual const char *kindName() const = 0;
 
     /** Human-readable dispatch summary for the startup log line. */
     virtual std::string description() const = 0;
@@ -104,13 +94,10 @@ class CycleFabric
     /**
      * Ascending nodes whose completed() may be non-empty after this
      * cycle's commit. Draining an empty list is the identity, so a
-     * backend may list just the nodes that ejected a tail (soa); the
-     * default, nullptr, means every node (object).
+     * backend may list just the nodes that ejected a tail (soa) or
+     * every node (the object oracle).
      */
-    virtual const std::vector<int> *completedNodes() const
-    {
-        return nullptr;
-    }
+    virtual const std::vector<int> &completedNodes() const = 0;
 
     /**
      * Fold stat increments a backend batched during compute/commit
@@ -124,9 +111,9 @@ class CycleFabric
 
     /**
      * Checkpoint the fabric-resident state: the shared packet table
-     * followed by per-router, per-NIC and per-link sections. Both
-     * backends emit the identical byte stream, so a checkpoint taken
-     * under one kernel restores under the other.
+     * followed by per-router, per-NIC and per-link sections. The soa
+     * kernel and the object oracle emit the identical byte stream, so
+     * a checkpoint taken under one restores under the other.
      */
     virtual void save(ArchiveWriter &aw) const = 0;
     virtual void restore(ArchiveReader &ar) = 0;
@@ -175,7 +162,7 @@ class DeflectFabric
   public:
     virtual ~DeflectFabric() = default;
 
-    virtual const char *kindName() const = 0;
+    /** Human-readable dispatch summary for the startup log line. */
     virtual std::string description() const = 0;
 
     /** Sequential, pre-phase: append @p nflits flits of @p pkt to the
@@ -191,23 +178,34 @@ class DeflectFabric
     /**
      * Ascending node indices whose scratch may be non-empty this
      * cycle. Folding an untouched scratch is the identity, so a
-     * backend may return all nodes (object) or just the active ones
-     * (soa) — the fold result is bit-identical either way.
+     * backend may return all nodes (the object oracle) or just the
+     * active ones (soa) — the fold result is bit-identical either way.
      */
     virtual const std::vector<int> &scratchNodes() const = 0;
 
     virtual NodeScratch &scratch(std::size_t node) = 0;
 
-    /** Archive byte stream shared by both kernels (packet table,
+    /** Archive byte stream shared with the object oracle (packet table,
      *  arrivals, injection queues, reassembly maps). */
     virtual void save(ArchiveWriter &aw) const = 0;
     virtual void restore(ArchiveReader &ar) = 0;
 };
 
+/** Builds a CycleNetwork's fabric (the constructor's test seam). */
+using CycleFabricFactory = std::unique_ptr<CycleFabric> (*)(
+    stats::Group *parent, const NocParams &params, const Topology &topo,
+    const RoutingAlgorithm &routing);
+
+/** Builds a DeflectionNetwork's fabric (the constructor's test seam). */
+using DeflectFabricFactory = std::unique_ptr<DeflectFabric> (*)(
+    const NocParams &params, const Topology &topo);
+
+/** The soa kernel of the buffered VC network: the default factory. */
 std::unique_ptr<CycleFabric>
 makeCycleFabric(stats::Group *parent, const NocParams &params,
                 const Topology &topo, const RoutingAlgorithm &routing);
 
+/** The soa kernel of the deflection network: the default factory. */
 std::unique_ptr<DeflectFabric>
 makeDeflectFabric(const NocParams &params, const Topology &topo);
 

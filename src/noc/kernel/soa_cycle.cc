@@ -106,24 +106,15 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     C_ = num_vnets * params_.vc_classes;
 
     if (P_ > max_ports)
-        fatal("network.kernel=soa supports at most ", max_ports,
+        fatal("soa kernel supports at most ", max_ports,
               " ports per router; topology '", topo.name(), "' has ",
               P_);
-    if (V_ > max_vcs)
-        fatal("network.kernel=soa supports at most ", max_vcs,
-              " VCs per port (got ", V_, " = ", num_vnets,
-              " vnets x ", params_.vc_classes, " classes x ",
-              params_.vcs_per_vnet, " vcs_per_vnet); use "
-              "network.kernel=object");
-    if (D_ > 65535)
-        fatal("network.kernel=soa supports buffer_depth up to 65535 "
-              "(got ", D_, "); use network.kernel=object");
 
     simd_ = cpuid::resolveSimdLevel(params_.simd);
     scan_ = activeScanFor(simd_);
 
     // Stats tree: router/NIC groups interleaved in node order, the
-    // exact child order the object backend creates, so stats archives
+    // exact child order the object oracle creates, so stats archives
     // are interchangeable across kernels.
     router_stats_.reserve(n_);
     nic_stats_.reserve(n_);
@@ -184,7 +175,7 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
 
     deltas_.assign(n_, StatDeltas{});
 
-    // Links in the object backend's creation order (the archive link
+    // Links in the object oracle's creation order (the archive link
     // order): all router-to-router links, then per node the injection
     // and ejection links. The occupancy pointers are stable because
     // the occ arrays were sized above and never reallocate.
@@ -731,7 +722,7 @@ SoaCycleFabric::flushStats()
 
     // The deltas are integer-valued and every running total stays far
     // below 2^53, so one batched double add lands on the same value
-    // as the object backend's per-event increments.
+    // as the object oracle's per-event increments.
     for (int i = 0; i < n_; ++i) {
         StatDeltas &d = deltas_[i];
         RouterStats &r = *router_stats_[i];
@@ -829,10 +820,10 @@ SoaCycleFabric::completed(std::size_t node)
     return completed_[node];
 }
 
-const std::vector<int> *
+const std::vector<int> &
 SoaCycleFabric::completedNodes() const
 {
-    return &completed_nodes_;
+    return completed_nodes_;
 }
 
 RouterActivity
@@ -882,7 +873,7 @@ void
 SoaCycleFabric::save(ArchiveWriter &aw) const
 {
     // Packet table: every occupied slot is a packet with a flit in a
-    // FIFO, NIC queue or link, the set the object backend collects,
+    // FIFO, NIC queue or link, the set the object oracle collects,
     // and the table orders by id, so the bytes match.
     PacketTable table;
     for (std::size_t s = 0; s < slot_pkt_.size(); ++s)
@@ -1130,6 +1121,13 @@ SoaCycleFabric::rebuildOccupancy()
         *l.cred_occ += l.csize;
     }
     std::fill(deltas_.begin(), deltas_.end(), StatDeltas{});
+}
+
+std::unique_ptr<CycleFabric>
+makeCycleFabric(stats::Group *parent, const NocParams &params,
+                const Topology &topo, const RoutingAlgorithm &routing)
+{
+    return std::make_unique<SoaCycleFabric>(parent, params, topo, routing);
 }
 
 } // namespace kernel

@@ -24,10 +24,10 @@
  * the calling thread between phases.
  *
  * Determinism: each pass executes the exact same per-node operation
- * sequence as the object backend (same arbiter rotations, same
+ * sequence as the object oracle (same arbiter rotations, same
  * iteration order inside a node), and phases only touch
  * partition-local state plus the single-writer ends of links — so
- * results are bit-identical to the object backend on deliveries,
+ * results are bit-identical to the object oracle on deliveries,
  * stats and archive bytes, under serial and parallel engines alike.
  * Router/NIC stat increments collect in per-node deltas that
  * flushStats() folds in node order; the orchestrator calls it once
@@ -71,7 +71,6 @@ class SoaCycleFabric : public CycleFabric
                    const Topology &topo,
                    const RoutingAlgorithm &routing);
 
-    const char *kindName() const override { return "soa"; }
     std::string description() const override;
 
     void enqueue(std::size_t node, const PacketPtr &pkt,
@@ -81,7 +80,7 @@ class SoaCycleFabric : public CycleFabric
     void commit(StepEngine &engine, Cycle now,
                 const std::vector<char> &stalled) override;
     std::vector<PacketPtr> &completed(std::size_t node) override;
-    const std::vector<int> *completedNodes() const override;
+    const std::vector<int> &completedNodes() const override;
     void flushStats() override;
     RouterActivity routerActivity(std::size_t node) const override;
 
@@ -108,8 +107,6 @@ class SoaCycleFabric : public CycleFabric
     static constexpr std::size_t commit_words = 16;
 
     static constexpr int max_ports = 16;
-    /** VC bitmasks are one u32 per (node, port). */
-    static constexpr int max_vcs = 32;
 
     /**
      * A flit as this kernel stores it: the fields of noc::Flit with
@@ -166,7 +163,9 @@ class SoaCycleFabric : public CycleFabric
      * One (node, port): VC bitmasks (bit v = VC v; nonempty: the FIFO
      * holds a flit, needva: the VC state is NeedVA; VA walks needva,
      * SA walks nonempty & ~needva), the input and output SA pointers,
-     * and the link index on each side (-1 when unconnected).
+     * and the link index on each side (-1 when unconnected). The masks
+     * fit because NocParams::validate() caps VCs per port at 32, and
+     * the u16 FIFO fields because it caps buffer_depth at 65535.
      */
     struct Port
     {

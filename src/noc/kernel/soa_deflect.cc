@@ -72,7 +72,7 @@ SoaDeflectFabric::SoaDeflectFabric(const NocParams &params,
     cap_ = P_ - 1;
 
     if (P_ > static_cast<int>(occ_words))
-        fatal("network.kernel=soa supports at most ", occ_words,
+        fatal("soa kernel supports at most ", occ_words,
               " ports per deflection router; topology '", topo_.name(),
               "' has ", P_);
 
@@ -91,7 +91,7 @@ SoaDeflectFabric::SoaDeflectFabric(const NocParams &params,
                 continue;
             conn_.push_back(static_cast<std::int8_t>(p));
             // Gather order: upstream node index ascending (then
-            // port), the object backend's fixed source order.
+            // port), the object oracle's fixed source order.
             sources[j].push_back(i * P_ + p);
             dest_word_[static_cast<std::size_t>(i) * P_ + p] =
                 static_cast<std::int32_t>(j * occ_words +
@@ -431,6 +431,12 @@ SoaDeflectFabric::restore(ArchiveReader &ar)
     }
     route_list_.clear();
     gather_list_.clear();
+}
+
+std::unique_ptr<DeflectFabric>
+makeDeflectFabric(const NocParams &params, const Topology &topo)
+{
+    return std::make_unique<SoaDeflectFabric>(params, topo);
 }
 
 } // namespace kernel

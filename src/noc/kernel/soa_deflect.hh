@@ -11,7 +11,7 @@
  * in the gather phase, so idle regions of the mesh cost nothing.
  *
  * The per-node route/gather logic is an exact transliteration of the
- * object backend (same ejection choice, same oldest-first ordering,
+ * object oracle (same ejection choice, same oldest-first ordering,
  * same port preference and deflection fallback), so deliveries, stats
  * and archive bytes are bit-identical across kernels, serial and
  * parallel alike.
@@ -39,7 +39,6 @@ class SoaDeflectFabric : public DeflectFabric
   public:
     SoaDeflectFabric(const NocParams &params, const Topology &topo);
 
-    const char *kindName() const override { return "soa"; }
     std::string description() const override;
 
     void enqueue(std::size_t node, const PacketPtr &pkt,

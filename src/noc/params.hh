@@ -29,6 +29,11 @@ namespace noc
  */
 struct NocParams
 {
+    /** The soa kernel keeps one u32 VC bitmask per (node, port). */
+    static constexpr int max_vcs_per_port = 32;
+    /** The soa kernel counts buffered flits per VC in 16 bits. */
+    static constexpr int max_buffer_depth = 65535;
+
     int columns = 8;
     int rows = 8;
     std::string topology = "mesh";
@@ -45,20 +50,18 @@ struct NocParams
     int pipeline_stages = 2;
     /** Link width: bytes carried per flit. */
     std::uint32_t flit_bytes = 16;
-    /**
-     * Compute backend for the detailed models: "object" steps the
-     * per-object Router/Nic/Link reference path, "soa" runs the
-     * batched structure-of-arrays kernel (bit-identical results).
-     */
-    std::string kernel = "object";
     /** SIMD policy for the SoA kernel: "auto", "scalar" or "avx2". */
     std::string simd = "auto";
 
-    /** Read "noc.*" keys (plus "network.kernel" / "kernel.simd"),
-     *  applying topology-dependent defaults. */
+    /**
+     * Read "noc.*" keys (plus "kernel.simd"), applying topology-
+     * dependent defaults. "network.kernel" is still read, and "soa",
+     * the only kernel, is its only accepted value.
+     */
     static NocParams fromConfig(const Config &cfg);
 
-    /** Abort with fatal() on inconsistent values. */
+    /** Abort with fatal() on inconsistent values or values beyond the
+     *  soa kernel's limits (max_vcs_per_port, max_buffer_depth). */
     void validate() const;
 
     int numNodes() const { return columns * rows; }

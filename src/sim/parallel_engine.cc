@@ -26,13 +26,6 @@ cpuRelax()
 
 } // namespace
 
-int
-ParallelEngine::defaultWorkerCount()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 1 ? static_cast<int>(hw - 1) : 1;
-}
-
 ParallelEngine::ParallelEngine(int num_workers)
 {
     if (num_workers < 0)
@@ -65,33 +58,23 @@ ParallelEngine::~ParallelEngine()
 }
 
 void
-ParallelEngine::runPartition(int slot, std::size_t n,
-                             const std::function<void(std::size_t)> *fn,
-                             const std::function<void(std::size_t,
-                                                      std::size_t)>
-                                 *range_fn,
-                             std::exception_ptr &error) noexcept
+ParallelEngine::runPartition(int slot, std::exception_ptr &error) noexcept
 {
     // Static block partition over (workers + caller) slots: slot 0 is
     // the caller. Determinism does not depend on the partition shape —
     // the phase discipline isolates every index — but static blocks
-    // keep cache behaviour stable across phases, and a range phase
-    // receives its whole block in one call so it can stream through
-    // contiguous structure-of-arrays state.
+    // keep cache behaviour stable across phases, and a phase receives
+    // its whole block in one call so it can stream through contiguous
+    // structure-of-arrays state.
     std::size_t slots = workers_.size() + 1;
-    std::size_t begin = n * slot / slots;
-    std::size_t end = n * (slot + 1) / slots;
+    std::size_t begin = job_n_ * slot / slots;
+    std::size_t end = job_n_ * (slot + 1) / slots;
     try {
-        if (range_fn) {
-            if (begin < end)
-                (*range_fn)(begin, end);
-        } else {
-            for (std::size_t i = begin; i < end; ++i)
-                (*fn)(i);
-        }
+        if (begin < end)
+            (*job_fn_)(begin, end);
     } catch (...) {
         // Remaining indices of this partition are abandoned; the
-        // exception resurfaces from forEach() after the barrier so
+        // exception resurfaces from forRange() after the barrier so
         // the pool never deadlocks on a throwing phase.
         error = std::current_exception();
     }
@@ -129,8 +112,7 @@ ParallelEngine::workerLoop(int worker_index)
         }
         seen = gen;
 
-        runPartition(worker_index + 1, job_n_, job_fn_, job_range_fn_,
-                     errors_[worker_index + 1]);
+        runPartition(worker_index + 1, errors_[worker_index + 1]);
 
         if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             // Lock-then-notify so the caller's predicate check cannot
@@ -142,25 +124,29 @@ ParallelEngine::workerLoop(int worker_index)
 }
 
 void
-ParallelEngine::runPhase(std::size_t n,
-                         const std::function<void(std::size_t)> *fn,
+ParallelEngine::forRange(std::size_t n,
                          const std::function<void(std::size_t,
-                                                  std::size_t)>
-                             *range_fn)
+                                                  std::size_t)> &fn)
 {
+    ++phases_;
+    if (workers_.empty()) {
+        if (n > 0)
+            fn(0, n);
+        return;
+    }
+
     std::fill(errors_.begin(), errors_.end(), nullptr);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         job_n_ = n;
-        job_fn_ = fn;
-        job_range_fn_ = range_fn;
+        job_fn_ = &fn;
         pending_.store(static_cast<int>(workers_.size()),
                        std::memory_order_relaxed);
         generation_.fetch_add(1, std::memory_order_release);
     }
     start_cv_.notify_all();
 
-    runPartition(0, n, fn, range_fn, errors_[0]);
+    runPartition(0, errors_[0]);
 
     int spins = 0;
     while (pending_.load(std::memory_order_acquire) != 0 &&
@@ -181,33 +167,6 @@ ParallelEngine::runPhase(std::size_t n,
     for (const std::exception_ptr &e : errors_)
         if (e)
             std::rethrow_exception(e);
-}
-
-void
-ParallelEngine::forEach(std::size_t n,
-                        const std::function<void(std::size_t)> &fn)
-{
-    ++phases_;
-    if (workers_.empty()) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    runPhase(n, &fn, nullptr);
-}
-
-void
-ParallelEngine::forRange(std::size_t n,
-                         const std::function<void(std::size_t,
-                                                  std::size_t)> &fn)
-{
-    ++phases_;
-    if (workers_.empty()) {
-        if (n > 0)
-            fn(0, n);
-        return;
-    }
-    runPhase(n, nullptr, &fn);
 }
 
 } // namespace rasim

@@ -54,9 +54,6 @@ class ParallelEngine : public StepEngine
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
 
-    void forEach(std::size_t n,
-                 const std::function<void(std::size_t)> &fn) override;
-
     void forRange(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>
                       &fn) override;
@@ -65,24 +62,12 @@ class ParallelEngine : public StepEngine
 
     int numWorkers() const { return static_cast<int>(workers_.size()); }
 
-    /** forEach() invocations so far (one per simulated phase). */
+    /** Phases run so far (forRange() calls, forEach() included). */
     std::uint64_t phasesRun() const { return phases_; }
-
-    /** Sensible worker count for this host: cores minus the caller. */
-    static int defaultWorkerCount();
 
   private:
     void workerLoop(int worker_index);
-    /** Exactly one of @p fn / @p range_fn is non-null per phase. */
-    void runPartition(int slot, std::size_t n,
-                      const std::function<void(std::size_t)> *fn,
-                      const std::function<void(std::size_t, std::size_t)>
-                          *range_fn,
-                      std::exception_ptr &error) noexcept;
-    void runPhase(std::size_t n,
-                  const std::function<void(std::size_t)> *fn,
-                  const std::function<void(std::size_t, std::size_t)>
-                      *range_fn);
+    void runPartition(int slot, std::exception_ptr &error) noexcept;
 
     std::vector<std::thread> workers_;
     /** Captured per slot (caller = 0); first non-null is rethrown. */
@@ -97,8 +82,7 @@ class ParallelEngine : public StepEngine
     std::atomic<int> pending_{0};
     std::atomic<bool> shutdown_{false};
     std::size_t job_n_ = 0;
-    const std::function<void(std::size_t)> *job_fn_ = nullptr;
-    const std::function<void(std::size_t, std::size_t)> *job_range_fn_ =
+    const std::function<void(std::size_t, std::size_t)> *job_fn_ =
         nullptr;
 
     std::uint64_t phases_ = 0;

@@ -11,7 +11,7 @@
  * an engine may execute iterations in any order and on any thread
  * without changing simulation results. Anything that is *not*
  * partition-local (aggregate statistics, delivery callbacks, global
- * counters) must stay outside forEach() and be reduced in a fixed
+ * counters) must stay outside a phase and be reduced in a fixed
  * index order so serial and parallel runs stay bit-identical.
  */
 
@@ -30,25 +30,16 @@ class StepEngine
     virtual ~StepEngine() = default;
 
     /**
-     * Apply @p fn to every index in [0, n) exactly once. Iterations
-     * may run concurrently but all complete before forEach() returns.
-     * If any iteration throws, the first exception (by partition slot
-     * order) is rethrown after the phase barrier; the engine stays
-     * usable afterwards.
-     */
-    virtual void forEach(std::size_t n,
-                         const std::function<void(std::size_t)> &fn) = 0;
-
-    /**
      * Apply @p fn to contiguous, disjoint ranges that exactly cover
      * [0, n). Each index is inside exactly one range; ranges may run
-     * concurrently but all complete before forRange() returns. This is
-     * the batched counterpart of forEach(): a structure-of-arrays
-     * kernel wants one call per worker over a contiguous index block
-     * so it can stream through flat state, not one call per index.
-     * The default executes the whole interval as a single range on
-     * the calling thread, which satisfies the contract for any serial
-     * engine.
+     * concurrently but all complete before forRange() returns. A
+     * structure-of-arrays kernel wants one call per worker over a
+     * contiguous index block so it can stream through flat state, not
+     * one call per index. If any range throws, the first exception
+     * (by partition slot order) is rethrown after the phase barrier;
+     * the engine stays usable afterwards. The default executes the
+     * whole interval as a single range on the calling thread, which
+     * satisfies the contract for any serial engine.
      */
     virtual void
     forRange(std::size_t n,
@@ -56,6 +47,21 @@ class StepEngine
     {
         if (n > 0)
             fn(0, n);
+    }
+
+    /**
+     * Apply @p fn to every index in [0, n) exactly once: forRange()
+     * with each range looped index by index, so it inherits that
+     * call's partition, concurrency and exception contract. Virtual
+     * only so decorators (timing, extent recording) can see it.
+     */
+    virtual void
+    forEach(std::size_t n, const std::function<void(std::size_t)> &fn)
+    {
+        forRange(n, [&fn](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                fn(i);
+        });
     }
 
     /** Human-readable engine name for logs and reports. */
@@ -66,14 +72,6 @@ class StepEngine
 class SerialEngine : public StepEngine
 {
   public:
-    void
-    forEach(std::size_t n,
-            const std::function<void(std::size_t)> &fn) override
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-    }
-
     const char *name() const override { return "serial"; }
 };
 

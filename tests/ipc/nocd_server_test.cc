@@ -159,9 +159,10 @@ TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 
 TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
 {
-    // A newer peer, and a v4 peer that would still send the retired
+    // A newer peer, a v5 peer whose Hello still carries a kernel
+    // string, and a v4 peer that would still send the retired
     // two-frame quantum exchange.
-    for (std::uint32_t proto : {protocol_version + 1, 4u}) {
+    for (std::uint32_t proto : {protocol_version + 1, 5u, 4u}) {
         Fd fd = connect();
         HelloRequest req;
         req.proto = proto;

@@ -19,6 +19,7 @@
 
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
+#include "noc/oracle/oracle.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -31,6 +32,7 @@ namespace
 
 using namespace rasim;
 using namespace rasim::noc;
+using oracle::Kernel;
 
 /** One delivered packet, every field a parallel run could disturb. */
 struct Delivery
@@ -86,14 +88,13 @@ driveTraffic(Net &net, std::size_t nodes)
 
 template <typename Net>
 RunResult
-runNetwork(StepEngine *engine, const std::string &kernel = "object")
+runNetwork(StepEngine *engine, Kernel kernel = Kernel::Soa)
 {
     Simulation sim;
     NocParams p;
     p.columns = 8;
     p.rows = 8;
-    p.kernel = kernel;
-    Net net(sim, "net", p);
+    Net net(sim, "net", p, nullptr, oracle::fabric<Net>(kernel));
     if (engine)
         net.setEngine(engine);
     RunResult r;
@@ -131,23 +132,23 @@ template <typename Net>
 void
 expectEngineEquivalence()
 {
-    // Object-kernel serial is the single reference; every other
-    // (kernel × engine) cell must be bit-identical to it.
-    RunResult serial = runNetwork<Net>(nullptr);
+    // The object oracle on the serial engine is the single
+    // reference; every other (kernel × engine) cell must be
+    // bit-identical to it.
+    RunResult serial = runNetwork<Net>(nullptr, Kernel::Object);
     ASSERT_EQ(serial.deliveries.size(), 600u);
 
-    for (const char *kernel : {"object", "soa"}) {
-        if (std::string(kernel) != "object") {
+    for (Kernel kernel : {Kernel::Object, Kernel::Soa}) {
+        std::string label = std::string("kernel=") + oracle::name(kernel);
+        if (kernel != Kernel::Object) {
             RunResult alt = runNetwork<Net>(nullptr, kernel);
-            expectSameRun(serial, alt,
-                          std::string("kernel=") + kernel + " serial");
+            expectSameRun(serial, alt, label + " serial");
         }
         for (int workers : {1, 2, 8}) {
             ParallelEngine pool(workers);
             RunResult parallel = runNetwork<Net>(&pool, kernel);
             expectSameRun(serial, parallel,
-                          std::string("kernel=") + kernel +
-                              " workers=" + std::to_string(workers));
+                          label + " workers=" + std::to_string(workers));
         }
     }
 }
@@ -264,7 +265,6 @@ runHotspot(StepEngine *engine, int save_after = -1)
     NocParams p;
     p.columns = 8;
     p.rows = 8;
-    p.kernel = "soa";
     CycleNetwork net(sim, "net", p);
     if (engine)
         net.setEngine(engine);
@@ -302,7 +302,6 @@ resumeHotspot(StepEngine *engine, std::string image, int save_after)
     NocParams p;
     p.columns = 8;
     p.rows = 8;
-    p.kernel = "soa";
     CycleNetwork net(sim, "net", p);
     if (engine)
         net.setEngine(engine);

@@ -1,15 +1,16 @@
 /**
  * @file
- * Object-vs-SoA compute-kernel differential: `network.kernel = soa`
- * must be bit-identical to the object reference on both detailed
- * backends — same deliveries, same rendered stats tree, and the same
- * checkpoint *bytes*, which is what makes checkpoints interchangeable
- * across kernels. Also covers the SIMD lane (scalar vs dispatched
- * AVX2 must agree), a matrix of cycle-network shapes that drives the
- * soa kernel's VC-bitmask allocators down every path and resumes
+ * Object-vs-SoA compute-kernel differential: the soa kernel must be
+ * bit-identical to the object oracle (tests/noc/oracle/, injected
+ * through the networks' fabric factory) on both detailed models —
+ * same deliveries, same rendered stats tree, and the same checkpoint
+ * *bytes*, which is what makes checkpoints interchangeable across
+ * kernels. Also covers the SIMD lane (scalar vs dispatched AVX2 must
+ * agree), a matrix of cycle-network shapes that drives the soa
+ * kernel's VC-bitmask allocators down every path and resumes
  * checkpoints across kernels both ways, stats visibility under the
  * soa kernel's per-advanceTo stat fold, packet-pool leak checks, and
- * the typed rejection of bad kernel/simd config.
+ * the typed rejection of bad kernel/simd/VC config.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include "common/expect_error.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
+#include "noc/oracle/oracle.hh"
+#include "sim/config.hh"
 #include "sim/cpuid.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -33,6 +36,7 @@ namespace
 
 using namespace rasim;
 using namespace rasim::noc;
+using oracle::Kernel;
 
 struct Delivery
 {
@@ -71,12 +75,11 @@ struct RunResult
 };
 
 NocParams
-testParams(const std::string &kernel, const std::string &simd = "auto")
+testParams(const std::string &simd = "auto")
 {
     NocParams p;
     p.columns = 6;
     p.rows = 6;
-    p.kernel = kernel;
     p.simd = simd;
     return p;
 }
@@ -125,13 +128,13 @@ recordDeliveries(Net &net, RunResult &r)
  *  its pre-traffic occupancy. */
 template <typename Net>
 RunResult
-runNet(const NocParams &params, const Traffic &traffic = {},
+runNet(const NocParams &params, Kernel kernel, const Traffic &traffic = {},
        Tick checkpoint = checkpoint_tick)
 {
     std::uint64_t live0 = packetPool().stats().live;
     {
         Simulation sim;
-        Net net(sim, "net", params);
+        Net net(sim, "net", params, nullptr, oracle::fabric<Net>(kernel));
         RunResult r;
         recordDeliveries(net, r);
         injectTraffic(net, traffic);
@@ -145,7 +148,7 @@ runNet(const NocParams &params, const Traffic &traffic = {},
         net.advanceTo(run_end);
         EXPECT_TRUE(net.idle());
         EXPECT_EQ(packetPool().stats().live, live0)
-            << "packets leaked by a drained " << params.kernel
+            << "packets leaked by a drained " << oracle::name(kernel)
             << " network";
         snapshotStats(net, r.stats);
         return r;
@@ -154,19 +157,19 @@ runNet(const NocParams &params, const Traffic &traffic = {},
 
 template <typename Net>
 RunResult
-runKernel(const std::string &kernel, const std::string &simd = "auto")
+runKernel(Kernel kernel, const std::string &simd = "auto")
 {
-    return runNet<Net>(testParams(kernel, simd));
+    return runNet<Net>(testParams(simd), kernel);
 }
 
 /** Restore `image` (a runNet checkpoint) into a fresh network and run
  *  it to the end; deliveries are those after the checkpoint. */
 template <typename Net>
 RunResult
-resumeNet(const NocParams &params, std::string image)
+resumeNet(const NocParams &params, Kernel kernel, std::string image)
 {
     Simulation sim;
-    Net net(sim, "net", params);
+    Net net(sim, "net", params, nullptr, oracle::fabric<Net>(kernel));
     RunResult r;
     recordDeliveries(net, r);
     std::uint64_t live0 = packetPool().stats().live;
@@ -177,7 +180,7 @@ resumeNet(const NocParams &params, std::string image)
     net.advanceTo(run_end);
     EXPECT_TRUE(net.idle());
     EXPECT_EQ(packetPool().stats().live, live0)
-        << "packets leaked by a drained " << params.kernel
+        << "packets leaked by a drained " << oracle::name(kernel)
         << " network after restore";
     snapshotStats(net, r.stats);
     return r;
@@ -216,9 +219,9 @@ expectSameRun(const RunResult &ref, const RunResult &got,
 
 TEST(KernelEquivalence, CycleNetworkSoaMatchesObject)
 {
-    RunResult object = runKernel<CycleNetwork>("object");
+    RunResult object = runKernel<CycleNetwork>(Kernel::Object);
     ASSERT_EQ(object.deliveries.size(), 400u);
-    RunResult soa = runKernel<CycleNetwork>("soa");
+    RunResult soa = runKernel<CycleNetwork>(Kernel::Soa);
     expectSameRun(object, soa, "cycle soa");
 }
 
@@ -244,27 +247,27 @@ maskCases()
 {
     static const std::vector<MaskCase> cases = [] {
         std::vector<MaskCase> c;
-        NocParams westfirst = testParams("object");
+        NocParams westfirst = testParams();
         westfirst.routing = "westfirst";
         c.push_back({"westfirst", westfirst, {800, 4}});
 
-        NocParams torus = testParams("object");
+        NocParams torus = testParams();
         torus.topology = "torus";
         torus.vc_classes = 2;
         c.push_back({"torus_datelines", torus, {400, 3}});
 
-        NocParams deep = testParams("object");
+        NocParams deep = testParams();
         deep.vcs_per_vnet = 4;
         deep.buffer_depth = 2;
         deep.pipeline_stages = 1;
         c.push_back({"vcs4_depth2_stages1", deep, {600, 4}});
 
-        NocParams burst = testParams("object");
+        NocParams burst = testParams();
         burst.columns = 4;
         burst.rows = 4;
         c.push_back({"saturating_burst", burst, {1500, 150}});
 
-        c.push_back({"late_checkpoint", testParams("object"), {4000, 3},
+        c.push_back({"late_checkpoint", testParams(), {4000, 3},
                      1201});
         return c;
     }();
@@ -278,14 +281,13 @@ class CycleKernelMatrix : public testing::TestWithParam<int>
 TEST_P(CycleKernelMatrix, SoaMatchesObject)
 {
     const MaskCase &c = maskCases()[GetParam()];
-    NocParams p = c.params;
-    ASSERT_LE(p.totalVcs(), 32);
-    p.kernel = "object";
-    RunResult object = runNet<CycleNetwork>(p, c.traffic, c.checkpoint);
+    const NocParams &p = c.params;
+    RunResult object =
+        runNet<CycleNetwork>(p, Kernel::Object, c.traffic, c.checkpoint);
     ASSERT_EQ(object.deliveries.size(),
               static_cast<std::size_t>(c.traffic.packets));
-    p.kernel = "soa";
-    RunResult soa = runNet<CycleNetwork>(p, c.traffic, c.checkpoint);
+    RunResult soa =
+        runNet<CycleNetwork>(p, Kernel::Soa, c.traffic, c.checkpoint);
     expectSameRun(object, soa, c.name);
 
     // The object checkpoint, taken mid-run, resumed on soa: the VC
@@ -293,13 +295,14 @@ TEST_P(CycleKernelMatrix, SoaMatchesObject)
     // FIFOs, queues and links, so the rest of the run must match the
     // object run's tail. The soa checkpoint resumed on object must
     // match it too.
-    RunResult resumed = resumeNet<CycleNetwork>(p, object.archive);
+    RunResult resumed =
+        resumeNet<CycleNetwork>(p, Kernel::Soa, object.archive);
     ASSERT_LT(resumed.deliveries.size(), object.deliveries.size());
     expectSameRun(tailOf(object, resumed.deliveries.size()), resumed,
                   std::string(c.name) + " object->soa");
 
-    p.kernel = "object";
-    RunResult back = resumeNet<CycleNetwork>(p, soa.archive);
+    RunResult back =
+        resumeNet<CycleNetwork>(p, Kernel::Object, soa.archive);
     expectSameRun(tailOf(soa, back.deliveries.size()), back,
                   std::string(c.name) + " soa->object");
 }
@@ -317,9 +320,9 @@ TEST(KernelEquivalence, LateCheckpointCatchesPartlyEjectedPackets)
         if (std::string(c.name) == "late_checkpoint")
             late = &c;
     ASSERT_NE(late, nullptr);
-    NocParams p = late->params;
-    p.kernel = "soa";
-    RunResult r = runNet<CycleNetwork>(p, late->traffic, late->checkpoint);
+    const NocParams &p = late->params;
+    RunResult r =
+        runNet<CycleNetwork>(p, Kernel::Soa, late->traffic, late->checkpoint);
     std::size_t before = 0, partly = 0;
     for (const Delivery &d : r.deliveries) {
         Tick flits = p.flitsPerPacket(d.size_bytes);
@@ -360,8 +363,9 @@ TEST(KernelEquivalence, StatsVisibleAfterEveryAdvance)
     // a checkpoint taken between calls must be byte-identical.
     for (Tick stride : {Tick(1), Tick(37)}) {
         Simulation sim;
-        CycleNetwork object(sim, "object", testParams("object"));
-        CycleNetwork soa(sim, "soa", testParams("soa"));
+        CycleNetwork object(sim, "object", testParams(), nullptr,
+                            oracle::makeCycleFabric);
+        CycleNetwork soa(sim, "soa", testParams());
         for (CycleNetwork *net : {&object, &soa}) {
             Rng rng(0x57a7, 11);
             for (int k = 0; k < 240; ++k) {
@@ -411,9 +415,9 @@ TEST(KernelEquivalence, StatsVisibleAfterEveryAdvance)
 
 TEST(KernelEquivalence, DeflectionNetworkSoaMatchesObject)
 {
-    RunResult object = runKernel<DeflectionNetwork>("object");
+    RunResult object = runKernel<DeflectionNetwork>(Kernel::Object);
     ASSERT_EQ(object.deliveries.size(), 400u);
-    RunResult soa = runKernel<DeflectionNetwork>("soa");
+    RunResult soa = runKernel<DeflectionNetwork>(Kernel::Soa);
     expectSameRun(object, soa, "deflection soa");
 }
 
@@ -423,37 +427,46 @@ TEST(KernelEquivalence, SimdLaneMatchesForcedScalar)
     // picks AVX2 on a capable host/build): the occupancy scan is the
     // only SIMD-touched code, and skipping an all-idle node is a
     // provable no-op, so the runs must agree bit for bit.
-    RunResult scalar = runKernel<CycleNetwork>("soa", "scalar");
-    RunResult dispatched = runKernel<CycleNetwork>("soa", "auto");
+    RunResult scalar = runKernel<CycleNetwork>(Kernel::Soa, "scalar");
+    RunResult dispatched = runKernel<CycleNetwork>(Kernel::Soa, "auto");
     expectSameRun(scalar, dispatched, "cycle simd lane");
 
-    RunResult dscalar = runKernel<DeflectionNetwork>("soa", "scalar");
-    RunResult ddispatched = runKernel<DeflectionNetwork>("soa", "auto");
+    RunResult dscalar = runKernel<DeflectionNetwork>(Kernel::Soa, "scalar");
+    RunResult ddispatched =
+        runKernel<DeflectionNetwork>(Kernel::Soa, "auto");
     expectSameRun(dscalar, ddispatched, "deflection simd lane");
 }
 
 TEST(KernelEquivalence, FabricDescribesItsDispatch)
 {
     Simulation sim;
-    CycleNetwork obj(sim, "obj", testParams("object"));
-    EXPECT_EQ(std::string(obj.fabric().kindName()), "object");
+    CycleNetwork obj(sim, "obj", testParams(), nullptr,
+                     oracle::makeCycleFabric);
+    EXPECT_EQ(obj.fabric().description(), "object");
 
-    CycleNetwork soa(sim, "soa", testParams("soa", "scalar"));
-    EXPECT_EQ(std::string(soa.fabric().kindName()), "soa");
-    EXPECT_NE(soa.fabric().description().find("scalar"),
-              std::string::npos);
+    CycleNetwork soa(sim, "soa", testParams("scalar"));
+    EXPECT_EQ(soa.fabric().description(), "soa (simd=scalar)");
 }
 
 TEST(KernelEquivalence, UnknownKernelRejected)
 {
-    NocParams p = testParams("object");
-    p.kernel = "vector";
-    EXPECT_SIM_ERROR(p.validate(), "unknown network.kernel");
+    // soa is the only kernel a run can select: the object kernel is a
+    // test oracle, so naming it in a config is as wrong as a typo.
+    for (const char *kernel : {"object", "vector"}) {
+        Config cfg;
+        cfg.set("network.kernel", std::string(kernel));
+        EXPECT_SIM_ERROR(NocParams::fromConfig(cfg),
+                         "unknown network.kernel");
+    }
+    Config cfg;
+    cfg.set("network.kernel", std::string("soa"));
+    NocParams::fromConfig(cfg);
+    EXPECT_TRUE(cfg.unreadKeysWithPrefix("network.").empty());
 }
 
 TEST(KernelEquivalence, UnknownSimdPolicyRejected)
 {
-    NocParams p = testParams("soa");
+    NocParams p = testParams();
     p.simd = "sse9";
     EXPECT_SIM_ERROR(p.validate(), "unknown kernel.simd");
 }
@@ -469,7 +482,7 @@ TEST(KernelEquivalence, SoaWithUnsatisfiableAvx2Rejected)
     {
         Simulation sim;
         EXPECT_SIM_ERROR(
-            CycleNetwork(sim, "net", testParams("soa", "avx2")),
+            CycleNetwork(sim, "net", testParams("avx2")),
             "avx2");
     }
     cpuid::clearHostOverrideForTest();
@@ -477,23 +490,30 @@ TEST(KernelEquivalence, SoaWithUnsatisfiableAvx2Rejected)
 
 TEST(KernelEquivalence, SoaRejectsMoreThan32VcsPerPort)
 {
-    // 3 vnets x 2 classes x 6 VCs = 36 VCs per port: more than the
-    // soa kernel's 32-bit VC masks hold. The object kernel has no such
-    // limit and builds the same configuration.
-    NocParams p = testParams("soa");
-    p.vcs_per_vnet = 6;
+    // The soa kernel's VC masks are 32 bits wide, so validate()
+    // rejects more than 32 VCs per port at the config edge, before a
+    // Hello is sent or a fabric is built. 3 vnets x 2 classes x 5 VCs
+    // = 30 fits; x 6 = 36 does not.
+    NocParams p = testParams();
     p.vc_classes = 2;
-    ASSERT_EQ(p.totalVcs(), 36);
+    p.vcs_per_vnet = 5;
+    ASSERT_EQ(p.totalVcs(), 30);
     p.validate();
+    p.vcs_per_vnet = 6;
+    ASSERT_EQ(p.totalVcs(), 36);
+    EXPECT_SIM_ERROR(p.validate(), "at most 32 VCs per port");
     {
+        // Programmatic params bypass fromConfig; the network still
+        // validates them before it builds a fabric.
         Simulation sim;
         EXPECT_SIM_ERROR(CycleNetwork(sim, "net", p),
                          "at most 32 VCs per port");
     }
-    p.kernel = "object";
-    Simulation sim;
-    CycleNetwork obj(sim, "net", p);
-    EXPECT_EQ(std::string(obj.fabric().kindName()), "object");
+
+    Config cfg;
+    cfg.set("noc.vcs_per_vnet", 11); // 33 VCs on a mesh
+    EXPECT_SIM_ERROR(NocParams::fromConfig(cfg),
+                     "at most 32 VCs per port");
 }
 
 } // namespace

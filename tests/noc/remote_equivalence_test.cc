@@ -23,6 +23,7 @@
 #include "ipc/nocd_server.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
+#include "noc/oracle/oracle.hh"
 #include "noc/remote/remote_network.hh"
 #include "sim/rng.hh"
 #include "sim/sim_error.hh"
@@ -98,13 +99,15 @@ struct RunResult
     std::unique_ptr<abstractnet::LatencyTable> table;
 };
 
-/** Ground truth: the network hosted in this process. */
+/** Ground truth: the network hosted in this process, on the soa kernel
+ *  or on the object oracle. */
 template <typename Net>
 RunResult
-runDirect(const NocParams &p)
+runDirect(const NocParams &p,
+          oracle::Kernel kernel = oracle::Kernel::Soa)
 {
     Simulation sim;
-    Net net(sim, "net", p);
+    Net net(sim, "net", p, nullptr, oracle::fabric<Net>(kernel));
     RunResult r;
     r.table =
         std::make_unique<abstractnet::LatencyTable>(shadowTable(p));
@@ -246,21 +249,17 @@ TEST_F(RemoteEquivalence, DeflectionNetworkBitIdentical)
 
 TEST_F(RemoteEquivalence, SoaKernelHostedRemotelyBitIdentical)
 {
-    // The Hello handshake carries network.kernel / kernel.simd (proto
-    // v4), so the server builds the SoA backend the client configured.
-    // The hosted SoA fabric must be bit-identical to the *object*
-    // kernel running in-process: deliveries, the stats tree and the
-    // shadow-tuned table — closing the kernel × process-boundary
-    // equivalence square.
-    NocParams obj;
-    obj.columns = 8;
-    obj.rows = 8;
-    NocParams soa = obj;
-    soa.kernel = "soa";
+    // The server always hosts the soa kernel. It must be
+    // bit-identical to the *object oracle* running in-process:
+    // deliveries, the stats tree and the shadow-tuned table — closing
+    // the kernel × process-boundary equivalence square.
+    NocParams p;
+    p.columns = 8;
+    p.rows = 8;
 
     auto check = [&](const std::string &model, RunResult &direct) {
         for (int workers : {0, 4}) {
-            RunResult remote = runRemote(soa, addr_, model, workers);
+            RunResult remote = runRemote(p, addr_, model, workers);
             ASSERT_EQ(remote.deliveries.size(),
                       direct.deliveries.size())
                 << model << " soa workers=" << workers;
@@ -276,11 +275,12 @@ TEST_F(RemoteEquivalence, SoaKernelHostedRemotelyBitIdentical)
         }
     };
 
-    RunResult cyc = runDirect<CycleNetwork>(obj);
+    RunResult cyc = runDirect<CycleNetwork>(p, oracle::Kernel::Object);
     ASSERT_EQ(cyc.deliveries.size(), 600u);
     check("cycle", cyc);
 
-    RunResult def = runDirect<DeflectionNetwork>(obj);
+    RunResult def =
+        runDirect<DeflectionNetwork>(p, oracle::Kernel::Object);
     ASSERT_EQ(def.deliveries.size(), 600u);
     check("deflection", def);
 }

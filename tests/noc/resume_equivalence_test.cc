@@ -5,7 +5,8 @@
  * archiving the network, restoring into a freshly constructed one and
  * finishing the run — same per-packet delivery order, ticks and hop
  * counts, and the same rendered statistics — for both detailed
- * backends, on the serial and the pooled engine.
+ * models, on the serial and the pooled engine, and with the checkpoint
+ * hopping between the soa kernel and the object oracle either way.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
+#include "noc/oracle/oracle.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -29,6 +31,7 @@ namespace
 
 using namespace rasim;
 using namespace rasim::noc;
+using oracle::Kernel;
 
 constexpr Tick run_end = 20000;
 constexpr int num_packets = 600;
@@ -67,12 +70,11 @@ struct RunResult
 };
 
 NocParams
-testParams(const std::string &kernel = "object")
+testParams()
 {
     NocParams p;
     p.columns = 8;
     p.rows = 8;
-    p.kernel = kernel;
     return p;
 }
 
@@ -115,13 +117,12 @@ runStraight(StepEngine *engine)
 
 /** Run to `mid`, archive, restore into a fresh network and finish.
  *  The save-side and restore-side compute kernels are independent:
- *  both backends emit and accept the same archive bytes, so a
- *  checkpoint can hop between them in either direction. */
+ *  the soa kernel and the object oracle emit and accept the same
+ *  archive bytes, so a checkpoint can hop between them either way. */
 template <typename Net>
 RunResult
-runSplit(StepEngine *engine, Tick mid,
-         const std::string &save_kernel = "object",
-         const std::string &restore_kernel = "object")
+runSplit(StepEngine *engine, Tick mid, Kernel save_kernel = Kernel::Soa,
+         Kernel restore_kernel = Kernel::Soa)
 {
     RunResult r;
     auto record = [&r](const PacketPtr &pkt) {
@@ -132,7 +133,8 @@ runSplit(StepEngine *engine, Tick mid,
     std::string image;
     {
         Simulation sim;
-        Net net(sim, "net", testParams(save_kernel));
+        Net net(sim, "net", testParams(), nullptr,
+                oracle::fabric<Net>(save_kernel));
         if (engine)
             net.setEngine(engine);
         net.setDeliveryHandler(record);
@@ -148,7 +150,8 @@ runSplit(StepEngine *engine, Tick mid,
     } // the original network is gone — restore starts from scratch
 
     Simulation sim;
-    Net net(sim, "net", testParams(restore_kernel));
+    Net net(sim, "net", testParams(), nullptr,
+            oracle::fabric<Net>(restore_kernel));
     if (engine)
         net.setEngine(engine);
     net.setDeliveryHandler(record);
@@ -202,18 +205,20 @@ expectResumeEquivalence()
         expectIdentical(ref, parallel,
                         "parallel split at " + std::to_string(mid));
 
-        // The SoA kernel emits and accepts the same archive bytes, so
-        // the full matrix — soa→soa, and a checkpoint hopping between
-        // kernels in either direction — must land on the same run.
-        RunResult soa = runSplit<Net>(nullptr, mid, "soa", "soa");
-        expectIdentical(ref, soa,
-                        "soa split at " + std::to_string(mid));
+        // The object oracle emits and accepts the same archive bytes,
+        // so the full matrix — object→object, and a checkpoint hopping
+        // between kernels in either direction — must land on the same
+        // run.
+        RunResult obj = runSplit<Net>(nullptr, mid, Kernel::Object,
+                                      Kernel::Object);
+        expectIdentical(ref, obj,
+                        "object split at " + std::to_string(mid));
         RunResult obj_to_soa =
-            runSplit<Net>(nullptr, mid, "object", "soa");
+            runSplit<Net>(nullptr, mid, Kernel::Object, Kernel::Soa);
         expectIdentical(ref, obj_to_soa,
                         "object->soa split at " + std::to_string(mid));
         RunResult soa_to_obj =
-            runSplit<Net>(nullptr, mid, "soa", "object");
+            runSplit<Net>(nullptr, mid, Kernel::Soa, Kernel::Object);
         expectIdentical(ref, soa_to_obj,
                         "soa->object split at " + std::to_string(mid));
     }

@@ -76,7 +76,6 @@ TEST(ParallelEngine, WorkerCountApi)
     EXPECT_EQ(engine.numWorkers(), 3);
     ParallelEngine none(0);
     EXPECT_EQ(none.numWorkers(), 0);
-    EXPECT_GE(ParallelEngine::defaultWorkerCount(), 1);
 }
 
 TEST(ParallelEngine, OversubscribedPoolWarnsOnceWithoutClamping)
