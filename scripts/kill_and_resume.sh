@@ -43,7 +43,12 @@ supervisor="$build/src/ipc/rasim-supervisor"
 work="$(mktemp -d)"
 sup_pid=""
 cleanup() {
-    [ -n "$sup_pid" ] && kill "$sup_pid" 2> /dev/null || true
+    if [ -n "$sup_pid" ]; then
+        kill "$sup_pid" 2> /dev/null || true
+        # The supervisor rewrites $work/registry as it shuts down; let
+        # that write land before the directory goes.
+        wait "$sup_pid" 2> /dev/null || true
+    fi
     rm -rf "$work"
 }
 trap cleanup EXIT

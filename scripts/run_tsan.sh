@@ -5,8 +5,8 @@
 # (serial-vs-parallel differentials of the soa kernel, whose flat
 # occupancy arrays rely on the single-writer-per-phase discipline TSan
 # validates, and of the oracle), cosim (overlapped bridge determinism)
-# and ipc (the multiplexing rasim-nocd daemon — session threads, fair
-# scheduler, drain and watchdog, and the multi-session soak).
+# and ipc (the multiplexing rasim-nocd daemon — session threads, drain
+# and watchdog, and the multi-session soak).
 #
 # Usage: scripts/run_tsan.sh [build-dir]
 set -euo pipefail

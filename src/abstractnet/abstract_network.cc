@@ -43,15 +43,11 @@ AbstractNetwork::AbstractNetwork(Simulation &sim, const std::string &name,
       params_(params), mode_(mode),
       topo_(noc::makeTopology(params.topology, params.columns,
                               params.rows)),
-      table_(params,
-             topo_->minHops(0, static_cast<NodeId>(topo_->numNodes() - 1)) +
-                 topo_->columns() + topo_->rows(),
-             sim.config().getDouble("abstract.ewma_alpha", 0.05),
-             sim.config().getString("abstract.granularity",
-                                    "distance") == "pair"
-                 ? LatencyTable::Granularity::Pair
-                 : LatencyTable::Granularity::Distance,
-             topo_->numNodes()),
+      table_(LatencyTable::fromConfig(
+          sim.config(), params,
+          topo_->minHops(0, static_cast<NodeId>(topo_->numNodes() - 1)) +
+              topo_->columns() + topo_->rows(),
+          topo_->numNodes())),
       window_(sim.config().getUInt("abstract.window", 256)),
       contention_cap_(
           sim.config().getDouble("abstract.contention_cap", 64.0)),

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "abstractnet/latency_model.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
@@ -33,6 +34,21 @@ LatencyTable::LatencyTable(const noc::NocParams &params, int max_hops,
         pair_entries_.resize(static_cast<std::size_t>(noc::num_vnets) *
                              num_nodes_ * num_nodes_);
     }
+}
+
+LatencyTable
+LatencyTable::fromConfig(const Config &cfg, const noc::NocParams &params,
+                         int max_hops, int num_nodes)
+{
+    double alpha = cfg.getDouble("abstract.ewma_alpha", 0.05);
+    std::string name = cfg.getString("abstract.granularity", "distance");
+    Granularity granularity = Granularity::Distance;
+    if (name == "pair")
+        granularity = Granularity::Pair;
+    else if (name != "distance")
+        fatal("abstract.granularity must be distance or pair, not '",
+              name, "'");
+    return LatencyTable(params, max_hops, alpha, granularity, num_nodes);
 }
 
 std::size_t

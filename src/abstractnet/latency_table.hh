@@ -18,6 +18,9 @@
 
 namespace rasim
 {
+
+class Config;
+
 namespace abstractnet
 {
 
@@ -59,6 +62,16 @@ class LatencyTable
                  double alpha = 0.05,
                  Granularity granularity = Granularity::Distance,
                  int num_nodes = 0);
+
+    /**
+     * The table every co-simulation side builds from one Config:
+     * alpha from abstract.ewma_alpha (default 0.05) and granularity
+     * from abstract.granularity ("distance", the default, or "pair";
+     * anything else is fatal, a SimError(Config) under ThrowOnError).
+     */
+    static LatencyTable fromConfig(const Config &cfg,
+                                   const noc::NocParams &params,
+                                   int max_hops, int num_nodes);
 
     /**
      * Fold one observed delivery into the estimator. src/dst refine

@@ -43,13 +43,10 @@ QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
       backend_(backend), options_(options), net_params_(net_params),
       topo_(noc::makeTopology(net_params.topology, net_params.columns,
                               net_params.rows)),
-      table_(net_params, net_params.columns + net_params.rows + 2,
-             sim.config().getDouble("abstract.ewma_alpha", 0.05),
-             sim.config().getString("abstract.granularity",
-                                    "distance") == "pair"
-                 ? abstractnet::LatencyTable::Granularity::Pair
-                 : abstractnet::LatencyTable::Granularity::Distance,
-             net_params.numNodes()),
+      table_(abstractnet::LatencyTable::fromConfig(
+          sim.config(), net_params,
+          net_params.columns + net_params.rows + 2,
+          net_params.numNodes())),
       checkpoint_(table_)
 {
     if (options_.quantum == 0)

@@ -125,8 +125,8 @@ FullSystem::FullSystem(Config cfg, FullSystemOptions options)
             // server hosts the parallel engine too, so the requested
             // worker count travels with the session.
             noc::remote::RemoteOptions ro = options_.remote;
-            if (ro.engine_workers == 0 && options_.parallel)
-                ro.engine_workers = options_.engine_workers;
+            ro.engine_workers =
+                options_.parallel ? options_.engine_workers : 0;
             remote_net_ = std::make_unique<noc::remote::RemoteNetwork>(
                 *sim_, "net", options_.noc, ro);
             backend = remote_net_.get();
@@ -186,7 +186,7 @@ FullSystem::FullSystem(Config cfg, FullSystemOptions options)
         break;
     }
     // With a remote backend the parallel engine runs inside the
-    // server (wired through remote.engine_workers above); a client
+    // server (its worker count travels in the Hello above); a client
     // pool would have nothing to drive.
     if (remote_net_)
         bo.engine_workers = 0;

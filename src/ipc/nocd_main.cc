@@ -6,18 +6,12 @@
  * clients (network.backend=remote) drive it with the quantum-RPC
  * protocol.
  *
- * Usage: rasim-nocd [address] [--once] [--serve-limit N]
- *                   [--max-sessions N] [--max-active N]
- *                   [--quota-frames N] [--max-batch-packets N]
- *                   [--io-timeout-ms MS] [--drain-timeout MS]
+ * Usage: rasim-nocd [address] [--max-sessions N]
+ *                   [--max-batch-packets N] [--drain-timeout MS]
  *                   [--session-timeout-ms MS] [key=value ...]
  *
- *   --once / --serve-limit   exit after serving N sessions (tooling)
  *   --max-sessions           concurrent-session admission cap
- *   --max-active             sessions computing at once (0 = auto)
- *   --quota-frames           consecutive grants before a forced yield
  *   --max-batch-packets      per-batch quota (refused as backpressure)
- *   --io-timeout-ms          drop a session silent for this long
  *   --drain-timeout          SIGTERM grace period for live sessions
  *   --session-timeout-ms     watchdog: reap frame-less sessions
  *
@@ -76,12 +70,8 @@ struct FlagKey
 };
 
 constexpr FlagKey flag_keys[] = {
-    {"--serve-limit", "server.serve_limit"},
     {"--max-sessions", "server.max_sessions"},
-    {"--max-active", "server.max_active"},
-    {"--quota-frames", "server.quota_frames"},
     {"--max-batch-packets", "server.max_batch_packets"},
-    {"--io-timeout-ms", "server.io_timeout_ms"},
     {"--drain-timeout", "server.drain_timeout_ms"},
     {"--session-timeout-ms", "server.session_timeout_ms"},
 };
@@ -99,10 +89,8 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [address] [--once] [--serve-limit N] "
-                 "[--max-sessions N] [--max-active N] "
-                 "[--quota-frames N] [--max-batch-packets N] "
-                 "[--io-timeout-ms MS] [--drain-timeout MS] "
+                 "usage: %s [address] [--max-sessions N] "
+                 "[--max-batch-packets N] [--drain-timeout MS] "
                  "[--session-timeout-ms MS] [key=value ...]\n"
                  "  address    unix:/path, tcp:host:port, or a bare "
                  "path (default unix:/tmp/rasim-nocd.sock)\n"
@@ -129,9 +117,7 @@ main(int argc, char **argv)
             const char *arg = argv[i];
             if (std::strchr(arg, '=') != nullptr)
                 continue; // consumed by parseArgs above
-            if (std::strcmp(arg, "--once") == 0) {
-                cfg.set("server.serve_limit", std::string("1"));
-            } else if (const char *key = keyOfFlag(arg)) {
+            if (const char *key = keyOfFlag(arg)) {
                 if (i + 1 >= argc)
                     return usage(argv[0]);
                 cfg.set(key, std::string(argv[++i]));

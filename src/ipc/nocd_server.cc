@@ -188,33 +188,6 @@ struct NocServer::Worker
     std::atomic<bool> reaped{false};
 };
 
-/** RAII compute grant: waits for a FairScheduler slot on entry,
- *  releases it on exit, and feeds the wait/yield counters. */
-class NocServer::Turn
-{
-  public:
-    Turn(NocServer &srv, std::uint64_t id) : srv_(srv)
-    {
-        bool quota_yield = false;
-        srv_.sched_.acquire(id, srv_.stop_, waited_, quota_yield);
-        if (waited_)
-            srv_.sched_waits_.fetch_add(1, std::memory_order_relaxed);
-        if (quota_yield)
-            srv_.quota_yields_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~Turn() { srv_.sched_.release(); }
-
-    Turn(const Turn &) = delete;
-    Turn &operator=(const Turn &) = delete;
-
-    /** True when the grant had to queue behind other sessions. */
-    bool waited() const { return waited_; }
-
-  private:
-    NocServer &srv_;
-    bool waited_ = false;
-};
-
 namespace
 {
 
@@ -261,99 +234,21 @@ NocServerOptions::fromConfig(const Config &cfg)
     NocServerOptions o;
     o.address = cfg.getString("server.address", o.address);
     o.max_sessions = cfg.getUInt("server.max_sessions", o.max_sessions);
-    o.serve_limit = cfg.getUInt("server.serve_limit", o.serve_limit);
-    o.io_timeout_ms =
-        cfg.getDouble("server.io_timeout_ms", o.io_timeout_ms);
-    o.max_active = static_cast<int>(cfg.getUInt(
-        "server.max_active", static_cast<std::uint64_t>(o.max_active)));
-    o.quota_frames = static_cast<std::uint32_t>(
-        cfg.getUInt("server.quota_frames", o.quota_frames));
     o.max_batch_packets =
         cfg.getUInt("server.max_batch_packets", o.max_batch_packets);
     o.drain_timeout_ms =
         cfg.getDouble("server.drain_timeout_ms", o.drain_timeout_ms);
     o.session_timeout_ms =
         cfg.getDouble("server.session_timeout_ms", o.session_timeout_ms);
-    if (o.io_timeout_ms < 0.0 || o.drain_timeout_ms < 0.0 ||
-        o.session_timeout_ms < 0.0)
+    if (o.drain_timeout_ms < 0.0 || o.session_timeout_ms < 0.0)
         fatal("server.*_timeout_ms must be non-negative");
     o.fault = TransportFaultOptions::fromConfig(cfg);
     return o;
 }
 
-void
-NocServer::FairScheduler::configure(int max_active,
-                                    std::uint32_t quota_frames)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    max_active_ = max_active > 0 ? max_active : 1;
-    // quota 0 = unlimited consecutive grants (never force a yield).
-    quota_ = quota_frames > 0 ? quota_frames : ~std::uint32_t(0);
-}
-
-void
-NocServer::FairScheduler::acquire(std::uint64_t id,
-                                  const std::atomic<bool> &stop,
-                                  bool &waited, bool &quota_yield)
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    auto grant = [&] {
-        ++active_;
-        if (last_id_ == id) {
-            ++consecutive_;
-        } else {
-            last_id_ = id;
-            consecutive_ = 1;
-        }
-    };
-    // A session continuing its streak may barge ahead of the queue
-    // (its state is hot) until it exhausts quota_ consecutive grants;
-    // after that it takes its place at the back — block round-robin
-    // with block size quota_frames.
-    bool streak = last_id_ == id && consecutive_ < quota_;
-    if (active_ < max_active_ && (queue_.empty() || streak)) {
-        grant();
-        return;
-    }
-    waited = true;
-    quota_yield =
-        !queue_.empty() && last_id_ == id && consecutive_ >= quota_;
-    queue_.push_back(id);
-    // Timed slices instead of a pure notify wake: stop() is a plain
-    // atomic store (it must stay async-signal-safe), so shutdown is
-    // noticed by polling, not by notification.
-    while (!stop.load(std::memory_order_relaxed) &&
-           !(queue_.front() == id && active_ < max_active_)) {
-        cv_.wait_for(lk, std::chrono::milliseconds(20));
-    }
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (*it == id) {
-            queue_.erase(it);
-            break;
-        }
-    }
-    // On shutdown this over-grants past max_active_ — harmless, every
-    // session is winding down anyway.
-    grant();
-}
-
-void
-NocServer::FairScheduler::release()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    --active_;
-    cv_.notify_all();
-}
-
 NocServer::NocServer(NocServerOptions opts) : opts_(std::move(opts))
 {
     listener_ = listenOn(opts_.address);
-    int max_active = opts_.max_active;
-    if (max_active <= 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        max_active = hw > 1 ? static_cast<int>(hw - 1) : 1;
-    }
-    sched_.configure(max_active, opts_.quota_frames);
 }
 
 NocServer::~NocServer()
@@ -392,8 +287,6 @@ NocServer::counters() const
     c.sessions_rejected =
         sessions_rejected_.load(std::memory_order_relaxed);
     c.frames = frames_.load(std::memory_order_relaxed);
-    c.sched_waits = sched_waits_.load(std::memory_order_relaxed);
-    c.quota_yields = quota_yields_.load(std::memory_order_relaxed);
     c.quota_trips = quota_trips_.load(std::memory_order_relaxed);
     c.sessions_reaped =
         sessions_reaped_.load(std::memory_order_relaxed);
@@ -497,9 +390,6 @@ NocServer::run()
             sessions_active_.fetch_sub(1, std::memory_order_relaxed);
             w->done.store(true, std::memory_order_release);
         });
-
-        if (opts_.serve_limit > 0 && id >= opts_.serve_limit)
-            break; // --once and friends: drain, then return
     }
     if (drain_.load(std::memory_order_relaxed) &&
         !stop_.load(std::memory_order_relaxed)) {
@@ -574,12 +464,12 @@ NocServer::serveConnection(Worker &w, std::uint64_t id)
         // reply went out whole, nothing has been read of the next
         // request, so closing now leaves no torn frame on the wire.
         if (drain_.load(std::memory_order_relaxed)) {
-            drainTail(conn, session, id);
+            drainTail(conn, session);
             return;
         }
         std::optional<Message> msg;
         try {
-            msg = recvMessage(conn, opts_.io_timeout_ms, &wake_);
+            msg = recvMessage(conn, 0.0, &wake_);
         } catch (const SimError &) {
             // A read cut short by shutdown is the wind-down working,
             // not a session failure. On drain the wake may have
@@ -588,7 +478,7 @@ NocServer::serveConnection(Worker &w, std::uint64_t id)
             if (stop_.load(std::memory_order_relaxed))
                 return;
             if (drain_.load(std::memory_order_relaxed)) {
-                drainTail(conn, session, id);
+                drainTail(conn, session);
                 return;
             }
             throw;
@@ -597,15 +487,14 @@ NocServer::serveConnection(Worker &w, std::uint64_t id)
             return; // clean EOF: the client is gone
         w.last_active_ms.store(nowMs(), std::memory_order_relaxed);
         frames_.fetch_add(1, std::memory_order_relaxed);
-        if (!dispatch(conn, *msg, session, id))
+        if (!dispatch(conn, *msg, session))
             return;
         w.last_active_ms.store(nowMs(), std::memory_order_relaxed);
     }
 }
 
 void
-NocServer::drainTail(ByteChannel &conn,
-                     std::unique_ptr<Session> &session, std::uint64_t id)
+NocServer::drainTail(ByteChannel &conn, std::unique_ptr<Session> &session)
 {
     // A request that was already on the wire when the drain landed
     // gets its reply before the frame-boundary close; a client racing
@@ -613,12 +502,11 @@ NocServer::drainTail(ByteChannel &conn,
     // daemon had gone away an instant earlier.
     try {
         while (conn.valid() && conn.readable()) {
-            std::optional<Message> msg =
-                recvMessage(conn, opts_.io_timeout_ms);
+            std::optional<Message> msg = recvMessage(conn, 0.0);
             if (!msg)
                 return;
             frames_.fetch_add(1, std::memory_order_relaxed);
-            if (!dispatch(conn, *msg, session, id))
+            if (!dispatch(conn, *msg, session))
                 return;
         }
     } catch (const SimError &) {
@@ -629,7 +517,7 @@ NocServer::drainTail(ByteChannel &conn,
 
 bool
 NocServer::dispatch(ByteChannel &conn, Message &msg,
-                    std::unique_ptr<Session> &session, std::uint64_t id)
+                    std::unique_ptr<Session> &session)
 {
     // Every failure below is reported to the client as a typed
     // ErrorReply; only transport trouble while replying propagates.
@@ -663,12 +551,7 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
           case MsgType::Hello: {
             HelloRequest req = decodeHello(msg.ar);
             msg.done();
-            {
-                // Construction can fast-forward a reconnecting
-                // session arbitrarily far: that is compute.
-                Turn turn(*this, id);
-                session = std::make_unique<Session>(req);
-            }
+            session = std::make_unique<Session>(req);
             HelloReply rep;
             rep.num_nodes = session->net->numNodes();
             rep.cur_time = session->net->curTime();
@@ -690,20 +573,15 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
                         " packets exceeds server quota of " +
                         std::to_string(opts_.max_batch_packets));
             }
-            bool waited = false;
-            {
-                Turn turn(*this, id);
-                session->deliveries.clear();
-                for (const auto &pkt : req.packets)
-                    session->net->inject(pkt);
-                session->net->advanceTo(req.target);
-                waited = turn.waited();
-            }
-            std::uint8_t flags = waited ? step_flag_throttled : 0;
+            session->deliveries.clear();
+            for (const auto &pkt : req.packets)
+                session->net->inject(pkt);
+            session->net->advanceTo(req.target);
             AdvanceReply rep = session->takeReply();
+            std::uint8_t flags = 0;
             std::uint64_t digest = 0;
             if (req.attest) {
-                flags |= step_flag_attested;
+                flags = step_flag_attested;
                 digest = session->stateDigest();
             }
             ArchiveWriter aw = beginMessage(MsgType::StepReply);
@@ -730,10 +608,7 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
           case MsgType::CkptSave: {
             msg.done();
             ArchiveWriter image;
-            {
-                Turn turn(*this, id);
-                session->save(image);
-            }
+            session->save(image);
             CkptReply rep;
             rep.image = image.finish();
             // Attest the image bytes themselves: a replica restored
@@ -754,22 +629,18 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
                                "corrupt checkpoint image: " +
                                    image.error());
             }
-            {
-                Turn turn(*this, id);
-                try {
-                    // A CRC-valid image whose structure is not a
-                    // session checkpoint must be a typed refusal, not
-                    // an archive-misuse panic: it came off the wire.
-                    logging::ThrowOnError guard;
-                    session->restore(image);
-                } catch (const SimError &err) {
-                    if (err.kind() == ErrorKind::Config)
-                        throw;
-                    throw SimError(ErrorKind::Transport,
-                                   std::string(
-                                       "corrupt checkpoint image: ") +
-                                       err.what());
-                }
+            try {
+                // A CRC-valid image whose structure is not a session
+                // checkpoint must be a typed refusal, not an
+                // archive-misuse panic: it came off the wire.
+                logging::ThrowOnError guard;
+                session->restore(image);
+            } catch (const SimError &err) {
+                if (err.kind() == ErrorKind::Config)
+                    throw;
+                throw SimError(ErrorKind::Transport,
+                               std::string("corrupt checkpoint image: ") +
+                                   err.what());
             }
             CkptLoadReply rep;
             rep.cur_time = session->net->curTime();

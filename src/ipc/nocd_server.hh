@@ -14,15 +14,17 @@
  * dedicated server, which is exactly what the multi-session soak
  * test asserts.
  *
- * Fairness and backpressure: a round-robin FairScheduler bounds how
- * many sessions compute at once (server.max_active) and forces a
- * session that has taken server.quota_frames consecutive compute
- * grants to yield while others wait. A hard per-batch packet quota
+ * No compute gate: each session computes on its own thread as soon
+ * as its request arrives, so a single session never waits on a lock
+ * and concurrent sessions share the host's cores like any other
+ * threads. Backpressure: a hard per-batch packet quota
  * (server.max_batch_packets) refuses absurd inject batches with a
  * typed "backpressure:" ErrorReply — the client's health machinery
  * turns that into a quarantine instead of letting one client starve
  * the daemon. Admission control (server.max_sessions) rejects
- * connections beyond the concurrent cap at Hello time.
+ * connections beyond the concurrent cap at Hello time, and the
+ * session watchdog (server.session_timeout_ms) frees the seat of a
+ * client that vanished or hung mid-frame.
  *
  * A session never runs ahead of its client: every Step is executed
  * when it arrives and answered at once (protocol v5), because under
@@ -44,9 +46,7 @@
 #define RASIM_IPC_NOCD_SERVER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -72,20 +72,6 @@ struct NocServerOptions
     /** Concurrent-session cap (admission control); a connection over
      *  the cap is refused with a typed ErrorReply. 0 = unlimited. */
     std::uint64_t max_sessions = 0;
-    /** Exit after this many sessions have been accepted *and served
-     *  to completion* (0 = serve forever). The --once tooling hook,
-     *  orthogonal to the concurrent cap above. */
-    std::uint64_t serve_limit = 0;
-    /** Idle deadline while waiting for the next request inside a
-     *  session, in ms (0 = wait forever). A client that vanished
-     *  without closing its socket frees the server after this long. */
-    double io_timeout_ms = 0.0;
-    /** Sessions allowed to run simulation work at once (0 = auto:
-     *  hardware threads minus one, at least one). */
-    int max_active = 0;
-    /** Consecutive compute grants one session may take while others
-     *  are waiting before it is forced to the back of the queue. */
-    std::uint32_t quota_frames = 64;
     /** Hard per-batch packet quota; a larger inject batch is refused
      *  with a "backpressure:" ErrorReply. 0 = unlimited. */
     std::uint64_t max_batch_packets = 1u << 20;
@@ -108,8 +94,8 @@ struct NocServerOptions
     static NocServerOptions fromConfig(const Config &cfg);
 };
 
-/** Monotonic scheduler/admission counters, exported for
- *  observability and asserted sane by the multi-session soak test. */
+/** Monotonic admission counters, exported for observability and
+ *  asserted sane by the multi-session soak test. */
 struct NocServerCounters
 {
     std::uint64_t sessions_served = 0;   ///< connections admitted
@@ -117,8 +103,6 @@ struct NocServerCounters
     std::uint64_t sessions_peak = 0;     ///< high-water mark of active
     std::uint64_t sessions_rejected = 0; ///< refused over the cap
     std::uint64_t frames = 0;            ///< requests dispatched
-    std::uint64_t sched_waits = 0;       ///< grants that had to queue
-    std::uint64_t quota_yields = 0;      ///< forced round-robin yields
     std::uint64_t quota_trips = 0;       ///< batches refused (quota)
     std::uint64_t sessions_reaped = 0;   ///< hung sessions watchdogged
 };
@@ -139,9 +123,9 @@ class NocServer
     NocServer &operator=(const NocServer &) = delete;
 
     /**
-     * Accept and serve sessions until stop() is called or serve_limit
-     * is reached, each session on its own thread. Blocking; run it on
-     * a thread when the server shares a process with the client.
+     * Accept and serve sessions until stop() or drain() is called,
+     * each session on its own thread. Blocking; run it on a thread
+     * when the server shares a process with the client.
      */
     void run();
 
@@ -166,47 +150,12 @@ class NocServer
         return sessions_served_.load(std::memory_order_relaxed);
     }
 
-    /** Snapshot of the scheduler/admission counters. */
+    /** Snapshot of the admission counters. */
     NocServerCounters counters() const;
 
   private:
     struct Session;
     struct Worker;
-
-    /**
-     * Round-robin compute gate: at most max_active sessions simulate
-     * at once, FIFO among waiters, and a session that has taken
-     * quota_frames consecutive grants while others wait is sent to
-     * the back of the queue. IO never holds a grant — only network
-     * advances, checkpoint work and session construction do.
-     */
-    class FairScheduler
-    {
-      public:
-        void configure(int max_active, std::uint32_t quota_frames);
-
-        /** Block until this session may compute. Sets @p waited /
-         *  @p quota_yield for the counters. Waits in short timed
-         *  slices so a plain store to @p stop (all stop() does — it
-         *  must stay async-signal-safe) grants every waiter promptly
-         *  during shutdown. Every acquire pairs with a release. */
-        void acquire(std::uint64_t id, const std::atomic<bool> &stop,
-                     bool &waited, bool &quota_yield);
-        void release();
-
-      private:
-        std::mutex mu_;
-        std::condition_variable cv_;
-        std::deque<std::uint64_t> queue_;
-        int active_ = 0;
-        int max_active_ = 1;
-        std::uint32_t quota_ = 64;
-        std::uint64_t last_id_ = 0;
-        std::uint32_t consecutive_ = 0;
-    };
-
-    /** RAII compute grant, bumping the wait/yield counters. */
-    class Turn;
 
     /** Serve one connection until Bye/EOF/stop/drain (worker
      *  thread). The channel view of the Fd is wrapped in a
@@ -215,13 +164,12 @@ class NocServer
 
     /** Handle one request; false ends the session. */
     bool dispatch(ByteChannel &conn, Message &msg,
-                  std::unique_ptr<Session> &session, std::uint64_t id);
+                  std::unique_ptr<Session> &session);
 
     /** Serve whatever requests were already buffered on the socket
      *  when the drain landed, then let the session close at its frame
      *  boundary. Best-effort: never throws. */
-    void drainTail(ByteChannel &conn, std::unique_ptr<Session> &session,
-                   std::uint64_t id);
+    void drainTail(ByteChannel &conn, std::unique_ptr<Session> &session);
 
     /** Join finished workers; with @p all also join the live ones. */
     void reapWorkers(bool all);
@@ -241,7 +189,6 @@ class NocServer
     /** Set with either stop_ or drain_: wakes blocking accepts and
      *  session reads promptly (they poll it in timed slices). */
     std::atomic<bool> wake_{false};
-    FairScheduler sched_;
 
     std::mutex workers_mu_;
     std::vector<std::unique_ptr<Worker>> workers_;
@@ -251,8 +198,6 @@ class NocServer
     std::atomic<std::uint64_t> sessions_peak_{0};
     std::atomic<std::uint64_t> sessions_rejected_{0};
     std::atomic<std::uint64_t> frames_{0};
-    std::atomic<std::uint64_t> sched_waits_{0};
-    std::atomic<std::uint64_t> quota_yields_{0};
     std::atomic<std::uint64_t> quota_trips_{0};
     std::atomic<std::uint64_t> sessions_reaped_{0};
 };

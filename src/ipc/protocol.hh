@@ -116,12 +116,12 @@ struct StepRequest
     std::vector<noc::PacketPtr> packets;
 };
 
-/** @name StepReply flag bits (the throttled bit is observability
- *  only; the attested bit additionally gates a digest field). Bits 1
- *  and 2 were retired in v5 and stay unassigned. */
+/** @name StepReply flag bits (the attested bit gates a digest
+ *  field). Bits 1 and 2 were retired in v5. Bit 4 is unassigned too:
+ *  a v6 server that still has a compute gate may set it, and clients
+ *  ignore it. */
 /// @{
-constexpr std::uint8_t step_flag_throttled = 4; ///< fair-sched wait
-constexpr std::uint8_t step_flag_attested = 8;  ///< digest appended
+constexpr std::uint8_t step_flag_attested = 8; ///< digest appended
 /// @}
 
 /** Liveness probe (v3): legal before Hello, so a sessionless

@@ -308,13 +308,13 @@ SoaCycleFabric::enqueue(std::size_t node, const PacketPtr &pkt,
     for (std::uint32_t i = 0; i < nflits; ++i) {
         SoaFlit f;
         if (nflits == 1)
-            f.type = Flit::Type::HeadTail;
+            f.type = FlitType::HeadTail;
         else if (i == 0)
-            f.type = Flit::Type::Head;
+            f.type = FlitType::Head;
         else if (i == nflits - 1)
-            f.type = Flit::Type::Tail;
+            f.type = FlitType::Tail;
         else
-            f.type = Flit::Type::Body;
+            f.type = FlitType::Body;
         f.vnet = vnet;
         f.seq = static_cast<std::uint16_t>(i);
         f.slot = slot;
@@ -855,7 +855,7 @@ SoaCycleFabric::restoreSoaFlit(
     ArchiveReader &ar, const FlatMap<PacketId, std::uint32_t> &slot_of)
 {
     SoaFlit f;
-    f.type = static_cast<Flit::Type>(ar.getU8());
+    f.type = static_cast<FlitType>(ar.getU8());
     f.vnet = ar.getU8();
     f.vc = static_cast<std::int8_t>(ar.getU8());
     f.vc_class = ar.getU8();

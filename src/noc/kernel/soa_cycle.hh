@@ -109,17 +109,16 @@ class SoaCycleFabric : public CycleFabric
     static constexpr int max_ports = 16;
 
     /**
-     * A flit as this kernel stores it: the fields of noc::Flit with
-     * the packet as an index into the slot table (slot_pkt_,
-     * slot_owner_) instead of a refcounted handle, so moving a flit
-     * is a plain copy.
+     * A flit as this kernel stores it: the packet is an index into
+     * the slot table (slot_pkt_, slot_owner_) instead of a
+     * refcounted handle, so moving a flit is a plain copy.
      */
     struct SoaFlit
     {
         Cycle ready_cycle = 0;
         std::uint32_t slot = 0;
         std::uint16_t seq = 0;
-        Flit::Type type = Flit::Type::HeadTail;
+        FlitType type = FlitType::HeadTail;
         std::uint8_t vnet = 0;
         std::int8_t vc = -1;
         std::uint8_t vc_class = 0;
@@ -127,13 +126,13 @@ class SoaCycleFabric : public CycleFabric
 
         bool isHead() const
         {
-            return type == Flit::Type::Head ||
-                   type == Flit::Type::HeadTail;
+            return type == FlitType::Head ||
+                   type == FlitType::HeadTail;
         }
         bool isTail() const
         {
-            return type == Flit::Type::Tail ||
-                   type == Flit::Type::HeadTail;
+            return type == FlitType::Tail ||
+                   type == FlitType::HeadTail;
         }
     };
     static_assert(std::is_trivially_copyable_v<SoaFlit>);
@@ -318,7 +317,9 @@ class SoaCycleFabric : public CycleFabric
     static std::uint8_t dimOf(int port);
     int allocateOutVc(int i, int out_port, int vnet, int cls);
 
-    /** Checkpoint a flit with the bytes saveFlit writes. */
+    /** Checkpoint a flit: its fields, then the packet id and a
+     *  has-packet flag (always true here). The object oracle writes
+     *  the same bytes. */
     void saveSoaFlit(ArchiveWriter &aw, const SoaFlit &f) const;
     static SoaFlit
     restoreSoaFlit(ArchiveReader &ar,

@@ -2,7 +2,7 @@
  * @file
  * Network packets and flits. A Packet is the unit the full system
  * injects and receives; inside the cycle-level network it is carried
- * as a wormhole of Flits.
+ * as a wormhole of flits.
  */
 
 #ifndef RASIM_NOC_PACKET_HH
@@ -92,46 +92,14 @@ PacketPtr makePacket(PacketId id, NodeId src, NodeId dst, MsgClass cls,
 /** Pool-allocated field-for-field copy of @p src. */
 PacketPtr clonePacket(const Packet &src);
 
-/**
- * One flow-control unit of a packet. Single-flit packets are marked
- * HeadTail.
- */
-struct Flit
+/** Position of a flit (flow-control unit) in its packet; single-flit
+ *  packets are HeadTail. Checkpointed as one byte. */
+enum class FlitType : std::uint8_t
 {
-    enum class Type : std::uint8_t { Head, Body, Tail, HeadTail };
-
-    Type type = Type::HeadTail;
-    /** Virtual network (from the packet's message class). */
-    std::uint8_t vnet = 0;
-    /** VC within the vnet on the current link; -1 before allocation. */
-    std::int8_t vc = -1;
-    /**
-     * Dateline VC-class bit for torus deadlock avoidance: flits that
-     * crossed the wrap-around link in the current dimension must use
-     * the upper half of the VC pool.
-     */
-    std::uint8_t vc_class = 0;
-    /**
-     * Dimension of the last traversed link (0 = X, 1 = Y, 2 = none);
-     * the dateline class resets when the packet changes dimension.
-     */
-    std::uint8_t last_dim = 2;
-    /** Flit index within the packet (0 = head). */
-    std::uint16_t seq = 0;
-    /** First cycle the flit may compete for switch allocation. */
-    Cycle ready_cycle = 0;
-    /** Owning packet (destination, bookkeeping, timing). */
-    PacketPtr pkt;
-
-    bool isHead() const
-    {
-        return type == Type::Head || type == Type::HeadTail;
-    }
-
-    bool isTail() const
-    {
-        return type == Type::Tail || type == Type::HeadTail;
-    }
+    Head,
+    Body,
+    Tail,
+    HeadTail,
 };
 
 /** Flits a packet occupies given the link width. */
@@ -186,10 +154,6 @@ void collectPacket(PacketTable &table, const PacketPtr &pkt);
 
 void savePacketTable(ArchiveWriter &aw, const PacketTable &table);
 PacketTable restorePacketTable(ArchiveReader &ar);
-
-/** Checkpoint a flit; the owning packet is stored as an id. */
-void saveFlit(ArchiveWriter &aw, const Flit &flit);
-Flit restoreFlit(ArchiveReader &ar, const PacketTable &table);
 
 } // namespace noc
 } // namespace rasim

@@ -37,8 +37,6 @@ RemoteOptions::fromConfig(const Config &cfg)
     o.quantum_timeout_ms =
         cfg.getDouble("remote.quantum_timeout_ms", o.quantum_timeout_ms);
     o.model = cfg.getString("remote.model", o.model);
-    o.engine_workers =
-        static_cast<int>(cfg.getUInt("remote.engine_workers", 0));
 
     // Failover set: a comma-separated endpoint list overrides the
     // single remote.socket address (and becomes the primary).
@@ -89,8 +87,6 @@ RemoteOptions::fromConfig(const Config &cfg)
     if (o.model != "cycle" && o.model != "deflection")
         fatal("remote.model must be cycle or deflection, not '",
               o.model, "'");
-    if (o.engine_workers < 0)
-        fatal("remote.engine_workers must be non-negative");
     return o;
 }
 
@@ -115,8 +111,6 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
                    "idle quanta served without touching the wire"),
       specHits(this, "spec_hits", "retired counter, always 0"),
       specRebases(this, "spec_rebases", "retired counter, always 0"),
-      schedThrottles(this, "sched_throttles",
-                     "replies delayed by the server's fair scheduler"),
       health(this, "health"),
       reconnects(&health, "reconnects",
                  "sessions re-opened after a connection loss"),
@@ -141,13 +135,9 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
       // Identical geometry to the bridge's reciprocal table, so the
       // server's shadow table and the bridge's table are comparable
       // entry for entry.
-      table_proto_(params, params.columns + params.rows + 2,
-                   sim.config().getDouble("abstract.ewma_alpha", 0.05),
-                   sim.config().getString("abstract.granularity",
-                                          "distance") == "pair"
-                       ? abstractnet::LatencyTable::Granularity::Pair
-                       : abstractnet::LatencyTable::Granularity::Distance,
-                   params.numNodes())
+      table_proto_(abstractnet::LatencyTable::fromConfig(
+          sim.config(), params, params.columns + params.rows + 2,
+          params.numNodes()))
 {
     params_.validate();
     if (options_.endpoints.empty())
@@ -638,8 +628,6 @@ RemoteNetwork::stepOnce(const ipc::StepRequest &req)
     last_step_digest_ = digest;
     if (test_hooks.corrupt_attest)
         last_step_digest_ ^= 1;
-    if (flags & ipc::step_flag_throttled)
-        ++schedThrottles;
     applyReply(rep);
 }
 

@@ -123,7 +123,9 @@ struct RemoteOptions
     double quantum_timeout_ms = 30000.0;
     /** Hosted model on the server: "cycle" or "deflection". */
     std::string model = "cycle";
-    /** Server-side ParallelEngine workers (0 = serial). */
+    /** Server-side ParallelEngine workers (0 = serial). No config
+     *  key: FullSystem sets it from system.parallel and
+     *  system.engine_workers. */
     int engine_workers = 0;
     /** Refresh the recovery base image every this many successful
      *  quanta; 0 = only explicit checkpoints refresh the base, so the
@@ -239,7 +241,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     // the perfbench harness reports them as remote.spec_*.
     stats::Scalar specHits;
     stats::Scalar specRebases;
-    stats::Scalar schedThrottles; ///< replies delayed by fair-sched
     /// @}
 
     /** @name Failure-handling statistics (the "health" group) */
@@ -401,8 +402,8 @@ class RemoteNetwork : public SimObject, public NetworkModel
     ipc::AdvanceReply exchangeStep(const ipc::StepRequest &req,
                                    std::uint8_t &flags,
                                    std::uint64_t &digest);
-    /** One raw quantum exchange (no retry): send @p req, apply the
-     *  reply, count a throttled flag. */
+    /** One raw quantum exchange (no retry): send @p req and apply
+     *  the reply. */
     void stepOnce(const ipc::StepRequest &req);
     /** Raw idle catch-up of the server clock (no retry): an empty
      *  Step to cur_time_, so paired state (tables,

@@ -148,6 +148,25 @@ TEST(AbstractNetwork, StatsCountDeliveries)
     EXPECT_EQ(f.net.totalLatency.count(), 10u);
 }
 
+// abstract.granularity accepts exactly "distance" or "pair": a near
+// miss is a config error, not a silent distance-granularity run.
+TEST(AbstractNetwork, UnknownGranularityIsFatal)
+{
+    Config bad;
+    bad.set("abstract.granularity", std::string("pairs"));
+    Simulation sim(std::move(bad));
+    EXPECT_SIM_ERROR(AbstractNetwork(sim, "abs", noc::NocParams(),
+                                     AbstractNetwork::Mode::Tuned),
+                     "abstract.granularity");
+
+    Config pair;
+    pair.set("abstract.granularity", std::string("pair"));
+    AbsFixture f(AbstractNetwork::Mode::Tuned, noc::NocParams(),
+                 std::move(pair));
+    EXPECT_EQ(f.net.table().granularity(),
+              LatencyTable::Granularity::Pair);
+}
+
 TEST(AbstractNetwork, InvalidNodeIsFatal)
 {
     AbsFixture f(AbstractNetwork::Mode::Static);

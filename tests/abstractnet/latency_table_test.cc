@@ -11,6 +11,8 @@
 
 #include "abstractnet/latency_model.hh"
 #include "abstractnet/latency_table.hh"
+#include "sim/config.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -170,6 +172,42 @@ TEST(LatencyTable, DistanceGranularityIgnoresEndpoints)
     t.observe(0, 2, 1, 80, 0, 9);
     EXPECT_DOUBLE_EQ(t.estimate(0, 2, 1, 9, 0), 80.0);
     EXPECT_DOUBLE_EQ(t.estimate(0, 2, 1, 0, 9), 80.0);
+}
+
+TEST(LatencyTable, FromConfigReadsAlphaAndGranularity)
+{
+    auto p = defaultParams();
+    LatencyTable d = LatencyTable::fromConfig(Config(), p, 14, 64);
+    EXPECT_EQ(d.granularity(), LatencyTable::Granularity::Distance);
+
+    Config cfg;
+    cfg.set("abstract.ewma_alpha", 1.0);
+    cfg.set("abstract.granularity", std::string("pair"));
+    LatencyTable t = LatencyTable::fromConfig(cfg, p, 14, 64);
+    EXPECT_EQ(t.granularity(), LatencyTable::Granularity::Pair);
+    // alpha 1: the estimate is the last observation.
+    t.observe(0, 2, 1, 80, 0, 9);
+    t.observe(0, 2, 1, 30, 0, 9);
+    EXPECT_DOUBLE_EQ(t.estimate(0, 2, 1, 0, 9), 30.0);
+}
+
+TEST(LatencyTable, FromConfigRejectsUnknownGranularity)
+{
+    auto p = defaultParams();
+    for (const char *name : {"pairs", "Pair", ""}) {
+        Config cfg;
+        cfg.set("abstract.granularity", std::string(name));
+        logging::ThrowOnError guard;
+        try {
+            LatencyTable::fromConfig(cfg, p, 14, 64);
+            ADD_FAILURE() << "'" << name << "' was accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Config) << name;
+            EXPECT_NE(std::string(e.what()).find("abstract.granularity"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(LatencyTable, PairWithoutNodeCountIsFatal)

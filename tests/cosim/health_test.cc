@@ -471,12 +471,11 @@ TEST(Health, TimeoutScaleLoosensTheWallClockBudget)
                      "timeout_scale must be positive");
 }
 
-TEST(Health, FullSystemSurvivesInjectedFaults)
+/** A small reciprocal co-simulation whose health.* keys come from
+ *  @p cfg, the way quickstart reads them. */
+FullSystemOptions
+cosimOptions(const Config &cfg)
 {
-    Config cfg;
-    cfg.set("fault.enabled", true);
-    cfg.set("fault.drop_every", 3);
-    cfg.set("health.recovery_quanta", 0);
     FullSystemOptions o;
     o.mode = Mode::CosimCycle;
     o.app = "lu";
@@ -486,6 +485,16 @@ TEST(Health, FullSystemSurvivesInjectedFaults)
     o.noc.rows = 4;
     o.mem.l1_sets = 16;
     o.health = HealthOptions::fromConfig(cfg);
+    return o;
+}
+
+TEST(Health, FullSystemSurvivesInjectedFaults)
+{
+    Config cfg;
+    cfg.set("fault.enabled", true);
+    cfg.set("fault.drop_every", 3);
+    cfg.set("health.recovery_quanta", 0);
+    FullSystemOptions o = cosimOptions(cfg);
     o.fault = FaultOptions::fromConfig(cfg);
     FullSystem sys(cfg, o);
     ASSERT_NE(sys.faultInjector(), nullptr);
@@ -498,6 +507,49 @@ TEST(Health, FullSystemSurvivesInjectedFaults)
     std::ostringstream os;
     stats::dumpText(os, sys.simulation().statsRoot());
     EXPECT_NE(os.str().find("health.degradations"), std::string::npos);
+}
+
+// health.divergence_error bounds the per-quantum mean |estimate
+// error|. A cosim run never estimates every latency exactly, so a
+// tiny bound trips the guard: degrade on, the run completes degraded;
+// degrade off, the trip surfaces as a Divergence SimError.
+TEST(Health, DivergenceErrorGuardTripsOnTinyBound)
+{
+    Config cfg;
+    cfg.set("health.divergence_error", 1e-6);
+    cfg.set("health.recovery_quanta", 0);
+    FullSystem sys(cfg, cosimOptions(cfg));
+    sys.run(4000000);
+    EXPECT_TRUE(sys.allCoresDone());
+    EXPECT_GE(sys.bridge().health()->divergenceTrips.value(), 1.0);
+    EXPECT_EQ(sys.bridge().healthState(),
+              QuantumBridge::HealthState::Degraded);
+
+    cfg.set("health.degrade", false);
+    FullSystem strict(cfg, cosimOptions(cfg));
+    try {
+        strict.run(4000000);
+        ADD_FAILURE() << "the divergence guard never tripped";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Divergence);
+        EXPECT_NE(std::string(e.what()).find("estimate error diverged"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_GE(strict.bridge().health()->divergenceTrips.value(), 1.0);
+}
+
+TEST(Health, DivergenceErrorGuardOffAtZero)
+{
+    Config cfg;
+    cfg.set("health.divergence_error", 0.0);
+    cfg.set("health.degrade", false);
+    FullSystem sys(cfg, cosimOptions(cfg));
+    sys.run(4000000);
+    EXPECT_TRUE(sys.allCoresDone());
+    EXPECT_EQ(sys.bridge().health()->divergenceTrips.value(), 0.0);
+    EXPECT_EQ(sys.bridge().healthState(),
+              QuantumBridge::HealthState::Healthy);
 }
 
 } // namespace

@@ -154,8 +154,7 @@ buildCorpus()
         rep.delivered = 3;
         rep.deliveries = somePackets();
         ArchiveWriter aw = beginMessage(MsgType::StepReply);
-        encodeStepReply(aw, rep, step_flag_throttled | step_flag_attested,
-                        0x5eed);
+        encodeStepReply(aw, rep, step_flag_attested, 0x5eed);
         add(std::move(aw));
     }
     {

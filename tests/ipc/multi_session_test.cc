@@ -8,8 +8,10 @@
  * the daemon's operational contracts: admission control refuses
  * connections over server.max_sessions with a typed error, oversize
  * inject batches are refused as "backpressure:" (and the session
- * survives via reconnect), and the scheduler counters export
- * sanely.
+ * survives via reconnect), and the admission counters export
+ * sanely. Sessions compute on their own threads with no gate between
+ * them, so the soak is also the check that ungated concurrent
+ * sessions stay bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -233,9 +235,6 @@ TEST_F(MultiSession, ConcurrentSessionsBitIdenticalToSolo)
     // post-elision sync, StatsGet and TableGet (most of the 16 quanta
     // are legitimately elided once the fabric drains).
     EXPECT_GE(c.frames, static_cast<std::uint64_t>(2 * N * 5));
-    // Counter sanity: derived counters never exceed their base.
-    EXPECT_LE(c.quota_yields, c.sched_waits);
-    EXPECT_LE(c.sched_waits, c.frames);
     EXPECT_EQ(c.quota_trips, 0u);
 }
 

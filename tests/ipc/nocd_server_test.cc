@@ -428,6 +428,8 @@ TEST(NocdFlags, BadValuesAndRetiredFlagsExitBeforeListening)
         {addr, "--quota-frames", "-3"},
         {"server.drain_timeout_ms=-5", addr},
         {addr, "--no-speculate"},
+        {addr, "--once"},
+        {addr, "--max-active", "2"},
         {addr, "--drain-timeout"},
     };
     for (const auto &args : cases) {

@@ -15,6 +15,7 @@
 #include <deque>
 #include <utility>
 
+#include "noc/oracle/flit.hh"
 #include "noc/packet.hh"
 #include "sim/types.hh"
 

@@ -23,6 +23,7 @@
 #include <deque>
 #include <vector>
 
+#include "noc/oracle/flit.hh"
 #include "noc/oracle/link.hh"
 #include "noc/packet.hh"
 #include "noc/params.hh"

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for packet/flit types and packetisation arithmetic.
+ * Tests for the packet type and packetisation arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -41,23 +41,6 @@ TEST(Packet, ToStringMentionsEndpoints)
     std::string s = p->toString();
     EXPECT_NE(s.find("4->9"), std::string::npos);
     EXPECT_NE(s.find("Request"), std::string::npos);
-}
-
-TEST(Flit, HeadTailPredicates)
-{
-    Flit f;
-    f.type = Flit::Type::Head;
-    EXPECT_TRUE(f.isHead());
-    EXPECT_FALSE(f.isTail());
-    f.type = Flit::Type::Tail;
-    EXPECT_FALSE(f.isHead());
-    EXPECT_TRUE(f.isTail());
-    f.type = Flit::Type::HeadTail;
-    EXPECT_TRUE(f.isHead());
-    EXPECT_TRUE(f.isTail());
-    f.type = Flit::Type::Body;
-    EXPECT_FALSE(f.isHead());
-    EXPECT_FALSE(f.isTail());
 }
 
 TEST(Flit, FlitsForBytesRoundsUp)
