@@ -50,10 +50,10 @@ main()
         tuned.abstractNetwork()->table() = cs.bridge().table();
         tuned.run();
 
-        Config pair_cfg;
-        pair_cfg.set("abstract.granularity", std::string("pair"));
-        cosim::FullSystem pair(
-            pair_cfg, accuracyOptions(cosim::Mode::CosimCycle, name));
+        auto pair_opts = accuracyOptions(cosim::Mode::CosimCycle, name);
+        pair_opts.abstract.granularity =
+            abstractnet::LatencyTable::Granularity::Pair;
+        cosim::FullSystem pair(Config(), pair_opts);
         pair.run();
 
         double abs_err = relErr(abs.meanPacketLatency(), ref);

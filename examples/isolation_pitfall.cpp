@@ -47,7 +47,7 @@ main(int argc, char **argv)
                 in_context, rate);
 
     // Isolated, rate-matched uniform random.
-    Simulation iso_sim(cfg);
+    Simulation iso_sim(SimParams::fromConfig(cfg));
     auto p = noc::NocParams::fromConfig(cfg);
     noc::CycleNetwork iso(iso_sim, "noc", p);
     workload::TrafficGenerator::Options to;

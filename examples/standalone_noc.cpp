@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "noc/cycle_network.hh"
+#include "sim/config.hh"
 #include "sim/simulation.hh"
 #include "workload/traffic.hh"
 
@@ -27,7 +28,7 @@ main(int argc, char **argv)
     for (const char *name : {"uniform", "transpose", "bitcomp",
                              "tornado", "neighbor", "hotspot"}) {
         for (double rate : {0.01, 0.05, 0.10}) {
-            Simulation sim(cfg);
+            Simulation sim(SimParams::fromConfig(cfg));
             noc::CycleNetwork net(sim, "noc", params);
             workload::TrafficGenerator::Options o;
             o.pattern = workload::patternFromName(name);

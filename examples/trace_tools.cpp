@@ -88,7 +88,7 @@ replay(const std::string &path, Config cfg)
     if (trace.empty())
         fatal("trace '", path, "' is empty");
 
-    Simulation sim(cfg);
+    Simulation sim(SimParams::fromConfig(cfg));
     auto params = noc::NocParams::fromConfig(cfg);
     noc::CycleNetwork net(sim, "noc", params);
     std::uint64_t delivered = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "abstractnet/latency_model.hh"
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 
@@ -32,6 +31,7 @@ countChannels(const noc::Topology &topo)
 
 AbstractNetwork::AbstractNetwork(Simulation &sim, const std::string &name,
                                  const noc::NocParams &params, Mode mode,
+                                 const AbstractParams &abstract,
                                  SimObject *parent)
     : SimObject(sim, name, parent),
       packetsInjected(this, "packets_injected",
@@ -43,14 +43,11 @@ AbstractNetwork::AbstractNetwork(Simulation &sim, const std::string &name,
       params_(params), mode_(mode),
       topo_(noc::makeTopology(params.topology, params.columns,
                               params.rows)),
-      table_(LatencyTable::fromConfig(
-          sim.config(), params,
-          topo_->minHops(0, static_cast<NodeId>(topo_->numNodes() - 1)) +
-              topo_->columns() + topo_->rows(),
-          topo_->numNodes())),
-      window_(sim.config().getUInt("abstract.window", 256)),
-      contention_cap_(
-          sim.config().getDouble("abstract.contention_cap", 64.0)),
+      table_(params,
+             topo_->minHops(0, static_cast<NodeId>(topo_->numNodes() - 1)) +
+                 topo_->columns() + topo_->rows(),
+             abstract.ewma_alpha, abstract.granularity, topo_->numNodes()),
+      window_(abstract.window), contention_cap_(abstract.contention_cap),
       num_channels_(countChannels(*topo_))
 {
     if (window_ == 0)

@@ -44,9 +44,12 @@ class AbstractNetwork : public SimObject, public noc::NetworkModel
      * @param params The *target* network's parameters: topology for
      *        hop counts, flit width for serialisation, pipeline/link
      *        latencies for the zero-load seed.
+     * @param abstract Table EWMA weight and granularity, and the
+     *        Static contention term's window and cap.
      */
     AbstractNetwork(Simulation &sim, const std::string &name,
                     const noc::NocParams &params, Mode mode,
+                    const AbstractParams &abstract = {},
                     SimObject *parent = nullptr);
     ~AbstractNetwork() override;
 

@@ -36,19 +36,21 @@ LatencyTable::LatencyTable(const noc::NocParams &params, int max_hops,
     }
 }
 
-LatencyTable
-LatencyTable::fromConfig(const Config &cfg, const noc::NocParams &params,
-                         int max_hops, int num_nodes)
+AbstractParams
+AbstractParams::fromConfig(const Config &cfg)
 {
-    double alpha = cfg.getDouble("abstract.ewma_alpha", 0.05);
+    AbstractParams p;
+    p.ewma_alpha = cfg.getDouble("abstract.ewma_alpha", p.ewma_alpha);
     std::string name = cfg.getString("abstract.granularity", "distance");
-    Granularity granularity = Granularity::Distance;
     if (name == "pair")
-        granularity = Granularity::Pair;
+        p.granularity = LatencyTable::Granularity::Pair;
     else if (name != "distance")
         fatal("abstract.granularity must be distance or pair, not '",
               name, "'");
-    return LatencyTable(params, max_hops, alpha, granularity, num_nodes);
+    p.window = cfg.getUInt("abstract.window", p.window);
+    p.contention_cap =
+        cfg.getDouble("abstract.contention_cap", p.contention_cap);
+    return p;
 }
 
 std::size_t

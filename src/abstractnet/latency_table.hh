@@ -64,16 +64,6 @@ class LatencyTable
                  int num_nodes = 0);
 
     /**
-     * The table every co-simulation side builds from one Config:
-     * alpha from abstract.ewma_alpha (default 0.05) and granularity
-     * from abstract.granularity ("distance", the default, or "pair";
-     * anything else is fatal, a SimError(Config) under ThrowOnError).
-     */
-    static LatencyTable fromConfig(const Config &cfg,
-                                   const noc::NocParams &params,
-                                   int max_hops, int num_nodes);
-
-    /**
      * Fold one observed delivery into the estimator. src/dst refine
      * the per-pair entry when Pair granularity is active (ignored
      * otherwise).
@@ -146,6 +136,30 @@ class LatencyTable
     std::uint64_t observations_ = 0;
     std::vector<Entry> entries_;
     std::vector<Entry> pair_entries_;
+};
+
+/**
+ * Knobs of the abstract network model and of the reciprocal latency
+ * table every co-simulation side builds ("abstract.*" keys).
+ */
+struct AbstractParams
+{
+    /** EWMA weight of a new observation ("abstract.ewma_alpha"). */
+    double ewma_alpha = 0.05;
+    /** Feedback resolution ("abstract.granularity": "distance" or
+     *  "pair"). */
+    LatencyTable::Granularity granularity =
+        LatencyTable::Granularity::Distance;
+    /** Load-accounting window of the Static contention term, in
+     *  cycles ("abstract.window"). */
+    Tick window = 256;
+    /** Ceiling of the Static contention term, in cycles
+     *  ("abstract.contention_cap"). */
+    double contention_cap = 64.0;
+
+    /** Read the "abstract.*" keys; a granularity other than distance
+     *  or pair is fatal (a SimError(Config) under ThrowOnError). */
+    static AbstractParams fromConfig(const Config &cfg);
 };
 
 } // namespace abstractnet

@@ -43,10 +43,9 @@ QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
       backend_(backend), options_(options), net_params_(net_params),
       topo_(noc::makeTopology(net_params.topology, net_params.columns,
                               net_params.rows)),
-      table_(abstractnet::LatencyTable::fromConfig(
-          sim.config(), net_params,
-          net_params.columns + net_params.rows + 2,
-          net_params.numNodes())),
+      table_(net_params, net_params.columns + net_params.rows + 2,
+             options_.abstract.ewma_alpha, options_.abstract.granularity,
+             net_params.numNodes()),
       checkpoint_(table_)
 {
     if (options_.quantum == 0)

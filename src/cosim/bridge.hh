@@ -103,6 +103,8 @@ class QuantumBridge : public SimObject,
          *  HealthOptions); health.enabled=false disables the monitor
          *  entirely. */
         HealthOptions health;
+        /** EWMA weight and granularity of the latency table. */
+        abstractnet::AbstractParams abstract;
     };
 
     /**

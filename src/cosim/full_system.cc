@@ -94,13 +94,24 @@ FullSystemOptions::fromConfig(const Config &cfg)
     o.health = HealthOptions::fromConfig(cfg);
     o.fault = FaultOptions::fromConfig(cfg);
     o.checkpoint = CheckpointOptions::fromConfig(cfg);
+    o.sim = SimParams::fromConfig(cfg);
+    o.abstract = abstractnet::AbstractParams::fromConfig(cfg);
     return o;
 }
 
-FullSystem::FullSystem(Config cfg, FullSystemOptions options)
+FullSystem::FullSystem(const Config &cfg, FullSystemOptions options)
     : options_(std::move(options))
 {
-    sim_ = std::make_unique<Simulation>(std::move(cfg));
+    // Config hygiene: the parsers consulted every key they know, so
+    // a key left unread is a misspelling ("noc.colums") that would
+    // otherwise fall back to a default without a word.
+    cfg.warnUnread();
+    // run() steps by this in every mode, not only the ones whose
+    // bridge exchanges at it.
+    if (options_.quantum == 0)
+        fatal("system.quantum must be positive");
+
+    sim_ = std::make_unique<Simulation>(options_.sim);
 
     // Backend network of the requested fidelity.
     noc::NetworkModel *backend = nullptr;
@@ -108,13 +119,13 @@ FullSystem::FullSystem(Config cfg, FullSystemOptions options)
       case Mode::Abstract:
         abstract_net_ = std::make_unique<abstractnet::AbstractNetwork>(
             *sim_, "net", options_.noc,
-            abstractnet::AbstractNetwork::Mode::Static);
+            abstractnet::AbstractNetwork::Mode::Static, options_.abstract);
         backend = abstract_net_.get();
         break;
       case Mode::TunedAbstract:
         abstract_net_ = std::make_unique<abstractnet::AbstractNetwork>(
             *sim_, "net", options_.noc,
-            abstractnet::AbstractNetwork::Mode::Tuned);
+            abstractnet::AbstractNetwork::Mode::Tuned, options_.abstract);
         backend = abstract_net_.get();
         break;
       case Mode::CosimCycle:
@@ -127,6 +138,7 @@ FullSystem::FullSystem(Config cfg, FullSystemOptions options)
             noc::remote::RemoteOptions ro = options_.remote;
             ro.engine_workers =
                 options_.parallel ? options_.engine_workers : 0;
+            ro.abstract = options_.abstract;
             remote_net_ = std::make_unique<noc::remote::RemoteNetwork>(
                 *sim_, "net", options_.noc, ro);
             backend = remote_net_.get();
@@ -154,6 +166,7 @@ FullSystem::FullSystem(Config cfg, FullSystemOptions options)
     QuantumBridge::Options bo;
     bo.feedback = options_.feedback;
     bo.health = options_.health;
+    bo.abstract = options_.abstract;
     switch (options_.mode) {
       case Mode::Abstract:
       case Mode::TunedAbstract:
@@ -211,14 +224,6 @@ FullSystem::FullSystem(Config cfg, FullSystemOptions options)
                 sim_->makeRng(0xa99 + n)),
             cp));
     }
-
-    // Config hygiene: every consumer has pulled its keys by now, so
-    // anything left unread under the known prefixes is a misspelling
-    // ("noc.colums") silently falling back to a default.
-    sim_->config().warnUnread({"system.", "noc.", "mem.", "abstract.",
-                               "fault.", "health.", "sim.",
-                               "checkpoint.", "network.", "remote.",
-                               "kernel."});
 
     if (!options_.checkpoint.restore.empty())
         restoreFromPath(options_.checkpoint.restore);

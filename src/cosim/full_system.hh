@@ -71,6 +71,11 @@ struct CheckpointOptions
     static CheckpointOptions fromConfig(const Config &cfg);
 };
 
+/**
+ * Everything a FullSystem and its components read. fromConfig is the
+ * one place the configuration keys are parsed; code that builds the
+ * options itself needs no Config at all.
+ */
 struct FullSystemOptions
 {
     Mode mode = Mode::CosimCycle;
@@ -116,6 +121,10 @@ struct FullSystemOptions
     FaultOptions fault;
     /** Periodic crash-safe checkpointing ("checkpoint.*"). */
     CheckpointOptions checkpoint;
+    /** Seed and reference clock ("sim.*"). */
+    SimParams sim;
+    /** Abstract network and latency-table knobs ("abstract.*"). */
+    abstractnet::AbstractParams abstract;
 
     static FullSystemOptions fromConfig(const Config &cfg);
 };
@@ -123,7 +132,13 @@ struct FullSystemOptions
 class FullSystem
 {
   public:
-    FullSystem(Config cfg, FullSystemOptions options);
+    /**
+     * @param cfg The configuration @p options were parsed from. No
+     *        value is read from it: it only serves the hygiene check,
+     *        which warns once per key no parser consulted (a
+     *        misspelling such as "noc.colums").
+     */
+    FullSystem(const Config &cfg, FullSystemOptions options);
     ~FullSystem();
 
     /**

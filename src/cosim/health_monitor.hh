@@ -41,6 +41,9 @@
 
 namespace rasim
 {
+
+class Config;
+
 namespace cosim
 {
 

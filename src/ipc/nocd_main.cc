@@ -132,9 +132,10 @@ main(int argc, char **argv)
         std::fprintf(stderr, "rasim-nocd: %s\n", err.what());
         return 2;
     }
-    // Hygiene: a misspelled fault.transport.* / server.* key should
-    // not silently configure nothing.
-    cfg.warnUnread({"server.", "fault."});
+    // Hygiene: a misspelled or foreign key (the daemon reads only
+    // server.* and fault.transport.*) should not silently configure
+    // nothing.
+    cfg.warnUnread();
 
     // A client that dies mid-reply must not kill the server (sendAll
     // also passes MSG_NOSIGNAL; this covers platforms without it).

@@ -1,31 +1,11 @@
 #include "noc/power.hh"
 
 #include "noc/cycle_network.hh"
-#include "sim/config.hh"
-#include "sim/logging.hh"
 
 namespace rasim
 {
 namespace noc
 {
-
-PowerParams
-PowerParams::fromConfig(const Config &cfg)
-{
-    PowerParams p;
-    p.buffer_write_pj =
-        cfg.getDouble("power.buffer_write_pj", p.buffer_write_pj);
-    p.switch_traversal_pj = cfg.getDouble("power.switch_traversal_pj",
-                                          p.switch_traversal_pj);
-    p.link_traversal_pj =
-        cfg.getDouble("power.link_traversal_pj", p.link_traversal_pj);
-    p.static_mw_per_router = cfg.getDouble("power.static_mw_per_router",
-                                           p.static_mw_per_router);
-    p.ns_per_cycle = cfg.getDouble("power.ns_per_cycle", p.ns_per_cycle);
-    if (p.ns_per_cycle <= 0.0)
-        fatal("power.ns_per_cycle must be positive");
-    return p;
-}
 
 NocActivity
 activityOf(CycleNetwork &net)

@@ -14,9 +14,6 @@
 
 namespace rasim
 {
-
-class Config;
-
 namespace noc
 {
 
@@ -31,8 +28,6 @@ struct PowerParams
     double static_mw_per_router = 0.5;
     /** Wall-clock length of one network cycle, for leakage. */
     double ns_per_cycle = 1.0;
-
-    static PowerParams fromConfig(const Config &cfg);
 };
 
 /** Aggregated switching activity of a simulated interval. */

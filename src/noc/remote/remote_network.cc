@@ -135,9 +135,9 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
       // Identical geometry to the bridge's reciprocal table, so the
       // server's shadow table and the bridge's table are comparable
       // entry for entry.
-      table_proto_(abstractnet::LatencyTable::fromConfig(
-          sim.config(), params, params.columns + params.rows + 2,
-          params.numNodes()))
+      table_proto_(params, params.columns + params.rows + 2,
+                   options_.abstract.ewma_alpha,
+                   options_.abstract.granularity, params.numNodes())
 {
     params_.validate();
     if (options_.endpoints.empty())

@@ -145,6 +145,10 @@ struct RemoteOptions
     ipc::RetryOptions retry;
     /** Client-side transport chaos (fault.transport.*). */
     TransportFaultOptions fault;
+    /** Latency-table knobs of the server's shadow table. No key of
+     *  its own: FullSystem copies FullSystemOptions::abstract, so the
+     *  shadow table matches the bridge's. */
+    abstractnet::AbstractParams abstract;
 
     /** Read the "remote.*", "network.remote.*" and "fault.transport.*"
      *  keys. */

@@ -64,13 +64,6 @@ Config::set(const std::string &key, bool value)
     values_[key] = value ? "true" : "false";
 }
 
-bool
-Config::has(const std::string &key) const
-{
-    read_.insert(key);
-    return values_.count(key) > 0;
-}
-
 const std::string *
 Config::find(const std::string &key) const
 {
@@ -156,23 +149,6 @@ Config::getBool(const std::string &key, bool dflt) const
     fatal("config key '", key, "': '", *v, "' is not a boolean");
 }
 
-std::string
-Config::requireString(const std::string &key) const
-{
-    const std::string *v = find(key);
-    if (!v)
-        fatal("required config key '", key, "' is missing");
-    return *v;
-}
-
-std::uint64_t
-Config::requireUInt(const std::string &key) const
-{
-    if (!has(key))
-        fatal("required config key '", key, "' is missing");
-    return getUInt(key, 0);
-}
-
 void
 Config::parseArg(const std::string &arg)
 {
@@ -217,16 +193,6 @@ Config::loadFile(const std::string &path)
 }
 
 std::vector<std::string>
-Config::keysWithPrefix(const std::string &prefix) const
-{
-    std::vector<std::string> out;
-    for (const auto &[k, v] : values_)
-        if (k.rfind(prefix, 0) == 0)
-            out.push_back(k);
-    return out;
-}
-
-std::vector<std::string>
 Config::unreadKeysWithPrefix(const std::string &prefix) const
 {
     std::vector<std::string> out;
@@ -237,21 +203,11 @@ Config::unreadKeysWithPrefix(const std::string &prefix) const
 }
 
 void
-Config::warnUnread(const std::vector<std::string> &prefixes) const
+Config::warnUnread() const
 {
-    for (const std::string &prefix : prefixes)
-        for (const std::string &k : unreadKeysWithPrefix(prefix))
-            warn("unknown config key '", k,
-                 "' was never consulted (misspelled?)");
-}
-
-std::string
-Config::toString() const
-{
-    std::ostringstream os;
-    for (const auto &[k, v] : values_)
-        os << k << " = " << v << "\n";
-    return os.str();
+    for (const std::string &k : unreadKeysWithPrefix(""))
+        warn("unknown config key '", k,
+             "' was never consulted (misspelled?)");
 }
 
 } // namespace rasim

@@ -35,9 +35,6 @@ class Config
     void set(const std::string &key, double value);
     void set(const std::string &key, bool value);
 
-    /** True when the key has been set. */
-    bool has(const std::string &key) const;
-
     /**
      * Typed getters. The value must parse as the requested type or the
      * run aborts with fatal() — a misconfiguration, not a bug.
@@ -49,10 +46,6 @@ class Config
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 
-    /** Required variants: fatal() when the key is missing. */
-    std::string requireString(const std::string &key) const;
-    std::uint64_t requireUInt(const std::string &key) const;
-
     /** Parse one "key=value" token; fatal() on malformed input. */
     void parseArg(const std::string &arg);
 
@@ -62,29 +55,23 @@ class Config
     /** Load "key = value" lines from @p path; fatal() if unreadable. */
     void loadFile(const std::string &path);
 
-    /** All keys with the given prefix (for diagnostics). */
-    std::vector<std::string> keysWithPrefix(const std::string &prefix) const;
-
     /**
      * Config hygiene: keys under @p prefix that were set but never
      * consulted by any getter — almost always a misspelling
-     * ("noc.colums"). Every getter (including has()) marks its key as
-     * read, so call this only after the consumers constructed.
+     * ("noc.colums"). Every getter marks its key as read, so call
+     * this only after the parsers ran.
      */
     std::vector<std::string>
     unreadKeysWithPrefix(const std::string &prefix) const;
 
-    /** warn() once per unread key under any of @p prefixes. */
-    void warnUnread(const std::vector<std::string> &prefixes) const;
-
-    /** Render the whole configuration (sorted) for logging. */
-    std::string toString() const;
+    /** warn() once per key no getter consulted. */
+    void warnUnread() const;
 
   private:
     const std::string *find(const std::string &key) const;
 
     std::map<std::string, std::string> values_;
-    /** Keys consulted by getters/has(); mutable read-side bookkeeping. */
+    /** Keys consulted by getters; mutable read-side bookkeeping. */
     mutable std::set<std::string> read_;
 };
 

@@ -21,10 +21,4 @@ SimObject::curTick() const
     return sim_.curTick();
 }
 
-const Config &
-SimObject::config() const
-{
-    return sim_.config();
-}
-
 } // namespace rasim

@@ -16,7 +16,6 @@ namespace rasim
 {
 
 class Simulation;
-class Config;
 class EventQueue;
 
 /**
@@ -52,9 +51,6 @@ class SimObject : public stats::Group, public Clocked
 
     /** Current simulated time. */
     Tick curTick() const;
-
-    /** Global configuration shortcut. */
-    const Config &config() const;
 
   private:
     Simulation &sim_;

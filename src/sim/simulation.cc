@@ -1,18 +1,24 @@
 #include "sim/simulation.hh"
 
-#include <utility>
-
+#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
 
 namespace rasim
 {
 
-Simulation::Simulation(Config cfg)
-    : config_(std::move(cfg)), eventq_("root.eventq"),
-      stats_root_(nullptr, "system"),
-      root_clock_("root_clock", config_.getUInt("sim.clock_period", 1)),
-      seed_(config_.getUInt("sim.seed", 1))
+SimParams
+SimParams::fromConfig(const Config &cfg)
+{
+    SimParams p;
+    p.seed = cfg.getUInt("sim.seed", p.seed);
+    p.clock_period = cfg.getUInt("sim.clock_period", p.clock_period);
+    return p;
+}
+
+Simulation::Simulation(SimParams params)
+    : eventq_("root.eventq"), stats_root_(nullptr, "system"),
+      root_clock_("root_clock", params.clock_period), seed_(params.seed)
 {
 }
 

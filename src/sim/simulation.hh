@@ -1,7 +1,7 @@
 /**
  * @file
- * Top-level simulation container: event queue, configuration, clock
- * domains, the component registry and the run loop.
+ * Top-level simulation container: event queue, clock domains, the
+ * component registry and the run loop.
  */
 
 #ifndef RASIM_SIM_SIMULATION_HH
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/clocked.hh"
-#include "sim/config.hh"
 #include "sim/eventq.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -21,7 +20,20 @@
 namespace rasim
 {
 
+class Config;
 class SimObject;
+
+/** Global simulation knobs ("sim.*" keys). */
+struct SimParams
+{
+    /** Seed every component RNG stream derives from ("sim.seed"). */
+    std::uint64_t seed = 1;
+    /** Period of the reference clock domain ("sim.clock_period"). */
+    Tick clock_period = 1;
+
+    /** Read the "sim.*" keys. */
+    static SimParams fromConfig(const Config &cfg);
+};
 
 /**
  * Owns the global simulation state. Components are built against a
@@ -31,7 +43,7 @@ class SimObject;
 class Simulation
 {
   public:
-    explicit Simulation(Config cfg = Config());
+    explicit Simulation(SimParams params = {});
     ~Simulation();
 
     Simulation(const Simulation &) = delete;
@@ -41,20 +53,17 @@ class Simulation
     const EventQueue &eventq() const { return eventq_; }
     Tick curTick() const { return eventq_.curTick(); }
 
-    Config &config() { return config_; }
-    const Config &config() const { return config_; }
-
     /** Root of the statistics tree ("system"). */
     stats::Group &statsRoot() { return stats_root_; }
     const stats::Group &statsRoot() const { return stats_root_; }
 
-    /** Reference clock domain (period from config "sim.clock_period"). */
+    /** Reference clock domain (period from SimParams::clock_period). */
     const ClockDomain &rootClock() const { return root_clock_; }
 
     /**
-     * Per-component RNG derived from the global seed ("sim.seed") and a
-     * caller-chosen stream id, so adding components does not perturb
-     * existing streams.
+     * Per-component RNG derived from the global seed (SimParams::seed)
+     * and a caller-chosen stream id, so adding components does not
+     * perturb existing streams.
      */
     Rng makeRng(std::uint64_t stream) const;
 
@@ -88,7 +97,6 @@ class Simulation
   private:
     void initAll();
 
-    Config config_;
     EventQueue eventq_;
     stats::Group stats_root_;
     ClockDomain root_clock_;

@@ -11,6 +11,7 @@
 
 #include "abstractnet/abstract_network.hh"
 #include "abstractnet/latency_model.hh"
+#include "sim/config.hh"
 #include "sim/simulation.hh"
 
 namespace
@@ -25,8 +26,8 @@ struct AbsFixture
 {
     explicit AbsFixture(AbstractNetwork::Mode mode,
                         noc::NocParams p = noc::NocParams(),
-                        Config cfg = Config())
-        : sim(std::move(cfg)), net(sim, "abs", p, mode)
+                        const AbstractParams &a = {})
+        : net(sim, "abs", p, mode, a)
     {
         net.setDeliveryHandler(
             [this](const PacketPtr &pkt) { delivered.push_back(pkt); });
@@ -86,10 +87,9 @@ TEST(AbstractNetwork, AdvanceToOnlyDeliversDue)
 
 TEST(AbstractNetwork, ContentionRaisesLatencyUnderLoad)
 {
-    Config cfg;
-    cfg.set("abstract.window", 64);
-    AbsFixture f(AbstractNetwork::Mode::Static, noc::NocParams(),
-                 std::move(cfg));
+    AbstractParams a;
+    a.window = 64;
+    AbsFixture f(AbstractNetwork::Mode::Static, noc::NocParams(), a);
     // Saturating offered load for a while...
     Tick t = 0;
     for (int i = 0; i < 5000; ++i) {
@@ -154,15 +154,13 @@ TEST(AbstractNetwork, UnknownGranularityIsFatal)
 {
     Config bad;
     bad.set("abstract.granularity", std::string("pairs"));
-    Simulation sim(std::move(bad));
-    EXPECT_SIM_ERROR(AbstractNetwork(sim, "abs", noc::NocParams(),
-                                     AbstractNetwork::Mode::Tuned),
+    EXPECT_SIM_ERROR(AbstractParams::fromConfig(bad),
                      "abstract.granularity");
 
     Config pair;
     pair.set("abstract.granularity", std::string("pair"));
     AbsFixture f(AbstractNetwork::Mode::Tuned, noc::NocParams(),
-                 std::move(pair));
+                 AbstractParams::fromConfig(pair));
     EXPECT_EQ(f.net.table().granularity(),
               LatencyTable::Granularity::Pair);
 }

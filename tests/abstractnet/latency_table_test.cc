@@ -177,13 +177,15 @@ TEST(LatencyTable, DistanceGranularityIgnoresEndpoints)
 TEST(LatencyTable, FromConfigReadsAlphaAndGranularity)
 {
     auto p = defaultParams();
-    LatencyTable d = LatencyTable::fromConfig(Config(), p, 14, 64);
-    EXPECT_EQ(d.granularity(), LatencyTable::Granularity::Distance);
+    AbstractParams d = AbstractParams::fromConfig(Config());
+    EXPECT_EQ(d.granularity, LatencyTable::Granularity::Distance);
+    EXPECT_DOUBLE_EQ(d.ewma_alpha, 0.05);
 
     Config cfg;
     cfg.set("abstract.ewma_alpha", 1.0);
     cfg.set("abstract.granularity", std::string("pair"));
-    LatencyTable t = LatencyTable::fromConfig(cfg, p, 14, 64);
+    AbstractParams a = AbstractParams::fromConfig(cfg);
+    LatencyTable t(p, 14, a.ewma_alpha, a.granularity, 64);
     EXPECT_EQ(t.granularity(), LatencyTable::Granularity::Pair);
     // alpha 1: the estimate is the last observation.
     t.observe(0, 2, 1, 80, 0, 9);
@@ -193,13 +195,12 @@ TEST(LatencyTable, FromConfigReadsAlphaAndGranularity)
 
 TEST(LatencyTable, FromConfigRejectsUnknownGranularity)
 {
-    auto p = defaultParams();
     for (const char *name : {"pairs", "Pair", ""}) {
         Config cfg;
         cfg.set("abstract.granularity", std::string(name));
         logging::ThrowOnError guard;
         try {
-            LatencyTable::fromConfig(cfg, p, 14, 64);
+            AbstractParams::fromConfig(cfg);
             ADD_FAILURE() << "'" << name << "' was accepted";
         } catch (const SimError &e) {
             EXPECT_EQ(e.kind(), ErrorKind::Config) << name;

@@ -158,7 +158,9 @@ TEST(Coupling, PairGranularityConfigWorks)
 {
     Config cfg;
     cfg.set("abstract.granularity", std::string("pair"));
-    FullSystem sys(cfg, opts(Mode::CosimCycle, 128, false));
+    FullSystemOptions o = opts(Mode::CosimCycle, 128, false);
+    o.abstract = abstractnet::AbstractParams::fromConfig(cfg);
+    FullSystem sys(cfg, o);
     sys.run();
     EXPECT_TRUE(sys.allCoresDone());
     EXPECT_EQ(sys.bridge().table().granularity(),

@@ -48,11 +48,20 @@ TEST(FullSystem, OptionsFromConfig)
     cfg.set("system.quantum", 128);
     cfg.set("noc.columns", 4);
     cfg.set("noc.rows", 2);
+    cfg.set("sim.seed", 7);
+    cfg.set("abstract.granularity", std::string("pair"));
+    cfg.set("abstract.window", 64);
+    cfg.set("abstract.contention_cap", 8.0);
     auto o = FullSystemOptions::fromConfig(cfg);
     EXPECT_EQ(o.mode, Mode::Monolithic);
     EXPECT_EQ(o.app, "radix");
     EXPECT_EQ(o.quantum, 128u);
     EXPECT_EQ(o.noc.columns, 4);
+    EXPECT_EQ(o.sim.seed, 7u);
+    EXPECT_EQ(o.abstract.granularity,
+              abstractnet::LatencyTable::Granularity::Pair);
+    EXPECT_EQ(o.abstract.window, 64u);
+    EXPECT_DOUBLE_EQ(o.abstract.contention_cap, 8.0);
 }
 
 class FullSystemModes : public testing::TestWithParam<Mode>
@@ -72,6 +81,24 @@ TEST_P(FullSystemModes, RunsToCompletion)
         EXPECT_DOUBLE_EQ(sys.core(i).opsIssued.value(), 60.0);
 }
 
+// run() steps by the quantum in every mode, so zero is a config error
+// everywhere, not only in the modes whose bridge exchanges at it.
+TEST_P(FullSystemModes, ZeroQuantumIsConfigError)
+{
+    FullSystemOptions o = smallOptions(GetParam());
+    o.quantum = 0;
+    logging::ThrowOnError guard;
+    try {
+        FullSystem sys(Config(), o);
+        ADD_FAILURE() << "quantum 0 was accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Config);
+        EXPECT_NE(std::string(e.what()).find("system.quantum"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllModes, FullSystemModes,
     testing::Values(Mode::Abstract, Mode::TunedAbstract,
@@ -87,12 +114,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FullSystem, MisspelledConfigKeyWarns)
 {
     // A typo'd key is never read by any consumer, so assembling the
-    // system flags it instead of silently ignoring it.
-    Config cfg;
-    cfg.set("noc.colums", 4);
-    auto before = warnCount();
-    FullSystem sys(cfg, smallOptions(Mode::Abstract));
-    EXPECT_EQ(warnCount() - before, 1u);
+    // system flags it instead of silently ignoring it — also when the
+    // typo is in the prefix, which no parser knows.
+    for (const char *key : {"noc.colums", "sytem.quantum"}) {
+        Config cfg;
+        cfg.set(key, 4);
+        auto before = warnCount();
+        FullSystem sys(cfg, smallOptions(Mode::Abstract));
+        EXPECT_EQ(warnCount() - before, 1u) << key;
+    }
 }
 
 TEST(FullSystem, WellFormedConfigDoesNotWarn)

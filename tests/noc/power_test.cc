@@ -5,11 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/expect_error.hh"
-
 #include "noc/cycle_network.hh"
 #include "noc/power.hh"
-#include "sim/config.hh"
 #include "sim/simulation.hh"
 
 namespace
@@ -108,16 +105,6 @@ TEST(PowerModel, MoreTrafficMoreDynamicEnergy)
         return NocPowerModel(p).estimate(activityOf(net)).totalPj();
     };
     EXPECT_GT(energy(400), 2.0 * energy(100));
-}
-
-TEST(PowerParams, ConfigOverridesAndValidation)
-{
-    Config cfg;
-    cfg.set("power.link_traversal_pj", 9.5);
-    auto p = PowerParams::fromConfig(cfg);
-    EXPECT_DOUBLE_EQ(p.link_traversal_pj, 9.5);
-    cfg.set("power.ns_per_cycle", -1.0);
-    EXPECT_SIM_ERROR(PowerParams::fromConfig(cfg), "positive");
 }
 
 } // namespace

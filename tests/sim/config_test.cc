@@ -22,7 +22,6 @@ using rasim::Config;
 TEST(Config, DefaultsWhenMissing)
 {
     Config c;
-    EXPECT_FALSE(c.has("x"));
     EXPECT_EQ(c.getString("x", "d"), "d");
     EXPECT_EQ(c.getInt("x", -3), -3);
     EXPECT_EQ(c.getUInt("x", 9u), 9u);
@@ -80,7 +79,8 @@ TEST(Config, ParseArgsSkipsNonAssignments)
     c.parseArgs(4, const_cast<char **>(argv));
     EXPECT_EQ(c.getUInt("a", 0), 1u);
     EXPECT_EQ(c.getString("b", ""), "two");
-    EXPECT_FALSE(c.has("--help"));
+    // "--help" was skipped, not stored: nothing is left unread.
+    EXPECT_TRUE(c.unreadKeysWithPrefix("").empty());
 }
 
 TEST(Config, OverwriteTakesLastValue)
@@ -110,18 +110,6 @@ TEST(Config, LoadFileParsesAndIgnoresComments)
     std::remove(path.c_str());
 }
 
-TEST(Config, KeysWithPrefix)
-{
-    Config c;
-    c.set("noc.a", 1);
-    c.set("noc.b", 2);
-    c.set("cpu.a", 3);
-    auto keys = c.keysWithPrefix("noc.");
-    ASSERT_EQ(keys.size(), 2u);
-    EXPECT_EQ(keys[0], "noc.a");
-    EXPECT_EQ(keys[1], "noc.b");
-}
-
 TEST(Config, MalformedIntIsFatal)
 {
     Config c;
@@ -136,13 +124,7 @@ TEST(Config, NegativeForUnsignedIsFatal)
     EXPECT_SIM_ERROR(c.getUInt("k", 0), "not an unsigned");
 }
 
-TEST(Config, RequireMissingIsFatal)
-{
-    Config c;
-    EXPECT_SIM_ERROR(c.requireString("missing"), "missing");
-}
-
-TEST(Config, UnreadKeysTrackEveryGetterAndHas)
+TEST(Config, UnreadKeysTrackEveryGetter)
 {
     Config c;
     c.set("noc.rows", 8);
@@ -150,7 +132,7 @@ TEST(Config, UnreadKeysTrackEveryGetterAndHas)
     c.set("noc.colums", 4); // the classic typo — nobody reads it
     EXPECT_EQ(c.unreadKeysWithPrefix("noc.").size(), 3u);
     (void)c.getUInt("noc.rows", 0);
-    (void)c.has("noc.cols"); // has() counts as a read too
+    (void)c.getString("noc.cols", ""); // any getter counts as a read
     auto unread = c.unreadKeysWithPrefix("noc.");
     ASSERT_EQ(unread.size(), 1u);
     EXPECT_EQ(unread[0], "noc.colums");
@@ -167,7 +149,7 @@ TEST(Config, WarnUnreadWarnsOncePerMisspelledKey)
     c.set("noc.colums", 4);   // typo
     (void)c.getUInt("mem.l1_sets", 0);
     auto before = rasim::warnCount();
-    c.warnUnread({"mem.", "noc."});
+    c.warnUnread();
     EXPECT_EQ(rasim::warnCount() - before, 2u);
 }
 
@@ -178,14 +160,6 @@ TEST(Config, CopiesCarryReadMarks)
     (void)c.getInt("a.k", 0);
     Config copy = c;
     EXPECT_TRUE(copy.unreadKeysWithPrefix("a.").empty());
-}
-
-TEST(Config, ToStringListsSortedPairs)
-{
-    Config c;
-    c.set("b", 2);
-    c.set("a", 1);
-    EXPECT_EQ(c.toString(), "a = 1\nb = 2\n");
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/config.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "stats/output.hh"
@@ -20,6 +21,7 @@ namespace
 
 using rasim::Config;
 using rasim::SimObject;
+using rasim::SimParams;
 using rasim::Simulation;
 using rasim::Tick;
 
@@ -90,9 +92,9 @@ TEST(Simulation, DrainedQueueStopsAtLastEvent)
 
 TEST(Simulation, MakeRngIsDeterministicPerStream)
 {
-    Config cfg;
-    cfg.set("sim.seed", 123);
-    Simulation s1(cfg), s2(cfg);
+    SimParams p;
+    p.seed = 123;
+    Simulation s1(p), s2(p);
     auto a = s1.makeRng(5);
     auto b = s2.makeRng(5);
     for (int i = 0; i < 100; ++i)
@@ -118,7 +120,7 @@ TEST(Simulation, ClockPeriodFromConfig)
 {
     Config cfg;
     cfg.set("sim.clock_period", 4);
-    Simulation sim(cfg);
+    Simulation sim(SimParams::fromConfig(cfg));
     EXPECT_EQ(sim.rootClock().period(), 4u);
 }
 
