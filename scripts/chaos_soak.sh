@@ -66,8 +66,8 @@ extract() {
 args=(system.ops_per_core=2000 network.backend=remote)
 
 # Deterministic retry in its bit-reproducible configuration: no
-# wall-clock deadline (the one nondeterministic input), a generous
-# attempt budget, breaker off.
+# wall-clock deadline (the one nondeterministic input) and a generous
+# attempt budget.
 # A short journal (frequent base refreshes) keeps each recovery replay
 # small, and the attempt budget exceeds the fault cap: even if every
 # remaining fault lands inside one retry round, the round survives.
@@ -76,7 +76,6 @@ retry_args=(
     network.remote.retry.base_ms=0.05
     network.remote.retry.max_ms=0.5
     network.remote.retry.deadline_ms=0
-    network.remote.retry.breaker_failures=0
     network.remote.ckpt_quanta=16
 )
 

@@ -340,6 +340,14 @@ FullSystem::save(ArchiveWriter &aw) const
     aw.putBool(options_.feedback);
     aw.putBool(options_.fault.enabled);
     aw.putBool(options_.health.enabled);
+    // Latency-table knobs: they shape the table's geometry and every
+    // estimate it has produced, so a resume under other values would
+    // either not fit the saved table or silently drift from it.
+    aw.putDouble(options_.abstract.ewma_alpha);
+    aw.putBool(options_.abstract.granularity ==
+               abstractnet::LatencyTable::Granularity::Pair);
+    aw.putU64(options_.abstract.window);
+    aw.putDouble(options_.abstract.contention_cap);
     aw.endSection();
 
     aw.beginSection("sim");
@@ -402,6 +410,15 @@ FullSystem::restoreArchive(ArchiveReader &ar, std::string *why)
         return mismatch("fault injection");
     if (ar.getBool() != options_.health.enabled)
         return mismatch("health monitoring");
+    if (ar.getDouble() != options_.abstract.ewma_alpha)
+        return mismatch("abstract.ewma_alpha");
+    if (ar.getBool() != (options_.abstract.granularity ==
+                         abstractnet::LatencyTable::Granularity::Pair))
+        return mismatch("abstract.granularity");
+    if (ar.getU64() != options_.abstract.window)
+        return mismatch("abstract.window");
+    if (ar.getDouble() != options_.abstract.contention_cap)
+        return mismatch("abstract.contention_cap");
     ar.endSection();
 
     // Validation passed — from here on the image is committed to and

@@ -28,8 +28,6 @@ toString(MsgType type)
         return "Bye";
       case MsgType::Step:
         return "Step";
-      case MsgType::Ping:
-        return "Ping";
       case MsgType::HelloAck:
         return "HelloAck";
       case MsgType::TableData:
@@ -42,8 +40,6 @@ toString(MsgType type)
         return "CkptLoadAck";
       case MsgType::StepReply:
         return "StepReply";
-      case MsgType::Pong:
-        return "Pong";
       case MsgType::ErrorReply:
         return "ErrorReply";
     }
@@ -61,14 +57,12 @@ knownMsgType(std::uint32_t raw)
       case MsgType::CkptLoad:
       case MsgType::Bye:
       case MsgType::Step:
-      case MsgType::Ping:
       case MsgType::HelloAck:
       case MsgType::TableData:
       case MsgType::StatsData:
       case MsgType::CkptData:
       case MsgType::CkptLoadAck:
       case MsgType::StepReply:
-      case MsgType::Pong:
       case MsgType::ErrorReply:
         return true;
     }

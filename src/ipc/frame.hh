@@ -52,8 +52,9 @@ enum class MsgType : std::uint32_t
 {
     // client -> server
     // 2, 3 and 103 belong to the v1 quantum exchange that protocol
-    // v5 retired: never reuse them, so an old peer's frames keep
-    // failing as unknown types instead of misdecoding.
+    // v5 retired, 10 and 109 to the Ping/Pong liveness pair that v7
+    // retired: never reuse them, so an old peer's frames keep failing
+    // as unknown types instead of misdecoding.
     Hello = 1,    ///< open a session: network config + start tick
     TableGet = 4, ///< read back the server's tuned LatencyTable
     StatsGet = 5, ///< pull the hosted network's statistics tree
@@ -61,7 +62,6 @@ enum class MsgType : std::uint32_t
     CkptLoad = 7, ///< push a checkpoint image into the session
     Bye = 8,      ///< close the session cleanly
     Step = 9,     ///< one quantum: inject batch + advance target
-    Ping = 10,    ///< liveness probe; legal before Hello too
 
     // server -> client
     HelloAck = 101,
@@ -70,7 +70,6 @@ enum class MsgType : std::uint32_t
     CkptData = 106,
     CkptLoadAck = 107,
     StepReply = 108, ///< deliveries + time/idle/accounting + flags
-    Pong = 109,      ///< Ping echo: nonce + session/load state
     ErrorReply = 199, ///< request failed server-side: kind + message
 };
 

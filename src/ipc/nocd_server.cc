@@ -522,25 +522,6 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
     // Every failure below is reported to the client as a typed
     // ErrorReply; only transport trouble while replying propagates.
     try {
-        // Liveness probes are legal on any connection, session or not:
-        // the supervisor's heartbeat must be able to ask "are you
-        // alive?" without opening (or disturbing) a session.
-        if (msg.type == MsgType::Ping) {
-            PingRequest req = decodePing(msg.ar);
-            msg.done();
-            PongReply rep;
-            rep.nonce = req.nonce;
-            rep.in_session = session != nullptr;
-            rep.cur_time = session ? session->net->curTime() : 0;
-            rep.sessions_active =
-                sessions_active_.load(std::memory_order_relaxed);
-            rep.sessions_served =
-                sessions_served_.load(std::memory_order_relaxed);
-            ArchiveWriter aw = beginMessage(MsgType::Pong);
-            encodePong(aw, rep);
-            sendMessage(conn, std::move(aw));
-            return true;
-        }
         if (!session && msg.type != MsgType::Hello &&
             msg.type != MsgType::Bye) {
             throw SimError(ErrorKind::Transport,

@@ -208,46 +208,6 @@ decodeStepReply(ArchiveReader &ar, std::uint8_t &flags,
 }
 
 void
-encodePing(ArchiveWriter &aw, const PingRequest &req)
-{
-    aw.putU64(req.nonce);
-}
-
-PingRequest
-decodePing(ArchiveReader &ar)
-{
-    return guardedDecode("Ping", [&] {
-        PingRequest req;
-        req.nonce = ar.getU64();
-        return req;
-    });
-}
-
-void
-encodePong(ArchiveWriter &aw, const PongReply &rep)
-{
-    aw.putU64(rep.nonce);
-    aw.putBool(rep.in_session);
-    aw.putU64(rep.cur_time);
-    aw.putU64(rep.sessions_active);
-    aw.putU64(rep.sessions_served);
-}
-
-PongReply
-decodePong(ArchiveReader &ar)
-{
-    return guardedDecode("Pong", [&] {
-        PongReply rep;
-        rep.nonce = ar.getU64();
-        rep.in_session = ar.getBool();
-        rep.cur_time = ar.getU64();
-        rep.sessions_active = ar.getU64();
-        rep.sessions_served = ar.getU64();
-        return rep;
-    });
-}
-
-void
 encodeCkptReply(ArchiveWriter &aw, const CkptReply &rep)
 {
     aw.putString(rep.image);

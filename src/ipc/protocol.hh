@@ -16,7 +16,6 @@
  *   StatsGet -> StatsData             stats pull (optional)
  *   CkptSave -> CkptData              paired checkpoint (optional)
  *   CkptLoad -> CkptLoadAck           cross-process restore (optional)
- *   Ping -> Pong                      liveness probe (legal anywhere)
  *   Bye (or EOF)                      tear the session down
  *
  * Any request can instead be answered with ErrorReply carrying an
@@ -63,8 +62,10 @@ namespace ipc
  *  retires the v1 two-frame exchange (message types 2, 3 and 103)
  *  and the Step request's run-ahead hint byte, leaving Step/StepReply
  *  as the only quantum exchange; v6 drops Hello's kernel string —
- *  the server always hosts the soa kernel, and kernel.simd stays. */
-constexpr std::uint32_t protocol_version = 6;
+ *  the server always hosts the soa kernel, and kernel.simd stays;
+ *  v7 retires the Ping/Pong liveness pair (message types 10 and 109),
+ *  which only the since-deleted worker-fleet manager sent. */
+constexpr std::uint32_t protocol_version = 7;
 
 /** Session-opening handshake: everything the server needs to build a
  *  deterministic twin of the in-process backend. */
@@ -124,30 +125,6 @@ struct StepRequest
 constexpr std::uint8_t step_flag_attested = 8; ///< digest appended
 /// @}
 
-/** Liveness probe (v3): legal before Hello, so a sessionless
- *  connection — the supervisor's heartbeat — can ask "are you
- *  alive?" without building a network. */
-struct PingRequest
-{
-    /** Echoed verbatim in the Pong, pairing probe and answer. */
-    std::uint64_t nonce = 0;
-};
-
-/** Ping echo: the probe's nonce plus enough session/load state to
- *  tell a healthy worker from a wedged one. */
-struct PongReply
-{
-    std::uint64_t nonce = 0;
-    /** True when the answering connection carries a live session. */
-    bool in_session = false;
-    /** The session network's clock (0 when sessionless). */
-    Tick cur_time = 0;
-    /** Live sessions on the whole daemon (load state). */
-    std::uint64_t sessions_active = 0;
-    /** Sessions admitted since the daemon started. */
-    std::uint64_t sessions_served = 0;
-};
-
 /** One flattened statistics row of the hosted network's subtree. */
 struct StatRow
 {
@@ -184,8 +161,6 @@ void encodeStep(ArchiveWriter &aw, const StepRequest &req);
 /** @p digest is written only when @p flags has step_flag_attested. */
 void encodeStepReply(ArchiveWriter &aw, const AdvanceReply &rep,
                      std::uint8_t flags, std::uint64_t digest = 0);
-void encodePing(ArchiveWriter &aw, const PingRequest &req);
-void encodePong(ArchiveWriter &aw, const PongReply &rep);
 void encodeCkptReply(ArchiveWriter &aw, const CkptReply &rep);
 void encodeCkptLoadReply(ArchiveWriter &aw, const CkptLoadReply &rep);
 void encodeStatsReply(ArchiveWriter &aw,
@@ -205,8 +180,6 @@ StepRequest decodeStep(ArchiveReader &ar);
  *  digest (0 unless step_flag_attested is set). */
 AdvanceReply decodeStepReply(ArchiveReader &ar, std::uint8_t &flags,
                              std::uint64_t *digest = nullptr);
-PingRequest decodePing(ArchiveReader &ar);
-PongReply decodePong(ArchiveReader &ar);
 CkptReply decodeCkptReply(ArchiveReader &ar);
 CkptLoadReply decodeCkptLoadReply(ArchiveReader &ar);
 std::vector<StatRow> decodeStatsReply(ArchiveReader &ar);

@@ -26,8 +26,6 @@ RetryOptions::fromConfig(const Config &cfg)
     o.jitter = cfg.getDouble("network.remote.retry.jitter", o.jitter);
     o.deadline_ms = cfg.getDouble("network.remote.retry.deadline_ms",
                                   o.deadline_ms);
-    o.breaker_failures = cfg.getUInt(
-        "network.remote.retry.breaker_failures", o.breaker_failures);
     if (o.max_attempts == 0)
         fatal("network.remote.retry.max_attempts must be at least 1");
     if (o.backoff_base_ms < 0.0 || o.backoff_max_ms < 0.0 ||
@@ -58,39 +56,10 @@ RetryPolicy::beginRound()
 bool
 RetryPolicy::shouldRetry() const
 {
-    // Open breakers allow exactly one probe per round: once every
-    // endpoint's breaker is open the first failure ends the round
-    // immediately, no backoff storm. One healthy endpoint is enough
-    // to keep the round alive — a dead primary must never delay the
-    // failover to the next endpoint.
-    if (breakerAllOpen())
-        return false;
     if (attempt_ >= opts_.max_attempts)
         return false;
     if (opts_.deadline_ms > 0.0 && elapsedMs() >= opts_.deadline_ms)
         return false;
-    return true;
-}
-
-void
-RetryPolicy::setScopes(std::size_t n)
-{
-    breakers_.resize(std::max<std::size_t>(n, 1));
-}
-
-bool
-RetryPolicy::breakerOpen(std::size_t scope) const
-{
-    return scope < breakers_.size() && breakers_[scope].open;
-}
-
-bool
-RetryPolicy::breakerAllOpen() const
-{
-    for (const auto &b : breakers_) {
-        if (!b.open)
-            return false;
-    }
     return true;
 }
 
@@ -114,29 +83,6 @@ RetryPolicy::backoff()
             std::chrono::duration<double, std::milli>(ms));
     }
     return ms;
-}
-
-void
-RetryPolicy::noteSuccess(std::size_t scope)
-{
-    if (scope >= breakers_.size())
-        return;
-    breakers_[scope].failed_rounds = 0;
-    breakers_[scope].open = false;
-}
-
-void
-RetryPolicy::noteRoundFailed(std::size_t scope)
-{
-    if (scope >= breakers_.size())
-        return;
-    Breaker &b = breakers_[scope];
-    ++b.failed_rounds;
-    if (!b.open && opts_.breaker_failures > 0 &&
-        b.failed_rounds >= opts_.breaker_failures) {
-        b.open = true;
-        ++breaker_trips_;
-    }
 }
 
 double

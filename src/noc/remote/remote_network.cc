@@ -1,8 +1,6 @@
 #include "noc/remote/remote_network.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "ipc/faulty_transport.hh"
@@ -38,48 +36,15 @@ RemoteOptions::fromConfig(const Config &cfg)
         cfg.getDouble("remote.quantum_timeout_ms", o.quantum_timeout_ms);
     o.model = cfg.getString("remote.model", o.model);
 
-    // Failover set: a comma-separated endpoint list overrides the
-    // single remote.socket address (and becomes the primary).
-    std::string eps = cfg.getString("network.remote.endpoints", "");
-    if (!eps.empty()) {
-        o.endpoints.clear();
-        std::size_t pos = 0;
-        while (pos <= eps.size()) {
-            std::size_t comma = eps.find(',', pos);
-            std::string ep =
-                comma == std::string::npos
-                    ? eps.substr(pos)
-                    : eps.substr(pos, comma - pos);
-            while (!ep.empty() && (ep.front() == ' ' || ep.front() == '\t'))
-                ep.erase(ep.begin());
-            while (!ep.empty() && (ep.back() == ' ' || ep.back() == '\t'))
-                ep.pop_back();
-            if (!ep.empty())
-                o.endpoints.push_back(ep);
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-        if (o.endpoints.empty())
-            fatal("network.remote.endpoints: no usable address in '",
-                  eps, "'");
-        o.socket = o.endpoints.front();
-    }
     o.ckpt_quanta =
         cfg.getUInt("network.remote.ckpt_quanta", o.ckpt_quanta);
     o.attest_quanta =
         cfg.getUInt("network.remote.attest_quanta", o.attest_quanta);
-    o.registry = cfg.getString("network.remote.registry", o.registry);
     o.retry = ipc::RetryOptions::fromConfig(cfg);
     o.fault = TransportFaultOptions::fromConfig(cfg);
 
     if (!ipc::validAddress(o.socket))
         fatal("remote.socket: unusable address '", o.socket, "'");
-    for (const std::string &ep : o.endpoints) {
-        if (!ipc::validAddress(ep))
-            fatal("network.remote.endpoints: unusable address '", ep,
-                  "'");
-    }
     if (o.connect_timeout_ms <= 0.0)
         fatal("remote.connect_timeout_ms must be positive");
     if (o.quantum_timeout_ms < 0.0)
@@ -116,12 +81,10 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
                  "sessions re-opened after a connection loss"),
       retries(&health, "retries",
               "transport attempts re-run after a backoff"),
-      failovers(&health, "failovers",
-                "sessions moved to a different endpoint"),
+      failovers(&health, "failovers", "retired counter, always 0"),
       backoffMsTotal(&health, "backoff_ms_total",
                      "wall-clock milliseconds slept in retry backoffs"),
-      breakerTrips(&health, "breaker_trips",
-                   "circuit breaker openings (exhausted retry rounds)"),
+      breakerTrips(&health, "breaker_trips", "retired counter, always 0"),
       standbyPrimeFailures(&health, "standby_prime_failures",
                            "retired counter, always 0"),
       reprimes(&health, "reprimes", "retired counter, always 0"),
@@ -130,7 +93,7 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
       attestationMismatches(&health, "attestation_mismatches",
                             "replica state digests that diverged"),
       workerRestarts(&health, "worker_restarts",
-                     "supervised worker restarts (registry mirror)"),
+                     "retired counter, always 0"),
       params_(params), options_(std::move(options)),
       // Identical geometry to the bridge's reciprocal table, so the
       // server's shadow table and the bridge's table are comparable
@@ -140,10 +103,8 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
                    options_.abstract.granularity, params.numNodes())
 {
     params_.validate();
-    if (options_.endpoints.empty())
-        options_.endpoints = {options_.socket};
     // One fault schedule and one retry policy for the object's whole
-    // life: the draw sequences run across reconnects and failovers,
+    // life: the draw sequences run across every reconnect,
     // which is what makes a chaos run reproducible end to end.
     fault_sched_ = TransportFaultSchedule(options_.fault);
     retry_ = ipc::RetryPolicy(options_.retry,
@@ -154,11 +115,6 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
             "total latency on vnet " + std::to_string(v)));
     }
     num_nodes_ = static_cast<std::uint64_t>(params_.numNodes());
-    // A registry written before we started can already widen the
-    // endpoint set; afterwards the breaker gets one scope per
-    // endpoint, so one dead worker cannot trip the others' budgets.
-    refreshRegistry();
-    retry_.setScopes(options_.endpoints.size());
     runWithRetry([] { return 0; });
 }
 
@@ -223,9 +179,7 @@ void
 RemoteNetwork::syncHealthStats()
 {
     retries.set(static_cast<double>(retry_.retries()));
-    breakerTrips.set(static_cast<double>(retry_.breakerTrips()));
     backoffMsTotal.set(retry_.backoffMsTotal());
-    workerRestarts.set(static_cast<double>(registry_restarts_));
 }
 
 void
@@ -271,13 +225,12 @@ RemoteNetwork::rethrowPartingError(ipc::ByteChannel &ch,
 }
 
 ipc::Message
-RemoteNetwork::expectReplyOn(ipc::ByteChannel &ch,
-                             const std::string &addr, double timeout_ms)
+RemoteNetwork::expectReplyOn(ipc::ByteChannel &ch, double timeout_ms)
 {
     auto msg = ipc::recvMessage(ch, timeout_ms, &abort_);
     if (!msg) {
         throw SimError(ErrorKind::Transport,
-                       "server '" + addr +
+                       "server '" + options_.socket +
                            "' closed the connection mid-request");
     }
     return std::move(*msg);
@@ -286,13 +239,13 @@ RemoteNetwork::expectReplyOn(ipc::ByteChannel &ch,
 ipc::Message
 RemoteNetwork::expectReply(double timeout_ms)
 {
-    return expectReplyOn(*chan_, activeEndpoint(), timeout_ms);
+    return expectReplyOn(*chan_, timeout_ms);
 }
 
 std::unique_ptr<ipc::ByteChannel>
-RemoteNetwork::openChannelTo(std::size_t ep, double timeout_ms)
+RemoteNetwork::openChannel(double timeout_ms)
 {
-    ipc::Fd fd = ipc::connectTo(options_.endpoints[ep], timeout_ms);
+    ipc::Fd fd = ipc::connectTo(options_.socket, timeout_ms);
     std::unique_ptr<ipc::ByteChannel> ch =
         std::make_unique<ipc::FdChannel>(std::move(fd));
     if (options_.fault.enabled) {
@@ -303,8 +256,7 @@ RemoteNetwork::openChannelTo(std::size_t ep, double timeout_ms)
 }
 
 ipc::HelloReply
-RemoteNetwork::helloOn(ipc::ByteChannel &ch, const std::string &addr,
-                       Tick start_tick)
+RemoteNetwork::helloOn(ipc::ByteChannel &ch, Tick start_tick)
 {
     ipc::HelloRequest req;
     req.model = options_.model;
@@ -326,8 +278,7 @@ RemoteNetwork::helloOn(ipc::ByteChannel &ch, const std::string &addr,
         rethrowPartingError(ch, e);
     }
 
-    ipc::Message msg =
-        expectReplyOn(ch, addr, options_.connect_timeout_ms);
+    ipc::Message msg = expectReplyOn(ch, options_.connect_timeout_ms);
     if (msg.type == ipc::MsgType::ErrorReply)
         ipc::throwDecodedError(msg.ar);
     if (msg.type != ipc::MsgType::HelloAck) {
@@ -341,14 +292,12 @@ RemoteNetwork::helloOn(ipc::ByteChannel &ch, const std::string &addr,
 }
 
 ipc::CkptLoadReply
-RemoteNetwork::ckptLoadOn(ipc::ByteChannel &ch, const std::string &addr,
-                          const std::string &image)
+RemoteNetwork::ckptLoadOn(ipc::ByteChannel &ch, const std::string &image)
 {
     ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::CkptLoad);
     aw.putString(image);
     ipc::sendMessage(ch, std::move(aw));
-    ipc::Message msg =
-        expectReplyOn(ch, addr, options_.quantum_timeout_ms);
+    ipc::Message msg = expectReplyOn(ch, options_.quantum_timeout_ms);
     if (msg.type == ipc::MsgType::ErrorReply)
         ipc::throwDecodedError(msg.ar);
     if (msg.type != ipc::MsgType::CkptLoadAck) {
@@ -361,152 +310,47 @@ RemoteNetwork::ckptLoadOn(ipc::ByteChannel &ch, const std::string &addr,
     return rep;
 }
 
-std::uint64_t
-RemoteNetwork::refreshRegistry()
-{
-    const std::uint64_t all_up = ~std::uint64_t(0);
-    if (options_.registry.empty())
-        return all_up;
-    std::ifstream in(options_.registry);
-    if (!in)
-        return all_up; // not written yet: trust the static list
-    // Format (one worker per line, written atomically by
-    // rasim-supervisor):
-    //   rasim-registry v1
-    //   worker <idx> <addr> <up|down> pid <pid> restarts <n>
-    std::vector<std::string> addrs;
-    std::uint64_t up_mask = 0;
-    std::uint64_t restarts_total = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag != "worker")
-            continue;
-        std::uint64_t idx = 0;
-        std::string addr, state, pid_tag, restarts_tag;
-        std::uint64_t pid = 0, restarts = 0;
-        ls >> idx >> addr >> state >> pid_tag >> pid >> restarts_tag >>
-            restarts;
-        if (!ls || addr.empty() || !ipc::validAddress(addr))
-            continue;
-        if (idx >= 64 || idx != addrs.size())
-            continue; // torn or out-of-order line: keep what parses
-        addrs.push_back(addr);
-        if (state == "up")
-            up_mask |= std::uint64_t(1) << idx;
-        restarts_total += restarts;
-    }
-    if (addrs.empty())
-        return all_up;
-    registry_restarts_ = restarts_total;
-    options_.endpoints = std::move(addrs);
-    if (active_ep_ >= options_.endpoints.size())
-        active_ep_ = 0;
-    retry_.setScopes(options_.endpoints.size());
-    syncHealthStats();
-    return up_mask;
-}
-
 void
 RemoteNetwork::coldOpen()
 {
-    // Under a supervisor the fleet may have moved since the failure:
-    // re-resolve it, and learn which workers the supervisor believes
-    // are up.
-    const std::uint64_t up_mask = refreshRegistry();
-    const std::size_t n = options_.endpoints.size();
-    // Walk the ring from the active endpoint: the likely-healthy
-    // endpoints (registry says up, breaker closed) first, then the
-    // suspect ones as last-resort probes.
-    std::vector<std::size_t> order;
-    for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t ep = (active_ep_ + i) % n;
-            const bool healthy = (ep >= 64 ||
-                                  (up_mask & (std::uint64_t(1) << ep))) &&
-                                 !retry_.breakerOpen(ep);
-            if ((pass == 0) == healthy)
-                order.push_back(ep);
+    // Cap the connect wait to the retry round's remaining deadline;
+    // connectTo() keeps retrying a refused connect until then, which
+    // covers a server being restarted on the same address.
+    std::unique_ptr<ipc::ByteChannel> ch =
+        openChannel(retry_.capToDeadline(options_.connect_timeout_ms));
+    // With a base image the fresh fabric starts at tick 0 and the image
+    // rewinds it to the base; without one the lineage is empty and the
+    // session starts cold at the base tick.
+    Tick start = base_image_.empty() ? journal_base_ : 0;
+    ipc::HelloReply rep = helloOn(*ch, start);
+    Tick server_tick = journal_base_;
+    if (!base_image_.empty()) {
+        ipc::CkptLoadReply ack = ckptLoadOn(*ch, base_image_);
+        server_tick = ack.cur_time;
+        if (server_tick != journal_base_) {
+            throw SimError(ErrorKind::Transport,
+                           "restored server is at tick " +
+                               std::to_string(server_tick) +
+                               " but the base image was taken at tick " +
+                               std::to_string(journal_base_));
+        }
+        if (ack.digest != base_digest_) {
+            // The replica's own re-serialization disagrees with the
+            // attested base: its state diverged and nothing it
+            // computes can be trusted.
+            ++attestationMismatches;
+            throw SimError(ErrorKind::Transport,
+                           "replica attestation mismatch on '" +
+                               options_.socket +
+                               "': restored state digest " +
+                               std::to_string(ack.digest) +
+                               " != base digest " +
+                               std::to_string(base_digest_));
         }
     }
-    // Two sweeps. With more than one endpoint, the first gives each a
-    // single connect attempt, so a dead server whose socket refuses
-    // costs the failover to a live one behind it no connect timeout.
-    // The second waits the connect budget on the endpoints that
-    // refused, for a fleet that is still (re)starting.
-    std::vector<bool> refused(n, false);
-    std::optional<SimError> last;
-    for (int sweep = 0; sweep < 2; ++sweep) {
-        for (const std::size_t ep : order) {
-            if (sweep == 1 && !refused[ep])
-                continue;
-            const bool quick = sweep == 0 && n > 1;
-            const std::string &addr = options_.endpoints[ep];
-            std::unique_ptr<ipc::ByteChannel> ch;
-            try {
-                // Cap the connect wait to the retry round's remaining
-                // deadline, so a dead endpoint cannot eat the budget
-                // of the live ones behind it.
-                ch = openChannelTo(
-                    ep, quick ? 0.0
-                              : retry_.capToDeadline(
-                                    options_.connect_timeout_ms));
-            } catch (const SimError &e) {
-                last = e;
-                refused[ep] = quick;
-                continue;
-            }
-            try {
-                // With a base image the fresh fabric starts at tick 0
-                // and the image rewinds it to the base; without one
-                // the lineage is empty and the session starts cold at
-                // the base tick.
-                Tick start = base_image_.empty() ? journal_base_ : 0;
-                ipc::HelloReply rep = helloOn(*ch, addr, start);
-                Tick server_tick = journal_base_;
-                if (!base_image_.empty()) {
-                    ipc::CkptLoadReply ack =
-                        ckptLoadOn(*ch, addr, base_image_);
-                    server_tick = ack.cur_time;
-                    if (server_tick != journal_base_) {
-                        throw SimError(
-                            ErrorKind::Transport,
-                            "restored server is at tick " +
-                                std::to_string(server_tick) +
-                                " but the base image was taken at "
-                                "tick " +
-                                std::to_string(journal_base_));
-                    }
-                    if (ack.digest != base_digest_) {
-                        // The replica's own re-serialization disagrees
-                        // with the attested base: its state diverged
-                        // and nothing it computes can be trusted.
-                        ++attestationMismatches;
-                        throw SimError(
-                            ErrorKind::Transport,
-                            "replica attestation mismatch on '" +
-                                addr + "': restored state digest " +
-                                std::to_string(ack.digest) +
-                                " != base digest " +
-                                std::to_string(base_digest_));
-                    }
-                }
-                num_nodes_ = rep.num_nodes;
-                if (ep != active_ep_)
-                    ++failovers;
-                active_ep_ = ep;
-                retry_.noteSuccess(ep);
-                chan_ = std::move(ch);
-                server_time_ = server_tick;
-                return;
-            } catch (const SimError &e) {
-                last = e;
-            }
-        }
-    }
-    throw *last; // endpoints is never empty
+    num_nodes_ = rep.num_nodes;
+    chan_ = std::move(ch);
+    server_time_ = server_tick;
 }
 
 void
@@ -525,18 +369,15 @@ RemoteNetwork::replayJournal()
         ipc::AdvanceReply rep = exchangeStep(req, flags, digest);
         // The original exchange attested this quantum: the rebuilt
         // replica must reproduce that digest exactly, or its state
-        // has diverged from the run the journal records — quarantine
-        // it (feed its breaker, shift the endpoint preference) and
-        // let the retry round recover on another replica.
+        // has diverged from the run the journal records. The retry
+        // round rebuilds it from scratch; if it keeps diverging the
+        // round runs out and the bridge degrades to tuned-abstract, so
+        // the diverged replica is never computed on.
         if (rec.attested && digest != rec.digest) {
             ++attestationMismatches;
-            retry_.noteRoundFailed(active_ep_);
-            const std::string addr = activeEndpoint();
-            active_ep_ =
-                (active_ep_ + 1) % options_.endpoints.size();
             throw SimError(
                 ErrorKind::Transport,
-                "replica attestation mismatch on '" + addr +
+                "replica attestation mismatch on '" + options_.socket +
                     "' at replayed quantum " + std::to_string(i) +
                     ": digest " + std::to_string(digest) + " != " +
                     std::to_string(rec.digest));

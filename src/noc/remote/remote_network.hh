@@ -31,11 +31,11 @@
  * journal of every quantum request issued since. Replaying the journal
  * into a fresh session reproduces, by the server's own determinism,
  * the exact pre-failure state — so the retried quantum proceeds as if
- * nothing happened, bit for bit. Failover is the same cold open: with
- * network.remote.endpoints listing several servers, the reconnect
- * walks that ring from the active endpoint, so a dead server's
- * successor is rebuilt from the lineage exactly like a reconnect to
- * the same one. Only when the retry budget or circuit breaker is
+ * nothing happened, bit for bit. The client talks to one endpoint
+ * (remote.socket): a server that died and was restarted on that
+ * address by whoever runs it is rebuilt from the lineage exactly like
+ * a reconnect to a server that only dropped the connection. Restarting
+ * a dead server is the caller's job. Only when the retry budget is
  * exhausted does the failure surface inside advanceTo() as a typed
  * SimError — precisely where the co-simulation bridge's health
  * machinery catches backend failures and degrades the run to the
@@ -50,25 +50,15 @@
  * budget, bit-identical to the fault-free run (the chaos differential
  * proof; see tests/noc/chaos_differential_test.cc).
  *
- * Self-healing (v3, DESIGN.md section 13): the client can run against
- * a rasim-supervisor-managed worker fleet and survive any number of
- * worker crashes, not just the first — every loss is one more cold
- * open plus replay, on whichever worker answers.
+ * Attestation (DESIGN.md section 13): CkptData and CkptLoadAck carry
+ * CRC64 digests of the serialized network state, and every
+ * network.remote.attest_quanta quanta a Step requests one; the client
+ * checks the restored base on every cold open and the rebuilt replica
+ * against the journal during replay, failing the attempt on any
+ * replica whose state diverged instead of silently computing on it.
  *
- *  - Attestation: CkptData and CkptLoadAck carry CRC64 digests of the
- *    serialized network state, and every network.remote.attest_quanta
- *    quanta a Step requests one; the client checks the restored base
- *    on every cold open and the rebuilt replica against the journal
- *    during replay, quarantining any replica whose state diverged
- *    instead of silently computing on it.
- *
- *  - Registry: with network.remote.registry pointing at a supervisor's
- *    endpoints file, every cold open re-resolves the worker fleet
- *    (liveness + restart counts) and prefers endpoints the supervisor
- *    reports up.
- *
- * A worker that is alive but wedged is caught by the supervisor's own
- * Ping heartbeat (which kills it) or by remote.quantum_timeout_ms.
+ * A server that is alive but wedged is caught by
+ * remote.quantum_timeout_ms.
  */
 
 #ifndef RASIM_NOC_REMOTE_REMOTE_NETWORK_HH
@@ -112,11 +102,6 @@ struct RemoteOptions
 {
     /** Server address (unix:/path, tcp:host:port, or a bare path). */
     std::string socket = "unix:/tmp/rasim-nocd.sock";
-    /** Failover ring, in preference order (network.remote.endpoints,
-     *  comma-separated). Empty = just @ref socket. The first entry is
-     *  the primary; a lost session cold-opens the next reachable one
-     *  from the active endpoint onward. */
-    std::vector<std::string> endpoints;
     /** Budget for connect + Hello handshake, in ms. */
     double connect_timeout_ms = 5000.0;
     /** Budget for one quantum's StepReply, in ms (0 = forever). */
@@ -136,11 +121,7 @@ struct RemoteOptions
      *  can prove the rebuilt replica reconverged; 0 = attest only at
      *  checkpoints (network.remote.attest_quanta). */
     std::uint64_t attest_quanta = 0;
-    /** Path of a rasim-supervisor endpoints registry; when set, every
-     *  cold open re-resolves the worker fleet from it
-     *  (network.remote.registry). Empty = static endpoint list. */
-    std::string registry;
-    /** Deterministic retry/backoff/breaker budgets
+    /** Deterministic retry/backoff budgets
      *  (network.remote.retry.*). */
     ipc::RetryOptions retry;
     /** Client-side transport chaos (fault.transport.*). */
@@ -187,13 +168,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
 
     const NocParams &params() const { return params_; }
     const RemoteOptions &options() const { return options_; }
-
-    /** Endpoint of the live (or last live) session. */
-    const std::string &
-    activeEndpoint() const
-    {
-        return options_.endpoints[active_ep_];
-    }
 
     /** Packets reported delivered by the server so far. */
     std::uint64_t deliveredCount() const { return acct_.delivered; }
@@ -252,22 +226,25 @@ class RemoteNetwork : public SimObject, public NetworkModel
     stats::Group health;          ///< …dumps under <name>.health.*
     stats::Scalar reconnects;     ///< sessions re-opened after a loss
     stats::Scalar retries;        ///< attempts re-run after a backoff
-    stats::Scalar failovers;      ///< sessions moved to a new endpoint
+    // Retired with the multi-endpoint failover, the hot standby and
+    // the client prober and always 0: failovers, breakerTrips,
+    // standbyPrimeFailures, reprimes, heartbeatMisses, workerRestarts.
+    // Still registered, in their old order, because perfbench's stats
+    // digest covers them.
+    stats::Scalar failovers;
     stats::Scalar backoffMsTotal; ///< wall-clock slept in backoffs
-    stats::Scalar breakerTrips;   ///< circuit breaker openings
-    // Retired with the hot standby and the client prober and always
-    // 0; still registered because perfbench's stats digest covers them.
+    stats::Scalar breakerTrips;
     stats::Scalar standbyPrimeFailures;
     stats::Scalar reprimes;
     stats::Scalar heartbeatMisses;
     stats::Scalar attestationMismatches; ///< replica digests that diverged
-    stats::Scalar workerRestarts; ///< fleet restarts (registry mirror)
+    stats::Scalar workerRestarts;
     /// @}
 
     /**
      * Crash-window test instrumentation: callbacks fired at the exact
      * client-side moments the crash-anywhere tests need to SIGKILL a
-     * worker in (inside a checkpoint stream, mid-replay, between a
+     * server in (inside a checkpoint stream, mid-replay, between a
      * recovery's cold open and its replay). Never set outside tests;
      * all default-empty. corrupt_attest flips every digest the client
      * records, forcing the attestation cross-checks to fire.
@@ -318,17 +295,12 @@ class RemoteNetwork : public SimObject, public NetworkModel
             try {
                 ensureSession();
                 auto result = fn();
-                retry_.noteSuccess(active_ep_);
                 syncHealthStats();
                 return result;
             } catch (const SimError &err) {
                 markDisconnected();
                 retry_.noteFailure();
                 if (!retryable(err) || !retry_.shouldRetry()) {
-                    // Only the endpoint the round died on feeds its
-                    // breaker: a healthy endpoint's scope stays closed,
-                    // so the next round may still reach it.
-                    retry_.noteRoundFailed(active_ep_);
                     giveUp();
                     syncHealthStats();
                     throw;
@@ -346,33 +318,25 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /** Mirror the retry policy's counters into the health stats. */
     void syncHealthStats();
 
-    /** Open a session if none is live: cold-open an endpoint, then
-     *  replay the journal. */
+    /** Open a session if none is live: cold open, then replay the
+     *  journal. */
     void ensureSession();
-    /** Connect to @p ep and wrap the channel in the shared fault
+    /** Connect to the server and wrap the channel in the shared fault
      *  schedule when chaos is enabled. */
-    std::unique_ptr<ipc::ByteChannel> openChannelTo(std::size_t ep,
-                                                    double timeout_ms);
+    std::unique_ptr<ipc::ByteChannel> openChannel(double timeout_ms);
     /** Hello/HelloAck handshake on @p ch at @p start_tick. */
-    ipc::HelloReply helloOn(ipc::ByteChannel &ch,
-                            const std::string &addr, Tick start_tick);
+    ipc::HelloReply helloOn(ipc::ByteChannel &ch, Tick start_tick);
     /** Push @p image into the session on @p ch; returns the restored
      *  server tick plus the replica's own re-serialization digest. */
     ipc::CkptLoadReply ckptLoadOn(ipc::ByteChannel &ch,
-                                  const std::string &addr,
                                   const std::string &image);
-    /** Open a fresh session on the first reachable endpoint (trying
-     *  from the active one onward, preferring closed-breaker and
-     *  registry-up endpoints) and restore the base image. */
+    /** Connect, say Hello, restore the base image and check its
+     *  attestation digest. */
     void coldOpen();
-    /** Re-read the supervisor registry (when configured): endpoint
-     *  liveness, fleet restart counts. Returns the per-endpoint up
-     *  mask (all-up when no registry is readable). */
-    std::uint64_t refreshRegistry();
     /** Re-issue every journaled quantum against the fresh session,
      *  discarding the replies (their deliveries were already applied
      *  in the original run) but cross-checking every journaled
-     *  attestation digest — a mismatch quarantines the replica. */
+     *  attestation digest — a mismatch fails the attempt. */
     void replayJournal();
     /** Capture a fresh base image at the current tick and truncate
      *  the journal. Failure drops the broken connection and keeps the
@@ -389,9 +353,7 @@ class RemoteNetwork : public SimObject, public NetworkModel
      *  Transport SimError. */
     ipc::Message expectReply(double timeout_ms);
     /** Ditto on an explicit channel (cold-open handshakes). */
-    ipc::Message expectReplyOn(ipc::ByteChannel &ch,
-                               const std::string &addr,
-                               double timeout_ms);
+    ipc::Message expectReplyOn(ipc::ByteChannel &ch, double timeout_ms);
     /** A send failed mid-handshake: the server may have refused the
      *  session and closed, leaving a typed parting error buffered on
      *  our side of the socket. Re-raise that in preference to the
@@ -427,7 +389,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
      *  every reconnect), so a chaos run is reproducible end to end. */
     TransportFaultSchedule fault_sched_;
     ipc::RetryPolicy retry_;
-    std::size_t active_ep_ = 0;
     bool ever_connected_ = false;
     std::atomic<bool> abort_{false};
 
@@ -446,9 +407,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     std::uint64_t last_step_digest_ = 0; ///< from the last StepReply
     bool last_step_attested_ = false;
     std::uint64_t op_counter_ = 0; ///< raw exchanges (test_hooks.on_op)
-
-    // Registry mirror (refreshRegistry).
-    std::uint64_t registry_restarts_ = 0;
 
     // Mirrored from the last quantum reply (or HelloAck).
     /** Where the server's clock actually is; trails cur_time_ while

@@ -55,7 +55,9 @@ class ArchiveWriter
   public:
     static constexpr char magic[8] = {'R', 'A', 'S', 'I',
                                       'M', 'C', 'K', 'P'};
-    static constexpr std::uint32_t format_version = 1;
+    /** v2: FullSystem's "meta" section carries the abstract.*
+     *  latency-table knobs. */
+    static constexpr std::uint32_t format_version = 2;
 
     void beginSection(const std::string &tag);
     void endSection();

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
+
 #include "common/expect_error.hh"
 
 #include "cosim/full_system.hh"
@@ -193,6 +197,53 @@ TEST(FullSystem, WorkloadsProduceDifferentTraffic)
         return total;
     };
     EXPECT_GT(invs(a), 2.0 * invs(b));
+}
+
+/** Checkpoint a default-knob run mid-flight, then restore that image
+ *  into a system whose latency-table knobs differ as @p change says;
+ *  returns the restore's rejection reason ("" if it was accepted). */
+std::string
+restoreUnderOtherTableKnobs(
+    const std::function<void(abstractnet::AbstractParams &)> &change)
+{
+    FullSystemOptions o = smallOptions(Mode::CosimCycle);
+    std::string image;
+    {
+        FullSystem sys(Config(), o);
+        sys.run(4 * o.quantum);
+        std::ostringstream os;
+        sys.saveTo(os);
+        image = os.str();
+    }
+    change(o.abstract);
+    FullSystem sys(Config(), o);
+    std::string why;
+    EXPECT_FALSE(sys.restoreFromBytes(image, &why));
+    return why;
+}
+
+TEST(FullSystem, RestoreUnderPairGranularityIsANamedMismatch)
+{
+    // The saved distance table cannot be read back as a pair table:
+    // this used to panic inside the table restore.
+    std::string why = restoreUnderOtherTableKnobs(
+        [](abstractnet::AbstractParams &a) {
+            a.granularity = abstractnet::LatencyTable::Granularity::Pair;
+        });
+    EXPECT_NE(why.find("configuration mismatch: abstract.granularity"),
+              std::string::npos)
+        << why;
+}
+
+TEST(FullSystem, RestoreUnderOtherEwmaAlphaIsANamedMismatch)
+{
+    // Same table shape, other dynamics: this used to be accepted and
+    // silently drift from the uninterrupted run.
+    std::string why = restoreUnderOtherTableKnobs(
+        [](abstractnet::AbstractParams &a) { a.ewma_alpha = 0.5; });
+    EXPECT_NE(why.find("configuration mismatch: abstract.ewma_alpha"),
+              std::string::npos)
+        << why;
 }
 
 } // namespace

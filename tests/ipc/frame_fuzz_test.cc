@@ -398,11 +398,11 @@ TEST(FrameFuzz, LyingTypeWithForeignBodyIsRefused)
 
 TEST(FrameFuzz, UnknownMessageTypeIsRefusedAtReceive)
 {
-    // A type value no build speaks — or one a v4 peer still sends (2,
-    // 3 and 103: the retired two-frame quantum exchange) — is refused
-    // before any payload decode runs, with a hint that the peer may
-    // speak another protocol.
-    for (std::uint32_t raw : {57u, 2u, 3u, 103u}) {
+    // A type value no build speaks — or one an old peer still sends
+    // (2, 3 and 103: the v4 two-frame quantum exchange; 10 and 109:
+    // the v6 Ping/Pong pair) — is refused before any payload decode
+    // runs, with a hint that the peer may speak another protocol.
+    for (std::uint32_t raw : {57u, 2u, 3u, 103u, 10u, 109u}) {
         ArchiveWriter aw;
         aw.beginSection("msg");
         aw.putU32(raw);

@@ -159,10 +159,11 @@ TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 
 TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
 {
-    // A newer peer, a v5 peer whose Hello still carries a kernel
+    // A newer peer, a v6 peer that may still send the retired
+    // Ping/Pong pair, a v5 peer whose Hello still carries a kernel
     // string, and a v4 peer that would still send the retired
     // two-frame quantum exchange.
-    for (std::uint32_t proto : {protocol_version + 1, 5u, 4u}) {
+    for (std::uint32_t proto : {protocol_version + 1, 6u, 5u, 4u}) {
         Fd fd = connect();
         HelloRequest req;
         req.proto = proto;
@@ -266,46 +267,6 @@ TEST_F(ServerFixture, CorruptCheckpointImageIsRejected)
         EXPECT_NE(std::string(e.what()).find("corrupt checkpoint"),
                   std::string::npos);
     }
-}
-
-TEST_F(ServerFixture, PingIsLegalBeforeHello)
-{
-    // Liveness probes must work on a sessionless connection: this is
-    // what the supervisor's heartbeat sends.
-    Fd fd = connect();
-    PingRequest req;
-    req.nonce = 0xfeedfacecafebeefull;
-    ArchiveWriter aw = beginMessage(MsgType::Ping);
-    encodePing(aw, req);
-    Message rep = call(fd, std::move(aw));
-    ASSERT_EQ(rep.type, MsgType::Pong);
-    PongReply pong = decodePong(rep.ar);
-    rep.done();
-    EXPECT_EQ(pong.nonce, req.nonce);
-    EXPECT_FALSE(pong.in_session);
-    EXPECT_EQ(pong.cur_time, 0u);
-}
-
-TEST_F(ServerFixture, PingInSessionReportsSessionState)
-{
-    Fd fd = connect();
-    HelloRequest hreq;
-    hello(fd, hreq);
-    step(fd, 500);
-
-    PingRequest req;
-    req.nonce = 42;
-    ArchiveWriter aw = beginMessage(MsgType::Ping);
-    encodePing(aw, req);
-    Message rep = call(fd, std::move(aw));
-    ASSERT_EQ(rep.type, MsgType::Pong);
-    PongReply pong = decodePong(rep.ar);
-    rep.done();
-    EXPECT_EQ(pong.nonce, 42u);
-    EXPECT_TRUE(pong.in_session);
-    EXPECT_EQ(pong.cur_time, 500u);
-    EXPECT_GE(pong.sessions_active, 1u);
-    EXPECT_GE(pong.sessions_served, 1u);
 }
 
 TEST_F(ServerFixture, AttestedStepCarriesAReproducibleDigest)

@@ -2,8 +2,7 @@
  * @file
  * Unit tests of the deterministic retry machinery: the backoff
  * sequence as a pure function of seed and failure pattern, the
- * attempt/deadline budgets, the circuit breaker's one-probe regime,
- * and the transport fault schedule's reproducibility guarantees —
+ * attempt/deadline budgets, and the transport fault schedule's reproducibility guarantees —
  * plus config hygiene for the new key families.
  */
 
@@ -39,7 +38,6 @@ fastOptions()
     o.backoff_max_ms = 0.16;
     o.jitter = 0.5;
     o.deadline_ms = 0.0;
-    o.breaker_failures = 0;
     return o;
 }
 
@@ -57,7 +55,6 @@ backoffTrace(RetryPolicy &p, int rounds, int fails)
                 break;
             trace.push_back(p.backoff());
         }
-        p.noteSuccess();
     }
     return trace;
 }
@@ -153,112 +150,6 @@ TEST(RetryPolicy, DeadlineBindsAndCapsConnectBudgets)
     EXPECT_DOUBLE_EQ(q.capToDeadline(5000.0), 5000.0);
 }
 
-TEST(RetryPolicy, BreakerOpensAfterConsecutiveExhaustedRounds)
-{
-    RetryOptions o = fastOptions();
-    o.breaker_failures = 2;
-    RetryPolicy p(o, Rng(1, 1));
-
-    for (int r = 0; r < 2; ++r) {
-        p.beginRound();
-        while (true) {
-            p.noteFailure();
-            if (!p.shouldRetry())
-                break;
-            p.backoff();
-        }
-        p.noteRoundFailed();
-    }
-    EXPECT_TRUE(p.breakerOpen());
-    EXPECT_EQ(p.breakerTrips(), 1u);
-
-    // Open breaker: exactly one probe per round, no backoff storm.
-    p.beginRound();
-    p.noteFailure();
-    EXPECT_FALSE(p.shouldRetry());
-    p.noteRoundFailed();
-    EXPECT_EQ(p.breakerTrips(), 1u) << "an open breaker trips once";
-
-    // The first successful probe closes it again.
-    p.beginRound();
-    p.noteSuccess();
-    EXPECT_FALSE(p.breakerOpen());
-}
-
-/** Exhaust one round against @p scope (max_attempts failures). */
-void
-exhaustRound(RetryPolicy &p, std::size_t scope)
-{
-    p.beginRound();
-    while (true) {
-        p.noteFailure();
-        if (!p.shouldRetry())
-            break;
-        p.backoff();
-    }
-    p.noteRoundFailed(scope);
-}
-
-TEST(RetryPolicy, BreakerIsScopedPerEndpoint)
-{
-    RetryOptions o = fastOptions();
-    o.breaker_failures = 2;
-    RetryPolicy p(o, Rng(1, 1));
-    p.setScopes(2);
-    ASSERT_EQ(p.scopes(), 2u);
-
-    // The primary (scope 0) dies repeatedly and trips its breaker.
-    exhaustRound(p, 0);
-    exhaustRound(p, 0);
-    EXPECT_TRUE(p.breakerOpen(0));
-    EXPECT_FALSE(p.breakerOpen(1)) << "the secondary never failed";
-    EXPECT_EQ(p.breakerTrips(), 1u);
-
-    // This is the regression the scoping exists for: a dead primary's
-    // open breaker must not deny the round that would fail over to
-    // the healthy secondary.
-    p.beginRound();
-    p.noteFailure();
-    EXPECT_TRUE(p.shouldRetry())
-        << "a healthy secondary scope keeps the round alive";
-
-    // A success on the secondary closes nothing of the primary's state.
-    p.noteSuccess(1);
-    EXPECT_TRUE(p.breakerOpen(0));
-    EXPECT_FALSE(p.breakerOpen(1));
-
-    // Only when every endpoint's breaker is open does the one-probe
-    // regime kick in.
-    exhaustRound(p, 1);
-    exhaustRound(p, 1);
-    EXPECT_TRUE(p.breakerAllOpen());
-    EXPECT_EQ(p.breakerTrips(), 2u);
-    p.beginRound();
-    p.noteFailure();
-    EXPECT_FALSE(p.shouldRetry()) << "all scopes open: one probe only";
-
-    // And one probe succeeding anywhere reopens the path.
-    p.noteSuccess(0);
-    EXPECT_FALSE(p.breakerAllOpen());
-    p.beginRound();
-    p.noteFailure();
-    EXPECT_TRUE(p.shouldRetry());
-}
-
-TEST(RetryPolicy, ScopeFreeCallsKeepLegacySingleEndpointBehaviour)
-{
-    RetryOptions o = fastOptions();
-    o.breaker_failures = 1;
-    RetryPolicy p(o, Rng(1, 1));
-    // No setScopes() call: scope 0 is the only bucket, so the legacy
-    // zero-arg API behaves exactly as the old global breaker did.
-    exhaustRound(p, 0);
-    EXPECT_TRUE(p.breakerOpen());
-    EXPECT_TRUE(p.breakerAllOpen());
-    p.noteSuccess();
-    EXPECT_FALSE(p.breakerOpen());
-}
-
 TEST(RetryOptions, FromConfigReadsAndValidates)
 {
     Config cfg;
@@ -268,7 +159,6 @@ TEST(RetryOptions, FromConfigReadsAndValidates)
     cfg.parseArg("network.remote.retry.max_ms=80");
     cfg.parseArg("network.remote.retry.jitter=0.25");
     cfg.parseArg("network.remote.retry.deadline_ms=0");
-    cfg.parseArg("network.remote.retry.breaker_failures=5");
     RetryOptions o = RetryOptions::fromConfig(cfg);
     EXPECT_EQ(o.max_attempts, 7u);
     EXPECT_DOUBLE_EQ(o.backoff_base_ms, 2.5);
@@ -276,7 +166,6 @@ TEST(RetryOptions, FromConfigReadsAndValidates)
     EXPECT_DOUBLE_EQ(o.backoff_max_ms, 80.0);
     EXPECT_DOUBLE_EQ(o.jitter, 0.25);
     EXPECT_DOUBLE_EQ(o.deadline_ms, 0.0);
-    EXPECT_EQ(o.breaker_failures, 5u);
 
     Config bad;
     bad.parseArg("network.remote.retry.max_attempts=0");
@@ -394,12 +283,16 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
     cfg.parseArg("network.remote.retry.max_attemps=9"); // sic
     cfg.parseArg("fault.transport.torn_frmae=0.5");     // sic
     cfg.parseArg("network.remote.retry.base_ms=1");
-    // Retired keys: the v1 exchange switch, the run-ahead knobs and
-    // the client heartbeat prober.
+    // Retired keys: the v1 exchange switch, the run-ahead knobs, the
+    // client heartbeat prober and the multi-endpoint failover (an old
+    // command line must hear that it lost its failover).
     cfg.parseArg("network.pipeline.enabled=false");
     cfg.parseArg("network.pipeline.speculate=false");
     cfg.parseArg("server.speculate=false");
     cfg.parseArg("network.remote.heartbeat_ms=20");
+    cfg.parseArg("network.remote.endpoints=unix:/tmp/a,unix:/tmp/b");
+    cfg.parseArg("network.remote.registry=/tmp/fleet.registry");
+    cfg.parseArg("network.remote.retry.breaker_failures=0");
     (void)noc::remote::RemoteOptions::fromConfig(cfg);
     (void)NocServerOptions::fromConfig(cfg);
     // The misspelled and retired keys were never read, so the
@@ -409,7 +302,10 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
               (std::vector<std::string>{
                   "network.pipeline.enabled",
                   "network.pipeline.speculate",
+                  "network.remote.endpoints",
                   "network.remote.heartbeat_ms",
+                  "network.remote.registry",
+                  "network.remote.retry.breaker_failures",
                   "network.remote.retry.max_attemps"}));
     EXPECT_EQ(cfg.unreadKeysWithPrefix("fault."),
               (std::vector<std::string>{"fault.transport.torn_frmae"}));

@@ -8,17 +8,17 @@
  * same hosted-network statistics, same shadow-tuned LatencyTable.
  * Chaos, in other words, costs retries and wall-clock but never
  * results. On top of that: same-seed chaos runs reproduce the exact
- * retry counts and backoff totals; a primary killed mid-run fails
- * over to the second endpoint, rebuilt there from the base image and
- * journal, and stays bit-identical; forced faults
- * are retried transparently; and an abort is never retried.
+ * retry counts and backoff totals; a server killed mid-run and
+ * restarted on the same address is rebuilt there from the base image
+ * and journal, and the run stays bit-identical; forced faults are
+ * retried transparently; and an abort is never retried.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -103,9 +103,7 @@ struct RunResult
     std::uint64_t sched_ops = 0;
     double retries = 0.0;
     double reconnects = 0.0;
-    double failovers = 0.0;
     double backoff_ms = 0.0;
-    std::string active_ep;
     /// @}
 };
 
@@ -158,7 +156,7 @@ chaosPlan(std::uint64_t seed)
 
 /** Retry budgets for bit-reproducible chaos: no wall-clock deadline
  *  (the one nondeterministic input), tiny backoffs, generous attempt
- *  cap, breaker off so a fault streak cannot shed the lineage. */
+ *  cap so a fault streak cannot shed the lineage. */
 ipc::RetryOptions
 chaosRetry()
 {
@@ -169,18 +167,18 @@ chaosRetry()
     r.backoff_max_ms = 0.5;
     r.jitter = 0.5;
     r.deadline_ms = 0.0;
-    r.breaker_failures = 0;
     return r;
 }
 
 /** The chaos run: the same traffic through a RemoteNetwork whose
- *  connection injects seeded faults. @p kill_after_quantum (if
- *  non-zero) stops @p to_kill at that quantum boundary — the primary
- *  dies mid-run and the client must fail over to the next endpoint. */
+ *  connection injects seeded faults. @p restart_after_quantum (if
+ *  non-zero) runs @p restart at that quantum boundary — the server
+ *  dies mid-run, a fresh one takes its address, and the client must
+ *  rebuild the lost state there. */
 RunResult
 runChaos(const NocParams &p, remote::RemoteOptions ro,
-         Tick kill_after_quantum = 0, ipc::NocServer *to_kill = nullptr,
-         std::thread *kill_thread = nullptr)
+         Tick restart_after_quantum = 0,
+         const std::function<void()> &restart = {})
 {
     Simulation sim;
     remote::RemoteNetwork net(sim, "rnet", p, ro);
@@ -192,10 +190,8 @@ runChaos(const NocParams &p, remote::RemoteOptions ro,
     injectTraffic(net, net.numNodes());
     for (Tick t = 1000; t <= 20000; t += 1000) {
         net.advanceTo(t);
-        if (kill_after_quantum != 0 && t == kill_after_quantum) {
-            to_kill->stop();
-            kill_thread->join();
-        }
+        if (restart_after_quantum != 0 && t == restart_after_quantum)
+            restart();
     }
     EXPECT_TRUE(net.idle());
     r.stats = [&] {
@@ -210,9 +206,7 @@ runChaos(const NocParams &p, remote::RemoteOptions ro,
     r.sched_ops = net.faultSchedule().ops();
     r.retries = net.retries.value();
     r.reconnects = net.reconnects.value();
-    r.failovers = net.failovers.value();
     r.backoff_ms = net.backoffMsTotal.value();
-    r.active_ep = net.activeEndpoint();
     return r;
 }
 
@@ -242,39 +236,42 @@ class ChaosDifferential : public ::testing::Test
     void
     TearDown() override
     {
-        stopServer(0);
-        stopServer(1);
+        stopServer();
     }
 
-    std::string
-    addr(int i) const
-    {
-        return base_ + "-" + std::to_string(i) + ".sock";
-    }
+    std::string addr() const { return base_ + ".sock"; }
 
     void
-    startServer(int i)
+    startServer()
     {
         ipc::NocServerOptions opts;
-        opts.address = addr(i);
-        servers_[i] = std::make_unique<ipc::NocServer>(opts);
-        threads_[i] = std::thread([this, i] { servers_[i]->run(); });
+        opts.address = addr();
+        server_ = std::make_unique<ipc::NocServer>(opts);
+        thread_ = std::thread([this] { server_->run(); });
     }
 
     void
-    stopServer(int i)
+    stopServer()
     {
-        if (!servers_[i])
+        if (!server_)
             return;
-        servers_[i]->stop();
-        if (threads_[i].joinable())
-            threads_[i].join();
-        servers_[i].reset();
+        server_->stop();
+        if (thread_.joinable())
+            thread_.join();
+        server_.reset();
+    }
+
+    /** The server dies and a fresh one takes its address. */
+    void
+    restartServer()
+    {
+        stopServer();
+        startServer();
     }
 
     std::string base_;
-    std::unique_ptr<ipc::NocServer> servers_[2];
-    std::thread threads_[2];
+    std::unique_ptr<ipc::NocServer> server_;
+    std::thread thread_;
 };
 
 template <typename Net>
@@ -302,24 +299,24 @@ chaosMatchesDirect(const std::string &addr, const std::string &model)
 
 TEST_F(ChaosDifferential, CycleRunUnderChaosIsBitIdentical)
 {
-    startServer(0);
-    chaosMatchesDirect<CycleNetwork>(addr(0), "cycle");
+    startServer();
+    chaosMatchesDirect<CycleNetwork>(addr(), "cycle");
 }
 
 TEST_F(ChaosDifferential, DeflectionRunUnderChaosIsBitIdentical)
 {
-    startServer(0);
-    chaosMatchesDirect<DeflectionNetwork>(addr(0), "deflection");
+    startServer();
+    chaosMatchesDirect<DeflectionNetwork>(addr(), "deflection");
 }
 
 TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
 {
-    startServer(0);
+    startServer();
     NocParams p;
     p.columns = 8;
     p.rows = 8;
     remote::RemoteOptions ro;
-    ro.socket = addr(0);
+    ro.socket = addr();
     ro.fault = chaosPlan(0x5eed);
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 4;
@@ -352,10 +349,8 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
 
 template <typename Net>
 void
-failoverMatchesDirect(const std::string &primary,
-                      const std::string &secondary,
-                      const std::string &model, ipc::NocServer *to_kill,
-                      std::thread *kill_thread)
+restartMatchesDirect(const std::string &addr, const std::string &model,
+                     const std::function<void()> &restart)
 {
     NocParams p;
     p.columns = 8;
@@ -363,79 +358,44 @@ failoverMatchesDirect(const std::string &primary,
     RunResult direct = runDirect<Net>(p);
 
     remote::RemoteOptions ro;
-    ro.socket = primary;
-    ro.endpoints = {primary, secondary};
+    ro.socket = addr;
     ro.model = model;
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 1; // refresh the base image every quantum
-    // Primary dies right after the quantum at tick 2000, while the
-    // fabric is still busy: the remaining 18 quanta run on the
-    // secondary, cold-opened from the latest base image.
-    RunResult failover = runChaos(p, ro, 2000, to_kill, kill_thread);
+    // The server dies right after the quantum at tick 2000, while the
+    // fabric is still busy, and a fresh one is started on the same
+    // address: the remaining 18 quanta run there, cold-opened from the
+    // latest base image.
+    RunResult run = runChaos(p, ro, 2000, restart);
 
-    expectSameResults(failover, direct, model.c_str());
-    EXPECT_GE(failover.failovers, 1.0);
-    EXPECT_GE(failover.reconnects, 1.0);
-    EXPECT_EQ(failover.active_ep, secondary)
-        << "the run did not end on the secondary";
+    expectSameResults(run, direct, model.c_str());
+    EXPECT_GE(run.reconnects, 1.0);
 }
 
 TEST_F(ChaosDifferential, PrimaryKilledMidRunFailsOverBitIdentically)
 {
-    startServer(0);
-    startServer(1);
-    failoverMatchesDirect<CycleNetwork>(addr(0), addr(1), "cycle",
-                                        servers_[0].get(), &threads_[0]);
-    servers_[0].reset();
+    startServer();
+    restartMatchesDirect<CycleNetwork>(addr(), "cycle",
+                                       [this] { restartServer(); });
 }
 
 TEST_F(ChaosDifferential,
        DeflectionPrimaryKilledMidRunFailsOverBitIdentically)
 {
-    startServer(0);
-    startServer(1);
-    failoverMatchesDirect<DeflectionNetwork>(addr(0), addr(1),
-                                             "deflection",
-                                             servers_[0].get(),
-                                             &threads_[0]);
-    servers_[0].reset();
-}
-
-TEST_F(ChaosDifferential, RefusingPrimaryCostsTheFailoverNoConnectTimeout)
-{
-    // Nothing listens on the primary, so its connects are refused. The
-    // cold open must move on to the live secondary after one attempt,
-    // not wait out the connect budget on a server that may be starting.
-    startServer(1);
-    NocParams p;
-    p.columns = 4;
-    p.rows = 4;
-    remote::RemoteOptions ro;
-    ro.socket = addr(0);
-    ro.endpoints = {addr(0), addr(1)};
-    ro.connect_timeout_ms = 5000.0;
-    ro.retry = chaosRetry();
-
-    Simulation sim;
-    const auto start = std::chrono::steady_clock::now();
-    remote::RemoteNetwork net(sim, "rnet", p, ro);
-    const double open_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    EXPECT_EQ(net.activeEndpoint(), addr(1));
-    EXPECT_LT(open_ms, 0.5 * ro.connect_timeout_ms)
-        << "the refused primary held the failover for a connect timeout";
+    startServer();
+    restartMatchesDirect<DeflectionNetwork>(addr(), "deflection",
+                                            [this] { restartServer(); });
 }
 
 TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
 {
-    startServer(0);
+    startServer();
     NocParams p;
     p.columns = 4;
     p.rows = 4;
     Simulation sim;
     remote::RemoteOptions ro;
-    ro.socket = addr(0);
+    ro.socket = addr();
     ro.retry = chaosRetry();
     ro.fault = TransportFaultOptions{};
     ro.fault.enabled = true; // all probabilities zero: forced only
@@ -462,13 +422,13 @@ TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
 
 TEST_F(ChaosDifferential, AbortIsSurfacedImmediatelyNotRetried)
 {
-    startServer(0);
+    startServer();
     NocParams p;
     p.columns = 4;
     p.rows = 4;
     Simulation sim;
     remote::RemoteOptions ro;
-    ro.socket = addr(0);
+    ro.socket = addr();
     ro.retry = chaosRetry();
     remote::RemoteNetwork net(sim, "rnet", p, ro);
 

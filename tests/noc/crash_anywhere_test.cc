@@ -1,32 +1,32 @@
 /**
  * @file
  * The crash-anywhere differential harness — the headline proof of the
- * self-healing layer (DESIGN.md section 13). Real rasim-nocd worker
- * processes run under the Supervisor (the library behind
- * rasim-supervisor), and the tests SIGKILL them at the nastiest
+ * recovery layer (DESIGN.md section 13). A real rasim-nocd process
+ * serves one endpoint, a small respawner in the fixture restarts it
+ * whenever it dies, and the tests SIGKILL it at the nastiest
  * client-side moments: at seeded random operation indices, inside a
  * CkptSave exchange, in the middle of a journal replay, and in the
  * window between a recovery's cold open and its replay (the double
- * failure). The supervisor respawns every corpse on its old endpoint,
- * the client's recovery lineage (a cold open of the base image plus
- * journal replay, on whichever worker answers) rebuilds the pre-crash
- * state, and the run must end *bit-identical* to the fault-free
- * in-process run — deliveries, server stats tree and tuned table.
- * On top of that: a diverged replica is caught by its attestation
- * digest and quarantined instead of computed on; a primary killed
- * between quanta fails over on the next Step; and the health counters
- * (reconnects, failovers, attestation_mismatches, worker_restarts)
- * account for all of it.
+ * failure). The client's recovery lineage (a cold open of the base
+ * image plus journal replay, on whichever process answers) rebuilds
+ * the pre-crash state, and the run must end *bit-identical* to the
+ * fault-free in-process run — deliveries, server stats tree and tuned
+ * table. On top of that: a diverged replica is caught by its
+ * attestation digest and never computed on, and the health counters
+ * (reconnects, attestation_mismatches) account for all of it.
  */
 
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <fstream>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -35,7 +35,6 @@
 
 #include "abstractnet/latency_table.hh"
 #include "ipc/socket.hh"
-#include "ipc/supervisor.hh"
 #include "noc/cycle_network.hh"
 #include "noc/remote/remote_network.hh"
 #include "sim/rng.hh"
@@ -165,9 +164,9 @@ expectSameResults(const RunResult &crashed, const RunResult &direct,
     EXPECT_TRUE(crashed.table->identicalTo(*direct.table)) << what;
 }
 
-/** Retry budget sized for a supervisor respawn window: no wall-clock
- *  deadline, enough backed-off attempts to outlast the restart
- *  backoff, breaker off so the differential never sheds its lineage. */
+/** Retry budget sized for a respawn window: no wall-clock deadline
+ *  and enough backed-off attempts that the differential never sheds
+ *  its lineage. */
 ipc::RetryOptions
 crashRetry()
 {
@@ -178,7 +177,6 @@ crashRetry()
     r.backoff_max_ms = 50.0;
     r.jitter = 0.5;
     r.deadline_ms = 0.0;
-    r.breaker_failures = 0;
     return r;
 }
 
@@ -194,44 +192,61 @@ class CrashAnywhere : public ::testing::Test
     void
     TearDown() override
     {
-        stopSupervisor();
-        ::unlink(registry().c_str());
+        stopWorker();
+        // A SIGKILLed server cannot remove its socket file.
+        ::unlink((base_ + ".sock").c_str());
     }
 
-    std::string
-    addr(int i) const
+    std::string addr() const { return "unix:" + base_ + ".sock"; }
+
+    /** Keep one rasim-nocd serving addr(): fork/exec it, and let a
+     *  reaper thread restart it whenever it dies, until stopWorker(). */
+    void
+    startWorker()
     {
-        return "unix:" + base_ + "-" + std::to_string(i) + ".sock";
+        running_ = true;
+        pid_ = spawn();
+        reaper_ = std::thread([this] {
+            for (;;) {
+                if (::waitpid(pid_.load(), nullptr, 0) < 0 &&
+                    errno == EINTR)
+                    continue;
+                std::lock_guard<std::mutex> lock(mu_);
+                if (!running_)
+                    return;
+                ++restarts_;
+                pid_ = spawn();
+            }
+        });
+        waitConnectable(addr());
     }
 
-    std::string registry() const { return base_ + ".registry"; }
+    pid_t
+    spawn()
+    {
+        // Built before the fork: the child of a threaded process may
+        // only make async-signal-safe calls until it execs.
+        const std::string a = addr();
+        pid_t pid = ::fork();
+        if (pid == 0) {
+            ::execl(RASIM_NOCD_PATH, "rasim-nocd", a.c_str(),
+                    static_cast<char *>(nullptr));
+            ::_exit(127);
+        }
+        return pid;
+    }
 
     void
-    startSupervisor(double backoff_base_ms = 10.0)
+    stopWorker()
     {
-        ipc::SupervisorOptions o;
-        o.worker_cmd = {RASIM_NOCD_PATH};
-        o.endpoints = {addr(0), addr(1)};
-        o.registry_path = registry();
-        o.restart_backoff_base_ms = backoff_base_ms;
-        o.restart_backoff_max_ms = backoff_base_ms * 8;
-        o.poll_ms = 5.0;
-        sup_ = std::make_unique<ipc::Supervisor>(std::move(o));
-        sup_->startFleet();
-        sup_thread_ = std::thread([this] { sup_->run(); });
-        for (std::size_t i = 0; i < sup_->workers(); ++i)
-            waitConnectable(addr(static_cast<int>(i)));
-    }
-
-    void
-    stopSupervisor()
-    {
-        if (!sup_)
+        if (!reaper_.joinable())
             return;
-        sup_->stop();
-        if (sup_thread_.joinable())
-            sup_thread_.join();
-        sup_.reset();
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            running_ = false;
+            ::kill(pid_.load(), SIGKILL);
+        }
+        reaper_.join();
     }
 
     /** Block until a worker answers connects on @p a (startup, or a
@@ -254,43 +269,29 @@ class CrashAnywhere : public ::testing::Test
         }
     }
 
-    void
-    killWorker(std::size_t i)
-    {
-        pid_t pid = sup_->workerPid(i);
-        if (pid > 0)
-            ::kill(pid, SIGKILL);
-    }
-
-    /** SIGKILL the worker behind the client's live session. */
-    void
-    killActive(const remote::RemoteNetwork &net)
-    {
-        killWorker(net.activeEndpoint() == addr(0) ? 0 : 1);
-    }
+    /** SIGKILL the server behind the client's session. */
+    void killWorker() { ::kill(pid_.load(), SIGKILL); }
 
     remote::RemoteOptions
     remoteOpts() const
     {
         remote::RemoteOptions ro;
-        ro.socket = addr(0);
-        ro.endpoints = {addr(0), addr(1)};
-        ro.registry = registry();
+        ro.socket = addr();
         ro.retry = crashRetry();
         ro.ckpt_quanta = 2; // short journals, frequent base refreshes
         return ro;
     }
 
-    /** A full supervised remote run. @p arm installs the test hooks
-     *  once the session is up (the constructor's own exchanges stay
-     *  kill-free, so every test starts from a healthy fleet). Each
-     *  quantum sleeps ~2 ms of wall clock, giving the supervisor's
-     *  restart backoff room to land inside the run — pure timing, so
-     *  the differential is untouched. */
+    /** A full remote run against the respawned server. @p arm installs
+     *  the test hooks once the session is up (the constructor's own
+     *  exchanges stay kill-free, so every test starts from a healthy
+     *  server). Each quantum sleeps ~2 ms of wall clock, giving a
+     *  respawn room to land inside the run — pure timing, so the
+     *  differential is untouched. */
     RunResult
-    runSupervised(const NocParams &p, remote::RemoteOptions ro,
-                  const std::function<void(remote::RemoteNetwork &)>
-                      &arm = {})
+    runRespawned(const NocParams &p, remote::RemoteOptions ro,
+                 const std::function<void(remote::RemoteNetwork &)>
+                     &arm = {})
     {
         Simulation sim;
         remote::RemoteNetwork net(sim, "rnet", p, ro);
@@ -313,60 +314,49 @@ class CrashAnywhere : public ::testing::Test
     }
 
     std::string base_;
-    std::unique_ptr<ipc::Supervisor> sup_;
-    std::thread sup_thread_;
+    std::mutex mu_;
+    bool running_ = false;
+    std::atomic<pid_t> pid_{0};
+    std::atomic<std::uint64_t> restarts_{0};
+    std::thread reaper_;
 };
 
 TEST_F(CrashAnywhere, SeededRandomKillsEndBitIdentical)
 {
-    startSupervisor();
+    startWorker();
     NocParams p;
     p.columns = 8;
     p.rows = 8;
     RunResult direct = runDirect(p);
 
     // A seeded schedule of kill points over the run's operation
-    // stream; the first one takes BOTH workers down at once, so at
-    // least one recovery must cold-open against a fleet that is still
-    // respawning.
+    // stream; each recovery cold-opens against a server that may still
+    // be respawning.
     std::set<std::uint64_t> kill_ops;
     Rng rng(0xc4a57, 9);
     while (kill_ops.size() < 3)
         kill_ops.insert(3 + rng.range(14));
-    const std::uint64_t both_at = *kill_ops.begin();
 
     std::uint64_t kills = 0;
-    RunResult run = runSupervised(
+    RunResult run = runRespawned(
         p, remoteOpts(), [&](remote::RemoteNetwork &net) {
             net.test_hooks.on_op = [&](std::uint64_t op) {
                 if (!kill_ops.count(op))
                     return;
                 ++kills;
-                if (op == both_at) {
-                    killWorker(0);
-                    killWorker(1);
-                } else {
-                    killActive(net);
-                }
+                killWorker();
             };
         });
 
     EXPECT_EQ(kills, kill_ops.size()) << "a kill point never fired";
     expectSameResults(run, direct, "seeded random kills");
     EXPECT_GE(run.reconnects, static_cast<double>(kill_ops.size()));
-    EXPECT_GE(sup_->restarts(), kill_ops.size() + 1); // one op killed 2
-
-    // The supervisor republished what happened: the registry the
-    // client re-resolves on every cold open records the restarts.
-    std::ifstream reg(registry());
-    std::string header;
-    std::getline(reg, header);
-    EXPECT_EQ(header, "rasim-registry v1");
+    EXPECT_GE(restarts_.load(), kill_ops.size());
 }
 
 TEST_F(CrashAnywhere, KillDuringCheckpointSaveKeepsOldLineage)
 {
-    startSupervisor();
+    startWorker();
     NocParams p;
     p.columns = 8;
     p.rows = 8;
@@ -376,13 +366,13 @@ TEST_F(CrashAnywhere, KillDuringCheckpointSaveKeepsOldLineage)
     // fails, the old (longer-journal) lineage must survive and carry
     // the recovery.
     bool killed = false;
-    RunResult run = runSupervised(
+    RunResult run = runRespawned(
         p, remoteOpts(), [&](remote::RemoteNetwork &net) {
             net.test_hooks.on_ckpt_save = [&] {
                 if (killed)
                     return;
                 killed = true;
-                killActive(net);
+                killWorker();
             };
         });
 
@@ -393,7 +383,7 @@ TEST_F(CrashAnywhere, KillDuringCheckpointSaveKeepsOldLineage)
 
 TEST_F(CrashAnywhere, KillDuringJournalReplayRecoversOnAnotherReplica)
 {
-    startSupervisor();
+    startWorker();
     NocParams p;
     p.columns = 8;
     p.rows = 8;
@@ -406,18 +396,18 @@ TEST_F(CrashAnywhere, KillDuringJournalReplayRecoversOnAnotherReplica)
     remote::RemoteOptions ro = remoteOpts();
     ro.ckpt_quanta = 4;
     int phase = 0;
-    RunResult run = runSupervised(
+    RunResult run = runRespawned(
         p, ro, [&](remote::RemoteNetwork &net) {
             net.test_hooks.on_op = [&](std::uint64_t op) {
                 if (phase == 0 && op == 7) {
                     phase = 1;
-                    killActive(net);
+                    killWorker();
                 }
             };
             net.test_hooks.on_replay = [&](std::size_t i) {
                 if (phase == 1 && i >= 1) {
                     phase = 2;
-                    killActive(net);
+                    killWorker();
                 }
             };
         });
@@ -429,43 +419,41 @@ TEST_F(CrashAnywhere, KillDuringJournalReplayRecoversOnAnotherReplica)
 
 TEST_F(CrashAnywhere, DoubleFailureAcrossTheFailoverWindow)
 {
-    startSupervisor();
+    startWorker();
     NocParams p;
     p.columns = 8;
     p.rows = 8;
     RunResult direct = runDirect(p);
 
-    // Kill the primary, let the recovery cold-open a worker, then kill
-    // that worker before the journal replays onto it — the second loss
-    // lands while the first recovery is still half done.
+    // Kill the server, let the recovery cold-open its respawn, then
+    // kill that one before the journal replays onto it — the second
+    // loss lands while the first recovery is still half done.
     int kills = 0;
-    RunResult run = runSupervised(
+    RunResult run = runRespawned(
         p, remoteOpts(), [&](remote::RemoteNetwork &net) {
             net.test_hooks.on_op = [&](std::uint64_t op) {
                 if (op == 6 && kills == 0) {
                     kills = 1;
-                    killActive(net);
+                    killWorker();
                 }
             };
             net.test_hooks.on_recover = [&] {
                 if (kills == 1) {
                     kills = 2;
-                    killActive(net);
+                    killWorker();
                 }
             };
         });
 
     EXPECT_EQ(kills, 2) << "the failover window was never hit";
     expectSameResults(run, direct, "double failure");
-    // Either recovery may land on a worker the supervisor already
-    // respawned on the same endpoint, so count sessions, not moves.
     EXPECT_GE(run.reconnects, 2.0);
-    EXPECT_GE(sup_->restarts(), 2u);
+    EXPECT_GE(restarts_.load(), 2u);
 }
 
 TEST_F(CrashAnywhere, DivergedReplicaIsQuarantinedByAttestation)
 {
-    startSupervisor();
+    startWorker();
     NocParams p;
     p.columns = 4;
     p.rows = 4;
@@ -495,11 +483,11 @@ TEST_F(CrashAnywhere, DivergedReplicaIsQuarantinedByAttestation)
         net.advanceTo(t);
     }
 
-    // Force a recovery: every replica replays the journal, none can
-    // reproduce the corrupted digests, every one is quarantined — the
-    // failure surfaces as a typed error instead of a silently diverged
-    // simulation.
-    killActive(net);
+    // Force a recovery: every rebuilt replica replays the journal and
+    // none can reproduce the corrupted digests, so every attempt fails
+    // until the retry budget runs out — the failure surfaces as a
+    // typed error instead of a silently diverged simulation.
+    killWorker();
     net.inject(makePacket(id++, 0, 15, MsgClass::Request, 8, 5500));
     try {
         net.advanceTo(6 * kQuantum);
@@ -507,72 +495,8 @@ TEST_F(CrashAnywhere, DivergedReplicaIsQuarantinedByAttestation)
     } catch (const SimError &err) {
         EXPECT_EQ(err.kind(), ErrorKind::Transport) << err.what();
     }
-    EXPECT_GE(net.attestationMismatches.value(), 2.0)
-        << "quarantine should have rejected more than one replica";
-}
-
-TEST_F(CrashAnywhere, DeadPrimaryBetweenQuantaFailsOverOnNextStep)
-{
-    // Wide restart backoff: the corpse stays dead until well after the
-    // next Step, so the recovery has to move to the other worker.
-    startSupervisor(/*backoff_base_ms=*/400.0);
-    NocParams p;
-    p.columns = 8;
-    p.rows = 8;
-    RunResult direct = runDirect(p);
-
-    Simulation sim;
-    remote::RemoteNetwork net(sim, "rnet", p, remoteOpts());
-    RunResult run;
-    net.setDeliveryHandler([&](const PacketPtr &pkt) {
-        run.deliveries.push_back(
-            {pkt->id, pkt->deliver_tick, pkt->latency(), pkt->hops});
-    });
-    runLoop(net, [&](Tick t) {
-        if (t != 5 * kQuantum)
-            return;
-        // Kill the primary while the client is idle between quanta:
-        // nobody is looking at the socket, so the loss first shows as
-        // the next Step failing, and that Step's retry round fails
-        // over.
-        EXPECT_EQ(net.activeEndpoint(), addr(0));
-        killActive(net);
-    });
-
-    for (const ipc::StatRow &row : net.fetchRemoteStats())
-        run.stats.emplace_back(row.path, row.sub, row.value);
-    run.table = std::make_unique<abstractnet::LatencyTable>(
-        net.fetchTunedTable());
-    expectSameResults(run, direct, "failover between quanta");
-    EXPECT_GE(net.failovers.value(), 1.0);
-    EXPECT_EQ(net.activeEndpoint(), addr(1))
-        << "the run did not end on the surviving worker";
-}
-
-TEST_F(CrashAnywhere, RegistryMirrorsFleetRestartsIntoHealthStats)
-{
-    startSupervisor();
-    // A hand-written registry (a separate file, not the supervisor's)
-    // with fleet history: the client must mirror the total restart
-    // count into system.net.health.worker_restarts on its cold open.
-    const std::string reg = base_ + ".handreg";
-    {
-        std::ofstream out(reg);
-        out << "rasim-registry v1\n"
-            << "worker 0 " << addr(0) << " up pid 101 restarts 5\n"
-            << "worker 1 " << addr(1) << " up pid 102 restarts 2\n";
-    }
-
-    NocParams p;
-    p.columns = 4;
-    p.rows = 4;
-    remote::RemoteOptions ro = remoteOpts();
-    ro.registry = reg;
-
-    Simulation sim;
-    remote::RemoteNetwork net(sim, "rnet", p, ro);
-    EXPECT_EQ(net.workerRestarts.value(), 7.0);
-    ::unlink(reg.c_str());
+    EXPECT_GE(net.attestationMismatches.value(), 1.0)
+        << "no replica was rejected by its attestation digest";
 }
 
 } // namespace
