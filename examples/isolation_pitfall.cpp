@@ -47,8 +47,8 @@ main(int argc, char **argv)
                 in_context, rate);
 
     // Isolated, rate-matched uniform random.
-    Simulation iso_sim(SimParams::fromConfig(cfg));
-    auto p = noc::NocParams::fromConfig(cfg);
+    Simulation iso_sim(config::parse<SimParams>(cfg));
+    auto p = config::parse<noc::NocParams>(cfg);
     noc::CycleNetwork iso(iso_sim, "noc", p);
     workload::TrafficGenerator::Options to;
     to.pattern = workload::TrafficPattern::UniformRandom;

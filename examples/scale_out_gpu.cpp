@@ -44,7 +44,7 @@ main(int argc, char **argv)
     }
     cfg.parseArgs(static_cast<int>(args.size()), args.data());
 
-    gpu::GpuTimingModel device(gpu::GpuDeviceParams::fromConfig(cfg));
+    gpu::GpuTimingModel device(config::parse<gpu::GpuDeviceParams>(cfg));
 
     std::printf("%10s %10s %12s %12s %12s %10s\n", "target", "quanta",
                 "host_ms", "net_ms", "cpu+gpu_ms", "gain");

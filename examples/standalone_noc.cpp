@@ -21,14 +21,14 @@ main(int argc, char **argv)
 {
     Config cfg;
     cfg.parseArgs(argc, argv);
-    auto params = noc::NocParams::fromConfig(cfg);
+    auto params = config::parse<noc::NocParams>(cfg);
 
     std::printf("%-10s %8s %12s %12s %12s %12s\n", "pattern", "rate",
                 "mean_lat", "max_lat", "mean_hops", "throughput");
     for (const char *name : {"uniform", "transpose", "bitcomp",
                              "tornado", "neighbor", "hotspot"}) {
         for (double rate : {0.01, 0.05, 0.10}) {
-            Simulation sim(SimParams::fromConfig(cfg));
+            Simulation sim(config::parse<SimParams>(cfg));
             noc::CycleNetwork net(sim, "noc", params);
             workload::TrafficGenerator::Options o;
             o.pattern = workload::patternFromName(name);

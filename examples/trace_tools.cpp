@@ -88,8 +88,8 @@ replay(const std::string &path, Config cfg)
     if (trace.empty())
         fatal("trace '", path, "' is empty");
 
-    Simulation sim(SimParams::fromConfig(cfg));
-    auto params = noc::NocParams::fromConfig(cfg);
+    Simulation sim(config::parse<SimParams>(cfg));
+    auto params = config::parse<noc::NocParams>(cfg);
     noc::CycleNetwork net(sim, "noc", params);
     std::uint64_t delivered = 0;
     net.setDeliveryHandler(

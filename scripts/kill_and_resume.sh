@@ -3,7 +3,8 @@
 # with periodic checkpointing enabled, SIGKILL it mid-run, resume from
 # the newest on-disk image and verify the resumed run reproduces the
 # uninterrupted reference bit-for-bit (final tick, packet counts and
-# the full statistics dump).
+# the full statistics dump). A resume under another state-shaping knob
+# (noc.link_latency) must instead exit 1, naming the mismatched key.
 #
 # With --remote the detailed network lives in a rasim-nocd server that
 # a shell respawn loop in this script restarts on its address whenever
@@ -170,6 +171,22 @@ if grep -q "finished at tick" "$work/killed.log"; then
     exit 1
 fi
 echo "killed pid $pid with $(ls "$work/ckpt" | wc -l) image(s) on disk"
+
+echo "== resume under another state-shaping knob =="
+# noc.link_latency shapes simulated state, so every retained image
+# must be refused by name and the resume must fail, not drift.
+status=0
+"$quickstart" "${args[@]}" checkpoint.dir="$work/ckpt" noc.link_latency=2 \
+    --restore="$work/ckpt" > "$work/mismatch.log" 2> "$work/mismatch.err" ||
+    status=$?
+if [ "$status" != 1 ] ||
+   ! grep -q "configuration mismatch: noc.link_latency" "$work/mismatch.err"; then
+    echo "error: resume under noc.link_latency=2 was not refused" \
+         "(exit status $status)" >&2
+    cat "$work/mismatch.err" >&2
+    exit 1
+fi
+echo "resume under noc.link_latency=2 refused: configuration mismatch"
 
 echo "== resumed run =="
 # Under --remote the server is still up: the resumed client

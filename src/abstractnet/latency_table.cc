@@ -7,7 +7,6 @@
 #include <string>
 
 #include "abstractnet/latency_model.hh"
-#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
@@ -34,23 +33,6 @@ LatencyTable::LatencyTable(const noc::NocParams &params, int max_hops,
         pair_entries_.resize(static_cast<std::size_t>(noc::num_vnets) *
                              num_nodes_ * num_nodes_);
     }
-}
-
-AbstractParams
-AbstractParams::fromConfig(const Config &cfg)
-{
-    AbstractParams p;
-    p.ewma_alpha = cfg.getDouble("abstract.ewma_alpha", p.ewma_alpha);
-    std::string name = cfg.getString("abstract.granularity", "distance");
-    if (name == "pair")
-        p.granularity = LatencyTable::Granularity::Pair;
-    else if (name != "distance")
-        fatal("abstract.granularity must be distance or pair, not '",
-              name, "'");
-    p.window = cfg.getUInt("abstract.window", p.window);
-    p.contention_cap =
-        cfg.getDouble("abstract.contention_cap", p.contention_cap);
-    return p;
 }
 
 std::size_t

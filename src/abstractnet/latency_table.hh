@@ -13,14 +13,12 @@
 #include <vector>
 
 #include "noc/params.hh"
+#include "sim/config.hh"
 #include "sim/serialize.hh"
 #include "sim/types.hh"
 
 namespace rasim
 {
-
-class Config;
-
 namespace abstractnet
 {
 
@@ -138,28 +136,38 @@ class LatencyTable
     std::vector<Entry> pair_entries_;
 };
 
+/** Spellings of LatencyTable::Granularity. */
+inline constexpr config::Name<LatencyTable::Granularity>
+    granularity_names[] = {
+        {"distance", LatencyTable::Granularity::Distance},
+        {"pair", LatencyTable::Granularity::Pair},
+};
+
 /**
  * Knobs of the abstract network model and of the reciprocal latency
- * table every co-simulation side builds ("abstract.*" keys).
+ * table every co-simulation side builds.
  */
 struct AbstractParams
 {
-    /** EWMA weight of a new observation ("abstract.ewma_alpha"). */
+    /** EWMA weight of a new observation. */
     double ewma_alpha = 0.05;
-    /** Feedback resolution ("abstract.granularity": "distance" or
-     *  "pair"). */
+    /** Feedback resolution. */
     LatencyTable::Granularity granularity =
         LatencyTable::Granularity::Distance;
     /** Load-accounting window of the Static contention term, in
-     *  cycles ("abstract.window"). */
+     *  cycles. */
     Tick window = 256;
-    /** Ceiling of the Static contention term, in cycles
-     *  ("abstract.contention_cap"). */
+    /** Ceiling of the Static contention term, in cycles. */
     double contention_cap = 64.0;
 
-    /** Read the "abstract.*" keys; a granularity other than distance
-     *  or pair is fatal (a SimError(Config) under ThrowOnError). */
-    static AbstractParams fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("abstract.ewma_alpha", ewma_alpha);
+        v("abstract.granularity", granularity, granularity_names);
+        v("abstract.window", window);
+        v("abstract.contention_cap", contention_cap);
+    }
 };
 
 } // namespace abstractnet

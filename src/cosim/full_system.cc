@@ -22,81 +22,43 @@ namespace cosim
 Mode
 modeFromName(const std::string &name)
 {
-    if (name == "abstract")
-        return Mode::Abstract;
-    if (name == "tuned")
-        return Mode::TunedAbstract;
-    if (name == "cosim")
-        return Mode::CosimCycle;
-    if (name == "cosim-gpu")
-        return Mode::CosimGpu;
-    if (name == "monolithic")
-        return Mode::Monolithic;
-    fatal("unknown mode '", name,
-          "' (want abstract, tuned, cosim, cosim-gpu or monolithic)");
+    return config::valueOf(name, mode_names, "mode");
 }
 
 const char *
 toString(Mode mode)
 {
-    switch (mode) {
-      case Mode::Abstract:
-        return "abstract";
-      case Mode::TunedAbstract:
-        return "tuned";
-      case Mode::CosimCycle:
-        return "cosim";
-      case Mode::CosimGpu:
-        return "cosim-gpu";
-      case Mode::Monolithic:
-        return "monolithic";
-    }
-    return "unknown";
+    return config::nameOf(mode, mode_names);
 }
 
-CheckpointOptions
-CheckpointOptions::fromConfig(const Config &cfg)
+void
+CheckpointOptions::validate() const
 {
-    CheckpointOptions o;
-    o.interval_quanta = cfg.getUInt("checkpoint.interval_quanta", 0);
-    o.dir = cfg.getString("checkpoint.dir", "checkpoints");
-    o.keep = cfg.getUInt("checkpoint.keep", 3);
-    o.restore = cfg.getString("checkpoint.restore", "");
-    if (o.keep == 0)
+    if (keep == 0)
         fatal("checkpoint.keep must be positive");
-    if (o.interval_quanta > 0 && o.dir.empty())
+    if (interval_quanta > 0 && dir.empty())
         fatal("checkpoint.dir must be set when checkpointing is on");
-    return o;
+}
+
+void
+FullSystemOptions::validate() const
+{
+    // run() steps by this in every mode, not only the ones whose
+    // bridge exchanges at it.
+    if (quantum == 0)
+        fatal("system.quantum must be positive");
+    if (engine_workers < 0)
+        fatal("system.engine_workers must be non-negative");
+    if (network_backend != "inproc" && network_backend != "remote") {
+        fatal("network.backend must be inproc or remote, not '",
+              network_backend, "'");
+    }
 }
 
 FullSystemOptions
 FullSystemOptions::fromConfig(const Config &cfg)
 {
-    FullSystemOptions o;
-    o.mode = modeFromName(cfg.getString("system.mode", "cosim"));
-    o.app = cfg.getString("system.app", "fft");
-    o.ops_per_core = cfg.getUInt("system.ops_per_core", 0);
-    o.quantum = cfg.getUInt("system.quantum", 256);
-    o.feedback = cfg.getBool("system.feedback", true);
-    o.conservative = cfg.getBool("system.conservative", false);
-    o.engine_workers =
-        static_cast<int>(cfg.getUInt("system.engine_workers", 2));
-    o.parallel = cfg.getBool("system.parallel", false);
-    o.network_backend = cfg.getString("network.backend", "inproc");
-    if (o.network_backend != "inproc" && o.network_backend != "remote") {
-        fatal("network.backend must be inproc or remote, not '",
-              o.network_backend, "'");
-    }
-    if (o.network_backend == "remote")
-        o.remote = noc::remote::RemoteOptions::fromConfig(cfg);
-    o.noc = noc::NocParams::fromConfig(cfg);
-    o.mem = mem::MemParams::fromConfig(cfg);
-    o.health = HealthOptions::fromConfig(cfg);
-    o.fault = FaultOptions::fromConfig(cfg);
-    o.checkpoint = CheckpointOptions::fromConfig(cfg);
-    o.sim = SimParams::fromConfig(cfg);
-    o.abstract = abstractnet::AbstractParams::fromConfig(cfg);
-    return o;
+    return config::parse<FullSystemOptions>(cfg);
 }
 
 FullSystem::FullSystem(const Config &cfg, FullSystemOptions options)
@@ -106,10 +68,7 @@ FullSystem::FullSystem(const Config &cfg, FullSystemOptions options)
     // a key left unread is a misspelling ("noc.colums") that would
     // otherwise fall back to a default without a word.
     cfg.warnUnread();
-    // run() steps by this in every mode, not only the ones whose
-    // bridge exchanges at it.
-    if (options_.quantum == 0)
-        fatal("system.quantum must be positive");
+    options_.validate();
 
     sim_ = std::make_unique<Simulation>(options_.sim);
 
@@ -328,26 +287,10 @@ readFile(const std::filesystem::path &path, std::string &out)
 void
 FullSystem::save(ArchiveWriter &aw) const
 {
-    // Configuration fingerprint: a checkpoint only restores into a
-    // system built from the same knobs that shape dynamic state.
+    // The state-shaping configuration record: a checkpoint only
+    // restores into a system built from the same knobs.
     aw.beginSection("meta");
-    aw.putString(toString(options_.mode));
-    aw.putString(options_.network_backend);
-    aw.putString(options_.app);
-    aw.putU64(cores_.size());
-    aw.putU64(options_.quantum);
-    aw.putBool(options_.conservative);
-    aw.putBool(options_.feedback);
-    aw.putBool(options_.fault.enabled);
-    aw.putBool(options_.health.enabled);
-    // Latency-table knobs: they shape the table's geometry and every
-    // estimate it has produced, so a resume under other values would
-    // either not fit the saved table or silently drift from it.
-    aw.putDouble(options_.abstract.ewma_alpha);
-    aw.putBool(options_.abstract.granularity ==
-               abstractnet::LatencyTable::Granularity::Pair);
-    aw.putU64(options_.abstract.window);
-    aw.putDouble(options_.abstract.contention_cap);
+    config::putRecord(aw, config::stateShaping(config::record(options_)));
     aw.endSection();
 
     aw.beginSection("sim");
@@ -386,39 +329,15 @@ FullSystem::saveTo(std::ostream &os) const
 bool
 FullSystem::restoreArchive(ArchiveReader &ar, std::string *why)
 {
-    auto mismatch = [why](const std::string &what) {
-        if (why)
-            *why = "configuration mismatch: " + what;
-        return false;
-    };
     ar.expectSection("meta");
-    if (ar.getString() != toString(options_.mode))
-        return mismatch("mode");
-    if (ar.getString() != options_.network_backend)
-        return mismatch("network backend");
-    if (ar.getString() != options_.app)
-        return mismatch("app");
-    if (ar.getU64() != cores_.size())
-        return mismatch("node count");
-    if (ar.getU64() != options_.quantum)
-        return mismatch("quantum");
-    if (ar.getBool() != options_.conservative)
-        return mismatch("coupling");
-    if (ar.getBool() != options_.feedback)
-        return mismatch("feedback");
-    if (ar.getBool() != options_.fault.enabled)
-        return mismatch("fault injection");
-    if (ar.getBool() != options_.health.enabled)
-        return mismatch("health monitoring");
-    if (ar.getDouble() != options_.abstract.ewma_alpha)
-        return mismatch("abstract.ewma_alpha");
-    if (ar.getBool() != (options_.abstract.granularity ==
-                         abstractnet::LatencyTable::Granularity::Pair))
-        return mismatch("abstract.granularity");
-    if (ar.getU64() != options_.abstract.window)
-        return mismatch("abstract.window");
-    if (ar.getDouble() != options_.abstract.contention_cap)
-        return mismatch("abstract.contention_cap");
+    std::string key = config::firstDifference(
+        config::getRecord(ar),
+        config::stateShaping(config::record(options_)));
+    if (!key.empty()) {
+        if (why)
+            *why = "configuration mismatch: " + key;
+        return false;
+    }
     ar.endSection();
 
     // Validation passed — from here on the image is committed to and

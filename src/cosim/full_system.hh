@@ -44,11 +44,20 @@ enum class Mode
     Monolithic,
 };
 
+/** Spellings of Mode. */
+inline constexpr config::Name<Mode> mode_names[] = {
+    {"abstract", Mode::Abstract},
+    {"tuned", Mode::TunedAbstract},
+    {"cosim", Mode::CosimCycle},
+    {"cosim-gpu", Mode::CosimGpu},
+    {"monolithic", Mode::Monolithic},
+};
+
 Mode modeFromName(const std::string &name);
 const char *toString(Mode mode);
 
 /**
- * Crash-safe periodic checkpointing ("checkpoint.*" keys). Checkpoints
+ * Crash-safe periodic checkpointing. Checkpoints
  * are taken at quantum boundaries — the only globally consistent
  * points of the coupled pair — and written atomically (temp file,
  * fsync, rename) so a crash mid-write never clobbers the previous
@@ -67,14 +76,22 @@ struct CheckpointOptions
      *  next-oldest retained checkpoint. */
     std::string restore;
 
-    /** Read the "checkpoint.*" keys. */
-    static CheckpointOptions fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("checkpoint.interval_quanta", interval_quanta);
+        v("checkpoint.dir", dir);
+        v("checkpoint.keep", keep);
+        v("checkpoint.restore", restore);
+    }
+
+    void validate() const;
 };
 
 /**
- * Everything a FullSystem and its components read. fromConfig is the
- * one place the configuration keys are parsed; code that builds the
- * options itself needs no Config at all.
+ * Everything a FullSystem and its components read. keys() declares
+ * every configuration key once; code that builds the options itself
+ * needs no Config at all.
  */
 struct FullSystemOptions
 {
@@ -106,26 +123,52 @@ struct FullSystemOptions
     /**
      * Where the cycle-level backend runs: "inproc" hosts it in this
      * process, "remote" drives a rasim-nocd server over the quantum
-     * RPC protocol ("network.backend"). Only meaningful in the
-     * cycle-network modes; the abstract modes reject "remote".
+     * RPC protocol. Only meaningful in the cycle-network modes; the
+     * abstract modes reject "remote".
      */
     std::string network_backend = "inproc";
-    /** Transport configuration of the remote backend ("remote.*"). */
+    /** Transport configuration of the remote backend. */
     noc::remote::RemoteOptions remote;
     noc::NocParams noc;
     mem::MemParams mem;
-    /** Health-guard thresholds and degradation policy ("health.*"). */
+    /** Health-guard thresholds and degradation policy. */
     HealthOptions health;
-    /** Deterministic fault injection ("fault.*"); when enabled the
-     *  injector is interposed between the bridge and the backend. */
+    /** Deterministic fault injection; when enabled the injector is
+     *  interposed between the bridge and the backend. */
     FaultOptions fault;
-    /** Periodic crash-safe checkpointing ("checkpoint.*"). */
+    /** Periodic crash-safe checkpointing. */
     CheckpointOptions checkpoint;
-    /** Seed and reference clock ("sim.*"). */
+    /** Seed and reference clock. */
     SimParams sim;
-    /** Abstract network and latency-table knobs ("abstract.*"). */
+    /** Abstract network and latency-table knobs. */
     abstractnet::AbstractParams abstract;
 
+    void
+    keys(config::Binder &v)
+    {
+        v("system.mode", mode, mode_names);
+        v("system.app", app);
+        v("system.ops_per_core", ops_per_core);
+        v("system.quantum", quantum);
+        v("system.feedback", feedback);
+        v("system.conservative", conservative);
+        v("system.engine_workers", engine_workers, config::neutral);
+        v("system.parallel", parallel, config::neutral);
+        v("network.backend", network_backend);
+        v(remote);
+        v(noc);
+        v(mem);
+        v(health);
+        v(fault);
+        v(checkpoint, config::neutral);
+        v(sim);
+        v(abstract);
+    }
+
+    void validate() const;
+
+    /** config::parse() under the name perfbench and the examples
+     *  call. */
     static FullSystemOptions fromConfig(const Config &cfg);
 };
 
@@ -193,8 +236,10 @@ class FullSystem
     /**
      * Restore this (freshly constructed, never run) system from a
      * complete archive image. Validation — magic, version, CRC and the
-     * configuration fingerprint — happens before any state is touched;
-     * a failed candidate leaves the system untouched and @p why set.
+     * state-shaping configuration record — happens before any state is
+     * touched; a failed candidate leaves the system untouched and
+     * @p why set ("configuration mismatch: <key>" for a record that
+     * differs).
      * Structural errors after validation panic: the CRC passed, so a
      * short or misshapen body is a programming error, not bad input.
      */

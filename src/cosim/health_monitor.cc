@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
@@ -10,37 +9,23 @@ namespace rasim
 namespace cosim
 {
 
-HealthOptions
-HealthOptions::fromConfig(const Config &cfg)
+void
+HealthOptions::validate() const
 {
-    HealthOptions o;
-    o.enabled = cfg.getBool("health.enabled", true);
-    o.conservation = cfg.getBool("health.conservation", true);
-    o.watchdog_cycles = cfg.getUInt("health.watchdog_cycles", 100000);
-    o.divergence_factor = cfg.getDouble("health.divergence_factor", 64.0);
-    o.divergence_error = cfg.getDouble("health.divergence_error", 0.0);
-    o.worker_timeout_ms = cfg.getDouble("health.worker_timeout_ms", 0.0);
-    o.timeout_scale = cfg.getDouble("health.timeout_scale", 1.0);
-    o.checkpoint_quanta = cfg.getUInt("health.checkpoint_quanta", 8);
-    o.recovery_quanta = cfg.getUInt("health.recovery_quanta", 64);
-    o.probation_quanta = cfg.getUInt("health.probation_quanta", 8);
-    o.max_backoff = cfg.getUInt("health.max_backoff", 64);
-    o.degrade = cfg.getBool("health.degrade", true);
-    if (o.divergence_factor < 0.0)
+    if (divergence_factor < 0.0)
         fatal("health.divergence_factor must be non-negative");
-    if (o.divergence_error < 0.0)
+    if (divergence_error < 0.0)
         fatal("health.divergence_error must be non-negative");
-    if (o.worker_timeout_ms < 0.0)
+    if (worker_timeout_ms < 0.0)
         fatal("health.worker_timeout_ms must be non-negative");
-    if (o.timeout_scale <= 0.0)
+    if (timeout_scale <= 0.0)
         fatal("health.timeout_scale must be positive");
-    if (o.checkpoint_quanta == 0)
+    if (checkpoint_quanta == 0)
         fatal("health.checkpoint_quanta must be positive");
-    if (o.probation_quanta == 0)
+    if (probation_quanta == 0)
         fatal("health.probation_quanta must be positive");
-    if (o.max_backoff == 0)
+    if (max_backoff == 0)
         fatal("health.max_backoff must be positive");
-    return o;
 }
 
 namespace

@@ -34,6 +34,7 @@
 #include <string>
 
 #include "noc/network_model.hh"
+#include "sim/config.hh"
 #include "sim/serialize.hh"
 #include "sim/sim_error.hh"
 #include "sim/sim_object.hh"
@@ -41,13 +42,10 @@
 
 namespace rasim
 {
-
-class Config;
-
 namespace cosim
 {
 
-/** Guard thresholds and degradation policy ("health.*" keys). */
+/** Guard thresholds and degradation policy. */
 struct HealthOptions
 {
     /** Master switch: construct the monitor at all. */
@@ -87,8 +85,24 @@ struct HealthOptions
     /** false: a tripped guard raises SimError instead of degrading. */
     bool degrade = true;
 
-    /** Read the "health.*" keys. */
-    static HealthOptions fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("health.enabled", enabled);
+        v("health.conservation", conservation);
+        v("health.watchdog_cycles", watchdog_cycles);
+        v("health.divergence_factor", divergence_factor);
+        v("health.divergence_error", divergence_error);
+        v("health.worker_timeout_ms", worker_timeout_ms, config::neutral);
+        v("health.timeout_scale", timeout_scale, config::neutral);
+        v("health.checkpoint_quanta", checkpoint_quanta);
+        v("health.recovery_quanta", recovery_quanta);
+        v("health.probation_quanta", probation_quanta);
+        v("health.max_backoff", max_backoff);
+        v("health.degrade", degrade);
+    }
+
+    void validate() const;
 };
 
 /**

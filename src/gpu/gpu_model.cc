@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
@@ -11,21 +10,11 @@ namespace rasim
 namespace gpu
 {
 
-GpuDeviceParams
-GpuDeviceParams::fromConfig(const Config &cfg)
+void
+GpuDeviceParams::validate() const
 {
-    GpuDeviceParams p;
-    p.kernel_launch_ns =
-        cfg.getDouble("gpu.kernel_launch_ns", p.kernel_launch_ns);
-    p.router_slot_ns =
-        cfg.getDouble("gpu.router_slot_ns", p.router_slot_ns);
-    p.parallel_width = static_cast<int>(
-        cfg.getUInt("gpu.parallel_width", p.parallel_width));
-    p.boundary_transfer_ns = cfg.getDouble("gpu.boundary_transfer_ns",
-                                           p.boundary_transfer_ns);
-    if (p.parallel_width < 1)
+    if (parallel_width < 1)
         fatal("gpu.parallel_width must be positive");
-    return p;
 }
 
 GpuTimingModel::GpuTimingModel(GpuDeviceParams params) : params_(params)

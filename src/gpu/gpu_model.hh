@@ -18,13 +18,11 @@
 
 #include <cstdint>
 
+#include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace rasim
 {
-
-class Config;
-
 namespace gpu
 {
 
@@ -46,7 +44,16 @@ struct GpuDeviceParams
     /** Host<->device transfer per quantum boundary (ns). */
     double boundary_transfer_ns = 20000.0;
 
-    static GpuDeviceParams fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("gpu.kernel_launch_ns", kernel_launch_ns);
+        v("gpu.router_slot_ns", router_slot_ns);
+        v("gpu.parallel_width", parallel_width);
+        v("gpu.boundary_transfer_ns", boundary_transfer_ns);
+    }
+
+    void validate() const;
 };
 
 class GpuTimingModel

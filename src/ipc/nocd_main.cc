@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "ipc/nocd_server.hh"
 #include "sim/config.hh"
@@ -62,26 +63,20 @@ onInt(int)
         running_server->stop(); // plain atomic stores: safe here
 }
 
-/** The config key each value-taking flag spells. */
-struct FlagKey
-{
-    const char *flag;
-    const char *key;
-};
-
-constexpr FlagKey flag_keys[] = {
-    {"--max-sessions", "server.max_sessions"},
-    {"--max-batch-packets", "server.max_batch_packets"},
-    {"--drain-timeout", "server.drain_timeout_ms"},
-    {"--session-timeout-ms", "server.session_timeout_ms"},
-};
-
+/** The config key a value-taking flag spells, or nullptr. */
 const char *
 keyOfFlag(const char *flag)
 {
-    for (const FlagKey &fk : flag_keys)
-        if (std::strcmp(flag, fk.flag) == 0)
-            return fk.key;
+    const rasim::ipc::NocServerOptions o;
+    const std::pair<const char *, const void *> flags[] = {
+        {"--max-sessions", &o.max_sessions},
+        {"--max-batch-packets", &o.max_batch_packets},
+        {"--drain-timeout", &o.drain_timeout_ms},
+        {"--session-timeout-ms", &o.session_timeout_ms},
+    };
+    for (const auto &[name, field] : flags)
+        if (std::strcmp(flag, name) == 0)
+            return rasim::config::keyOf(o, field);
     return nullptr;
 }
 
@@ -124,7 +119,8 @@ main(int argc, char **argv)
             } else if (arg[0] == '-') {
                 return usage(argv[0]);
             } else {
-                cfg.set("server.address", std::string(arg));
+                cfg.set(rasim::config::keyOf(opts, &opts.address),
+                         std::string(arg));
             }
         }
         opts = rasim::ipc::NocServerOptions::fromConfig(cfg);

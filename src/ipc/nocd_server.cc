@@ -10,7 +10,6 @@
 #include "ipc/protocol.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/serialize.hh"
@@ -53,11 +52,8 @@ struct NocServer::Session
             net->setEngine(engine.get());
         }
         table = std::make_unique<abstractnet::LatencyTable>(
-            req.params, req.table_max_hops, req.table_alpha,
-            req.table_pair_granularity
-                ? abstractnet::LatencyTable::Granularity::Pair
-                : abstractnet::LatencyTable::Granularity::Distance,
-            req.params.numNodes());
+            req.params, req.table_max_hops, req.abstract.ewma_alpha,
+            req.abstract.granularity, req.params.numNodes());
 
         // Shadow-tune from every delivery, in delivery order — the
         // identical order the client-side bridge observes them, so
@@ -78,6 +74,13 @@ struct NocServer::Session
         deliveries.clear();
     }
 
+    /** The hosted network's state-shaping knobs. */
+    config::Record
+    shape() const
+    {
+        return config::stateShaping(config::record(hello.params));
+    }
+
     const stats::Group &statsGroup() const { return *group(); }
     stats::Group *
     group() const
@@ -91,8 +94,7 @@ struct NocServer::Session
     {
         aw.beginSection("nocd");
         aw.putString(hello.model);
-        aw.putU32(static_cast<std::uint32_t>(hello.params.columns));
-        aw.putU32(static_cast<std::uint32_t>(hello.params.rows));
+        config::putRecord(aw, shape());
         aw.putU64(net->curTime());
         aw.endSection();
         saveStats(aw, statsGroup());
@@ -108,17 +110,15 @@ struct NocServer::Session
     {
         ar.expectSection("nocd");
         std::string model = ar.getString();
-        auto columns = static_cast<int>(ar.getU32());
-        auto rows = static_cast<int>(ar.getU32());
+        std::string key = config::firstDifference(config::getRecord(ar),
+                                                  shape());
         ar.getU64(); // informational tick
         ar.endSection();
-        if (model != hello.model || columns != hello.params.columns ||
-            rows != hello.params.rows) {
+        if (model != hello.model || !key.empty()) {
             throw SimError(ErrorKind::Config,
                            "checkpoint was taken on a different hosted "
                            "network (" +
-                               model + " " + std::to_string(columns) +
-                               "x" + std::to_string(rows) + ")");
+                               (key.empty() ? model : key) + ")");
         }
         restoreStats(ar, *group());
         if (cycle)
@@ -228,22 +228,17 @@ nowMs()
 
 } // namespace
 
+void
+NocServerOptions::validate() const
+{
+    if (drain_timeout_ms < 0.0 || session_timeout_ms < 0.0)
+        fatal("server.*_timeout_ms must be non-negative");
+}
+
 NocServerOptions
 NocServerOptions::fromConfig(const Config &cfg)
 {
-    NocServerOptions o;
-    o.address = cfg.getString("server.address", o.address);
-    o.max_sessions = cfg.getUInt("server.max_sessions", o.max_sessions);
-    o.max_batch_packets =
-        cfg.getUInt("server.max_batch_packets", o.max_batch_packets);
-    o.drain_timeout_ms =
-        cfg.getDouble("server.drain_timeout_ms", o.drain_timeout_ms);
-    o.session_timeout_ms =
-        cfg.getDouble("server.session_timeout_ms", o.session_timeout_ms);
-    if (o.drain_timeout_ms < 0.0 || o.session_timeout_ms < 0.0)
-        fatal("server.*_timeout_ms must be non-negative");
-    o.fault = TransportFaultOptions::fromConfig(cfg);
-    return o;
+    return config::parse<NocServerOptions>(cfg);
 }
 
 NocServer::NocServer(NocServerOptions opts) : opts_(std::move(opts))
@@ -532,7 +527,13 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
           case MsgType::Hello: {
             HelloRequest req = decodeHello(msg.ar);
             msg.done();
-            session = std::make_unique<Session>(req);
+            {
+                // A Hello the session cannot be built from is this
+                // client's Config error, not the end of the daemon
+                // and every other session on it.
+                logging::ThrowOnError guard;
+                session = std::make_unique<Session>(req);
+            }
             HelloReply rep;
             rep.num_nodes = session->net->numNodes();
             rep.cur_time = session->net->curTime();

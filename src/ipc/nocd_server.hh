@@ -55,13 +55,11 @@
 
 #include "ipc/frame.hh"
 #include "ipc/socket.hh"
+#include "sim/config.hh"
 #include "sim/fault_injector.hh"
 
 namespace rasim
 {
-
-class Config;
-
 namespace ipc
 {
 
@@ -84,13 +82,27 @@ struct NocServerOptions
      *  thread. 0 = watchdog off. Must exceed the client's longest
      *  compute gap between quanta. */
     double session_timeout_ms = 0.0;
-    /** Server-side transport chaos (fault.transport.*): every session
-     *  connection is wrapped in a FaultyTransport drawing from its own
-     *  schedule stream (the session id), so multi-session chaos stays
+    /** Server-side transport chaos: every session connection is
+     *  wrapped in a FaultyTransport drawing from its own schedule
+     *  stream (the session id), so multi-session chaos stays
      *  per-session deterministic. */
     TransportFaultOptions fault;
 
-    /** Read the "server.*" and "fault.transport.*" keys. */
+    void
+    keys(config::Binder &v)
+    {
+        v("server.address", address);
+        v("server.max_sessions", max_sessions);
+        v("server.max_batch_packets", max_batch_packets);
+        v("server.drain_timeout_ms", drain_timeout_ms);
+        v("server.session_timeout_ms", session_timeout_ms);
+        v(fault);
+    }
+
+    void validate() const;
+
+    /** config::parse() under the name perfbench and rasim-nocd
+     *  call. */
     static NocServerOptions fromConfig(const Config &cfg);
 };
 

@@ -1,5 +1,6 @@
 #include "ipc/protocol.hh"
 
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
@@ -77,33 +78,23 @@ encodeHello(ArchiveWriter &aw, const HelloRequest &req)
 {
     aw.putU32(req.proto);
     aw.putString(req.model);
-    aw.putU32(static_cast<std::uint32_t>(req.params.columns));
-    aw.putU32(static_cast<std::uint32_t>(req.params.rows));
-    aw.putString(req.params.topology);
-    aw.putString(req.params.routing);
-    aw.putU32(static_cast<std::uint32_t>(req.params.vcs_per_vnet));
-    aw.putU32(static_cast<std::uint32_t>(req.params.vc_classes));
-    aw.putU32(static_cast<std::uint32_t>(req.params.buffer_depth));
-    aw.putU32(static_cast<std::uint32_t>(req.params.link_latency));
-    aw.putU32(static_cast<std::uint32_t>(req.params.pipeline_stages));
-    aw.putU32(req.params.flit_bytes);
-    aw.putString(req.params.simd);
+    config::putRecord(aw, config::record(req.params));
+    config::putRecord(aw, config::record(req.abstract));
     aw.putU32(static_cast<std::uint32_t>(req.engine_workers));
     aw.putU64(req.start_tick);
-    aw.putDouble(req.table_alpha);
-    aw.putBool(req.table_pair_granularity);
     aw.putU32(static_cast<std::uint32_t>(req.table_max_hops));
 }
 
 HelloRequest
 decodeHello(ArchiveReader &ar)
 {
-    return guardedDecode("Hello", [&] {
-        HelloRequest req;
+    HelloRequest req;
+    config::Record noc, abstract;
+    guardedDecode("Hello", [&] {
         req.proto = ar.getU32();
         // Checked before any other field: another revision lays the
-        // rest of the Hello out differently (v4/v5 carried a kernel
-        // string), so its fields would decode as garbage.
+        // rest of the Hello out differently (v7 hand-encoded every
+        // knob), so its fields would decode as garbage.
         if (req.proto != protocol_version) {
             throw SimError(ErrorKind::Transport,
                            "malformed Hello payload: protocol version "
@@ -113,24 +104,21 @@ decodeHello(ArchiveReader &ar)
                                std::to_string(protocol_version));
         }
         req.model = ar.getString();
-        req.params.columns = static_cast<int>(ar.getU32());
-        req.params.rows = static_cast<int>(ar.getU32());
-        req.params.topology = ar.getString();
-        req.params.routing = ar.getString();
-        req.params.vcs_per_vnet = static_cast<int>(ar.getU32());
-        req.params.vc_classes = static_cast<int>(ar.getU32());
-        req.params.buffer_depth = static_cast<int>(ar.getU32());
-        req.params.link_latency = static_cast<int>(ar.getU32());
-        req.params.pipeline_stages = static_cast<int>(ar.getU32());
-        req.params.flit_bytes = ar.getU32();
-        req.params.simd = ar.getString();
+        noc = config::getRecord(ar);
+        abstract = config::getRecord(ar);
         req.engine_workers = static_cast<int>(ar.getU32());
         req.start_tick = ar.getU64();
-        req.table_alpha = ar.getDouble();
-        req.table_pair_granularity = ar.getBool();
         req.table_max_hops = static_cast<int>(ar.getU32());
-        return req;
     });
+    // The records are well-formed; what they say is the client's
+    // configuration, so a refusal from here on is a Config error.
+    logging::ThrowOnError guard;
+    Config noc_cfg(noc), abstract_cfg(abstract);
+    req.params = config::parse<noc::NocParams>(noc_cfg);
+    noc_cfg.refuseUnread();
+    req.abstract = config::parse<abstractnet::AbstractParams>(abstract_cfg);
+    abstract_cfg.refuseUnread();
+    return req;
 }
 
 void

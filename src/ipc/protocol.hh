@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "abstractnet/latency_table.hh"
 #include "ipc/frame.hh"
 #include "noc/packet.hh"
 #include "noc/params.hh"
@@ -64,8 +65,12 @@ namespace ipc
  *  as the only quantum exchange; v6 drops Hello's kernel string —
  *  the server always hosts the soa kernel, and kernel.simd stays;
  *  v7 retires the Ping/Pong liveness pair (message types 10 and 109),
- *  which only the since-deleted worker-fleet manager sent. */
-constexpr std::uint32_t protocol_version = 7;
+ *  which only the since-deleted worker-fleet manager sent; v8 carries
+ *  the NoC and latency-table knobs as their configuration records
+ *  (config::record: a count, then key and value strings) instead of
+ *  one hand-encoded field each, and the server parses them with the
+ *  same binder, refusing an unknown key as a Config error. */
+constexpr std::uint32_t protocol_version = 8;
 
 /** Session-opening handshake: everything the server needs to build a
  *  deterministic twin of the in-process backend. */
@@ -74,16 +79,18 @@ struct HelloRequest
     std::uint32_t proto = protocol_version;
     /** Hosted model: "cycle" or "deflection". */
     std::string model = "cycle";
+    /** Travels as its configuration record. */
     noc::NocParams params;
+    /** The shadow LatencyTable's knobs, as their configuration
+     *  record. */
+    abstractnet::AbstractParams abstract;
     /** Worker threads of the server-side ParallelEngine (0 = serial).
      *  Bit-identical either way, by the engine determinism contract. */
     int engine_workers = 0;
     /** Fast-forward a fresh network to this tick (reconnect after a
      *  server loss mid-run; 0 on a cold start). */
     Tick start_tick = 0;
-    /** Shadow LatencyTable geometry (tuned-table readback). */
-    double table_alpha = 0.05;
-    bool table_pair_granularity = false;
+    /** Distance range of the shadow LatencyTable. */
     int table_max_hops = 0;
 };
 
@@ -172,7 +179,9 @@ void encodeError(ArchiveWriter &aw, ErrorKind kind,
 /** @name Payload decoders (consume a recvMessage() payload) */
 /// @{
 /** Refuses a Hello of another protocol revision (typed Transport
- *  error) before it reads any field past the version. */
+ *  error) before it reads any field past the version. A knob record
+ *  with an unknown key or a value its struct's validate() refuses is
+ *  a typed Config error. */
 HelloRequest decodeHello(ArchiveReader &ar);
 HelloReply decodeHelloReply(ArchiveReader &ar);
 StepRequest decodeStep(ArchiveReader &ar);

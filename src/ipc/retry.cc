@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
@@ -11,31 +10,17 @@ namespace rasim
 namespace ipc
 {
 
-RetryOptions
-RetryOptions::fromConfig(const Config &cfg)
+void
+RetryOptions::validate() const
 {
-    RetryOptions o;
-    o.max_attempts =
-        cfg.getUInt("network.remote.retry.max_attempts", o.max_attempts);
-    o.backoff_base_ms = cfg.getDouble("network.remote.retry.base_ms",
-                                      o.backoff_base_ms);
-    o.backoff_multiplier = cfg.getDouble(
-        "network.remote.retry.multiplier", o.backoff_multiplier);
-    o.backoff_max_ms =
-        cfg.getDouble("network.remote.retry.max_ms", o.backoff_max_ms);
-    o.jitter = cfg.getDouble("network.remote.retry.jitter", o.jitter);
-    o.deadline_ms = cfg.getDouble("network.remote.retry.deadline_ms",
-                                  o.deadline_ms);
-    if (o.max_attempts == 0)
+    if (max_attempts == 0)
         fatal("network.remote.retry.max_attempts must be at least 1");
-    if (o.backoff_base_ms < 0.0 || o.backoff_max_ms < 0.0 ||
-        o.deadline_ms < 0.0)
+    if (backoff_base_ms < 0.0 || backoff_max_ms < 0.0 || deadline_ms < 0.0)
         fatal("network.remote.retry.* budgets must be non-negative");
-    if (o.backoff_multiplier < 1.0)
+    if (backoff_multiplier < 1.0)
         fatal("network.remote.retry.multiplier must be at least 1");
-    if (o.jitter < 0.0 || o.jitter > 1.0)
+    if (jitter < 0.0 || jitter > 1.0)
         fatal("network.remote.retry.jitter must be in [0, 1]");
-    return o;
 }
 
 double

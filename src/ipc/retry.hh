@@ -27,13 +27,11 @@
 #include <chrono>
 #include <cstdint>
 
+#include "sim/config.hh"
 #include "sim/rng.hh"
 
 namespace rasim
 {
-
-class Config;
-
 namespace ipc
 {
 
@@ -54,8 +52,18 @@ struct RetryOptions
      *  once it is spent (0 = attempts-capped only). */
     double deadline_ms = 1500.0;
 
-    /** Read the "network.remote.retry.*" keys. */
-    static RetryOptions fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("network.remote.retry.max_attempts", max_attempts);
+        v("network.remote.retry.base_ms", backoff_base_ms);
+        v("network.remote.retry.multiplier", backoff_multiplier);
+        v("network.remote.retry.max_ms", backoff_max_ms);
+        v("network.remote.retry.jitter", jitter);
+        v("network.remote.retry.deadline_ms", deadline_ms);
+    }
+
+    void validate() const;
 };
 
 class RetryPolicy

@@ -1,7 +1,6 @@
 #include "mem/memory_system.hh"
 
 #include "mem/replacement.hh"
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 
@@ -9,26 +8,6 @@ namespace rasim
 {
 namespace mem
 {
-
-MemParams
-MemParams::fromConfig(const Config &cfg)
-{
-    MemParams p;
-    p.block_bytes = static_cast<int>(cfg.getUInt("mem.block_bytes", 64));
-    p.l1_sets = static_cast<int>(cfg.getUInt("mem.l1_sets", 64));
-    p.l1_ways = static_cast<int>(cfg.getUInt("mem.l1_ways", 4));
-    p.l1_replacement = cfg.getString("mem.l1_replacement", "lru");
-    p.l1_latency = cfg.getUInt("mem.l1_latency", 2);
-    p.dir_latency = cfg.getUInt("mem.dir_latency", 6);
-    p.dram_latency = cfg.getUInt("mem.dram_latency", 100);
-    p.dram_banks = static_cast<int>(cfg.getUInt("mem.dram_banks", 8));
-    p.mshrs = static_cast<int>(cfg.getUInt("mem.mshrs", 8));
-    p.wb_buffer = static_cast<int>(cfg.getUInt("mem.wb_buffer", 4));
-    p.control_bytes =
-        static_cast<int>(cfg.getUInt("mem.control_bytes", 8));
-    p.validate();
-    return p;
-}
 
 void
 MemParams::validate() const
@@ -45,6 +24,8 @@ MemParams::validate() const
         fatal("mem: need at least one write-back buffer entry");
     if (dram_banks < 1)
         fatal("mem: need at least one DRAM bank");
+    if (control_bytes < 0)
+        fatal("mem: control_bytes must be non-negative");
 }
 
 MemorySystem::MemorySystem(Simulation &sim, const std::string &name,

@@ -8,13 +8,11 @@
 
 #include <string>
 
+#include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace rasim
 {
-
-class Config;
-
 namespace mem
 {
 
@@ -38,7 +36,22 @@ struct MemParams
     /** Wire size of control messages in bytes. */
     int control_bytes = 8;
 
-    static MemParams fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("mem.block_bytes", block_bytes);
+        v("mem.l1_sets", l1_sets);
+        v("mem.l1_ways", l1_ways);
+        v("mem.l1_replacement", l1_replacement);
+        v("mem.l1_latency", l1_latency);
+        v("mem.dir_latency", dir_latency);
+        v("mem.dram_latency", dram_latency);
+        v("mem.dram_banks", dram_banks);
+        v("mem.mshrs", mshrs);
+        v("mem.wb_buffer", wb_buffer);
+        v("mem.control_bytes", control_bytes);
+    }
+
     void validate() const;
 
     Addr

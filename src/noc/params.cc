@@ -1,41 +1,11 @@
 #include "noc/params.hh"
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
 {
 namespace noc
 {
-
-NocParams
-NocParams::fromConfig(const Config &cfg)
-{
-    NocParams p;
-    p.columns = static_cast<int>(cfg.getUInt("noc.columns", 8));
-    p.rows = static_cast<int>(cfg.getUInt("noc.rows", 8));
-    p.topology = cfg.getString("noc.topology", "mesh");
-    p.routing = cfg.getString("noc.routing", "xy");
-    p.vcs_per_vnet = static_cast<int>(cfg.getUInt("noc.vcs_per_vnet", 2));
-    p.vc_classes = static_cast<int>(
-        cfg.getUInt("noc.vc_classes", p.topology == "torus" ? 2 : 1));
-    p.buffer_depth = static_cast<int>(cfg.getUInt("noc.buffer_depth", 4));
-    p.link_latency = static_cast<int>(cfg.getUInt("noc.link_latency", 1));
-    p.pipeline_stages =
-        static_cast<int>(cfg.getUInt("noc.pipeline_stages", 2));
-    p.flit_bytes =
-        static_cast<std::uint32_t>(cfg.getUInt("noc.flit_bytes", 16));
-    // soa is the only kernel; the object reference implementation is
-    // a test oracle (tests/noc/oracle/), not something a run can pick.
-    std::string kernel = cfg.getString("network.kernel", "soa");
-    if (kernel != "soa")
-        fatal("noc: unknown network.kernel '", kernel,
-              "' (soa is the only kernel; the object kernel exists only "
-              "as a test oracle)");
-    p.simd = cfg.getString("kernel.simd", "auto");
-    p.validate();
-    return p;
-}
 
 void
 NocParams::validate() const

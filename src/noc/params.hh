@@ -10,12 +10,10 @@
 #include <string>
 
 #include "noc/packet.hh"
+#include "sim/config.hh"
 
 namespace rasim
 {
-
-class Config;
-
 namespace noc
 {
 
@@ -53,12 +51,27 @@ struct NocParams
     /** SIMD policy for the SoA kernel: "auto", "scalar" or "avx2". */
     std::string simd = "auto";
 
-    /**
-     * Read "noc.*" keys (plus "kernel.simd"), applying topology-
-     * dependent defaults. "network.kernel" is still read, and "soa",
-     * the only kernel, is its only accepted value.
-     */
-    static NocParams fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("noc.columns", columns);
+        v("noc.rows", rows);
+        v("noc.topology", topology);
+        v("noc.routing", routing);
+        v("noc.vcs_per_vnet", vcs_per_vnet);
+        // A torus needs its dateline classes, so they are its default.
+        v("noc.vc_classes", vc_classes,
+          topology == "torus" ? 2 : vc_classes);
+        v("noc.buffer_depth", buffer_depth);
+        v("noc.link_latency", link_latency);
+        v("noc.pipeline_stages", pipeline_stages);
+        v("noc.flit_bytes", flit_bytes);
+        v("kernel.simd", simd, config::neutral);
+        // soa is the only kernel; the object reference implementation
+        // is a test oracle (tests/noc/oracle/), not something a run
+        // can pick.
+        v.retired("network.kernel", "soa");
+    }
 
     /** Abort with fatal() on inconsistent values or values beyond the
      *  soa kernel's limits (max_vcs_per_port, max_buffer_depth). */

@@ -5,7 +5,6 @@
 
 #include "ipc/faulty_transport.hh"
 #include "ipc/frame.hh"
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
 #include "sim/simulation.hh"
@@ -25,34 +24,18 @@ constexpr std::uint64_t rng_stream_retry = 0x7274;
 
 } // namespace
 
-RemoteOptions
-RemoteOptions::fromConfig(const Config &cfg)
+void
+RemoteOptions::validate() const
 {
-    RemoteOptions o;
-    o.socket = cfg.getString("remote.socket", o.socket);
-    o.connect_timeout_ms =
-        cfg.getDouble("remote.connect_timeout_ms", o.connect_timeout_ms);
-    o.quantum_timeout_ms =
-        cfg.getDouble("remote.quantum_timeout_ms", o.quantum_timeout_ms);
-    o.model = cfg.getString("remote.model", o.model);
-
-    o.ckpt_quanta =
-        cfg.getUInt("network.remote.ckpt_quanta", o.ckpt_quanta);
-    o.attest_quanta =
-        cfg.getUInt("network.remote.attest_quanta", o.attest_quanta);
-    o.retry = ipc::RetryOptions::fromConfig(cfg);
-    o.fault = TransportFaultOptions::fromConfig(cfg);
-
-    if (!ipc::validAddress(o.socket))
-        fatal("remote.socket: unusable address '", o.socket, "'");
-    if (o.connect_timeout_ms <= 0.0)
+    if (!ipc::validAddress(socket))
+        fatal("remote.socket: unusable address '", socket, "'");
+    if (connect_timeout_ms <= 0.0)
         fatal("remote.connect_timeout_ms must be positive");
-    if (o.quantum_timeout_ms < 0.0)
+    if (quantum_timeout_ms < 0.0)
         fatal("remote.quantum_timeout_ms must be non-negative");
-    if (o.model != "cycle" && o.model != "deflection")
-        fatal("remote.model must be cycle or deflection, not '",
-              o.model, "'");
-    return o;
+    if (model != "cycle" && model != "deflection")
+        fatal("remote.model must be cycle or deflection, not '", model,
+              "'");
 }
 
 RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
@@ -263,10 +246,7 @@ RemoteNetwork::helloOn(ipc::ByteChannel &ch, Tick start_tick)
     req.params = params_;
     req.engine_workers = options_.engine_workers;
     req.start_tick = start_tick;
-    req.table_alpha = table_proto_.alpha();
-    req.table_pair_granularity =
-        table_proto_.granularity() ==
-        abstractnet::LatencyTable::Granularity::Pair;
+    req.abstract = options_.abstract;
     req.table_max_hops = table_proto_.maxHops();
     ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::Hello);
     ipc::encodeHello(aw, req);

@@ -85,9 +85,6 @@
 
 namespace rasim
 {
-
-class Config;
-
 namespace ipc
 {
 class FaultyTransport;
@@ -114,26 +111,38 @@ struct RemoteOptions
     int engine_workers = 0;
     /** Refresh the recovery base image every this many successful
      *  quanta; 0 = only explicit checkpoints refresh the base, so the
-     *  journal spans the whole lineage (network.remote.ckpt_quanta). */
+     *  journal spans the whole lineage. */
     std::uint64_t ckpt_quanta = 256;
     /** Request a CRC64 state attestation with every this many
      *  issued quanta, journaling the digest so a recovery replay
      *  can prove the rebuilt replica reconverged; 0 = attest only at
-     *  checkpoints (network.remote.attest_quanta). */
+     *  checkpoints. */
     std::uint64_t attest_quanta = 0;
-    /** Deterministic retry/backoff budgets
-     *  (network.remote.retry.*). */
+    /** Deterministic retry/backoff budgets. */
     ipc::RetryOptions retry;
-    /** Client-side transport chaos (fault.transport.*). */
+    /** Client-side transport chaos. */
     TransportFaultOptions fault;
     /** Latency-table knobs of the server's shadow table. No key of
      *  its own: FullSystem copies FullSystemOptions::abstract, so the
      *  shadow table matches the bridge's. */
     abstractnet::AbstractParams abstract;
 
-    /** Read the "remote.*", "network.remote.*" and "fault.transport.*"
-     *  keys. */
-    static RemoteOptions fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("remote.socket", socket, config::neutral);
+        v("remote.connect_timeout_ms", connect_timeout_ms,
+          config::neutral);
+        v("remote.quantum_timeout_ms", quantum_timeout_ms,
+          config::neutral);
+        v("remote.model", model);
+        v("network.remote.ckpt_quanta", ckpt_quanta);
+        v("network.remote.attest_quanta", attest_quanta);
+        v(retry, config::neutral);
+        v(fault, config::neutral);
+    }
+
+    void validate() const;
 };
 
 class RemoteNetwork : public SimObject, public NetworkModel

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
 
 #include "sim/logging.hh"
+#include "sim/serialize.hh"
 
 namespace rasim
 {
@@ -25,43 +26,16 @@ trim(const std::string &s)
 
 } // namespace
 
+Config::Config(const config::Record &record)
+{
+    for (const config::Entry &e : record)
+        set(e.key, e.value);
+}
+
 void
 Config::set(const std::string &key, const std::string &value)
 {
     values_[key] = value;
-}
-
-void
-Config::set(const std::string &key, std::int64_t value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, std::uint64_t value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, int value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, double value)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    values_[key] = os.str();
-}
-
-void
-Config::set(const std::string &key, bool value)
-{
-    values_[key] = value ? "true" : "false";
 }
 
 const std::string *
@@ -209,5 +183,66 @@ Config::warnUnread() const
         warn("unknown config key '", k,
              "' was never consulted (misspelled?)");
 }
+
+void
+Config::refuseUnread() const
+{
+    std::vector<std::string> unread = unreadKeysWithPrefix("");
+    if (!unread.empty())
+        fatal("unknown config key '", unread.front(), "'");
+}
+
+namespace config
+{
+
+Record
+stateShaping(const Record &r)
+{
+    Record out;
+    for (const Entry &e : r)
+        if (!e.neutral)
+            out.push_back(e);
+    return out;
+}
+
+std::string
+firstDifference(const Record &a, const Record &b)
+{
+    // Both records list their keys in declaration order.
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        if (i >= a.size() || (i < b.size() && a[i] != b[i]))
+            return b[i].key;
+        if (i >= b.size())
+            return a[i].key;
+    }
+    return "";
+}
+
+void
+putRecord(ArchiveWriter &aw, const Record &r)
+{
+    aw.putU64(r.size());
+    for (const Entry &e : r) {
+        aw.putString(e.key);
+        aw.putString(e.value);
+    }
+}
+
+Record
+getRecord(ArchiveReader &ar)
+{
+    // No reserve: a forged count runs the reader past its section
+    // end (a panic) long before it could exhaust memory.
+    Record r;
+    for (std::uint64_t n = ar.getU64(); n > 0; --n) {
+        Entry e;
+        e.key = ar.getString();
+        e.value = ar.getString();
+        r.push_back(std::move(e));
+    }
+    return r;
+}
+
+} // namespace config
 
 } // namespace rasim

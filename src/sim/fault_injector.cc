@@ -4,63 +4,30 @@
 #include <chrono>
 #include <thread>
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace rasim
 {
 
-FaultOptions
-FaultOptions::fromConfig(const Config &cfg)
+void
+FaultOptions::validate() const
 {
-    FaultOptions o;
-    o.enabled = cfg.getBool("fault.enabled", false);
-    o.drop_every = cfg.getUInt("fault.drop_every", 0);
-    o.delay_every = cfg.getUInt("fault.delay_every", 0);
-    o.delay_cycles = cfg.getUInt("fault.delay_cycles", 64);
-    o.stall_node = static_cast<int>(cfg.getInt("fault.stall_node", -1));
-    o.stall_from = cfg.getUInt("fault.stall_from", 0);
-    o.stall_until = cfg.getUInt("fault.stall_until", 0);
-    o.freeze_from = cfg.getUInt("fault.freeze_from", 0);
-    o.freeze_until = cfg.getUInt("fault.freeze_until", 0);
-    o.poison_every = cfg.getUInt("fault.poison_every", 0);
-    o.poison_offset = cfg.getUInt("fault.poison_offset", 10000);
-    o.hang_ms = cfg.getUInt("fault.hang_ms", 0);
-    o.hang_from = cfg.getUInt("fault.hang_from", 0);
-    o.hang_until = cfg.getUInt("fault.hang_until", 0);
-    if (o.delay_every > 0 && o.delay_cycles == 0)
+    if (delay_every > 0 && delay_cycles == 0)
         fatal("fault.delay_cycles must be positive when delays are on");
-    if (o.poison_every > 0 && o.poison_offset == 0)
+    if (poison_every > 0 && poison_offset == 0)
         fatal("fault.poison_offset must be positive when poisoning");
-    return o;
 }
 
-TransportFaultOptions
-TransportFaultOptions::fromConfig(const Config &cfg)
+void
+TransportFaultOptions::validate() const
 {
-    TransportFaultOptions o;
-    o.enabled = cfg.getBool("fault.transport.enabled", false);
-    o.seed = cfg.getUInt("fault.transport.seed", o.seed);
-    o.torn_frame = cfg.getDouble("fault.transport.torn_frame", 0.0);
-    o.short_read = cfg.getDouble("fault.transport.short_read", 0.0);
-    o.corrupt = cfg.getDouble("fault.transport.corrupt", 0.0);
-    o.delay = cfg.getDouble("fault.transport.delay", 0.0);
-    o.delay_ms = cfg.getDouble("fault.transport.delay_ms", o.delay_ms);
-    o.stall = cfg.getDouble("fault.transport.stall", 0.0);
-    o.stall_ms = cfg.getDouble("fault.transport.stall_ms", o.stall_ms);
-    o.disconnect = cfg.getDouble("fault.transport.disconnect", 0.0);
-    o.start_op = cfg.getUInt("fault.transport.start_op", 0);
-    o.max_faults = cfg.getUInt("fault.transport.max_faults", 0);
-    o.min_gap_ops =
-        cfg.getUInt("fault.transport.min_gap_ops", o.min_gap_ops);
-    for (double p : {o.torn_frame, o.short_read, o.corrupt, o.delay,
-                     o.stall, o.disconnect}) {
+    for (double p :
+         {torn_frame, short_read, corrupt, delay, stall, disconnect}) {
         if (p < 0.0 || p > 1.0)
             fatal("fault.transport.* probabilities must be in [0, 1]");
     }
-    if (o.delay_ms < 0.0 || o.stall_ms < 0.0)
+    if (delay_ms < 0.0 || stall_ms < 0.0)
         fatal("fault.transport delay_ms/stall_ms must be non-negative");
-    return o;
 }
 
 const char *
@@ -240,8 +207,7 @@ FaultInjector::advanceTo(Tick t)
     }
 
     // Wall-clock hang, honouring cooperative cancellation.
-    if (opts_.hang_ms > 0 && t >= opts_.hang_from &&
-        (opts_.hang_until == 0 || t <= opts_.hang_until)) {
+    if (opts_.hang_ms > 0) {
         auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opts_.hang_ms);
         while (std::chrono::steady_clock::now() < deadline) {

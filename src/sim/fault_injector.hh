@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "noc/network_model.hh"
+#include "sim/config.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
 #include "sim/types.hh"
@@ -45,9 +46,7 @@
 namespace rasim
 {
 
-class Config;
-
-/** Which faults fire and when — read from the "fault.*" config keys. */
+/** Which faults fire and when. */
 struct FaultOptions
 {
     /** Master switch; when false the injector is never interposed. */
@@ -80,18 +79,30 @@ struct FaultOptions
 
     /** Burn this much wall-clock per advanceTo() call (0 = off). */
     std::uint64_t hang_ms = 0;
-    /** Only hang for horizons at or past this tick. */
-    Tick hang_from = 0;
-    /** Stop hanging for horizons past this tick (0 = never stop). */
-    Tick hang_until = 0;
 
-    /** Read the "fault.*" keys. */
-    static FaultOptions fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("fault.enabled", enabled);
+        v("fault.drop_every", drop_every);
+        v("fault.delay_every", delay_every);
+        v("fault.delay_cycles", delay_cycles);
+        v("fault.stall_node", stall_node);
+        v("fault.stall_from", stall_from);
+        v("fault.stall_until", stall_until);
+        v("fault.freeze_from", freeze_from);
+        v("fault.freeze_until", freeze_until);
+        v("fault.poison_every", poison_every);
+        v("fault.poison_offset", poison_offset);
+        v("fault.hang_ms", hang_ms);
+    }
+
+    void validate() const;
 };
 
 /**
  * Which transport faults a FaultyTransport channel decorator may
- * inject, read from the "fault.transport.*" config keys. Probabilities
+ * inject. Probabilities
  * are per transport operation (one frame send or one frame-piece
  * receive), drawn from a dedicated seeded Rng stream in operation
  * order, so a faulty run is exactly reproducible — the same contract
@@ -130,8 +141,25 @@ struct TransportFaultOptions
      *  bounded retry budget can always mask the fault. */
     std::uint64_t min_gap_ops = 8;
 
-    /** Read the "fault.transport.*" keys. */
-    static TransportFaultOptions fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("fault.transport.enabled", enabled);
+        v("fault.transport.seed", seed);
+        v("fault.transport.torn_frame", torn_frame);
+        v("fault.transport.short_read", short_read);
+        v("fault.transport.corrupt", corrupt);
+        v("fault.transport.delay", delay);
+        v("fault.transport.delay_ms", delay_ms);
+        v("fault.transport.stall", stall);
+        v("fault.transport.stall_ms", stall_ms);
+        v("fault.transport.disconnect", disconnect);
+        v("fault.transport.start_op", start_op);
+        v("fault.transport.max_faults", max_faults);
+        v("fault.transport.min_gap_ops", min_gap_ops);
+    }
+
+    void validate() const;
 };
 
 /** The faults a transport schedule can inject. */

@@ -55,9 +55,10 @@ class ArchiveWriter
   public:
     static constexpr char magic[8] = {'R', 'A', 'S', 'I',
                                       'M', 'C', 'K', 'P'};
-    /** v2: FullSystem's "meta" section carries the abstract.*
-     *  latency-table knobs. */
-    static constexpr std::uint32_t format_version = 2;
+    /** v2: FullSystem's "meta" section carries the latency-table
+     *  knobs; v3: it carries the state-shaping part of the whole
+     *  configuration record (config::record) as key/value strings. */
+    static constexpr std::uint32_t format_version = 3;
 
     void beginSection(const std::string &tag);
     void endSection();

@@ -1,20 +1,10 @@
 #include "sim/simulation.hh"
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
 
 namespace rasim
 {
-
-SimParams
-SimParams::fromConfig(const Config &cfg)
-{
-    SimParams p;
-    p.seed = cfg.getUInt("sim.seed", p.seed);
-    p.clock_period = cfg.getUInt("sim.clock_period", p.clock_period);
-    return p;
-}
 
 Simulation::Simulation(SimParams params)
     : eventq_("root.eventq"), stats_root_(nullptr, "system"),

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/clocked.hh"
+#include "sim/config.hh"
 #include "sim/eventq.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -20,19 +21,22 @@
 namespace rasim
 {
 
-class Config;
 class SimObject;
 
 /** Global simulation knobs ("sim.*" keys). */
 struct SimParams
 {
-    /** Seed every component RNG stream derives from ("sim.seed"). */
+    /** Seed every component RNG stream derives from. */
     std::uint64_t seed = 1;
-    /** Period of the reference clock domain ("sim.clock_period"). */
+    /** Period of the reference clock domain. */
     Tick clock_period = 1;
 
-    /** Read the "sim.*" keys. */
-    static SimParams fromConfig(const Config &cfg);
+    void
+    keys(config::Binder &v)
+    {
+        v("sim.seed", seed);
+        v("sim.clock_period", clock_period);
+    }
 };
 
 /**

@@ -154,13 +154,13 @@ TEST(AbstractNetwork, UnknownGranularityIsFatal)
 {
     Config bad;
     bad.set("abstract.granularity", std::string("pairs"));
-    EXPECT_SIM_ERROR(AbstractParams::fromConfig(bad),
+    EXPECT_SIM_ERROR(config::parse<AbstractParams>(bad),
                      "abstract.granularity");
 
     Config pair;
     pair.set("abstract.granularity", std::string("pair"));
     AbsFixture f(AbstractNetwork::Mode::Tuned, noc::NocParams(),
-                 AbstractParams::fromConfig(pair));
+                 config::parse<AbstractParams>(pair));
     EXPECT_EQ(f.net.table().granularity(),
               LatencyTable::Granularity::Pair);
 }

@@ -177,14 +177,14 @@ TEST(LatencyTable, DistanceGranularityIgnoresEndpoints)
 TEST(LatencyTable, FromConfigReadsAlphaAndGranularity)
 {
     auto p = defaultParams();
-    AbstractParams d = AbstractParams::fromConfig(Config());
+    AbstractParams d = config::parse<AbstractParams>(Config());
     EXPECT_EQ(d.granularity, LatencyTable::Granularity::Distance);
     EXPECT_DOUBLE_EQ(d.ewma_alpha, 0.05);
 
     Config cfg;
     cfg.set("abstract.ewma_alpha", 1.0);
     cfg.set("abstract.granularity", std::string("pair"));
-    AbstractParams a = AbstractParams::fromConfig(cfg);
+    AbstractParams a = config::parse<AbstractParams>(cfg);
     LatencyTable t(p, 14, a.ewma_alpha, a.granularity, 64);
     EXPECT_EQ(t.granularity(), LatencyTable::Granularity::Pair);
     // alpha 1: the estimate is the last observation.
@@ -200,7 +200,7 @@ TEST(LatencyTable, FromConfigRejectsUnknownGranularity)
         cfg.set("abstract.granularity", std::string(name));
         logging::ThrowOnError guard;
         try {
-            AbstractParams::fromConfig(cfg);
+            config::parse<AbstractParams>(cfg);
             ADD_FAILURE() << "'" << name << "' was accepted";
         } catch (const SimError &e) {
             EXPECT_EQ(e.kind(), ErrorKind::Config) << name;

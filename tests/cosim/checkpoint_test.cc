@@ -101,7 +101,7 @@ scenarioOptions(const Scenario &s)
     o.conservative = s.conservative;
     o.parallel = s.parallel;
     o.engine_workers = 2;
-    // Wall-clock guards (worker_timeout_ms, fault.hang_*) are the one
+    // Wall-clock guards (worker_timeout_ms, fault.hang_ms) are the one
     // thing outside the bit-identical contract; everything else runs.
     o.health.recovery_quanta = 4;
     o.health.probation_quanta = 2;

@@ -159,7 +159,7 @@ TEST(Coupling, PairGranularityConfigWorks)
     Config cfg;
     cfg.set("abstract.granularity", std::string("pair"));
     FullSystemOptions o = opts(Mode::CosimCycle, 128, false);
-    o.abstract = abstractnet::AbstractParams::fromConfig(cfg);
+    o.abstract = config::parse<abstractnet::AbstractParams>(cfg);
     FullSystem sys(cfg, o);
     sys.run();
     EXPECT_TRUE(sys.allCoresDone());

@@ -5,13 +5,21 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <unistd.h>
+
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/expect_error.hh"
 
 #include "cosim/full_system.hh"
+#include "gpu/gpu_model.hh"
+#include "ipc/nocd_server.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -199,13 +207,213 @@ TEST(FullSystem, WorkloadsProduceDifferentTraffic)
     EXPECT_GT(invs(a), 2.0 * invs(b));
 }
 
-/** Checkpoint a default-knob run mid-flight, then restore that image
- *  into a system whose latency-table knobs differ as @p change says;
- *  returns the restore's rejection reason ("" if it was accepted). */
-std::string
-restoreUnderOtherTableKnobs(
-    const std::function<void(abstractnet::AbstractParams &)> &change)
+/** A value other than the default for every key FullSystemOptions
+ *  declares, all valid together. @p socket is the remote address. */
+std::map<std::string, std::string>
+nonDefaultValues(const std::string &socket)
 {
+    return {
+        {"system.mode", "monolithic"},
+        {"system.app", "radix"},
+        {"system.ops_per_core", "61"},
+        {"system.quantum", "32"},
+        {"system.feedback", "false"},
+        {"system.conservative", "true"},
+        {"system.engine_workers", "3"},
+        {"system.parallel", "true"},
+        {"network.backend", "remote"},
+        {"remote.socket", socket},
+        {"remote.connect_timeout_ms", "2500"},
+        {"remote.quantum_timeout_ms", "0"},
+        {"remote.model", "deflection"},
+        {"network.remote.ckpt_quanta", "7"},
+        {"network.remote.attest_quanta", "3"},
+        {"network.remote.retry.max_attempts", "5"},
+        {"network.remote.retry.base_ms", "2.5"},
+        {"network.remote.retry.multiplier", "3"},
+        {"network.remote.retry.max_ms", "80"},
+        {"network.remote.retry.jitter", "0.25"},
+        {"network.remote.retry.deadline_ms", "100"},
+        {"fault.transport.enabled", "true"},
+        {"fault.transport.seed", "9"},
+        {"fault.transport.torn_frame", "0.125"},
+        {"fault.transport.short_read", "0.1"},
+        {"fault.transport.corrupt", "0.1"},
+        {"fault.transport.delay", "0.1"},
+        {"fault.transport.delay_ms", "3"},
+        {"fault.transport.stall", "0.1"},
+        {"fault.transport.stall_ms", "3"},
+        {"fault.transport.disconnect", "0.1"},
+        {"fault.transport.start_op", "2"},
+        {"fault.transport.max_faults", "4"},
+        {"fault.transport.min_gap_ops", "3"},
+        {"noc.columns", "2"},
+        {"noc.rows", "2"},
+        {"noc.topology", "torus"},
+        {"noc.routing", "yx"},
+        {"noc.vcs_per_vnet", "3"},
+        {"noc.vc_classes", "2"},
+        {"noc.buffer_depth", "8"},
+        {"noc.link_latency", "2"},
+        {"noc.pipeline_stages", "3"},
+        {"noc.flit_bytes", "32"},
+        {"kernel.simd", "scalar"},
+        {"mem.block_bytes", "32"},
+        {"mem.l1_sets", "32"},
+        {"mem.l1_ways", "2"},
+        {"mem.l1_replacement", "fifo"},
+        {"mem.l1_latency", "3"},
+        {"mem.dir_latency", "7"},
+        {"mem.dram_latency", "400"},
+        {"mem.dram_banks", "4"},
+        {"mem.mshrs", "4"},
+        {"mem.wb_buffer", "2"},
+        {"mem.control_bytes", "16"},
+        {"health.enabled", "false"},
+        {"health.conservation", "false"},
+        {"health.watchdog_cycles", "5000"},
+        {"health.divergence_factor", "32"},
+        {"health.divergence_error", "1.5"},
+        {"health.worker_timeout_ms", "250"},
+        {"health.timeout_scale", "2"},
+        {"health.checkpoint_quanta", "4"},
+        {"health.recovery_quanta", "32"},
+        {"health.probation_quanta", "4"},
+        {"health.max_backoff", "8"},
+        {"health.degrade", "false"},
+        {"fault.enabled", "true"},
+        {"fault.drop_every", "9"},
+        {"fault.delay_every", "5"},
+        {"fault.delay_cycles", "32"},
+        {"fault.stall_node", "3"},
+        {"fault.stall_from", "100"},
+        {"fault.stall_until", "200"},
+        {"fault.freeze_from", "100"},
+        {"fault.freeze_until", "200"},
+        {"fault.poison_every", "7"},
+        {"fault.poison_offset", "500"},
+        {"fault.hang_ms", "1"},
+        {"checkpoint.interval_quanta", "8"},
+        {"checkpoint.dir", "ckpts"},
+        {"checkpoint.keep", "5"},
+        {"checkpoint.restore", "ckpts"},
+        {"sim.seed", "2"},
+        {"sim.clock_period", "2"},
+        {"abstract.ewma_alpha", "0.5"},
+        {"abstract.granularity", "pair"},
+        {"abstract.window", "64"},
+        {"abstract.contention_cap", "8"},
+    };
+}
+
+/** @p base with the keys in @p changes set as they say. */
+FullSystemOptions
+withValues(const FullSystemOptions &base,
+           const std::map<std::string, std::string> &changes)
+{
+    Config cfg(config::record(base));
+    for (const auto &[k, v] : changes)
+        cfg.set(k, v);
+    return config::parse<FullSystemOptions>(cfg);
+}
+
+/** The keys of @p r, in order. */
+std::vector<std::string>
+keysOf(const config::Record &r)
+{
+    std::vector<std::string> out;
+    for (const config::Entry &e : r)
+        out.push_back(e.key);
+    return out;
+}
+
+TEST(ConfigRecord, EveryKeyRoundTripsThroughTheRecord)
+{
+    FullSystemOptions o;
+    auto values = nonDefaultValues("unix:/tmp/rasim-record.sock");
+    o = withValues(o, values);
+    config::Record rec = config::record(o);
+    config::Record dflt = config::record(FullSystemOptions());
+    // The table above names every declared key, and every one of them
+    // is off its default: a key added without a record entry, or left
+    // out of this table, fails here.
+    ASSERT_EQ(keysOf(rec), keysOf(dflt));
+    std::vector<std::string> listed;
+    for (const auto &[k, v] : values)
+        listed.push_back(k);
+    std::vector<std::string> declared = keysOf(rec);
+    std::sort(declared.begin(), declared.end());
+    EXPECT_EQ(declared, listed);
+    for (std::size_t i = 0; i < rec.size(); ++i)
+        EXPECT_NE(rec[i].value, dflt[i].value) << rec[i].key;
+
+    Config full(rec);
+    EXPECT_EQ(config::record(config::parse<FullSystemOptions>(full)), rec);
+    auto before = warnCount();
+    full.warnUnread();
+    EXPECT_EQ(warnCount(), before);
+
+    // The two roots that are no part of FullSystemOptions.
+    ipc::NocServerOptions so;
+    so.address = "unix:/tmp/rasim-record-server.sock";
+    so.max_sessions = 4;
+    so.max_batch_packets = 99;
+    so.drain_timeout_ms = 1.5;
+    so.session_timeout_ms = 250;
+    so.fault = o.remote.fault;
+    gpu::GpuDeviceParams gp;
+    gp.kernel_launch_ns = 1.25;
+    gp.router_slot_ns = 2.5;
+    gp.parallel_width = 64;
+    gp.boundary_transfer_ns = 3.75;
+    config::Record srec = config::record(so), grec = config::record(gp);
+    config::Record sdflt = config::record(ipc::NocServerOptions());
+    config::Record gdflt = config::record(gpu::GpuDeviceParams());
+    for (std::size_t i = 0; i < srec.size(); ++i)
+        EXPECT_NE(srec[i].value, sdflt[i].value) << srec[i].key;
+    for (std::size_t i = 0; i < grec.size(); ++i)
+        EXPECT_NE(grec[i].value, gdflt[i].value) << grec[i].key;
+    Config scfg(srec), gcfg(grec);
+    EXPECT_EQ(config::record(config::parse<ipc::NocServerOptions>(scfg)),
+              srec);
+    EXPECT_EQ(config::record(config::parse<gpu::GpuDeviceParams>(gcfg)),
+              grec);
+    EXPECT_TRUE(scfg.unreadKeysWithPrefix("").empty());
+    EXPECT_TRUE(gcfg.unreadKeysWithPrefix("").empty());
+}
+
+/** An in-process rasim-nocd on a per-process Unix socket. */
+struct LocalServer
+{
+    LocalServer()
+        : address("unix:/tmp/rasim-fs-test-" + std::to_string(::getpid()) +
+                  ".sock")
+    {
+        ipc::NocServerOptions opts;
+        opts.address = address;
+        server = std::make_unique<ipc::NocServer>(opts);
+        thread = std::thread([this] { server->run(); });
+    }
+    ~LocalServer()
+    {
+        server->stop();
+        thread.join();
+    }
+
+    std::string address;
+    std::unique_ptr<ipc::NocServer> server;
+    std::thread thread;
+};
+
+TEST(FullSystem, ResumeUnderAnyOtherStateShapingValueIsANamedMismatch)
+{
+    // Each of these used to be accepted, then panic or silently drift
+    // from the uninterrupted run: noc.vcs_per_vnet and mem.l1_sets
+    // panicked inside a component restore, abstract.granularity inside
+    // the table restore; noc.link_latency, mem.dram_latency,
+    // system.ops_per_core and abstract.ewma_alpha finished at another
+    // tick.
+    LocalServer server;
     FullSystemOptions o = smallOptions(Mode::CosimCycle);
     std::string image;
     {
@@ -215,35 +423,77 @@ restoreUnderOtherTableKnobs(
         sys.saveTo(os);
         image = os.str();
     }
-    change(o.abstract);
-    FullSystem sys(Config(), o);
+    auto values = nonDefaultValues(server.address);
+    // Keys a change must bring along to stay a valid configuration.
+    const std::map<std::string, std::map<std::string, std::string>>
+        companions = {
+            {"noc.topology", {{"noc.vc_classes", "2"}}},
+            {"network.backend", {{"remote.socket", server.address}}},
+        };
+    // The allowlist: every other key is state-shaping and swept below.
+    std::vector<std::string> neutral;
+    for (const config::Entry &e : config::record(FullSystemOptions()))
+        if (e.neutral)
+            neutral.push_back(e.key);
+    std::vector<std::string> allowed = {
+        "system.engine_workers", "system.parallel", "remote.socket",
+        "remote.connect_timeout_ms", "remote.quantum_timeout_ms"};
+    for (const char *k : {"max_attempts", "base_ms", "multiplier",
+                          "max_ms", "jitter", "deadline_ms"})
+        allowed.push_back(std::string("network.remote.retry.") + k);
+    for (const char *k :
+         {"enabled", "seed", "torn_frame", "short_read", "corrupt", "delay",
+          "delay_ms", "stall", "stall_ms", "disconnect", "start_op",
+          "max_faults", "min_gap_ops"})
+        allowed.push_back(std::string("fault.transport.") + k);
+    for (const char *k :
+         {"kernel.simd", "health.worker_timeout_ms", "health.timeout_scale",
+          "checkpoint.interval_quanta", "checkpoint.dir", "checkpoint.keep",
+          "checkpoint.restore"})
+        allowed.push_back(k);
+    EXPECT_EQ(neutral, allowed);
+
+    config::Record shaping =
+        config::stateShaping(config::record(FullSystemOptions()));
+    for (const config::Entry &e : shaping) {
+        std::map<std::string, std::string> change = {
+            {e.key, values.at(e.key)}};
+        if (companions.count(e.key))
+            change.insert(companions.at(e.key).begin(),
+                          companions.at(e.key).end());
+        FullSystem sys(Config(), withValues(o, change));
+        std::string why;
+        EXPECT_FALSE(sys.restoreFromBytes(image, &why)) << e.key;
+        EXPECT_EQ(why, "configuration mismatch: " + e.key);
+    }
+}
+
+TEST(FullSystem, ResumeUnderOtherNeutralValuesFinishesIdentically)
+{
+    FullSystemOptions o = smallOptions(Mode::CosimCycle);
+    std::string image;
+    Tick finish = 0;
+    {
+        FullSystem sys(Config(), o);
+        sys.run(4 * o.quantum);
+        std::ostringstream os;
+        sys.saveTo(os);
+        image = os.str();
+        finish = sys.run(4000000);
+    }
+    // Engine and SIMD choices, wall-clock budgets and checkpoint
+    // paths: none of them shapes simulated state.
+    FullSystem sys(Config(),
+                   withValues(o, {{"system.parallel", "true"},
+                                  {"system.engine_workers", "1"},
+                                  {"kernel.simd", "scalar"},
+                                  {"health.timeout_scale", "2"},
+                                  {"remote.quantum_timeout_ms", "0"},
+                                  {"network.remote.retry.jitter", "0"},
+                                  {"checkpoint.keep", "5"}}));
     std::string why;
-    EXPECT_FALSE(sys.restoreFromBytes(image, &why));
-    return why;
-}
-
-TEST(FullSystem, RestoreUnderPairGranularityIsANamedMismatch)
-{
-    // The saved distance table cannot be read back as a pair table:
-    // this used to panic inside the table restore.
-    std::string why = restoreUnderOtherTableKnobs(
-        [](abstractnet::AbstractParams &a) {
-            a.granularity = abstractnet::LatencyTable::Granularity::Pair;
-        });
-    EXPECT_NE(why.find("configuration mismatch: abstract.granularity"),
-              std::string::npos)
-        << why;
-}
-
-TEST(FullSystem, RestoreUnderOtherEwmaAlphaIsANamedMismatch)
-{
-    // Same table shape, other dynamics: this used to be accepted and
-    // silently drift from the uninterrupted run.
-    std::string why = restoreUnderOtherTableKnobs(
-        [](abstractnet::AbstractParams &a) { a.ewma_alpha = 0.5; });
-    EXPECT_NE(why.find("configuration mismatch: abstract.ewma_alpha"),
-              std::string::npos)
-        << why;
+    ASSERT_TRUE(sys.restoreFromBytes(image, &why)) << why;
+    EXPECT_EQ(sys.run(4000000), finish);
 }
 
 } // namespace

@@ -464,10 +464,10 @@ TEST(Health, TimeoutScaleLoosensTheWallClockBudget)
 
     Config cfg;
     cfg.set("health.timeout_scale", 3.5);
-    EXPECT_DOUBLE_EQ(HealthOptions::fromConfig(cfg).timeout_scale, 3.5);
+    EXPECT_DOUBLE_EQ(config::parse<HealthOptions>(cfg).timeout_scale, 3.5);
     Config bad;
     bad.set("health.timeout_scale", 0.0);
-    EXPECT_SIM_ERROR(HealthOptions::fromConfig(bad),
+    EXPECT_SIM_ERROR(config::parse<HealthOptions>(bad),
                      "timeout_scale must be positive");
 }
 
@@ -484,7 +484,7 @@ cosimOptions(const Config &cfg)
     o.noc.columns = 4;
     o.noc.rows = 4;
     o.mem.l1_sets = 16;
-    o.health = HealthOptions::fromConfig(cfg);
+    o.health = config::parse<HealthOptions>(cfg);
     return o;
 }
 
@@ -495,7 +495,7 @@ TEST(Health, FullSystemSurvivesInjectedFaults)
     cfg.set("fault.drop_every", 3);
     cfg.set("health.recovery_quanta", 0);
     FullSystemOptions o = cosimOptions(cfg);
-    o.fault = FaultOptions::fromConfig(cfg);
+    o.fault = config::parse<FaultOptions>(cfg);
     FullSystem sys(cfg, o);
     ASSERT_NE(sys.faultInjector(), nullptr);
     Tick finish = sys.run(4000000);

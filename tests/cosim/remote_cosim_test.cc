@@ -157,7 +157,7 @@ TEST_F(RemoteCosim, ServerKillDegradesToTunedAbstract)
     Config cfg;
     cfg.set("health.recovery_quanta", 0); // stay degraded once tripped
     FullSystemOptions o = smallOptions(true);
-    o.health = HealthOptions::fromConfig(cfg);
+    o.health = config::parse<HealthOptions>(cfg);
     FullSystem sys(cfg, o);
 
     // Kill the server under the live session: the first quantum that
@@ -229,7 +229,9 @@ TEST_F(RemoteCosim, BackendMismatchedCheckpointIsRejected)
     FullSystem inproc(Config(), smallOptions(false));
     std::string why;
     EXPECT_FALSE(inproc.restoreFromBytes(image, &why));
-    EXPECT_NE(why.find("network backend"), std::string::npos) << why;
+    EXPECT_NE(why.find("configuration mismatch: network.backend"),
+              std::string::npos)
+        << why;
 }
 
 } // namespace

@@ -91,7 +91,7 @@ TEST(GpuDeviceParams, ConfigOverrides)
     Config cfg;
     cfg.set("gpu.kernel_launch_ns", 777.0);
     cfg.set("gpu.parallel_width", 32);
-    auto p = GpuDeviceParams::fromConfig(cfg);
+    auto p = config::parse<GpuDeviceParams>(cfg);
     EXPECT_DOUBLE_EQ(p.kernel_launch_ns, 777.0);
     EXPECT_EQ(p.parallel_width, 32);
 }
@@ -100,7 +100,7 @@ TEST(GpuDeviceParams, BadWidthIsFatal)
 {
     Config cfg;
     cfg.set("gpu.parallel_width", 0);
-    EXPECT_SIM_ERROR(GpuDeviceParams::fromConfig(cfg), "positive");
+    EXPECT_SIM_ERROR(config::parse<GpuDeviceParams>(cfg), "positive");
 }
 
 } // namespace

@@ -278,8 +278,8 @@ TEST(Protocol, HelloRoundTrip)
     req.params.rows = 5;
     req.engine_workers = 4;
     req.start_tick = 12345;
-    req.table_alpha = 0.125;
-    req.table_pair_granularity = true;
+    req.abstract.ewma_alpha = 0.125;
+    req.abstract.granularity = abstractnet::LatencyTable::Granularity::Pair;
     req.table_max_hops = 11;
 
     ArchiveWriter aw = beginMessage(MsgType::Hello);
@@ -297,8 +297,9 @@ TEST(Protocol, HelloRoundTrip)
     EXPECT_EQ(got.params.rows, 5);
     EXPECT_EQ(got.engine_workers, 4);
     EXPECT_EQ(got.start_tick, 12345u);
-    EXPECT_DOUBLE_EQ(got.table_alpha, 0.125);
-    EXPECT_TRUE(got.table_pair_granularity);
+    EXPECT_DOUBLE_EQ(got.abstract.ewma_alpha, 0.125);
+    EXPECT_EQ(got.abstract.granularity,
+              abstractnet::LatencyTable::Granularity::Pair);
     EXPECT_EQ(got.table_max_hops, 11);
 }
 

@@ -21,6 +21,7 @@
 #include "ipc/nocd_server.hh"
 #include "ipc/protocol.hh"
 #include "noc/packet.hh"
+#include "sim/config.hh"
 #include "sim/serialize.hh"
 #include "sim/sim_error.hh"
 
@@ -200,6 +201,59 @@ TEST_F(ServerFixture, UnknownModelIsRejected)
         EXPECT_NE(std::string(e.what()).find("unknown hosted model"),
                   std::string::npos);
     }
+}
+
+TEST_F(ServerFixture, BadHelloIsATypedConfigErrorAndTheServerLivesOn)
+{
+    // Each of these used to reach fatal() on the session thread, whose
+    // std::exit ended every session on the server.
+    HelloRequest shallow, wide, frozen;
+    shallow.params.buffer_depth = 0;
+    wide.params.vcs_per_vnet = 40;
+    frozen.abstract.ewma_alpha = 0.0;
+    // A knob record naming a key no struct declares (hand-encoded: no
+    // client can spell it).
+    ArchiveWriter misspelled = beginMessage(MsgType::Hello);
+    misspelled.putU32(protocol_version);
+    misspelled.putString("cycle");
+    config::putRecord(misspelled, {{"noc.colums", "4"}});
+    config::putRecord(misspelled, {});
+    misspelled.putU32(0);
+    misspelled.putU64(0);
+    misspelled.putU32(0);
+
+    std::vector<std::pair<ArchiveWriter, std::string>> bad;
+    for (const auto &[req, what] :
+         {std::pair{shallow, "buffer_depth"},
+          std::pair{wide, "at most 32 VCs per port"},
+          std::pair{frozen, "EWMA weight"}}) {
+        ArchiveWriter aw = beginMessage(MsgType::Hello);
+        encodeHello(aw, req);
+        bad.emplace_back(std::move(aw), what);
+    }
+    bad.emplace_back(std::move(misspelled), "unknown config key 'noc.colums'");
+
+    for (auto &[aw, what] : bad) {
+        Fd fd = connect();
+        Message rep = call(fd, std::move(aw));
+        ASSERT_EQ(rep.type, MsgType::ErrorReply) << what;
+        try {
+            throwDecodedError(rep.ar);
+            FAIL() << "throwDecodedError returned";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Config) << e.what();
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The server is still up and builds a good session.
+    Fd fd = connect();
+    HelloRequest good;
+    good.params.columns = 4;
+    good.params.rows = 4;
+    EXPECT_EQ(hello(fd, good).num_nodes, 16u);
+    EXPECT_EQ(step(fd, 100).cur_time, 100u);
 }
 
 TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)

@@ -159,7 +159,7 @@ TEST(RetryOptions, FromConfigReadsAndValidates)
     cfg.parseArg("network.remote.retry.max_ms=80");
     cfg.parseArg("network.remote.retry.jitter=0.25");
     cfg.parseArg("network.remote.retry.deadline_ms=0");
-    RetryOptions o = RetryOptions::fromConfig(cfg);
+    RetryOptions o = config::parse<RetryOptions>(cfg);
     EXPECT_EQ(o.max_attempts, 7u);
     EXPECT_DOUBLE_EQ(o.backoff_base_ms, 2.5);
     EXPECT_DOUBLE_EQ(o.backoff_multiplier, 3.0);
@@ -169,11 +169,11 @@ TEST(RetryOptions, FromConfigReadsAndValidates)
 
     Config bad;
     bad.parseArg("network.remote.retry.max_attempts=0");
-    EXPECT_SIM_ERROR(RetryOptions::fromConfig(bad), "at least 1");
+    EXPECT_SIM_ERROR(config::parse<RetryOptions>(bad), "at least 1");
 
     Config bad2;
     bad2.parseArg("network.remote.retry.jitter=1.5");
-    EXPECT_SIM_ERROR(RetryOptions::fromConfig(bad2), "jitter");
+    EXPECT_SIM_ERROR(config::parse<RetryOptions>(bad2), "jitter");
 }
 
 TEST(TransportFaultOptions, FromConfigReadsAndValidates)
@@ -187,7 +187,7 @@ TEST(TransportFaultOptions, FromConfigReadsAndValidates)
     cfg.parseArg("fault.transport.start_op=12");
     cfg.parseArg("fault.transport.max_faults=3");
     cfg.parseArg("fault.transport.min_gap_ops=16");
-    TransportFaultOptions o = TransportFaultOptions::fromConfig(cfg);
+    TransportFaultOptions o = config::parse<TransportFaultOptions>(cfg);
     EXPECT_TRUE(o.enabled);
     EXPECT_EQ(o.seed, 99u);
     EXPECT_DOUBLE_EQ(o.torn_frame, 0.25);
@@ -199,7 +199,7 @@ TEST(TransportFaultOptions, FromConfigReadsAndValidates)
 
     Config bad;
     bad.parseArg("fault.transport.corrupt=2.0");
-    EXPECT_SIM_ERROR(TransportFaultOptions::fromConfig(bad),
+    EXPECT_SIM_ERROR(config::parse<TransportFaultOptions>(bad),
                      "probabilities");
 }
 
@@ -293,7 +293,7 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
     cfg.parseArg("network.remote.endpoints=unix:/tmp/a,unix:/tmp/b");
     cfg.parseArg("network.remote.registry=/tmp/fleet.registry");
     cfg.parseArg("network.remote.retry.breaker_failures=0");
-    (void)noc::remote::RemoteOptions::fromConfig(cfg);
+    (void)config::parse<noc::remote::RemoteOptions>(cfg);
     (void)NocServerOptions::fromConfig(cfg);
     // The misspelled and retired keys were never read, so the
     // warnUnread() pass in FullSystem / rasim-nocd will name them

@@ -455,12 +455,12 @@ TEST(KernelEquivalence, UnknownKernelRejected)
     for (const char *kernel : {"object", "vector"}) {
         Config cfg;
         cfg.set("network.kernel", std::string(kernel));
-        EXPECT_SIM_ERROR(NocParams::fromConfig(cfg),
+        EXPECT_SIM_ERROR(config::parse<NocParams>(cfg),
                          "unknown network.kernel");
     }
     Config cfg;
     cfg.set("network.kernel", std::string("soa"));
-    NocParams::fromConfig(cfg);
+    config::parse<NocParams>(cfg);
     EXPECT_TRUE(cfg.unreadKeysWithPrefix("network.").empty());
 }
 
@@ -512,7 +512,7 @@ TEST(KernelEquivalence, SoaRejectsMoreThan32VcsPerPort)
 
     Config cfg;
     cfg.set("noc.vcs_per_vnet", 11); // 33 VCs on a mesh
-    EXPECT_SIM_ERROR(NocParams::fromConfig(cfg),
+    EXPECT_SIM_ERROR(config::parse<NocParams>(cfg),
                      "at most 32 VCs per port");
 }
 

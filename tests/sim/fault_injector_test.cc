@@ -221,7 +221,7 @@ TEST(FaultInjector, FromConfigReadsAllKeys)
     cfg.set("fault.poison_every", 9);
     cfg.set("fault.poison_offset", 5000);
     cfg.set("fault.hang_ms", 25);
-    auto o = FaultOptions::fromConfig(cfg);
+    auto o = config::parse<FaultOptions>(cfg);
     EXPECT_TRUE(o.enabled);
     EXPECT_EQ(o.drop_every, 7u);
     EXPECT_EQ(o.delay_every, 5u);
@@ -241,7 +241,7 @@ TEST(FaultInjector, FromConfigRejectsZeroDelay)
     Config cfg;
     cfg.set("fault.delay_every", 2);
     cfg.set("fault.delay_cycles", 0);
-    EXPECT_SIM_ERROR(FaultOptions::fromConfig(cfg), "delay_cycles");
+    EXPECT_SIM_ERROR(config::parse<FaultOptions>(cfg), "delay_cycles");
 }
 
 TEST(FaultInjector, FromConfigRejectsZeroPoisonOffset)
@@ -249,7 +249,7 @@ TEST(FaultInjector, FromConfigRejectsZeroPoisonOffset)
     Config cfg;
     cfg.set("fault.poison_every", 2);
     cfg.set("fault.poison_offset", 0);
-    EXPECT_SIM_ERROR(FaultOptions::fromConfig(cfg), "poison_offset");
+    EXPECT_SIM_ERROR(config::parse<FaultOptions>(cfg), "poison_offset");
 }
 
 } // namespace

@@ -120,7 +120,7 @@ TEST(Simulation, ClockPeriodFromConfig)
 {
     Config cfg;
     cfg.set("sim.clock_period", 4);
-    Simulation sim(SimParams::fromConfig(cfg));
+    Simulation sim(rasim::config::parse<SimParams>(cfg));
     EXPECT_EQ(sim.rootClock().period(), 4u);
 }
 
