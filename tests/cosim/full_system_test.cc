@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -494,6 +495,49 @@ TEST(FullSystem, ResumeUnderOtherNeutralValuesFinishesIdentically)
     std::string why;
     ASSERT_TRUE(sys.restoreFromBytes(image, &why)) << why;
     EXPECT_EQ(sys.run(4000000), finish);
+}
+
+/** Checkpoint a default-knob run mid-flight, then restore that image
+ *  into a system whose latency-table knobs differ as @p change says;
+ *  returns the restore's rejection reason ("" if it was accepted). */
+std::string
+restoreUnderOtherTableKnobs(
+    const std::function<void(abstractnet::AbstractParams &)> &change)
+{
+    FullSystemOptions o = smallOptions(Mode::CosimCycle);
+    std::string image;
+    {
+        FullSystem sys(Config(), o);
+        sys.run(4 * o.quantum);
+        std::ostringstream os;
+        sys.saveTo(os);
+        image = os.str();
+    }
+    change(o.abstract);
+    FullSystem sys(Config(), o);
+    std::string why;
+    EXPECT_FALSE(sys.restoreFromBytes(image, &why));
+    return why;
+}
+
+TEST(FullSystem, RestoreUnderPairGranularityIsANamedMismatch)
+{
+    // The saved distance table cannot be read back as a pair table:
+    // this used to panic inside the table restore.
+    std::string why = restoreUnderOtherTableKnobs(
+        [](abstractnet::AbstractParams &a) {
+            a.granularity = abstractnet::LatencyTable::Granularity::Pair;
+        });
+    EXPECT_EQ(why, "configuration mismatch: abstract.granularity");
+}
+
+TEST(FullSystem, RestoreUnderOtherEwmaAlphaIsANamedMismatch)
+{
+    // Same table shape, other dynamics: this used to be accepted and
+    // silently drift from the uninterrupted run.
+    std::string why = restoreUnderOtherTableKnobs(
+        [](abstractnet::AbstractParams &a) { a.ewma_alpha = 0.5; });
+    EXPECT_EQ(why, "configuration mismatch: abstract.ewma_alpha");
 }
 
 } // namespace
