@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
-#include <sstream>
+#include <exception>
+#include <thread>
 
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -152,7 +152,12 @@ QuantumBridge::curTime() const
 bool
 QuantumBridge::idle() const
 {
-    return backend_.idle() && pending_injections_.empty() &&
+    // A quarantined backend owes the system nothing (its packets are
+    // served from estimates) and is not advanced, so packets stuck in
+    // it must not keep the run going until the tick limit.
+    bool backend_idle =
+        state_ == HealthState::Degraded || backend_.idle();
+    return backend_idle && pending_injections_.empty() &&
            pending_deliveries_.empty() && degraded_out_.empty();
 }
 
@@ -211,75 +216,32 @@ QuantumBridge::applyDeliveries(Tick boundary)
 }
 
 void
-QuantumBridge::advanceBackendChecked(Tick q_end)
+QuantumBridge::runHost(Tick q_end)
 {
-    auto t1 = std::chrono::steady_clock::now();
-    double budget_ms = health_ ? options_.health.worker_timeout_ms *
-                                     options_.health.timeout_scale
-                               : 0.0;
-    if (budget_ms <= 0.0) {
-        if (health_) {
-            // Backend panic()/fatal() become catchable SimError so a
-            // misbehaving model degrades instead of killing the run.
-            logging::ThrowOnError guard;
-            backend_.advanceTo(q_end);
-        } else {
-            backend_.advanceTo(q_end);
-        }
-        double ns = elapsedNs(t1);
-        net_ns_ += ns;
-        last_worker_ms_ = ns / 1e6;
-        return;
-    }
+    auto t0 = std::chrono::steady_clock::now();
+    sim().run(q_end);
+    host_ns_ += elapsedNs(t0);
+}
 
-    // Budgeted advance: run on a joinable worker so a hung backend can
-    // be preempted (cooperatively, via requestAbort) instead of
-    // wedging the host forever.
-    std::promise<void> done;
-    auto fut = done.get_future();
-    std::thread worker([this, q_end, &done] {
-        try {
-            logging::ThrowOnError guard;
-            backend_.advanceTo(q_end);
-            done.set_value();
-        } catch (...) {
-            done.set_exception(std::current_exception());
-        }
-    });
-    auto budget = std::chrono::duration<double, std::milli>(budget_ms);
-    bool timed_out =
-        fut.wait_for(budget) == std::future_status::timeout;
-    if (timed_out)
-        backend_.requestAbort();
-    worker.join();
-    double ns = elapsedNs(t1);
-    net_ns_ += ns;
-    last_worker_ms_ = ns / 1e6;
-    if (timed_out) {
-        try {
-            fut.get();
-        } catch (...) {
-            // The abort itself may surface as an exception; the trip
-            // below already tells the whole story.
-        }
-        std::ostringstream os;
-        os << "backend exceeded its " << budget_ms
-           << " ms wall-clock budget on the quantum ending at tick "
-           << q_end;
-        throw SimError(ErrorKind::Timeout, os.str());
-    }
-    fut.get();
+void
+QuantumBridge::advanceBackend(Tick q_end)
+{
+    // Under the monitor, backend panic()/fatal() become catchable
+    // SimError so a misbehaving model degrades instead of killing the
+    // run.
+    std::optional<logging::ThrowOnError> guard;
+    if (health_)
+        guard.emplace();
+    auto t1 = std::chrono::steady_clock::now();
+    backend_.advanceTo(q_end);
+    net_ns_ += elapsedNs(t1);
 }
 
 void
 QuantumBridge::runQuantumSync(Tick q_end)
 {
-    auto t0 = std::chrono::steady_clock::now();
-    sim().run(q_end);
-    host_ns_ += elapsedNs(t0);
-
-    advanceBackendChecked(q_end);
-
+    runHost(q_end);
+    advanceBackend(q_end);
     applyDeliveries(q_end);
 }
 
@@ -301,78 +263,29 @@ QuantumBridge::runQuantumOverlapped(Tick q_end)
     }
     pending_injections_.clear();
 
-    bool monitored = static_cast<bool>(health_);
-    std::promise<void> done;
-    auto fut = done.get_future();
-    std::thread net_worker([this, q_end, &done, monitored] {
-        auto t1 = std::chrono::steady_clock::now();
-        try {
-            if (monitored) {
-                logging::ThrowOnError guard;
-                backend_.advanceTo(q_end);
-            } else {
-                backend_.advanceTo(q_end);
+    std::exception_ptr net_error;
+    {
+        // Joined on scope exit, also when the host side throws: the
+        // worker is never leaked, and the deliveries it already made
+        // stay queued in pending_deliveries_ for the next boundary.
+        std::jthread net_worker([this, q_end, &net_error] {
+            try {
+                advanceBackend(q_end);
+            } catch (...) {
+                net_error = std::current_exception();
             }
-            double ns = elapsedNs(t1);
-            net_ns_ += ns;
-            last_worker_ms_ = ns / 1e6;
-            done.set_value();
-        } catch (...) {
-            double ns = elapsedNs(t1);
-            net_ns_ += ns;
-            last_worker_ms_ = ns / 1e6;
-            done.set_exception(std::current_exception());
-        }
-    });
-
-    auto t0 = std::chrono::steady_clock::now();
-    try {
-        sim().run(q_end);
-    } catch (...) {
-        // Host-side failure mid-overlap: never leak the worker (or the
-        // deliveries it already produced — they stay queued in
-        // pending_deliveries_ for whoever catches this).
-        backend_.requestAbort();
-        net_worker.join();
-        host_ns_ += elapsedNs(t0);
-        throw;
+        });
+        runHost(q_end);
     }
-    host_ns_ += elapsedNs(t0);
-
-    double budget_ms = health_ ? options_.health.worker_timeout_ms *
-                                     options_.health.timeout_scale
-                               : 0.0;
-    bool timed_out = false;
-    if (budget_ms > 0.0) {
-        // The worker already had the whole host quantum; grant the
-        // remaining wall-clock budget before preempting it.
-        auto budget = std::chrono::duration<double, std::milli>(budget_ms);
-        timed_out = fut.wait_for(budget) == std::future_status::timeout;
-        if (timed_out)
-            backend_.requestAbort();
-    }
-    net_worker.join();
-    if (timed_out) {
-        try {
-            fut.get();
-        } catch (...) {
-        }
-        std::ostringstream os;
-        os << "overlapped backend worker exceeded its " << budget_ms
-           << " ms wall-clock budget on the quantum ending at tick "
-           << q_end;
-        throw SimError(ErrorKind::Timeout, os.str());
-    }
-    fut.get();
+    if (net_error)
+        std::rethrow_exception(net_error);
     applyDeliveries(q_end);
 }
 
 void
 QuantumBridge::runQuantumDegraded(Tick q_end)
 {
-    auto t0 = std::chrono::steady_clock::now();
-    sim().run(q_end);
-    host_ns_ += elapsedNs(t0);
+    runHost(q_end);
 
     health_->noteDegradedQuantum();
     drainDegraded(q_end);
@@ -399,7 +312,6 @@ QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
     // above zero-load, so the probe only applies to Reciprocal runs.
     if (options_.coupling == Coupling::Reciprocal)
         s.table_seed_ratio = table_.maxSeedRatio();
-    s.worker_ms = last_worker_ms_;
     err_abs_window_ = 0.0;
     err_samples_window_ = 0;
 
@@ -632,6 +544,9 @@ QuantumBridge::restore(ArchiveReader &ar)
 void
 QuantumBridge::advanceCoupled(Tick t)
 {
+    void (QuantumBridge::*run_quantum)(Tick) =
+        options_.overlap ? &QuantumBridge::runQuantumOverlapped
+                         : &QuantumBridge::runQuantumSync;
     Tick cur = std::max(sim().curTick(), backend_.curTime());
     while (cur < t) {
         Tick q_end = std::min(cur + options_.quantum, t);
@@ -640,10 +555,7 @@ QuantumBridge::advanceCoupled(Tick t)
         } else if (health_) {
             std::optional<std::pair<ErrorKind, std::string>> trip;
             try {
-                if (options_.overlap)
-                    runQuantumOverlapped(q_end);
-                else
-                    runQuantumSync(q_end);
+                (this->*run_quantum)(q_end);
             } catch (const SimError &e) {
                 health_->noteTrip(e.kind(), e.what());
                 trip = std::make_pair(e.kind(), std::string(e.what()));
@@ -653,10 +565,7 @@ QuantumBridge::advanceCoupled(Tick t)
             if (trip)
                 handleTrip(trip->first, trip->second, q_end);
         } else {
-            if (options_.overlap)
-                runQuantumOverlapped(q_end);
-            else
-                runQuantumSync(q_end);
+            (this->*run_quantum)(q_end);
         }
         ++quanta_;
         cur = q_end;

@@ -18,7 +18,9 @@
  * boundary (exact at quantum = 1 — the Monolithic reference). In
  * overlapped mode the network processes quantum k while the host
  * simulates k+1, adding one quantum of exchange slack in both
- * directions but allowing the coprocessor to run concurrently.
+ * directions but allowing the coprocessor to run concurrently. Sync
+ * mode starts no thread; overlapped mode runs the backend on one
+ * worker per quantum, joined at the boundary.
  */
 
 #ifndef RASIM_COSIM_BRIDGE_HH
@@ -29,7 +31,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -178,8 +179,8 @@ class QuantumBridge : public SimObject,
      * Checkpoint the coupling state. Only valid at a quantum boundary
      * (after advanceCoupled returned): pending_deliveries_ must be
      * empty, which the save asserts. Wall-clock accounting (hostNs,
-     * netNs, the last worker budget sample) is intentionally excluded
-     * from the bit-identical contract.
+     * netNs) is intentionally excluded from the bit-identical
+     * contract.
      */
     void save(ArchiveWriter &aw) const override;
     void restore(ArchiveReader &ar) override;
@@ -208,15 +209,16 @@ class QuantumBridge : public SimObject,
     void applyDeliveries(Tick boundary);
     void onBackendDelivery(const noc::PacketPtr &pkt);
 
+    /** Run the event simulation to @p q_end, timing it in hostNs. */
+    void runHost(Tick q_end);
+
     /**
-     * Advance the backend to @p q_end under the health monitor: backend
-     * panic()/fatal() surface as catchable SimError, and with a
-     * configured wall-clock budget the advance runs on a joinable
-     * worker that is cooperatively preempted (requestAbort) on
-     * overrun. Records the elapsed wall-clock in last_worker_ms_.
-     * @throws SimError on backend failure or budget overrun.
+     * Advance the backend to @p q_end, timing it in netNs. Under the
+     * health monitor, backend panic()/fatal() surface as catchable
+     * SimError.
+     * @throws SimError on backend failure.
      */
-    void advanceBackendChecked(Tick q_end);
+    void advanceBackend(Tick q_end);
 
     /** Evaluate the guard set at a boundary; returns the trip if any
      *  guard fired (already counted in the monitor's stats). */
@@ -268,8 +270,6 @@ class QuantumBridge : public SimObject,
     /** |estimate error| accumulated since the last boundary. */
     double err_abs_window_ = 0.0;
     std::uint64_t err_samples_window_ = 0;
-    /** Wall-clock the backend burnt on the last quantum (ms). */
-    double last_worker_ms_ = 0.0;
     /** Conservative coupling: packets the backend owes the system,
      *  so a quarantine can serve them from estimates and late real
      *  deliveries after re-engagement are not applied twice. */

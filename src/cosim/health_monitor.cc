@@ -16,10 +16,6 @@ HealthOptions::validate() const
         fatal("health.divergence_factor must be non-negative");
     if (divergence_error < 0.0)
         fatal("health.divergence_error must be non-negative");
-    if (worker_timeout_ms < 0.0)
-        fatal("health.worker_timeout_ms must be non-negative");
-    if (timeout_scale <= 0.0)
-        fatal("health.timeout_scale must be positive");
     if (checkpoint_quanta == 0)
         fatal("health.checkpoint_quanta must be positive");
     if (probation_quanta == 0)
@@ -51,7 +47,7 @@ HealthMonitor::HealthMonitor(Simulation &sim, const std::string &name,
       divergenceTrips(this, "divergence_trips",
                       "estimate-divergence guard trips"),
       timeoutTrips(this, "timeout_trips",
-                   "backend wall-clock timeout trips"),
+                   "remote reply or retry-round deadlines expired"),
       transportTrips(this, "transport_trips",
                      "remote-backend transport failures caught"),
       backpressureTrips(this, "backpressure_trips",
@@ -140,17 +136,6 @@ HealthMonitor::checkBoundary(const Snapshot &s)
                << " deliveries exceeds " << options_.divergence_error;
             return Trip{ErrorKind::Divergence, os.str()};
         }
-    }
-
-    // Timeout: the backend burnt more wall-clock on this quantum than
-    // the budget allows (the worker was already asked to abort).
-    double budget_ms = options_.worker_timeout_ms * options_.timeout_scale;
-    if (options_.worker_timeout_ms > 0.0 && s.worker_ms > budget_ms) {
-        ++timeoutTrips;
-        std::ostringstream os;
-        os << "backend spent " << s.worker_ms
-           << " ms on one quantum (budget " << budget_ms << " ms)";
-        return Trip{ErrorKind::Timeout, os.str()};
     }
 
     return std::nullopt;

@@ -14,10 +14,12 @@
  *    network dead- or livelocked;
  *  - divergence: the reciprocal latency table left its trusted bounds
  *    (tuned estimate >> zero-load seed) or the per-quantum mean
- *    |estimate error| blew up — poisoned feedback;
- *  - timeout: the backend burnt more wall-clock on one quantum than
- *    the configured budget (the overlapped worker is additionally
- *    preempted via NetworkModel::requestAbort()).
+ *    |estimate error| blew up — poisoned feedback.
+ *
+ * Every guard reads simulated state only, so host load alone can never
+ * trip one. Backend failures caught outside the guards — a remote
+ * reply or retry-round deadline expiring (Timeout), a lost connection
+ * (Transport), a backend panic — are counted through noteTrip().
  *
  * A tripped guard quarantines the detailed backend: the bridge falls
  * back to tuned-abstract estimates from the last-good checkpoint of
@@ -61,18 +63,6 @@ struct HealthOptions
     /** Largest tolerated per-quantum mean |estimate error| in cycles
      *  (0 = off; reciprocal coupling only). */
     double divergence_error = 0.0;
-    /** Wall-clock budget per backend quantum in milliseconds
-     *  (0 = off). */
-    double worker_timeout_ms = 0.0;
-    /**
-     * Multiplier applied to worker_timeout_ms wherever it is enforced
-     * (the bridge's preemption budget and the boundary timeout guard).
-     * Lets slow hosts — sanitizer builds, loaded CI runners, remote
-     * backends over congested links — loosen the wall-clock watchdog
-     * without retuning every config. The default 1.0 changes nothing,
-     * so runs stay bit-identical unless explicitly scaled.
-     */
-    double timeout_scale = 1.0;
     /** Checkpoint the latency table every N healthy boundaries. */
     std::uint64_t checkpoint_quanta = 8;
     /** Quanta to stay quarantined before re-engaging the backend
@@ -93,8 +83,6 @@ struct HealthOptions
         v("health.watchdog_cycles", watchdog_cycles);
         v("health.divergence_factor", divergence_factor);
         v("health.divergence_error", divergence_error);
-        v("health.worker_timeout_ms", worker_timeout_ms, config::neutral);
-        v("health.timeout_scale", timeout_scale, config::neutral);
         v("health.checkpoint_quanta", checkpoint_quanta);
         v("health.recovery_quanta", recovery_quanta);
         v("health.probation_quanta", probation_quanta);
@@ -127,8 +115,6 @@ class HealthMonitor : public SimObject
         std::uint64_t err_samples = 0;
         /** LatencyTable::maxSeedRatio() of the live table. */
         double table_seed_ratio = 1.0;
-        /** Wall-clock the backend burnt on this quantum (ms). */
-        double worker_ms = 0.0;
     };
 
     /** A tripped guard: what and why, ready to raise or log. */
@@ -145,8 +131,8 @@ class HealthMonitor : public SimObject
 
     /**
      * Evaluate every enabled guard against @p s. Returns the first
-     * trip (conservation, deadlock, divergence, timeout — in that
-     * order) or nullopt when healthy. Not idempotent: feeds the
+     * trip (conservation, deadlock, divergence — in that order) or
+     * nullopt when healthy. Not idempotent: feeds the
      * watchdog's progress tracking.
      */
     std::optional<Trip> checkBoundary(const Snapshot &s);

@@ -355,7 +355,7 @@ recvUpTo(const Fd &fd, void *data, std::size_t len, double timeout_ms,
     while (got < len) {
         if (abort && abort->load(std::memory_order_relaxed)) {
             throw SimError(ErrorKind::Timeout,
-                           "receive aborted by requestAbort()");
+                           "receive aborted");
         }
         double left = 0.0;
         if (timeout_ms > 0.0) {

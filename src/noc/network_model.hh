@@ -110,16 +110,6 @@ class NetworkModel
         (void)stalled;
         return false;
     }
-
-    /**
-     * Cooperative cancellation: ask an in-progress advanceTo() (possibly
-     * running on another thread) to return as soon as it is safe —
-     * used by the health monitor's wall-clock watchdog to reclaim a
-     * stuck worker. Models advance cycle-at-a-time and so return
-     * naturally; only models that can block mid-quantum need to honour
-     * it. The request is sticky until the next advanceTo() call.
-     */
-    virtual void requestAbort() {}
 };
 
 } // namespace noc

@@ -124,12 +124,6 @@ RemoteNetwork::accounting() const
     return acct_;
 }
 
-void
-RemoteNetwork::requestAbort()
-{
-    abort_.store(true, std::memory_order_relaxed);
-}
-
 ipc::FaultyTransport *
 RemoteNetwork::faultyChannel()
 {
@@ -145,17 +139,6 @@ RemoteNetwork::inject(const PacketPtr &pkt)
     // catches backend errors.
     ++packetsInjected;
     pending_.push_back(pkt);
-}
-
-bool
-RemoteNetwork::retryable(const SimError &err) const
-{
-    // An abort is the caller cancelling the operation; honouring it
-    // beats masking it.
-    if (abort_.load(std::memory_order_relaxed))
-        return false;
-    return err.kind() == ErrorKind::Transport ||
-           err.kind() == ErrorKind::Timeout;
 }
 
 void
@@ -198,7 +181,7 @@ RemoteNetwork::rethrowPartingError(ipc::ByteChannel &ch,
     // readable even though our own send got EPIPE.
     std::optional<ipc::Message> parting;
     try {
-        parting = ipc::recvMessage(ch, 200.0, &abort_);
+        parting = ipc::recvMessage(ch, 200.0);
     } catch (const SimError &) {
         throw send_err;
     }
@@ -210,7 +193,7 @@ RemoteNetwork::rethrowPartingError(ipc::ByteChannel &ch,
 ipc::Message
 RemoteNetwork::expectReplyOn(ipc::ByteChannel &ch, double timeout_ms)
 {
-    auto msg = ipc::recvMessage(ch, timeout_ms, &abort_);
+    auto msg = ipc::recvMessage(ch, timeout_ms);
     if (!msg) {
         throw SimError(ErrorKind::Transport,
                        "server '" + options_.socket +
@@ -455,9 +438,6 @@ RemoteNetwork::stepOnce(const ipc::StepRequest &req)
 void
 RemoteNetwork::advanceTo(Tick t)
 {
-    // The abort request is sticky until the next advanceTo() call.
-    abort_.store(false, std::memory_order_relaxed);
-
     // Idle elision: an idle fabric with nothing buffered cannot
     // produce a delivery, so the quantum needs no RPC at all — the
     // clock advances locally and the server's own idle fast-forward

@@ -64,7 +64,6 @@
 #ifndef RASIM_NOC_REMOTE_REMOTE_NETWORK_HH
 #define RASIM_NOC_REMOTE_REMOTE_NETWORK_HH
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -163,7 +162,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     bool idle() const override { return idle_ && pending_.empty(); }
     std::size_t numNodes() const override;
     std::optional<Accounting> accounting() const override;
-    void requestAbort() override;
 
     /** Read back the server's shadow-tuned LatencyTable (the
      *  differential proof that remote feedback equals in-process). */
@@ -320,9 +318,13 @@ class RemoteNetwork : public SimObject, public NetworkModel
         }
     }
 
-    /** Worth another attempt? Transport/Timeout errors are, unless
-     *  the caller requested an abort. */
-    bool retryable(const SimError &err) const;
+    /** Worth another attempt? Transport/Timeout errors are. */
+    static bool
+    retryable(const SimError &err)
+    {
+        return err.kind() == ErrorKind::Transport ||
+               err.kind() == ErrorKind::Timeout;
+    }
 
     /** Mirror the retry policy's counters into the health stats. */
     void syncHealthStats();
@@ -399,7 +401,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     TransportFaultSchedule fault_sched_;
     ipc::RetryPolicy retry_;
     bool ever_connected_ = false;
-    std::atomic<bool> abort_{false};
 
     DeliveryHandler handler_;
     std::vector<PacketPtr> pending_; ///< injections since last quantum

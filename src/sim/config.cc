@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -96,15 +98,16 @@ Config::getDouble(const std::string &key, double dflt) const
     const std::string *v = find(key);
     if (!v)
         return dflt;
-    try {
-        std::size_t pos = 0;
-        double r = std::stod(*v, &pos);
-        if (pos != v->size())
-            throw std::invalid_argument(*v);
-        return r;
-    } catch (const std::exception &) {
+    // strtod, not stod: it returns an overflow such as "1e999" as
+    // ±inf, which is refused below with nan and inf. Those would pass
+    // every validate() written as "x < 0".
+    char *end = nullptr;
+    double r = std::strtod(v->c_str(), &end);
+    if (v->empty() || end != v->c_str() + v->size())
         fatal("config key '", key, "': '", *v, "' is not a number");
-    }
+    if (!std::isfinite(r))
+        fatal("config key '", key, "': '", *v, "' is not a finite number");
+    return r;
 }
 
 bool
@@ -208,12 +211,19 @@ stateShaping(const Record &r)
 std::string
 firstDifference(const Record &a, const Record &b)
 {
-    // Both records list their keys in declaration order.
+    // Both records list their keys in declaration order, so where
+    // they first part, a key that only @p a declares (one retired
+    // since @p a was written) is the difference; otherwise b's key is.
+    auto declares = [](const Record &r, const std::string &key) {
+        return std::any_of(r.begin(), r.end(),
+                           [&](const Entry &e) { return e.key == key; });
+    };
     for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
-        if (i >= a.size() || (i < b.size() && a[i] != b[i]))
-            return b[i].key;
-        if (i >= b.size())
+        if (i >= b.size() || (i < a.size() && a[i] != b[i] &&
+                              !declares(b, a[i].key)))
             return a[i].key;
+        if (i >= a.size() || a[i] != b[i])
+            return b[i].key;
     }
     return "";
 }

@@ -1,8 +1,6 @@
 #include "sim/fault_injector.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "sim/logging.hh"
 
@@ -189,8 +187,6 @@ FaultInjector::releaseHeld(Tick t)
 void
 FaultInjector::advanceTo(Tick t)
 {
-    abort_.store(false, std::memory_order_relaxed);
-
     // Engage/release the router stall at boundary granularity.
     if (opts_.stall_node >= 0) {
         if (!stall_engaged_ && t >= opts_.stall_from) {
@@ -203,19 +199,6 @@ FaultInjector::advanceTo(Tick t)
             inner_.setNodeStalled(
                 static_cast<std::size_t>(opts_.stall_node), false);
             stall_engaged_ = false;
-        }
-    }
-
-    // Wall-clock hang, honouring cooperative cancellation.
-    if (opts_.hang_ms > 0) {
-        auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opts_.hang_ms);
-        while (std::chrono::steady_clock::now() < deadline) {
-            if (abort_.load(std::memory_order_relaxed)) {
-                ++aborted_;
-                return; // abandon the quantum without advancing
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
     }
 
@@ -297,13 +280,6 @@ FaultInjector::setNodeStalled(std::size_t node, bool stalled)
 }
 
 void
-FaultInjector::requestAbort()
-{
-    abort_.store(true, std::memory_order_relaxed);
-    inner_.requestAbort();
-}
-
-void
 FaultInjector::save(ArchiveWriter &aw) const
 {
     aw.beginSection("fault");
@@ -313,7 +289,6 @@ FaultInjector::save(ArchiveWriter &aw) const
     aw.putU64(dropped_);
     aw.putU64(delayed_);
     aw.putU64(poisoned_);
-    aw.putU64(aborted_);
     aw.putBool(stall_engaged_);
     aw.putU64(held_.size());
     for (const auto &[tick, pkt] : held_) {
@@ -333,7 +308,6 @@ FaultInjector::restore(ArchiveReader &ar)
     dropped_ = ar.getU64();
     delayed_ = ar.getU64();
     poisoned_ = ar.getU64();
-    aborted_ = ar.getU64();
     stall_engaged_ = ar.getBool();
     held_.clear();
     std::uint64_t n = ar.getU64();

@@ -12,9 +12,7 @@
  *  - freeze: stop advancing the backend inside a tick window (no
  *            progress while packets are in flight);
  *  - poison: inflate the reported latency of every Nth delivery
- *            (corrupts the reciprocal feedback — divergence guard);
- *  - hang:   burn wall-clock inside advanceTo(), honouring
- *            requestAbort() (overlapped-worker timeout guard).
+ *            (corrupts the reciprocal feedback — divergence guard).
  *
  * All faults are counter- or tick-keyed, never randomised, so a
  * faulty run is exactly reproducible.
@@ -32,7 +30,6 @@
 #define RASIM_SIM_FAULT_INJECTOR_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -77,9 +74,6 @@ struct FaultOptions
     /** ... by this many cycles. */
     Tick poison_offset = 10000;
 
-    /** Burn this much wall-clock per advanceTo() call (0 = off). */
-    std::uint64_t hang_ms = 0;
-
     void
     keys(config::Binder &v)
     {
@@ -94,7 +88,6 @@ struct FaultOptions
         v("fault.freeze_until", freeze_until);
         v("fault.poison_every", poison_every);
         v("fault.poison_offset", poison_offset);
-        v("fault.hang_ms", hang_ms);
     }
 
     void validate() const;
@@ -253,7 +246,6 @@ class FaultInjector final : public noc::NetworkModel
     std::size_t numNodes() const override;
     std::optional<Accounting> accounting() const override;
     bool setNodeStalled(std::size_t node, bool stalled) override;
-    void requestAbort() override;
 
     const FaultOptions &options() const { return opts_; }
     noc::NetworkModel &inner() { return inner_; }
@@ -263,7 +255,6 @@ class FaultInjector final : public noc::NetworkModel
     std::uint64_t dropped() const { return dropped_; }
     std::uint64_t delayed() const { return delayed_; }
     std::uint64_t poisoned() const { return poisoned_; }
-    std::uint64_t aborted() const { return aborted_; }
     /// @}
 
     /** Checkpoint fault counters and held (delayed) packets. */
@@ -287,10 +278,7 @@ class FaultInjector final : public noc::NetworkModel
     std::uint64_t dropped_ = 0;
     std::uint64_t delayed_ = 0;
     std::uint64_t poisoned_ = 0;
-    std::uint64_t aborted_ = 0;
     bool stall_engaged_ = false;
-    /** Cooperative-cancellation flag (set cross-thread). */
-    std::atomic<bool> abort_{false};
 };
 
 } // namespace rasim

@@ -101,8 +101,8 @@ scenarioOptions(const Scenario &s)
     o.conservative = s.conservative;
     o.parallel = s.parallel;
     o.engine_workers = 2;
-    // Wall-clock guards (worker_timeout_ms, fault.hang_ms) are the one
-    // thing outside the bit-identical contract; everything else runs.
+    // Every health guard reads simulated state, so all of them run
+    // under the bit-identical contract.
     o.health.recovery_quanta = 4;
     o.health.probation_quanta = 2;
     o.health.checkpoint_quanta = 4;

@@ -128,13 +128,33 @@ TEST(FullSystem, MisspelledConfigKeyWarns)
 {
     // A typo'd key is never read by any consumer, so assembling the
     // system flags it instead of silently ignoring it — also when the
-    // typo is in the prefix, which no parser knows.
-    for (const char *key : {"noc.colums", "sytem.quantum"}) {
+    // typo is in the prefix, which no parser knows. The retired
+    // wall-clock guard keys are reported the same way, so an old
+    // command line hears that its budget no longer exists.
+    for (const char *key :
+         {"noc.colums", "sytem.quantum", "health.worker_timeout_ms",
+          "health.timeout_scale", "fault.hang_ms"}) {
         Config cfg;
         cfg.set(key, 4);
         auto before = warnCount();
         FullSystem sys(cfg, smallOptions(Mode::Abstract));
         EXPECT_EQ(warnCount() - before, 1u) << key;
+    }
+}
+
+TEST(FullSystem, NonFiniteConfigValueIsATypedError)
+{
+    // A NaN passes every range check written as a comparison: an
+    // unrefused abstract.ewma_alpha=nan stops the run at tick 0 as if
+    // it had hit the tick limit.
+    for (const char *arg :
+         {"abstract.ewma_alpha=nan", "health.divergence_factor=inf",
+          "remote.quantum_timeout_ms=1e999"}) {
+        Config cfg;
+        cfg.parseArg(arg);
+        EXPECT_SIM_ERROR(FullSystemOptions::fromConfig(cfg),
+                         "is not a finite number")
+            << arg;
     }
 }
 
@@ -275,8 +295,6 @@ nonDefaultValues(const std::string &socket)
         {"health.watchdog_cycles", "5000"},
         {"health.divergence_factor", "32"},
         {"health.divergence_error", "1.5"},
-        {"health.worker_timeout_ms", "250"},
-        {"health.timeout_scale", "2"},
         {"health.checkpoint_quanta", "4"},
         {"health.recovery_quanta", "32"},
         {"health.probation_quanta", "4"},
@@ -293,7 +311,6 @@ nonDefaultValues(const std::string &socket)
         {"fault.freeze_until", "200"},
         {"fault.poison_every", "7"},
         {"fault.poison_offset", "500"},
-        {"fault.hang_ms", "1"},
         {"checkpoint.interval_quanta", "8"},
         {"checkpoint.dir", "ckpts"},
         {"checkpoint.keep", "5"},
@@ -448,9 +465,8 @@ TEST(FullSystem, ResumeUnderAnyOtherStateShapingValueIsANamedMismatch)
           "max_faults", "min_gap_ops"})
         allowed.push_back(std::string("fault.transport.") + k);
     for (const char *k :
-         {"kernel.simd", "health.worker_timeout_ms", "health.timeout_scale",
-          "checkpoint.interval_quanta", "checkpoint.dir", "checkpoint.keep",
-          "checkpoint.restore"})
+         {"kernel.simd", "checkpoint.interval_quanta", "checkpoint.dir",
+          "checkpoint.keep", "checkpoint.restore"})
         allowed.push_back(k);
     EXPECT_EQ(neutral, allowed);
 
@@ -488,7 +504,6 @@ TEST(FullSystem, ResumeUnderOtherNeutralValuesFinishesIdentically)
                    withValues(o, {{"system.parallel", "true"},
                                   {"system.engine_workers", "1"},
                                   {"kernel.simd", "scalar"},
-                                  {"health.timeout_scale", "2"},
                                   {"remote.quantum_timeout_ms", "0"},
                                   {"network.remote.retry.jitter", "0"},
                                   {"checkpoint.keep", "5"}}));

@@ -3,7 +3,8 @@
  * Full-system acceptance tests for the out-of-process NoC backend:
  * a co-simulation with network.backend=remote is bit-identical to the
  * same run with the in-process backend, a killed server degrades the
- * run to tuned-abstract service instead of hanging it, and a paired
+ * run to tuned-abstract service instead of hanging it, so does a hung
+ * one once its reply deadline expires, and a paired
  * cross-process checkpoint resumes to the same final state as an
  * uninterrupted run.
  */
@@ -60,9 +61,8 @@ class RemoteCosim : public ::testing::Test
     }
 
     void
-    startServer()
+    startServer(ipc::NocServerOptions opts = {})
     {
-        ipc::NocServerOptions opts;
         opts.address = addr_;
         server_ = std::make_unique<ipc::NocServer>(opts);
         thread_ = std::thread([this] { server_->run(); });
@@ -173,6 +173,50 @@ TEST_F(RemoteCosim, ServerKillDegradesToTunedAbstract)
     EXPECT_GE(sys.bridge().health()->degradations.value(), 1.0);
     EXPECT_EQ(sys.bridge().healthState(),
               QuantumBridge::HealthState::Degraded);
+}
+
+TEST_F(RemoteCosim, HungServerTripsTheReplyDeadline)
+{
+    // The server stops answering mid-run: a session read stalls for a
+    // second, far past the client's 50 ms reply budget, and one
+    // attempt per retry round leaves nothing to mask it. The reply
+    // deadline is what catches a hung server.
+    stopServer();
+    ipc::NocServerOptions so;
+    so.fault.enabled = true;
+    so.fault.stall = 1.0;
+    so.fault.stall_ms = 1000.0;
+    so.fault.start_op = 15; // past the Hello and the first Steps
+    so.fault.max_faults = 1;
+    startServer(so);
+
+    for (bool degrade : {true, false}) {
+        FullSystemOptions o = smallOptions(true);
+        o.remote.quantum_timeout_ms = 50.0;
+        o.remote.retry.max_attempts = 1;
+        o.health.recovery_quanta = 0;
+        o.health.degrade = degrade;
+        FullSystem sys(Config(), o);
+        if (!degrade) {
+            try {
+                sys.run(4000000);
+                ADD_FAILURE() << "a hung server went unnoticed";
+            } catch (const SimError &e) {
+                EXPECT_EQ(e.kind(), ErrorKind::Timeout) << e.what();
+            }
+            continue;
+        }
+        sys.run(4000000);
+        EXPECT_TRUE(sys.allCoresDone());
+        const HealthMonitor *hm = sys.bridge().health();
+        ASSERT_NE(hm, nullptr);
+        EXPECT_GE(hm->timeoutTrips.value(), 1.0);
+        EXPECT_EQ(hm->transportTrips.value(), 0.0);
+        EXPECT_EQ(sys.bridge().healthState(),
+                  QuantumBridge::HealthState::Degraded);
+        // The server answered before it hung.
+        EXPECT_GT(sys.bridge().packetsDelivered.value(), 0.0);
+    }
 }
 
 TEST_F(RemoteCosim, CrossProcessCheckpointResumesIdentically)

@@ -221,6 +221,16 @@ TEST_F(ServerFixture, BadHelloIsATypedConfigErrorAndTheServerLivesOn)
     misspelled.putU32(0);
     misspelled.putU64(0);
     misspelled.putU32(0);
+    // A NaN weight passes the "alpha <= 0 || alpha > 1" range check;
+    // the binder refuses it before validate() runs.
+    ArchiveWriter nan_alpha = beginMessage(MsgType::Hello);
+    nan_alpha.putU32(protocol_version);
+    nan_alpha.putString("cycle");
+    config::putRecord(nan_alpha, {});
+    config::putRecord(nan_alpha, {{"abstract.ewma_alpha", "nan"}});
+    nan_alpha.putU32(0);
+    nan_alpha.putU64(0);
+    nan_alpha.putU32(0);
 
     std::vector<std::pair<ArchiveWriter, std::string>> bad;
     for (const auto &[req, what] :
@@ -232,6 +242,7 @@ TEST_F(ServerFixture, BadHelloIsATypedConfigErrorAndTheServerLivesOn)
         bad.emplace_back(std::move(aw), what);
     }
     bad.emplace_back(std::move(misspelled), "unknown config key 'noc.colums'");
+    bad.emplace_back(std::move(nan_alpha), "is not a finite number");
 
     for (auto &[aw, what] : bad) {
         Fd fd = connect();

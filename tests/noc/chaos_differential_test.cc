@@ -420,40 +420,4 @@ TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
     EXPECT_TRUE(net.connected());
 }
 
-TEST_F(ChaosDifferential, AbortIsSurfacedImmediatelyNotRetried)
-{
-    startServer();
-    NocParams p;
-    p.columns = 4;
-    p.rows = 4;
-    Simulation sim;
-    remote::RemoteOptions ro;
-    ro.socket = addr();
-    ro.retry = chaosRetry();
-    remote::RemoteNetwork net(sim, "rnet", p, ro);
-
-    net.inject(makePacket(1, 0, 15, MsgClass::Request, 8, 10));
-    net.advanceTo(1000);
-
-    // An abort requested before a transport round surfaces as a
-    // Timeout on the *first* failure — no reconnect storm while the
-    // simulation is being torn down.
-    net.requestAbort();
-    const double retries_before = net.retries.value();
-    try {
-        (void)net.fetchRemoteStats();
-        FAIL() << "aborted readback succeeded";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Timeout) << e.what();
-    }
-    EXPECT_EQ(net.retries.value(), retries_before)
-        << "an aborted operation was retried";
-
-    // advanceTo() re-arms the abort flag, so the network recovers.
-    net.inject(makePacket(2, 1, 14, MsgClass::Request, 8, 1500));
-    net.advanceTo(2000);
-    EXPECT_EQ(net.deliveredCount(), 1u) // giveUp reset the accounting
-        << "fresh session accounting after an aborted readback";
-}
-
 } // namespace

@@ -124,6 +124,45 @@ TEST(Config, NegativeForUnsignedIsFatal)
     EXPECT_SIM_ERROR(c.getUInt("k", 0), "not an unsigned");
 }
 
+TEST(Config, MalformedDoubleIsFatal)
+{
+    Config c;
+    for (const char *v : {"", "abc", "1.5x"}) {
+        c.set("k", std::string(v));
+        EXPECT_SIM_ERROR(c.getDouble("k", 0), "' is not a number") << v;
+    }
+}
+
+TEST(Config, NonFiniteDoubleIsFatal)
+{
+    // NaN would slip through every validate() written as "x < 0" or
+    // "alpha <= 0 || alpha > 1"; 1e999 overflows to inf.
+    Config c;
+    for (const char *v : {"nan", "NaN", "inf", "-inf", "1e999", "-1e999"}) {
+        c.set("k", std::string(v));
+        EXPECT_SIM_ERROR(c.getDouble("k", 0), "is not a finite number")
+            << v;
+    }
+    c.set("k", std::string("1e-3"));
+    EXPECT_DOUBLE_EQ(c.getDouble("k", 0), 1e-3);
+}
+
+TEST(Config, FirstDifferenceNamesTheKeyOnlyOneSideDeclares)
+{
+    using rasim::config::Record;
+    Record now = {{"a", "1"}, {"c", "3"}, {"d", "4"}};
+    EXPECT_EQ(rasim::config::firstDifference(now, now), "");
+    // A key retired since the image was written, and one added since.
+    Record old = {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "4"}};
+    EXPECT_EQ(rasim::config::firstDifference(old, now), "b");
+    EXPECT_EQ(rasim::config::firstDifference(now, old), "b");
+    Record tail = {{"a", "1"}, {"c", "3"}};
+    EXPECT_EQ(rasim::config::firstDifference(tail, now), "d");
+    EXPECT_EQ(rasim::config::firstDifference(now, tail), "d");
+    Record other = {{"a", "1"}, {"c", "5"}, {"d", "4"}};
+    EXPECT_EQ(rasim::config::firstDifference(other, now), "c");
+}
+
 TEST(Config, UnreadKeysTrackEveryGetter)
 {
     Config c;

@@ -9,8 +9,6 @@
 
 #include "common/expect_error.hh"
 
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "noc/cycle_network.hh"
@@ -164,26 +162,6 @@ TEST(FaultInjector, StallWindowReleasesOnSchedule)
     EXPECT_EQ(f.delivered.size(), 1u);
 }
 
-TEST(FaultInjector, HangHonoursCooperativeAbort)
-{
-    FaultOptions o;
-    o.hang_ms = 10000; // would burn ten seconds without the abort
-    InjectorFixture f(o);
-    auto start = std::chrono::steady_clock::now();
-    std::thread worker([&] { f.inj.advanceTo(100); });
-    // Give the worker a moment to enter the hang loop, then preempt.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    f.inj.requestAbort();
-    worker.join();
-    auto elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-    EXPECT_EQ(f.inj.aborted(), 1u);
-    EXPECT_LT(elapsed, 5.0); // preempted, nowhere near 10 s
-    // The abandoned quantum made no progress.
-    EXPECT_EQ(f.net.curTime(), 0u);
-}
-
 TEST(FaultInjector, FaultyRunsAreReproducible)
 {
     auto run = [] {
@@ -220,7 +198,6 @@ TEST(FaultInjector, FromConfigReadsAllKeys)
     cfg.set("fault.freeze_until", 400);
     cfg.set("fault.poison_every", 9);
     cfg.set("fault.poison_offset", 5000);
-    cfg.set("fault.hang_ms", 25);
     auto o = config::parse<FaultOptions>(cfg);
     EXPECT_TRUE(o.enabled);
     EXPECT_EQ(o.drop_every, 7u);
@@ -233,7 +210,6 @@ TEST(FaultInjector, FromConfigReadsAllKeys)
     EXPECT_EQ(o.freeze_until, 400u);
     EXPECT_EQ(o.poison_every, 9u);
     EXPECT_EQ(o.poison_offset, 5000u);
-    EXPECT_EQ(o.hang_ms, 25u);
 }
 
 TEST(FaultInjector, FromConfigRejectsZeroDelay)
