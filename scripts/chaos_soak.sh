@@ -6,7 +6,8 @@
 # corruption, stalls, cold disconnects) and deterministic retry — every
 # chaos run must produce the identical headline results. A further run
 # exercises server-side chaos (the daemon tears its own replies), and a
-# final check SIGTERMs the daemon and expects a graceful drain.
+# final check SIGTERMs the daemon and expects it to stop within 5 s
+# with status 0.
 #
 # On a mismatch the offending seed is printed so the failure can be
 # replayed exactly.
@@ -129,23 +130,23 @@ if ! diff <(extract "$work/baseline.log") \
     exit 1
 fi
 
-echo "== graceful drain on SIGTERM =="
+echo "== SIGTERM stops rasim-nocd =="
 kill -TERM "$server_pid"
 for _ in $(seq 1 100); do
     kill -0 "$server_pid" 2> /dev/null || break
     sleep 0.05
 done
 if kill -0 "$server_pid" 2> /dev/null; then
-    echo "error: rasim-nocd did not drain within 5s of SIGTERM" >&2
+    echo "error: rasim-nocd did not stop within 5s of SIGTERM" >&2
     exit 1
 fi
 wait "$server_pid" || {
-    echo "error: rasim-nocd exited non-zero after SIGTERM drain" >&2
+    echo "error: rasim-nocd exited non-zero after SIGTERM" >&2
     exit 1
 }
 server_pid=""
 grep -q "exiting" "$work/nocd-chaos.log" || {
-    echo "error: drained daemon left no exit line" >&2
+    echo "error: stopped daemon left no exit line" >&2
     cat "$work/nocd-chaos.log" >&2
     exit 1
 }

@@ -557,7 +557,7 @@ QuantumBridge::advanceCoupled(Tick t)
             try {
                 (this->*run_quantum)(q_end);
             } catch (const SimError &e) {
-                health_->noteTrip(e.kind(), e.what());
+                health_->noteTrip(e.kind());
                 trip = std::make_pair(e.kind(), std::string(e.what()));
             }
             if (!trip)

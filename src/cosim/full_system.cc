@@ -97,7 +97,6 @@ FullSystem::FullSystem(const Config &cfg, FullSystemOptions options)
             noc::remote::RemoteOptions ro = options_.remote;
             ro.engine_workers =
                 options_.parallel ? options_.engine_workers : 0;
-            ro.abstract = options_.abstract;
             remote_net_ = std::make_unique<noc::remote::RemoteNetwork>(
                 *sim_, "net", options_.noc, ro);
             backend = remote_net_.get();

@@ -51,7 +51,7 @@ HealthMonitor::HealthMonitor(Simulation &sim, const std::string &name,
       transportTrips(this, "transport_trips",
                      "remote-backend transport failures caught"),
       backpressureTrips(this, "backpressure_trips",
-                        "batches the remote server refused over quota"),
+                        "retired counter, always 0"),
       internalTrips(this, "internal_trips",
                     "backend exceptions caught at the boundary"),
       degradations(this, "degradations",
@@ -152,7 +152,7 @@ HealthMonitor::rebase(
 }
 
 void
-HealthMonitor::noteTrip(ErrorKind kind, const std::string &detail)
+HealthMonitor::noteTrip(ErrorKind kind)
 {
     switch (kind) {
       case ErrorKind::Conservation:
@@ -169,12 +169,6 @@ HealthMonitor::noteTrip(ErrorKind kind, const std::string &detail)
         break;
       case ErrorKind::Transport:
         ++transportTrips;
-        // The server's frame-quota refusals travel as Transport
-        // errors with a wire-contract message prefix; count them
-        // separately so an operator can tell a flaky link from a
-        // client that overruns the daemon's quotas.
-        if (detail.find("backpressure:") != std::string::npos)
-            ++backpressureTrips;
         break;
       default:
         ++internalTrips;

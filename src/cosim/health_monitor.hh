@@ -144,12 +144,8 @@ class HealthMonitor : public SimObject
      */
     void rebase(const std::optional<noc::NetworkModel::Accounting> &acc);
 
-    /** Count a trip detected outside checkBoundary (backend threw).
-     *  @p detail distinguishes sub-causes: a Transport trip whose
-     *  message carries the server's "backpressure:" marker (a frame
-     *  quota refused the batch) also counts as a backpressure trip. */
-    void noteTrip(ErrorKind kind,
-                  const std::string &detail = std::string());
+    /** Count a trip detected outside checkBoundary (backend threw). */
+    void noteTrip(ErrorKind kind);
 
     /** Checkpoint watchdog/conservation tracking (stats are archived
      *  with the global stats tree). */
@@ -174,6 +170,9 @@ class HealthMonitor : public SimObject
     stats::Scalar divergenceTrips;
     stats::Scalar timeoutTrips;
     stats::Scalar transportTrips;
+    // Retired with the server's batch quota and always 0; still
+    // registered because perfbench sums it and its stats digest
+    // covers it.
     stats::Scalar backpressureTrips;
     stats::Scalar internalTrips;
     stats::Scalar degradations;

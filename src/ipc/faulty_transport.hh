@@ -73,7 +73,6 @@ class FaultyTransport final : public ByteChannel
     void send(const void *data, std::size_t len) override;
     std::size_t recv(void *data, std::size_t len, double timeout_ms,
                      const std::atomic<bool> *abort) override;
-    bool readable() const override { return inner_->readable(); }
     bool valid() const override { return inner_->valid(); }
     void close() override { inner_->close(); }
 

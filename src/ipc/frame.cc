@@ -16,8 +16,6 @@ toString(MsgType type)
     switch (type) {
       case MsgType::Hello:
         return "Hello";
-      case MsgType::TableGet:
-        return "TableGet";
       case MsgType::StatsGet:
         return "StatsGet";
       case MsgType::CkptSave:
@@ -30,8 +28,6 @@ toString(MsgType type)
         return "Step";
       case MsgType::HelloAck:
         return "HelloAck";
-      case MsgType::TableData:
-        return "TableData";
       case MsgType::StatsData:
         return "StatsData";
       case MsgType::CkptData:
@@ -51,14 +47,12 @@ knownMsgType(std::uint32_t raw)
 {
     switch (static_cast<MsgType>(raw)) {
       case MsgType::Hello:
-      case MsgType::TableGet:
       case MsgType::StatsGet:
       case MsgType::CkptSave:
       case MsgType::CkptLoad:
       case MsgType::Bye:
       case MsgType::Step:
       case MsgType::HelloAck:
-      case MsgType::TableData:
       case MsgType::StatsData:
       case MsgType::CkptData:
       case MsgType::CkptLoadAck:

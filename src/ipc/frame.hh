@@ -53,10 +53,10 @@ enum class MsgType : std::uint32_t
     // client -> server
     // 2, 3 and 103 belong to the v1 quantum exchange that protocol
     // v5 retired, 10 and 109 to the Ping/Pong liveness pair that v7
+    // retired, 4 and 104 to the latency-table readback pair that v9
     // retired: never reuse them, so an old peer's frames keep failing
     // as unknown types instead of misdecoding.
     Hello = 1,    ///< open a session: network config + start tick
-    TableGet = 4, ///< read back the server's tuned LatencyTable
     StatsGet = 5, ///< pull the hosted network's statistics tree
     CkptSave = 6, ///< take a paired server-side checkpoint
     CkptLoad = 7, ///< push a checkpoint image into the session
@@ -65,7 +65,6 @@ enum class MsgType : std::uint32_t
 
     // server -> client
     HelloAck = 101,
-    TableData = 104,
     StatsData = 105,
     CkptData = 106,
     CkptLoadAck = 107,

@@ -1,32 +1,23 @@
 /**
  * @file
  * rasim-nocd: the out-of-process NoC backend daemon. Hosts one
- * cycle-level network per session behind a Unix-domain or TCP socket,
- * serving many concurrent sessions on their own threads; RemoteNetwork
- * clients (network.backend=remote) drive it with the quantum-RPC
- * protocol.
+ * cycle-level network per connection behind a Unix-domain or TCP
+ * socket, serving concurrent connections on their own threads;
+ * RemoteNetwork clients (network.backend=remote) drive it with the
+ * quantum-RPC protocol.
  *
- * Usage: rasim-nocd [address] [--max-sessions N]
- *                   [--max-batch-packets N] [--drain-timeout MS]
- *                   [--session-timeout-ms MS] [key=value ...]
+ * Usage: rasim-nocd [address] [key=value ...]
  *
- *   --max-sessions           concurrent-session admission cap
- *   --max-batch-packets      per-batch quota (refused as backpressure)
- *   --drain-timeout          SIGTERM grace period for live sessions
- *   --session-timeout-ms     watchdog: reap frame-less sessions
+ * The key=value settings are any "server.*" or shared
+ * "fault.transport.*" (server-side chaos) config key, read by the one
+ * validated parser, NocServerOptions::fromConfig. The positional
+ * address overrides server.address. A malformed or out-of-range value
+ * or any flag (the daemon takes none) exits with status 2 before it
+ * listens.
  *
- * Every flag (and the positional address) is another spelling of one
- * "server.*" config key, so flags and key=value arguments go through
- * the one validated parser, NocServerOptions::fromConfig — which also
- * reads the shared "fault.transport.*" chaos keys. Flags win over
- * key=value settings. A malformed or out-of-range value, an unknown
- * flag or a flag without its value exits with status 2 before the
- * daemon listens.
- *
- * Signals: SIGTERM drains — the daemon stops accepting, lets every
- * live session finish its in-flight request and close at a frame
- * boundary (no torn frames on the wire), and hard-stops stragglers
- * after the drain timeout. SIGINT stops immediately.
+ * Signals: SIGTERM and SIGINT both stop the daemon at once. A client
+ * whose connection is cut mid-quantum rebuilds its session on a new
+ * server from its own recovery lineage.
  *
  * The default address is unix:/tmp/rasim-nocd.sock. The server prints
  * "rasim-nocd listening on <address>" once it is connectable, so
@@ -36,7 +27,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <utility>
 
 #include "ipc/nocd_server.hh"
@@ -50,43 +40,17 @@ namespace
 rasim::ipc::NocServer *running_server = nullptr;
 
 void
-onTerm(int)
+onSignal(int)
 {
     if (running_server)
-        running_server->drain(); // plain atomic stores: safe here
-}
-
-void
-onInt(int)
-{
-    if (running_server)
-        running_server->stop(); // plain atomic stores: safe here
-}
-
-/** The config key a value-taking flag spells, or nullptr. */
-const char *
-keyOfFlag(const char *flag)
-{
-    const rasim::ipc::NocServerOptions o;
-    const std::pair<const char *, const void *> flags[] = {
-        {"--max-sessions", &o.max_sessions},
-        {"--max-batch-packets", &o.max_batch_packets},
-        {"--drain-timeout", &o.drain_timeout_ms},
-        {"--session-timeout-ms", &o.session_timeout_ms},
-    };
-    for (const auto &[name, field] : flags)
-        if (std::strcmp(flag, name) == 0)
-            return rasim::config::keyOf(o, field);
-    return nullptr;
+        running_server->stop(); // a plain atomic store: safe here
 }
 
 int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [address] [--max-sessions N] "
-                 "[--max-batch-packets N] [--drain-timeout MS] "
-                 "[--session-timeout-ms MS] [key=value ...]\n"
+                 "usage: %s [address] [key=value ...]\n"
                  "  address    unix:/path, tcp:host:port, or a bare "
                  "path (default unix:/tmp/rasim-nocd.sock)\n"
                  "  key=value  any server.* or fault.transport.* "
@@ -102,32 +66,27 @@ main(int argc, char **argv)
 {
     rasim::Config cfg;
     rasim::ipc::NocServerOptions opts;
+    const char *address = nullptr;
+    for (int i = 1; i < argc; ++i) {
+        const char *arg = argv[i];
+        if (std::strchr(arg, '=') != nullptr)
+            continue; // a key=value setting, for parseArgs below
+        if (arg[0] == '-')
+            return usage(argv[0]);
+        address = arg;
+    }
     try {
         // Config errors throw instead of exiting, so every bad value
-        // gets the same status 2 as a bad flag.
+        // gets the same status 2 as a bad argument.
         rasim::logging::ThrowOnError guard;
-        // key=value settings first, so the flags below override them.
         cfg.parseArgs(argc, argv);
-        for (int i = 1; i < argc; ++i) {
-            const char *arg = argv[i];
-            if (std::strchr(arg, '=') != nullptr)
-                continue; // consumed by parseArgs above
-            if (const char *key = keyOfFlag(arg)) {
-                if (i + 1 >= argc)
-                    return usage(argv[0]);
-                cfg.set(key, std::string(argv[++i]));
-            } else if (arg[0] == '-') {
-                return usage(argv[0]);
-            } else {
-                cfg.set(rasim::config::keyOf(opts, &opts.address),
-                         std::string(arg));
-            }
-        }
         opts = rasim::ipc::NocServerOptions::fromConfig(cfg);
     } catch (const rasim::SimError &err) {
         std::fprintf(stderr, "rasim-nocd: %s\n", err.what());
         return 2;
     }
+    if (address)
+        opts.address = address;
     // Hygiene: a misspelled or foreign key (the daemon reads only
     // server.* and fault.transport.*) should not silently configure
     // nothing.
@@ -140,8 +99,8 @@ main(int argc, char **argv)
     try {
         rasim::ipc::NocServer server(std::move(opts));
         running_server = &server;
-        std::signal(SIGINT, onInt);
-        std::signal(SIGTERM, onTerm);
+        std::signal(SIGINT, onSignal);
+        std::signal(SIGTERM, onSignal);
         std::printf("rasim-nocd listening on %s\n",
                     server.address().c_str());
         std::fflush(stdout);

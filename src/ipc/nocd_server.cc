@@ -1,11 +1,8 @@
 #include "ipc/nocd_server.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 #include <vector>
 
-#include "abstractnet/latency_table.hh"
 #include "ipc/faulty_transport.hh"
 #include "ipc/protocol.hh"
 #include "noc/cycle_network.hh"
@@ -23,10 +20,9 @@ namespace ipc
 {
 
 /**
- * One hosted network and everything that shadows it. Sessions share
- * nothing mutable with each other, which is what keeps every
- * concurrent session bit-identical to a solo run against a dedicated
- * server.
+ * One hosted network. Sessions share nothing mutable with each other,
+ * which is what keeps every concurrent session bit-identical to a solo
+ * run against a dedicated server.
  */
 struct NocServer::Session
 {
@@ -51,19 +47,10 @@ struct NocServer::Session
                 std::make_unique<ParallelEngine>(req.engine_workers);
             net->setEngine(engine.get());
         }
-        table = std::make_unique<abstractnet::LatencyTable>(
-            req.params, req.table_max_hops, req.abstract.ewma_alpha,
-            req.abstract.granularity, req.params.numNodes());
-
-        // Shadow-tune from every delivery, in delivery order — the
-        // identical order the client-side bridge observes them, so
-        // the two tables evolve bit-identically.
+        // Deliveries go back to the client in delivery order, which
+        // is the order its bridge tunes its latency table in.
         net->setDeliveryHandler([this](const noc::PacketPtr &pkt) {
             deliveries.push_back(pkt);
-            table->observe(static_cast<int>(pkt->cls),
-                           static_cast<int>(pkt->hops),
-                           hello.params.flitsPerPacket(pkt->size_bytes),
-                           pkt->latency(), pkt->src, pkt->dst);
         });
 
         // Reconnect after a client-side quarantine: catch a fresh
@@ -102,7 +89,6 @@ struct NocServer::Session
             cycle->save(aw);
         else
             defl->save(aw);
-        table->saveBinary(aw);
     }
 
     void
@@ -125,7 +111,15 @@ struct NocServer::Session
             cycle->restore(ar);
         else
             defl->restore(ar);
-        table->restoreBinary(ar);
+        // An image from another build can carry more state after the
+        // fabric (a v8 server appended its shadow latency table).
+        // Restoring it would re-serialize shorter, so the client's
+        // attestation would fail every retry: refuse it outright.
+        if (!ar.atEnd()) {
+            throw SimError(ErrorKind::Config,
+                           "checkpoint image has bytes after its last "
+                           "section (taken by another build?)");
+        }
         deliveries.clear();
     }
 
@@ -168,24 +162,16 @@ struct NocServer::Session
     std::unique_ptr<noc::CycleNetwork> cycle;
     std::unique_ptr<noc::DeflectionNetwork> defl;
     noc::NetworkModel *net = nullptr;
-    std::unique_ptr<abstractnet::LatencyTable> table;
     std::vector<noc::PacketPtr> deliveries;
 };
 
 /** One session thread. The Fd lives here so its lifetime matches the
- *  thread that reads from it — which is also what lets the watchdog
- *  reap a hung session from the accept thread: shutdownFd() on the
- *  shared Fd makes the blocked session thread see EOF without racing
- *  on descriptor ownership. */
+ *  thread that reads from it. */
 struct NocServer::Worker
 {
     Fd conn;
     std::thread thread;
     std::atomic<bool> done{false};
-    /** steady-clock ms of the last completed frame (recv or reply);
-     *  the watchdog reaps the session when this goes stale. */
-    std::atomic<std::uint64_t> last_active_ms{0};
-    std::atomic<bool> reaped{false};
 };
 
 namespace
@@ -202,14 +188,6 @@ flattenStats(const stats::Group &g, std::vector<StatRow> &out)
 }
 
 void
-sendError(const Fd &conn, const SimError &err)
-{
-    ArchiveWriter aw = beginMessage(MsgType::ErrorReply);
-    encodeError(aw, err.kind(), err.what());
-    sendMessage(conn, std::move(aw));
-}
-
-void
 sendError(ByteChannel &conn, const SimError &err)
 {
     ArchiveWriter aw = beginMessage(MsgType::ErrorReply);
@@ -217,23 +195,7 @@ sendError(ByteChannel &conn, const SimError &err)
     sendMessage(conn, std::move(aw));
 }
 
-std::uint64_t
-nowMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 } // namespace
-
-void
-NocServerOptions::validate() const
-{
-    if (drain_timeout_ms < 0.0 || session_timeout_ms < 0.0)
-        fatal("server.*_timeout_ms must be non-negative");
-}
 
 NocServerOptions
 NocServerOptions::fromConfig(const Config &cfg)
@@ -258,34 +220,10 @@ NocServer::~NocServer()
 void
 NocServer::stop()
 {
-    // Only the stores: stop() is called from signal handlers, so it
+    // Only the store: stop() is called from signal handlers, so it
     // must stay async-signal-safe (no locks, no notifies). Waiters
-    // poll the flags in timed slices.
+    // poll the flag in timed slices.
     stop_.store(true, std::memory_order_relaxed);
-    wake_.store(true, std::memory_order_relaxed);
-}
-
-void
-NocServer::drain()
-{
-    drain_.store(true, std::memory_order_relaxed);
-    wake_.store(true, std::memory_order_relaxed);
-}
-
-NocServerCounters
-NocServer::counters() const
-{
-    NocServerCounters c;
-    c.sessions_served = sessions_served_.load(std::memory_order_relaxed);
-    c.sessions_active = sessions_active_.load(std::memory_order_relaxed);
-    c.sessions_peak = sessions_peak_.load(std::memory_order_relaxed);
-    c.sessions_rejected =
-        sessions_rejected_.load(std::memory_order_relaxed);
-    c.frames = frames_.load(std::memory_order_relaxed);
-    c.quota_trips = quota_trips_.load(std::memory_order_relaxed);
-    c.sessions_reaped =
-        sessions_reaped_.load(std::memory_order_relaxed);
-    return c;
 }
 
 void
@@ -307,54 +245,14 @@ NocServer::reapWorkers(bool all)
 void
 NocServer::run()
 {
-    // With the watchdog on, the accept wait must tick: a hung session
-    // is reaped by the *accept* thread, which otherwise blocks
-    // indefinitely when no new client ever connects.
-    double slice = 0.0;
-    if (opts_.session_timeout_ms > 0.0) {
-        slice = std::min(500.0,
-                         std::max(10.0, opts_.session_timeout_ms / 4.0));
-    }
     while (!stop_.load(std::memory_order_relaxed)) {
-        Fd conn = acceptOn(listener_, slice, &wake_);
-        if (drain_.load(std::memory_order_relaxed))
-            break; // an accepted-but-unserved conn just closes
-        if (!conn.valid()) {
-            // Stop requested, watchdog tick, or spurious wakeup.
-            reapHung();
-            continue;
-        }
+        Fd conn = acceptOn(listener_, 0.0, &stop_);
+        if (!conn.valid())
+            continue; // stop requested
         reapWorkers(false);
-
-        std::uint64_t active =
-            sessions_active_.load(std::memory_order_relaxed);
-        if (opts_.max_sessions > 0 && active >= opts_.max_sessions) {
-            sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-            try {
-                sendError(conn,
-                          SimError(ErrorKind::Transport,
-                                   "server at capacity (" +
-                                       std::to_string(active) + " of " +
-                                       std::to_string(
-                                           opts_.max_sessions) +
-                                       " sessions active); retry later"));
-            } catch (const SimError &) {
-                // The refused client vanished first; nothing to tell.
-            }
-            continue;
-        }
 
         std::uint64_t id =
             sessions_served_.fetch_add(1, std::memory_order_relaxed) + 1;
-        std::uint64_t now_active =
-            sessions_active_.fetch_add(1, std::memory_order_relaxed) + 1;
-        std::uint64_t peak =
-            sessions_peak_.load(std::memory_order_relaxed);
-        while (peak < now_active &&
-               !sessions_peak_.compare_exchange_weak(
-                   peak, now_active, std::memory_order_relaxed)) {
-        }
-
         auto owned = std::make_unique<Worker>();
         Worker *w = owned.get();
         w->conn = std::move(conn);
@@ -362,18 +260,15 @@ NocServer::run()
             std::lock_guard<std::mutex> lk(workers_mu_);
             workers_.push_back(std::move(owned));
         }
-        w->last_active_ms.store(nowMs(), std::memory_order_relaxed);
         w->thread = std::thread([this, w, id] {
             try {
                 serveConnection(*w, id);
             } catch (const SimError &err) {
                 // A sick or vanished client must not take the server
                 // down; drop the session and keep serving the rest.
-                // (A reaped session's error is the watchdog's doing,
-                // already counted; shutdown noise is not news either.)
-                if (!stop_.load(std::memory_order_relaxed) &&
-                    !drain_.load(std::memory_order_relaxed) &&
-                    !w->reaped.load(std::memory_order_relaxed)) {
+                // (A read cut short by stop() is the wind-down
+                // working, not news.)
+                if (!stop_.load(std::memory_order_relaxed)) {
                     warn("nocd session ", id,
                          " ended abnormally: ", err.what());
                 }
@@ -382,60 +277,10 @@ NocServer::run()
             // down now so the peer sees EOF the moment the session
             // ends instead of when the accept loop next turns over.
             shutdownFd(w->conn);
-            sessions_active_.fetch_sub(1, std::memory_order_relaxed);
             w->done.store(true, std::memory_order_release);
         });
     }
-    if (drain_.load(std::memory_order_relaxed) &&
-        !stop_.load(std::memory_order_relaxed)) {
-        drainSessions();
-    }
     reapWorkers(true);
-}
-
-void
-NocServer::reapHung()
-{
-    if (opts_.session_timeout_ms <= 0.0)
-        return;
-    const std::uint64_t now = nowMs();
-    const auto budget =
-        static_cast<std::uint64_t>(opts_.session_timeout_ms);
-    std::lock_guard<std::mutex> lk(workers_mu_);
-    for (const auto &w : workers_) {
-        if (w->done.load(std::memory_order_acquire) ||
-            w->reaped.load(std::memory_order_relaxed)) {
-            continue;
-        }
-        std::uint64_t last =
-            w->last_active_ms.load(std::memory_order_relaxed);
-        if (last == 0 || now < last || now - last < budget)
-            continue;
-        w->reaped.store(true, std::memory_order_relaxed);
-        sessions_reaped_.fetch_add(1, std::memory_order_relaxed);
-        // Shut down, don't close: the session thread owns the Fd and
-        // is (at worst) blocked reading it — it sees EOF and unwinds.
-        shutdownFd(w->conn);
-    }
-}
-
-void
-NocServer::drainSessions()
-{
-    const auto start = std::chrono::steady_clock::now();
-    while (sessions_active_.load(std::memory_order_relaxed) > 0) {
-        if (opts_.drain_timeout_ms > 0.0) {
-            double waited = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-            if (waited >= opts_.drain_timeout_ms)
-                break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    // Whatever is still alive gets the hard stop it would have gotten
-    // without the grace period.
-    stop_.store(true, std::memory_order_relaxed);
 }
 
 void
@@ -455,58 +300,11 @@ NocServer::serveConnection(Worker &w, std::uint64_t id)
 
     std::unique_ptr<Session> session;
     while (!stop_.load(std::memory_order_relaxed)) {
-        // Drain is only honoured here, between frames: the previous
-        // reply went out whole, nothing has been read of the next
-        // request, so closing now leaves no torn frame on the wire.
-        if (drain_.load(std::memory_order_relaxed)) {
-            drainTail(conn, session);
-            return;
-        }
-        std::optional<Message> msg;
-        try {
-            msg = recvMessage(conn, 0.0, &wake_);
-        } catch (const SimError &) {
-            // A read cut short by shutdown is the wind-down working,
-            // not a session failure. On drain the wake may have
-            // interrupted the wait with a request already buffered on
-            // the socket — that request still deserves its reply.
-            if (stop_.load(std::memory_order_relaxed))
-                return;
-            if (drain_.load(std::memory_order_relaxed)) {
-                drainTail(conn, session);
-                return;
-            }
-            throw;
-        }
+        std::optional<Message> msg = recvMessage(conn, 0.0, &stop_);
         if (!msg)
             return; // clean EOF: the client is gone
-        w.last_active_ms.store(nowMs(), std::memory_order_relaxed);
-        frames_.fetch_add(1, std::memory_order_relaxed);
         if (!dispatch(conn, *msg, session))
             return;
-        w.last_active_ms.store(nowMs(), std::memory_order_relaxed);
-    }
-}
-
-void
-NocServer::drainTail(ByteChannel &conn, std::unique_ptr<Session> &session)
-{
-    // A request that was already on the wire when the drain landed
-    // gets its reply before the frame-boundary close; a client racing
-    // further requests past this point loses them, exactly as if the
-    // daemon had gone away an instant earlier.
-    try {
-        while (conn.valid() && conn.readable()) {
-            std::optional<Message> msg = recvMessage(conn, 0.0);
-            if (!msg)
-                return;
-            frames_.fetch_add(1, std::memory_order_relaxed);
-            if (!dispatch(conn, *msg, session))
-                return;
-        }
-    } catch (const SimError &) {
-        // Best effort only: the wind-down must not turn an interrupted
-        // read into a crash.
     }
 }
 
@@ -545,16 +343,6 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
           case MsgType::Step: {
             StepRequest req = decodeStep(msg.ar);
             msg.done();
-            if (opts_.max_batch_packets > 0 &&
-                req.packets.size() > opts_.max_batch_packets) {
-                quota_trips_.fetch_add(1, std::memory_order_relaxed);
-                throw SimError(
-                    ErrorKind::Transport,
-                    "backpressure: inject batch of " +
-                        std::to_string(req.packets.size()) +
-                        " packets exceeds server quota of " +
-                        std::to_string(opts_.max_batch_packets));
-            }
             session->deliveries.clear();
             for (const auto &pkt : req.packets)
                 session->net->inject(pkt);
@@ -568,13 +356,6 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
             }
             ArchiveWriter aw = beginMessage(MsgType::StepReply);
             encodeStepReply(aw, rep, flags, digest);
-            sendMessage(conn, std::move(aw));
-            return true;
-          }
-          case MsgType::TableGet: {
-            msg.done();
-            ArchiveWriter aw = beginMessage(MsgType::TableData);
-            session->table->saveBinary(aw);
             sendMessage(conn, std::move(aw));
             return true;
           }

@@ -79,22 +79,21 @@ encodeHello(ArchiveWriter &aw, const HelloRequest &req)
     aw.putU32(req.proto);
     aw.putString(req.model);
     config::putRecord(aw, config::record(req.params));
-    config::putRecord(aw, config::record(req.abstract));
     aw.putU32(static_cast<std::uint32_t>(req.engine_workers));
     aw.putU64(req.start_tick);
-    aw.putU32(static_cast<std::uint32_t>(req.table_max_hops));
 }
 
 HelloRequest
 decodeHello(ArchiveReader &ar)
 {
     HelloRequest req;
-    config::Record noc, abstract;
+    config::Record noc;
     guardedDecode("Hello", [&] {
         req.proto = ar.getU32();
         // Checked before any other field: another revision lays the
-        // rest of the Hello out differently (v7 hand-encoded every
-        // knob), so its fields would decode as garbage.
+        // rest of the Hello out differently (v8 still carried the
+        // latency-table record), so its fields would decode as
+        // garbage.
         if (req.proto != protocol_version) {
             throw SimError(ErrorKind::Transport,
                            "malformed Hello payload: protocol version "
@@ -105,19 +104,15 @@ decodeHello(ArchiveReader &ar)
         }
         req.model = ar.getString();
         noc = config::getRecord(ar);
-        abstract = config::getRecord(ar);
         req.engine_workers = static_cast<int>(ar.getU32());
         req.start_tick = ar.getU64();
-        req.table_max_hops = static_cast<int>(ar.getU32());
     });
-    // The records are well-formed; what they say is the client's
+    // The record is well-formed; what it says is the client's
     // configuration, so a refusal from here on is a Config error.
     logging::ThrowOnError guard;
-    Config noc_cfg(noc), abstract_cfg(abstract);
+    Config noc_cfg(noc);
     req.params = config::parse<noc::NocParams>(noc_cfg);
     noc_cfg.refuseUnread();
-    req.abstract = config::parse<abstractnet::AbstractParams>(abstract_cfg);
-    abstract_cfg.refuseUnread();
     return req;
 }
 

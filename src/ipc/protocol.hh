@@ -12,7 +12,6 @@
  *   { Step -> StepReply }             once per quantum: the inject
  *                                     batch and the advance target
  *                                     in one frame each way
- *   TableGet -> TableData             tuned-table readback (optional)
  *   StatsGet -> StatsData             stats pull (optional)
  *   CkptSave -> CkptData              paired checkpoint (optional)
  *   CkptLoad -> CkptLoadAck           cross-process restore (optional)
@@ -41,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "abstractnet/latency_table.hh"
 #include "ipc/frame.hh"
 #include "noc/packet.hh"
 #include "noc/params.hh"
@@ -69,8 +67,11 @@ namespace ipc
  *  the NoC and latency-table knobs as their configuration records
  *  (config::record: a count, then key and value strings) instead of
  *  one hand-encoded field each, and the server parses them with the
- *  same binder, refusing an unknown key as a Config error. */
-constexpr std::uint32_t protocol_version = 8;
+ *  same binder, refusing an unknown key as a Config error; v9 drops
+ *  the server's shadow latency table with its readback pair (message
+ *  types 4 and 104) and Hello's latency-table record and distance
+ *  range: the server hosts the fabric and nothing else. */
+constexpr std::uint32_t protocol_version = 9;
 
 /** Session-opening handshake: everything the server needs to build a
  *  deterministic twin of the in-process backend. */
@@ -81,17 +82,12 @@ struct HelloRequest
     std::string model = "cycle";
     /** Travels as its configuration record. */
     noc::NocParams params;
-    /** The shadow LatencyTable's knobs, as their configuration
-     *  record. */
-    abstractnet::AbstractParams abstract;
     /** Worker threads of the server-side ParallelEngine (0 = serial).
      *  Bit-identical either way, by the engine determinism contract. */
     int engine_workers = 0;
     /** Fast-forward a fresh network to this tick (reconnect after a
      *  server loss mid-run; 0 on a cold start). */
     Tick start_tick = 0;
-    /** Distance range of the shadow LatencyTable. */
-    int table_max_hops = 0;
 };
 
 struct HelloReply
@@ -179,9 +175,9 @@ void encodeError(ArchiveWriter &aw, ErrorKind kind,
 /** @name Payload decoders (consume a recvMessage() payload) */
 /// @{
 /** Refuses a Hello of another protocol revision (typed Transport
- *  error) before it reads any field past the version. A knob record
- *  with an unknown key or a value its struct's validate() refuses is
- *  a typed Config error. */
+ *  error) before it reads any field past the version. A NoC record
+ *  with an unknown key or a value NocParams::validate() refuses is a
+ *  typed Config error. */
 HelloRequest decodeHello(ArchiveReader &ar);
 HelloReply decodeHelloReply(ArchiveReader &ar);
 StepRequest decodeStep(ArchiveReader &ar);

@@ -283,13 +283,6 @@ acceptOn(const Fd &listener, double timeout_ms,
     return conn;
 }
 
-bool
-readable(const Fd &fd)
-{
-    pollfd pfd{fd.get(), POLLIN, 0};
-    return ::poll(&pfd, 1, 0) > 0;
-}
-
 Fd
 connectTo(const std::string &addr, double timeout_ms)
 {
@@ -408,12 +401,6 @@ FdChannel::recv(void *data, std::size_t len, double timeout_ms,
                 const std::atomic<bool> *abort)
 {
     return recvUpTo(*fd_, data, len, timeout_ms, abort);
-}
-
-bool
-FdChannel::readable() const
-{
-    return ipc::readable(*fd_);
 }
 
 void

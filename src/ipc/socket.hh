@@ -96,11 +96,6 @@ void unlinkAddress(const std::string &addr);
 Fd acceptOn(const Fd &listener, double timeout_ms,
             const std::atomic<bool> *stop = nullptr);
 
-/** True when a read on @p fd would not block right now (payload bytes
- *  or an EOF already pending). Never blocks: a draining server uses it
- *  to serve only the requests already buffered on the socket. */
-bool readable(const Fd &fd);
-
 /**
  * Connect to @p addr, retrying until @p timeout_ms expires (a server
  * that is still starting up is not an error until the deadline; 0 =
@@ -144,8 +139,8 @@ std::size_t recvUpTo(const Fd &fd, void *data, std::size_t len,
 
 /** Shut both directions of @p fd down without closing the descriptor:
  *  the peer (and any thread blocked reading it) sees EOF immediately.
- *  Used by the daemon's session watchdog to reap a hung session whose
- *  Fd is owned by another thread. No-op on an invalid Fd. */
+ *  The daemon uses it to end a session at once while the Fd itself
+ *  is reclaimed later. No-op on an invalid Fd. */
 void shutdownFd(const Fd &fd);
 
 /**
@@ -165,8 +160,6 @@ class ByteChannel
     virtual std::size_t recv(void *data, std::size_t len,
                              double timeout_ms,
                              const std::atomic<bool> *abort) = 0;
-    /** True when a recv would not block right now. */
-    virtual bool readable() const = 0;
     /** True while the underlying connection is usable. */
     virtual bool valid() const = 0;
     /** Tear the connection down (idempotent). */
@@ -187,7 +180,6 @@ class FdChannel final : public ByteChannel
     void send(const void *data, std::size_t len) override;
     std::size_t recv(void *data, std::size_t len, double timeout_ms,
                      const std::atomic<bool> *abort) override;
-    bool readable() const override;
     bool valid() const override { return fd_->valid(); }
     void close() override;
 

@@ -77,13 +77,7 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
                             "replica state digests that diverged"),
       workerRestarts(&health, "worker_restarts",
                      "retired counter, always 0"),
-      params_(params), options_(std::move(options)),
-      // Identical geometry to the bridge's reciprocal table, so the
-      // server's shadow table and the bridge's table are comparable
-      // entry for entry.
-      table_proto_(params, params.columns + params.rows + 2,
-                   options_.abstract.ewma_alpha,
-                   options_.abstract.granularity, params.numNodes())
+      params_(params), options_(std::move(options))
 {
     params_.validate();
     // One fault schedule and one retry policy for the object's whole
@@ -172,24 +166,6 @@ RemoteNetwork::giveUp()
     pending_.clear();
 }
 
-void
-RemoteNetwork::rethrowPartingError(ipc::ByteChannel &ch,
-                                   const SimError &send_err)
-{
-    // An AF_UNIX peer's close does not discard data it already wrote,
-    // so an admission refusal sent just before the close is still
-    // readable even though our own send got EPIPE.
-    std::optional<ipc::Message> parting;
-    try {
-        parting = ipc::recvMessage(ch, 200.0);
-    } catch (const SimError &) {
-        throw send_err;
-    }
-    if (parting && parting->type == ipc::MsgType::ErrorReply)
-        ipc::throwDecodedError(parting->ar);
-    throw send_err;
-}
-
 ipc::Message
 RemoteNetwork::expectReplyOn(ipc::ByteChannel &ch, double timeout_ms)
 {
@@ -229,17 +205,9 @@ RemoteNetwork::helloOn(ipc::ByteChannel &ch, Tick start_tick)
     req.params = params_;
     req.engine_workers = options_.engine_workers;
     req.start_tick = start_tick;
-    req.abstract = options_.abstract;
-    req.table_max_hops = table_proto_.maxHops();
     ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::Hello);
     ipc::encodeHello(aw, req);
-    try {
-        ipc::sendMessage(ch, std::move(aw));
-    } catch (const SimError &e) {
-        // The server can refuse admission and close before our Hello
-        // lands; surface its typed refusal, not the EPIPE.
-        rethrowPartingError(ch, e);
-    }
+    ipc::sendMessage(ch, std::move(aw));
 
     ipc::Message msg = expectReplyOn(ch, options_.connect_timeout_ms);
     if (msg.type == ipc::MsgType::ErrorReply)
@@ -367,7 +335,7 @@ RemoteNetwork::ensureSession()
     }
     // By the server's determinism, re-issuing the journaled quanta
     // against the restored base reproduces the pre-failure state —
-    // deliveries, stats and tuned table — bit for bit.
+    // deliveries and stats — bit for bit.
     replayJournal();
 }
 
@@ -489,12 +457,11 @@ RemoteNetwork::syncNow()
     if (server_time_ >= cur_time_)
         return;
     // Idle elision left the server's clock behind; an empty Step
-    // brings it to the client's tick so paired
-    // state (tables, stats, checkpoints) is read at the same time on
-    // both sides. The fabric was idle throughout, so the reply cannot
-    // carry deliveries. Not journaled: a recovery replay ends at the
-    // last journaled quantum and the next syncNow() repeats the
-    // catch-up, deterministically.
+    // brings it to the client's tick so paired state (stats,
+    // checkpoints) is read at the same time on both sides. The fabric
+    // was idle throughout, so the reply cannot carry deliveries. Not
+    // journaled: a recovery replay ends at the last journaled quantum
+    // and the next syncNow() repeats the catch-up, deterministically.
     if (test_hooks.on_op)
         test_hooks.on_op(op_counter_++);
     ipc::StepRequest req;
@@ -564,40 +531,6 @@ void
 RemoteNetwork::setDeliveryHandler(DeliveryHandler handler)
 {
     handler_ = std::move(handler);
-}
-
-abstractnet::LatencyTable
-RemoteNetwork::fetchTunedTable()
-{
-    return runWithRetry([&] {
-        syncNow();
-        ipc::sendMessage(*chan_,
-                         ipc::beginMessage(ipc::MsgType::TableGet));
-        ipc::Message msg = expectReply(options_.quantum_timeout_ms);
-        if (msg.type == ipc::MsgType::ErrorReply)
-            ipc::throwDecodedError(msg.ar);
-        if (msg.type != ipc::MsgType::TableData) {
-            throw SimError(ErrorKind::Transport,
-                           std::string("expected TableData, got ") +
-                               ipc::toString(msg.type));
-        }
-        abstractnet::LatencyTable table = table_proto_;
-        try {
-            // Table bytes come off the wire: archive misuse on a
-            // CRC-valid-but-malformed payload must be a typed error.
-            logging::ThrowOnError guard;
-            table.restoreBinary(msg.ar);
-        } catch (const SimError &err) {
-            if (err.kind() == ErrorKind::Transport ||
-                err.kind() == ErrorKind::Timeout)
-                throw;
-            throw SimError(ErrorKind::Transport,
-                           std::string("malformed TableData payload: ") +
-                               err.what());
-        }
-        msg.done();
-        return table;
-    });
 }
 
 std::vector<ipc::StatRow>

@@ -69,7 +69,6 @@
 #include <string>
 #include <vector>
 
-#include "abstractnet/latency_table.hh"
 #include "ipc/frame.hh"
 #include "ipc/protocol.hh"
 #include "ipc/retry.hh"
@@ -121,10 +120,6 @@ struct RemoteOptions
     ipc::RetryOptions retry;
     /** Client-side transport chaos. */
     TransportFaultOptions fault;
-    /** Latency-table knobs of the server's shadow table. No key of
-     *  its own: FullSystem copies FullSystemOptions::abstract, so the
-     *  shadow table matches the bridge's. */
-    abstractnet::AbstractParams abstract;
 
     void
     keys(config::Binder &v)
@@ -162,10 +157,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     bool idle() const override { return idle_ && pending_.empty(); }
     std::size_t numNodes() const override;
     std::optional<Accounting> accounting() const override;
-
-    /** Read back the server's shadow-tuned LatencyTable (the
-     *  differential proof that remote feedback equals in-process). */
-    abstractnet::LatencyTable fetchTunedTable();
 
     /** Pull the hosted network's flattened statistics subtree. */
     std::vector<ipc::StatRow> fetchRemoteStats();
@@ -365,12 +356,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     ipc::Message expectReply(double timeout_ms);
     /** Ditto on an explicit channel (cold-open handshakes). */
     ipc::Message expectReplyOn(ipc::ByteChannel &ch, double timeout_ms);
-    /** A send failed mid-handshake: the server may have refused the
-     *  session and closed, leaving a typed parting error buffered on
-     *  our side of the socket. Re-raise that in preference to the
-     *  less informative send failure. */
-    [[noreturn]] void rethrowPartingError(ipc::ByteChannel &ch,
-                                          const SimError &send_err);
     /** Mirror a quantum reply and replay its deliveries in order. */
     void applyReply(const ipc::AdvanceReply &rep);
     /** Send @p req on the live channel and decode its StepReply
@@ -383,8 +368,8 @@ class RemoteNetwork : public SimObject, public NetworkModel
      *  the reply. */
     void stepOnce(const ipc::StepRequest &req);
     /** Raw idle catch-up of the server clock (no retry): an empty
-     *  Step to cur_time_, so paired state (tables,
-     *  stats, checkpoints) is read at the same tick on both sides. */
+     *  Step to cur_time_, so paired state (stats, checkpoints) is
+     *  read at the same tick on both sides. */
     void syncNow();
     /** Raw CkptSave exchange (no retry): the server's image at its
      *  current tick, verified against its attestation digest. */
@@ -426,9 +411,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     bool idle_ = true;
     Accounting acct_;
     std::uint64_t num_nodes_ = 0;
-
-    /** Geometry prototype for fetchTunedTable() decoding. */
-    abstractnet::LatencyTable table_proto_;
 };
 
 } // namespace remote

@@ -198,17 +198,15 @@ template <class T>
 concept Keyed = requires(T &t, Binder &b) { t.keys(b); };
 
 /**
- * Visits the keys an options struct declares, in one of three roles:
+ * Visits the keys an options struct declares, in one of two roles:
  * reading each from a Config (an unset key keeps its member's default)
- * and validating every struct once read, writing each to a Record, or
- * finding the key one member is bound to.
+ * and validating every struct once read, or writing each to a Record.
  */
 class Binder
 {
   public:
     explicit Binder(const Config &cfg) : cfg_(&cfg) {}
     explicit Binder(Record &out) : out_(&out) {}
-    explicit Binder(const void *field) : field_(field) {}
 
     /** Bind @p key to @p f. @p opt is empty, config::neutral, an enum's
      *  name table, or a default that depends on a key bound before. */
@@ -218,12 +216,10 @@ class Binder
     {
         if (cfg_) {
             read(key, f, opt...);
-        } else if (out_) {
+        } else {
             out_->push_back(
                 {key, spell(f, opt...),
                  neutral_ || (std::is_same_v<Opt, Neutral> || ...)});
-        } else if (static_cast<const void *>(&f) == field_) {
-            key_ = key;
         }
     }
 
@@ -252,9 +248,6 @@ class Binder
             fatal("unknown ", key, " '", v, "' (", only,
                   " is its only value)");
     }
-
-    /** The key found in the finding role, or nullptr. */
-    const char *key() const { return key_; }
 
   private:
     template <class F>
@@ -309,8 +302,6 @@ class Binder
 
     const Config *cfg_ = nullptr;
     Record *out_ = nullptr;
-    const void *field_ = nullptr;
-    const char *key_ = nullptr;
     bool neutral_ = false;
 };
 
@@ -327,7 +318,7 @@ parse(const Config &cfg)
 }
 
 /** @p o written out as its configuration record. (A Binder that
- *  writes or finds does not modify what it visits.) */
+ *  writes does not modify what it visits.) */
 template <class T>
 Record
 record(const T &o)
@@ -336,16 +327,6 @@ record(const T &o)
     Binder b(out);
     b(const_cast<T &>(o));
     return out;
-}
-
-/** The key the member of @p o at @p field is bound to, or nullptr. */
-template <class T>
-const char *
-keyOf(const T &o, const void *field)
-{
-    Binder b(field);
-    b(const_cast<T &>(o));
-    return b.key();
 }
 
 /** The entries of @p r that are not config::neutral. */

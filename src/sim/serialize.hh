@@ -105,6 +105,8 @@ class ArchiveReader
 
     void expectSection(const std::string &tag);
     void endSection();
+    /** True when no section is open and the whole body was read. */
+    bool atEnd() const { return section_ends_.empty() && pos_ == end_; }
 
     bool getBool();
     std::uint8_t getU8();

@@ -374,10 +374,6 @@ TEST(ConfigRecord, EveryKeyRoundTripsThroughTheRecord)
     // The two roots that are no part of FullSystemOptions.
     ipc::NocServerOptions so;
     so.address = "unix:/tmp/rasim-record-server.sock";
-    so.max_sessions = 4;
-    so.max_batch_packets = 99;
-    so.drain_timeout_ms = 1.5;
-    so.session_timeout_ms = 250;
     so.fault = o.remote.fault;
     gpu::GpuDeviceParams gp;
     gp.kernel_launch_ns = 1.25;

@@ -269,7 +269,7 @@ TEST_F(FaultyTransportTest, ServerSideChaosTearsReplyMidFrame)
     Fd fd2 = connectTo(addr_, 2000.0);
     FdChannel ch2(std::move(fd2));
     hello(ch2);
-    EXPECT_GE(server_->counters().sessions_served, 2u);
+    EXPECT_GE(server_->sessionsServed(), 2u);
 }
 
 } // namespace

@@ -34,12 +34,10 @@
 #include <utility>
 #include <vector>
 
-#include "abstractnet/latency_table.hh"
 #include "ipc/frame.hh"
 #include "ipc/protocol.hh"
 #include "noc/packet.hh"
 #include "noc/params.hh"
-#include "sim/logging.hh"
 #include "sim/serialize.hh"
 
 namespace
@@ -64,15 +62,6 @@ smallMesh()
     p.columns = 4;
     p.rows = 4;
     return p;
-}
-
-abstractnet::LatencyTable
-protoTable()
-{
-    noc::NocParams p = smallMesh();
-    return abstractnet::LatencyTable(
-        p, p.columns + p.rows + 2, 0.05,
-        abstractnet::LatencyTable::Granularity::Distance, p.numNodes());
 }
 
 std::vector<noc::PacketPtr>
@@ -129,7 +118,6 @@ buildCorpus()
         encodeStep(aw, req);
         add(std::move(aw));
     }
-    add(beginMessage(MsgType::TableGet));
     add(beginMessage(MsgType::StatsGet));
     add(beginMessage(MsgType::CkptSave));
     {
@@ -155,11 +143,6 @@ buildCorpus()
         rep.deliveries = somePackets();
         ArchiveWriter aw = beginMessage(MsgType::StepReply);
         encodeStepReply(aw, rep, step_flag_attested, 0x5eed);
-        add(std::move(aw));
-    }
-    {
-        ArchiveWriter aw = beginMessage(MsgType::TableData);
-        protoTable().saveBinary(aw);
         add(std::move(aw));
     }
     {
@@ -192,7 +175,7 @@ buildCorpus()
 /** Consume a received message exactly the way the real endpoints
  *  would, so the fuzzer exercises production decode paths. */
 void
-decodeAs(Message &msg, const abstractnet::LatencyTable &proto)
+decodeAs(Message &msg)
 {
     switch (msg.type) {
       case MsgType::Hello:
@@ -213,13 +196,6 @@ decodeAs(Message &msg, const abstractnet::LatencyTable &proto)
         decodeStepReply(msg.ar, flags);
         break;
       }
-      case MsgType::TableData: {
-        // The client guards table restoration the same way.
-        abstractnet::LatencyTable table = proto;
-        logging::ThrowOnError guard;
-        table.restoreBinary(msg.ar);
-        break;
-      }
       case MsgType::StatsData:
         decodeStatsReply(msg.ar);
         break;
@@ -232,7 +208,7 @@ decodeAs(Message &msg, const abstractnet::LatencyTable &proto)
         throwDecodedError(msg.ar);
         break;
       default:
-        // TableGet / StatsGet / CkptSave / Bye: empty payloads.
+        // StatsGet / CkptSave / Bye: empty payloads.
         break;
     }
     msg.done();
@@ -249,7 +225,7 @@ enum class Outcome
  *  path. Anything but the three outcomes (crash, panic, hang) fails
  *  the test by failing the process. */
 Outcome
-feed(const std::string &bytes, const abstractnet::LatencyTable &proto)
+feed(const std::string &bytes)
 {
     auto [w, r] = makePair();
     if (!bytes.empty())
@@ -259,7 +235,7 @@ feed(const std::string &bytes, const abstractnet::LatencyTable &proto)
         auto msg = recvMessage(r, 5000.0);
         if (!msg)
             return Outcome::CleanEof;
-        decodeAs(*msg, proto);
+        decodeAs(*msg);
         return Outcome::Accepted;
     } catch (const SimError &) {
         return Outcome::TypedError;
@@ -330,9 +306,8 @@ mutate(const std::string &frame, const std::string &other,
 
 TEST(FrameFuzz, UnmutatedCorpusIsAccepted)
 {
-    abstractnet::LatencyTable proto = protoTable();
     for (const std::string &frame : buildCorpus()) {
-        Outcome out = feed(frame, proto);
+        Outcome out = feed(frame);
         // ErrorReply decodes into a thrown SimError by design; every
         // other valid frame must be accepted as-is.
         EXPECT_TRUE(out == Outcome::Accepted ||
@@ -344,7 +319,6 @@ TEST(FrameFuzz, UnmutatedCorpusIsAccepted)
 TEST(FrameFuzz, SeededMutationsNeverCrashHangOrMisdecode)
 {
     auto corpus = buildCorpus();
-    abstractnet::LatencyTable proto = protoTable();
     std::mt19937 rng(0xf0220ed1u);
 
     const int iterations = 1500;
@@ -352,7 +326,7 @@ TEST(FrameFuzz, SeededMutationsNeverCrashHangOrMisdecode)
     for (int i = 0; i < iterations; ++i) {
         const std::string &base = corpus[rng() % corpus.size()];
         const std::string &other = corpus[rng() % corpus.size()];
-        switch (feed(mutate(base, other, rng), proto)) {
+        switch (feed(mutate(base, other, rng))) {
           case Outcome::Accepted:
             ++accepted;
             break;
@@ -400,9 +374,10 @@ TEST(FrameFuzz, UnknownMessageTypeIsRefusedAtReceive)
 {
     // A type value no build speaks — or one an old peer still sends
     // (2, 3 and 103: the v4 two-frame quantum exchange; 10 and 109:
-    // the v6 Ping/Pong pair) — is refused before any payload decode
-    // runs, with a hint that the peer may speak another protocol.
-    for (std::uint32_t raw : {57u, 2u, 3u, 103u, 10u, 109u}) {
+    // the v6 Ping/Pong pair; 4 and 104: the v8 table readback) — is
+    // refused before any payload decode runs, with a hint that the
+    // peer may speak another protocol.
+    for (std::uint32_t raw : {57u, 2u, 3u, 103u, 10u, 109u, 4u, 104u}) {
         ArchiveWriter aw;
         aw.beginSection("msg");
         aw.putU32(raw);

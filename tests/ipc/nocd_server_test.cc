@@ -17,13 +17,16 @@
 #include <utility>
 #include <vector>
 
+#include "abstractnet/latency_table.hh"
 #include "ipc/frame.hh"
 #include "ipc/nocd_server.hh"
 #include "ipc/protocol.hh"
 #include "noc/packet.hh"
+#include "noc/remote/remote_network.hh"
 #include "sim/config.hh"
 #include "sim/serialize.hh"
 #include "sim/sim_error.hh"
+#include "sim/simulation.hh"
 
 namespace
 {
@@ -160,11 +163,12 @@ TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 
 TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
 {
-    // A newer peer, a v6 peer that may still send the retired
-    // Ping/Pong pair, a v5 peer whose Hello still carries a kernel
-    // string, and a v4 peer that would still send the retired
+    // A newer peer, a v8 peer whose Hello still carries the shadow
+    // latency table's record, a v6 peer that may still send the
+    // retired Ping/Pong pair, a v5 peer whose Hello still carries a
+    // kernel string, and a v4 peer that would still send the retired
     // two-frame quantum exchange.
-    for (std::uint32_t proto : {protocol_version + 1, 6u, 5u, 4u}) {
+    for (std::uint32_t proto : {protocol_version + 1, 8u, 6u, 5u, 4u}) {
         Fd fd = connect();
         HelloRequest req;
         req.proto = proto;
@@ -207,42 +211,27 @@ TEST_F(ServerFixture, BadHelloIsATypedConfigErrorAndTheServerLivesOn)
 {
     // Each of these used to reach fatal() on the session thread, whose
     // std::exit ended every session on the server.
-    HelloRequest shallow, wide, frozen;
+    HelloRequest shallow, wide;
     shallow.params.buffer_depth = 0;
     wide.params.vcs_per_vnet = 40;
-    frozen.abstract.ewma_alpha = 0.0;
     // A knob record naming a key no struct declares (hand-encoded: no
     // client can spell it).
     ArchiveWriter misspelled = beginMessage(MsgType::Hello);
     misspelled.putU32(protocol_version);
     misspelled.putString("cycle");
     config::putRecord(misspelled, {{"noc.colums", "4"}});
-    config::putRecord(misspelled, {});
     misspelled.putU32(0);
     misspelled.putU64(0);
-    misspelled.putU32(0);
-    // A NaN weight passes the "alpha <= 0 || alpha > 1" range check;
-    // the binder refuses it before validate() runs.
-    ArchiveWriter nan_alpha = beginMessage(MsgType::Hello);
-    nan_alpha.putU32(protocol_version);
-    nan_alpha.putString("cycle");
-    config::putRecord(nan_alpha, {});
-    config::putRecord(nan_alpha, {{"abstract.ewma_alpha", "nan"}});
-    nan_alpha.putU32(0);
-    nan_alpha.putU64(0);
-    nan_alpha.putU32(0);
 
     std::vector<std::pair<ArchiveWriter, std::string>> bad;
     for (const auto &[req, what] :
          {std::pair{shallow, "buffer_depth"},
-          std::pair{wide, "at most 32 VCs per port"},
-          std::pair{frozen, "EWMA weight"}}) {
+          std::pair{wide, "at most 32 VCs per port"}}) {
         ArchiveWriter aw = beginMessage(MsgType::Hello);
         encodeHello(aw, req);
         bad.emplace_back(std::move(aw), what);
     }
     bad.emplace_back(std::move(misspelled), "unknown config key 'noc.colums'");
-    bad.emplace_back(std::move(nan_alpha), "is not a finite number");
 
     for (auto &[aw, what] : bad) {
         Fd fd = connect();
@@ -332,6 +321,124 @@ TEST_F(ServerFixture, CorruptCheckpointImageIsRejected)
         EXPECT_NE(std::string(e.what()).find("corrupt checkpoint"),
                   std::string::npos);
     }
+}
+
+/** @p image with @p extra appended after its last section, resealed
+ *  so the archive CRC still passes. */
+std::string
+appendToImage(const std::string &image, const std::string &extra)
+{
+    std::string out = image.substr(0, image.size() - sizeof(std::uint32_t));
+    out += extra;
+    std::uint32_t crc = crc32(out.data(), out.size());
+    out.append(reinterpret_cast<const char *>(&crc), sizeof(crc));
+    return out;
+}
+
+/** What a v8 server wrote after the fabric: its shadow latency
+ *  table, as archive body bytes. */
+std::string
+shadowTableBytes(const noc::NocParams &p)
+{
+    abstractnet::AbstractParams a;
+    abstractnet::LatencyTable table(p, p.columns + p.rows + 2,
+                                    a.ewma_alpha, a.granularity,
+                                    p.numNodes());
+    ArchiveWriter aw;
+    table.saveBinary(aw);
+    std::string whole = aw.finish();
+    constexpr std::size_t header =
+        sizeof(ArchiveWriter::magic) + sizeof(std::uint32_t);
+    return whole.substr(header,
+                        whole.size() - header - sizeof(std::uint32_t));
+}
+
+TEST_F(ServerFixture, ImageWithTrailingBytesIsAConfigError)
+{
+    Fd fd = connect();
+    HelloRequest req;
+    req.params.columns = 4;
+    req.params.rows = 4;
+    hello(fd, req);
+    step(fd, 1000,
+         {noc::makePacket(1, 0, 15, noc::MsgClass::Request, 8, 5)});
+
+    Message ck = call(fd, beginMessage(MsgType::CkptSave));
+    ASSERT_EQ(ck.type, MsgType::CkptData);
+    CkptReply saved = decodeCkptReply(ck.ar);
+    ck.done();
+
+    // The image a parent build took: this build's state, then the
+    // shadow table. CRC-valid, so only the section walk can refuse it.
+    ArchiveWriter load = beginMessage(MsgType::CkptLoad);
+    load.putString(
+        appendToImage(saved.image, shadowTableBytes(req.params)));
+    Message rep = call(fd, std::move(load));
+    ASSERT_EQ(rep.type, MsgType::ErrorReply);
+    try {
+        throwDecodedError(rep.ar);
+        FAIL() << "throwDecodedError returned";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Config) << e.what();
+        EXPECT_NE(std::string(e.what()).find("after its last section"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(ServerFixture, RemoteRestoreRefusesATrailingImageAtOnce)
+{
+    noc::NocParams params;
+    params.columns = 4;
+    params.rows = 4;
+    noc::remote::RemoteOptions ro;
+    ro.socket = addr_;
+
+    // A client checkpoint whose embedded server image is this build's
+    // plus the shadow table a parent build appended.
+    std::string bytes;
+    {
+        Simulation sim;
+        noc::remote::RemoteNetwork net(sim, "rnet", params, ro);
+        net.inject(noc::makePacket(1, 0, 15, noc::MsgClass::Request, 8, 5));
+        net.advanceTo(1000);
+        ArchiveWriter aw;
+        net.save(aw);
+        bytes = aw.finish();
+    }
+    ArchiveReader ar(std::move(bytes));
+    ArchiveWriter tampered;
+    ar.expectSection("remote_net");
+    tampered.beginSection("remote_net");
+    for (int i = 0; i < 6; ++i) {
+        // cur_time, idle, injected, delivered, in_flight, num_nodes
+        if (i == 1)
+            tampered.putBool(ar.getBool());
+        else
+            tampered.putU64(ar.getU64());
+    }
+    ASSERT_EQ(ar.getU64(), 0u); // no buffered injections
+    tampered.putU64(0);
+    ASSERT_TRUE(ar.getBool());
+    tampered.putBool(true);
+    tampered.putString(
+        appendToImage(ar.getString(), shadowTableBytes(params)));
+    ar.endSection();
+    tampered.endSection();
+
+    Simulation sim;
+    noc::remote::RemoteNetwork net(sim, "rnet", params, ro);
+    ArchiveReader in(tampered.finish());
+    try {
+        net.restore(in);
+        FAIL() << "restore accepted a trailing image";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Config) << e.what();
+    }
+    // Refused on the first attempt, not after a retry budget of
+    // misleading attestation mismatches.
+    EXPECT_EQ(net.attestationMismatches.value(), 0.0);
+    EXPECT_EQ(net.retries.value(), 0.0);
 }
 
 TEST_F(ServerFixture, AttestedStepCarriesAReproducibleDigest)
@@ -438,9 +545,10 @@ runNocd(const std::vector<std::string> &args)
             text};
 }
 
-// Every flag is a spelling of a server.* key, validated by the one
-// NocServerOptions::fromConfig parser: a bad value in either spelling,
-// or a retired flag, exits 2 before the daemon listens.
+// The daemon takes no flags: its settings are key=value arguments,
+// validated by the one NocServerOptions::fromConfig parser. A bad
+// value or any flag, retired ones included, exits 2 before the daemon
+// listens.
 TEST(NocdFlags, BadValuesAndRetiredFlagsExitBeforeListening)
 {
     const std::string path =
@@ -451,8 +559,10 @@ TEST(NocdFlags, BadValuesAndRetiredFlagsExitBeforeListening)
         {addr, "--session-timeout-ms", "-1"},
         {addr, "--io-timeout-ms", "abc"},
         {addr, "--max-sessions", "abc"},
+        {addr, "--max-batch-packets", "4"},
         {addr, "--quota-frames", "-3"},
-        {"server.drain_timeout_ms=-5", addr},
+        {"fault.transport.stall_ms=-5", addr},
+        {"fault.transport.enabled=banana", addr},
         {addr, "--no-speculate"},
         {addr, "--once"},
         {addr, "--max-active", "2"},

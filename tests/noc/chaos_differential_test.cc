@@ -4,8 +4,8 @@
  * fault-tolerance layer. A full remote co-simulation run under a
  * seeded transport fault schedule (torn frames, short reads, CRC
  * corruption, stalls, cold disconnects) must end *bit-identical* to
- * the fault-free in-process run: same deliveries in the same order,
- * same hosted-network statistics, same shadow-tuned LatencyTable.
+ * the fault-free in-process run: same deliveries in the same order
+ * and same hosted-network statistics.
  * Chaos, in other words, costs retries and wall-clock but never
  * results. On top of that: same-seed chaos runs reproduce the exact
  * retry counts and backoff totals; a server killed mid-run and
@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "abstractnet/latency_table.hh"
 #include "ipc/faulty_transport.hh"
 #include "ipc/nocd_server.hh"
 #include "noc/cycle_network.hh"
@@ -82,19 +81,10 @@ injectTraffic(Net &net, std::size_t nodes)
     }
 }
 
-abstractnet::LatencyTable
-shadowTable(const NocParams &p)
-{
-    return abstractnet::LatencyTable(
-        p, p.columns + p.rows + 2, 0.05,
-        abstractnet::LatencyTable::Granularity::Distance, p.numNodes());
-}
-
 struct RunResult
 {
     std::vector<Delivery> deliveries;
     std::vector<std::tuple<std::string, std::string, double>> stats;
-    std::unique_ptr<abstractnet::LatencyTable> table;
 
     /// @name Health telemetry of a chaos run (volatile under chaos,
     /// but reproducible for one seed)
@@ -115,15 +105,9 @@ runDirect(const NocParams &p)
     Simulation sim;
     Net net(sim, "net", p);
     RunResult r;
-    r.table =
-        std::make_unique<abstractnet::LatencyTable>(shadowTable(p));
     net.setDeliveryHandler([&](const PacketPtr &pkt) {
         r.deliveries.push_back(
             {pkt->id, pkt->deliver_tick, pkt->latency(), pkt->hops});
-        r.table->observe(static_cast<int>(pkt->cls),
-                         static_cast<int>(pkt->hops),
-                         p.flitsPerPacket(pkt->size_bytes),
-                         pkt->latency(), pkt->src, pkt->dst);
     });
     injectTraffic(net, net.numNodes());
     for (Tick t = 1000; t <= 20000; t += 1000)
@@ -200,8 +184,6 @@ runChaos(const NocParams &p, remote::RemoteOptions ro,
             rows.emplace_back(row.path, row.sub, row.value);
         return rows;
     }();
-    r.table = std::make_unique<abstractnet::LatencyTable>(
-        net.fetchTunedTable());
     r.faults = net.faultSchedule().faults();
     r.sched_ops = net.faultSchedule().ops();
     r.retries = net.retries.value();
@@ -221,7 +203,6 @@ expectSameResults(const RunResult &chaos, const RunResult &direct,
             << what << " delivery #" << k << " packet "
             << direct.deliveries[k].id;
     ASSERT_EQ(chaos.stats, direct.stats) << what;
-    EXPECT_TRUE(chaos.table->identicalTo(*direct.table)) << what;
 }
 
 class ChaosDifferential : public ::testing::Test
@@ -317,7 +298,9 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
     p.rows = 8;
     remote::RemoteOptions ro;
     ro.socket = addr();
-    ro.fault = chaosPlan(0x5eed);
+    // A calm run makes only 12 transport operations; this seed's
+    // schedule fires three faults among them (0x5eed fires none).
+    ro.fault = chaosPlan(0x5eee);
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 4;
 
@@ -330,7 +313,6 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
     // jittered backoff total — replays exactly.
     EXPECT_EQ(a.deliveries, b.deliveries);
     EXPECT_EQ(a.stats, b.stats);
-    EXPECT_TRUE(a.table->identicalTo(*b.table));
     EXPECT_EQ(a.faults, b.faults);
     EXPECT_EQ(a.sched_ops, b.sched_ops);
     EXPECT_EQ(a.retries, b.retries);

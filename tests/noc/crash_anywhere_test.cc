@@ -10,8 +10,8 @@
  * failure). The client's recovery lineage (a cold open of the base
  * image plus journal replay, on whichever process answers) rebuilds
  * the pre-crash state, and the run must end *bit-identical* to the
- * fault-free in-process run — deliveries, server stats tree and tuned
- * table. On top of that: a diverged replica is caught by its
+ * fault-free in-process run — deliveries and server stats tree. On
+ * top of that: a diverged replica is caught by its
  * attestation digest and never computed on, and the health counters
  * (reconnects, attestation_mismatches) account for all of it.
  */
@@ -33,7 +33,6 @@
 #include <tuple>
 #include <vector>
 
-#include "abstractnet/latency_table.hh"
 #include "ipc/socket.hh"
 #include "noc/cycle_network.hh"
 #include "noc/remote/remote_network.hh"
@@ -114,19 +113,10 @@ struct RunResult
 {
     std::vector<Delivery> deliveries;
     std::vector<std::tuple<std::string, std::string, double>> stats;
-    std::unique_ptr<abstractnet::LatencyTable> table;
 
     /** Sessions re-opened after a loss (remote runs only). */
     double reconnects = 0.0;
 };
-
-abstractnet::LatencyTable
-shadowTable(const NocParams &p)
-{
-    return abstractnet::LatencyTable(
-        p, p.columns + p.rows + 2, 0.05,
-        abstractnet::LatencyTable::Granularity::Distance, p.numNodes());
-}
 
 /** Ground truth: the network hosted in this process, no transport. */
 RunResult
@@ -135,15 +125,9 @@ runDirect(const NocParams &p)
     Simulation sim;
     CycleNetwork net(sim, "net", p);
     RunResult r;
-    r.table =
-        std::make_unique<abstractnet::LatencyTable>(shadowTable(p));
     net.setDeliveryHandler([&](const PacketPtr &pkt) {
         r.deliveries.push_back(
             {pkt->id, pkt->deliver_tick, pkt->latency(), pkt->hops});
-        r.table->observe(static_cast<int>(pkt->cls),
-                         static_cast<int>(pkt->hops),
-                         p.flitsPerPacket(pkt->size_bytes),
-                         pkt->latency(), pkt->src, pkt->dst);
     });
     runLoop(net);
     snapshotStats(net, r.stats);
@@ -161,7 +145,6 @@ expectSameResults(const RunResult &crashed, const RunResult &direct,
             << what << " delivery #" << k << " packet "
             << direct.deliveries[k].id;
     ASSERT_EQ(crashed.stats, direct.stats) << what;
-    EXPECT_TRUE(crashed.table->identicalTo(*direct.table)) << what;
 }
 
 /** Retry budget sized for a respawn window: no wall-clock deadline
@@ -307,8 +290,6 @@ class CrashAnywhere : public ::testing::Test
         });
         for (const ipc::StatRow &row : net.fetchRemoteStats())
             r.stats.emplace_back(row.path, row.sub, row.value);
-        r.table = std::make_unique<abstractnet::LatencyTable>(
-            net.fetchTunedTable());
         r.reconnects = net.reconnects.value();
         return r;
     }
