@@ -46,7 +46,7 @@ QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
       table_(net_params, net_params.columns + net_params.rows + 2,
              options_.abstract.ewma_alpha, options_.abstract.granularity,
              net_params.numNodes()),
-      checkpoint_(table_)
+      checkpoint_(table_), health_(sim, "health", options_.health, this)
 {
     if (options_.quantum == 0)
         fatal("co-simulation quantum must be positive");
@@ -56,10 +56,6 @@ QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
         engine_ =
             std::make_unique<ParallelEngine>(options_.engine_workers);
         backend_.setEngine(engine_.get());
-    }
-    if (options_.health.enabled) {
-        health_ = std::make_unique<HealthMonitor>(
-            sim, "health", options_.health, this);
     }
     backend_.setDeliveryHandler(
         [this](const noc::PacketPtr &pkt) { onBackendDelivery(pkt); });
@@ -120,8 +116,7 @@ QuantumBridge::inject(const noc::PacketPtr &pkt)
         scheduleSynthetic(pkt, 0);
         return;
     }
-    if (health_)
-        outstanding_.emplace(pkt->id, pkt);
+    outstanding_.emplace(pkt->id, pkt);
     if (options_.overlap) {
         // The backend may be advancing on the worker right now; hold
         // the packet until the boundary.
@@ -180,7 +175,6 @@ void
 QuantumBridge::applyDeliveries(Tick boundary)
 {
     bool reciprocal = options_.coupling == Coupling::Reciprocal;
-    bool track = health_ && !reciprocal;
     for (const noc::PacketPtr &pkt : pending_deliveries_) {
         ++packetsDelivered;
         deliverySlack.sample(
@@ -203,7 +197,7 @@ QuantumBridge::applyDeliveries(Tick boundary)
             ++err_samples_window_;
             continue;
         }
-        if (track && outstanding_.erase(pkt->id) == 0) {
+        if (outstanding_.erase(pkt->id) == 0) {
             // A quarantine already served this packet from the
             // estimate; the late real delivery still calibrates the
             // table (above) but must not reach the system twice.
@@ -226,12 +220,9 @@ QuantumBridge::runHost(Tick q_end)
 void
 QuantumBridge::advanceBackend(Tick q_end)
 {
-    // Under the monitor, backend panic()/fatal() become catchable
-    // SimError so a misbehaving model degrades instead of killing the
-    // run.
-    std::optional<logging::ThrowOnError> guard;
-    if (health_)
-        guard.emplace();
+    // Backend panic()/fatal() become catchable SimError so a
+    // misbehaving model degrades instead of killing the run.
+    logging::ThrowOnError guard;
     auto t1 = std::chrono::steady_clock::now();
     backend_.advanceTo(q_end);
     net_ns_ += elapsedNs(t1);
@@ -287,7 +278,7 @@ QuantumBridge::runQuantumDegraded(Tick q_end)
 {
     runHost(q_end);
 
-    health_->noteDegradedQuantum();
+    health_.noteDegradedQuantum();
     drainDegraded(q_end);
 
     if (cooldown_ > 0 && --cooldown_ == 0)
@@ -315,7 +306,7 @@ QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
     err_abs_window_ = 0.0;
     err_samples_window_ = 0;
 
-    auto trip = health_->checkBoundary(s);
+    auto trip = health_.checkBoundary(s);
     if (trip)
         return std::make_pair(trip->kind, trip->detail);
 
@@ -325,7 +316,7 @@ QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
         --probation_left_ == 0) {
         state_ = HealthState::Healthy;
         backoff_ = 1;
-        health_->noteRecovered();
+        health_.noteRecovered();
         inform("health: backend re-engaged and recovered at tick ",
                q_end);
     }
@@ -333,7 +324,7 @@ QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
         options_.health.checkpoint_quanta) {
         checkpoint_ = table_;
         boundaries_since_checkpoint_ = 0;
-        health_->noteCheckpoint();
+        health_.noteCheckpoint();
     }
     return std::nullopt;
 }
@@ -358,11 +349,11 @@ QuantumBridge::quarantine(Tick q_end)
     applyDeliveries(q_end);
 
     if (state_ == HealthState::Probation) {
-        health_->noteRecoveryFailure();
+        health_.noteRecoveryFailure();
         backoff_ = std::min(backoff_ * 2, options_.health.max_backoff);
     }
     state_ = HealthState::Degraded;
-    health_->noteDegraded();
+    health_.noteDegraded();
     cooldown_ = options_.health.recovery_quanta * backoff_;
 
     // Tuned-abstract fallback: estimates come from the last-good
@@ -401,10 +392,10 @@ QuantumBridge::beginProbation()
 {
     state_ = HealthState::Probation;
     probation_left_ = options_.health.probation_quanta;
-    health_->noteProbation();
+    health_.noteProbation();
     // Forgive pre-quarantine damage: conservation losses are
     // re-baselined and the watchdog restarts from scratch.
-    health_->rebase(backend_.accounting());
+    health_.rebase(backend_.accounting());
 }
 
 void
@@ -448,7 +439,7 @@ QuantumBridge::drainDegraded(Tick boundary)
         ++n;
     }
     if (n > 0) {
-        health_->noteSynthesized(n);
+        health_.noteSynthesized(n);
         degraded_out_.erase(degraded_out_.begin(),
                             degraded_out_.begin() +
                                 static_cast<std::ptrdiff_t>(n));
@@ -491,9 +482,7 @@ QuantumBridge::save(ArchiveWriter &aw) const
     for (const noc::PacketPtr &pkt : degraded_out_)
         noc::savePacket(aw, *pkt);
 
-    aw.putBool(static_cast<bool>(health_));
-    if (health_)
-        health_->save(aw);
+    health_.save(aw);
     aw.endSection();
 }
 
@@ -530,14 +519,7 @@ QuantumBridge::restore(ArchiveReader &ar)
         degraded_out_.push_back(noc::restorePacket(ar));
 
     pending_deliveries_.clear();
-    bool had_health = ar.getBool();
-    if (had_health != static_cast<bool>(health_)) {
-        panic("checkpoint ", had_health ? "has" : "lacks",
-              " health-monitor state but the restored bridge ",
-              health_ ? "has" : "lacks", " a monitor");
-    }
-    if (health_)
-        health_->restore(ar);
+    health_.restore(ar);
     ar.endSection();
 }
 
@@ -552,20 +534,18 @@ QuantumBridge::advanceCoupled(Tick t)
         Tick q_end = std::min(cur + options_.quantum, t);
         if (state_ == HealthState::Degraded) {
             runQuantumDegraded(q_end);
-        } else if (health_) {
+        } else {
             std::optional<std::pair<ErrorKind, std::string>> trip;
             try {
                 (this->*run_quantum)(q_end);
             } catch (const SimError &e) {
-                health_->noteTrip(e.kind());
+                health_.noteTrip(e.kind());
                 trip = std::make_pair(e.kind(), std::string(e.what()));
             }
             if (!trip)
                 trip = boundaryHealthCheck(q_end, q_end - cur);
             if (trip)
                 handleTrip(trip->first, trip->second, q_end);
-        } else {
-            (this->*run_quantum)(q_end);
         }
         ++quanta_;
         cur = q_end;

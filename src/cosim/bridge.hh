@@ -101,8 +101,7 @@ class QuantumBridge : public SimObject,
          */
         int engine_workers = 0;
         /** Guard thresholds and degradation policy (see
-         *  HealthOptions); health.enabled=false disables the monitor
-         *  entirely. */
+         *  HealthOptions). */
         HealthOptions health;
         /** EWMA weight and granularity of the latency table. */
         abstractnet::AbstractParams abstract;
@@ -171,9 +170,9 @@ class QuantumBridge : public SimObject,
     noc::NetworkModel &backend() { return backend_; }
 
     HealthState healthState() const { return state_; }
-    /** Null when health.enabled is false. */
-    HealthMonitor *health() { return health_.get(); }
-    const HealthMonitor *health() const { return health_.get(); }
+    /** The boundary guards; never null. */
+    HealthMonitor *health() { return &health_; }
+    const HealthMonitor *health() const { return &health_; }
 
     /**
      * Checkpoint the coupling state. Only valid at a quantum boundary
@@ -213,9 +212,8 @@ class QuantumBridge : public SimObject,
     void runHost(Tick q_end);
 
     /**
-     * Advance the backend to @p q_end, timing it in netNs. Under the
-     * health monitor, backend panic()/fatal() surface as catchable
-     * SimError.
+     * Advance the backend to @p q_end, timing it in netNs. Backend
+     * panic()/fatal() surface as catchable SimError.
      * @throws SimError on backend failure.
      */
     void advanceBackend(Tick q_end);
@@ -247,7 +245,7 @@ class QuantumBridge : public SimObject,
     abstractnet::LatencyTable table_;
     /** Last-good copy of table_, restored on quarantine. */
     abstractnet::LatencyTable checkpoint_;
-    std::unique_ptr<HealthMonitor> health_;
+    HealthMonitor health_;
     DeliveryHandler system_handler_;
     DeliveryHandler observer_;
 
@@ -257,7 +255,7 @@ class QuantumBridge : public SimObject,
     /** Deliveries produced by the backend, applied at the boundary. */
     std::vector<noc::PacketPtr> pending_deliveries_;
 
-    /** @name Degradation state (health monitoring only) */
+    /** @name Degradation state */
     /// @{
     HealthState state_ = HealthState::Healthy;
     /** Degraded quanta left before probation (0 = no recovery due). */

@@ -113,14 +113,6 @@ FullSystem::FullSystem(const Config &cfg, FullSystemOptions options)
               toString(options_.mode));
     }
 
-    // Deterministic fault injection sits between the bridge and the
-    // backend, so every health guard is exercisable on demand.
-    if (options_.fault.enabled) {
-        fault_injector_ =
-            std::make_unique<FaultInjector>(*backend, options_.fault);
-        backend = fault_injector_.get();
-    }
-
     QuantumBridge::Options bo;
     bo.feedback = options_.feedback;
     bo.health = options_.health;
@@ -309,8 +301,6 @@ FullSystem::save(ArchiveWriter &aw) const
     } else {
         abstract_net_->save(aw);
     }
-    if (fault_injector_)
-        fault_injector_->save(aw);
     bridge_->save(aw);
     memory_->save(aw);
     for (const auto &core : cores_)
@@ -358,8 +348,6 @@ FullSystem::restoreArchive(ArchiveReader &ar, std::string *why)
         remote_net_->restore(ar);
     else
         abstract_net_->restore(ar);
-    if (fault_injector_)
-        fault_injector_->restore(ar);
     bridge_->restore(ar);
     memory_->restore(ar);
     for (const auto &core : cores_)

@@ -20,7 +20,6 @@
 #include "noc/cycle_network.hh"
 #include "noc/remote/remote_network.hh"
 #include "sim/config.hh"
-#include "sim/fault_injector.hh"
 #include "sim/simulation.hh"
 #include "workload/app_profiles.hh"
 
@@ -133,9 +132,6 @@ struct FullSystemOptions
     mem::MemParams mem;
     /** Health-guard thresholds and degradation policy. */
     HealthOptions health;
-    /** Deterministic fault injection; when enabled the injector is
-     *  interposed between the bridge and the backend. */
-    FaultOptions fault;
     /** Periodic crash-safe checkpointing. */
     CheckpointOptions checkpoint;
     /** Seed and reference clock. */
@@ -159,7 +155,6 @@ struct FullSystemOptions
         v(noc);
         v(mem);
         v(health);
-        v(fault);
         v(checkpoint, config::neutral);
         v(sim);
         v(abstract);
@@ -220,8 +215,6 @@ class FullSystem
     {
         return remote_net_.get();
     }
-    /** Non-null when fault.enabled interposed the injector. */
-    FaultInjector *faultInjector() { return fault_injector_.get(); }
 
     /** @name Checkpoint / restore */
     /// @{
@@ -265,7 +258,6 @@ class FullSystem
     std::unique_ptr<noc::CycleNetwork> cycle_net_;
     std::unique_ptr<noc::remote::RemoteNetwork> remote_net_;
     std::unique_ptr<abstractnet::AbstractNetwork> abstract_net_;
-    std::unique_ptr<FaultInjector> fault_injector_;
     std::unique_ptr<QuantumBridge> bridge_;
     std::unique_ptr<mem::MemorySystem> memory_;
     std::vector<std::unique_ptr<cpu::SyntheticCore>> cores_;

@@ -79,7 +79,7 @@ HealthMonitor::checkBoundary(const Snapshot &s)
     // Conservation: every packet the backend accepted must be either
     // delivered or still in flight. Checked against the baseline so a
     // re-engaged backend is not re-tripped by pre-quarantine losses.
-    if (options_.conservation && s.acc) {
+    if (s.acc) {
         std::int64_t delta = lostPackets(*s.acc) - lost_baseline_;
         if (delta != 0) {
             ++conservationTrips;

@@ -3,7 +3,8 @@
  * The co-simulation health subsystem: machine-checked invariants
  * evaluated at every quantum boundary of QuantumBridge::advanceCoupled.
  *
- * Guards (each individually configurable through "health.*" keys):
+ * Guards (the watchdog and divergence thresholds are "health.*" keys;
+ * 0 switches one off):
  *
  *  - conservation: the backend must satisfy
  *        injected == delivered + in_flight
@@ -50,10 +51,6 @@ namespace cosim
 /** Guard thresholds and degradation policy. */
 struct HealthOptions
 {
-    /** Master switch: construct the monitor at all. */
-    bool enabled = true;
-    /** Packet-conservation check at boundaries. */
-    bool conservation = true;
     /** Cycles without delivery progress (while packets are in flight)
      *  before the watchdog declares deadlock/livelock (0 = off). */
     Tick watchdog_cycles = 100000;
@@ -78,8 +75,6 @@ struct HealthOptions
     void
     keys(config::Binder &v)
     {
-        v("health.enabled", enabled);
-        v("health.conservation", conservation);
         v("health.watchdog_cycles", watchdog_cycles);
         v("health.divergence_factor", divergence_factor);
         v("health.divergence_error", divergence_error);

@@ -6,12 +6,132 @@
 #include <thread>
 #include <utility>
 
+#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace rasim
 {
 namespace ipc
 {
+
+void
+TransportFaultOptions::validate() const
+{
+    for (double p :
+         {torn_frame, short_read, corrupt, delay, stall, disconnect}) {
+        if (p < 0.0 || p > 1.0)
+            fatal("fault.transport.* probabilities must be in [0, 1]");
+    }
+    if (delay_ms < 0.0 || stall_ms < 0.0)
+        fatal("fault.transport delay_ms/stall_ms must be non-negative");
+}
+
+const char *
+toString(TransportFaultKind kind)
+{
+    switch (kind) {
+      case TransportFaultKind::None:
+        return "none";
+      case TransportFaultKind::TornFrame:
+        return "torn-frame";
+      case TransportFaultKind::ShortRead:
+        return "short-read";
+      case TransportFaultKind::Corrupt:
+        return "corrupt";
+      case TransportFaultKind::Delay:
+        return "delay";
+      case TransportFaultKind::Stall:
+        return "stall";
+      case TransportFaultKind::Disconnect:
+        return "disconnect";
+      case TransportFaultKind::Oversize:
+        return "oversize";
+    }
+    return "unknown";
+}
+
+TransportFaultSchedule::TransportFaultSchedule(
+    const TransportFaultOptions &opts, std::uint64_t stream)
+    : opts_(opts), rng_(opts.seed, stream)
+{
+}
+
+TransportFaultKind
+TransportFaultSchedule::draw(
+    const std::pair<TransportFaultKind, double> *bands, std::size_t n)
+{
+    std::uint64_t op = ops_++;
+    // Exactly one Rng draw per operation whatever happens below, so
+    // the schedule's sequence is a pure function of the operation
+    // ordinal — reconnects and retries cannot desynchronise it.
+    double u = rng_.uniform();
+    if (!opts_.enabled || op < opts_.start_op)
+        return TransportFaultKind::None;
+    if (opts_.max_faults > 0 && faults_ >= opts_.max_faults)
+        return TransportFaultKind::None;
+    if (since_fault_ < opts_.min_gap_ops) {
+        ++since_fault_;
+        return TransportFaultKind::None;
+    }
+    double edge = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        edge += bands[i].second;
+        if (u < edge) {
+            ++faults_;
+            since_fault_ = 0;
+            ++by_kind_[static_cast<std::size_t>(bands[i].first)];
+            return bands[i].first;
+        }
+    }
+    // No increment here: once out of the gap, since_fault_ only moves
+    // again by a fault resetting it (and the pre-first-fault ~0
+    // sentinel must not wrap around into a phantom gap).
+    return TransportFaultKind::None;
+}
+
+TransportFaultKind
+TransportFaultSchedule::nextSend()
+{
+    const std::pair<TransportFaultKind, double> bands[] = {
+        {TransportFaultKind::TornFrame, opts_.torn_frame},
+        {TransportFaultKind::ShortRead, opts_.short_read},
+        {TransportFaultKind::Corrupt, opts_.corrupt},
+        {TransportFaultKind::Delay, opts_.delay},
+        {TransportFaultKind::Disconnect, opts_.disconnect},
+    };
+    return draw(bands, std::size(bands));
+}
+
+TransportFaultKind
+TransportFaultSchedule::nextRecv(bool header)
+{
+    // A header read can only be cut short (ShortRead); payload reads
+    // can be torn or corrupted. Stalls apply to either.
+    const std::pair<TransportFaultKind, double> header_bands[] = {
+        {TransportFaultKind::Stall, opts_.stall},
+        {TransportFaultKind::ShortRead, opts_.short_read},
+    };
+    const std::pair<TransportFaultKind, double> payload_bands[] = {
+        {TransportFaultKind::Stall, opts_.stall},
+        {TransportFaultKind::TornFrame, opts_.torn_frame},
+        {TransportFaultKind::Corrupt, opts_.corrupt},
+    };
+    if (header)
+        return draw(header_bands, std::size(header_bands));
+    return draw(payload_bands, std::size(payload_bands));
+}
+
+void
+TransportFaultSchedule::noteForced(TransportFaultKind kind)
+{
+    // Counters only: a forced fault neither consumes a draw nor
+    // resets the gap — the probabilistic schedule stays exactly where
+    // it was.
+    if (kind == TransportFaultKind::None)
+        return;
+    ++faults_;
+    ++by_kind_[static_cast<std::size_t>(kind)];
+}
 
 namespace
 {

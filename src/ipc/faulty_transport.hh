@@ -35,22 +35,167 @@
  * Besides the probability schedule, failNextSend()/failNextRecv()
  * force one specific fault on the next operation — the unit-test hook
  * for exercising one failure path in isolation.
+ *
+ * The fault plan lives here too: TransportFaultOptions (the
+ * "fault.transport.*" keys, read by the remote client and rasim-nocd)
+ * and the TransportFaultSchedule that draws from its own seeded Rng
+ * stream in operation order, so transport chaos is exactly
+ * reproducible.
  */
 
 #ifndef RASIM_IPC_FAULTY_TRANSPORT_HH
 #define RASIM_IPC_FAULTY_TRANSPORT_HH
 
+#include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "ipc/socket.hh"
-#include "sim/fault_injector.hh"
+#include "sim/config.hh"
+#include "sim/rng.hh"
 
 namespace rasim
 {
 namespace ipc
 {
+
+/**
+ * Which transport faults a FaultyTransport channel decorator may
+ * inject. Probabilities are per transport operation (one frame send or
+ * one frame-piece receive), drawn from a dedicated seeded Rng stream
+ * in operation order, so a faulty run is exactly reproducible.
+ */
+struct TransportFaultOptions
+{
+    /** Master switch; when false no channel is ever decorated. */
+    bool enabled = false;
+
+    /** Seed of the fault schedule's private Rng stream. */
+    std::uint64_t seed = 0x7a5;
+
+    /** Tear a frame: close after part of the payload (send side) or
+     *  truncate the payload mid-read (receive side). */
+    double torn_frame = 0.0;
+    /** Short read: close inside the 12-byte frame header. */
+    double short_read = 0.0;
+    /** Flip one payload byte, so the archive CRC32 check trips. */
+    double corrupt = 0.0;
+    /** Delay a write by delay_ms before letting it through. */
+    double delay = 0.0;
+    double delay_ms = 2.0;
+    /** Stall a read: burn stall_ms, then fail with a Timeout. */
+    double stall = 0.0;
+    double stall_ms = 2.0;
+    /** Drop the connection cold before a send (mid-quantum loss). */
+    double disconnect = 0.0;
+
+    /** Arm the schedule only from this operation ordinal on (lets a
+     *  handshake complete before the chaos starts). */
+    std::uint64_t start_op = 0;
+    /** Stop injecting after this many faults in total (0 = no cap). */
+    std::uint64_t max_faults = 0;
+    /** Guaranteed fault-free operations after each fault, so a
+     *  bounded retry budget can always mask the fault. */
+    std::uint64_t min_gap_ops = 8;
+
+    void
+    keys(config::Binder &v)
+    {
+        v("fault.transport.enabled", enabled);
+        v("fault.transport.seed", seed);
+        v("fault.transport.torn_frame", torn_frame);
+        v("fault.transport.short_read", short_read);
+        v("fault.transport.corrupt", corrupt);
+        v("fault.transport.delay", delay);
+        v("fault.transport.delay_ms", delay_ms);
+        v("fault.transport.stall", stall);
+        v("fault.transport.stall_ms", stall_ms);
+        v("fault.transport.disconnect", disconnect);
+        v("fault.transport.start_op", start_op);
+        v("fault.transport.max_faults", max_faults);
+        v("fault.transport.min_gap_ops", min_gap_ops);
+    }
+
+    void validate() const;
+};
+
+/** The faults a transport schedule can inject. */
+enum class TransportFaultKind : std::uint8_t
+{
+    None = 0,
+    TornFrame,  ///< peer closes inside the payload
+    ShortRead,  ///< peer closes inside the frame header
+    Corrupt,    ///< one payload byte flipped (CRC trip)
+    Delay,      ///< write delayed by delay_ms
+    Stall,      ///< read burns stall_ms then times out
+    Disconnect, ///< connection dropped before the send
+    Oversize,   ///< length prefix forged past max_frame_bytes
+};
+constexpr std::size_t transport_fault_kinds = 8;
+
+/** Render a fault kind for diagnostics. */
+const char *toString(TransportFaultKind kind);
+
+/**
+ * The deterministic schedule deciding which transport operation
+ * suffers which fault. One draw per operation, in operation order,
+ * from a private seeded Rng — two runs with the same seed inject
+ * the same faults at the same operations. A single schedule can be
+ * shared across successive connections of one client (the operation
+ * counter keeps running), which is what makes a whole chaos run
+ * reproducible across reconnects.
+ */
+class TransportFaultSchedule
+{
+  public:
+    TransportFaultSchedule() = default;
+    /** @p stream separates independent schedules of one seed (the
+     *  server gives each session its own stream). */
+    explicit TransportFaultSchedule(const TransportFaultOptions &opts,
+                                    std::uint64_t stream = 1);
+
+    const TransportFaultOptions &options() const { return opts_; }
+
+    /** Fault (or None) for the next frame send. */
+    TransportFaultKind nextSend();
+    /** Fault (or None) for the next frame-piece receive; @p header
+     *  tells whether the read is the 12-byte frame header. */
+    TransportFaultKind nextRecv(bool header);
+
+    /** Record a fault injected outside the probability draw (the
+     *  failNext*() test hooks), so the activity counters cover every
+     *  injected fault regardless of how it was requested. */
+    void noteForced(TransportFaultKind kind);
+
+    /** @name Deterministic activity counters */
+    /// @{
+    std::uint64_t ops() const { return ops_; }
+    std::uint64_t faults() const { return faults_; }
+    std::uint64_t
+    count(TransportFaultKind kind) const
+    {
+        return by_kind_[static_cast<std::size_t>(kind)];
+    }
+    /// @}
+
+  private:
+    /** One uniform draw against the cumulative probability bands of
+     *  the kinds applicable to this operation. */
+    TransportFaultKind
+    draw(const std::pair<TransportFaultKind, double> *bands,
+         std::size_t n);
+
+    TransportFaultOptions opts_;
+    Rng rng_{0x7a5, 1};
+    std::uint64_t ops_ = 0;
+    std::uint64_t faults_ = 0;
+    std::uint64_t since_fault_ = ~std::uint64_t(0);
+    std::array<std::uint64_t, transport_fault_kinds> by_kind_{};
+};
+
 
 class FaultyTransport final : public ByteChannel
 {

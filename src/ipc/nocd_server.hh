@@ -44,10 +44,10 @@
 #include <thread>
 #include <vector>
 
+#include "ipc/faulty_transport.hh"
 #include "ipc/frame.hh"
 #include "ipc/socket.hh"
 #include "sim/config.hh"
-#include "sim/fault_injector.hh"
 
 namespace rasim
 {

@@ -10,6 +10,14 @@ namespace rasim
 namespace ipc
 {
 
+namespace
+{
+
+/** Growth factor of successive backoffs within one round. */
+constexpr double backoff_multiplier = 4.0;
+
+} // namespace
+
 void
 RetryOptions::validate() const
 {
@@ -17,10 +25,6 @@ RetryOptions::validate() const
         fatal("network.remote.retry.max_attempts must be at least 1");
     if (backoff_base_ms < 0.0 || backoff_max_ms < 0.0 || deadline_ms < 0.0)
         fatal("network.remote.retry.* budgets must be non-negative");
-    if (backoff_multiplier < 1.0)
-        fatal("network.remote.retry.multiplier must be at least 1");
-    if (jitter < 0.0 || jitter > 1.0)
-        fatal("network.remote.retry.jitter must be in [0, 1]");
 }
 
 double
@@ -56,12 +60,8 @@ RetryPolicy::backoff()
     // attempt number attempt_ + 1.
     double ms = opts_.backoff_base_ms;
     for (std::uint64_t i = 1; i < attempt_; ++i)
-        ms *= opts_.backoff_multiplier;
+        ms *= backoff_multiplier;
     ms = std::min(ms, opts_.backoff_max_ms);
-    // One Rng draw per backoff, whatever the jitter setting, so the
-    // draw sequence is a pure function of the retry count.
-    double u = rng_.uniform();
-    ms *= 1.0 - opts_.jitter + opts_.jitter * u;
     backoff_ms_total_ += ms;
     if (ms > 0.0) {
         std::this_thread::sleep_for(

@@ -6,18 +6,19 @@
  * One *round* is one logical operation the client wants to complete —
  * a quantum exchange, a table readback, a checkpoint — however many
  * attempts it takes. Between attempts the policy imposes an
- * exponential backoff with seeded jitter (drawn from a sim::Rng, so
- * two runs with the same seed produce the identical backoff sequence)
- * and enforces two budgets: a per-round attempt cap and a per-round
- * wall-clock deadline. An exhausted round propagates promptly to the
+ * exponential backoff (base_ms, growing fourfold per failed attempt up
+ * to max_ms, without jitter: the client has one connection to one
+ * server, so there are no peers to decorrelate from) and enforces two
+ * budgets: a per-round attempt cap and a per-round wall-clock
+ * deadline. An exhausted round propagates promptly to the
  * co-simulation bridge, whose health machinery quarantines the
  * backend (HealthMonitor::transportTrips), falls back to the tuned
  * abstract model and spaces out later re-engagements with its own
  * probation backoff.
  *
  * Note on determinism: retry *counts* and the backoff sequence are a
- * pure function of the failure pattern and the seed, except where the
- * wall-clock deadline binds. Chaos runs that must be bit-reproducible
+ * pure function of the failure pattern, except where the wall-clock
+ * deadline binds. Chaos runs that must be bit-reproducible
  * set retry.deadline_ms=0 (attempt-capped only).
  */
 
@@ -28,7 +29,6 @@
 #include <cstdint>
 
 #include "sim/config.hh"
-#include "sim/rng.hh"
 
 namespace rasim
 {
@@ -41,13 +41,8 @@ struct RetryOptions
     std::uint64_t max_attempts = 3;
     /** First backoff, in ms. */
     double backoff_base_ms = 5.0;
-    /** Growth factor of successive backoffs. */
-    double backoff_multiplier = 4.0;
     /** Backoff ceiling, in ms. */
     double backoff_max_ms = 200.0;
-    /** Fraction of each backoff randomised: the slept time is
-     *  backoff * (1 - jitter + jitter * u) with u ~ U[0,1). */
-    double jitter = 0.5;
     /** Wall-clock budget per round, in ms; no further attempt starts
      *  once it is spent (0 = attempts-capped only). */
     double deadline_ms = 1500.0;
@@ -57,9 +52,7 @@ struct RetryOptions
     {
         v("network.remote.retry.max_attempts", max_attempts);
         v("network.remote.retry.base_ms", backoff_base_ms);
-        v("network.remote.retry.multiplier", backoff_multiplier);
         v("network.remote.retry.max_ms", backoff_max_ms);
-        v("network.remote.retry.jitter", jitter);
         v("network.remote.retry.deadline_ms", deadline_ms);
     }
 
@@ -70,10 +63,7 @@ class RetryPolicy
 {
   public:
     RetryPolicy() = default;
-    RetryPolicy(RetryOptions opts, Rng rng)
-        : opts_(opts), rng_(rng)
-    {
-    }
+    explicit RetryPolicy(RetryOptions opts) : opts_(opts) {}
 
     const RetryOptions &options() const { return opts_; }
 
@@ -87,9 +77,9 @@ class RetryPolicy
      *  remain and the deadline (if any) is not spent. */
     bool shouldRetry() const;
 
-    /** Deterministic jittered backoff before the next attempt:
-     *  computes it, sleeps for it, accumulates the counters, and
-     *  returns the slept milliseconds. */
+    /** Deterministic backoff before the next attempt: computes it,
+     *  sleeps for it, accumulates the counters, and returns the slept
+     *  milliseconds. */
     double backoff();
 
     /** Cap @p want_ms to the round's remaining deadline budget (at
@@ -107,7 +97,6 @@ class RetryPolicy
     double elapsedMs() const;
 
     RetryOptions opts_;
-    Rng rng_{0x6e77, 1};
     std::uint64_t attempt_ = 0; ///< failed attempts this round
     std::chrono::steady_clock::time_point round_start_{};
     std::uint64_t retries_ = 0;

@@ -39,7 +39,6 @@ CycleNetwork::CycleNetwork(Simulation &sim, const std::string &name,
             "total latency on vnet " + std::to_string(v)));
     }
 
-    stalled_.assign(topo_->numNodes(), 0);
     fabric_ = make_fabric(this, params_, *topo_, *routing_);
     inform("network '", name, "': compute kernel ",
            fabric_->description());
@@ -95,16 +94,6 @@ CycleNetwork::accounting() const
     return acc;
 }
 
-bool
-CycleNetwork::setNodeStalled(std::size_t node, bool stalled)
-{
-    if (node >= stalled_.size())
-        fatal("cycle network: cannot stall node ", node, " of ",
-              stalled_.size());
-    stalled_[node] = stalled ? 1 : 0;
-    return true;
-}
-
 void
 CycleNetwork::applyDelivery(const PacketPtr &pkt)
 {
@@ -138,13 +127,10 @@ CycleNetwork::stepCycle()
     }
 
     // Phase 1: allocation and traversal (pushes onto outgoing links).
-    // A stalled router freezes mid-pipeline: it neither allocates nor
-    // returns credits, so upstream backpressure builds into a genuine
-    // deadlock the watchdog has to catch.
-    fabric_->compute(*engine_, now, stalled_);
+    fabric_->compute(*engine_, now);
 
     // Phase 2: buffer writes and credit returns (pops incoming links).
-    fabric_->commit(*engine_, now, stalled_);
+    fabric_->commit(*engine_, now);
 
     // Sequential: fire delivery callbacks in node order.
     for (int i : fabric_->completedNodes()) {
@@ -194,8 +180,6 @@ CycleNetwork::save(ArchiveWriter &aw) const
     aw.putU64(injected_);
     aw.putU64(delivered_);
     aw.putU64(in_fabric_);
-    for (char s : stalled_)
-        aw.putU8(static_cast<std::uint8_t>(s));
 
     // Drain a copy of the injection heap in order (the heap does not
     // expose its container).
@@ -222,8 +206,6 @@ CycleNetwork::restore(ArchiveReader &ar)
     injected_ = ar.getU64();
     delivered_ = ar.getU64();
     in_fabric_ = ar.getU64();
-    for (char &s : stalled_)
-        s = static_cast<char>(ar.getU8());
 
     pending_ = {};
     std::uint64_t n_pending = ar.getU64();

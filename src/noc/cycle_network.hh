@@ -54,7 +54,6 @@ class CycleNetwork : public SimObject, public NetworkModel
     bool idle() const override;
     std::size_t numNodes() const override;
     std::optional<Accounting> accounting() const override;
-    bool setNodeStalled(std::size_t node, bool stalled) override;
 
     /**
      * Replace the execution engine (default: SerialEngine). The
@@ -125,9 +124,6 @@ class CycleNetwork : public SimObject, public NetworkModel
     StepEngine *engine_;
 
     std::unique_ptr<kernel::CycleFabric> fabric_;
-    /** Fault hook: routers whose pipeline is wedged (see
-     *  setNodeStalled). Written only between cycles. */
-    std::vector<char> stalled_;
 
     Tick time_ = 0;
     std::uint64_t injected_ = 0;

@@ -35,7 +35,6 @@ DeflectionNetwork::DeflectionNetwork(Simulation &sim,
         fatal("deflection network needs a mesh or torus topology");
     topo_ = makeTopology(params_.topology, params_.columns,
                          params_.rows);
-    stalled_.assign(topo_->numNodes(), 0);
     fabric_ = make_fabric(params_, *topo_);
     inform("network '", name, "': compute kernel ",
            fabric_->description());
@@ -90,16 +89,6 @@ DeflectionNetwork::accounting() const
     acc.delivered = delivered_;
     acc.in_flight = injected_ - delivered_;
     return acc;
-}
-
-bool
-DeflectionNetwork::setNodeStalled(std::size_t node, bool stalled)
-{
-    if (node >= stalled_.size())
-        fatal("deflection network: cannot stall node ", node, " of ",
-              stalled_.size());
-    stalled_[node] = stalled ? 1 : 0;
-    return true;
 }
 
 void
@@ -164,7 +153,7 @@ DeflectionNetwork::stepCycle()
 
     // Phase 1: eject/inject/route — node i writes only its own
     // arrival set, staging slots, reassembly map and scratch.
-    fabric_->route(*engine_, now, stalled_);
+    fabric_->route(*engine_, now);
 
     // Phase 2: gather — node j rebuilds its arrival set from its
     // upstream staging slots (sole reader of each slot).
@@ -201,8 +190,6 @@ DeflectionNetwork::save(ArchiveWriter &aw) const
     aw.putU64(queued_flits_);
     aw.putU64(delivered_);
     aw.putU64(injected_);
-    for (char s : stalled_)
-        aw.putU8(static_cast<std::uint8_t>(s));
 
     auto pending = pending_;
     std::vector<PacketPtr> queued;
@@ -228,8 +215,6 @@ DeflectionNetwork::restore(ArchiveReader &ar)
     queued_flits_ = ar.getU64();
     delivered_ = ar.getU64();
     injected_ = ar.getU64();
-    for (char &s : stalled_)
-        s = static_cast<char>(ar.getU8());
 
     pending_ = {};
     std::uint64_t n_pending = ar.getU64();

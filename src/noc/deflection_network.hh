@@ -76,7 +76,6 @@ class DeflectionNetwork : public SimObject, public NetworkModel
     bool idle() const override;
     std::size_t numNodes() const override;
     std::optional<Accounting> accounting() const override;
-    bool setNodeStalled(std::size_t node, bool stalled) override;
 
     /**
      * Replace the execution engine (default: SerialEngine). The
@@ -115,9 +114,6 @@ class DeflectionNetwork : public SimObject, public NetworkModel
     StepEngine *engine_;
 
     std::unique_ptr<kernel::DeflectFabric> fabric_;
-    /** Fault hook: nodes whose ejection port is wedged — their flits
-     *  circulate forever (livelock). Written only between cycles. */
-    std::vector<char> stalled_;
 
     struct InjectOrder
     {

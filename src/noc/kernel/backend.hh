@@ -76,13 +76,11 @@ class CycleFabric
     virtual void enqueue(std::size_t node, const PacketPtr &pkt,
                          Cycle now) = 0;
 
-    /** Phase 1 over all nodes. @p stalled nodes skip router compute. */
-    virtual void compute(StepEngine &engine, Cycle now,
-                         const std::vector<char> &stalled) = 0;
+    /** Phase 1 over all nodes. */
+    virtual void compute(StepEngine &engine, Cycle now) = 0;
 
-    /** Phase 2 over all nodes. @p stalled nodes skip router commit. */
-    virtual void commit(StepEngine &engine, Cycle now,
-                        const std::vector<char> &stalled) = 0;
+    /** Phase 2 over all nodes. */
+    virtual void commit(StepEngine &engine, Cycle now) = 0;
 
     /**
      * Packets fully received at @p node this cycle, in arrival order.
@@ -170,8 +168,7 @@ class DeflectFabric
     virtual void enqueue(std::size_t node, const PacketPtr &pkt,
                          std::uint32_t nflits) = 0;
 
-    virtual void route(StepEngine &engine, Cycle now,
-                       const std::vector<char> &stalled) = 0;
+    virtual void route(StepEngine &engine, Cycle now) = 0;
 
     virtual void gather(StepEngine &engine) = 0;
 

@@ -746,48 +746,39 @@ SoaCycleFabric::scanRange(const std::vector<std::uint32_t> &occ,
 }
 
 void
-SoaCycleFabric::compute(StepEngine &engine, Cycle now,
-                        const std::vector<char> &stalled)
+SoaCycleFabric::compute(StepEngine &engine, Cycle now)
 {
     phase_now_ = now;
     phase_va_start_ = static_cast<int>(now % P_);
-    phase_stalled_ = &stalled;
     engine.forRange(
         ranges_.units(), [this](std::size_t b, std::size_t e) {
             auto [lo, hi] = ranges_.nodes(b, e);
             std::size_t cnt = scanRange(compute_occ_, compute_words, lo, hi);
             Cycle now = phase_now_;
-            const std::vector<char> &stalled = *phase_stalled_;
             for (std::size_t k = 0; k < cnt; ++k) {
                 int i = static_cast<int>(lo) + worklist_[lo + k];
                 ranges_.visit(i);
                 nicCompute(i, now);
-                if (!stalled[i]) {
-                    routerComputeVa(i);
-                    routerComputeSa(i, now);
-                }
+                routerComputeVa(i);
+                routerComputeSa(i, now);
             }
         });
 }
 
 void
-SoaCycleFabric::commit(StepEngine &engine, Cycle now,
-                       const std::vector<char> &stalled)
+SoaCycleFabric::commit(StepEngine &engine, Cycle now)
 {
     completed_nodes_.clear();
     phase_now_ = now;
-    phase_stalled_ = &stalled;
     engine.forRange(
         ranges_.units(), [this](std::size_t b, std::size_t e) {
             auto [lo, hi] = ranges_.nodes(b, e);
             std::size_t cnt = scanRange(commit_occ_, commit_words, lo, hi);
             Cycle now = phase_now_;
-            const std::vector<char> &stalled = *phase_stalled_;
             for (std::size_t k = 0; k < cnt; ++k) {
                 int i = static_cast<int>(lo) + worklist_[lo + k];
                 ranges_.visit(i);
-                if (!stalled[i])
-                    routerCommit(i, now);
+                routerCommit(i, now);
                 nicCommit(i, now);
             }
         });

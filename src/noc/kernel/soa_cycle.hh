@@ -75,10 +75,8 @@ class SoaCycleFabric : public CycleFabric
 
     void enqueue(std::size_t node, const PacketPtr &pkt,
                  Cycle now) override;
-    void compute(StepEngine &engine, Cycle now,
-                 const std::vector<char> &stalled) override;
-    void commit(StepEngine &engine, Cycle now,
-                const std::vector<char> &stalled) override;
+    void compute(StepEngine &engine, Cycle now) override;
+    void commit(StepEngine &engine, Cycle now) override;
     std::vector<PacketPtr> &completed(std::size_t node) override;
     const std::vector<int> &completedNodes() const override;
     void flushStats() override;
@@ -387,7 +385,6 @@ class SoaCycleFabric : public CycleFabric
     // Set before the engine call, read-only inside the phase.
     Cycle phase_now_ = 0;
     int phase_va_start_ = 0; ///< phase_now_ % P_: VA's first in-port
-    const std::vector<char> *phase_stalled_ = nullptr;
 
     // Per-node route scratch (reserved; no steady-state allocation).
     std::vector<std::vector<int>> route_scratch_;

@@ -139,17 +139,14 @@ SoaDeflectFabric::enqueue(std::size_t node, const PacketPtr &pkt,
 }
 
 void
-SoaDeflectFabric::routeNode(int i, Cycle now,
-                            const std::vector<char> &stalled)
+SoaDeflectFabric::routeNode(int i, Cycle now)
 {
     DFlit *cand = &arr_[static_cast<std::size_t>(i) * cap_];
     std::uint32_t cnt = arr_cnt_[i];
     NodeScratch &s = scratch_[i];
 
-    // Ejection: one flit per cycle, oldest first. A stalled node's
-    // ejection port is wedged: its flits keep routing (bufferless
-    // fabrics cannot hold them) but never leave.
-    if (cnt > 0 && !stalled[i]) {
+    // Ejection: one flit per cycle, oldest first.
+    if (cnt > 0) {
         int eject = -1;
         for (std::uint32_t k = 0; k < cnt; ++k) {
             if (cand[k].pkt->dst != static_cast<NodeId>(i))
@@ -305,8 +302,7 @@ SoaDeflectFabric::gatherNode(int j)
 }
 
 void
-SoaDeflectFabric::route(StepEngine &engine, Cycle now,
-                        const std::vector<char> &stalled)
+SoaDeflectFabric::route(StepEngine &engine, Cycle now)
 {
     route_list_.resize(n_);
     route_list_.resize(
@@ -314,12 +310,10 @@ SoaDeflectFabric::route(StepEngine &engine, Cycle now,
     if (route_list_.empty())
         return;
     phase_now_ = now;
-    phase_stalled_ = &stalled;
     engine.forRange(route_list_.size(),
                     [this](std::size_t b, std::size_t e) {
                         for (std::size_t k = b; k < e; ++k)
-                            routeNode(route_list_[k], phase_now_,
-                                      *phase_stalled_);
+                            routeNode(route_list_[k], phase_now_);
                     });
 }
 

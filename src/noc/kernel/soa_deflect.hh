@@ -43,8 +43,7 @@ class SoaDeflectFabric : public DeflectFabric
 
     void enqueue(std::size_t node, const PacketPtr &pkt,
                  std::uint32_t nflits) override;
-    void route(StepEngine &engine, Cycle now,
-               const std::vector<char> &stalled) override;
+    void route(StepEngine &engine, Cycle now) override;
     void gather(StepEngine &engine) override;
     const std::vector<int> &scratchNodes() const override;
     NodeScratch &scratch(std::size_t node) override;
@@ -97,7 +96,7 @@ class SoaDeflectFabric : public DeflectFabric
         void grow();
     };
 
-    void routeNode(int i, Cycle now, const std::vector<char> &stalled);
+    void routeNode(int i, Cycle now);
     void gatherNode(int j);
 
     const NocParams &params_;
@@ -139,7 +138,6 @@ class SoaDeflectFabric : public DeflectFabric
     // past its inline buffer and costs a heap allocation per phase.
     // Set before the engine call, read-only inside the phase.
     Cycle phase_now_ = 0;
-    const std::vector<char> *phase_stalled_ = nullptr;
 };
 
 } // namespace kernel

@@ -95,21 +95,6 @@ class NetworkModel
     {
         return std::nullopt;
     }
-
-    /**
-     * Debug/fault hook: wedge (or release) node @p node. Semantics are
-     * model-specific — a stalled cycle-network router stops its
-     * pipeline (credits freeze, upstream backpressure builds into a
-     * deadlock); a stalled deflection node stops ejecting (its flits
-     * circulate forever, a livelock). Returns false when unsupported.
-     */
-    virtual bool
-    setNodeStalled(std::size_t node, bool stalled)
-    {
-        (void)node;
-        (void)stalled;
-        return false;
-    }
 };
 
 } // namespace noc

@@ -16,14 +16,6 @@ namespace noc
 namespace remote
 {
 
-namespace
-{
-
-/** Rng stream of the retry policy's jitter draws. */
-constexpr std::uint64_t rng_stream_retry = 0x7274;
-
-} // namespace
-
 void
 RemoteOptions::validate() const
 {
@@ -81,11 +73,10 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
 {
     params_.validate();
     // One fault schedule and one retry policy for the object's whole
-    // life: the draw sequences run across every reconnect,
-    // which is what makes a chaos run reproducible end to end.
-    fault_sched_ = TransportFaultSchedule(options_.fault);
-    retry_ = ipc::RetryPolicy(options_.retry,
-                              sim.makeRng(rng_stream_retry));
+    // life: the fault draws run across every reconnect, which is what
+    // makes a chaos run reproducible end to end.
+    fault_sched_ = ipc::TransportFaultSchedule(options_.fault);
+    retry_ = ipc::RetryPolicy(options_.retry);
     for (int v = 0; v < num_vnets; ++v) {
         vnetLatency.push_back(std::make_unique<stats::Distribution>(
             this, std::string("latency_vnet") + std::to_string(v),

@@ -25,7 +25,7 @@
  *
  * Failure: every transport fault or quantum timeout is first fought
  * locally. The deterministic retry policy (network.remote.retry.*)
- * reconnects with seeded jittered backoff and rebuilds the server's
+ * reconnects with exponential backoff and rebuilds the server's
  * state from the client's *recovery lineage*: the last base checkpoint
  * image (refreshed every network.remote.ckpt_quanta quanta) plus a
  * journal of every quantum request issued since. Replaying the journal
@@ -69,13 +69,13 @@
 #include <string>
 #include <vector>
 
+#include "ipc/faulty_transport.hh"
 #include "ipc/frame.hh"
 #include "ipc/protocol.hh"
 #include "ipc/retry.hh"
 #include "ipc/socket.hh"
 #include "noc/network_model.hh"
 #include "noc/params.hh"
-#include "sim/fault_injector.hh"
 #include "sim/sim_error.hh"
 #include "sim/sim_object.hh"
 #include "stats/distribution.hh"
@@ -83,11 +83,6 @@
 
 namespace rasim
 {
-namespace ipc
-{
-class FaultyTransport;
-} // namespace ipc
-
 namespace noc
 {
 namespace remote
@@ -119,7 +114,7 @@ struct RemoteOptions
     /** Deterministic retry/backoff budgets. */
     ipc::RetryOptions retry;
     /** Client-side transport chaos. */
-    TransportFaultOptions fault;
+    ipc::TransportFaultOptions fault;
 
     void
     keys(config::Binder &v)
@@ -185,7 +180,7 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /** The retry policy driving every transport round. */
     const ipc::RetryPolicy &retryPolicy() const { return retry_; }
     /** The fault schedule shared by every client connection. */
-    const TransportFaultSchedule &
+    const ipc::TransportFaultSchedule &
     faultSchedule() const
     {
         return fault_sched_;
@@ -383,7 +378,7 @@ class RemoteNetwork : public SimObject, public NetworkModel
     std::unique_ptr<ipc::ByteChannel> chan_;
     /** One schedule across every connection (the first session and
      *  every reconnect), so a chaos run is reproducible end to end. */
-    TransportFaultSchedule fault_sched_;
+    ipc::TransportFaultSchedule fault_sched_;
     ipc::RetryPolicy retry_;
     bool ever_connected_ = false;
 

@@ -57,8 +57,11 @@ class ArchiveWriter
                                       'M', 'C', 'K', 'P'};
     /** v2: FullSystem's "meta" section carries the latency-table
      *  knobs; v3: it carries the state-shaping part of the whole
-     *  configuration record (config::record) as key/value strings. */
-    static constexpr std::uint32_t format_version = 3;
+     *  configuration record (config::record) as key/value strings;
+     *  v4: the network sections drop their per-node stall bytes, the
+     *  bridge drops its health-monitor presence flag (the monitor
+     *  always exists) and FullSystem writes no "fault" section. */
+    static constexpr std::uint32_t format_version = 4;
 
     void beginSection(const std::string &tag);
     void endSection();

@@ -6,7 +6,7 @@
  * restoring into a freshly constructed process object and simulating
  * the remaining N-k quanta — same delivered-packet trace, same finish
  * tick, same rendered statistics, same tuned latency table — across
- * couplings, engines and with deterministic fault injection active.
+ * couplings, engines and with a health guard tripping mid-run.
  * Plus the crash-safety half: atomic on-disk images, rotation, and
  * fallback past corrupt or mismatched images at boot.
  */
@@ -76,14 +76,14 @@ struct Scenario
     Mode mode = Mode::CosimCycle;
     bool conservative = false;
     bool parallel = false;
-    bool drop = false;   ///< fault: drop every 9th packet
-    bool delay = false;  ///< fault: delay every 5th packet
-    bool poison = false; ///< fault: poison every 11th delivery
-    char name[39] = {};
+    /** Set a guard threshold the run really crosses: the bridge
+     *  degrades, re-engages on probation and re-trips. */
+    bool degrade = false;
+    char name[41] = {};
 };
 static_assert(sizeof(Scenario) == 48 &&
                   sizeof(Scenario) ==
-                      sizeof(Mode) + 5 * sizeof(bool) +
+                      sizeof(Mode) + 3 * sizeof(bool) +
                           sizeof(Scenario::name),
               "Scenario must be 48 bytes with no padding");
 
@@ -106,15 +106,16 @@ scenarioOptions(const Scenario &s)
     o.health.recovery_quanta = 4;
     o.health.probation_quanta = 2;
     o.health.checkpoint_quanta = 4;
-    o.fault.enabled = s.drop || s.delay || s.poison;
-    if (s.drop)
-        o.fault.drop_every = 9;
-    if (s.delay) {
-        o.fault.delay_every = 5;
-        o.fault.delay_cycles = 48;
+    if (s.degrade) {
+        // Conservative: the first misses leave packets in flight across
+        // a whole quantum with no delivery yet, so a one-quantum
+        // watchdog trips. Reciprocal: no estimate is exact, so a tiny
+        // error bound trips at the first boundary with feedback.
+        if (s.conservative)
+            o.health.watchdog_cycles = o.quantum;
+        else
+            o.health.divergence_error = 1e-6;
     }
-    if (s.poison)
-        o.fault.poison_every = 11;
     return o;
 }
 
@@ -188,6 +189,10 @@ TEST_P(CheckpointDifferential, ResumeIsBitIdentical)
         sys.run(k * opts.quantum);
         EXPECT_EQ(sys.simulation().curTick(), k * opts.quantum);
         EXPECT_FALSE(sys.allCoresDone());
+        if (GetParam().degrade) {
+            // The image must carry a degraded state machine.
+            EXPECT_GE(sys.bridge().health()->degradations.value(), 1.0);
+        }
         std::ostringstream os;
         sys.saveTo(os);
         image = os.str();
@@ -212,18 +217,17 @@ TEST_P(CheckpointDifferential, ResumeIsBitIdentical)
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, CheckpointDifferential,
     testing::Values(
-        Scenario{Mode::CosimCycle, false, false, false, false, false,
+        Scenario{Mode::CosimCycle, false, false, false,
                  "reciprocal_serial"},
-        Scenario{Mode::CosimCycle, true, false, false, false, false,
+        Scenario{Mode::CosimCycle, true, false, false,
                  "conservative_serial"},
-        Scenario{Mode::CosimCycle, false, true, false, true, true,
+        Scenario{Mode::CosimCycle, false, true, true,
                  "reciprocal_parallel_faults"},
-        Scenario{Mode::CosimCycle, true, false, true, false, false,
+        Scenario{Mode::CosimCycle, true, false, true,
                  "conservative_degrades"},
-        Scenario{Mode::CosimGpu, false, false, false, true, false,
+        Scenario{Mode::CosimGpu, false, false, true,
                  "overlapped_gpu_faults"},
-        Scenario{Mode::Monolithic, false, false, false, false, false,
-                 "monolithic"}),
+        Scenario{Mode::Monolithic, false, false, false, "monolithic"}),
     [](const testing::TestParamInfo<Scenario> &info) {
         return std::string(info.param.name);
     });
@@ -258,10 +262,10 @@ TEST(Checkpoint, MismatchedConfigurationRejectedNonFatally)
 
 TEST(Checkpoint, QuarantinedBridgeRestoresQuarantined)
 {
-    // Dropped packets violate conservation, so the conservative run
+    // A one-quantum watchdog trips the conservative run, so it
     // degrades; the archived state machine must come back verbatim —
     // still quarantined, same cooldown trajectory.
-    Scenario s{Mode::CosimCycle, true, false, true, false, false, ""};
+    Scenario s{Mode::CosimCycle, true, false, true, ""};
     FullSystemOptions opts = scenarioOptions(s);
     opts.health.recovery_quanta = 1000; // stay degraded for the test
 

@@ -1,19 +1,16 @@
 /**
  * @file
- * Tests for the deterministic fault injector: each fault class fires
+ * Tests for the health tests' fault injector: each fault class fires
  * exactly as keyed, faulty runs are reproducible, and the decorator
  * is transparent when every fault is off.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/expect_error.hh"
-
 #include <vector>
 
+#include "cosim/fault_injector.hh"
 #include "noc/cycle_network.hh"
-#include "sim/config.hh"
-#include "sim/fault_injector.hh"
 #include "sim/simulation.hh"
 
 namespace
@@ -133,35 +130,6 @@ TEST(FaultInjector, FreezeWindowStopsBackendProgress)
     EXPECT_EQ(f.delivered.size(), 1u);
 }
 
-TEST(FaultInjector, StalledRouterWedgesTraffic)
-{
-    FaultOptions o;
-    o.stall_node = 9; // destination router
-    InjectorFixture f(o);
-    f.send(0, 9, 0);
-    f.inj.advanceTo(2000);
-    // The stalled router never moves the packet on; it stays in
-    // flight forever — a genuine deadlock for the watchdog to catch.
-    EXPECT_EQ(f.delivered.size(), 0u);
-    auto acc = f.inj.accounting();
-    ASSERT_TRUE(acc.has_value());
-    EXPECT_EQ(acc->in_flight, 1u);
-}
-
-TEST(FaultInjector, StallWindowReleasesOnSchedule)
-{
-    FaultOptions o;
-    o.stall_node = 9;
-    o.stall_from = 0;
-    o.stall_until = 500;
-    InjectorFixture f(o);
-    f.send(0, 9, 0);
-    f.inj.advanceTo(400);
-    EXPECT_EQ(f.delivered.size(), 0u);
-    f.inj.advanceTo(1000); // stall released at the 500-tick boundary
-    EXPECT_EQ(f.delivered.size(), 1u);
-}
-
 TEST(FaultInjector, FaultyRunsAreReproducible)
 {
     auto run = [] {
@@ -182,50 +150,6 @@ TEST(FaultInjector, FaultyRunsAreReproducible)
         return out;
     };
     EXPECT_EQ(run(), run());
-}
-
-TEST(FaultInjector, FromConfigReadsAllKeys)
-{
-    Config cfg;
-    cfg.set("fault.enabled", true);
-    cfg.set("fault.drop_every", 7);
-    cfg.set("fault.delay_every", 5);
-    cfg.set("fault.delay_cycles", 33);
-    cfg.set("fault.stall_node", 12);
-    cfg.set("fault.stall_from", 100);
-    cfg.set("fault.stall_until", 200);
-    cfg.set("fault.freeze_from", 300);
-    cfg.set("fault.freeze_until", 400);
-    cfg.set("fault.poison_every", 9);
-    cfg.set("fault.poison_offset", 5000);
-    auto o = config::parse<FaultOptions>(cfg);
-    EXPECT_TRUE(o.enabled);
-    EXPECT_EQ(o.drop_every, 7u);
-    EXPECT_EQ(o.delay_every, 5u);
-    EXPECT_EQ(o.delay_cycles, 33u);
-    EXPECT_EQ(o.stall_node, 12);
-    EXPECT_EQ(o.stall_from, 100u);
-    EXPECT_EQ(o.stall_until, 200u);
-    EXPECT_EQ(o.freeze_from, 300u);
-    EXPECT_EQ(o.freeze_until, 400u);
-    EXPECT_EQ(o.poison_every, 9u);
-    EXPECT_EQ(o.poison_offset, 5000u);
-}
-
-TEST(FaultInjector, FromConfigRejectsZeroDelay)
-{
-    Config cfg;
-    cfg.set("fault.delay_every", 2);
-    cfg.set("fault.delay_cycles", 0);
-    EXPECT_SIM_ERROR(config::parse<FaultOptions>(cfg), "delay_cycles");
-}
-
-TEST(FaultInjector, FromConfigRejectsZeroPoisonOffset)
-{
-    Config cfg;
-    cfg.set("fault.poison_every", 2);
-    cfg.set("fault.poison_offset", 0);
-    EXPECT_SIM_ERROR(config::parse<FaultOptions>(cfg), "poison_offset");
 }
 
 } // namespace

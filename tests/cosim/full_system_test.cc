@@ -5,18 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/expect_error.hh"
+#include "common/local_server.hh"
 
 #include "cosim/full_system.hh"
 #include "gpu/gpu_model.hh"
@@ -128,12 +126,17 @@ TEST(FullSystem, MisspelledConfigKeyWarns)
 {
     // A typo'd key is never read by any consumer, so assembling the
     // system flags it instead of silently ignoring it — also when the
-    // typo is in the prefix, which no parser knows. The retired
-    // wall-clock guard keys are reported the same way, so an old
-    // command line hears that its budget no longer exists.
+    // typo is in the prefix, which no parser knows. Retired keys — the
+    // wall-clock guard budgets, the network fault injector's fault.*
+    // keys, the health monitor's on/off switches and the retry
+    // jitter/multiplier — are reported the same way, so an old
+    // command line hears that its setting no longer exists.
     for (const char *key :
          {"noc.colums", "sytem.quantum", "health.worker_timeout_ms",
-          "health.timeout_scale", "fault.hang_ms"}) {
+          "health.timeout_scale", "fault.hang_ms", "fault.drop_every",
+          "health.enabled", "health.conservation",
+          "network.remote.retry.jitter",
+          "network.remote.retry.multiplier"}) {
         Config cfg;
         cfg.set(key, 4);
         auto before = warnCount();
@@ -251,9 +254,7 @@ nonDefaultValues(const std::string &socket)
         {"network.remote.attest_quanta", "3"},
         {"network.remote.retry.max_attempts", "5"},
         {"network.remote.retry.base_ms", "2.5"},
-        {"network.remote.retry.multiplier", "3"},
         {"network.remote.retry.max_ms", "80"},
-        {"network.remote.retry.jitter", "0.25"},
         {"network.remote.retry.deadline_ms", "100"},
         {"fault.transport.enabled", "true"},
         {"fault.transport.seed", "9"},
@@ -290,8 +291,6 @@ nonDefaultValues(const std::string &socket)
         {"mem.mshrs", "4"},
         {"mem.wb_buffer", "2"},
         {"mem.control_bytes", "16"},
-        {"health.enabled", "false"},
-        {"health.conservation", "false"},
         {"health.watchdog_cycles", "5000"},
         {"health.divergence_factor", "32"},
         {"health.divergence_error", "1.5"},
@@ -300,17 +299,6 @@ nonDefaultValues(const std::string &socket)
         {"health.probation_quanta", "4"},
         {"health.max_backoff", "8"},
         {"health.degrade", "false"},
-        {"fault.enabled", "true"},
-        {"fault.drop_every", "9"},
-        {"fault.delay_every", "5"},
-        {"fault.delay_cycles", "32"},
-        {"fault.stall_node", "3"},
-        {"fault.stall_from", "100"},
-        {"fault.stall_until", "200"},
-        {"fault.freeze_from", "100"},
-        {"fault.freeze_until", "200"},
-        {"fault.poison_every", "7"},
-        {"fault.poison_offset", "500"},
         {"checkpoint.interval_quanta", "8"},
         {"checkpoint.dir", "ckpts"},
         {"checkpoint.keep", "5"},
@@ -396,28 +384,7 @@ TEST(ConfigRecord, EveryKeyRoundTripsThroughTheRecord)
     EXPECT_TRUE(gcfg.unreadKeysWithPrefix("").empty());
 }
 
-/** An in-process rasim-nocd on a per-process Unix socket. */
-struct LocalServer
-{
-    LocalServer()
-        : address("unix:/tmp/rasim-fs-test-" + std::to_string(::getpid()) +
-                  ".sock")
-    {
-        ipc::NocServerOptions opts;
-        opts.address = address;
-        server = std::make_unique<ipc::NocServer>(opts);
-        thread = std::thread([this] { server->run(); });
-    }
-    ~LocalServer()
-    {
-        server->stop();
-        thread.join();
-    }
-
-    std::string address;
-    std::unique_ptr<ipc::NocServer> server;
-    std::thread thread;
-};
+using test::LocalServer;
 
 TEST(FullSystem, ResumeUnderAnyOtherStateShapingValueIsANamedMismatch)
 {
@@ -452,8 +419,8 @@ TEST(FullSystem, ResumeUnderAnyOtherStateShapingValueIsANamedMismatch)
     std::vector<std::string> allowed = {
         "system.engine_workers", "system.parallel", "remote.socket",
         "remote.connect_timeout_ms", "remote.quantum_timeout_ms"};
-    for (const char *k : {"max_attempts", "base_ms", "multiplier",
-                          "max_ms", "jitter", "deadline_ms"})
+    for (const char *k : {"max_attempts", "base_ms", "max_ms",
+                          "deadline_ms"})
         allowed.push_back(std::string("network.remote.retry.") + k);
     for (const char *k :
          {"enabled", "seed", "torn_frame", "short_read", "corrupt", "delay",
@@ -501,7 +468,7 @@ TEST(FullSystem, ResumeUnderOtherNeutralValuesFinishesIdentically)
                                   {"system.engine_workers", "1"},
                                   {"kernel.simd", "scalar"},
                                   {"remote.quantum_timeout_ms", "0"},
-                                  {"network.remote.retry.jitter", "0"},
+                                  {"network.remote.retry.max_ms", "50"},
                                   {"checkpoint.keep", "5"}}));
     std::string why;
     ASSERT_TRUE(sys.restoreFromBytes(image, &why)) << why;

@@ -26,7 +26,6 @@
 #include "ipc/nocd_server.hh"
 #include "ipc/protocol.hh"
 #include "noc/packet.hh"
-#include "sim/fault_injector.hh"
 #include "sim/sim_error.hh"
 
 namespace

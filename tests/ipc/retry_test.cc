@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests of the deterministic retry machinery: the backoff
- * sequence as a pure function of seed and failure pattern, the
+ * sequence as a pure function of the failure pattern, the
  * attempt/deadline budgets, and the transport fault schedule's reproducibility guarantees —
  * plus config hygiene for the new key families.
  */
@@ -14,12 +14,11 @@
 #include <vector>
 
 #include "common/expect_error.hh"
+#include "ipc/faulty_transport.hh"
 #include "ipc/nocd_server.hh"
 #include "ipc/retry.hh"
 #include "noc/remote/remote_network.hh"
 #include "sim/config.hh"
-#include "sim/fault_injector.hh"
-#include "sim/rng.hh"
 
 namespace
 {
@@ -34,53 +33,16 @@ fastOptions()
     RetryOptions o;
     o.max_attempts = 5;
     o.backoff_base_ms = 0.01;
-    o.backoff_multiplier = 4.0;
     o.backoff_max_ms = 0.16;
-    o.jitter = 0.5;
     o.deadline_ms = 0.0;
     return o;
-}
-
-/** Drive @p rounds full rounds of @p fails failures each, collecting
- *  every backoff. */
-std::vector<double>
-backoffTrace(RetryPolicy &p, int rounds, int fails)
-{
-    std::vector<double> trace;
-    for (int r = 0; r < rounds; ++r) {
-        p.beginRound();
-        for (int f = 0; f < fails; ++f) {
-            p.noteFailure();
-            if (!p.shouldRetry())
-                break;
-            trace.push_back(p.backoff());
-        }
-    }
-    return trace;
-}
-
-TEST(RetryPolicy, BackoffSequenceIsAPureFunctionOfTheSeed)
-{
-    RetryPolicy a(fastOptions(), Rng(0x1234, 7));
-    RetryPolicy b(fastOptions(), Rng(0x1234, 7));
-    auto ta = backoffTrace(a, 6, 3);
-    auto tb = backoffTrace(b, 6, 3);
-    ASSERT_FALSE(ta.empty());
-    EXPECT_EQ(ta, tb);
-    EXPECT_EQ(a.retries(), b.retries());
-    EXPECT_DOUBLE_EQ(a.backoffMsTotal(), b.backoffMsTotal());
-
-    // A different stream of the same seed is a different sequence.
-    RetryPolicy c(fastOptions(), Rng(0x1234, 8));
-    EXPECT_NE(backoffTrace(c, 6, 3), ta);
 }
 
 TEST(RetryPolicy, BackoffGrowsExponentiallyAndCaps)
 {
     RetryOptions o = fastOptions();
-    o.jitter = 0.0; // exact nominal values
     o.max_attempts = 6;
-    RetryPolicy p(o, Rng(1, 1));
+    RetryPolicy p(o);
     p.beginRound();
     std::vector<double> got;
     for (int f = 0; f < 5; ++f) {
@@ -88,7 +50,9 @@ TEST(RetryPolicy, BackoffGrowsExponentiallyAndCaps)
         ASSERT_TRUE(p.shouldRetry());
         got.push_back(p.backoff());
     }
-    // 0.01, 0.04, 0.16, then the 0.16 ceiling binds.
+    // 0.01, 0.04, 0.16 (fourfold growth), then the 0.16 ceiling
+    // binds. No jitter: the sequence is a pure function of the
+    // failure count.
     ASSERT_EQ(got.size(), 5u);
     EXPECT_DOUBLE_EQ(got[0], 0.01);
     EXPECT_DOUBLE_EQ(got[1], 0.04);
@@ -97,29 +61,11 @@ TEST(RetryPolicy, BackoffGrowsExponentiallyAndCaps)
     EXPECT_DOUBLE_EQ(got[4], 0.16);
 }
 
-TEST(RetryPolicy, JitterStaysInsideItsBand)
-{
-    RetryOptions o = fastOptions();
-    o.jitter = 0.5;
-    o.backoff_multiplier = 1.0;
-    o.backoff_base_ms = 0.1;
-    o.backoff_max_ms = 0.1;
-    o.max_attempts = 50;
-    RetryPolicy p(o, Rng(0xfeed, 2));
-    p.beginRound();
-    for (int f = 0; f < 40; ++f) {
-        p.noteFailure();
-        double ms = p.backoff();
-        EXPECT_GE(ms, 0.05);
-        EXPECT_LT(ms, 0.1 + 1e-12);
-    }
-}
-
 TEST(RetryPolicy, AttemptCapEndsTheRound)
 {
     RetryOptions o = fastOptions();
     o.max_attempts = 3;
-    RetryPolicy p(o, Rng(1, 1));
+    RetryPolicy p(o);
     p.beginRound();
     p.noteFailure();
     EXPECT_TRUE(p.shouldRetry());
@@ -133,7 +79,7 @@ TEST(RetryPolicy, DeadlineBindsAndCapsConnectBudgets)
 {
     RetryOptions o = fastOptions();
     o.deadline_ms = 40.0;
-    RetryPolicy p(o, Rng(1, 1));
+    RetryPolicy p(o);
     p.beginRound();
     EXPECT_LE(p.capToDeadline(5000.0), 40.0);
     EXPECT_DOUBLE_EQ(p.capToDeadline(1.5), 1.5);
@@ -145,7 +91,7 @@ TEST(RetryPolicy, DeadlineBindsAndCapsConnectBudgets)
     EXPECT_DOUBLE_EQ(p.capToDeadline(5000.0), 1.0);
 
     // deadline_ms=0 is the bit-reproducible mode: nothing is capped.
-    RetryPolicy q(fastOptions(), Rng(1, 1));
+    RetryPolicy q(fastOptions());
     q.beginRound();
     EXPECT_DOUBLE_EQ(q.capToDeadline(5000.0), 5000.0);
 }
@@ -155,16 +101,12 @@ TEST(RetryOptions, FromConfigReadsAndValidates)
     Config cfg;
     cfg.parseArg("network.remote.retry.max_attempts=7");
     cfg.parseArg("network.remote.retry.base_ms=2.5");
-    cfg.parseArg("network.remote.retry.multiplier=3");
     cfg.parseArg("network.remote.retry.max_ms=80");
-    cfg.parseArg("network.remote.retry.jitter=0.25");
     cfg.parseArg("network.remote.retry.deadline_ms=0");
     RetryOptions o = config::parse<RetryOptions>(cfg);
     EXPECT_EQ(o.max_attempts, 7u);
     EXPECT_DOUBLE_EQ(o.backoff_base_ms, 2.5);
-    EXPECT_DOUBLE_EQ(o.backoff_multiplier, 3.0);
     EXPECT_DOUBLE_EQ(o.backoff_max_ms, 80.0);
-    EXPECT_DOUBLE_EQ(o.jitter, 0.25);
     EXPECT_DOUBLE_EQ(o.deadline_ms, 0.0);
 
     Config bad;
@@ -172,8 +114,8 @@ TEST(RetryOptions, FromConfigReadsAndValidates)
     EXPECT_SIM_ERROR(config::parse<RetryOptions>(bad), "at least 1");
 
     Config bad2;
-    bad2.parseArg("network.remote.retry.jitter=1.5");
-    EXPECT_SIM_ERROR(config::parse<RetryOptions>(bad2), "jitter");
+    bad2.parseArg("network.remote.retry.base_ms=-1");
+    EXPECT_SIM_ERROR(config::parse<RetryOptions>(bad2), "non-negative");
 }
 
 TEST(TransportFaultOptions, FromConfigReadsAndValidates)

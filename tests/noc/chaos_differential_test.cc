@@ -91,6 +91,8 @@ struct RunResult
     /// @{
     std::uint64_t faults = 0;
     std::uint64_t sched_ops = 0;
+    /** Faults of each ipc::TransportFaultKind, by kind value. */
+    std::vector<std::uint64_t> faults_by_kind;
     double retries = 0.0;
     double reconnects = 0.0;
     double backoff_ms = 0.0;
@@ -119,10 +121,10 @@ runDirect(const NocParams &p)
 
 /** A chaos schedule aggressive enough to fire through the whole run
  *  yet bounded so a deterministic retry budget always masks it. */
-TransportFaultOptions
+ipc::TransportFaultOptions
 chaosPlan(std::uint64_t seed)
 {
-    TransportFaultOptions f;
+    ipc::TransportFaultOptions f;
     f.enabled = true;
     f.seed = seed;
     f.torn_frame = 0.04;
@@ -147,20 +149,18 @@ chaosRetry()
     ipc::RetryOptions r;
     r.max_attempts = 10;
     r.backoff_base_ms = 0.05;
-    r.backoff_multiplier = 2.0;
     r.backoff_max_ms = 0.5;
-    r.jitter = 0.5;
     r.deadline_ms = 0.0;
     return r;
 }
 
 /** The chaos run: the same traffic through a RemoteNetwork whose
- *  connection injects seeded faults. @p restart_after_quantum (if
- *  non-zero) runs @p restart at that quantum boundary — the server
- *  dies mid-run, a fresh one takes its address, and the client must
- *  rebuild the lost state there. */
+ *  connection injects seeded faults, advanced in @p step-tick quanta.
+ *  @p restart_after_quantum (if non-zero) runs @p restart at that
+ *  quantum boundary — the server dies mid-run, a fresh one takes its
+ *  address, and the client must rebuild the lost state there. */
 RunResult
-runChaos(const NocParams &p, remote::RemoteOptions ro,
+runChaos(const NocParams &p, remote::RemoteOptions ro, Tick step = 1000,
          Tick restart_after_quantum = 0,
          const std::function<void()> &restart = {})
 {
@@ -172,7 +172,7 @@ runChaos(const NocParams &p, remote::RemoteOptions ro,
             {pkt->id, pkt->deliver_tick, pkt->latency(), pkt->hops});
     });
     injectTraffic(net, net.numNodes());
-    for (Tick t = 1000; t <= 20000; t += 1000) {
+    for (Tick t = step; t <= 20000; t += step) {
         net.advanceTo(t);
         if (restart_after_quantum != 0 && t == restart_after_quantum)
             restart();
@@ -186,6 +186,9 @@ runChaos(const NocParams &p, remote::RemoteOptions ro,
     }();
     r.faults = net.faultSchedule().faults();
     r.sched_ops = net.faultSchedule().ops();
+    for (std::size_t k = 0; k < ipc::transport_fault_kinds; ++k)
+        r.faults_by_kind.push_back(net.faultSchedule().count(
+            static_cast<ipc::TransportFaultKind>(k)));
     r.retries = net.retries.value();
     r.reconnects = net.reconnects.value();
     r.backoff_ms = net.backoffMsTotal.value();
@@ -298,35 +301,51 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
     p.rows = 8;
     remote::RemoteOptions ro;
     ro.socket = addr();
-    // A calm run makes only 12 transport operations; this seed's
-    // schedule fires three faults among them (0x5eed fires none).
-    ro.fault = chaosPlan(0x5eee);
+    ro.fault = chaosPlan(0x5eed);
+    // Uncapped, but every fault is followed by enough clean operations
+    // for a whole recovery (handshake, base image, a 4-quantum journal
+    // replay and the retried exchange), so the retry budget masks any
+    // fault sequence.
+    ro.fault.max_faults = 0;
+    ro.fault.min_gap_ops = 24;
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 4;
 
-    RunResult a = runChaos(p, ro);
-    RunResult b = runChaos(p, ro);
+    // 10-tick quanta keep the fabric exchanging for dozens of quanta,
+    // about a hundred transport operations even when calm, so the
+    // plan's odds (roughly one fault per eleven eligible operations)
+    // fire several faults for any seed. With 1000-tick quanta a calm
+    // run makes a dozen operations, and whether any of them faults is
+    // down to the seed.
+    constexpr Tick step = 10;
+    RunResult a = runChaos(p, ro, step);
+    RunResult b = runChaos(p, ro, step);
+    EXPECT_GE(a.sched_ops, 100u);
     EXPECT_GT(a.faults, 0u);
 
     // Not just the simulation results: the whole failure-handling
-    // trajectory — fault count, transport ops, retry count, even the
-    // jittered backoff total — replays exactly.
+    // trajectory — faults of each kind, transport ops, retry count,
+    // backoff total — replays exactly.
     EXPECT_EQ(a.deliveries, b.deliveries);
     EXPECT_EQ(a.stats, b.stats);
     EXPECT_EQ(a.faults, b.faults);
+    EXPECT_EQ(a.faults_by_kind, b.faults_by_kind);
     EXPECT_EQ(a.sched_ops, b.sched_ops);
     EXPECT_EQ(a.retries, b.retries);
     EXPECT_EQ(a.reconnects, b.reconnects);
     EXPECT_DOUBLE_EQ(a.backoff_ms, b.backoff_ms);
 
     // A different seed is a different chaos trajectory (while the
-    // simulation results stay identical regardless).
+    // simulation results stay identical regardless): over this many
+    // faults, two independent schedules landing on the same kinds at
+    // the same operation count is vanishingly unlikely.
     remote::RemoteOptions other = ro;
-    other.fault.seed = 0x0dd;
-    RunResult c = runChaos(p, other);
+    other.fault.seed = ro.fault.seed + 1;
+    RunResult c = runChaos(p, other, step);
+    EXPECT_GT(c.faults, 0u);
     EXPECT_EQ(c.deliveries, a.deliveries);
-    EXPECT_NE(std::make_pair(c.sched_ops, c.faults),
-              std::make_pair(a.sched_ops, a.faults));
+    EXPECT_NE(std::make_tuple(c.sched_ops, c.faults_by_kind),
+              std::make_tuple(a.sched_ops, a.faults_by_kind));
 }
 
 template <typename Net>
@@ -348,7 +367,7 @@ restartMatchesDirect(const std::string &addr, const std::string &model,
     // fabric is still busy, and a fresh one is started on the same
     // address: the remaining 18 quanta run there, cold-opened from the
     // latest base image.
-    RunResult run = runChaos(p, ro, 2000, restart);
+    RunResult run = runChaos(p, ro, 1000, 2000, restart);
 
     expectSameResults(run, direct, model.c_str());
     EXPECT_GE(run.reconnects, 1.0);
@@ -379,7 +398,7 @@ TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
     remote::RemoteOptions ro;
     ro.socket = addr();
     ro.retry = chaosRetry();
-    ro.fault = TransportFaultOptions{};
+    ro.fault = ipc::TransportFaultOptions{};
     ro.fault.enabled = true; // all probabilities zero: forced only
     remote::RemoteNetwork net(sim, "rnet", p, ro);
     ASSERT_NE(net.faultyChannel(), nullptr);
@@ -387,7 +406,7 @@ TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
     // A cold disconnect before the quantum's send: one retry round
     // reconnects, replays and completes — the caller never notices.
     net.inject(makePacket(1, 0, 15, MsgClass::Request, 8, 10));
-    net.faultyChannel()->failNextSend(TransportFaultKind::Disconnect);
+    net.faultyChannel()->failNextSend(ipc::TransportFaultKind::Disconnect);
     net.advanceTo(1000);
     EXPECT_EQ(net.deliveredCount(), 1u);
     EXPECT_EQ(net.retries.value(), 1.0);
@@ -395,7 +414,7 @@ TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
 
     // A stalled reply (Timeout kind) is just as retryable.
     net.inject(makePacket(2, 1, 14, MsgClass::Request, 8, 1500));
-    net.faultyChannel()->failNextRecv(TransportFaultKind::Stall);
+    net.faultyChannel()->failNextRecv(ipc::TransportFaultKind::Stall);
     net.advanceTo(2000);
     EXPECT_EQ(net.deliveredCount(), 2u);
     EXPECT_EQ(net.retries.value(), 2.0);

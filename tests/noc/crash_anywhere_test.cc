@@ -156,9 +156,7 @@ crashRetry()
     ipc::RetryOptions r;
     r.max_attempts = 60;
     r.backoff_base_ms = 5.0;
-    r.backoff_multiplier = 2.0;
     r.backoff_max_ms = 50.0;
-    r.jitter = 0.5;
     r.deadline_ms = 0.0;
     return r;
 }

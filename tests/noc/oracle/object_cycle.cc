@@ -73,25 +73,21 @@ ObjectCycleFabric::enqueue(std::size_t node, const PacketPtr &pkt,
 }
 
 void
-ObjectCycleFabric::compute(StepEngine &engine, Cycle now,
-                           const std::vector<char> &stalled)
+ObjectCycleFabric::compute(StepEngine &engine, Cycle now)
 {
     std::size_t n = routers_.size();
-    engine.forEach(n, [this, now, &stalled](std::size_t i) {
+    engine.forEach(n, [this, now](std::size_t i) {
         nics_[i]->compute(now);
-        if (!stalled[i])
-            routers_[i]->compute(now);
+        routers_[i]->compute(now);
     });
 }
 
 void
-ObjectCycleFabric::commit(StepEngine &engine, Cycle now,
-                          const std::vector<char> &stalled)
+ObjectCycleFabric::commit(StepEngine &engine, Cycle now)
 {
     std::size_t n = routers_.size();
-    engine.forEach(n, [this, now, &stalled](std::size_t i) {
-        if (!stalled[i])
-            routers_[i]->commit(now);
+    engine.forEach(n, [this, now](std::size_t i) {
+        routers_[i]->commit(now);
         nics_[i]->commit(now);
     });
 }

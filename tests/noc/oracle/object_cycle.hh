@@ -36,10 +36,8 @@ class ObjectCycleFabric : public CycleFabric
 
     void enqueue(std::size_t node, const PacketPtr &pkt,
                  Cycle now) override;
-    void compute(StepEngine &engine, Cycle now,
-                 const std::vector<char> &stalled) override;
-    void commit(StepEngine &engine, Cycle now,
-                const std::vector<char> &stalled) override;
+    void compute(StepEngine &engine, Cycle now) override;
+    void commit(StepEngine &engine, Cycle now) override;
     std::vector<PacketPtr> &completed(std::size_t node) override;
     const std::vector<int> &completedNodes() const override;
     RouterActivity routerActivity(std::size_t node) const override;

@@ -86,18 +86,14 @@ ObjectDeflectFabric::enqueue(std::size_t node, const PacketPtr &pkt,
 }
 
 void
-ObjectDeflectFabric::routeNode(int i, Cycle now,
-                               const std::vector<char> &stalled)
+ObjectDeflectFabric::routeNode(int i, Cycle now)
 {
     std::vector<DFlit> &cand = arriving_[i];
     NodeScratch &s = scratch_[i];
 
     // Ejection: one flit per cycle, oldest first. Reassembly state is
     // per destination node, so only this partition touches rx_[i].
-    // A stalled node's ejection port is wedged: its flits keep routing
-    // (bufferless fabrics cannot hold them) but never leave — a
-    // livelock only the progress watchdog can detect.
-    if (!cand.empty() && !stalled[i]) {
+    if (!cand.empty()) {
         int eject = -1;
         for (std::size_t k = 0; k < cand.size(); ++k) {
             if (cand[k].pkt->dst != static_cast<NodeId>(i))
@@ -230,12 +226,11 @@ ObjectDeflectFabric::gatherNode(int j)
 }
 
 void
-ObjectDeflectFabric::route(StepEngine &engine, Cycle now,
-                           const std::vector<char> &stalled)
+ObjectDeflectFabric::route(StepEngine &engine, Cycle now)
 {
     std::size_t n = arriving_.size();
-    engine.forEach(n, [this, now, &stalled](std::size_t i) {
-        routeNode(static_cast<int>(i), now, stalled);
+    engine.forEach(n, [this, now](std::size_t i) {
+        routeNode(static_cast<int>(i), now);
     });
 }
 

@@ -34,8 +34,7 @@ class ObjectDeflectFabric : public DeflectFabric
 
     void enqueue(std::size_t node, const PacketPtr &pkt,
                  std::uint32_t nflits) override;
-    void route(StepEngine &engine, Cycle now,
-               const std::vector<char> &stalled) override;
+    void route(StepEngine &engine, Cycle now) override;
     void gather(StepEngine &engine) override;
     const std::vector<int> &scratchNodes() const override;
     NodeScratch &scratch(std::size_t node) override;
@@ -44,7 +43,7 @@ class ObjectDeflectFabric : public DeflectFabric
     void restore(ArchiveReader &ar) override;
 
   private:
-    void routeNode(int i, Cycle now, const std::vector<char> &stalled);
+    void routeNode(int i, Cycle now);
     void gatherNode(int j);
 
     const NocParams &params_;

@@ -132,6 +132,25 @@ TEST(Archive, FutureVersionRejected)
     EXPECT_NE(ar.error().find("version"), std::string::npos);
 }
 
+TEST(Archive, OlderVersionRejected)
+{
+    // An image of the previous format (3: stall bytes in the network
+    // sections, a health flag in the bridge) must be refused up front
+    // by its version, not misparsed.
+    std::string image = sampleArchive();
+    image[8] = static_cast<char>(ArchiveWriter::format_version - 1);
+    std::uint32_t crc = rasim::crc32(image.data(), image.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+        image[image.size() - 4 + static_cast<std::size_t>(i)] =
+            static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    ArchiveReader ar(std::move(image));
+    EXPECT_FALSE(ar.ok());
+    EXPECT_NE(ar.error().find("unsupported archive version 3 (expected 4)"),
+              std::string::npos)
+        << ar.error();
+}
+
 TEST(Archive, WrongSectionTagPanics)
 {
     ArchiveReader ar(sampleArchive());
