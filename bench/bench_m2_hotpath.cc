@@ -400,6 +400,12 @@ runKernelPoint(KernelPoint &pt, std::uint64_t warm_quanta)
     constexpr int nodes = kernel_mesh_side * kernel_mesh_side;
     pt.packets_per_quantum = static_cast<int>(
         pt.offered_load * nodes * kernel_quantum + 0.5);
+    // One untimed pass first: the packet pool is shared by the whole
+    // process, so whichever lane first meets this load's in-flight
+    // high-water mark would pay for growing it. Nothing of this pass is
+    // reported; every lane then measures against a pool already grown.
+    (void)runKernelLane("scalar", pt.packets_per_quantum, warm_quanta,
+                        pt.quanta);
     pt.soa_scalar = runKernelLane("scalar", pt.packets_per_quantum,
                                   warm_quanta, pt.quanta);
     pt.have_avx2 = cpuid::simdCompiledIn() && cpuid::hostHasAvx2();

@@ -21,6 +21,11 @@
 # prove that no in-flight exchange leaks into a checkpoint or a
 # recovery replay.
 #
+# A last stage runs quickstart under conservative coupling with an
+# image every 8 quanta, whose host idles at quantum boundaries while it
+# waits on the network, and resumes from every retained image: each
+# resume must match its uninterrupted run too.
+#
 # Usage: scripts/kill_and_resume.sh [build-dir] [--remote]
 set -euo pipefail
 
@@ -55,6 +60,8 @@ trap cleanup EXIT
 # A workload long enough (~10 s) that the SIGKILL lands mid-run, well
 # after the first periodic image hits the disk.
 args=(system.ops_per_core=20000 checkpoint.interval_quanta=4)
+# The backend settings every run shares (empty: in-process).
+backend=()
 
 endpoint="unix:$work/nocd.sock"
 
@@ -93,7 +100,7 @@ if [ "$remote" = 1 ]; then
     # respawn window.
     # health.degrade=false keeps a genuinely lost backend fatal, so
     # phase A really proves recovery, not degradation.
-    args+=(network.backend=remote "remote.socket=$endpoint"
+    backend=(network.backend=remote "remote.socket=$endpoint"
            network.remote.ckpt_quanta=16
            network.remote.retry.max_attempts=30
            network.remote.retry.base_ms=2
@@ -101,6 +108,7 @@ if [ "$remote" = 1 ]; then
            network.remote.retry.deadline_ms=0
            health.degrade=false remote.connect_timeout_ms=500
            remote.quantum_timeout_ms=2000)
+    args+=("${backend[@]}")
     start_server
 fi
 
@@ -200,3 +208,29 @@ if ! diff <(extract "$work/reference.log") <(extract "$work/resumed.log"); then
     exit 1
 fi
 echo "resumed run matches the uninterrupted reference"
+
+echo "== conservative coupling: resume from every retained image =="
+# The host idles at quantum boundaries while it waits on the network,
+# so the event queue's clock lags them; the images are named and
+# archived at the boundary, and each resume continues its grid.
+cons=(system.conservative=true checkpoint.interval_quanta=8
+      "${backend[@]}")
+"$quickstart" "${cons[@]}" checkpoint.dir="$work/cons" \
+    > "$work/cons-reference.log"
+images=("$work"/cons/ckpt-*.ckpt)
+[ -e "${images[0]}" ] || {
+    echo "error: the conservative run wrote no checkpoint image" >&2
+    exit 1
+}
+for image in "${images[@]}"; do
+    "$quickstart" "${cons[@]}" checkpoint.interval_quanta=0 \
+        --restore="$image" > "$work/cons-resumed.log"
+    if ! diff <(extract "$work/cons-reference.log") \
+              <(extract "$work/cons-resumed.log"); then
+        echo "error: conservative resume from $(basename "$image")" \
+             "diverged from its uninterrupted run" >&2
+        exit 1
+    fi
+done
+echo "conservative resume from ${#images[@]} image(s) matches its" \
+     "uninterrupted run"

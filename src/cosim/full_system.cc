@@ -61,7 +61,8 @@ FullSystemOptions::fromConfig(const Config &cfg)
     return config::parse<FullSystemOptions>(cfg);
 }
 
-FullSystem::FullSystem(const Config &cfg, FullSystemOptions options)
+FullSystem::FullSystem(const Config &cfg, FullSystemOptions options,
+                       ipc::ChannelDecorator decorate)
     : options_(std::move(options))
 {
     // Config hygiene: the parsers consulted every key they know, so
@@ -98,7 +99,8 @@ FullSystem::FullSystem(const Config &cfg, FullSystemOptions options)
             ro.engine_workers =
                 options_.parallel ? options_.engine_workers : 0;
             remote_net_ = std::make_unique<noc::remote::RemoteNetwork>(
-                *sim_, "net", options_.noc, ro);
+                *sim_, "net", options_.noc, ro, nullptr,
+                std::move(decorate));
             backend = remote_net_.get();
         } else {
             cycle_net_ = std::make_unique<noc::CycleNetwork>(
@@ -193,10 +195,11 @@ FullSystem::allCoresDone() const
 Tick
 FullSystem::run(Tick limit)
 {
-    Tick t = sim_->curTick();
+    Tick t = boundary_;
     while (t < limit) {
         t += options_.quantum;
         bridge_->advanceCoupled(t);
+        boundary_ = t;
         bool done = allCoresDone() && memory_->quiescent() &&
                     bridge_->idle();
         if (!done)
@@ -288,6 +291,7 @@ FullSystem::save(ArchiveWriter &aw) const
     aw.putU64(sim_->curTick());
     aw.putU64(sim_->eventq().nextSequence());
     aw.putU64(sim_->eventq().numProcessed());
+    aw.putU64(boundary_);
     aw.endSection();
 
     saveStats(aw, sim_->statsRoot());
@@ -335,6 +339,7 @@ FullSystem::restoreArchive(ArchiveReader &ar, std::string *why)
     Tick cur_tick = ar.getU64();
     std::uint64_t next_seq = ar.getU64();
     std::uint64_t num_processed = ar.getU64();
+    boundary_ = ar.getU64();
     ar.endSection();
     // First, so the components' restore() calls can re-schedule their
     // pending events against the restored clock and sequence space.
@@ -404,7 +409,7 @@ FullSystem::restoreFromPath(const std::string &path)
         std::string why;
         if (restoreFromBytes(std::move(bytes), &why)) {
             inform("restored from checkpoint '", candidate.string(),
-                   "' at tick ", sim_->curTick());
+                   "' at tick ", boundary_);
             return;
         }
         warn("checkpoint.restore: rejected '", candidate.string(),
@@ -432,7 +437,7 @@ FullSystem::writeCheckpoint()
     // final name only after its bytes are durable, so a crash at any
     // point leaves either the old set or the old set plus a complete
     // new image — never a torn file.
-    fs::path final_path = dir / checkpointName(sim_->curTick());
+    fs::path final_path = dir / checkpointName(boundary_);
     fs::path tmp_path = final_path;
     tmp_path += ".tmp";
     int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY,

@@ -175,8 +175,12 @@ class FullSystem
      *        value is read from it: it only serves the hygiene check,
      *        which warns once per key no parser consulted (a
      *        misspelling such as "noc.colums").
+     * @param decorate Test seam, forwarded to the remote backend's
+     *        RemoteNetwork: wraps each connection it opens (the chaos
+     *        tests inject transport faults here). Unused in-process.
      */
-    FullSystem(const Config &cfg, FullSystemOptions options);
+    FullSystem(const Config &cfg, FullSystemOptions options,
+               ipc::ChannelDecorator decorate = {});
     ~FullSystem();
 
     /**
@@ -254,6 +258,12 @@ class FullSystem
     void rotateCheckpoints();
 
     FullSystemOptions options_;
+    /** The run loop's last quantum boundary. run() continues its grid
+     *  from here and checkpoints are named and archived at it: the
+     *  event queue's clock stays at its last event when the host idles
+     *  (a conservative run waiting on the network), so it can lag the
+     *  boundary by more than a quantum. */
+    Tick boundary_ = 0;
     std::unique_ptr<Simulation> sim_;
     std::unique_ptr<noc::CycleNetwork> cycle_net_;
     std::unique_ptr<noc::remote::RemoteNetwork> remote_net_;

@@ -6,14 +6,12 @@
  * RemoteNetwork clients (network.backend=remote) drive it with the
  * quantum-RPC protocol.
  *
- * Usage: rasim-nocd [address] [key=value ...]
+ * Usage: rasim-nocd [address]
  *
- * The key=value settings are any "server.*" or shared
- * "fault.transport.*" (server-side chaos) config key, read by the one
- * validated parser, NocServerOptions::fromConfig. The positional
- * address overrides server.address. A malformed or out-of-range value
- * or any flag (the daemon takes none) exits with status 2 before it
- * listens.
+ * The address is the only setting: everything a session simulates
+ * arrives from its client in the Hello. Any other argument (a flag, a
+ * key=value setting, a second address) exits with status 2 before the
+ * daemon listens.
  *
  * Signals: SIGTERM and SIGINT both stop the daemon at once. A client
  * whose connection is cut mid-quantum rebuilds its session on a new
@@ -30,8 +28,6 @@
 #include <utility>
 
 #include "ipc/nocd_server.hh"
-#include "sim/config.hh"
-#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace
@@ -50,11 +46,9 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [address] [key=value ...]\n"
+                 "usage: %s [address]\n"
                  "  address    unix:/path, tcp:host:port, or a bare "
-                 "path (default unix:/tmp/rasim-nocd.sock)\n"
-                 "  key=value  any server.* or fault.transport.* "
-                 "config setting\n",
+                 "path (default unix:/tmp/rasim-nocd.sock)\n",
                  argv0);
     return 2;
 }
@@ -64,33 +58,15 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    rasim::Config cfg;
     rasim::ipc::NocServerOptions opts;
-    const char *address = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strchr(arg, '=') != nullptr)
-            continue; // a key=value setting, for parseArgs below
-        if (arg[0] == '-')
+    if (argc > 2)
+        return usage(argv[0]);
+    if (argc == 2) {
+        const char *arg = argv[1];
+        if (arg[0] == '-' || std::strchr(arg, '=') != nullptr)
             return usage(argv[0]);
-        address = arg;
+        opts.address = arg;
     }
-    try {
-        // Config errors throw instead of exiting, so every bad value
-        // gets the same status 2 as a bad argument.
-        rasim::logging::ThrowOnError guard;
-        cfg.parseArgs(argc, argv);
-        opts = rasim::ipc::NocServerOptions::fromConfig(cfg);
-    } catch (const rasim::SimError &err) {
-        std::fprintf(stderr, "rasim-nocd: %s\n", err.what());
-        return 2;
-    }
-    if (address)
-        opts.address = address;
-    // Hygiene: a misspelled or foreign key (the daemon reads only
-    // server.* and fault.transport.*) should not silently configure
-    // nothing.
-    cfg.warnUnread();
 
     // A client that dies mid-reply must not kill the server (sendAll
     // also passes MSG_NOSIGNAL; this covers platforms without it).

@@ -3,10 +3,10 @@
 #include <utility>
 #include <vector>
 
-#include "ipc/faulty_transport.hh"
 #include "ipc/protocol.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/serialize.hh"
@@ -197,13 +197,8 @@ sendError(ByteChannel &conn, const SimError &err)
 
 } // namespace
 
-NocServerOptions
-NocServerOptions::fromConfig(const Config &cfg)
-{
-    return config::parse<NocServerOptions>(cfg);
-}
-
-NocServer::NocServer(NocServerOptions opts) : opts_(std::move(opts))
+NocServer::NocServer(NocServerOptions opts, ChannelDecorator decorate)
+    : opts_(std::move(opts)), decorate_(std::move(decorate))
 {
     listener_ = listenOn(opts_.address);
 }
@@ -286,16 +281,10 @@ NocServer::run()
 void
 NocServer::serveConnection(Worker &w, std::uint64_t id)
 {
-    // The session's view of its socket: a FaultyTransport when the
-    // daemon itself runs chaos (stream = session id, so concurrent
-    // sessions draw independent, individually deterministic fault
-    // sequences), a plain FdChannel otherwise.
     std::unique_ptr<ByteChannel> owned =
         std::make_unique<FdChannel>(&w.conn);
-    if (opts_.fault.enabled) {
-        owned = std::make_unique<FaultyTransport>(std::move(owned),
-                                                  opts_.fault, id);
-    }
+    if (decorate_)
+        owned = decorate_(std::move(owned), id);
     ByteChannel &conn = *owned;
 
     std::unique_ptr<Session> session;

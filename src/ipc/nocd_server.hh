@@ -30,7 +30,10 @@
  *
  * NocServer is usable two ways: run() on a background thread inside a
  * test process (hermetic differential tests), or wrapped by the
- * rasim-nocd executable for cross-process runs.
+ * rasim-nocd executable for cross-process runs. Only the first may pass
+ * a ChannelDecorator: the tests' server-side chaos wraps each session's
+ * connection in the fault injector of tests/ipc/faulty_transport.hh,
+ * one fault stream per session id.
  */
 
 #ifndef RASIM_IPC_NOCD_SERVER_HH
@@ -44,10 +47,8 @@
 #include <thread>
 #include <vector>
 
-#include "ipc/faulty_transport.hh"
 #include "ipc/frame.hh"
 #include "ipc/socket.hh"
-#include "sim/config.hh"
 
 namespace rasim
 {
@@ -58,22 +59,6 @@ struct NocServerOptions
 {
     /** Listen address (unix:/path, tcp:host:port, or a bare path). */
     std::string address = "unix:/tmp/rasim-nocd.sock";
-    /** Server-side transport chaos: every session connection is
-     *  wrapped in a FaultyTransport drawing from its own schedule
-     *  stream (the session id), so multi-session chaos stays
-     *  per-session deterministic. */
-    TransportFaultOptions fault;
-
-    void
-    keys(config::Binder &v)
-    {
-        v("server.address", address);
-        v(fault);
-    }
-
-    /** config::parse() under the name perfbench and rasim-nocd
-     *  call. */
-    static NocServerOptions fromConfig(const Config &cfg);
 };
 
 class NocServer
@@ -81,8 +66,11 @@ class NocServer
   public:
     /** Binds and listens immediately, so the address is connectable
      *  the moment the constructor returns (no startup race for tests
-     *  and scripts). @throws SimError on an unusable address. */
-    explicit NocServer(NocServerOptions opts);
+     *  and scripts). @throws SimError on an unusable address.
+     *  @p decorate (tests only) wraps each session's connection,
+     *  given the session id; it runs on session threads. */
+    explicit NocServer(NocServerOptions opts,
+                       ChannelDecorator decorate = {});
 
     /** Stops, joins every session thread and removes the Unix socket
      *  file (clean shutdown leaves no stale address behind). */
@@ -117,8 +105,7 @@ class NocServer
     struct Worker;
 
     /** Serve one connection until Bye/EOF/stop (worker thread). The
-     *  channel view of the Fd is wrapped in a FaultyTransport when
-     *  server-side chaos is on. */
+     *  channel view of the Fd goes through the decorator, if any. */
     void serveConnection(Worker &w, std::uint64_t id);
 
     /** Handle one request; false ends the session. */
@@ -129,6 +116,7 @@ class NocServer
     void reapWorkers(bool all);
 
     NocServerOptions opts_;
+    const ChannelDecorator decorate_;
     Fd listener_;
     /** Set by stop(); wakes blocking accepts and session reads
      *  promptly (they poll it in timed slices). */

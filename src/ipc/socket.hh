@@ -22,6 +22,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -146,10 +148,10 @@ void shutdownFd(const Fd &fd);
 /**
  * A byte stream the framing layer reads and writes through. The plain
  * implementation (FdChannel) forwards to the socket primitives above;
- * decorators (ipc::FaultyTransport) interpose to inject transport
- * faults deterministically. Semantics mirror sendAll/recvUpTo: send()
- * writes everything or throws; recv() returns the bytes read before a
- * clean EOF and throws on IO errors, deadline expiry or abort.
+ * a ChannelDecorator may wrap it (the tests' transport fault injector
+ * does). Semantics mirror sendAll/recvUpTo: send() writes everything
+ * or throws; recv() returns the bytes read before a clean EOF and
+ * throws on IO errors, deadline expiry or abort.
  */
 class ByteChannel
 {
@@ -189,6 +191,18 @@ class FdChannel final : public ByteChannel
     Fd owned_;
     const Fd *fd_;
 };
+
+/**
+ * Test seam: wraps each freshly opened connection before the framing
+ * layer sees it. RemoteNetwork passes its connection ordinal as @p id,
+ * NocServer the session id (and calls it on session threads, so what
+ * a decorator captures must be safe to read concurrently). Empty = use
+ * the channel as it is, which is all production code ever does; the
+ * transport chaos fixture (tests/ipc/faulty_transport.hh) is the one
+ * decorator.
+ */
+using ChannelDecorator = std::function<std::unique_ptr<ByteChannel>(
+    std::unique_ptr<ByteChannel>, std::uint64_t id)>;
 
 } // namespace ipc
 } // namespace rasim

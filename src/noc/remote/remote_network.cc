@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ipc/faulty_transport.hh"
 #include "ipc/frame.hh"
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
@@ -32,7 +31,8 @@ RemoteOptions::validate() const
 
 RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
                              const NocParams &params,
-                             RemoteOptions options, SimObject *parent)
+                             RemoteOptions options, SimObject *parent,
+                             ipc::ChannelDecorator decorate)
     : SimObject(sim, name, parent),
       packetsInjected(this, "packets_injected",
                       "packets handed to the network"),
@@ -69,13 +69,10 @@ RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
                             "replica state digests that diverged"),
       workerRestarts(&health, "worker_restarts",
                      "retired counter, always 0"),
-      params_(params), options_(std::move(options))
+      params_(params), options_(std::move(options)),
+      decorate_(std::move(decorate))
 {
     params_.validate();
-    // One fault schedule and one retry policy for the object's whole
-    // life: the fault draws run across every reconnect, which is what
-    // makes a chaos run reproducible end to end.
-    fault_sched_ = ipc::TransportFaultSchedule(options_.fault);
     retry_ = ipc::RetryPolicy(options_.retry);
     for (int v = 0; v < num_vnets; ++v) {
         vnetLatency.push_back(std::make_unique<stats::Distribution>(
@@ -107,12 +104,6 @@ std::optional<NetworkModel::Accounting>
 RemoteNetwork::accounting() const
 {
     return acct_;
-}
-
-ipc::FaultyTransport *
-RemoteNetwork::faultyChannel()
-{
-    return dynamic_cast<ipc::FaultyTransport *>(chan_.get());
 }
 
 void
@@ -181,10 +172,8 @@ RemoteNetwork::openChannel(double timeout_ms)
     ipc::Fd fd = ipc::connectTo(options_.socket, timeout_ms);
     std::unique_ptr<ipc::ByteChannel> ch =
         std::make_unique<ipc::FdChannel>(std::move(fd));
-    if (options_.fault.enabled) {
-        ch = std::make_unique<ipc::FaultyTransport>(std::move(ch),
-                                                    &fault_sched_);
-    }
+    if (decorate_)
+        ch = decorate_(std::move(ch), channels_opened_++);
     return ch;
 }
 

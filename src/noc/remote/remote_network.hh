@@ -43,12 +43,13 @@
  * later re-engagement opens a fresh session fast-forwarded to the
  * current tick (the pre-retry lossy semantics).
  *
- * Chaos: with fault.transport.* enabled every connection is wrapped in
- * an ipc::FaultyTransport drawing from one TransportFaultSchedule
- * shared across all of the client's connections, so a faulty run is
- * exactly reproducible — and, while every fault stays within the retry
- * budget, bit-identical to the fault-free run (the chaos differential
- * proof; see tests/noc/chaos_differential_test.cc).
+ * Chaos: the constructor's last argument, an ipc::ChannelDecorator,
+ * wraps every connection the client opens. Only tests pass one: the
+ * transport fault injector in tests/ipc/faulty_transport.hh, drawing
+ * from one schedule shared across all of the client's connections, so
+ * a faulty run is exactly reproducible — and, while every fault stays
+ * within the retry budget, bit-identical to the fault-free run (the
+ * chaos differential proof; see tests/noc/chaos_differential_test.cc).
  *
  * Attestation (DESIGN.md section 13): CkptData and CkptLoadAck carry
  * CRC64 digests of the serialized network state, and every
@@ -69,7 +70,6 @@
 #include <string>
 #include <vector>
 
-#include "ipc/faulty_transport.hh"
 #include "ipc/frame.hh"
 #include "ipc/protocol.hh"
 #include "ipc/retry.hh"
@@ -113,8 +113,6 @@ struct RemoteOptions
     std::uint64_t attest_quanta = 0;
     /** Deterministic retry/backoff budgets. */
     ipc::RetryOptions retry;
-    /** Client-side transport chaos. */
-    ipc::TransportFaultOptions fault;
 
     void
     keys(config::Binder &v)
@@ -128,7 +126,6 @@ struct RemoteOptions
         v("network.remote.ckpt_quanta", ckpt_quanta);
         v("network.remote.attest_quanta", attest_quanta);
         v(retry, config::neutral);
-        v(fault, config::neutral);
     }
 
     void validate() const;
@@ -138,10 +135,13 @@ class RemoteNetwork : public SimObject, public NetworkModel
 {
   public:
     /** Connects and opens a session eagerly, so a missing server is a
-     *  construction-time SimError, not a mid-run surprise. */
+     *  construction-time SimError, not a mid-run surprise.
+     *  @p decorate (tests only) wraps every connection opened, given
+     *  its ordinal (0 for the first, then one more per reconnect). */
     RemoteNetwork(Simulation &sim, const std::string &name,
                   const NocParams &params, RemoteOptions options,
-                  SimObject *parent = nullptr);
+                  SimObject *parent = nullptr,
+                  ipc::ChannelDecorator decorate = {});
     ~RemoteNetwork() override;
 
     // NetworkModel interface.
@@ -179,15 +179,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /// @{
     /** The retry policy driving every transport round. */
     const ipc::RetryPolicy &retryPolicy() const { return retry_; }
-    /** The fault schedule shared by every client connection. */
-    const ipc::TransportFaultSchedule &
-    faultSchedule() const
-    {
-        return fault_sched_;
-    }
-    /** The live channel as a FaultyTransport (to force one specific
-     *  fault), or nullptr when chaos is off / disconnected. */
-    ipc::FaultyTransport *faultyChannel();
     /// @}
 
     /** @name Mirrored delivery statistics
@@ -318,8 +309,8 @@ class RemoteNetwork : public SimObject, public NetworkModel
     /** Open a session if none is live: cold open, then replay the
      *  journal. */
     void ensureSession();
-    /** Connect to the server and wrap the channel in the shared fault
-     *  schedule when chaos is enabled. */
+    /** Connect to the server and pass the channel through the
+     *  decorator, if any. */
     std::unique_ptr<ipc::ByteChannel> openChannel(double timeout_ms);
     /** Hello/HelloAck handshake on @p ch at @p start_tick. */
     ipc::HelloReply helloOn(ipc::ByteChannel &ch, Tick start_tick);
@@ -376,9 +367,8 @@ class RemoteNetwork : public SimObject, public NetworkModel
     RemoteOptions options_;
 
     std::unique_ptr<ipc::ByteChannel> chan_;
-    /** One schedule across every connection (the first session and
-     *  every reconnect), so a chaos run is reproducible end to end. */
-    ipc::TransportFaultSchedule fault_sched_;
+    ipc::ChannelDecorator decorate_;
+    std::uint64_t channels_opened_ = 0; ///< the decorator's ordinal
     ipc::RetryPolicy retry_;
     bool ever_connected_ = false;
 

@@ -60,8 +60,10 @@ class ArchiveWriter
      *  configuration record (config::record) as key/value strings;
      *  v4: the network sections drop their per-node stall bytes, the
      *  bridge drops its health-monitor presence flag (the monitor
-     *  always exists) and FullSystem writes no "fault" section. */
-    static constexpr std::uint32_t format_version = 4;
+     *  always exists) and FullSystem writes no "fault" section;
+     *  v5: FullSystem's "sim" section ends with the run loop's last
+     *  quantum boundary, which the event queue's clock can lag. */
+    static constexpr std::uint32_t format_version = 5;
 
     void beginSection(const std::string &tag);
     void endSection();

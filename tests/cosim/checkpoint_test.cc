@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -212,6 +213,66 @@ TEST_P(CheckpointDifferential, ResumeIsBitIdentical)
     EXPECT_TRUE(
         sys.bridge().table().identicalTo(ref_sys.bridge().table()));
     EXPECT_EQ(sys.bridge().healthState(), ref_sys.bridge().healthState());
+}
+
+// The periodic disk path of the same scenarios: every image the run
+// loop writes (checkpoint.interval_quanta) resumes to the uninterrupted
+// run's finish tick, statistics and tuned table. A conservative or
+// monolithic run's host idles while it waits on the network, and the
+// event queue's clock then stays at its last event, behind the quantum
+// boundary: an image archived at that clock alone would resume on a
+// shifted quantum grid and finish at another tick.
+TEST_P(CheckpointDifferential, EveryPeriodicImageResumesBitIdentically)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) /
+                         ("rasim_periodic_" + std::string(GetParam().name));
+    fs::remove_all(dir);
+    // Removes the images also when an assertion below returns early.
+    struct Cleanup
+    {
+        fs::path dir;
+        ~Cleanup()
+        {
+            std::error_code ec;
+            fs::remove_all(dir, ec);
+        }
+    } cleanup{dir};
+    FullSystemOptions opts = scenarioOptions(GetParam());
+    opts.checkpoint.interval_quanta = 4;
+    opts.checkpoint.keep = 1000; // retain every image
+    opts.checkpoint.dir = dir.string();
+
+    FullSystem ref_sys(Config(), opts);
+    Trace ref;
+    ref.finish = ref_sys.run(run_limit);
+    ASSERT_TRUE(ref_sys.allCoresDone());
+    finishTrace(ref_sys, ref);
+
+    std::vector<fs::path> images;
+    for (const auto &e : fs::directory_iterator(dir))
+        images.push_back(e.path());
+    std::sort(images.begin(), images.end());
+    ASSERT_GE(images.size(), 2u);
+    for (const fs::path &image : images) {
+        SCOPED_TRACE(image.filename().string());
+        FullSystemOptions r_opts = opts;
+        r_opts.checkpoint.interval_quanta = 0; // leave the images be
+        r_opts.checkpoint.restore = image.string();
+        FullSystem sys(Config(), r_opts);
+        Trace resumed;
+        resumed.finish = sys.run(run_limit);
+        EXPECT_TRUE(sys.allCoresDone());
+        finishTrace(sys, resumed);
+        EXPECT_EQ(resumed.finish, ref.finish);
+        ASSERT_EQ(resumed.stats.size(), ref.stats.size());
+        for (std::size_t k = 0; k < ref.stats.size(); ++k)
+            ASSERT_EQ(resumed.stats[k], ref.stats[k])
+                << "stat " << std::get<0>(ref.stats[k]) << "."
+                << std::get<1>(ref.stats[k]);
+        EXPECT_TRUE(
+            sys.bridge().table().identicalTo(ref_sys.bridge().table()));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -18,7 +18,6 @@
 
 #include "cosim/full_system.hh"
 #include "gpu/gpu_model.hh"
-#include "ipc/nocd_server.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -127,13 +126,14 @@ TEST(FullSystem, MisspelledConfigKeyWarns)
     // A typo'd key is never read by any consumer, so assembling the
     // system flags it instead of silently ignoring it — also when the
     // typo is in the prefix, which no parser knows. Retired keys — the
-    // wall-clock guard budgets, the network fault injector's fault.*
-    // keys, the health monitor's on/off switches and the retry
-    // jitter/multiplier — are reported the same way, so an old
-    // command line hears that its setting no longer exists.
+    // wall-clock guard budgets, the network and transport fault
+    // injectors' fault.* keys, the health monitor's on/off switches and
+    // the retry jitter/multiplier — are reported the same way, so an
+    // old command line hears that its setting no longer exists.
     for (const char *key :
          {"noc.colums", "sytem.quantum", "health.worker_timeout_ms",
           "health.timeout_scale", "fault.hang_ms", "fault.drop_every",
+          "fault.transport.enabled", "fault.transport.torn_frame",
           "health.enabled", "health.conservation",
           "network.remote.retry.jitter",
           "network.remote.retry.multiplier"}) {
@@ -256,19 +256,6 @@ nonDefaultValues(const std::string &socket)
         {"network.remote.retry.base_ms", "2.5"},
         {"network.remote.retry.max_ms", "80"},
         {"network.remote.retry.deadline_ms", "100"},
-        {"fault.transport.enabled", "true"},
-        {"fault.transport.seed", "9"},
-        {"fault.transport.torn_frame", "0.125"},
-        {"fault.transport.short_read", "0.1"},
-        {"fault.transport.corrupt", "0.1"},
-        {"fault.transport.delay", "0.1"},
-        {"fault.transport.delay_ms", "3"},
-        {"fault.transport.stall", "0.1"},
-        {"fault.transport.stall_ms", "3"},
-        {"fault.transport.disconnect", "0.1"},
-        {"fault.transport.start_op", "2"},
-        {"fault.transport.max_faults", "4"},
-        {"fault.transport.min_gap_ops", "3"},
         {"noc.columns", "2"},
         {"noc.rows", "2"},
         {"noc.topology", "torus"},
@@ -359,28 +346,19 @@ TEST(ConfigRecord, EveryKeyRoundTripsThroughTheRecord)
     full.warnUnread();
     EXPECT_EQ(warnCount(), before);
 
-    // The two roots that are no part of FullSystemOptions.
-    ipc::NocServerOptions so;
-    so.address = "unix:/tmp/rasim-record-server.sock";
-    so.fault = o.remote.fault;
+    // The one other root, no part of FullSystemOptions.
     gpu::GpuDeviceParams gp;
     gp.kernel_launch_ns = 1.25;
     gp.router_slot_ns = 2.5;
     gp.parallel_width = 64;
     gp.boundary_transfer_ns = 3.75;
-    config::Record srec = config::record(so), grec = config::record(gp);
-    config::Record sdflt = config::record(ipc::NocServerOptions());
+    config::Record grec = config::record(gp);
     config::Record gdflt = config::record(gpu::GpuDeviceParams());
-    for (std::size_t i = 0; i < srec.size(); ++i)
-        EXPECT_NE(srec[i].value, sdflt[i].value) << srec[i].key;
     for (std::size_t i = 0; i < grec.size(); ++i)
         EXPECT_NE(grec[i].value, gdflt[i].value) << grec[i].key;
-    Config scfg(srec), gcfg(grec);
-    EXPECT_EQ(config::record(config::parse<ipc::NocServerOptions>(scfg)),
-              srec);
+    Config gcfg(grec);
     EXPECT_EQ(config::record(config::parse<gpu::GpuDeviceParams>(gcfg)),
               grec);
-    EXPECT_TRUE(scfg.unreadKeysWithPrefix("").empty());
     EXPECT_TRUE(gcfg.unreadKeysWithPrefix("").empty());
 }
 
@@ -422,11 +400,6 @@ TEST(FullSystem, ResumeUnderAnyOtherStateShapingValueIsANamedMismatch)
     for (const char *k : {"max_attempts", "base_ms", "max_ms",
                           "deadline_ms"})
         allowed.push_back(std::string("network.remote.retry.") + k);
-    for (const char *k :
-         {"enabled", "seed", "torn_frame", "short_read", "corrupt", "delay",
-          "delay_ms", "stall", "stall_ms", "disconnect", "start_op",
-          "max_faults", "min_gap_ops"})
-        allowed.push_back(std::string("fault.transport.") + k);
     for (const char *k :
          {"kernel.simd", "checkpoint.interval_quanta", "checkpoint.dir",
           "checkpoint.keep", "checkpoint.restore"})

@@ -23,6 +23,7 @@
 #include "cosim/bridge.hh"
 #include "cosim/fault_injector.hh"
 #include "cosim/full_system.hh"
+#include "ipc/faulty_transport.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
 #include "sim/simulation.hh"
@@ -460,17 +461,18 @@ TEST(Health, FullSystemSurvivesInjectedFaults)
     FullSystemOptions o = cosimOptions(cfg);
     o.network_backend = "remote";
     o.remote.socket = server.address;
-    o.remote.fault.enabled = true;
-    o.remote.fault.disconnect = 1.0;
-    o.remote.fault.start_op = 3; // Hello, its header and its payload
-    o.remote.fault.min_gap_ops = 0;
     o.remote.retry.backoff_base_ms = 0.0;
     o.remote.retry.deadline_ms = 0.0;
-    FullSystem sys(cfg, o);
+    ipc::TransportFaultOptions plan;
+    plan.disconnect = 1.0;
+    plan.start_op = 3; // Hello, its header and its payload
+    plan.min_gap_ops = 0;
+    ipc::TransportFaultSchedule sched(plan);
+    FullSystem sys(cfg, o, ipc::clientChaos(&sched));
     Tick finish = sys.run(4000000);
     EXPECT_TRUE(sys.allCoresDone());
     EXPECT_GT(finish, 0u);
-    EXPECT_GE(sys.remoteNetwork()->faultSchedule().faults(), 1u);
+    EXPECT_GE(sched.faults(), 1u);
     EXPECT_GE(sys.bridge().health()->transportTrips.value(), 1.0);
     EXPECT_EQ(sys.bridge().healthState(),
               QuantumBridge::HealthState::Degraded);

@@ -18,9 +18,11 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cosim/full_system.hh"
+#include "ipc/faulty_transport.hh"
 #include "ipc/nocd_server.hh"
 #include "stats/group.hh"
 #include "stats/stat.hh"
@@ -61,10 +63,12 @@ class RemoteCosim : public ::testing::Test
     }
 
     void
-    startServer(ipc::NocServerOptions opts = {})
+    startServer(ipc::ChannelDecorator decorate = {})
     {
+        ipc::NocServerOptions opts;
         opts.address = addr_;
-        server_ = std::make_unique<ipc::NocServer>(opts);
+        server_ =
+            std::make_unique<ipc::NocServer>(opts, std::move(decorate));
         thread_ = std::thread([this] { server_->run(); });
     }
 
@@ -178,13 +182,12 @@ TEST_F(RemoteCosim, HungServerTripsTheReplyDeadline)
     // attempt per retry round leaves nothing to mask it. The reply
     // deadline is what catches a hung server.
     stopServer();
-    ipc::NocServerOptions so;
-    so.fault.enabled = true;
-    so.fault.stall = 1.0;
-    so.fault.stall_ms = 1000.0;
-    so.fault.start_op = 15; // past the Hello and the first Steps
-    so.fault.max_faults = 1;
-    startServer(so);
+    ipc::TransportFaultOptions plan;
+    plan.stall = 1.0;
+    plan.stall_ms = 1000.0;
+    plan.start_op = 15; // past the Hello and the first Steps
+    plan.max_faults = 1;
+    startServer(ipc::serverChaos(plan));
 
     for (bool degrade : {true, false}) {
         FullSystemOptions o = smallOptions(true);

@@ -6,25 +6,12 @@
 #include <thread>
 #include <utility>
 
-#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace rasim
 {
 namespace ipc
 {
-
-void
-TransportFaultOptions::validate() const
-{
-    for (double p :
-         {torn_frame, short_read, corrupt, delay, stall, disconnect}) {
-        if (p < 0.0 || p > 1.0)
-            fatal("fault.transport.* probabilities must be in [0, 1]");
-    }
-    if (delay_ms < 0.0 || stall_ms < 0.0)
-        fatal("fault.transport delay_ms/stall_ms must be non-negative");
-}
 
 const char *
 toString(TransportFaultKind kind)
@@ -65,7 +52,7 @@ TransportFaultSchedule::draw(
     // the schedule's sequence is a pure function of the operation
     // ordinal — reconnects and retries cannot desynchronise it.
     double u = rng_.uniform();
-    if (!opts_.enabled || op < opts_.start_op)
+    if (op < opts_.start_op)
         return TransportFaultKind::None;
     if (opts_.max_faults > 0 && faults_ >= opts_.max_faults)
         return TransportFaultKind::None;
@@ -263,6 +250,28 @@ FaultyTransport::recv(void *data, std::size_t len, double timeout_ms,
       default:
         return got;
     }
+}
+
+ChannelDecorator
+clientChaos(TransportFaultSchedule *schedule, FaultyTransport **last)
+{
+    return [schedule, last](std::unique_ptr<ByteChannel> ch,
+                            std::uint64_t) -> std::unique_ptr<ByteChannel> {
+        auto faulty =
+            std::make_unique<FaultyTransport>(std::move(ch), schedule);
+        if (last)
+            *last = faulty.get();
+        return faulty;
+    };
+}
+
+ChannelDecorator
+serverChaos(const TransportFaultOptions &opts)
+{
+    return [opts](std::unique_ptr<ByteChannel> ch,
+                  std::uint64_t id) -> std::unique_ptr<ByteChannel> {
+        return std::make_unique<FaultyTransport>(std::move(ch), opts, id);
+    };
 }
 
 } // namespace ipc

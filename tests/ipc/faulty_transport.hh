@@ -1,18 +1,25 @@
 /**
  * @file
- * FaultyTransport: a ByteChannel decorator that injects deterministic
- * transport faults into the quantum-RPC byte stream, driven by a
- * TransportFaultSchedule (the "fault.transport.*" keys). Interposable
- * on both sides of a connection:
+ * FaultyTransport: the transport chaos fixture. A ByteChannel
+ * decorator that injects deterministic transport faults into the
+ * quantum-RPC byte stream, driven by a TransportFaultSchedule. It is
+ * test code: production builds carry no fault injector and no chaos
+ * setting. Tests install it through the ipc::ChannelDecorator seam,
+ * on either side of a connection:
  *
- *   client side   wraps the RemoteNetwork's connection, so every
- *                 client-observed failure path (torn frame, short
- *                 read, CRC corruption, stalled socket, mid-quantum
- *                 disconnect) is exercisable on demand;
- *   server side   wraps a rasim-nocd session's connection, so clients
- *                 experience a chaotic *server* (torn replies, dropped
- *                 sessions) — the mid-frame-kill scenario without
- *                 actually killing the daemon.
+ *   client side   RemoteNetwork's (or FullSystem's) last constructor
+ *                 argument wraps every connection the client opens, so
+ *                 every client-observed failure path (torn frame,
+ *                 short read, CRC corruption, stalled socket,
+ *                 mid-quantum disconnect) is exercisable on demand;
+ *                 the decorator shares one schedule across reconnects
+ *                 (clientChaos());
+ *   server side   NocServer's last constructor argument wraps each
+ *                 session's connection, so clients experience a
+ *                 chaotic *server* (torn replies, dropped sessions) —
+ *                 the mid-frame-kill scenario without actually killing
+ *                 the daemon; each session draws its own stream of one
+ *                 seed (serverChaos()).
  *
  * Faults map onto the frame layer's failure taxonomy:
  *
@@ -33,14 +40,11 @@
  * be in frame sync, so recovery must open a fresh connection.
  *
  * Besides the probability schedule, failNextSend()/failNextRecv()
- * force one specific fault on the next operation — the unit-test hook
- * for exercising one failure path in isolation.
+ * force one specific fault on the next operation — the hook for
+ * exercising one failure path in isolation.
  *
- * The fault plan lives here too: TransportFaultOptions (the
- * "fault.transport.*" keys, read by the remote client and rasim-nocd)
- * and the TransportFaultSchedule that draws from its own seeded Rng
- * stream in operation order, so transport chaos is exactly
- * reproducible.
+ * The TransportFaultSchedule draws from its own seeded Rng stream in
+ * operation order, so transport chaos is exactly reproducible.
  */
 
 #ifndef RASIM_IPC_FAULTY_TRANSPORT_HH
@@ -54,7 +58,6 @@
 #include <utility>
 
 #include "ipc/socket.hh"
-#include "sim/config.hh"
 #include "sim/rng.hh"
 
 namespace rasim
@@ -66,13 +69,11 @@ namespace ipc
  * Which transport faults a FaultyTransport channel decorator may
  * inject. Probabilities are per transport operation (one frame send or
  * one frame-piece receive), drawn from a dedicated seeded Rng stream
- * in operation order, so a faulty run is exactly reproducible.
+ * in operation order, so a faulty run is exactly reproducible. All
+ * zero (the default) injects only the forced faults.
  */
 struct TransportFaultOptions
 {
-    /** Master switch; when false no channel is ever decorated. */
-    bool enabled = false;
-
     /** Seed of the fault schedule's private Rng stream. */
     std::uint64_t seed = 0x7a5;
 
@@ -100,26 +101,6 @@ struct TransportFaultOptions
     /** Guaranteed fault-free operations after each fault, so a
      *  bounded retry budget can always mask the fault. */
     std::uint64_t min_gap_ops = 8;
-
-    void
-    keys(config::Binder &v)
-    {
-        v("fault.transport.enabled", enabled);
-        v("fault.transport.seed", seed);
-        v("fault.transport.torn_frame", torn_frame);
-        v("fault.transport.short_read", short_read);
-        v("fault.transport.corrupt", corrupt);
-        v("fault.transport.delay", delay);
-        v("fault.transport.delay_ms", delay_ms);
-        v("fault.transport.stall", stall);
-        v("fault.transport.stall_ms", stall_ms);
-        v("fault.transport.disconnect", disconnect);
-        v("fault.transport.start_op", start_op);
-        v("fault.transport.max_faults", max_faults);
-        v("fault.transport.min_gap_ops", min_gap_ops);
-    }
-
-    void validate() const;
 };
 
 /** The faults a transport schedule can inject. */
@@ -238,6 +219,26 @@ class FaultyTransport final : public ByteChannel
     TransportFaultKind forced_send_ = TransportFaultKind::None;
     TransportFaultKind forced_recv_ = TransportFaultKind::None;
 };
+
+/**
+ * Client-side chaos: a decorator wrapping every connection the client
+ * opens in a FaultyTransport drawing from @p schedule, which the caller
+ * owns and keeps alive for the client's life. The connection ordinal is
+ * ignored: one schedule runs across every reconnect. When @p last is
+ * given it is pointed at the newest wrapped channel, so a test can
+ * force one specific fault on the live connection.
+ */
+ChannelDecorator clientChaos(TransportFaultSchedule *schedule,
+                             FaultyTransport **last = nullptr);
+
+/**
+ * Server-side chaos: a decorator giving each session's connection its
+ * own schedule of @p opts, with the session id as the stream, so
+ * concurrent sessions draw independent, individually deterministic
+ * fault sequences. It captures only a copy of @p opts, so it is safe
+ * to call on concurrent session threads.
+ */
+ChannelDecorator serverChaos(const TransportFaultOptions &opts);
 
 } // namespace ipc
 } // namespace rasim

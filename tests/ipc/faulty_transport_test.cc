@@ -1,6 +1,9 @@
 /**
  * @file
- * FaultyTransport against a live rasim-nocd server: every forced
+ * The transport chaos fixture's own tests. The TransportFaultSchedule
+ * is a pure function of its seed, stream and operation ordinal, and
+ * honours its start, gap and cap. FaultyTransport against a live
+ * rasim-nocd server: every forced
  * fault kind must surface as the documented SimError at the right
  * layer — send-side faults immediately, receive-side faults through
  * the frame decoder (torn frame, short read, CRC trip, forged
@@ -20,6 +23,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "ipc/faulty_transport.hh"
 #include "ipc/frame.hh"
@@ -33,6 +37,78 @@ namespace
 
 using namespace rasim;
 using namespace rasim::ipc;
+
+/** A chaotic sequence of schedule queries, fixed across runs. */
+std::vector<TransportFaultKind>
+scheduleTrace(TransportFaultSchedule &s, int ops)
+{
+    std::vector<TransportFaultKind> trace;
+    for (int i = 0; i < ops; ++i) {
+        switch (i % 3) {
+          case 0:
+            trace.push_back(s.nextSend());
+            break;
+          case 1:
+            trace.push_back(s.nextRecv(true));
+            break;
+          default:
+            trace.push_back(s.nextRecv(false));
+            break;
+        }
+    }
+    return trace;
+}
+
+TEST(TransportFaultSchedule, SameSeedSameStreamSameFaults)
+{
+    TransportFaultOptions o;
+    o.seed = 0xc0de;
+    o.torn_frame = 0.05;
+    o.short_read = 0.05;
+    o.corrupt = 0.05;
+    o.disconnect = 0.05;
+    o.min_gap_ops = 4;
+    TransportFaultSchedule a(o, 1);
+    TransportFaultSchedule b(o, 1);
+    auto ta = scheduleTrace(a, 3000);
+    EXPECT_EQ(ta, scheduleTrace(b, 3000));
+    EXPECT_EQ(a.faults(), b.faults());
+    EXPECT_GT(a.faults(), 0u) << "the chaos never fired";
+
+    // Another stream of the same seed (a second server session) is an
+    // independent schedule.
+    TransportFaultSchedule c(o, 2);
+    EXPECT_NE(scheduleTrace(c, 3000), ta);
+}
+
+TEST(TransportFaultSchedule, StartOpGapAndCapAreHonoured)
+{
+    TransportFaultOptions o;
+    o.seed = 7;
+    o.torn_frame = 1.0; // every eligible op faults
+    o.start_op = 10;
+    o.min_gap_ops = 5;
+    o.max_faults = 3;
+    TransportFaultSchedule s(o, 1);
+    auto trace = scheduleTrace(s, 60);
+
+    std::uint64_t faults = 0;
+    std::uint64_t last_fault = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace[i] == TransportFaultKind::None)
+            continue;
+        ++faults;
+        EXPECT_GE(i, 10u) << "fault before start_op";
+        if (faults > 1) {
+            EXPECT_GT(i - last_fault, 5u) << "min_gap_ops violated";
+        }
+        last_fault = i;
+    }
+    EXPECT_EQ(faults, 3u) << "max_faults cap ignored";
+    EXPECT_EQ(s.faults(), 3u);
+    EXPECT_EQ(s.count(TransportFaultKind::TornFrame), 3u);
+    EXPECT_EQ(s.ops(), 60u);
+}
 
 class FaultyTransportTest : public ::testing::Test
 {
@@ -51,10 +127,11 @@ class FaultyTransportTest : public ::testing::Test
     }
 
     void
-    startServer(NocServerOptions opts = {})
+    startServer(ChannelDecorator decorate = {})
     {
+        NocServerOptions opts;
         opts.address = addr_;
-        server_ = std::make_unique<NocServer>(opts);
+        server_ = std::make_unique<NocServer>(opts, std::move(decorate));
         thread_ = std::thread([this] { server_->run(); });
     }
 
@@ -73,12 +150,10 @@ class FaultyTransportTest : public ::testing::Test
     std::unique_ptr<FaultyTransport>
     connectFaulty()
     {
-        TransportFaultOptions opts;
-        opts.enabled = true;
         auto inner =
             std::make_unique<FdChannel>(connectTo(addr_, 2000.0));
         return std::make_unique<FaultyTransport>(std::move(inner),
-                                                 opts);
+                                                 TransportFaultOptions{});
     }
 
     void
@@ -218,7 +293,6 @@ TEST_F(FaultyTransportTest, ScheduledCorruptionTripsTheArchiveCrc)
     // StepReply payload.
     startServer();
     TransportFaultOptions opts;
-    opts.enabled = true;
     opts.corrupt = 1.0;
     opts.start_op = 5;
     auto inner = std::make_unique<FdChannel>(connectTo(addr_, 2000.0));
@@ -245,11 +319,10 @@ TEST_F(FaultyTransportTest, ServerSideChaosTearsReplyMidFrame)
     // tears with probability 1. The client must see the torn reply as
     // a Transport error mid-payload: the mid-frame-kill scenario,
     // with the daemon alive throughout.
-    NocServerOptions sopts;
-    sopts.fault.enabled = true;
-    sopts.fault.torn_frame = 1.0;
-    sopts.fault.start_op = 5;
-    startServer(sopts);
+    TransportFaultOptions plan;
+    plan.torn_frame = 1.0;
+    plan.start_op = 5;
+    startServer(serverChaos(plan));
 
     Fd fd = connectTo(addr_, 2000.0);
     FdChannel ch(std::move(fd));

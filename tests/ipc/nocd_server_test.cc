@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -545,10 +546,10 @@ runNocd(const std::vector<std::string> &args)
             text};
 }
 
-// The daemon takes no flags: its settings are key=value arguments,
-// validated by the one NocServerOptions::fromConfig parser. A bad
-// value or any flag, retired ones included, exits 2 before the daemon
-// listens.
+// The daemon's only setting is its positional address. Anything else
+// exits 2 before the daemon listens: any flag, retired ones included;
+// a key=value setting, including the retired server.address and the
+// retired transport chaos keys; and a second positional argument.
 TEST(NocdFlags, BadValuesAndRetiredFlagsExitBeforeListening)
 {
     const std::string path =
@@ -563,6 +564,11 @@ TEST(NocdFlags, BadValuesAndRetiredFlagsExitBeforeListening)
         {addr, "--quota-frames", "-3"},
         {"fault.transport.stall_ms=-5", addr},
         {"fault.transport.enabled=banana", addr},
+        {"fault.transport.enabled=1", addr},
+        {addr, "fault.transport.enabled=1"},
+        {"server.address=" + addr},
+        {addr, "server.address=unix:/x"},
+        {addr, "unix:/tmp/rasim-nocd-second.sock"},
         {addr, "--no-speculate"},
         {addr, "--once"},
         {addr, "--max-active", "2"},
@@ -578,7 +584,78 @@ TEST(NocdFlags, BadValuesAndRetiredFlagsExitBeforeListening)
         EXPECT_NE(::access(path.c_str(), F_OK), 0)
             << what << ": left a socket behind";
         ::unlink(path.c_str());
+        EXPECT_NE(::access("/tmp/rasim-nocd-second.sock", F_OK), 0)
+            << what << ": listened on the second address";
+        ::unlink("/tmp/rasim-nocd-second.sock");
     }
+}
+
+/** Read from @p fd into @p text until it contains @p needle, EOF, or
+ *  @p timeout_ms passes; true when @p needle arrived. */
+bool
+readUntil(int fd, std::string &text, const std::string &needle,
+          int timeout_ms)
+{
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(timeout_ms);
+    char buf[512];
+    while (text.find(needle) == std::string::npos) {
+        auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        deadline - std::chrono::steady_clock::now())
+                        .count();
+        if (left <= 0)
+            return false;
+        pollfd pfd{fd, POLLIN, 0};
+        if (::poll(&pfd, 1, static_cast<int>(left)) <= 0)
+            continue;
+        ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n <= 0)
+            return false;
+        text.append(buf, static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
+// SIGTERM stops a listening daemon at once: status 0 within 5 s, its
+// "exiting" line printed, and no socket file left behind.
+TEST(NocdSignals, SigtermExitsCleanlyWithinFiveSeconds)
+{
+    const std::string path =
+        "/tmp/rasim-nocd-term-" + std::to_string(::getpid()) + ".sock";
+    const std::string addr = "unix:" + path;
+    int out[2];
+    ASSERT_EQ(::pipe(out), 0);
+    pid_t pid = ::fork();
+    if (pid == 0) {
+        ::dup2(out[1], STDOUT_FILENO);
+        ::dup2(out[1], STDERR_FILENO);
+        ::close(out[0]);
+        ::execl(RASIM_NOCD_PATH, "rasim-nocd", addr.c_str(),
+                static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+    ::close(out[1]);
+    std::string text;
+    ASSERT_TRUE(readUntil(out[0], text, "listening on", 10000)) << text;
+
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    int status = 0;
+    bool exited = false;
+    for (int i = 0; i < 500 && !exited; ++i) {
+        exited = ::waitpid(pid, &status, WNOHANG) == pid;
+        if (!exited)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!exited) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+    }
+    EXPECT_TRUE(exited) << "rasim-nocd outlived SIGTERM by 5 s";
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << text;
+    EXPECT_TRUE(readUntil(out[0], text, "exiting", 1000)) << text;
+    ::close(out[0]);
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << "left a socket behind";
+    ::unlink(path.c_str());
 }
 
 } // namespace

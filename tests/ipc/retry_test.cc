@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests of the deterministic retry machinery: the backoff
- * sequence as a pure function of the failure pattern, the
- * attempt/deadline budgets, and the transport fault schedule's reproducibility guarantees —
- * plus config hygiene for the new key families.
+ * sequence as a pure function of the failure pattern and the
+ * attempt/deadline budgets — plus config hygiene for the remote key
+ * families and the retired ones.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +14,8 @@
 #include <vector>
 
 #include "common/expect_error.hh"
-#include "ipc/faulty_transport.hh"
-#include "ipc/nocd_server.hh"
+#include "cosim/full_system.hh"
 #include "ipc/retry.hh"
-#include "noc/remote/remote_network.hh"
 #include "sim/config.hh"
 
 namespace
@@ -118,112 +116,10 @@ TEST(RetryOptions, FromConfigReadsAndValidates)
     EXPECT_SIM_ERROR(config::parse<RetryOptions>(bad2), "non-negative");
 }
 
-TEST(TransportFaultOptions, FromConfigReadsAndValidates)
-{
-    Config cfg;
-    cfg.parseArg("fault.transport.enabled=true");
-    cfg.parseArg("fault.transport.seed=99");
-    cfg.parseArg("fault.transport.torn_frame=0.25");
-    cfg.parseArg("fault.transport.stall=0.1");
-    cfg.parseArg("fault.transport.stall_ms=0.5");
-    cfg.parseArg("fault.transport.start_op=12");
-    cfg.parseArg("fault.transport.max_faults=3");
-    cfg.parseArg("fault.transport.min_gap_ops=16");
-    TransportFaultOptions o = config::parse<TransportFaultOptions>(cfg);
-    EXPECT_TRUE(o.enabled);
-    EXPECT_EQ(o.seed, 99u);
-    EXPECT_DOUBLE_EQ(o.torn_frame, 0.25);
-    EXPECT_DOUBLE_EQ(o.stall, 0.1);
-    EXPECT_DOUBLE_EQ(o.stall_ms, 0.5);
-    EXPECT_EQ(o.start_op, 12u);
-    EXPECT_EQ(o.max_faults, 3u);
-    EXPECT_EQ(o.min_gap_ops, 16u);
-
-    Config bad;
-    bad.parseArg("fault.transport.corrupt=2.0");
-    EXPECT_SIM_ERROR(config::parse<TransportFaultOptions>(bad),
-                     "probabilities");
-}
-
-/** A chaotic sequence of schedule queries, fixed across runs. */
-std::vector<TransportFaultKind>
-scheduleTrace(TransportFaultSchedule &s, int ops)
-{
-    std::vector<TransportFaultKind> trace;
-    for (int i = 0; i < ops; ++i) {
-        switch (i % 3) {
-          case 0:
-            trace.push_back(s.nextSend());
-            break;
-          case 1:
-            trace.push_back(s.nextRecv(true));
-            break;
-          default:
-            trace.push_back(s.nextRecv(false));
-            break;
-        }
-    }
-    return trace;
-}
-
-TEST(TransportFaultSchedule, SameSeedSameStreamSameFaults)
-{
-    TransportFaultOptions o;
-    o.enabled = true;
-    o.seed = 0xc0de;
-    o.torn_frame = 0.05;
-    o.short_read = 0.05;
-    o.corrupt = 0.05;
-    o.disconnect = 0.05;
-    o.min_gap_ops = 4;
-    TransportFaultSchedule a(o, 1);
-    TransportFaultSchedule b(o, 1);
-    auto ta = scheduleTrace(a, 3000);
-    EXPECT_EQ(ta, scheduleTrace(b, 3000));
-    EXPECT_EQ(a.faults(), b.faults());
-    EXPECT_GT(a.faults(), 0u) << "the chaos never fired";
-
-    // Another stream of the same seed (a second server session) is an
-    // independent schedule.
-    TransportFaultSchedule c(o, 2);
-    EXPECT_NE(scheduleTrace(c, 3000), ta);
-}
-
-TEST(TransportFaultSchedule, StartOpGapAndCapAreHonoured)
-{
-    TransportFaultOptions o;
-    o.enabled = true;
-    o.seed = 7;
-    o.torn_frame = 1.0; // every eligible op faults
-    o.start_op = 10;
-    o.min_gap_ops = 5;
-    o.max_faults = 3;
-    TransportFaultSchedule s(o, 1);
-    auto trace = scheduleTrace(s, 60);
-
-    std::uint64_t faults = 0;
-    std::uint64_t last_fault = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (trace[i] == TransportFaultKind::None)
-            continue;
-        ++faults;
-        EXPECT_GE(i, 10u) << "fault before start_op";
-        if (faults > 1) {
-            EXPECT_GT(i - last_fault, 5u) << "min_gap_ops violated";
-        }
-        last_fault = i;
-    }
-    EXPECT_EQ(faults, 3u) << "max_faults cap ignored";
-    EXPECT_EQ(s.faults(), 3u);
-    EXPECT_EQ(s.count(TransportFaultKind::TornFrame), 3u);
-    EXPECT_EQ(s.ops(), 60u);
-}
-
 TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
 {
     Config cfg;
     cfg.parseArg("network.remote.retry.max_attemps=9"); // sic
-    cfg.parseArg("fault.transport.torn_frmae=0.5");     // sic
     cfg.parseArg("network.remote.retry.base_ms=1");
     // Retired keys: the v1 exchange switch, the run-ahead knobs, the
     // client heartbeat prober and the multi-endpoint failover (an old
@@ -231,15 +127,28 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
     cfg.parseArg("network.pipeline.enabled=false");
     cfg.parseArg("network.pipeline.speculate=false");
     cfg.parseArg("server.speculate=false");
+    cfg.parseArg("server.address=unix:/tmp/rasim-nocd.sock");
     cfg.parseArg("network.remote.heartbeat_ms=20");
     cfg.parseArg("network.remote.endpoints=unix:/tmp/a,unix:/tmp/b");
     cfg.parseArg("network.remote.registry=/tmp/fleet.registry");
     cfg.parseArg("network.remote.retry.breaker_failures=0");
-    (void)config::parse<noc::remote::RemoteOptions>(cfg);
-    (void)NocServerOptions::fromConfig(cfg);
+    // The transport chaos keys: the fault injector is a test fixture
+    // now, so an old chaos command line must hear that nothing reads
+    // them.
+    const std::vector<std::string> chaos = {
+        "fault.transport.corrupt",    "fault.transport.delay",
+        "fault.transport.delay_ms",   "fault.transport.disconnect",
+        "fault.transport.enabled",    "fault.transport.max_faults",
+        "fault.transport.min_gap_ops", "fault.transport.seed",
+        "fault.transport.short_read", "fault.transport.stall",
+        "fault.transport.stall_ms",   "fault.transport.start_op",
+        "fault.transport.torn_frame"};
+    for (const std::string &k : chaos)
+        cfg.parseArg(k + "=1");
+    (void)config::parse<cosim::FullSystemOptions>(cfg);
     // The misspelled and retired keys were never read, so the
-    // warnUnread() pass in FullSystem / rasim-nocd will name them
-    // instead of silently falling back to defaults.
+    // warnUnread() pass in FullSystem will name them instead of
+    // silently falling back to defaults.
     EXPECT_EQ(cfg.unreadKeysWithPrefix("network."),
               (std::vector<std::string>{
                   "network.pipeline.enabled",
@@ -249,10 +158,10 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
                   "network.remote.registry",
                   "network.remote.retry.breaker_failures",
                   "network.remote.retry.max_attemps"}));
-    EXPECT_EQ(cfg.unreadKeysWithPrefix("fault."),
-              (std::vector<std::string>{"fault.transport.torn_frmae"}));
+    EXPECT_EQ(cfg.unreadKeysWithPrefix("fault."), chaos);
     EXPECT_EQ(cfg.unreadKeysWithPrefix("server."),
-              (std::vector<std::string>{"server.speculate"}));
+              (std::vector<std::string>{"server.address",
+                                        "server.speculate"}));
 }
 
 } // namespace

@@ -209,10 +209,10 @@ TEST(DirectoryQueue, CheckpointWithQueuedRequestsResumesInOrder)
     // The layout of a queued entry — count, then each message oldest
     // first — is the one the std::deque-based directory wrote: this is
     // that implementation's archive of the same state (re-pinned when
-    // the archive header moved to format versions 2, 3 and 4; the body
-    // bytes are unchanged).
+    // the archive header moved to format versions 2, 3, 4 and 5; the
+    // body bytes are unchanged).
     EXPECT_EQ(image.size(), 228u);
-    EXPECT_EQ(crc64(image), 0xc1a17fd7e76999faull);
+    EXPECT_EQ(crc64(image), 0x744a4e77db8d3b35ull);
 
     // Resume on a fresh slice at the checkpoint's clock.
     HomeFixture r;

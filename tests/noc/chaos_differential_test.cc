@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -125,7 +126,6 @@ ipc::TransportFaultOptions
 chaosPlan(std::uint64_t seed)
 {
     ipc::TransportFaultOptions f;
-    f.enabled = true;
     f.seed = seed;
     f.torn_frame = 0.04;
     f.short_read = 0.02;
@@ -155,17 +155,23 @@ chaosRetry()
 }
 
 /** The chaos run: the same traffic through a RemoteNetwork whose
- *  connection injects seeded faults, advanced in @p step-tick quanta.
+ *  connections inject faults drawn from @p plan (none when it is
+ *  empty), advanced in @p step-tick quanta.
  *  @p restart_after_quantum (if non-zero) runs @p restart at that
  *  quantum boundary — the server dies mid-run, a fresh one takes its
  *  address, and the client must rebuild the lost state there. */
 RunResult
-runChaos(const NocParams &p, remote::RemoteOptions ro, Tick step = 1000,
+runChaos(const NocParams &p, remote::RemoteOptions ro,
+         std::optional<ipc::TransportFaultOptions> plan, Tick step = 1000,
          Tick restart_after_quantum = 0,
          const std::function<void()> &restart = {})
 {
     Simulation sim;
-    remote::RemoteNetwork net(sim, "rnet", p, ro);
+    ipc::TransportFaultSchedule sched(plan.value_or(
+        ipc::TransportFaultOptions{}));
+    remote::RemoteNetwork net(sim, "rnet", p, ro, nullptr,
+                              plan ? ipc::clientChaos(&sched)
+                                   : ipc::ChannelDecorator{});
     RunResult r;
     net.setDeliveryHandler([&](const PacketPtr &pkt) {
         r.deliveries.push_back(
@@ -184,11 +190,11 @@ runChaos(const NocParams &p, remote::RemoteOptions ro, Tick step = 1000,
             rows.emplace_back(row.path, row.sub, row.value);
         return rows;
     }();
-    r.faults = net.faultSchedule().faults();
-    r.sched_ops = net.faultSchedule().ops();
+    r.faults = sched.faults();
+    r.sched_ops = sched.ops();
     for (std::size_t k = 0; k < ipc::transport_fault_kinds; ++k)
-        r.faults_by_kind.push_back(net.faultSchedule().count(
-            static_cast<ipc::TransportFaultKind>(k)));
+        r.faults_by_kind.push_back(
+            sched.count(static_cast<ipc::TransportFaultKind>(k)));
     r.retries = net.retries.value();
     r.reconnects = net.reconnects.value();
     r.backoff_ms = net.backoffMsTotal.value();
@@ -271,10 +277,9 @@ chaosMatchesDirect(const std::string &addr, const std::string &model)
     remote::RemoteOptions ro;
     ro.socket = addr;
     ro.model = model;
-    ro.fault = chaosPlan(0xc4a05);
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 4; // short journals, frequent base refreshes
-    RunResult chaos = runChaos(p, ro);
+    RunResult chaos = runChaos(p, ro, chaosPlan(0xc4a05));
 
     EXPECT_GT(chaos.faults, 0u) << "the chaos plan never fired";
     EXPECT_GT(chaos.retries, 0.0);
@@ -301,13 +306,13 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
     p.rows = 8;
     remote::RemoteOptions ro;
     ro.socket = addr();
-    ro.fault = chaosPlan(0x5eed);
+    ipc::TransportFaultOptions plan = chaosPlan(0x5eed);
     // Uncapped, but every fault is followed by enough clean operations
     // for a whole recovery (handshake, base image, a 4-quantum journal
     // replay and the retried exchange), so the retry budget masks any
     // fault sequence.
-    ro.fault.max_faults = 0;
-    ro.fault.min_gap_ops = 24;
+    plan.max_faults = 0;
+    plan.min_gap_ops = 24;
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 4;
 
@@ -318,8 +323,8 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
     // run makes a dozen operations, and whether any of them faults is
     // down to the seed.
     constexpr Tick step = 10;
-    RunResult a = runChaos(p, ro, step);
-    RunResult b = runChaos(p, ro, step);
+    RunResult a = runChaos(p, ro, plan, step);
+    RunResult b = runChaos(p, ro, plan, step);
     EXPECT_GE(a.sched_ops, 100u);
     EXPECT_GT(a.faults, 0u);
 
@@ -339,9 +344,9 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
     // simulation results stay identical regardless): over this many
     // faults, two independent schedules landing on the same kinds at
     // the same operation count is vanishingly unlikely.
-    remote::RemoteOptions other = ro;
-    other.fault.seed = ro.fault.seed + 1;
-    RunResult c = runChaos(p, other, step);
+    ipc::TransportFaultOptions other = plan;
+    other.seed = plan.seed + 1;
+    RunResult c = runChaos(p, ro, other, step);
     EXPECT_GT(c.faults, 0u);
     EXPECT_EQ(c.deliveries, a.deliveries);
     EXPECT_NE(std::make_tuple(c.sched_ops, c.faults_by_kind),
@@ -367,7 +372,7 @@ restartMatchesDirect(const std::string &addr, const std::string &model,
     // fabric is still busy, and a fresh one is started on the same
     // address: the remaining 18 quanta run there, cold-opened from the
     // latest base image.
-    RunResult run = runChaos(p, ro, 1000, 2000, restart);
+    RunResult run = runChaos(p, ro, std::nullopt, 1000, 2000, restart);
 
     expectSameResults(run, direct, model.c_str());
     EXPECT_GE(run.reconnects, 1.0);
@@ -398,15 +403,17 @@ TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
     remote::RemoteOptions ro;
     ro.socket = addr();
     ro.retry = chaosRetry();
-    ro.fault = ipc::TransportFaultOptions{};
-    ro.fault.enabled = true; // all probabilities zero: forced only
-    remote::RemoteNetwork net(sim, "rnet", p, ro);
-    ASSERT_NE(net.faultyChannel(), nullptr);
+    // All probabilities zero: only the forced faults below fire.
+    ipc::TransportFaultSchedule sched;
+    ipc::FaultyTransport *live = nullptr;
+    remote::RemoteNetwork net(sim, "rnet", p, ro, nullptr,
+                              ipc::clientChaos(&sched, &live));
+    ASSERT_NE(live, nullptr);
 
     // A cold disconnect before the quantum's send: one retry round
     // reconnects, replays and completes — the caller never notices.
     net.inject(makePacket(1, 0, 15, MsgClass::Request, 8, 10));
-    net.faultyChannel()->failNextSend(ipc::TransportFaultKind::Disconnect);
+    live->failNextSend(ipc::TransportFaultKind::Disconnect);
     net.advanceTo(1000);
     EXPECT_EQ(net.deliveredCount(), 1u);
     EXPECT_EQ(net.retries.value(), 1.0);
@@ -414,7 +421,7 @@ TEST_F(ChaosDifferential, ForcedFaultsAreRetriedTransparently)
 
     // A stalled reply (Timeout kind) is just as retryable.
     net.inject(makePacket(2, 1, 14, MsgClass::Request, 8, 1500));
-    net.faultyChannel()->failNextRecv(ipc::TransportFaultKind::Stall);
+    live->failNextRecv(ipc::TransportFaultKind::Stall);
     net.advanceTo(2000);
     EXPECT_EQ(net.deliveredCount(), 2u);
     EXPECT_EQ(net.retries.value(), 2.0);

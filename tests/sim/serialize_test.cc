@@ -134,9 +134,9 @@ TEST(Archive, FutureVersionRejected)
 
 TEST(Archive, OlderVersionRejected)
 {
-    // An image of the previous format (3: stall bytes in the network
-    // sections, a health flag in the bridge) must be refused up front
-    // by its version, not misparsed.
+    // An image of the previous format (4: no run-loop boundary in
+    // FullSystem's sim section) must be refused up front by its
+    // version, not misparsed.
     std::string image = sampleArchive();
     image[8] = static_cast<char>(ArchiveWriter::format_version - 1);
     std::uint32_t crc = rasim::crc32(image.data(), image.size() - 4);
@@ -146,7 +146,7 @@ TEST(Archive, OlderVersionRejected)
     }
     ArchiveReader ar(std::move(image));
     EXPECT_FALSE(ar.ok());
-    EXPECT_NE(ar.error().find("unsupported archive version 3 (expected 4)"),
+    EXPECT_NE(ar.error().find("unsupported archive version 4 (expected 5)"),
               std::string::npos)
         << ar.error();
 }
