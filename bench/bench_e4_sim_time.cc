@@ -8,10 +8,14 @@
  * wall-clock of a reciprocal co-simulation split into its full-system
  * and network components, then apply the GPU coprocessor timing model
  * (DESIGN.md substitution: no CUDA device, so the device is modelled,
- * not measured):
+ * not measured). The bridge runs the host beside the serial network
+ * on its backend thread, so part of the host's time is hidden:
  *
- *   CPU-only   = host_ns + serial network ns      (both measured)
- *   CPU+GPU    = quanta * max(host/quantum, device quantum time)
+ *   host busy  = the event simulation's own time    (measured)
+ *   hidden     = host busy - host time left exposed (measured)
+ *   CPU-only   = exposed host + network ns, the
+ *                quanta's wall clock                (measured)
+ *   CPU+GPU    = quanta * max(host busy/quantum, device quantum time)
  *                                                  (device modelled)
  */
 
@@ -43,6 +47,7 @@ namespace
 struct Measured
 {
     double host_ns = 0.0;
+    double host_busy_ns = 0.0;
     double net_ns = 0.0;
     std::uint64_t quanta = 0;
     Tick quantum = 0;
@@ -148,6 +153,7 @@ measure(int cols, int rows)
     sys.run();
     Measured m;
     m.host_ns = sys.bridge().hostNs();
+    m.host_busy_ns = sys.bridge().hostBusyNs();
     m.net_ns = sys.bridge().netNs();
     m.quanta = sys.bridge().quantaRun();
     m.quantum = o.quantum;
@@ -208,8 +214,8 @@ main(int argc, char **argv)
 
     printHeader("E4: co-simulation wall-clock, CPU-only vs CPU+GPU "
                 "(fft, quantum 256)");
-    printRow({"target", "quanta", "host_ms", "net_ms", "cpu_only_ms",
-              "cpu_gpu_ms", "reduction"});
+    printRow({"target", "quanta", "host_busy_ms", "hidden_ms",
+              "net_ms", "cpu_only_ms", "cpu_gpu_ms", "reduction"});
 
     const struct
     {
@@ -230,18 +236,22 @@ main(int argc, char **argv)
             continue; // CI lane: the 64-core target is representative
         Measured m = measure(t.cols, t.rows);
         double cpu_only = m.host_ns + m.net_ns;
-        double cpu_gpu = device.overlappedRunNs(m.host_ns, m.quanta,
+        double cpu_gpu = device.overlappedRunNs(m.host_busy_ns, m.quanta,
                                                 m.quantum, m.routers);
         double reduction = 1.0 - cpu_gpu / cpu_only;
         printRow({t.label, std::to_string(m.quanta),
-                  fmt(m.host_ns / 1e6), fmt(m.net_ns / 1e6),
-                  fmt(cpu_only / 1e6), fmt(cpu_gpu / 1e6),
-                  pct(reduction)});
+                  fmt(m.host_busy_ns / 1e6),
+                  fmt((m.host_busy_ns - m.host_ns) / 1e6),
+                  fmt(m.net_ns / 1e6), fmt(cpu_only / 1e6),
+                  fmt(cpu_gpu / 1e6), pct(reduction)});
         std::printf("%14s paper-reported reduction: %s\n", "", t.paper);
     }
 
+    std::printf("\n(measured: host_busy_ms, hidden_ms = host time run "
+                "beside the network, net_ms, cpu_only_ms; modelled: "
+                "cpu_gpu_ms, reduction)\n");
     std::printf(
-        "\n(device side modelled: launch %.0f ns, %.0f ns/router-wave, "
+        "(device side modelled: launch %.0f ns, %.0f ns/router-wave, "
         "width %d, transfer %.0f ns/quantum — see DESIGN.md)\n",
         device.params().kernel_launch_ns, device.params().router_slot_ns,
         device.params().parallel_width,

@@ -4,9 +4,9 @@
 # that exercise concurrency: sim (engine unit/property tests), noc
 # (serial-vs-parallel differentials of the soa kernel, whose flat
 # occupancy arrays rely on the single-writer-per-phase discipline TSan
-# validates, and of the oracle), cosim (overlapped bridge determinism)
-# and ipc (the multiplexing rasim-nocd daemon — session threads,
-# stop(), and the multi-session soak).
+# validates, and of the oracle), cosim (the bridge's backend thread:
+# overlapped and pipelined quanta) and ipc (the multiplexing rasim-nocd
+# daemon — session threads, stop(), and the multi-session soak).
 #
 # Usage: scripts/run_tsan.sh [build-dir]
 set -euo pipefail
@@ -24,3 +24,9 @@ cmake --build "$build" -j "$jobs"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir "$build" --output-on-failure -L 'sim|noc|cosim|ipc'
+
+# The pipelined quantum's hand-offs between the host and the backend
+# thread interleave differently on every run: repeat its differential
+# and failure tests so TSan sees many interleavings.
+ctest --test-dir "$build" --output-on-failure -j "$jobs" \
+    -R 'PipelineDifferential|PipelineFailure' --repeat until-fail:20

@@ -1,9 +1,11 @@
 #include "cosim/bridge.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -17,15 +19,270 @@ namespace cosim
 namespace
 {
 
+using Clock = std::chrono::steady_clock;
+
 double
-elapsedNs(std::chrono::steady_clock::time_point start)
+elapsedNs(Clock::time_point start)
 {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - start)
+    return std::chrono::duration<double, std::nano>(Clock::now() - start)
         .count();
 }
 
+/** Host ticks between two watermark publications of a pipelined
+ *  quantum. */
+constexpr Tick host_chunk = 4;
+
+/**
+ * How long a hand-off wait spins before it blocks. Waking a blocked
+ * thread costs tens of microseconds on a VM, about what a short
+ * quantum's whole network step costs, so both sides keep spinning
+ * across the typical gap (see DESIGN.md §7.2 for the sweep).
+ */
+constexpr std::chrono::microseconds spin_budget{200};
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
+
+/** Wait until @p a no longer holds @p old and return the new value;
+ *  acquire pairs with the writer's release. Spins with pauses, then
+ *  yields between rounds until spin_budget is over (so a waiter that
+ *  shares a CPU with its peer does not hold the peer off), then
+ *  blocks. */
+template <typename T>
+T
+awaitChange(const std::atomic<T> &a, T old)
+{
+    Clock::time_point deadline{};
+    for (;;) {
+        for (int i = 0; i < 64; ++i) {
+            T v = a.load(std::memory_order_acquire);
+            if (v != old)
+                return v;
+            cpuRelax();
+        }
+        Clock::time_point now = Clock::now();
+        if (deadline == Clock::time_point{})
+            deadline = now + spin_budget;
+        else if (now >= deadline)
+            break;
+        else
+            std::this_thread::yield();
+    }
+    a.wait(old, std::memory_order_acquire);
+    return a.load(std::memory_order_acquire);
+}
+
 } // namespace
+
+/**
+ * The persistent backend thread. It runs one job per quantum and is
+ * parked in between: advance the backend to the quantum's end, either
+ * at once (an overlapped quantum) or as far as the host's watermark
+ * allows (a pipelined one).
+ *
+ * Hand-offs: post() writes the job and bumps job_seq_ (release); the
+ * thread bumps done_seq_ (release) when the job is over, and join()
+ * acquires it, so the job's fields and everything the thread did to
+ * the backend are ordered before the boundary work that follows. A
+ * pipelined job also follows watermark_: publish() moves the
+ * injections the host made in a chunk into inbox_ and then raises the
+ * watermark to the chunk's end (release). Having seen a watermark w
+ * (acquire), the thread therefore holds every packet injected at or
+ * before w; it injects them and simulates the cycles up to w, which
+ * need nothing later. Every wait spins before it blocks.
+ */
+class QuantumBridge::BackendThread
+{
+  public:
+    explicit BackendThread(noc::NetworkModel &backend)
+        : backend_(backend), thread_([this] { loop(); })
+    {
+    }
+
+    ~BackendThread()
+    {
+        // Only ever called with the thread parked between jobs.
+        stop_ = true;
+        job_seq_.fetch_add(1, std::memory_order_release);
+        job_seq_.notify_one();
+        thread_.join();
+    }
+
+    BackendThread(const BackendThread &) = delete;
+    BackendThread &operator=(const BackendThread &) = delete;
+
+    /** Start advancing the backend to @p q_end; with @p follow_host
+     *  only as far as the published watermark. */
+    void
+    post(Tick q_end, bool follow_host)
+    {
+        q_end_ = q_end;
+        follow_host_ = follow_host;
+        error_ = nullptr;
+        busy_ns_ = 0.0;
+        watermark_.store(0, std::memory_order_relaxed);
+        job_seq_.fetch_add(1, std::memory_order_release);
+        job_seq_.notify_one();
+    }
+
+    /** Host side: queue @p pkt for the backend's inject(). */
+    void hand(const noc::PacketPtr &pkt) { staged_.push_back(pkt); }
+
+    /** Host side: every event at or before @p t has run. */
+    void
+    publish(Tick t)
+    {
+        if (!staged_.empty()) {
+            std::lock_guard<std::mutex> lock(inbox_mutex_);
+            inbox_.insert(inbox_.end(), staged_.begin(), staged_.end());
+            staged_.clear();
+        }
+        watermark_.store(t, std::memory_order_release);
+        watermark_.notify_one();
+    }
+
+    /** Host side: the host failed mid-quantum; stop following it. */
+    void abort() { publish(aborted); }
+
+    /** Wait for the job to end; returns the ns it kept the thread
+     *  busy. Its failure, if any, is in error(). */
+    double
+    join()
+    {
+        std::uint64_t job = job_seq_.load(std::memory_order_relaxed);
+        std::uint64_t done = done_seq_.load(std::memory_order_acquire);
+        while (done != job)
+            done = awaitChange(done_seq_, done);
+        return busy_ns_;
+    }
+
+    std::exception_ptr error() const { return error_; }
+
+  private:
+    static constexpr Tick aborted = max_tick;
+
+    void
+    loop()
+    {
+        std::uint64_t seen = 0;
+        for (;;) {
+            seen = awaitChange(job_seq_, seen);
+            if (stop_)
+                return;
+            run();
+            done_seq_.store(seen, std::memory_order_release);
+            done_seq_.notify_one();
+        }
+    }
+
+    void
+    run()
+    {
+        // Backend panic()/fatal() become catchable SimError, as on the
+        // calling thread in advanceBackend().
+        logging::ThrowOnError guard;
+        Tick seen = 0;
+        try {
+            if (!follow_host_) {
+                timed([this] { backend_.advanceTo(q_end_); });
+                return;
+            }
+            for (;;) {
+                seen = awaitChange(watermark_, seen);
+                if (seen == aborted) {
+                    timed([this] { drain(); });
+                    return;
+                }
+                // The final piece is an advanceTo(), so per-advance
+                // work happens once per quantum, as without the thread.
+                timed([this, seen] {
+                    drain();
+                    if (seen >= q_end_)
+                        backend_.advanceTo(q_end_);
+                    else
+                        backend_.stepTo(seen + 1);
+                });
+                if (seen >= q_end_)
+                    return;
+            }
+        } catch (...) {
+            error_ = std::current_exception();
+        }
+        // The backend failed mid-quantum. The host-then-network order
+        // would still have handed it the rest of the host's packets,
+        // so keep injecting them until the host is done.
+        try {
+            while (follow_host_ && seen < q_end_) {
+                seen = awaitChange(watermark_, seen);
+                drain();
+            }
+        } catch (...) {
+            // The first failure is the one reported.
+        }
+    }
+
+    /** Run @p work, adding its time to busy_ns_ (also if it throws). */
+    template <typename F>
+    void
+    timed(F &&work)
+    {
+        struct Tally
+        {
+            double &ns;
+            Clock::time_point t0;
+            ~Tally() { ns += elapsedNs(t0); }
+        } tally{busy_ns_, Clock::now()};
+        work();
+    }
+
+    /** Inject what the host published, in its injection order. */
+    void
+    drain()
+    {
+        {
+            std::lock_guard<std::mutex> lock(inbox_mutex_);
+            drained_.swap(inbox_);
+        }
+        for (const noc::PacketPtr &pkt : drained_)
+            backend_.inject(pkt);
+        drained_.clear();
+    }
+
+    noc::NetworkModel &backend_;
+
+    /** @name The job, written by post() before job_seq_ is bumped */
+    /// @{
+    Tick q_end_ = 0;
+    bool follow_host_ = false;
+    bool stop_ = false;
+    /// @}
+    /** @name Results, read by the host after join() */
+    /// @{
+    std::exception_ptr error_;
+    double busy_ns_ = 0.0;
+    /// @}
+
+    std::atomic<std::uint64_t> job_seq_{0};
+    std::atomic<std::uint64_t> done_seq_{0};
+    std::atomic<Tick> watermark_{0};
+
+    /** Host-only: packets injected in the current chunk. */
+    std::vector<noc::PacketPtr> staged_;
+    std::mutex inbox_mutex_;
+    /** Published chunks' packets not yet injected. */
+    std::vector<noc::PacketPtr> inbox_;
+    /** Thread-only: the batch being injected. */
+    std::vector<noc::PacketPtr> drained_;
+
+    std::thread thread_;
+};
 
 QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
                              noc::NetworkModel &backend,
@@ -63,6 +320,8 @@ QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
 
 QuantumBridge::~QuantumBridge()
 {
+    // Join the backend thread before anything it uses goes away.
+    thread_.reset();
     // The backend usually outlives the bridge; detach the pool before
     // it is destroyed so the backend falls back to serial execution.
     if (engine_)
@@ -107,7 +366,7 @@ QuantumBridge::inject(const noc::PacketPtr &pkt)
         if (options_.overlap)
             pending_injections_.push_back(clone);
         else
-            backend_.inject(clone);
+            forward(clone);
         return;
     }
     if (state_ == HealthState::Degraded) {
@@ -123,7 +382,23 @@ QuantumBridge::inject(const noc::PacketPtr &pkt)
         pending_injections_.push_back(pkt);
         return;
     }
-    backend_.inject(pkt);
+    forward(pkt);
+}
+
+void
+QuantumBridge::forward(const noc::PacketPtr &pkt)
+{
+    if (!piping_) {
+        backend_.inject(pkt);
+        return;
+    }
+    // The backend runs on its thread right now. Its own range check
+    // would fire there; keep the check on the host's thread.
+    auto nodes = static_cast<std::size_t>(topo_->numNodes());
+    if (pkt->src >= nodes || pkt->dst >= nodes)
+        fatal("packet ", pkt->toString(), " references nodes outside a ",
+              topo_->name(), " network");
+    thread_->hand(pkt);
 }
 
 void
@@ -209,12 +484,12 @@ QuantumBridge::applyDeliveries(Tick boundary)
     pending_deliveries_.clear();
 }
 
-void
+double
 QuantumBridge::runHost(Tick q_end)
 {
-    auto t0 = std::chrono::steady_clock::now();
+    auto t0 = Clock::now();
     sim().run(q_end);
-    host_ns_ += elapsedNs(t0);
+    return elapsedNs(t0);
 }
 
 void
@@ -223,16 +498,70 @@ QuantumBridge::advanceBackend(Tick q_end)
     // Backend panic()/fatal() become catchable SimError so a
     // misbehaving model degrades instead of killing the run.
     logging::ThrowOnError guard;
-    auto t1 = std::chrono::steady_clock::now();
+    auto t1 = Clock::now();
     backend_.advanceTo(q_end);
     net_ns_ += elapsedNs(t1);
+}
+
+QuantumBridge::BackendThread &
+QuantumBridge::backendThread()
+{
+    if (!thread_)
+        thread_ = std::make_unique<BackendThread>(backend_);
+    return *thread_;
+}
+
+void
+QuantumBridge::accountThreaded(double wall_ns, double net_ns,
+                               double busy_ns)
+{
+    net_ns_ += net_ns;
+    host_ns_ += wall_ns - net_ns;
+    host_busy_ns_ += busy_ns;
 }
 
 void
 QuantumBridge::runQuantumSync(Tick q_end)
 {
-    runHost(q_end);
+    double ns = runHost(q_end);
+    host_ns_ += ns;
+    host_busy_ns_ += ns;
     advanceBackend(q_end);
+    applyDeliveries(q_end);
+}
+
+void
+QuantumBridge::runQuantumPipelined(Tick q_start, Tick q_end)
+{
+    // The host runs the quantum in chunks and publishes each chunk's
+    // end; the backend thread simulates every cycle the host has
+    // passed. Both sides read and write only their own state until
+    // the join, so the boundary sees what runQuantumSync leaves.
+    BackendThread &worker = backendThread();
+    auto t0 = Clock::now();
+    worker.post(q_end, true);
+    piping_ = true;
+    double busy_ns = 0.0;
+    try {
+        for (Tick c = q_start; c < q_end;) {
+            c = std::min(q_end, c + host_chunk);
+            busy_ns += runHost(c);
+            worker.publish(c);
+        }
+    } catch (...) {
+        // The thread is not left running: it injects what the host
+        // handed it and stops. The host's failure is the one that
+        // propagates.
+        piping_ = false;
+        worker.abort();
+        worker.join();
+        throw;
+    }
+    piping_ = false;
+    double net_ns = worker.join();
+    accountThreaded(elapsedNs(t0), net_ns, busy_ns);
+    if (std::exception_ptr error = worker.error())
+        std::rethrow_exception(error);
     applyDeliveries(q_end);
 }
 
@@ -254,29 +583,32 @@ QuantumBridge::runQuantumOverlapped(Tick q_end)
     }
     pending_injections_.clear();
 
-    std::exception_ptr net_error;
-    {
-        // Joined on scope exit, also when the host side throws: the
-        // worker is never leaked, and the deliveries it already made
-        // stay queued in pending_deliveries_ for the next boundary.
-        std::jthread net_worker([this, q_end, &net_error] {
-            try {
-                advanceBackend(q_end);
-            } catch (...) {
-                net_error = std::current_exception();
-            }
-        });
-        runHost(q_end);
+    BackendThread &worker = backendThread();
+    auto t0 = Clock::now();
+    worker.post(q_end, false);
+    double busy_ns = 0.0;
+    try {
+        busy_ns = runHost(q_end);
+    } catch (...) {
+        // The worker finishes its quantum first; the deliveries it
+        // made stay queued in pending_deliveries_ for the next
+        // boundary.
+        worker.join();
+        throw;
     }
-    if (net_error)
-        std::rethrow_exception(net_error);
+    double net_ns = worker.join();
+    accountThreaded(elapsedNs(t0), net_ns, busy_ns);
+    if (std::exception_ptr error = worker.error())
+        std::rethrow_exception(error);
     applyDeliveries(q_end);
 }
 
 void
 QuantumBridge::runQuantumDegraded(Tick q_end)
 {
-    runHost(q_end);
+    double ns = runHost(q_end);
+    host_ns_ += ns;
+    host_busy_ns_ += ns;
 
     health_.noteDegradedQuantum();
     drainDegraded(q_end);
@@ -473,10 +805,20 @@ QuantumBridge::save(ArchiveWriter &aw) const
 
     // Conservative accounting of what the backend owes the system,
     // archived in id order (FlatMap iterates ascending) so the image
-    // (and its CRC) is reproducible.
+    // (and its CRC) is reproducible. These are the backend's own
+    // packets, whose enter/deliver ticks and hops it fills in en
+    // route; a restored bridge holds copies the backend never
+    // touches, so those fields are archived as injected (a quarantine
+    // overwrites them anyway) and a resumed run writes the same bytes
+    // as the uninterrupted one.
     aw.putU64(outstanding_.size());
-    for (const auto &[id, pkt] : outstanding_)
-        noc::savePacket(aw, *pkt);
+    for (const auto &[id, pkt] : outstanding_) {
+        noc::Packet as_injected = *pkt;
+        as_injected.enter_tick = 0;
+        as_injected.deliver_tick = 0;
+        as_injected.hops = 0;
+        noc::savePacket(aw, as_injected);
+    }
 
     aw.putU64(degraded_out_.size());
     for (const noc::PacketPtr &pkt : degraded_out_)
@@ -526,9 +868,14 @@ QuantumBridge::restore(ArchiveReader &ar)
 void
 QuantumBridge::advanceCoupled(Tick t)
 {
-    void (QuantumBridge::*run_quantum)(Tick) =
-        options_.overlap ? &QuantumBridge::runQuantumOverlapped
-                         : &QuantumBridge::runQuantumSync;
+    // Conservative coupling stays sequential: its cores wait for
+    // deliveries that apply at the boundary, so the host's work sits
+    // at the quantum's first tick, where the backend waits for it
+    // anyway, and the hand-offs cost more than the little left to
+    // hide (DESIGN.md §7.2).
+    bool pipelinable = !options_.overlap &&
+                       options_.coupling == Coupling::Reciprocal &&
+                       backend_.pipelinable();
     Tick cur = std::max(sim().curTick(), backend_.curTime());
     while (cur < t) {
         Tick q_end = std::min(cur + options_.quantum, t);
@@ -537,7 +884,13 @@ QuantumBridge::advanceCoupled(Tick t)
         } else {
             std::optional<std::pair<ErrorKind, std::string>> trip;
             try {
-                (this->*run_quantum)(q_end);
+                if (options_.overlap)
+                    runQuantumOverlapped(q_end);
+                else if (pipelinable &&
+                         q_end - cur >= min_pipelined_quantum)
+                    runQuantumPipelined(cur, q_end);
+                else
+                    runQuantumSync(q_end);
             } catch (const SimError &e) {
                 health_.noteTrip(e.kind());
                 trip = std::make_pair(e.kind(), std::string(e.what()));

@@ -13,14 +13,26 @@
  * feedback that keeps the abstract view calibrated by the detailed
  * component (and that E6 ablates).
  *
- * Synchronisation: in sync mode the system simulates quantum k, then
- * the network simulates quantum k and its deliveries apply at the
+ * Synchronisation: in sync mode the system and the network both
+ * simulate quantum k and the network's deliveries apply at the
  * boundary (exact at quantum = 1 — the Monolithic reference). In
  * overlapped mode the network processes quantum k while the host
  * simulates k+1, adding one quantum of exchange slack in both
- * directions but allowing the coprocessor to run concurrently. Sync
- * mode starts no thread; overlapped mode runs the backend on one
- * worker per quantum, joined at the boundary.
+ * directions but allowing the coprocessor to run concurrently.
+ *
+ * Threads: a reciprocal sync quantum over an in-process cycle-level
+ * backend (NetworkModel::pipelinable()) at least
+ * min_pipelined_quantum long runs the host on the calling thread and
+ * the backend on one persistent backend thread at the same time. The
+ * host publishes a watermark every few ticks, and the backend
+ * simulates no cycle the watermark has not passed, so it sees
+ * exactly the packets the host-then-network order would have shown
+ * it and the results are bit-identical (DESIGN.md §7.2). Shorter
+ * quanta, conservative coupling and other backends run host, then
+ * network, on the calling thread. Overlapped mode runs the backend on
+ * the same thread. The thread starts with the first quantum that
+ * needs it and is joined by the destructor; boundary work always runs
+ * on the calling thread.
  */
 
 #ifndef RASIM_COSIM_BRIDGE_HH
@@ -184,10 +196,21 @@ class QuantumBridge : public SimObject,
     void save(ArchiveWriter &aw) const override;
     void restore(ArchiveReader &ar) override;
 
-    /** Host nanoseconds spent inside full-system event simulation. */
+    /**
+     * The two layers of the quanta's wall clock: netNs() is the time
+     * spent advancing the backend (on the backend thread, when the
+     * backend runs there) and hostNs() the rest of each quantum, so
+     * the two sum to the wall clock of the quanta. Without a backend
+     * thread hostNs() is the event simulation's own time.
+     */
     double hostNs() const { return host_ns_; }
-    /** Host nanoseconds spent advancing the network backend. */
     double netNs() const { return net_ns_; }
+    /**
+     * Nanoseconds the event simulation itself ran, also where it ran
+     * beside the backend; hostBusyNs() - hostNs() is the host time
+     * the backend thread hid.
+     */
+    double hostBusyNs() const { return host_busy_ns_; }
     /** Quanta executed by advanceCoupled(). */
     std::uint64_t quantaRun() const { return quanta_; }
 
@@ -201,15 +224,35 @@ class QuantumBridge : public SimObject,
      *  system consumed versus the detailed network's true latency. */
     stats::Distribution estimateError;
 
+    /**
+     * Reciprocal sync quanta shorter than this run host, then
+     * network, on the calling thread: the hand-off to the backend
+     * thread costs more than it hides. Chosen by a sweep over E5's
+     * quanta (DESIGN.md §7.2).
+     */
+    static constexpr Tick min_pipelined_quantum = 16;
+
   private:
+    class BackendThread;
+
     void runQuantumSync(Tick q_end);
+    /** Host and backend side by side over [q_start, q_end). */
+    void runQuantumPipelined(Tick q_start, Tick q_end);
     void runQuantumOverlapped(Tick q_end);
     void runQuantumDegraded(Tick q_end);
     void applyDeliveries(Tick boundary);
+    /** Hand @p pkt to the backend, through the backend thread while a
+     *  pipelined quantum runs. */
+    void forward(const noc::PacketPtr &pkt);
     void onBackendDelivery(const noc::PacketPtr &pkt);
 
-    /** Run the event simulation to @p q_end, timing it in hostNs. */
-    void runHost(Tick q_end);
+    /** Run the event simulation to @p q_end; returns its ns. */
+    double runHost(Tick q_end);
+    /** The backend thread, started on first use. */
+    BackendThread &backendThread();
+    /** Book one threaded quantum: @p wall_ns of wall clock, @p net_ns
+     *  of it on the backend thread, @p busy_ns of host simulation. */
+    void accountThreaded(double wall_ns, double net_ns, double busy_ns);
 
     /**
      * Advance the backend to @p q_end, timing it in netNs. Backend
@@ -249,6 +292,13 @@ class QuantumBridge : public SimObject,
     DeliveryHandler system_handler_;
     DeliveryHandler observer_;
 
+    /** Runs the backend beside the host (pipelined and overlapped
+     *  quanta); null until the first such quantum. */
+    std::unique_ptr<BackendThread> thread_;
+    /** True while a pipelined quantum runs: inject() hands packets to
+     *  the backend thread instead of the backend. */
+    bool piping_ = false;
+
     /** Injections buffered during the current host quantum (overlap
      *  mode only). */
     std::vector<noc::PacketPtr> pending_injections_;
@@ -278,6 +328,7 @@ class QuantumBridge : public SimObject,
 
     double host_ns_ = 0.0;
     double net_ns_ = 0.0;
+    double host_busy_ns_ = 0.0;
     std::uint64_t quanta_ = 0;
 };
 

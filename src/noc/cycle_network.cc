@@ -145,31 +145,41 @@ CycleNetwork::stepCycle()
 }
 
 void
+CycleNetwork::stepTo(Tick t)
+{
+    try {
+        while (time_ < t) {
+            // Fast-forward through provably idle stretches: nothing in
+            // the fabric and no injection due before the horizon.
+            if (in_fabric_ == 0) {
+                Tick next =
+                    pending_.empty() ? t : pending_.top()->inject_tick;
+                if (next > time_) {
+                    time_ = std::min(t, next);
+                    if (time_ >= t)
+                        break;
+                    continue;
+                }
+            }
+            stepCycle();
+        }
+    } catch (...) {
+        // A throwing delivery handler or fabric check ends the
+        // advance here: fold the batched stat increments now, so no
+        // reader outside an advance ever sees a pending increment.
+        fabric_->flushStats();
+        throw;
+    }
+}
+
+void
 CycleNetwork::advanceTo(Tick t)
 {
-    // Fold the fabric's batched stat increments once per call, also
-    // when a delivery handler or a fabric check throws mid-way, so no
-    // reader outside advanceTo ever sees a pending increment.
-    struct FlushStats
-    {
-        kernel::CycleFabric &fabric;
-        ~FlushStats() { fabric.flushStats(); }
-    } flush{*fabric_};
-
-    while (time_ < t) {
-        // Fast-forward through provably idle stretches: nothing in the
-        // fabric and no injection due before the horizon.
-        if (in_fabric_ == 0) {
-            Tick next = pending_.empty() ? t : pending_.top()->inject_tick;
-            if (next > time_) {
-                time_ = std::min(t, next);
-                if (time_ >= t)
-                    break;
-                continue;
-            }
-        }
-        stepCycle();
-    }
+    // Fold the fabric's batched stat increments once per call (and
+    // move the soa kernel's node-range cut with them), after any
+    // stepTo() pieces that led up to it.
+    stepTo(t);
+    fabric_->flushStats();
 }
 
 void

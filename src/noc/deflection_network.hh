@@ -71,6 +71,7 @@ class DeflectionNetwork : public SimObject, public NetworkModel
     // NetworkModel interface.
     void inject(const PacketPtr &pkt) override;
     void advanceTo(Tick t) override;
+    bool pipelinable() const override { return true; }
     void setDeliveryHandler(DeliveryHandler handler) override;
     Tick curTime() const override { return time_; }
     bool idle() const override;

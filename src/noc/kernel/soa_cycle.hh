@@ -18,7 +18,8 @@
  * cumulative-work units of WorkRanges (work_ranges.hh), so an engine
  * slot owns the same contiguous node block in compute and commit,
  * cycle after cycle, sized by the work its nodes did; the cut moves
- * at most once per advanceTo, in flushStats(). A range scans its own
+ * at most once per advanceTo, in flushStats() (the stepTo pieces a
+ * pipelined quantum is cut into never flush). A range scans its own
  * occupancy sub-block into its own slice of a node-indexed scratch
  * array and visits the nodes it finds, so no worklist pass runs on
  * the calling thread between phases.

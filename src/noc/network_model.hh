@@ -48,6 +48,26 @@ class NetworkModel
     /** Simulate up to (and including deliveries at) tick @p t. */
     virtual void advanceTo(Tick t) = 0;
 
+    /**
+     * True when the co-simulation bridge may run this model beside
+     * the event simulation inside a quantum: one thread other than
+     * the host's then calls inject(), stepTo() and advanceTo(), and
+     * nothing else of the model is touched until the quantum's final
+     * advanceTo() returns. Only in-process cycle-level models say yes;
+     * analytical and remote models and every decorator keep the
+     * host-then-network order.
+     */
+    virtual bool pipelinable() const { return false; }
+
+    /**
+     * Simulate up to tick @p t as one piece of a longer advance that
+     * an advanceTo() ends. Work a model does once per advanceTo()
+     * (the soa kernel's stat flush and node-range re-cut) waits for
+     * that final call, so a quantum cut into pieces ends in the same
+     * state as one advanceTo(). Only called when pipelinable().
+     */
+    virtual void stepTo(Tick t) { advanceTo(t); }
+
     virtual void setDeliveryHandler(DeliveryHandler handler) = 0;
 
     /**
