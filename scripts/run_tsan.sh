@@ -25,8 +25,11 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir "$build" --output-on-failure -L 'sim|noc|cosim|ipc'
 
-# The pipelined quantum's hand-offs between the host and the backend
-# thread interleave differently on every run: repeat its differential
-# and failure tests so TSan sees many interleavings.
+# The hand-offs between the host and the backend thread (the
+# watermark of pipelined and overlapped quanta) interleave differently
+# on every run: repeat the tests of both threaded plans so TSan sees
+# many interleavings.
+threaded='PipelineDifferential|PipelineFailure'
+threaded+='|QuantumBridge\..*Overlap|Health\.Overlapped'
 ctest --test-dir "$build" --output-on-failure -j "$jobs" \
-    -R 'PipelineDifferential|PipelineFailure' --repeat until-fail:20
+    -R "$threaded" --repeat until-fail:20

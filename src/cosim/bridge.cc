@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include <sched.h>
+
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 
@@ -36,7 +38,7 @@ constexpr Tick host_chunk = 4;
  * How long a hand-off wait spins before it blocks. Waking a blocked
  * thread costs tens of microseconds on a VM, about what a short
  * quantum's whole network step costs, so both sides keep spinning
- * across the typical gap (see DESIGN.md §7.2 for the sweep).
+ * across the typical gap (see DESIGN.md §7.3 for the sweep).
  */
 constexpr std::chrono::microseconds spin_budget{200};
 
@@ -83,20 +85,20 @@ awaitChange(const std::atomic<T> &a, T old)
 
 /**
  * The persistent backend thread. It runs one job per quantum and is
- * parked in between: advance the backend to the quantum's end, either
- * at once (an overlapped quantum) or as far as the host's watermark
- * allows (a pipelined one).
+ * parked in between: follow the host's watermark to the quantum's
+ * end. A pipelined quantum raises the watermark chunk by chunk; an
+ * overlapped one publishes the quantum's end at once.
  *
  * Hand-offs: post() writes the job and bumps job_seq_ (release); the
  * thread bumps done_seq_ (release) when the job is over, and join()
  * acquires it, so the job's fields and everything the thread did to
- * the backend are ordered before the boundary work that follows. A
- * pipelined job also follows watermark_: publish() moves the
- * injections the host made in a chunk into inbox_ and then raises the
- * watermark to the chunk's end (release). Having seen a watermark w
- * (acquire), the thread therefore holds every packet injected at or
- * before w; it injects them and simulates the cycles up to w, which
- * need nothing later. Every wait spins before it blocks.
+ * the backend are ordered before the boundary work that follows.
+ * publish() moves the packets handed over since the last publication
+ * into inbox_ and then raises the watermark (release). Having seen a
+ * watermark w (acquire), the thread therefore holds every packet
+ * injected at or before w; it injects them and simulates the cycles
+ * up to w, which need nothing later. Every wait spins before it
+ * blocks.
  */
 class QuantumBridge::BackendThread
 {
@@ -118,19 +120,22 @@ class QuantumBridge::BackendThread
     BackendThread(const BackendThread &) = delete;
     BackendThread &operator=(const BackendThread &) = delete;
 
-    /** Start advancing the backend to @p q_end; with @p follow_host
-     *  only as far as the published watermark. */
+    /** Start advancing the backend to @p q_end, as far as the
+     *  published watermark allows. */
     void
-    post(Tick q_end, bool follow_host)
+    post(Tick q_end)
     {
         q_end_ = q_end;
-        follow_host_ = follow_host;
         error_ = nullptr;
         busy_ns_ = 0.0;
+        running_ = true;
         watermark_.store(0, std::memory_order_relaxed);
         job_seq_.fetch_add(1, std::memory_order_release);
         job_seq_.notify_one();
     }
+
+    /** Host side: a job is posted and not yet joined. */
+    bool running() const { return running_; }
 
     /** Host side: queue @p pkt for the backend's inject(). */
     void hand(const noc::PacketPtr &pkt) { staged_.push_back(pkt); }
@@ -148,8 +153,14 @@ class QuantumBridge::BackendThread
         watermark_.notify_one();
     }
 
-    /** Host side: the host failed mid-quantum; stop following it. */
-    void abort() { publish(aborted); }
+    /** Host side: the host failed mid-quantum; stop following it. A
+     *  job whose end is already published runs to its end. */
+    void
+    abort()
+    {
+        if (watermark_.load(std::memory_order_relaxed) < q_end_)
+            publish(aborted);
+    }
 
     /** Wait for the job to end; returns the ns it kept the thread
      *  busy. Its failure, if any, is in error(). */
@@ -160,10 +171,13 @@ class QuantumBridge::BackendThread
         std::uint64_t done = done_seq_.load(std::memory_order_acquire);
         while (done != job)
             done = awaitChange(done_seq_, done);
+        running_ = false;
         return busy_ns_;
     }
 
     std::exception_ptr error() const { return error_; }
+    /** The CPU the thread ended its last job on (-1: unknown). */
+    int cpu() const { return cpu_; }
 
   private:
     static constexpr Tick aborted = max_tick;
@@ -177,6 +191,7 @@ class QuantumBridge::BackendThread
             if (stop_)
                 return;
             run();
+            cpu_ = sched_getcpu();
             done_seq_.store(seen, std::memory_order_release);
             done_seq_.notify_one();
         }
@@ -185,15 +200,11 @@ class QuantumBridge::BackendThread
     void
     run()
     {
-        // Backend panic()/fatal() become catchable SimError, as on the
-        // calling thread in advanceBackend().
+        // Backend panic()/fatal() become catchable SimError, as in a
+        // sequential quantum on the calling thread.
         logging::ThrowOnError guard;
         Tick seen = 0;
         try {
-            if (!follow_host_) {
-                timed([this] { backend_.advanceTo(q_end_); });
-                return;
-            }
             for (;;) {
                 seen = awaitChange(watermark_, seen);
                 if (seen == aborted) {
@@ -219,7 +230,7 @@ class QuantumBridge::BackendThread
         // would still have handed it the rest of the host's packets,
         // so keep injecting them until the host is done.
         try {
-            while (follow_host_ && seen < q_end_) {
+            while (seen < q_end_) {
                 seen = awaitChange(watermark_, seen);
                 drain();
             }
@@ -260,23 +271,25 @@ class QuantumBridge::BackendThread
     /** @name The job, written by post() before job_seq_ is bumped */
     /// @{
     Tick q_end_ = 0;
-    bool follow_host_ = false;
     bool stop_ = false;
     /// @}
     /** @name Results, read by the host after join() */
     /// @{
     std::exception_ptr error_;
     double busy_ns_ = 0.0;
+    int cpu_ = -1;
     /// @}
+    /** Host-only: between post() and join(). */
+    bool running_ = false;
 
     std::atomic<std::uint64_t> job_seq_{0};
     std::atomic<std::uint64_t> done_seq_{0};
     std::atomic<Tick> watermark_{0};
 
-    /** Host-only: packets injected in the current chunk. */
+    /** Host-only: packets handed over since the last publish(). */
     std::vector<noc::PacketPtr> staged_;
     std::mutex inbox_mutex_;
-    /** Published chunks' packets not yet injected. */
+    /** Published packets not yet injected. */
     std::vector<noc::PacketPtr> inbox_;
     /** Thread-only: the batch being injected. */
     std::vector<noc::PacketPtr> drained_;
@@ -303,7 +316,8 @@ QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
       table_(net_params, net_params.columns + net_params.rows + 2,
              options_.abstract.ewma_alpha, options_.abstract.granularity,
              net_params.numNodes()),
-      checkpoint_(table_), health_(sim, "health", options_.health, this)
+      checkpoint_(table_),
+      health_(sim, "health", options_.health, state_, this)
 {
     if (options_.quantum == 0)
         fatal("co-simulation quantum must be positive");
@@ -314,8 +328,11 @@ QuantumBridge::QuantumBridge(Simulation &sim, const std::string &name,
             std::make_unique<ParallelEngine>(options_.engine_workers);
         backend_.setEngine(engine_.get());
     }
-    backend_.setDeliveryHandler(
-        [this](const noc::PacketPtr &pkt) { onBackendDelivery(pkt); });
+    // Runs on the thread advancing the backend; everything that
+    // touches shared state waits for the boundary.
+    backend_.setDeliveryHandler([this](const noc::PacketPtr &pkt) {
+        pending_deliveries_.push_back(pkt);
+    });
 }
 
 QuantumBridge::~QuantumBridge()
@@ -336,16 +353,7 @@ QuantumBridge::inject(const noc::PacketPtr &pkt)
         // Upward abstraction: the system consumes the table estimate
         // immediately, event-exactly, and never waits on the detailed
         // model.
-        int hops = topo_->minHops(pkt->src, pkt->dst);
-        std::uint32_t flits =
-            net_params_.flitsPerPacket(pkt->size_bytes);
-        double est = table_.estimate(static_cast<int>(pkt->cls), hops,
-                                     flits, pkt->src, pkt->dst);
-        auto est_ticks =
-            std::max<Tick>(1, static_cast<Tick>(std::llround(est)));
-        pkt->enter_tick = pkt->inject_tick;
-        pkt->hops = static_cast<std::uint32_t>(hops);
-        pkt->deliver_tick = pkt->inject_tick + est_ticks;
+        Tick est_ticks = stampEstimate(*pkt);
         if (system_handler_)
             system_handler_(pkt);
 
@@ -363,10 +371,7 @@ QuantumBridge::inject(const noc::PacketPtr &pkt)
         clone->deliver_tick = 0;
         clone->hops = 0;
         clone->context = est_ticks; // remember the consumed estimate
-        if (options_.overlap)
-            pending_injections_.push_back(clone);
-        else
-            forward(clone);
+        forward(clone);
         return;
     }
     if (state_ == HealthState::Degraded) {
@@ -376,29 +381,28 @@ QuantumBridge::inject(const noc::PacketPtr &pkt)
         return;
     }
     outstanding_.emplace(pkt->id, pkt);
-    if (options_.overlap) {
-        // The backend may be advancing on the worker right now; hold
-        // the packet until the boundary.
-        pending_injections_.push_back(pkt);
-        return;
-    }
     forward(pkt);
 }
 
 void
 QuantumBridge::forward(const noc::PacketPtr &pkt)
 {
-    if (!piping_) {
+    bool threaded = options_.overlap || (thread_ && thread_->running());
+    if (!threaded) {
         backend_.inject(pkt);
         return;
     }
-    // The backend runs on its thread right now. Its own range check
-    // would fire there; keep the check on the host's thread.
+    // The backend thread injects the packet (overlap mode: in the
+    // next quantum). The backend's own range check would fire there;
+    // keep the check on the host's thread, at the injecting event.
     auto nodes = static_cast<std::size_t>(topo_->numNodes());
     if (pkt->src >= nodes || pkt->dst >= nodes)
         fatal("packet ", pkt->toString(), " references nodes outside a ",
               topo_->name(), " network");
-    thread_->hand(pkt);
+    if (options_.overlap)
+        pending_injections_.push_back(pkt);
+    else
+        thread_->hand(pkt);
 }
 
 void
@@ -438,22 +442,10 @@ QuantumBridge::numNodes() const
 }
 
 void
-QuantumBridge::onBackendDelivery(const noc::PacketPtr &pkt)
-{
-    // Runs on the thread advancing the backend (worker in overlapped
-    // mode); defer everything that touches shared state to the
-    // boundary.
-    pending_deliveries_.push_back(pkt);
-}
-
-void
 QuantumBridge::applyDeliveries(Tick boundary)
 {
     bool reciprocal = options_.coupling == Coupling::Reciprocal;
     for (const noc::PacketPtr &pkt : pending_deliveries_) {
-        ++packetsDelivered;
-        deliverySlack.sample(
-            static_cast<double>(boundary - pkt->deliver_tick));
         if (observer_)
             observer_(pkt);
         if (options_.feedback) {
@@ -470,18 +462,25 @@ QuantumBridge::applyDeliveries(Tick boundary)
             estimateError.sample(err);
             err_abs_window_ += std::abs(err);
             ++err_samples_window_;
+            deliverUp(pkt, boundary, false);
             continue;
         }
-        if (outstanding_.erase(pkt->id) == 0) {
-            // A quarantine already served this packet from the
-            // estimate; the late real delivery still calibrates the
-            // table (above) but must not reach the system twice.
-            continue;
-        }
-        if (system_handler_)
-            system_handler_(pkt);
+        // A quarantine may already have served this packet from the
+        // estimate; the late real delivery still calibrates the table
+        // (above) but must not reach the system twice.
+        deliverUp(pkt, boundary, outstanding_.erase(pkt->id) != 0);
     }
     pending_deliveries_.clear();
+}
+
+void
+QuantumBridge::deliverUp(const noc::PacketPtr &pkt, Tick boundary,
+                         bool to_system)
+{
+    ++packetsDelivered;
+    deliverySlack.sample(static_cast<double>(boundary - pkt->deliver_tick));
+    if (to_system && system_handler_)
+        system_handler_(pkt);
 }
 
 double
@@ -493,131 +492,126 @@ QuantumBridge::runHost(Tick q_end)
 }
 
 void
-QuantumBridge::advanceBackend(Tick q_end)
+QuantumBridge::account(double host_ns, double net_ns, double busy_ns)
 {
-    // Backend panic()/fatal() become catchable SimError so a
-    // misbehaving model degrades instead of killing the run.
-    logging::ThrowOnError guard;
-    auto t1 = Clock::now();
-    backend_.advanceTo(q_end);
-    net_ns_ += elapsedNs(t1);
-}
-
-QuantumBridge::BackendThread &
-QuantumBridge::backendThread()
-{
-    if (!thread_)
-        thread_ = std::make_unique<BackendThread>(backend_);
-    return *thread_;
-}
-
-void
-QuantumBridge::accountThreaded(double wall_ns, double net_ns,
-                               double busy_ns)
-{
+    host_ns_ += host_ns;
     net_ns_ += net_ns;
-    host_ns_ += wall_ns - net_ns;
     host_busy_ns_ += busy_ns;
 }
 
-void
-QuantumBridge::runQuantumSync(Tick q_end)
+QuantumBridge::Plan
+QuantumBridge::plan(Tick q_start, Tick q_end) const
 {
-    double ns = runHost(q_end);
-    host_ns_ += ns;
-    host_busy_ns_ += ns;
-    advanceBackend(q_end);
-    applyDeliveries(q_end);
+    if (state_ == HealthState::Degraded)
+        return Plan::Tuned;
+    if (options_.overlap)
+        return Plan::Overlapped;
+    // Conservative coupling stays sequential: its cores wait for
+    // deliveries that apply at the boundary, so the host's work sits
+    // at the quantum's first tick, where the backend waits for it
+    // anyway, and the hand-offs cost more than the little left to
+    // hide (DESIGN.md §7.3).
+    if (options_.coupling == Coupling::Reciprocal &&
+        backend_.pipelinable() && q_end - q_start >= min_pipelined_quantum)
+        return Plan::Pipelined;
+    return Plan::Sequential;
 }
 
 void
-QuantumBridge::runQuantumPipelined(Tick q_start, Tick q_end)
+QuantumBridge::runQuantum(Plan how, Tick q_start, Tick q_end)
 {
-    // The host runs the quantum in chunks and publishes each chunk's
-    // end; the backend thread simulates every cycle the host has
-    // passed. Both sides read and write only their own state until
-    // the join, so the boundary sees what runQuantumSync leaves.
-    BackendThread &worker = backendThread();
-    auto t0 = Clock::now();
-    worker.post(q_end, true);
-    piping_ = true;
-    double busy_ns = 0.0;
+    if (how == Plan::Tuned) {
+        double ns = runHost(q_end);
+        account(ns, 0.0, ns);
+        ++health_.degradedQuanta;
+        drainDegraded(q_end);
+        if (cooldown_ > 0 && --cooldown_ == 0)
+            beginProbation();
+        return;
+    }
+
+    std::optional<HealthMonitor::Trip> trip;
     try {
-        for (Tick c = q_start; c < q_end;) {
-            c = std::min(q_end, c + host_chunk);
-            busy_ns += runHost(c);
-            worker.publish(c);
+        if (how == Plan::Sequential) {
+            double ns = runHost(q_end);
+            // Backend panic()/fatal() become catchable SimError so a
+            // misbehaving model degrades instead of killing the run.
+            logging::ThrowOnError guard;
+            auto t1 = Clock::now();
+            backend_.advanceTo(q_end);
+            account(ns, elapsedNs(t1), ns);
+        } else {
+            // Started by the first threaded quantum.
+            if (!thread_)
+                thread_ = std::make_unique<BackendThread>(backend_);
+            BackendThread &worker = *thread_;
+            if (how == Plan::Overlapped) {
+                // Release the injections gathered during the previous
+                // host quantum. Clones exist only to calibrate the
+                // table; shift them to the boundary so the one-quantum
+                // hand-off slack is not mistaken for genuine source
+                // queueing.
+                Tick boundary = backend_.curTime();
+                for (const noc::PacketPtr &pkt : pending_injections_) {
+                    if (options_.coupling == Coupling::Reciprocal)
+                        pkt->inject_tick =
+                            std::max(pkt->inject_tick, boundary);
+                    worker.hand(pkt);
+                }
+                pending_injections_.clear();
+            }
+            auto t0 = Clock::now();
+            worker.post(q_end);
+            double busy_ns = 0.0;
+            try {
+                if (how == Plan::Overlapped) {
+                    // The backend runs the whole quantum on those
+                    // packets while the host simulates this one.
+                    worker.publish(q_end);
+                    busy_ns = runHost(q_end);
+                } else {
+                    // The host runs the quantum in chunks and
+                    // publishes each chunk's end; the backend thread
+                    // simulates every cycle the host has passed. Both
+                    // sides touch only their own state until the
+                    // join, so the boundary sees what the sequential
+                    // order leaves.
+                    for (Tick c = q_start; c < q_end;) {
+                        c = std::min(q_end, c + host_chunk);
+                        busy_ns += runHost(c);
+                        worker.publish(c);
+                    }
+                }
+            } catch (...) {
+                // The thread is not left running: it injects what the
+                // host handed it and stops (an overlapped quantum
+                // runs to its end first). The host's failure is the
+                // one that propagates; deliveries the thread made stay
+                // queued for the next boundary.
+                worker.abort();
+                worker.join();
+                throw;
+            }
+            double net_ns = worker.join();
+            account(elapsedNs(t0) - net_ns, net_ns, busy_ns);
+            int cpu = sched_getcpu();
+            if (cpu >= 0 && cpu == worker.cpu())
+                ++shared_cpu_quanta_;
+            if (std::exception_ptr error = worker.error())
+                std::rethrow_exception(error);
         }
-    } catch (...) {
-        // The thread is not left running: it injects what the host
-        // handed it and stops. The host's failure is the one that
-        // propagates.
-        piping_ = false;
-        worker.abort();
-        worker.join();
-        throw;
+        applyDeliveries(q_end);
+    } catch (const SimError &e) {
+        health_.noteTrip(e.kind());
+        trip = HealthMonitor::Trip{e.kind(), e.what()};
     }
-    piping_ = false;
-    double net_ns = worker.join();
-    accountThreaded(elapsedNs(t0), net_ns, busy_ns);
-    if (std::exception_ptr error = worker.error())
-        std::rethrow_exception(error);
-    applyDeliveries(q_end);
+    if (!trip)
+        trip = boundaryHealthCheck(q_end, q_end - q_start);
+    if (trip)
+        handleTrip(*trip, q_end);
 }
 
-void
-QuantumBridge::runQuantumOverlapped(Tick q_end)
-{
-    // Release the injections gathered during the previous host
-    // quantum, then let the backend chew on them while the host
-    // simulates this quantum.
-    Tick boundary = backend_.curTime();
-    for (const noc::PacketPtr &pkt : pending_injections_) {
-        if (options_.coupling == Coupling::Reciprocal) {
-            // Clones exist only to calibrate the table; shift them to
-            // the boundary so the one-quantum hand-off slack is not
-            // mistaken for genuine source queueing.
-            pkt->inject_tick = std::max(pkt->inject_tick, boundary);
-        }
-        backend_.inject(pkt);
-    }
-    pending_injections_.clear();
-
-    BackendThread &worker = backendThread();
-    auto t0 = Clock::now();
-    worker.post(q_end, false);
-    double busy_ns = 0.0;
-    try {
-        busy_ns = runHost(q_end);
-    } catch (...) {
-        // The worker finishes its quantum first; the deliveries it
-        // made stay queued in pending_deliveries_ for the next
-        // boundary.
-        worker.join();
-        throw;
-    }
-    double net_ns = worker.join();
-    accountThreaded(elapsedNs(t0), net_ns, busy_ns);
-    if (std::exception_ptr error = worker.error())
-        std::rethrow_exception(error);
-    applyDeliveries(q_end);
-}
-
-void
-QuantumBridge::runQuantumDegraded(Tick q_end)
-{
-    double ns = runHost(q_end);
-    host_ns_ += ns;
-    host_busy_ns_ += ns;
-
-    health_.noteDegradedQuantum();
-    drainDegraded(q_end);
-
-    if (cooldown_ > 0 && --cooldown_ == 0)
-        beginProbation();
-}
-
-std::optional<std::pair<ErrorKind, std::string>>
+std::optional<HealthMonitor::Trip>
 QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
 {
     // Synthetic deliveries can outlive the degraded window; serve the
@@ -638,9 +632,8 @@ QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
     err_abs_window_ = 0.0;
     err_samples_window_ = 0;
 
-    auto trip = health_.checkBoundary(s);
-    if (trip)
-        return std::make_pair(trip->kind, trip->detail);
+    if (auto trip = health_.checkBoundary(s))
+        return trip;
 
     // A clean boundary: advance probation and take the periodic
     // last-good checkpoint of the reciprocal table.
@@ -648,7 +641,7 @@ QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
         --probation_left_ == 0) {
         state_ = HealthState::Healthy;
         backoff_ = 1;
-        health_.noteRecovered();
+        ++health_.recoveries;
         inform("health: backend re-engaged and recovered at tick ",
                q_end);
     }
@@ -656,19 +649,18 @@ QuantumBridge::boundaryHealthCheck(Tick q_end, Tick quantum_cycles)
         options_.health.checkpoint_quanta) {
         checkpoint_ = table_;
         boundaries_since_checkpoint_ = 0;
-        health_.noteCheckpoint();
+        ++health_.checkpoints;
     }
     return std::nullopt;
 }
 
 void
-QuantumBridge::handleTrip(ErrorKind kind, const std::string &detail,
-                          Tick q_end)
+QuantumBridge::handleTrip(const HealthMonitor::Trip &trip, Tick q_end)
 {
-    warn("health: ", toString(kind), " guard tripped at tick ", q_end,
-         ": ", detail);
+    warn("health: ", toString(trip.kind), " guard tripped at tick ",
+         q_end, ": ", trip.detail);
     if (!options_.health.degrade)
-        throw SimError(kind, detail);
+        throw SimError(trip.kind, trip.detail);
     quarantine(q_end);
 }
 
@@ -681,11 +673,11 @@ QuantumBridge::quarantine(Tick q_end)
     applyDeliveries(q_end);
 
     if (state_ == HealthState::Probation) {
-        health_.noteRecoveryFailure();
+        ++health_.recoveryFailures;
         backoff_ = std::min(backoff_ * 2, options_.health.max_backoff);
     }
     state_ = HealthState::Degraded;
-    health_.noteDegraded();
+    ++health_.degradations;
     cooldown_ = options_.health.recovery_quanta * backoff_;
 
     // Tuned-abstract fallback: estimates come from the last-good
@@ -724,24 +716,31 @@ QuantumBridge::beginProbation()
 {
     state_ = HealthState::Probation;
     probation_left_ = options_.health.probation_quanta;
-    health_.noteProbation();
     // Forgive pre-quarantine damage: conservation losses are
     // re-baselined and the watchdog restarts from scratch.
     health_.rebase(backend_.accounting());
 }
 
+Tick
+QuantumBridge::stampEstimate(noc::Packet &pkt) const
+{
+    int hops = topo_->minHops(pkt.src, pkt.dst);
+    double est = table_.estimate(static_cast<int>(pkt.cls), hops,
+                                 net_params_.flitsPerPacket(pkt.size_bytes),
+                                 pkt.src, pkt.dst);
+    auto est_ticks =
+        std::max<Tick>(1, static_cast<Tick>(std::llround(est)));
+    pkt.enter_tick = pkt.inject_tick;
+    pkt.hops = static_cast<std::uint32_t>(hops);
+    pkt.deliver_tick = pkt.inject_tick + est_ticks;
+    return est_ticks;
+}
+
 void
 QuantumBridge::scheduleSynthetic(const noc::PacketPtr &pkt, Tick floor)
 {
-    int hops = topo_->minHops(pkt->src, pkt->dst);
-    std::uint32_t flits = net_params_.flitsPerPacket(pkt->size_bytes);
-    double est = table_.estimate(static_cast<int>(pkt->cls), hops,
-                                 flits, pkt->src, pkt->dst);
-    auto est_ticks =
-        std::max<Tick>(1, static_cast<Tick>(std::llround(est)));
-    pkt->enter_tick = pkt->inject_tick;
-    pkt->hops = static_cast<std::uint32_t>(hops);
-    pkt->deliver_tick = std::max(pkt->inject_tick + est_ticks, floor);
+    stampEstimate(*pkt);
+    pkt->deliver_tick = std::max(pkt->deliver_tick, floor);
     degraded_out_.push_back(pkt);
 }
 
@@ -757,21 +756,14 @@ QuantumBridge::drainDegraded(Tick boundary)
                       return a->deliver_tick < b->deliver_tick;
                   return a->id < b->id;
               });
+    // No observer_ call: the observer contract is "deliveries the
+    // detailed backend actually made".
     std::size_t n = 0;
     while (n < degraded_out_.size() &&
-           degraded_out_[n]->deliver_tick <= boundary) {
-        const noc::PacketPtr &pkt = degraded_out_[n];
-        ++packetsDelivered;
-        deliverySlack.sample(
-            static_cast<double>(boundary - pkt->deliver_tick));
-        // No observer_ call: the observer contract is "deliveries the
-        // detailed backend actually made".
-        if (system_handler_)
-            system_handler_(pkt);
-        ++n;
-    }
+           degraded_out_[n]->deliver_tick <= boundary)
+        deliverUp(degraded_out_[n++], boundary, true);
     if (n > 0) {
-        health_.noteSynthesized(n);
+        health_.syntheticDeliveries += static_cast<double>(n);
         degraded_out_.erase(degraded_out_.begin(),
                             degraded_out_.begin() +
                                 static_cast<std::ptrdiff_t>(n));
@@ -868,38 +860,10 @@ QuantumBridge::restore(ArchiveReader &ar)
 void
 QuantumBridge::advanceCoupled(Tick t)
 {
-    // Conservative coupling stays sequential: its cores wait for
-    // deliveries that apply at the boundary, so the host's work sits
-    // at the quantum's first tick, where the backend waits for it
-    // anyway, and the hand-offs cost more than the little left to
-    // hide (DESIGN.md §7.2).
-    bool pipelinable = !options_.overlap &&
-                       options_.coupling == Coupling::Reciprocal &&
-                       backend_.pipelinable();
     Tick cur = std::max(sim().curTick(), backend_.curTime());
     while (cur < t) {
         Tick q_end = std::min(cur + options_.quantum, t);
-        if (state_ == HealthState::Degraded) {
-            runQuantumDegraded(q_end);
-        } else {
-            std::optional<std::pair<ErrorKind, std::string>> trip;
-            try {
-                if (options_.overlap)
-                    runQuantumOverlapped(q_end);
-                else if (pipelinable &&
-                         q_end - cur >= min_pipelined_quantum)
-                    runQuantumPipelined(cur, q_end);
-                else
-                    runQuantumSync(q_end);
-            } catch (const SimError &e) {
-                health_.noteTrip(e.kind());
-                trip = std::make_pair(e.kind(), std::string(e.what()));
-            }
-            if (!trip)
-                trip = boundaryHealthCheck(q_end, q_end - cur);
-            if (trip)
-                handleTrip(trip->first, trip->second, q_end);
-        }
+        runQuantum(plan(cur, q_end), cur, q_end);
         ++quanta_;
         cur = q_end;
     }

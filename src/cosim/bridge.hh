@@ -20,19 +20,20 @@
  * simulates k+1, adding one quantum of exchange slack in both
  * directions but allowing the coprocessor to run concurrently.
  *
- * Threads: a reciprocal sync quantum over an in-process cycle-level
- * backend (NetworkModel::pipelinable()) at least
- * min_pipelined_quantum long runs the host on the calling thread and
- * the backend on one persistent backend thread at the same time. The
+ * Threads: every quantum runs one plan, picked from simulated state
+ * alone (DESIGN.md §7.3): tuned while the backend is quarantined,
+ * overlapped in overlap mode, pipelined for a reciprocal quantum over
+ * an in-process cycle-level backend (NetworkModel::pipelinable()) at
+ * least min_pipelined_quantum long, sequential otherwise. A
+ * pipelined quantum runs the host on the calling thread and the
+ * backend on one persistent backend thread at the same time: the
  * host publishes a watermark every few ticks, and the backend
- * simulates no cycle the watermark has not passed, so it sees
- * exactly the packets the host-then-network order would have shown
- * it and the results are bit-identical (DESIGN.md §7.2). Shorter
- * quanta, conservative coupling and other backends run host, then
- * network, on the calling thread. Overlapped mode runs the backend on
- * the same thread. The thread starts with the first quantum that
- * needs it and is joined by the destructor; boundary work always runs
- * on the calling thread.
+ * simulates no cycle the watermark has not passed, so it sees exactly
+ * the packets the host-then-network order would have shown it and the
+ * results are bit-identical. An overlapped quantum publishes its end
+ * at once, with the previous quantum's injections. The thread starts
+ * with the first quantum that needs it and is joined by the
+ * destructor; boundary work always runs on the calling thread.
  */
 
 #ifndef RASIM_COSIM_BRIDGE_HH
@@ -119,26 +120,8 @@ class QuantumBridge : public SimObject,
         abstractnet::AbstractParams abstract;
     };
 
-    /**
-     * Degradation state machine, driven by the health monitor's guard
-     * verdicts at quantum boundaries:
-     *
-     *   Healthy --trip--> Degraded --cooldown--> Probation
-     *   Probation --clean quanta--> Healthy (backoff resets)
-     *   Probation --trip--> Degraded (cooldown doubles, capped)
-     *
-     * Degraded quanta run without the detailed backend: the system is
-     * served tuned-abstract estimates from the last-good checkpoint of
-     * the latency table (Reciprocal), or synthesised estimate-based
-     * deliveries (Conservative). With health.recovery_quanta = 0 a
-     * degraded bridge never re-engages the backend.
-     */
-    enum class HealthState
-    {
-        Healthy,
-        Degraded,
-        Probation,
-    };
+    /** The degradation state (see HealthState); the bridge owns it. */
+    using HealthState = cosim::HealthState;
 
     QuantumBridge(Simulation &sim, const std::string &name,
                   noc::NetworkModel &backend,
@@ -213,6 +196,13 @@ class QuantumBridge : public SimObject,
     double hostBusyNs() const { return host_busy_ns_; }
     /** Quanta executed by advanceCoupled(). */
     std::uint64_t quantaRun() const { return quanta_; }
+    /**
+     * Threaded quanta whose two sides ended on one CPU (sched_getcpu()
+     * equal at the join): a quantum the scheduler most likely
+     * serialised. Wall-clock placement, outside the stats tree and
+     * the checkpoint, like hostNs().
+     */
+    std::uint64_t sharedCpuQuanta() const { return shared_cpu_quanta_; }
 
     stats::Scalar packetsForwarded;
     stats::Scalar packetsDelivered;
@@ -228,48 +218,63 @@ class QuantumBridge : public SimObject,
      * Reciprocal sync quanta shorter than this run host, then
      * network, on the calling thread: the hand-off to the backend
      * thread costs more than it hides. Chosen by a sweep over E5's
-     * quanta (DESIGN.md §7.2).
+     * quanta (DESIGN.md §7.3).
      */
     static constexpr Tick min_pipelined_quantum = 16;
 
   private:
     class BackendThread;
 
-    void runQuantumSync(Tick q_end);
-    /** Host and backend side by side over [q_start, q_end). */
-    void runQuantumPipelined(Tick q_start, Tick q_end);
-    void runQuantumOverlapped(Tick q_end);
-    void runQuantumDegraded(Tick q_end);
+    /** How one quantum runs. */
+    enum class Plan
+    {
+        /** Quarantined: host only, on tuned estimates. */
+        Tuned,
+        /** Host, then backend, on the calling thread. */
+        Sequential,
+        /** Host and backend side by side, the backend following the
+         *  host's watermark on the backend thread. */
+        Pipelined,
+        /** The backend runs the previous quantum's injections on the
+         *  backend thread while the host runs this quantum. */
+        Overlapped,
+    };
+
+    /** The plan for quantum [@p q_start, @p q_end); reads simulated
+     *  state and options only. */
+    Plan plan(Tick q_start, Tick q_end) const;
+    /** Run quantum [@p q_start, @p q_end) to its boundary by @p how,
+     *  then check and react to the guards. */
+    void runQuantum(Plan how, Tick q_start, Tick q_end);
+
     void applyDeliveries(Tick boundary);
-    /** Hand @p pkt to the backend, through the backend thread while a
-     *  pipelined quantum runs. */
+    /** Book @p pkt as crossing upwards at @p boundary and, when
+     *  @p to_system, hand it to the system. */
+    void deliverUp(const noc::PacketPtr &pkt, Tick boundary,
+                   bool to_system);
+    /** Hand @p pkt to the backend: directly, through the backend
+     *  thread while it runs a quantum, or at the next boundary
+     *  (overlap mode). */
     void forward(const noc::PacketPtr &pkt);
-    void onBackendDelivery(const noc::PacketPtr &pkt);
+    /** Stamp @p pkt as the tuned table predicts it (entered at
+     *  injection, minimal hops, delivered after the estimate); returns
+     *  the estimate in ticks. */
+    Tick stampEstimate(noc::Packet &pkt) const;
 
     /** Run the event simulation to @p q_end; returns its ns. */
     double runHost(Tick q_end);
-    /** The backend thread, started on first use. */
-    BackendThread &backendThread();
-    /** Book one threaded quantum: @p wall_ns of wall clock, @p net_ns
-     *  of it on the backend thread, @p busy_ns of host simulation. */
-    void accountThreaded(double wall_ns, double net_ns, double busy_ns);
-
-    /**
-     * Advance the backend to @p q_end, timing it in netNs. Backend
-     * panic()/fatal() surface as catchable SimError.
-     * @throws SimError on backend failure.
-     */
-    void advanceBackend(Tick q_end);
+    /** Book one quantum's wall clock: @p host_ns exposed host time,
+     *  @p net_ns in the backend, @p busy_ns of host simulation. */
+    void account(double host_ns, double net_ns, double busy_ns);
 
     /** Evaluate the guard set at a boundary; returns the trip if any
      *  guard fired (already counted in the monitor's stats). */
-    std::optional<std::pair<ErrorKind, std::string>>
+    std::optional<HealthMonitor::Trip>
     boundaryHealthCheck(Tick q_end, Tick quantum_cycles);
 
     /** React to a tripped guard: quarantine the backend, or rethrow
      *  when health.degrade is off. */
-    void handleTrip(ErrorKind kind, const std::string &detail,
-                    Tick q_end);
+    void handleTrip(const HealthMonitor::Trip &trip, Tick q_end);
     void quarantine(Tick q_end);
     void beginProbation();
 
@@ -295,9 +300,6 @@ class QuantumBridge : public SimObject,
     /** Runs the backend beside the host (pipelined and overlapped
      *  quanta); null until the first such quantum. */
     std::unique_ptr<BackendThread> thread_;
-    /** True while a pipelined quantum runs: inject() hands packets to
-     *  the backend thread instead of the backend. */
-    bool piping_ = false;
 
     /** Injections buffered during the current host quantum (overlap
      *  mode only). */
@@ -330,6 +332,7 @@ class QuantumBridge : public SimObject,
     double net_ns_ = 0.0;
     double host_busy_ns_ = 0.0;
     std::uint64_t quanta_ = 0;
+    std::uint64_t shared_cpu_quanta_ = 0;
 };
 
 } // namespace cosim

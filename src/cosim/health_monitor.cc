@@ -38,7 +38,8 @@ lostPackets(const noc::NetworkModel::Accounting &acc)
 } // namespace
 
 HealthMonitor::HealthMonitor(Simulation &sim, const std::string &name,
-                             HealthOptions options, SimObject *parent)
+                             HealthOptions options,
+                             const HealthState &state, SimObject *parent)
     : SimObject(sim, name, parent),
       conservationTrips(this, "conservation_trips",
                         "packet-conservation guard trips"),
@@ -68,8 +69,8 @@ HealthMonitor::HealthMonitor(Simulation &sim, const std::string &name,
                           "deliveries synthesised from estimates"),
       stateValue(this, "state",
                  "0 healthy, 1 degraded, 2 probation",
-                 [this] { return static_cast<double>(state_); }),
-      options_(options)
+                 [this] { return static_cast<double>(bridge_state_); }),
+      options_(options), bridge_state_(state)
 {
 }
 
@@ -177,44 +178,6 @@ HealthMonitor::noteTrip(ErrorKind kind)
 }
 
 void
-HealthMonitor::noteDegraded()
-{
-    ++degradations;
-    state_ = 1;
-}
-
-void
-HealthMonitor::noteProbation()
-{
-    state_ = 2;
-}
-
-void
-HealthMonitor::noteRecovered()
-{
-    ++recoveries;
-    state_ = 0;
-}
-
-void
-HealthMonitor::noteRecoveryFailure()
-{
-    ++recoveryFailures;
-}
-
-void
-HealthMonitor::noteCheckpoint()
-{
-    ++checkpoints;
-}
-
-void
-HealthMonitor::noteSynthesized(std::uint64_t n)
-{
-    syntheticDeliveries += static_cast<double>(n);
-}
-
-void
 HealthMonitor::save(ArchiveWriter &aw) const
 {
     aw.beginSection("health");
@@ -222,7 +185,7 @@ HealthMonitor::save(ArchiveWriter &aw) const
     aw.putBool(have_last_delivered_);
     aw.putU64(stalled_cycles_);
     aw.putI64(lost_baseline_);
-    aw.putI64(state_);
+    aw.putI64(static_cast<std::int64_t>(bridge_state_));
     aw.endSection();
 }
 
@@ -234,7 +197,7 @@ HealthMonitor::restore(ArchiveReader &ar)
     have_last_delivered_ = ar.getBool();
     stalled_cycles_ = ar.getU64();
     lost_baseline_ = ar.getI64();
-    state_ = static_cast<int>(ar.getI64());
+    ar.getI64(); // the bridge's state, restored by the bridge
     ar.endSection();
 }
 

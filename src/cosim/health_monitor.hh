@@ -89,10 +89,33 @@ struct HealthOptions
 };
 
 /**
+ * Degradation state machine, driven by the health monitor's guard
+ * verdicts at quantum boundaries:
+ *
+ *   Healthy --trip--> Degraded --cooldown--> Probation
+ *   Probation --clean quanta--> Healthy (backoff resets)
+ *   Probation --trip--> Degraded (cooldown doubles, capped)
+ *
+ * Degraded quanta run without the detailed backend: the system is
+ * served tuned-abstract estimates from the last-good checkpoint of
+ * the latency table (Reciprocal), or synthesised estimate-based
+ * deliveries (Conservative). With health.recovery_quanta = 0 a
+ * degraded bridge never re-engages the backend. QuantumBridge owns
+ * the state; the monitor only reads it.
+ */
+enum class HealthState
+{
+    Healthy,
+    Degraded,
+    Probation,
+};
+
+/**
  * Evaluates the guard set against per-boundary snapshots and owns the
  * health statistics. The degradation/recovery state machine itself
- * lives in QuantumBridge; the bridge reports its transitions here so
- * every event lands in the stats dump.
+ * lives in QuantumBridge, which bumps the event counters below as it
+ * moves; the monitor reads the bridge's state for its "state" stat
+ * and its archive section.
  */
 class HealthMonitor : public SimObject
 {
@@ -119,8 +142,10 @@ class HealthMonitor : public SimObject
         std::string detail;
     };
 
+    /** @param state The bridge's state, which outlives the monitor. */
     HealthMonitor(Simulation &sim, const std::string &name,
-                  HealthOptions options, SimObject *parent);
+                  HealthOptions options, const HealthState &state,
+                  SimObject *parent);
 
     const HealthOptions &options() const { return options_; }
 
@@ -143,22 +168,14 @@ class HealthMonitor : public SimObject
     void noteTrip(ErrorKind kind);
 
     /** Checkpoint watchdog/conservation tracking (stats are archived
-     *  with the global stats tree). */
+     *  with the global stats tree). The section ends with a copy of
+     *  the bridge's state, which restore() skips: the bridge's own
+     *  section restores it. */
     void save(ArchiveWriter &aw) const;
     void restore(ArchiveReader &ar);
 
-    /** @name State-machine transitions, reported by the bridge */
-    /// @{
-    void noteDegraded();
-    void noteProbation();
-    void noteRecovered();
-    void noteRecoveryFailure();
-    void noteCheckpoint();
-    void noteDegradedQuantum() { ++degradedQuanta; }
-    void noteSynthesized(std::uint64_t n);
-    /// @}
-
-    /** @name Health statistics (exported under <bridge>.health) */
+    /** @name Health statistics (exported under <bridge>.health; the
+     *  bridge bumps the state-machine counters) */
     /// @{
     stats::Scalar conservationTrips;
     stats::Scalar deadlockTrips;
@@ -181,6 +198,7 @@ class HealthMonitor : public SimObject
 
   private:
     HealthOptions options_;
+    const HealthState &bridge_state_;
 
     /** Watchdog progress tracking. */
     std::uint64_t last_delivered_ = 0;
@@ -190,9 +208,6 @@ class HealthMonitor : public SimObject
     /** Conservation baseline: packets lost before the last rebase
      *  stay forgiven (signed: negative means duplication). */
     std::int64_t lost_baseline_ = 0;
-
-    /** 0 healthy, 1 degraded, 2 probation (mirrors the bridge). */
-    int state_ = 0;
 };
 
 } // namespace cosim

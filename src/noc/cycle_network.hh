@@ -71,8 +71,6 @@ class CycleNetwork : public SimObject, public NetworkModel
      *  another). */
     const kernel::CycleFabric &fabric() const { return *fabric_; }
 
-    /** Packets handed to inject() so far. */
-    std::uint64_t injectedCount() const { return injected_; }
     /** Packets delivered so far. */
     std::uint64_t deliveredCount() const { return delivered_; }
     /** Packets currently inside the network (or queued for it). */

@@ -175,12 +175,6 @@ class RemoteNetwork : public SimObject, public NetworkModel
     void save(ArchiveWriter &aw);
     void restore(ArchiveReader &ar);
 
-    /** @name Test hooks */
-    /// @{
-    /** The retry policy driving every transport round. */
-    const ipc::RetryPolicy &retryPolicy() const { return retry_; }
-    /// @}
-
     /** @name Mirrored delivery statistics
      * Sampled from the replayed deliveries in delivery order, so they
      * match a server-hosted (or in-process) CycleNetwork's aggregates

@@ -19,15 +19,26 @@
  * PipelineFailure covers the error paths: a fabric that panics at a
  * fixed cycle trips, degrades and recovers exactly as the sequential
  * reference does, and a host event that throws mid-quantum leaves
- * FullSystem::run without hanging or leaking the backend thread.
+ * FullSystem::run without hanging or leaking the backend thread, in
+ * pipelined and overlapped quanta alike.
+ *
+ * PipelineRegression pins one small full-system run per quantum plan
+ * (sequential, pipelined, overlapped, conservative, tuned) to values
+ * recorded from an earlier build, so a change that moves both sides
+ * of a differential alike still shows.
  */
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <iomanip>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -43,6 +54,7 @@
 #include "sim/serialize.hh"
 #include "sim/simulation.hh"
 #include "stats/group.hh"
+#include "stats/output.hh"
 #include "stats/stat.hh"
 
 namespace
@@ -572,6 +584,44 @@ TEST(PipelineDifferential, OneStatFlushPerQuantum)
     }
 }
 
+TEST(PipelineDifferential, SharedCpuQuantaCountsAOneCpuRun)
+{
+    // Pinned to one CPU, the host and the backend thread (which
+    // inherits the mask) end every threaded quantum on it; the
+    // sequential rig has no second side to compare.
+    struct Pin
+    {
+        cpu_set_t old;
+        bool pinned = false;
+        Pin()
+        {
+            int cpu = sched_getcpu();
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            if (cpu >= 0)
+                CPU_SET(cpu, &one);
+            pinned = cpu >= 0 &&
+                     sched_getaffinity(0, sizeof(old), &old) == 0 &&
+                     sched_setaffinity(0, sizeof(one), &one) == 0;
+        }
+        ~Pin()
+        {
+            if (pinned)
+                sched_setaffinity(0, sizeof(old), &old);
+        }
+    } pin;
+    ASSERT_TRUE(pin.pinned);
+    Case c;
+    Rig seq(c, true);
+    Rig pipe(c, false);
+    seq.start(0);
+    pipe.start(0);
+    seq.advance(horizon);
+    pipe.advance(horizon);
+    EXPECT_EQ(pipe.bridge().sharedCpuQuanta(), pipe.bridge().quantaRun());
+    EXPECT_EQ(seq.bridge().sharedCpuQuanta(), 0u);
+}
+
 // ---------------------------------------------------------------------
 
 TEST(PipelineFailure, FabricPanicTripsDegradesAndRecoversAsSequential)
@@ -645,6 +695,16 @@ threadCount()
     return -1;
 }
 
+/** threadCount() once it reaches @p expected, or after a second: a
+ *  joined thread can stay listed until the kernel has reaped it. */
+int
+threadCountSettlingAt(int expected)
+{
+    for (int i = 0; i < 1000 && threadCount() != expected; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return threadCount();
+}
+
 TEST(PipelineFailure, HostThrowLeavesFullSystemRunWithoutLeakingThread)
 {
     // A sanitizer runtime may start a helper thread along with the
@@ -653,30 +713,43 @@ TEST(PipelineFailure, HostThrowLeavesFullSystemRunWithoutLeakingThread)
     std::thread([] {}).join();
     int before = threadCount();
     ASSERT_GT(before, 0);
-    {
+    // Pipelined (cosim) and overlapped (cosim-gpu, which also starts
+    // its engine's pool) quanta.
+    for (Mode mode : {Mode::CosimCycle, Mode::CosimGpu}) {
+        SCOPED_TRACE(toString(mode));
         FullSystemOptions o;
-        o.mode = Mode::CosimCycle;
+        o.mode = mode;
         o.app = "lu";
         o.ops_per_core = 40;
         o.quantum = 64;
         o.noc.columns = 4;
         o.noc.rows = 4;
         o.mem.l1_sets = 16;
-        FullSystem fs(Config(), o);
-        fs.simulation().eventq().scheduleLambda(
-            100, [] { throw std::runtime_error("host event failed"); });
-        EXPECT_THROW(fs.run(), std::runtime_error);
-        EXPECT_EQ(fs.simulation().curTick(), 100u);
-        // The backend thread is parked, not running on.
-        EXPECT_EQ(threadCount(), before + 1);
-        EXPECT_LE(fs.bridge().backend().curTime(), 101u);
+        int threads = before + 1;
+        // The overlapped quantum's end is published up front, so its
+        // backend runs the quantum out before it parks.
+        Tick backend_at_most = 101;
+        if (mode == Mode::CosimGpu) {
+            threads += o.engine_workers;
+            backend_at_most = 128;
+        }
+        {
+            FullSystem fs(Config(), o);
+            fs.simulation().eventq().scheduleLambda(
+                100, [] { throw std::runtime_error("host event failed"); });
+            EXPECT_THROW(fs.run(), std::runtime_error);
+            EXPECT_EQ(fs.simulation().curTick(), 100u);
+            // The backend thread is parked, not running on.
+            EXPECT_EQ(threadCount(), threads);
+            EXPECT_LE(fs.bridge().backend().curTime(), backend_at_most);
 
-        // It serves the next run, which finishes.
-        fs.run();
-        EXPECT_TRUE(fs.allCoresDone());
-        EXPECT_EQ(threadCount(), before + 1);
+            // It serves the next run, which finishes.
+            fs.run();
+            EXPECT_TRUE(fs.allCoresDone());
+            EXPECT_EQ(threadCount(), threads);
+        }
+        EXPECT_EQ(threadCountSettlingAt(before), before);
     }
-    EXPECT_EQ(threadCount(), before);
 }
 
 TEST(PipelineFailure, HostThrowKeepsEveryInjection)
@@ -715,28 +788,105 @@ TEST(PipelineFailure, HostThrowKeepsEveryInjection)
 
 TEST(PipelineFailure, OutOfRangeInjectionIsFatalOnTheHostThread)
 {
-    Simulation sim;
-    noc::NocParams p;
-    noc::CycleNetwork net(sim, "noc", p);
-    QuantumBridge::Options o;
-    o.quantum = 64;
-    o.coupling = Coupling::Reciprocal;
-    o.health.degrade = false;
-    QuantumBridge bridge(sim, "bridge", net, p, o);
-    sim.eventq().scheduleLambda(5, [&bridge] {
-        bridge.inject(noc::makePacket(1, 0, 999, noc::MsgClass::Request,
-                                      8, 5));
-    });
-    logging::ThrowOnError guard;
-    try {
-        bridge.advanceCoupled(64);
-        FAIL() << "out-of-range packet accepted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Config);
-        EXPECT_NE(std::string(e.what()).find("outside"), std::string::npos);
+    // Both threaded plans: pipelined, and overlapped, which hands the
+    // packet to the backend thread only in the next quantum.
+    for (bool overlap : {false, true}) {
+        SCOPED_TRACE(overlap ? "overlapped" : "pipelined");
+        Simulation sim;
+        noc::NocParams p;
+        noc::CycleNetwork net(sim, "noc", p);
+        QuantumBridge::Options o;
+        o.quantum = 64;
+        o.overlap = overlap;
+        o.coupling = Coupling::Reciprocal;
+        o.health.degrade = false;
+        QuantumBridge bridge(sim, "bridge", net, p, o);
+        sim.eventq().scheduleLambda(5, [&bridge] {
+            bridge.inject(noc::makePacket(1, 0, 999,
+                                          noc::MsgClass::Request, 8, 5));
+        });
+        logging::ThrowOnError guard;
+        try {
+            bridge.advanceCoupled(64);
+            FAIL() << "out-of-range packet accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Config);
+            EXPECT_NE(std::string(e.what()).find("outside"),
+                      std::string::npos);
+        }
+        // Raised by the injecting event itself, not at the join.
+        EXPECT_EQ(sim.curTick(), 5u);
     }
-    // Raised by the injecting event itself, not at the join.
-    EXPECT_EQ(sim.curTick(), 5u);
+}
+
+// ---------------------------------------------------------------------
+
+/**
+ * One small full-system run per quantum plan, pinned to the values
+ * the bridge's four-runner implementation produced: the finish tick,
+ * the packets delivered, the mean packet latency and a CRC of the
+ * whole stats dump. The differentials above compare plans with each
+ * other; these compare each plan with its own past, so a change that
+ * moves every plan alike (or the overlapped one, which has no
+ * sequential twin) still shows. Re-pin only with a deliberate change
+ * of simulated results.
+ */
+struct Pinned
+{
+    const char *plan;
+    void (*configure)(FullSystemOptions &);
+    Tick finish;
+    std::uint64_t delivered;
+    double mean_latency;
+    std::uint64_t stats_crc;
+};
+
+TEST(PipelineRegression, EveryPlanMatchesItsRecordedRun)
+{
+    const Pinned runs[] = {
+        {"sequential", [](FullSystemOptions &o) { o.quantum = 8; }, 10319,
+         2000, 10.27, 0x169755c69f320ef2ull},
+        {"pipelined", [](FullSystemOptions &o) { o.quantum = 64; }, 10554,
+         2000, 10.263, 0x9a602cc38bb17766ull},
+        {"overlapped",
+         [](FullSystemOptions &o) { o.mode = Mode::CosimGpu; }, 10754,
+         2000, 10.836499999999999, 0x422b2ecf73eaca7aull},
+        {"conservative",
+         [](FullSystemOptions &o) { o.conservative = true; }, 11226, 2000,
+         10.394500000000001, 0x5d0eca144f576eadull},
+        {"tuned",
+         [](FullSystemOptions &o) {
+             o.health.divergence_error = 1e-6;
+             o.health.recovery_quanta = 4;
+         },
+         10493, 143, 10.160839160839162, 0xb43a96cd259db19cull},
+    };
+    for (const Pinned &r : runs) {
+        SCOPED_TRACE(r.plan);
+        FullSystemOptions o;
+        o.mode = Mode::CosimCycle;
+        o.app = "fft";
+        o.ops_per_core = 60;
+        o.quantum = 32;
+        o.noc.columns = 4;
+        o.noc.rows = 4;
+        o.mem.l1_sets = 16;
+        r.configure(o);
+        FullSystem fs(Config(), o);
+        Tick finish = fs.run();
+        ASSERT_TRUE(fs.allCoresDone());
+        std::ostringstream dump;
+        stats::dumpText(dump, fs.simulation().statsRoot());
+        EXPECT_EQ(finish, r.finish);
+        EXPECT_EQ(fs.packetsDelivered(), r.delivered);
+        EXPECT_EQ(fs.meanPacketLatency(), r.mean_latency)
+            << std::setprecision(17) << fs.meanPacketLatency();
+        EXPECT_EQ(crc64(dump.str()), r.stats_crc)
+            << std::hex << "0x" << crc64(dump.str());
+        if (o.health.divergence_error > 0.0) {
+            EXPECT_GT(fs.bridge().health()->degradedQuanta.value(), 0.0);
+        }
+    }
 }
 
 } // namespace
