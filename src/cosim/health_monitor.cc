@@ -185,7 +185,6 @@ HealthMonitor::save(ArchiveWriter &aw) const
     aw.putBool(have_last_delivered_);
     aw.putU64(stalled_cycles_);
     aw.putI64(lost_baseline_);
-    aw.putI64(static_cast<std::int64_t>(bridge_state_));
     aw.endSection();
 }
 
@@ -197,7 +196,6 @@ HealthMonitor::restore(ArchiveReader &ar)
     have_last_delivered_ = ar.getBool();
     stalled_cycles_ = ar.getU64();
     lost_baseline_ = ar.getI64();
-    ar.getI64(); // the bridge's state, restored by the bridge
     ar.endSection();
 }
 

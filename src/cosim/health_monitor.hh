@@ -114,8 +114,7 @@ enum class HealthState
  * Evaluates the guard set against per-boundary snapshots and owns the
  * health statistics. The degradation/recovery state machine itself
  * lives in QuantumBridge, which bumps the event counters below as it
- * moves; the monitor reads the bridge's state for its "state" stat
- * and its archive section.
+ * moves; the monitor reads the bridge's state for its "state" stat.
  */
 class HealthMonitor : public SimObject
 {
@@ -168,9 +167,8 @@ class HealthMonitor : public SimObject
     void noteTrip(ErrorKind kind);
 
     /** Checkpoint watchdog/conservation tracking (stats are archived
-     *  with the global stats tree). The section ends with a copy of
-     *  the bridge's state, which restore() skips: the bridge's own
-     *  section restores it. */
+     *  with the global stats tree; the bridge's own section restores
+     *  the health state). */
     void save(ArchiveWriter &aw) const;
     void restore(ArchiveReader &ar);
 

@@ -41,7 +41,7 @@ SyntheticCore::~SyntheticCore()
 {
     // Tolerate teardown of partial runs (tick-limited experiments).
     if (step_event_.scheduled())
-        eventQueue().deschedule(&step_event_);
+        sim().eventq().deschedule(&step_event_);
 }
 
 void
@@ -62,7 +62,7 @@ SyntheticCore::scheduleNext()
     // Compute burst: geometric gap with mean 1/mem_ratio models an
     // IPC-1 core whose instructions are memory ops with p = mem_ratio.
     Tick gap = 1 + rng_.geometric(params_.mem_ratio);
-    eventQueue().reschedule(&step_event_, curTick() + gap);
+    sim().eventq().reschedule(&step_event_, curTick() + gap);
 }
 
 void
@@ -189,7 +189,7 @@ SyntheticCore::restore(ArchiveReader &ar)
     if (ar.getBool()) {
         Tick when = ar.getU64();
         std::uint64_t seq = ar.getU64();
-        eventQueue().scheduleWithSequence(&step_event_, when, seq);
+        sim().eventq().scheduleWithSequence(&step_event_, when, seq);
     }
 
     issued_ = ar.getU64();

@@ -263,12 +263,6 @@ decodeBlob(ArchiveReader &ar)
     return guardedDecode("blob", [&] { return ar.getString(); });
 }
 
-Tick
-decodeTick(ArchiveReader &ar)
-{
-    return guardedDecode("tick", [&] { return ar.getU64(); });
-}
-
 void
 encodeError(ArchiveWriter &aw, ErrorKind kind, const std::string &what)
 {

@@ -188,10 +188,8 @@ AdvanceReply decodeStepReply(ArchiveReader &ar, std::uint8_t &flags,
 CkptReply decodeCkptReply(ArchiveReader &ar);
 CkptLoadReply decodeCkptLoadReply(ArchiveReader &ar);
 std::vector<StatRow> decodeStatsReply(ArchiveReader &ar);
-/** Guarded opaque-blob payload (CkptData / CkptLoad image). */
+/** Guarded opaque-blob payload (CkptLoad image). */
 std::string decodeBlob(ArchiveReader &ar);
-/** Guarded single-tick payload (CkptLoadAck). */
-Tick decodeTick(ArchiveReader &ar);
 /** Re-raise a decoded ErrorReply as the SimError it describes. */
 [[noreturn]] void throwDecodedError(ArchiveReader &ar);
 /// @}

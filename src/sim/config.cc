@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 
 #include "sim/logging.hh"
@@ -142,30 +141,6 @@ Config::parseArgs(int argc, char **argv)
         std::string a = argv[i];
         if (a.find('=') != std::string::npos)
             parseArg(a);
-    }
-}
-
-void
-Config::loadFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open config file '", path, "'");
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        auto eq = line.find('=');
-        if (eq == std::string::npos)
-            fatal("config file '", path, "' line ", lineno,
-                  ": missing '='");
-        set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
     }
 }
 

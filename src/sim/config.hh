@@ -4,9 +4,8 @@
  * binder that ties every options struct to its keys.
  *
  * Keys are dotted paths ("section.knob"). Values are strings parsed
- * on demand. Sources: programmatic set(), command-line style "key=value"
- * arguments, and simple config files (one "key = value" per line, '#'
- * comments).
+ * on demand. Sources: programmatic set() and command-line style
+ * "key=value" arguments.
  *
  * Each options struct lists its keys once, in a member
  *
@@ -118,9 +117,6 @@ class Config
 
     /** Parse argv-style arguments, skipping non "key=value" tokens. */
     void parseArgs(int argc, char **argv);
-
-    /** Load "key = value" lines from @p path; fatal() if unreadable. */
-    void loadFile(const std::string &path);
 
     /**
      * Config hygiene: keys under @p prefix that were set but never

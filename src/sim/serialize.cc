@@ -16,13 +16,14 @@ namespace rasim
 namespace
 {
 
-/** Stat type tags recorded per stat so restore validates alignment. */
+/** Stat type tags recorded per stat so restore validates alignment.
+ *  Tag 3 was the retired histogram's; the values are part of every
+ *  archive's bytes, so none is renumbered. */
 enum StatKind : std::uint8_t
 {
     kind_scalar = 0,
     kind_average = 1,
     kind_distribution = 2,
-    kind_histogram = 3,
     kind_value = 4,
 };
 
@@ -378,13 +379,6 @@ saveGroup(ArchiveWriter &aw, const stats::Group &g)
             aw.putDouble(d->sumSq());
             aw.putDouble(d->rawMin());
             aw.putDouble(d->rawMax());
-        } else if (auto *h = dynamic_cast<const stats::Histogram *>(s)) {
-            aw.putU8(kind_histogram);
-            aw.putU64(h->numBuckets());
-            for (std::size_t i = 0; i < h->numBuckets(); ++i)
-                aw.putU64(h->bucketCount(i));
-            aw.putU64(h->overflow());
-            aw.putU64(h->totalCount());
         } else {
             // Derived values recompute from restored state.
             aw.putU8(kind_value);
@@ -427,19 +421,6 @@ restoreGroup(ArchiveReader &ar, stats::Group &g)
             double mn = ar.getDouble();
             double mx = ar.getDouble();
             d->setState(count, sum, sum_sq, mn, mx);
-        } else if (auto *h = dynamic_cast<stats::Histogram *>(s)) {
-            if (kind != kind_histogram)
-                panic("stats restore: kind mismatch for '", name, "'");
-            std::uint64_t nb = ar.getU64();
-            if (nb != h->numBuckets())
-                panic("stats restore: histogram '", name, "' has ",
-                      h->numBuckets(), " buckets, archive has ", nb);
-            std::vector<std::uint64_t> buckets(nb);
-            for (auto &b : buckets)
-                b = ar.getU64();
-            std::uint64_t overflow = ar.getU64();
-            std::uint64_t total = ar.getU64();
-            h->setState(std::move(buckets), overflow, total);
         } else {
             if (kind != kind_value)
                 panic("stats restore: kind mismatch for '", name, "'");

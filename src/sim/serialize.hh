@@ -62,8 +62,11 @@ class ArchiveWriter
      *  bridge drops its health-monitor presence flag (the monitor
      *  always exists) and FullSystem writes no "fault" section;
      *  v5: FullSystem's "sim" section ends with the run loop's last
-     *  quantum boundary, which the event queue's clock can lag. */
-    static constexpr std::uint32_t format_version = 5;
+     *  quantum boundary, which the event queue's clock can lag;
+     *  v6: the "meta" record loses the retired reference-clock
+     *  period and the "health" section drops its copy of the bridge's
+     *  state. */
+    static constexpr std::uint32_t format_version = 6;
 
     void beginSection(const std::string &tag);
     void endSection();

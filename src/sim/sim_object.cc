@@ -10,7 +10,7 @@ SimObject::SimObject(Simulation &sim, const std::string &name,
     : stats::Group(parent ? static_cast<stats::Group *>(parent)
                           : &sim.statsRoot(),
                    name),
-      Clocked(sim.eventq(), sim.rootClock()), sim_(sim)
+      sim_(sim)
 {
     sim.registerObject(this);
 }

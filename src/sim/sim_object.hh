@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "sim/clocked.hh"
 #include "sim/types.hh"
 #include "stats/group.hh"
 
@@ -16,7 +15,6 @@ namespace rasim
 {
 
 class Simulation;
-class EventQueue;
 
 /**
  * A named simulated component. SimObjects register with the Simulation
@@ -24,7 +22,7 @@ class EventQueue;
  * Group), and get an init() hook called once before the first event is
  * serviced.
  */
-class SimObject : public stats::Group, public Clocked
+class SimObject : public stats::Group
 {
   public:
     /**

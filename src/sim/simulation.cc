@@ -8,7 +8,7 @@ namespace rasim
 
 Simulation::Simulation(SimParams params)
     : eventq_("root.eventq"), stats_root_(nullptr, "system"),
-      root_clock_("root_clock", params.clock_period), seed_(params.seed)
+      seed_(params.seed)
 {
 }
 
@@ -45,32 +45,13 @@ Tick
 Simulation::run(Tick until)
 {
     initAll();
-    while (!exit_requested_ && !eventq_.empty() &&
-           eventq_.nextTick() <= until) {
+    while (!eventq_.empty() && eventq_.nextTick() <= until)
         eventq_.serviceOne();
-    }
-    if (!exit_requested_ && eventq_.curTick() < until &&
-        eventq_.empty()) {
-        // Queue drained before the horizon; stay at the last event time.
-        return eventq_.curTick();
-    }
-    if (!exit_requested_ && eventq_.curTick() < until)
+    // A drained queue stays at the last event time; otherwise advance
+    // to the horizon.
+    if (!eventq_.empty() && eventq_.curTick() < until)
         eventq_.serviceUntil(until);
     return eventq_.curTick();
-}
-
-void
-Simulation::exitSimLoop(const std::string &reason)
-{
-    exit_requested_ = true;
-    exit_reason_ = reason;
-}
-
-void
-Simulation::clearExit()
-{
-    exit_requested_ = false;
-    exit_reason_.clear();
 }
 
 } // namespace rasim

@@ -1,17 +1,15 @@
 /**
  * @file
- * Top-level simulation container: event queue, clock domains, the
- * component registry and the run loop.
+ * Top-level simulation container: event queue, the component
+ * registry and the run loop.
  */
 
 #ifndef RASIM_SIM_SIMULATION_HH
 #define RASIM_SIM_SIMULATION_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "sim/clocked.hh"
 #include "sim/config.hh"
 #include "sim/eventq.hh"
 #include "sim/rng.hh"
@@ -28,21 +26,14 @@ struct SimParams
 {
     /** Seed every component RNG stream derives from. */
     std::uint64_t seed = 1;
-    /** Period of the reference clock domain. */
-    Tick clock_period = 1;
 
-    void
-    keys(config::Binder &v)
-    {
-        v("sim.seed", seed);
-        v("sim.clock_period", clock_period);
-    }
+    void keys(config::Binder &v) { v("sim.seed", seed); }
 };
 
 /**
  * Owns the global simulation state. Components are built against a
- * Simulation, then run() drives the event loop until an exit is
- * requested, the queue drains, or a tick limit is reached.
+ * Simulation, then run() drives the event loop until the queue drains
+ * or a tick limit is reached.
  */
 class Simulation
 {
@@ -61,9 +52,6 @@ class Simulation
     stats::Group &statsRoot() { return stats_root_; }
     const stats::Group &statsRoot() const { return stats_root_; }
 
-    /** Reference clock domain (period from SimParams::clock_period). */
-    const ClockDomain &rootClock() const { return root_clock_; }
-
     /**
      * Per-component RNG derived from the global seed (SimParams::seed)
      * and a caller-chosen stream id, so adding components does not
@@ -75,20 +63,11 @@ class Simulation
     void registerObject(SimObject *obj);
 
     /**
-     * Run until @p until, an exit request, or queue drain — whichever
-     * comes first. Calls init() on all components the first time.
+     * Run until @p until or queue drain, whichever comes first.
+     * Calls init() on all components the first time.
      * @return the tick at which the loop stopped.
      */
     Tick run(Tick until = max_tick);
-
-    /** Request the run loop to stop after the current event. */
-    void exitSimLoop(const std::string &reason);
-
-    bool exitRequested() const { return exit_requested_; }
-    const std::string &exitReason() const { return exit_reason_; }
-
-    /** Clear an exit request so run() can be called again. */
-    void clearExit();
 
     /**
      * Mark the simulation as initialized without calling init() on the
@@ -103,12 +82,9 @@ class Simulation
 
     EventQueue eventq_;
     stats::Group stats_root_;
-    ClockDomain root_clock_;
     std::uint64_t seed_;
     std::vector<SimObject *> objects_;
     bool initialized_ = false;
-    bool exit_requested_ = false;
-    std::string exit_reason_;
 };
 
 } // namespace rasim

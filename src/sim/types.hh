@@ -13,13 +13,12 @@ namespace rasim
 {
 
 /**
- * Simulated time. One tick is one cycle of the reference (network) clock
- * domain in the default configuration; slower components express their
- * latencies as multiples via ClockDomain.
+ * Simulated time. One tick is one network cycle; cores, caches and
+ * DRAM express their latencies in network cycles.
  */
 using Tick = std::uint64_t;
 
-/** Cycle count within a clock domain. */
+/** A count of network cycles. */
 using Cycle = std::uint64_t;
 
 /** Largest representable tick; used as "never". */

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace rasim
 {
 namespace stats
@@ -55,62 +53,6 @@ Distribution::values() const
             {"max", maxValue()},
             {"stddev", stddev()},
             {"count", static_cast<double>(count_)}};
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    sum_sq_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
-Histogram::Histogram(Group *parent, std::string name, std::string desc,
-                     std::size_t num_buckets, double bucket_width)
-    : Stat(parent, std::move(name), std::move(desc)),
-      width_(bucket_width), buckets_(num_buckets, 0)
-{
-    if (num_buckets == 0 || bucket_width <= 0.0)
-        panic("histogram '", this->name(), "' needs buckets and width");
-}
-
-void
-Histogram::sample(double v, std::uint64_t count)
-{
-    total_ += count;
-    if (v < 0.0) {
-        overflow_ += count; // Treat negatives as out-of-range.
-        return;
-    }
-    auto idx = static_cast<std::size_t>(v / width_);
-    if (idx >= buckets_.size())
-        overflow_ += count;
-    else
-        buckets_[idx] += count;
-}
-
-std::vector<std::pair<std::string, double>>
-Histogram::values() const
-{
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(buckets_.size() + 2);
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        out.emplace_back("bucket" + std::to_string(i),
-                         static_cast<double>(buckets_[i]));
-    }
-    out.emplace_back("overflow", static_cast<double>(overflow_));
-    out.emplace_back("total", static_cast<double>(total_));
-    return out;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    total_ = 0;
 }
 
 } // namespace stats

@@ -1,7 +1,6 @@
 /**
  * @file
- * Sampled-distribution statistics: moment tracking and fixed-width
- * bucketed histograms.
+ * Sampled-distribution statistics: moment tracking.
  */
 
 #ifndef RASIM_STATS_DISTRIBUTION_HH
@@ -54,7 +53,6 @@ class Distribution : public Stat
     }
 
     std::vector<std::pair<std::string, double>> values() const override;
-    void reset() override;
 
   private:
     std::uint64_t count_ = 0;
@@ -62,45 +60,6 @@ class Distribution : public Stat
     double sum_sq_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-width bucket histogram over [0, buckets*width), with explicit
- * overflow accounting. Bucket boundaries are [i*width, (i+1)*width).
- */
-class Histogram : public Stat
-{
-  public:
-    Histogram(Group *parent, std::string name, std::string desc,
-              std::size_t num_buckets, double bucket_width);
-
-    void sample(double v, std::uint64_t count = 1);
-
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    double bucketWidth() const { return width_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t totalCount() const { return total_; }
-
-    /** Overwrite bucket contents (checkpoint restore). @pre the bucket
-     *  count matches the configured geometry. */
-    void
-    setState(std::vector<std::uint64_t> buckets, std::uint64_t overflow,
-             std::uint64_t total)
-    {
-        buckets_ = std::move(buckets);
-        overflow_ = overflow;
-        total_ = total;
-    }
-
-    std::vector<std::pair<std::string, double>> values() const override;
-    void reset() override;
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace stats

@@ -58,14 +58,5 @@ Group::removeChild(Group *g)
                     children_.end());
 }
 
-void
-Group::resetAll()
-{
-    for (Stat *s : stats_)
-        s->reset();
-    for (Group *g : children_)
-        g->resetAll();
-}
-
 } // namespace stats
 } // namespace rasim

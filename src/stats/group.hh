@@ -43,9 +43,6 @@ class Group
     const std::vector<Stat *> &statList() const { return stats_; }
     const std::vector<Group *> &children() const { return children_; }
 
-    /** Reset every stat in this subtree. */
-    void resetAll();
-
   private:
     Group *parent_;
     std::string name_;

@@ -1,13 +1,10 @@
 #include "stats/output.hh"
 
-#include <cmath>
 #include <functional>
 #include <iomanip>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
-#include "stats/distribution.hh"
 #include "stats/group.hh"
 #include "stats/stat.hh"
 
@@ -52,61 +49,6 @@ dumpText(std::ostream &os, const Group &root)
             os << " # " << desc;
         os << "\n";
     });
-}
-
-void
-dumpCsv(std::ostream &os, const Group &root)
-{
-    os << "stat,value\n";
-    visit(root, "", [&os](const std::string &path, double v,
-                          const std::string &) {
-        os << path << "," << v << "\n";
-    });
-}
-
-void
-dumpJson(std::ostream &os, const Group &root)
-{
-    os << "{";
-    bool first = true;
-    visit(root, "", [&](const std::string &path, double v,
-                        const std::string &) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n  \"";
-        for (char c : path) {
-            // Paths are programmer-chosen identifiers, but stay a
-            // valid JSON emitter for any of them.
-            switch (c) {
-              case '"':
-                os << "\\\"";
-                break;
-              case '\\':
-                os << "\\\\";
-                break;
-              default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    os << "\\u" << std::hex << std::setw(4)
-                       << std::setfill('0') << static_cast<int>(c)
-                       << std::dec << std::setfill(' ');
-                } else {
-                    os << c;
-                }
-            }
-        }
-        os << "\": ";
-        if (std::isfinite(v)) {
-            std::ostringstream num;
-            num << std::setprecision(
-                       std::numeric_limits<double>::max_digits10)
-                << v;
-            os << num.str();
-        } else {
-            os << "null";
-        }
-    });
-    os << "\n}\n";
 }
 
 double

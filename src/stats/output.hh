@@ -1,6 +1,6 @@
 /**
  * @file
- * Rendering of a statistics tree as aligned text or CSV.
+ * Rendering of a statistics tree as aligned text.
  */
 
 #ifndef RASIM_STATS_OUTPUT_HH
@@ -21,17 +21,6 @@ class Group;
  * lines, one per (stat, sub-value).
  */
 void dumpText(std::ostream &os, const Group &root);
-
-/** Dump as CSV with a "stat,value" header. */
-void dumpCsv(std::ostream &os, const Group &root);
-
-/**
- * Dump as a flat JSON object mapping the full dotted path of every
- * (stat, sub-value) to its value. Doubles are rendered at full
- * round-trip precision; NaN and infinities (not representable in
- * JSON) become null.
- */
-void dumpJson(std::ostream &os, const Group &root);
 
 /** Find a stat value by full dotted path (for tests); NaN if missing. */
 double findValue(const Group &root, const std::string &path);

@@ -42,9 +42,6 @@ class Stat
      */
     virtual std::vector<std::pair<std::string, double>> values() const = 0;
 
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
   private:
     Group *parent_;
     std::string name_;
@@ -75,7 +72,6 @@ class Scalar : public Stat
     double value() const { return value_; }
 
     std::vector<std::pair<std::string, double>> values() const override;
-    void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -108,13 +104,6 @@ class Average : public Stat
 
     std::vector<std::pair<std::string, double>> values() const override;
 
-    void
-    reset() override
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
   private:
     double sum_ = 0.0;
     std::uint64_t count_ = 0;
@@ -133,7 +122,6 @@ class Value : public Stat
     double value() const { return fn_ ? fn_() : 0.0; }
 
     std::vector<std::pair<std::string, double>> values() const override;
-    void reset() override {}
 
   private:
     std::function<double()> fn_;

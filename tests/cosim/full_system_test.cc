@@ -145,6 +145,36 @@ TEST(FullSystem, MisspelledConfigKeyWarns)
     }
 }
 
+TEST(FullSystem, RetiredClockPeriodIsReportedNotObeyed)
+{
+    // sim.clock_period built a clock domain that no component read, so
+    // sim.clock_period=4 changed nothing. Retired, the key is unread:
+    // FullSystem warns once, naming it, and neither the configuration
+    // record nor a checkpoint's meta section carries it.
+    Config cfg;
+    cfg.parseArg("sim.clock_period=4");
+    cfg.parseArg("sim.seed=3");
+    FullSystemOptions o = FullSystemOptions::fromConfig(cfg);
+    EXPECT_EQ(cfg.unreadKeysWithPrefix("sim."),
+              std::vector<std::string>{"sim.clock_period"});
+    std::vector<std::string> sim_keys;
+    for (const config::Entry &e : config::record(o))
+        if (e.key.rfind("sim.", 0) == 0)
+            sim_keys.push_back(e.key);
+    EXPECT_EQ(sim_keys, std::vector<std::string>{"sim.seed"});
+
+    o.app = "lu";
+    o.ops_per_core = 60;
+    o.noc.columns = 4;
+    o.noc.rows = 4;
+    auto before = warnCount();
+    testing::internal::CaptureStderr();
+    FullSystem sys(cfg, o);
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(warnCount() - before, 1u);
+    EXPECT_NE(err.find("'sim.clock_period'"), std::string::npos) << err;
+}
+
 TEST(FullSystem, NonFiniteConfigValueIsATypedError)
 {
     // A NaN passes every range check written as a comparison: an
@@ -291,7 +321,6 @@ nonDefaultValues(const std::string &socket)
         {"checkpoint.keep", "5"},
         {"checkpoint.restore", "ckpts"},
         {"sim.seed", "2"},
-        {"sim.clock_period", "2"},
         {"abstract.ewma_alpha", "0.5"},
         {"abstract.granularity", "pair"},
         {"abstract.window", "64"},

@@ -155,13 +155,19 @@ buildCorpus()
         add(std::move(aw));
     }
     {
+        CkptReply rep;
+        rep.image = "opaque checkpoint image bytes";
+        rep.digest = 0x5eed;
         ArchiveWriter aw = beginMessage(MsgType::CkptData);
-        aw.putString("opaque checkpoint image bytes");
+        encodeCkptReply(aw, rep);
         add(std::move(aw));
     }
     {
+        CkptLoadReply rep;
+        rep.cur_time = 8192;
+        rep.digest = 0x5eed;
         ArchiveWriter aw = beginMessage(MsgType::CkptLoadAck);
-        aw.putU64(8192);
+        encodeCkptLoadReply(aw, rep);
         add(std::move(aw));
     }
     {
@@ -185,8 +191,10 @@ decodeAs(Message &msg)
         decodeStep(msg.ar);
         break;
       case MsgType::CkptLoad:
-      case MsgType::CkptData:
         decodeBlob(msg.ar);
+        break;
+      case MsgType::CkptData:
+        decodeCkptReply(msg.ar);
         break;
       case MsgType::HelloAck:
         decodeHelloReply(msg.ar);
@@ -200,7 +208,7 @@ decodeAs(Message &msg)
         decodeStatsReply(msg.ar);
         break;
       case MsgType::CkptLoadAck:
-        decodeTick(msg.ar);
+        decodeCkptLoadReply(msg.ar);
         break;
       case MsgType::ErrorReply:
         // Throws the decoded error by contract; a clean decode is a

@@ -7,8 +7,6 @@
 
 #include "common/expect_error.hh"
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "sim/config.hh"
@@ -89,25 +87,6 @@ TEST(Config, OverwriteTakesLastValue)
     c.set("k", 1);
     c.set("k", 2);
     EXPECT_EQ(c.getInt("k", 0), 2);
-}
-
-TEST(Config, LoadFileParsesAndIgnoresComments)
-{
-    std::string path = testing::TempDir() + "/rasim_config_test.cfg";
-    {
-        std::ofstream out(path);
-        out << "# a comment\n"
-            << "noc.rows = 8\n"
-            << "noc.cols=8   # trailing comment\n"
-            << "\n"
-            << "cpu.count = 64\n";
-    }
-    Config c;
-    c.loadFile(path);
-    EXPECT_EQ(c.getUInt("noc.rows", 0), 8u);
-    EXPECT_EQ(c.getUInt("noc.cols", 0), 8u);
-    EXPECT_EQ(c.getUInt("cpu.count", 0), 64u);
-    std::remove(path.c_str());
 }
 
 TEST(Config, MalformedIntIsFatal)

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/config.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "stats/output.hh"
@@ -19,7 +18,6 @@
 namespace
 {
 
-using rasim::Config;
 using rasim::SimObject;
 using rasim::SimParams;
 using rasim::Simulation;
@@ -64,24 +62,6 @@ TEST(Simulation, RunStopsAtHorizon)
     EXPECT_EQ(runs, 2);
 }
 
-TEST(Simulation, ExitRequestStopsLoop)
-{
-    Simulation sim;
-    int runs = 0;
-    sim.eventq().scheduleLambda(5, [&] {
-        ++runs;
-        sim.exitSimLoop("done early");
-    });
-    sim.eventq().scheduleLambda(6, [&] { ++runs; });
-    sim.run(100);
-    EXPECT_TRUE(sim.exitRequested());
-    EXPECT_EQ(sim.exitReason(), "done early");
-    EXPECT_EQ(runs, 1);
-    sim.clearExit();
-    sim.run(100);
-    EXPECT_EQ(runs, 2);
-}
-
 TEST(Simulation, DrainedQueueStopsAtLastEvent)
 {
     Simulation sim;
@@ -114,14 +94,6 @@ TEST(Simulation, ObjectsFormStatsHierarchy)
     double v = rasim::stats::findValue(sim.statsRoot(),
                                        "system.net.router0.pkts");
     EXPECT_DOUBLE_EQ(v, 3.0);
-}
-
-TEST(Simulation, ClockPeriodFromConfig)
-{
-    Config cfg;
-    cfg.set("sim.clock_period", 4);
-    Simulation sim(rasim::config::parse<SimParams>(cfg));
-    EXPECT_EQ(sim.rootClock().period(), 4u);
 }
 
 TEST(Simulation, LateConstructionDies)

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for scalar/average/value stats, distributions, histograms,
- * groups and text/CSV output.
+ * Tests for scalar/average/value stats, distributions, groups and text
+ * output.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "stats/distribution.hh"
@@ -27,8 +26,6 @@ TEST(Scalar, AccumulatesAndResets)
     ++s;
     s += 4.5;
     EXPECT_DOUBLE_EQ(s.value(), 5.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Scalar, SetOverwrites)
@@ -101,53 +98,12 @@ TEST(Distribution, WeightedSamples)
     EXPECT_DOUBLE_EQ(d.mean(), 10.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Group root(nullptr, "root");
-    Histogram h(&root, "hist", "", 4, 10.0);
-    h.sample(0);
-    h.sample(9.99);
-    h.sample(10);
-    h.sample(35);
-    h.sample(40); // overflow
-    h.sample(-1); // out of range
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 0u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.totalCount(), 6u);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Group root(nullptr, "root");
-    Histogram h(&root, "hist", "", 2, 1.0);
-    h.sample(0.5);
-    h.reset();
-    EXPECT_EQ(h.bucketCount(0), 0u);
-    EXPECT_EQ(h.totalCount(), 0u);
-}
-
 TEST(Group, PathsAreHierarchical)
 {
     Group root(nullptr, "system");
     Group mid(&root, "noc");
     Group leaf(&mid, "router3");
     EXPECT_EQ(leaf.path(), "system.noc.router3");
-}
-
-TEST(Group, ResetAllRecurses)
-{
-    Group root(nullptr, "system");
-    Group child(&root, "c");
-    Scalar a(&root, "a", "");
-    Scalar b(&child, "b", "");
-    a += 1;
-    b += 2;
-    root.resetAll();
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    EXPECT_DOUBLE_EQ(b.value(), 0.0);
 }
 
 TEST(Group, StatDeregistersOnDestruction)
@@ -172,61 +128,6 @@ TEST(Output, TextDumpContainsPathsValuesDescriptions)
     EXPECT_NE(text.find("system.noc.pkts"), std::string::npos);
     EXPECT_NE(text.find("12"), std::string::npos);
     EXPECT_NE(text.find("packets injected"), std::string::npos);
-}
-
-TEST(Output, CsvDumpHasHeaderAndRows)
-{
-    Group root(nullptr, "system");
-    Average a(&root, "lat", "");
-    a.sample(4);
-    std::ostringstream os;
-    dumpCsv(os, root);
-    std::string text = os.str();
-    EXPECT_EQ(text.rfind("stat,value\n", 0), 0u);
-    EXPECT_NE(text.find("system.lat::mean,4"), std::string::npos);
-    EXPECT_NE(text.find("system.lat::count,1"), std::string::npos);
-}
-
-TEST(Output, JsonDumpIsFlatAndFullPrecision)
-{
-    Group root(nullptr, "system");
-    Group noc(&root, "noc");
-    Scalar s(&noc, "pkts", "");
-    s += 12;
-    Average a(&root, "lat", "");
-    // A value CSV would round away; JSON must round-trip exactly.
-    a.sample(1.0 / 3.0);
-    std::ostringstream os;
-    dumpJson(os, root);
-    std::string text = os.str();
-    EXPECT_EQ(text.front(), '{');
-    EXPECT_NE(text.find("\"system.noc.pkts\": 12"), std::string::npos);
-    EXPECT_NE(text.find("\"system.lat::count\": 1"), std::string::npos);
-    EXPECT_NE(text.find("0.33333333333333331"), std::string::npos);
-    // Rows are comma-separated: count the pairs.
-    std::size_t rows = 0;
-    for (std::size_t at = text.find("\": "); at != std::string::npos;
-         at = text.find("\": ", at + 1))
-        ++rows;
-    std::size_t commas = 0;
-    for (char c : text)
-        if (c == ',')
-            ++commas;
-    EXPECT_EQ(commas + 1, rows);
-}
-
-TEST(Output, JsonDumpRendersNonFiniteAsNull)
-{
-    Group root(nullptr, "system");
-    Scalar nan(&root, "nan", "");
-    Scalar inf(&root, "inf", "");
-    nan.set(std::nan(""));
-    inf.set(std::numeric_limits<double>::infinity());
-    std::ostringstream os;
-    dumpJson(os, root);
-    EXPECT_NE(os.str().find("\"system.nan\": null"), std::string::npos);
-    EXPECT_NE(os.str().find("\"system.inf\": null"), std::string::npos);
-    EXPECT_EQ(os.str().find("nan\": nan"), std::string::npos);
 }
 
 TEST(Output, FindValueLocatesSubValues)
