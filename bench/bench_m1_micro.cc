@@ -204,7 +204,8 @@ BM_NetworkCycleSerialVsPool(benchmark::State &state)
     noc::CycleNetwork net(sim, "noc", p);
     std::unique_ptr<StepEngine> engine;
     if (workers > 0) {
-        engine = std::make_unique<ParallelEngine>(workers);
+        // Threshold 0: every phase pools, whatever the work rule picks.
+        engine = std::make_unique<ParallelEngine>(workers, 0);
         net.setEngine(engine.get());
     }
     workload::TrafficGenerator::Options o;
@@ -234,7 +235,8 @@ BM_DeflectionCycleSerialVsPool(benchmark::State &state)
     noc::DeflectionNetwork net(sim, "dnoc", p);
     std::unique_ptr<StepEngine> engine;
     if (workers > 0) {
-        engine = std::make_unique<ParallelEngine>(workers);
+        // Threshold 0: every phase pools, whatever the work rule picks.
+        engine = std::make_unique<ParallelEngine>(workers, 0);
         net.setEngine(engine.get());
     }
     workload::TrafficGenerator::Options o;

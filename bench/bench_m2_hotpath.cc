@@ -19,14 +19,17 @@
  *    because the soa kernel itself allocates nothing; the binary exits
  *    1 if the lane exceeds 1 allocation per quantum after warm-up.
  *
- * 3. Kernel sweep: a 16x16 CycleNetwork on each SIMD level of the soa
- *    kernel (soa-scalar, soa-avx2) at offered loads from near idle
- *    (0.0002 pkt/node/cycle) to 0.03, reporting ns per router-cycle
- *    and heap allocations per quantum at each point, plus a soa-pool2
- *    lane: the best SIMD level on a 2-worker ParallelEngine, whose
- *    ranges build their worklists inside each phase. The binary exits
- *    1 if a lane's deliveries differ from soa-scalar's or a lane
- *    allocates after warm-up.
+ * 3. Kernel sweep: 8x8, 16x16 and 16x32 CycleNetworks on each SIMD
+ *    level of the soa kernel (soa-scalar, soa-avx2) at offered loads
+ *    from near idle (0.0002 pkt/node/cycle) to 0.03, reporting ns per
+ *    router-cycle and heap allocations per quantum at each point, plus
+ *    two lanes at the best SIMD level on a 2-worker ParallelEngine:
+ *    soa-pool2 pools every phase, soa-rule leaves the choice to the
+ *    pool's work rule. Each point also reports the active nodes per
+ *    phase and the share of phases the rule pooled. The binary exits
+ *    1 if a lane's deliveries differ from soa-scalar's, a lane
+ *    allocates after warm-up, or the rule lane is slower than the
+ *    better of soa-pool2 and the serial lane beyond noise.
  *
  * 4. Barrier cost: ns per empty phase on that 2-worker pool, i.e. the
  *    handoff a pooled cycle pays twice whatever its work.
@@ -37,6 +40,7 @@
  * directory. --quick shrinks the workload for CI.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -48,6 +52,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -303,14 +308,16 @@ runSystem(Tick warm_ticks, Tick run_ticks)
 // ---------------------------------------------------------------------
 // Kernel lanes: the same detailed CycleNetwork run on each SIMD level
 // of the soa kernel — soa-scalar and, when the build and host allow
-// it, soa-avx2 — and on a worker pool. All lanes see identical seeded
-// traffic and must deliver the identical packet stream (checksummed),
-// so the throughput ratios isolate the SIMD scan and the engine. The
-// lanes are swept over offered load: near idle the kernel's cost is
-// mostly its worklist scans, under load its allocators.
+// it, soa-avx2 — and on a 2-worker pool twice: forced to pool every
+// phase (soa-pool2) and under ParallelEngine's work rule (soa-rule),
+// which runs a phase inline when the previous phase of its kind had
+// too few active nodes. All lanes see identical seeded traffic and
+// must deliver the identical packet stream (checksummed), so the
+// ratios isolate the SIMD scan and the engine. The lanes are swept
+// over offered load and mesh size: the rule must pick the faster of
+// serial and pooled at every point.
 // ---------------------------------------------------------------------
 
-constexpr int kernel_mesh_side = 16;
 constexpr Tick kernel_quantum = 1000;
 
 struct KernelLaneResult
@@ -319,23 +326,51 @@ struct KernelLaneResult
     double ns_per_router_cycle = 0.0;
     double allocs_per_quantum = 0.0;
     std::uint64_t checksum = 0;
+    /** Over the repeats: the slowest run's ns per router-cycle. */
+    double slowest_ns = 0.0;
+
+    /** The repeats' spread: slowest over fastest, minus one. */
+    double
+    spread() const
+    {
+        return slowest_ns / ns_per_router_cycle - 1.0;
+    }
 };
 
-/** Workers of the soa-pool2 lane's engine. */
+/** Workers of the pooled lanes' engines. */
 constexpr int pool_lane_workers = 2;
+
+/** Timed repeats of every lane at a point; each lane reports its
+ *  fastest, the least disturbed by other tenants of the host. */
+constexpr int kernel_reps = 3;
+
+/** A serial engine that records the work hints the kernel gives it:
+ *  the active nodes per phase at a point. */
+class HintRecorder : public SerialEngine
+{
+  public:
+    void
+    hintActive(std::size_t nodes) override
+    {
+        ++phases;
+        active += nodes;
+    }
+
+    std::uint64_t phases = 0, active = 0;
+};
 
 /** One lane; @p engine null runs the network's serial engine. */
 KernelLaneResult
-runKernelLane(const char *simd, int packets_per_quantum,
-              std::uint64_t warm_quanta, std::uint64_t quanta,
-              StepEngine *engine = nullptr)
+runKernelLane(int columns, int rows, const char *simd,
+              int packets_per_quantum, std::uint64_t warm_quanta,
+              std::uint64_t quanta, StepEngine *engine = nullptr)
 {
     constexpr Tick quantum = kernel_quantum;
 
     Simulation sim;
     noc::NocParams p;
-    p.columns = kernel_mesh_side;
-    p.rows = kernel_mesh_side;
+    p.columns = columns;
+    p.rows = rows;
     p.simd = simd;
     noc::CycleNetwork net(sim, "bench", p);
     if (engine)
@@ -383,47 +418,105 @@ runKernelLane(const char *simd, int packets_per_quantum,
     return r;
 }
 
-/** One offered-load point of the kernel sweep. */
+/** Fold one more run of a lane into @p best: the fastest run's
+ *  speed, the slowest run's ns, the most allocations, and a checksum
+ *  that stops matching if two runs disagree. */
+void
+keepFastest(KernelLaneResult &best, const KernelLaneResult &run,
+            bool first)
+{
+    if (first) {
+        best = run;
+        best.slowest_ns = run.ns_per_router_cycle;
+        return;
+    }
+    if (run.ns_per_router_cycle < best.ns_per_router_cycle) {
+        best.router_cycles_per_sec = run.router_cycles_per_sec;
+        best.ns_per_router_cycle = run.ns_per_router_cycle;
+    }
+    best.slowest_ns = std::max(best.slowest_ns, run.ns_per_router_cycle);
+    best.allocs_per_quantum =
+        std::max(best.allocs_per_quantum, run.allocs_per_quantum);
+    if (run.checksum != best.checksum)
+        best.checksum = ~run.checksum;
+}
+
+/** One (mesh, offered load) point of the kernel sweep. */
 struct KernelPoint
 {
+    int columns = 16, rows = 16;
     double offered_load = 0.0; ///< packets per node per cycle
     int packets_per_quantum = 0;
     std::uint64_t quanta = 0;
-    KernelLaneResult soa_scalar, soa_avx2, soa_pool;
+    double active_per_phase = 0.0; ///< mean work hint
+    double rule_pooled_frac = 0.0; ///< phases the rule lane pooled
+    KernelLaneResult soa_scalar, soa_avx2, soa_pool, soa_rule;
     bool have_avx2 = false;
+
+    int nodes() const { return columns * rows; }
+    /** The serial lane at the pooled lanes' SIMD level. */
+    const KernelLaneResult &
+    serial() const
+    {
+        return have_avx2 ? soa_avx2 : soa_scalar;
+    }
 };
 
-/** Run every kernel at one load; false on a checksum mismatch. */
+/** Run every lane at one point; false on a checksum mismatch. */
 bool
 runKernelPoint(KernelPoint &pt, std::uint64_t warm_quanta)
 {
-    constexpr int nodes = kernel_mesh_side * kernel_mesh_side;
     pt.packets_per_quantum = static_cast<int>(
-        pt.offered_load * nodes * kernel_quantum + 0.5);
+        pt.offered_load * pt.nodes() * kernel_quantum + 0.5);
     // One untimed pass first: the packet pool is shared by the whole
     // process, so whichever lane first meets this load's in-flight
     // high-water mark would pay for growing it. Nothing of this pass is
-    // reported; every lane then measures against a pool already grown.
-    (void)runKernelLane("scalar", pt.packets_per_quantum, warm_quanta,
-                        pt.quanta);
-    pt.soa_scalar = runKernelLane("scalar", pt.packets_per_quantum,
-                                  warm_quanta, pt.quanta);
+    // timed; every lane then measures against a pool already grown. It
+    // records the kernel's work hints.
+    HintRecorder hints;
+    (void)runKernelLane(pt.columns, pt.rows, "scalar",
+                        pt.packets_per_quantum, warm_quanta, pt.quanta,
+                        &hints);
+    pt.active_per_phase = static_cast<double>(hints.active) /
+                          static_cast<double>(std::max<std::uint64_t>(
+                              hints.phases, 1));
     pt.have_avx2 = cpuid::simdCompiledIn() && cpuid::hostHasAvx2();
-    if (pt.have_avx2)
-        pt.soa_avx2 = runKernelLane("avx2", pt.packets_per_quantum,
-                                    warm_quanta, pt.quanta);
+    // The pools outlive the repeats, so their threads start in the
+    // first repeat's warm-up, not inside a timed window.
+    ParallelEngine forced(pool_lane_workers, 0);
+    ParallelEngine rule(pool_lane_workers);
+    struct Lane
     {
-        ParallelEngine pool(pool_lane_workers);
-        pt.soa_pool = runKernelLane("auto", pt.packets_per_quantum,
-                                    warm_quanta, pt.quanta, &pool);
+        const char *simd;
+        StepEngine *engine;
+        KernelLaneResult *result;
+    };
+    std::vector<Lane> lanes = {{"scalar", nullptr, &pt.soa_scalar}};
+    if (pt.have_avx2)
+        lanes.push_back({"avx2", nullptr, &pt.soa_avx2});
+    lanes.push_back({"auto", &forced, &pt.soa_pool});
+    lanes.push_back({"auto", &rule, &pt.soa_rule});
+    // Each repeat starts one lane later, so no lane always runs first
+    // or right after a pool's workers went idle.
+    for (int rep = 0; rep < kernel_reps; ++rep) {
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+            const Lane &l = lanes[(k + rep) % lanes.size()];
+            keepFastest(*l.result,
+                        runKernelLane(pt.columns, pt.rows, l.simd,
+                                      pt.packets_per_quantum, warm_quanta,
+                                      pt.quanta, l.engine),
+                        rep == 0);
+        }
     }
+    pt.rule_pooled_frac = static_cast<double>(rule.pooledPhases()) /
+                          static_cast<double>(rule.phasesRun());
     const std::uint64_t want = pt.soa_scalar.checksum;
     if ((pt.have_avx2 && pt.soa_avx2.checksum != want) ||
-        pt.soa_pool.checksum != want) {
+        pt.soa_pool.checksum != want || pt.soa_rule.checksum != want) {
         std::fprintf(stderr,
-                     "kernel lane checksum mismatch at %.4f "
+                     "kernel lane checksum mismatch on %dx%d at %.4f "
                      "pkt/node/cycle\n",
-                     pt.offered_load);
+                     pt.columns, pt.rows, pt.offered_load);
         return false;
     }
     return true;
@@ -436,10 +529,19 @@ writeLaneJson(FILE *f, const char *name, const KernelLaneResult &k,
     std::fprintf(f,
                  "      \"%s\": {\"router_cycles_per_sec\": %.1f, "
                  "\"ns_per_router_cycle\": %.4f, "
+                 "\"slowest_ns_per_router_cycle\": %.4f, "
                  "\"allocs_per_quantum\": %.3f}%s\n",
                  name, k.router_cycles_per_sec, k.ns_per_router_cycle,
-                 k.allocs_per_quantum, last ? "" : ",");
+                 k.slowest_ns, k.allocs_per_quantum, last ? "" : ",");
 }
+
+/**
+ * Least noise allowance of the rule gate. The rule lane may be slower
+ * than the better of soa-pool2 and the serial lane at its SIMD level
+ * by this much, or by the larger spread of the two lanes' repeats if
+ * the host was noisier than that, before the binary fails.
+ */
+constexpr double rule_noise = 0.15;
 
 /** Mean ns of an empty forRange phase on a @p workers pool. */
 double
@@ -499,28 +601,40 @@ main(int argc, char **argv)
                 sys.packets_per_sec, sys.allocs_per_quantum,
                 static_cast<unsigned long long>(sys.quanta));
 
-    // Kernel sweep: 16x16 CycleNetwork, identical seeded traffic per
-    // point. Busier points run fewer quanta so each costs about the
-    // same wall time; each warms up for half its measured quanta.
-    std::vector<KernelPoint> sweep(4);
-    sweep[0].offered_load = 0.0002;
-    sweep[1].offered_load = 0.002;
-    sweep[2].offered_load = 0.01;
-    sweep[3].offered_load = 0.03;
-    sweep[0].quanta = quick ? 40 : 300;
-    sweep[1].quanta = quick ? 10 : 60;
-    sweep[2].quanta = quick ? 4 : 20;
-    sweep[3].quanta = quick ? 2 : 10;
-    for (KernelPoint &pt : sweep)
-        if (!runKernelPoint(pt, pt.quanta / 2))
-            return 1;
+    // Kernel sweep: 8x8, 16x16 and 16x32 CycleNetworks, identical
+    // seeded traffic per point. Busier points and bigger meshes run
+    // fewer quanta so each costs about the same wall time; each warms
+    // up for half its measured quanta.
+    const double loads[] = {0.0002, 0.002, 0.01, 0.03};
+    const std::uint64_t quanta_16x16[] = {quick ? 40u : 300u,
+                                          quick ? 10u : 60u,
+                                          quick ? 4u : 20u,
+                                          quick ? 2u : 10u};
+    std::vector<KernelPoint> sweep;
+    for (auto [columns, rows] : {std::pair{8, 8}, std::pair{16, 16},
+                                 std::pair{16, 32}}) {
+        for (std::size_t l = 0; l < std::size(loads); ++l) {
+            KernelPoint pt;
+            pt.columns = columns;
+            pt.rows = rows;
+            pt.offered_load = loads[l];
+            pt.quanta = std::max<std::uint64_t>(
+                2, quanta_16x16[l] * 256 /
+                       static_cast<std::uint64_t>(columns * rows));
+            if (!runKernelPoint(pt, pt.quanta / 2))
+                return 1;
+            sweep.push_back(pt);
+        }
+    }
 
-    benchutil::printRow({"pkt/node/cyc", "kernel", "Mrouter-cyc/s",
-                         "ns/router-cyc", "allocs/quantum"});
+    benchutil::printRow({"mesh", "pkt/node/cyc", "kernel",
+                         "Mrouter-cyc/s", "ns/router-cyc",
+                         "allocs/quantum"});
     auto kernelRow = [](const KernelPoint &pt, const char *name,
                         const KernelLaneResult &k) {
         benchutil::printRow(
-            {benchutil::fmt(pt.offered_load, 4), name,
+            {std::to_string(pt.columns) + "x" + std::to_string(pt.rows),
+             benchutil::fmt(pt.offered_load, 4), name,
              benchutil::fmt(k.router_cycles_per_sec / 1e6, 1),
              benchutil::fmt(k.ns_per_router_cycle, 3),
              benchutil::fmt(k.allocs_per_quantum, 2)});
@@ -530,9 +644,47 @@ main(int argc, char **argv)
         if (pt.have_avx2)
             kernelRow(pt, "soa-avx2", pt.soa_avx2);
         kernelRow(pt, "soa-pool2", pt.soa_pool);
+        kernelRow(pt, "soa-rule", pt.soa_rule);
     }
     if (!sweep[0].have_avx2)
         std::printf("soa-avx2: n/a (build or host lacks AVX2)\n");
+
+    // The work rule at each point: the active nodes per phase it reads,
+    // the share of phases it pooled, and its lane against the better
+    // of the serial lane (at the pools' SIMD level) and the forced pool.
+    std::printf("work rule: a phase pools from %zu active nodes "
+                "(%zu per slot, %d slots)\n",
+                ParallelEngine::default_min_active_per_slot *
+                    (pool_lane_workers + 1),
+                ParallelEngine::default_min_active_per_slot,
+                pool_lane_workers + 1);
+    benchutil::printRow({"mesh", "pkt/node/cyc", "active/phase",
+                         "pooled", "serial ns", "pool2 ns", "rule ns",
+                         "rule/best", "noise"});
+    int rule_misses = 0;
+    for (const KernelPoint &pt : sweep) {
+        const KernelLaneResult &best =
+            pt.serial().ns_per_router_cycle <=
+                    pt.soa_pool.ns_per_router_cycle
+                ? pt.serial()
+                : pt.soa_pool;
+        double ratio =
+            pt.soa_rule.ns_per_router_cycle / best.ns_per_router_cycle;
+        double noise = std::max(
+            {rule_noise, best.spread(), pt.soa_rule.spread()});
+        bool miss = ratio > 1.0 + noise;
+        rule_misses += miss;
+        benchutil::printRow(
+            {std::to_string(pt.columns) + "x" + std::to_string(pt.rows),
+             benchutil::fmt(pt.offered_load, 4),
+             benchutil::fmt(pt.active_per_phase, 1),
+             benchutil::fmt(100.0 * pt.rule_pooled_frac, 0) + "%",
+             benchutil::fmt(pt.serial().ns_per_router_cycle, 2),
+             benchutil::fmt(pt.soa_pool.ns_per_router_cycle, 2),
+             benchutil::fmt(pt.soa_rule.ns_per_router_cycle, 2),
+             benchutil::fmt(ratio, 2),
+             benchutil::fmt(noise, 2) + (miss ? " SLOW" : "")});
+    }
 
     const int empty_phases = quick ? 20000 : 200000;
     double empty_ns = emptyPhaseNs(pool_lane_workers, empty_phases);
@@ -566,8 +718,10 @@ main(int argc, char **argv)
             "  },\n"
             "  \"empty_phase_ns\": {\"workers\": %d, \"ns\": %.1f},\n"
             "  \"kernel_sweep\": {\n"
-            "    \"mesh\": \"%dx%d\",\n"
             "    \"quantum_cycles\": %llu,\n"
+            "    \"pool_workers\": %d,\n"
+            "    \"rule_min_active_per_slot\": %zu,\n"
+            "    \"rule_noise_floor\": %.2f,\n"
             "    \"points\": [\n",
             quick ? "true" : "false",
             static_cast<unsigned long long>(quanta), packets_per_quantum,
@@ -576,23 +730,30 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(sys.quanta),
             sys.packets_per_sec, sys.allocs_per_quantum,
             system_alloc_budget, pool_lane_workers, empty_ns,
-            kernel_mesh_side, kernel_mesh_side,
-            static_cast<unsigned long long>(kernel_quantum));
+            static_cast<unsigned long long>(kernel_quantum),
+            pool_lane_workers, ParallelEngine::default_min_active_per_slot,
+            rule_noise);
         for (std::size_t k = 0; k < sweep.size(); ++k) {
             const KernelPoint &pt = sweep[k];
             std::fprintf(f,
                          "     {\n"
+                         "      \"mesh\": \"%dx%d\",\n"
                          "      \"offered_load\": %.4f,\n"
                          "      \"packets_per_quantum\": %d,\n"
-                         "      \"quanta\": %llu,\n",
-                         pt.offered_load, pt.packets_per_quantum,
-                         static_cast<unsigned long long>(pt.quanta));
+                         "      \"quanta\": %llu,\n"
+                         "      \"active_per_phase\": %.2f,\n"
+                         "      \"rule_pooled_frac\": %.4f,\n",
+                         pt.columns, pt.rows, pt.offered_load,
+                         pt.packets_per_quantum,
+                         static_cast<unsigned long long>(pt.quanta),
+                         pt.active_per_phase, pt.rule_pooled_frac);
             writeLaneJson(f, "soa_scalar", pt.soa_scalar);
             if (pt.have_avx2)
                 writeLaneJson(f, "soa_avx2", pt.soa_avx2);
             else
                 std::fprintf(f, "      \"soa_avx2\": null,\n");
-            writeLaneJson(f, "soa_pool2", pt.soa_pool, true);
+            writeLaneJson(f, "soa_pool2", pt.soa_pool);
+            writeLaneJson(f, "soa_rule", pt.soa_rule, true);
             std::fprintf(f, "     }%s\n", k + 1 < sweep.size() ? "," : "");
         }
         std::fprintf(f, "    ]\n"
@@ -618,13 +779,22 @@ main(int argc, char **argv)
     for (const KernelPoint &pt : sweep) {
         if (pt.soa_scalar.allocs_per_quantum > 0.0 ||
             (pt.have_avx2 && pt.soa_avx2.allocs_per_quantum > 0.0) ||
-            pt.soa_pool.allocs_per_quantum > 0.0) {
+            pt.soa_pool.allocs_per_quantum > 0.0 ||
+            pt.soa_rule.allocs_per_quantum > 0.0) {
             std::fprintf(stderr,
-                         "soa kernel allocated on the heap at %.4f "
-                         "pkt/node/cycle\n",
-                         pt.offered_load);
+                         "soa kernel allocated on the heap on %dx%d at "
+                         "%.4f pkt/node/cycle\n",
+                         pt.columns, pt.rows, pt.offered_load);
             status = 1;
         }
+    }
+    // The work rule must never pick the slower engine beyond noise.
+    if (rule_misses > 0) {
+        std::fprintf(stderr,
+                     "work rule lane slower than the better of serial "
+                     "and soa-pool2 beyond noise at %d point(s)\n",
+                     rule_misses);
+        status = 1;
     }
     return status;
 }

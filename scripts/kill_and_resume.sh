@@ -113,7 +113,8 @@ if [ "$remote" = 1 ]; then
 fi
 
 echo "== reference run (uninterrupted) =="
-"$quickstart" "${args[@]}" > "$work/reference.log"
+"$quickstart" "${args[@]}" checkpoint.dir="$work/ref-ckpt" \
+    > "$work/reference.log"
 
 # Everything from the finish line onward — final tick, packet counts,
 # latencies and the full statistics dump — must match the reference
@@ -128,7 +129,8 @@ extract() {
 
 if [ "$remote" = 1 ]; then
     echo "== phase A: server killed mid-run, client survives in place =="
-    "$quickstart" "${args[@]}" > "$work/survived.log" 2>&1 &
+    "$quickstart" "${args[@]}" checkpoint.dir="$work/survived-ckpt" \
+        > "$work/survived.log" 2>&1 &
     pid=$!
     sleep 2
     kill -0 "$pid" 2> /dev/null || {

@@ -28,8 +28,10 @@ ctest --test-dir "$build" --output-on-failure -L 'sim|noc|cosim|ipc'
 # The hand-offs between the host and the backend thread (the
 # watermark of pipelined and overlapped quanta) interleave differently
 # on every run: repeat the tests of both threaded plans so TSan sees
-# many interleavings.
+# many interleavings. The engine-switch differential repeats too: its
+# phases move between the calling thread and the pool's workers.
 threaded='PipelineDifferential|PipelineFailure'
 threaded+='|QuantumBridge\..*Overlap|Health\.Overlapped'
+threaded+='|EngineSwitch'
 ctest --test-dir "$build" --output-on-failure -j "$jobs" \
     -R "$threaded" --repeat until-fail:20

@@ -108,6 +108,8 @@ class QuantumBridge : public SimObject,
          * the backend, so advanceCoupled() runs the detailed model's
          * data-parallel phases on the pool (combine with overlap to
          * overlap the pooled network with the host's next quantum).
+         * The pool's work rule runs phases with few active nodes
+         * inline and starts its threads at the first phase it pools.
          * Zero leaves the backend on its serial engine. Results are
          * bit-identical either way — see the determinism contract in
          * sim/step_engine.hh.
@@ -203,6 +205,9 @@ class QuantumBridge : public SimObject,
      * the checkpoint, like hostNs().
      */
     std::uint64_t sharedCpuQuanta() const { return shared_cpu_quanta_; }
+    /** The pool installed on the backend (null with no workers); its
+     *  phase counters say how many phases it handed to its workers. */
+    const ParallelEngine *engine() const { return engine_.get(); }
 
     stats::Scalar packetsForwarded;
     stats::Scalar packetsDelivered;

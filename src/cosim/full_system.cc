@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include <fcntl.h>
@@ -29,6 +30,13 @@ const char *
 toString(Mode mode)
 {
     return config::nameOf(mode, mode_names);
+}
+
+int
+defaultEngineWorkers()
+{
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw > 2 ? static_cast<int>(std::min(2u, hw - 2)) : 0;
 }
 
 void

@@ -88,6 +88,14 @@ struct CheckpointOptions
 };
 
 /**
+ * min(2, hardware threads - 2), never negative: the pool leaves one
+ * hardware thread each to the host and to the bridge's backend
+ * thread, so it never oversubscribes the host (0 on hosts with two
+ * hardware threads or fewer, or when the count is unknown).
+ */
+int defaultEngineWorkers();
+
+/**
  * Everything a FullSystem and its components read. keys() declares
  * every configuration key once; code that builds the options itself
  * needs no Config at all.
@@ -110,15 +118,19 @@ struct FullSystemOptions
     bool conservative = false;
     /** Worker threads of the pool engine driving the detailed
      *  network's phases. Always used by CosimGpu; other cycle-level
-     *  modes use it when @ref parallel is set. */
-    int engine_workers = 2;
+     *  modes use it when @ref parallel is set. Defaults to
+     *  defaultEngineWorkers(). */
+    int engine_workers = defaultEngineWorkers();
     /**
      * Run the detailed network's phases on the worker pool in the
      * non-overlapped cycle-level modes too (CosimCycle, Monolithic).
-     * Bit-identical to serial execution by the determinism contract;
-     * defaults off so single-core hosts skip the dispatch overhead.
+     * Bit-identical to serial execution by the determinism contract.
+     * On by default: the pool starts no thread until a phase has
+     * enough active nodes to pay for the handoff (ParallelEngine's
+     * work rule), so small meshes keep running serially; false takes
+     * the serial engine outright.
      */
-    bool parallel = false;
+    bool parallel = true;
     /**
      * Where the cycle-level backend runs: "inproc" hosts it in this
      * process, "remote" drives a rasim-nocd server over the quantum

@@ -26,7 +26,8 @@ namespace ipc
  */
 struct NocServer::Session
 {
-    explicit Session(const HelloRequest &req) : hello(req)
+    Session(const HelloRequest &req, std::size_t pool_min_active)
+        : hello(req)
     {
         sim = std::make_unique<Simulation>();
         if (req.model == "cycle") {
@@ -43,8 +44,8 @@ struct NocServer::Session
                                "' (want cycle or deflection)");
         }
         if (req.engine_workers > 0) {
-            engine =
-                std::make_unique<ParallelEngine>(req.engine_workers);
+            engine = std::make_unique<ParallelEngine>(
+                req.engine_workers, pool_min_active);
             net->setEngine(engine.get());
         }
         // Deliveries go back to the client in delivery order, which
@@ -319,7 +320,8 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
                 // client's Config error, not the end of the daemon
                 // and every other session on it.
                 logging::ThrowOnError guard;
-                session = std::make_unique<Session>(req);
+                session = std::make_unique<Session>(
+                    req, opts_.pool_min_active_per_slot);
             }
             HelloReply rep;
             rep.num_nodes = session->net->numNodes();

@@ -40,6 +40,7 @@
 #define RASIM_IPC_NOCD_SERVER_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,6 +50,7 @@
 
 #include "ipc/frame.hh"
 #include "ipc/socket.hh"
+#include "sim/parallel_engine.hh"
 
 namespace rasim
 {
@@ -59,6 +61,11 @@ struct NocServerOptions
 {
     /** Listen address (unix:/path, tcp:host:port, or a bare path). */
     std::string address = "unix:/tmp/rasim-nocd.sock";
+    /** Work-rule threshold of each session's ParallelEngine. No flag:
+     *  rasim-nocd keeps the default; tests pass 0 to pool every
+     *  phase of a mesh too small to reach it. */
+    std::size_t pool_min_active_per_slot =
+        ParallelEngine::default_min_active_per_slot;
 };
 
 class NocServer

@@ -750,10 +750,13 @@ SoaCycleFabric::compute(StepEngine &engine, Cycle now)
 {
     phase_now_ = now;
     phase_va_start_ = static_cast<int>(now % P_);
+    phase_visits_.store(0, std::memory_order_relaxed);
+    engine.hintActive(compute_visits_);
     engine.forRange(
         ranges_.units(), [this](std::size_t b, std::size_t e) {
             auto [lo, hi] = ranges_.nodes(b, e);
             std::size_t cnt = scanRange(compute_occ_, compute_words, lo, hi);
+            phase_visits_.fetch_add(cnt, std::memory_order_relaxed);
             Cycle now = phase_now_;
             for (std::size_t k = 0; k < cnt; ++k) {
                 int i = static_cast<int>(lo) + worklist_[lo + k];
@@ -763,6 +766,7 @@ SoaCycleFabric::compute(StepEngine &engine, Cycle now)
                 routerComputeSa(i, now);
             }
         });
+    compute_visits_ = phase_visits_.load(std::memory_order_relaxed);
 }
 
 void
@@ -770,10 +774,13 @@ SoaCycleFabric::commit(StepEngine &engine, Cycle now)
 {
     completed_nodes_.clear();
     phase_now_ = now;
+    phase_visits_.store(0, std::memory_order_relaxed);
+    engine.hintActive(commit_visits_);
     engine.forRange(
         ranges_.units(), [this](std::size_t b, std::size_t e) {
             auto [lo, hi] = ranges_.nodes(b, e);
             std::size_t cnt = scanRange(commit_occ_, commit_words, lo, hi);
+            phase_visits_.fetch_add(cnt, std::memory_order_relaxed);
             Cycle now = phase_now_;
             for (std::size_t k = 0; k < cnt; ++k) {
                 int i = static_cast<int>(lo) + worklist_[lo + k];
@@ -782,6 +789,7 @@ SoaCycleFabric::commit(StepEngine &engine, Cycle now)
                 nicCommit(i, now);
             }
         });
+    commit_visits_ = phase_visits_.load(std::memory_order_relaxed);
     // Sequential post-barrier pass over the done flags, eight at a
     // time: return the slots of packets whose tail ejected to the free
     // list in node order, and list the nodes with deliveries for the

@@ -22,7 +22,9 @@
  * pipelined quantum is cut into never flush). A range scans its own
  * occupancy sub-block into its own slice of a node-indexed scratch
  * array and visits the nodes it finds, so no worklist pass runs on
- * the calling thread between phases.
+ * the calling thread between phases. Before each phase the fabric
+ * hints the engine with the nodes the previous phase of the same kind
+ * visited, which is what ParallelEngine's work rule reads.
  *
  * Determinism: each pass executes the exact same per-node operation
  * sequence as the object oracle (same arbiter rotations, same
@@ -46,6 +48,7 @@
 #ifndef RASIM_NOC_KERNEL_SOA_CYCLE_HH
 #define RASIM_NOC_KERNEL_SOA_CYCLE_HH
 
+#include <atomic>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -386,6 +389,14 @@ class SoaCycleFabric : public CycleFabric
     // Set before the engine call, read-only inside the phase.
     Cycle phase_now_ = 0;
     int phase_va_start_ = 0; ///< phase_now_ % P_: VA's first in-port
+
+    // Nodes the last compute and commit phase visited: each phase
+    // hints its engine with the previous count of its own kind (the
+    // current one is known only once its ranges have scanned). Ranges
+    // sum into phase_visits_, one relaxed add per range.
+    std::atomic<std::size_t> phase_visits_{0};
+    std::size_t compute_visits_ = 0;
+    std::size_t commit_visits_ = 0;
 
     // Per-node route scratch (reserved; no steady-state allocation).
     std::vector<std::vector<int>> route_scratch_;

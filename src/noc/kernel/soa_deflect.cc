@@ -310,6 +310,7 @@ SoaDeflectFabric::route(StepEngine &engine, Cycle now)
     if (route_list_.empty())
         return;
     phase_now_ = now;
+    engine.hintActive(route_list_.size());
     engine.forRange(route_list_.size(),
                     [this](std::size_t b, std::size_t e) {
                         for (std::size_t k = b; k < e; ++k)
@@ -325,6 +326,7 @@ SoaDeflectFabric::gather(StepEngine &engine)
         scan_(gather_occ_.data(), n_, occ_words, gather_list_.data()));
     if (gather_list_.empty())
         return;
+    engine.hintActive(gather_list_.size());
     engine.forRange(gather_list_.size(),
                     [this](std::size_t b, std::size_t e) {
                         for (std::size_t k = b; k < e; ++k)

@@ -8,7 +8,9 @@
  * per-node occupancy blocks (see active_scan.hh). A node with no
  * arriving flits and an empty injection queue is a provable no-op in
  * the route phase, and a node with no staged upstream flits is a no-op
- * in the gather phase, so idle regions of the mesh cost nothing.
+ * in the gather phase, so idle regions of the mesh cost nothing. The
+ * worklist is built before its phase, so each phase hints its engine
+ * with its own exact length (StepEngine::hintActive).
  *
  * The per-node route/gather logic is an exact transliteration of the
  * object oracle (same ejection choice, same oldest-first ordering,

@@ -1,6 +1,7 @@
 #include "sim/parallel_engine.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -26,7 +27,9 @@ cpuRelax()
 
 } // namespace
 
-ParallelEngine::ParallelEngine(int num_workers)
+ParallelEngine::ParallelEngine(int num_workers,
+                               std::size_t min_active_per_slot)
+    : num_workers_(num_workers), min_active_(min_active_per_slot)
 {
     if (num_workers < 0)
         fatal("parallel engine needs a non-negative worker count");
@@ -41,8 +44,15 @@ ParallelEngine::ParallelEngine(int num_workers)
              " hardware thread(s); results are unchanged but phases "
              "may run slower than serial");
     errors_.resize(num_workers + 1);
-    workers_.reserve(num_workers);
-    for (int i = 0; i < num_workers; ++i)
+}
+
+void
+ParallelEngine::startWorkers()
+{
+    // Resumes where a failed start stopped: a phase is published only
+    // once every worker runs.
+    workers_.reserve(num_workers_);
+    for (int i = static_cast<int>(workers_.size()); i < num_workers_; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
@@ -66,7 +76,7 @@ ParallelEngine::runPartition(int slot, std::exception_ptr &error) noexcept
     // keep cache behaviour stable across phases, and a phase receives
     // its whole block in one call so it can stream through contiguous
     // structure-of-arrays state.
-    std::size_t slots = workers_.size() + 1;
+    std::size_t slots = static_cast<std::size_t>(num_workers_) + 1;
     std::size_t begin = job_n_ * slot / slots;
     std::size_t end = job_n_ * (slot + 1) / slots;
     try {
@@ -129,11 +139,21 @@ ParallelEngine::forRange(std::size_t n,
                                                   std::size_t)> &fn)
 {
     ++phases_;
-    if (workers_.empty()) {
+    bool quiet = false;
+    std::size_t hint = std::exchange(hint_, no_hint);
+    if (hint != no_hint) {
+        scaled_mean_ = scaled_mean_ - (scaled_mean_ >> mean_shift) + hint;
+        std::size_t slots = static_cast<std::size_t>(num_workers_) + 1;
+        quiet = scaled_mean_ < (min_active_ * slots) << mean_shift;
+    }
+    if (num_workers_ == 0 || quiet) {
         if (n > 0)
             fn(0, n);
         return;
     }
+    if (workers_.size() < static_cast<std::size_t>(num_workers_))
+        startWorkers();
+    ++pooled_;
 
     std::fill(errors_.begin(), errors_.end(), nullptr);
     {

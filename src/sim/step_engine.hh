@@ -64,6 +64,16 @@ class StepEngine
         });
     }
 
+    /**
+     * Hint how many nodes the next forRange() will visit: the work
+     * it carries, as opposed to its extent, which a work-weighted
+     * split inflates. The hint holds for that one call. An engine
+     * may use it to pick where the phase runs, never what it
+     * computes; the default ignores it. A decorator that does not
+     * forward it leaves its inner engine unhinted.
+     */
+    virtual void hintActive(std::size_t nodes) { (void)nodes; }
+
     /** Human-readable engine name for logs and reports. */
     virtual const char *name() const = 0;
 };

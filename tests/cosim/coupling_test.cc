@@ -16,6 +16,7 @@
 
 #include "cosim/full_system.hh"
 #include "sim/logging.hh"
+#include "sim/parallel_engine.hh"
 
 namespace
 {
@@ -89,14 +90,30 @@ TEST(Coupling, ReciprocalSystemNeverWaitsOnDetailedModel)
     EXPECT_LT(std::abs(rec.bridge().estimateError.mean()), 5.0);
 }
 
+/**
+ * Run @p sys with its network's phases on @p pool instead of the
+ * bridge's own pool, whose work rule keeps every phase of a 4x4 mesh
+ * inline; the caller's pool (threshold 0) pools every phase.
+ */
+Tick
+runPooled(FullSystem &sys, ParallelEngine &pool)
+{
+    sys.cycleNetwork()->setEngine(&pool);
+    Tick rt = sys.run();
+    sys.cycleNetwork()->setEngine(nullptr);
+    EXPECT_GT(pool.pooledPhases(), 0u);
+    return rt;
+}
+
 TEST(Coupling, EngineWorkerCountDoesNotChangeResults)
 {
     Tick base = 0;
     for (int workers : {1, 2, 4}) {
         FullSystemOptions o = opts(Mode::CosimGpu, 64, false);
         o.engine_workers = workers;
+        ParallelEngine pool(workers, 0);
         FullSystem sys(Config(), o);
-        Tick rt = sys.run();
+        Tick rt = runPooled(sys, pool);
         if (!base)
             base = rt;
         EXPECT_EQ(rt, base) << "workers=" << workers;
@@ -113,8 +130,9 @@ TEST(Coupling, OverlappedPoolRunsAreDeterministic)
     auto run = [](int workers) {
         FullSystemOptions o = opts(Mode::CosimGpu, 64, false);
         o.engine_workers = workers;
+        ParallelEngine pool(workers, 0);
         FullSystem sys(Config(), o);
-        Tick rt = sys.run();
+        Tick rt = runPooled(sys, pool);
         std::ostringstream table;
         sys.bridge().table().save(table);
         return std::make_tuple(rt, sys.packetsDelivered(),

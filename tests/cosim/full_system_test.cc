@@ -274,7 +274,7 @@ nonDefaultValues(const std::string &socket)
         {"system.feedback", "false"},
         {"system.conservative", "true"},
         {"system.engine_workers", "3"},
-        {"system.parallel", "true"},
+        {"system.parallel", "false"},
         {"network.backend", "remote"},
         {"remote.socket", socket},
         {"remote.connect_timeout_ms", "2500"},
@@ -466,7 +466,7 @@ TEST(FullSystem, ResumeUnderOtherNeutralValuesFinishesIdentically)
     // Engine and SIMD choices, wall-clock budgets and checkpoint
     // paths: none of them shapes simulated state.
     FullSystem sys(Config(),
-                   withValues(o, {{"system.parallel", "true"},
+                   withValues(o, {{"system.parallel", "false"},
                                   {"system.engine_workers", "1"},
                                   {"kernel.simd", "scalar"},
                                   {"remote.quantum_timeout_ms", "0"},

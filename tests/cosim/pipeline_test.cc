@@ -30,11 +30,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_count.hh"
+
 #include <sched.h>
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <memory>
 #include <ostream>
@@ -51,6 +51,7 @@
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
 #include "sim/logging.hh"
+#include "sim/parallel_engine.hh"
 #include "sim/serialize.hh"
 #include "sim/simulation.hh"
 #include "stats/group.hh"
@@ -262,6 +263,12 @@ class Rig
             net_ = deflect_.get();
             net_obj_ = deflect_.get();
         }
+        // The rig's own pool pools every phase (threshold 0); the
+        // bridge's would keep this 4x4 mesh's phases inline.
+        if (c.engine_workers > 0) {
+            pool_ = std::make_unique<ParallelEngine>(c.engine_workers, 0);
+            net_->setEngine(pool_.get());
+        }
         noc::NetworkModel *backend = net_;
         if (sequential) {
             deco_ = std::make_unique<Passthrough>(*net_);
@@ -270,7 +277,6 @@ class Rig
         QuantumBridge::Options o;
         o.quantum = c.quantum;
         o.coupling = c.coupling;
-        o.engine_workers = c.engine_workers;
         o.health = health;
         bridge_ = std::make_unique<QuantumBridge>(sim_, "bridge", *backend,
                                                   params_, o);
@@ -289,6 +295,13 @@ class Rig
 
     QuantumBridge &bridge() { return *bridge_; }
     const QuantumBridge &bridge() const { return *bridge_; }
+
+    /** Phases the rig's pool ran on its workers (0 without one). */
+    std::uint64_t
+    pooledPhases() const
+    {
+        return pool_ ? pool_->pooledPhases() : 0;
+    }
 
     /** The cycle network's fabric probe (rigs built over one). */
     const ProbeFabric &
@@ -427,6 +440,7 @@ class Rig
 
     Simulation sim_;
     noc::NocParams params_;
+    std::unique_ptr<ParallelEngine> pool_; ///< outlives the networks
     std::unique_ptr<noc::CycleNetwork> cycle_;
     std::unique_ptr<noc::DeflectionNetwork> deflect_;
     noc::NetworkModel *net_ = nullptr;
@@ -484,6 +498,10 @@ TEST_P(PipelineDifferential, BitIdenticalAtEveryBoundary)
     }
     EXPECT_GT(seq.observed.size(), 1000u);
     EXPECT_EQ(pipe.bridge().quantaRun(), seq.bridge().quantaRun());
+    if (c.engine_workers > 0) {
+        EXPECT_GT(seq.pooledPhases(), 0u);
+        EXPECT_GT(pipe.pooledPhases(), 0u);
+    }
 }
 
 TEST_P(PipelineDifferential, ResumedPipelinedRunMatchesSequential)
@@ -683,27 +701,8 @@ TEST(PipelineFailure, BackendThrowWithDegradeOffSurfacesOnCallingThread)
               ProbeFabric::panic_cycle);
 }
 
-/** Threads of this process (Linux). */
-int
-threadCount()
-{
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line))
-        if (line.rfind("Threads:", 0) == 0)
-            return std::stoi(line.substr(8));
-    return -1;
-}
-
-/** threadCount() once it reaches @p expected, or after a second: a
- *  joined thread can stay listed until the kernel has reaped it. */
-int
-threadCountSettlingAt(int expected)
-{
-    for (int i = 0; i < 1000 && threadCount() != expected; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return threadCount();
-}
+using test::threadCount;
+using test::threadCountSettlingAt;
 
 TEST(PipelineFailure, HostThrowLeavesFullSystemRunWithoutLeakingThread)
 {
@@ -713,8 +712,8 @@ TEST(PipelineFailure, HostThrowLeavesFullSystemRunWithoutLeakingThread)
     std::thread([] {}).join();
     int before = threadCount();
     ASSERT_GT(before, 0);
-    // Pipelined (cosim) and overlapped (cosim-gpu, which also starts
-    // its engine's pool) quanta.
+    // Pipelined (cosim) and overlapped (cosim-gpu) quanta. Both build
+    // the engine's pool, which starts no thread on a mesh this small.
     for (Mode mode : {Mode::CosimCycle, Mode::CosimGpu}) {
         SCOPED_TRACE(toString(mode));
         FullSystemOptions o;
@@ -728,11 +727,7 @@ TEST(PipelineFailure, HostThrowLeavesFullSystemRunWithoutLeakingThread)
         int threads = before + 1;
         // The overlapped quantum's end is published up front, so its
         // backend runs the quantum out before it parks.
-        Tick backend_at_most = 101;
-        if (mode == Mode::CosimGpu) {
-            threads += o.engine_workers;
-            backend_at_most = 128;
-        }
+        Tick backend_at_most = mode == Mode::CosimGpu ? 128 : 101;
         {
             FullSystem fs(Config(), o);
             fs.simulation().eventq().scheduleLambda(

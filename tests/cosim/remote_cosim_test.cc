@@ -67,6 +67,9 @@ class RemoteCosim : public ::testing::Test
     {
         ipc::NocServerOptions opts;
         opts.address = addr_;
+        // Sessions with workers pool every phase: no mesh here is
+        // busy enough to pass the default work rule.
+        opts.pool_min_active_per_slot = 0;
         server_ =
             std::make_unique<ipc::NocServer>(opts, std::move(decorate));
         thread_ = std::thread([this] { server_->run(); });

@@ -145,10 +145,13 @@ expectEngineEquivalence()
             expectSameRun(serial, alt, label + " serial");
         }
         for (int workers : {1, 2, 8}) {
-            ParallelEngine pool(workers);
+            // Threshold 0: every phase pools, whatever its activity.
+            ParallelEngine pool(workers, 0);
             RunResult parallel = runNetwork<Net>(&pool, kernel);
             expectSameRun(serial, parallel,
                           label + " workers=" + std::to_string(workers));
+            EXPECT_EQ(pool.pooledPhases(), pool.phasesRun()) << label;
+            EXPECT_GT(pool.pooledPhases(), 0u) << label;
         }
     }
 }
@@ -167,11 +170,14 @@ TEST(EngineEquivalence, SharedPoolAcrossBothBackends)
 {
     // One pool can serve several networks in turn (the bridge reuses
     // its engine across quanta); results stay identical to serial.
-    ParallelEngine pool(2);
+    ParallelEngine pool(2, 0);
     RunResult cyc_serial = runNetwork<CycleNetwork>(nullptr);
     RunResult cyc_pool = runNetwork<CycleNetwork>(&pool);
+    std::uint64_t cyc_pooled = pool.pooledPhases();
     RunResult def_serial = runNetwork<DeflectionNetwork>(nullptr);
     RunResult def_pool = runNetwork<DeflectionNetwork>(&pool);
+    EXPECT_GT(cyc_pooled, 0u);
+    EXPECT_GT(pool.pooledPhases(), cyc_pooled);
     EXPECT_TRUE(cyc_serial.deliveries == cyc_pool.deliveries);
     EXPECT_TRUE(def_serial.deliveries == def_pool.deliveries);
     EXPECT_TRUE(cyc_serial.stats == cyc_pool.stats);
@@ -338,11 +344,14 @@ TEST(EngineEquivalence, SoaMovingCutPointsBitIdentical)
     ASSERT_EQ(serial.result.deliveries.size(),
               static_cast<std::size_t>(40 * hot_quanta));
     for (int workers : {1, 2, 3, 8}) {
+        // The recorder does not forward hints, so every phase pools.
         ParallelEngine pool(workers);
         ExtentRecorder rec(pool);
         HotRun pooled = runHotspot(&rec);
         expectSameRun(serial.result, pooled.result,
                       "workers=" + std::to_string(workers));
+        EXPECT_EQ(pool.pooledPhases(), pool.phasesRun());
+        EXPECT_GT(pool.pooledPhases(), 0u);
         // The extent is the summed node weight; it changing means the
         // kernel re-cut its ranges while the traffic moved.
         EXPECT_GT(rec.extents.size(), 10u)
@@ -364,8 +373,9 @@ TEST(EngineEquivalence, SoaCheckpointCrossesEngines)
 
     for (int workers : {2, 3}) {
         std::string label = "workers=" + std::to_string(workers);
-        ParallelEngine pool(workers);
+        ParallelEngine pool(workers, 0);
         HotRun pooled = runHotspot(&pool, save_after);
+        EXPECT_GT(pool.pooledPhases(), 0u) << label;
         // The archive does not record the cut: same bytes either way.
         ASSERT_EQ(pooled.image, serial.image) << label;
 

@@ -162,6 +162,9 @@ class RemoteEquivalence : public ::testing::Test
     {
         ipc::NocServerOptions opts;
         opts.address = addr_;
+        // Sessions with workers pool every phase: no mesh here is
+        // busy enough to pass the default work rule.
+        opts.pool_min_active_per_slot = 0;
         server_ = std::make_unique<ipc::NocServer>(opts);
         thread_ = std::thread([this] { server_->run(); });
     }

@@ -200,10 +200,11 @@ expectResumeEquivalence()
         expectIdentical(ref, serial,
                         "serial split at " + std::to_string(mid));
 
-        ParallelEngine pool(2);
+        ParallelEngine pool(2, 0);
         RunResult parallel = runSplit<Net>(&pool, mid);
         expectIdentical(ref, parallel,
                         "parallel split at " + std::to_string(mid));
+        EXPECT_GT(pool.pooledPhases(), 0u);
 
         // The object oracle emits and accepts the same archive bytes,
         // so the full matrix — object→object, and a checkpoint hopping

@@ -4,16 +4,19 @@
  * property every engine must satisfy, pool reuse across phases,
  * exception safety (a throwing phase must neither deadlock nor poison
  * the pool), a back-to-back handoff stress, the worker-count API and
- * its oversubscription warning.
+ * its oversubscription warning, and the work rule with lazy start.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/expect_error.hh"
+#include "common/thread_count.hh"
 
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -114,6 +117,99 @@ TEST(ParallelEngine, OversubscribedPoolWarnsOnceWithoutClamping)
                   std::string::npos)
             << loud;
     }
+}
+
+/** Threads that ran a part of one phase over @p n indices. */
+std::set<std::thread::id>
+phaseThreads(ParallelEngine &engine, std::size_t n)
+{
+    std::mutex m;
+    std::set<std::thread::id> ids;
+    engine.forRange(n, [&](std::size_t, std::size_t) {
+        std::lock_guard<std::mutex> lock(m);
+        ids.insert(std::this_thread::get_id());
+    });
+    return ids;
+}
+
+/** Hint @p nodes for @p phases phases, on one index per slot. */
+void
+hintPhases(ParallelEngine &engine, std::size_t nodes, int phases)
+{
+    for (int k = 0; k < phases; ++k) {
+        engine.hintActive(nodes);
+        engine.forRange(3, [](std::size_t, std::size_t) {});
+    }
+}
+
+TEST(ParallelEngine, WorkRuleRunsQuietPhasesInline)
+{
+    // 2 workers: 3 slots, so hinted phases pool once the hints' mean
+    // reaches 3 * 4 = 12 active nodes.
+    ParallelEngine engine(2, 4);
+    const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+
+    hintPhases(engine, 8, 200);
+    engine.hintActive(8);
+    EXPECT_EQ(phaseThreads(engine, 3), caller);
+    EXPECT_EQ(engine.pooledPhases(), 0u);
+    EXPECT_EQ(engine.threadsStarted(), 0);
+
+    // A lone busy phase does not move the mean across.
+    engine.hintActive(40);
+    EXPECT_EQ(phaseThreads(engine, 3), caller);
+    EXPECT_EQ(engine.pooledPhases(), 0u);
+
+    // A sustained one does.
+    hintPhases(engine, 12, 200);
+    engine.hintActive(12);
+    EXPECT_EQ(phaseThreads(engine, 3).size(), 3u);
+    EXPECT_GT(engine.pooledPhases(), 0u);
+    EXPECT_EQ(engine.threadsStarted(), 2);
+
+    // A hint holds for one phase; an unhinted phase pools, whatever
+    // the mean.
+    hintPhases(engine, 0, 200);
+    std::uint64_t pooled = engine.pooledPhases();
+    EXPECT_EQ(phaseThreads(engine, 3).size(), 3u);
+    EXPECT_EQ(engine.pooledPhases(), pooled + 1);
+    engine.hintActive(0);
+    EXPECT_EQ(phaseThreads(engine, 3), caller);
+    EXPECT_EQ(engine.phasesRun(), 605u);
+}
+
+TEST(ParallelEngine, ZeroThresholdPoolsEveryHintedPhase)
+{
+    ParallelEngine engine(1, 0);
+    for (int k = 0; k < 10; ++k) {
+        engine.hintActive(0);
+        EXPECT_EQ(phaseThreads(engine, 2).size(), 2u);
+    }
+    EXPECT_EQ(engine.pooledPhases(), 10u);
+}
+
+TEST(ParallelEngine, WorkersStartAtTheFirstPooledPhase)
+{
+    // A sanitizer runtime may start a helper thread along with the
+    // process's first thread; start one first, so the counts below
+    // see only the pool's.
+    std::thread([] {}).join();
+    int before = test::threadCount();
+    ASSERT_GT(before, 0);
+    {
+        ParallelEngine engine(2);
+        EXPECT_EQ(test::threadCount(), before);
+        for (int k = 0; k < 100; ++k) {
+            engine.hintActive(1);
+            engine.forRange(8, [](std::size_t, std::size_t) {});
+        }
+        EXPECT_EQ(test::threadCount(), before);
+        EXPECT_EQ(engine.threadsStarted(), 0);
+        engine.forRange(8, [](std::size_t, std::size_t) {});
+        EXPECT_EQ(engine.threadsStarted(), 2);
+        EXPECT_EQ(test::threadCount(), before + 2);
+    }
+    EXPECT_EQ(test::threadCountSettlingAt(before), before);
 }
 
 TEST(ParallelEngine, NegativeWorkerCountIsFatal)
