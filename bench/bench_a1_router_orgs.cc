@@ -4,15 +4,24 @@
  * component"): virtual-channel versus bufferless deflection router
  * organisations, swept over offered load — the latency/energy
  * trade-off study the detailed component model enables.
+ *
+ * The second table asks the same question in context, as E1 asks it of
+ * a NoC: the eight applications under 8x8 reciprocal co-simulation on
+ * each organisation (noc.router), five seeds each, reporting the
+ * full-system finish tick and the mean packet latency.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
 #include "noc/power.hh"
 #include "sim/simulation.hh"
+#include "workload/app_profiles.hh"
 #include "workload/traffic.hh"
 
 using namespace rasim;
@@ -77,6 +86,45 @@ runOrg(bool deflection, double rate)
     return r;
 }
 
+/** "median [min, max]" of @p v. */
+std::string
+medianRange(std::vector<double> v, int precision)
+{
+    std::sort(v.begin(), v.end());
+    return fmt(quartiles(v).median, precision) + " [" +
+           fmt(v.front(), precision) + ", " + fmt(v.back(), precision) +
+           "]";
+}
+
+struct InContext
+{
+    std::vector<double> finish;
+    std::vector<double> latency;
+    /** Packets per node per cycle, the isolated table's rate unit. */
+    std::vector<double> load;
+};
+
+InContext
+runInContext(const std::string &app, noc::RouterKind router)
+{
+    InContext r;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        cosim::FullSystemOptions o;
+        o.mode = cosim::Mode::CosimCycle;
+        o.app = app;
+        o.ops_per_core = 250;
+        o.noc.router = router;
+        o.sim.seed = seed;
+        cosim::FullSystem sys(Config(), o);
+        auto finish = static_cast<double>(sys.run());
+        r.finish.push_back(finish);
+        r.latency.push_back(sys.meanPacketLatency());
+        r.load.push_back(static_cast<double>(sys.packetsDelivered()) /
+                         (static_cast<double>(sys.numCores()) * finish));
+    }
+    return r;
+}
+
 } // namespace
 
 int
@@ -95,5 +143,28 @@ main()
     }
     std::printf("\n(bufferless wins energy at low load — no buffers to "
                 "write — and loses latency as deflections grow)\n");
+
+    printHeader("A1 in context: VC vs deflection router under 8x8 "
+                "reciprocal co-simulation (median [min, max] of 5 seeds)");
+    const int w = 24;
+    std::printf("%-10s", "app");
+    printRow({"vc_load", "vc_finish", "defl_finish", "vc_lat", "defl_lat"},
+             w);
+    int defl_faster = 0;
+    for (const workload::AppProfile &app : workload::appProfiles()) {
+        InContext vc = runInContext(app.name, noc::RouterKind::Vc);
+        InContext dn = runInContext(app.name, noc::RouterKind::Deflection);
+        std::printf("%-10s", app.name.c_str());
+        printRow({medianRange(vc.load, 4), medianRange(vc.finish, 0),
+                  medianRange(dn.finish, 0),
+                  medianRange(vc.latency, 2), medianRange(dn.latency, 2)},
+                 w);
+        defl_faster +=
+            quartiles(dn.finish).median < quartiles(vc.finish).median;
+    }
+    std::printf("\ndeflection finishes first (median) on %d of %zu "
+                "apps; vc_load is the offered load (packets/node/cycle) "
+                "at which to read the isolated table\n",
+                defl_faster, workload::appProfiles().size());
     return 0;
 }

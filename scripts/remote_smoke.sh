@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Out-of-process backend smoke test: start a rasim-nocd server, run the
 # quickstart co-simulation once against the in-process backend and once
-# against the remote one, and verify the headline results — finish
-# tick, packet counts, latencies and the reciprocal-table observation
-# count — match exactly. This is the differential claim of the remote
-# backend, exercised end-to-end over a real socket.
+# against the remote one, on each router organisation (noc.router), and
+# verify the headline results — finish tick, packet counts, latencies
+# and the reciprocal-table observation count — match exactly. This is
+# the differential claim of the remote backend, exercised end-to-end
+# over a real socket.
 #
 # Usage: scripts/remote_smoke.sh [build-dir]
 set -euo pipefail
@@ -29,9 +30,6 @@ trap cleanup EXIT
 
 args=(system.ops_per_core=2000)
 
-echo "== in-process reference run =="
-"$quickstart" "${args[@]}" > "$work/inproc.log"
-
 echo "== rasim-nocd =="
 "$nocd" "unix:$socket" > "$work/nocd.log" 2>&1 &
 server_pid=$!
@@ -45,10 +43,6 @@ grep -q "listening on" "$work/nocd.log" || {
     exit 1
 }
 
-echo "== remote run (network.backend=remote) =="
-"$quickstart" "${args[@]}" network.backend=remote \
-    remote.socket="unix:$socket" > "$work/remote.log"
-
 # The headline block: everything from the finish line through the
 # reciprocal-table summary must be identical. (The full stats dump is
 # not comparable across backends: the client exports transport
@@ -56,9 +50,20 @@ echo "== remote run (network.backend=remote) =="
 extract() {
     sed -n '/^finished at tick/,/^reciprocal table/p' "$1"
 }
-if ! diff <(extract "$work/inproc.log") <(extract "$work/remote.log")
-then
-    echo "error: remote run diverged from the in-process reference" >&2
-    exit 1
-fi
-echo "remote run matches the in-process reference"
+for router in vc deflection; do
+    echo "== noc.router=$router: in-process reference run =="
+    "$quickstart" "${args[@]}" noc.router="$router" \
+        > "$work/inproc-$router.log"
+    echo "== noc.router=$router: remote run (network.backend=remote) =="
+    "$quickstart" "${args[@]}" noc.router="$router" \
+        network.backend=remote remote.socket="unix:$socket" \
+        > "$work/remote-$router.log"
+    if ! diff <(extract "$work/inproc-$router.log") \
+        <(extract "$work/remote-$router.log")
+    then
+        echo "error: noc.router=$router: remote run diverged from the" \
+            "in-process reference" >&2
+        exit 1
+    fi
+    echo "noc.router=$router: remote run matches the in-process reference"
+done

@@ -29,9 +29,11 @@ ctest --test-dir "$build" --output-on-failure -L 'sim|noc|cosim|ipc'
 # watermark of pipelined and overlapped quanta) interleave differently
 # on every run: repeat the tests of both threaded plans so TSan sees
 # many interleavings. The engine-switch differential repeats too: its
-# phases move between the calling thread and the pool's workers.
+# phases move between the calling thread and the pool's workers. So do
+# the checkpoint differentials of the deflection router, whose runs
+# take every plan (pipelined, overlapped, sequential) in-process.
 threaded='PipelineDifferential|PipelineFailure'
 threaded+='|QuantumBridge\..*Overlap|Health\.Overlapped'
-threaded+='|EngineSwitch'
+threaded+='|EngineSwitch|CheckpointDifferential\..*/deflection_'
 ctest --test-dir "$build" --output-on-failure -j "$jobs" \
     -R "$threaded" --repeat until-fail:20

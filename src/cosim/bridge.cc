@@ -477,6 +477,15 @@ void
 QuantumBridge::deliverUp(const noc::PacketPtr &pkt, Tick boundary,
                          bool to_system)
 {
+    if (pkt->deliver_tick > boundary) {
+        // A NetworkModel delivers nothing dated after its advance
+        // horizon; the slack below would wrap.
+        const auto *model = dynamic_cast<const SimObject *>(&backend_);
+        panic("network model '", model ? model->name() : "?",
+              "' delivered ", pkt->toString(), " at tick ",
+              pkt->deliver_tick, ", after the quantum boundary ",
+              boundary);
+    }
     ++packetsDelivered;
     deliverySlack.sample(static_cast<double>(boundary - pkt->deliver_tick));
     if (to_system && system_handler_)

@@ -111,9 +111,9 @@ FullSystem::FullSystem(const Config &cfg, FullSystemOptions options,
                 std::move(decorate));
             backend = remote_net_.get();
         } else {
-            cycle_net_ = std::make_unique<noc::CycleNetwork>(
-                *sim_, "net", options_.noc);
-            backend = cycle_net_.get();
+            detailed_net_ =
+                noc::makeDetailedNetwork(*sim_, "net", options_.noc);
+            backend = detailed_net_.get();
         }
         break;
     }
@@ -304,8 +304,8 @@ FullSystem::save(ArchiveWriter &aw) const
 
     saveStats(aw, sim_->statsRoot());
 
-    if (cycle_net_) {
-        cycle_net_->save(aw);
+    if (detailed_net_) {
+        detailed_net_->save(aw);
     } else if (remote_net_) {
         // The paired-checkpoint RPC only touches transport state and
         // transport statistics; logically the system is unchanged.
@@ -355,8 +355,8 @@ FullSystem::restoreArchive(ArchiveReader &ar, std::string *why)
 
     restoreStats(ar, sim_->statsRoot());
 
-    if (cycle_net_)
-        cycle_net_->restore(ar);
+    if (detailed_net_)
+        detailed_net_->restore(ar);
     else if (remote_net_)
         remote_net_->restore(ar);
     else
@@ -505,8 +505,8 @@ FullSystem::maybeCheckpoint(Tick t)
 double
 FullSystem::meanPacketLatency() const
 {
-    if (cycle_net_)
-        return cycle_net_->totalLatency.mean();
+    if (detailed_net_)
+        return detailed_net_->meanLatency();
     if (remote_net_)
         return remote_net_->totalLatency.mean();
     return abstract_net_->totalLatency.mean();
@@ -515,8 +515,8 @@ FullSystem::meanPacketLatency() const
 double
 FullSystem::meanPacketLatency(noc::MsgClass cls) const
 {
-    if (cycle_net_)
-        return cycle_net_->vnetLatency[static_cast<int>(cls)]->mean();
+    if (detailed_net_)
+        return detailed_net_->vnetLatency[static_cast<int>(cls)]->mean();
     if (remote_net_)
         return remote_net_->vnetLatency[static_cast<int>(cls)]->mean();
     return abstract_net_->vnetLatency[static_cast<int>(cls)]->mean();
@@ -525,8 +525,8 @@ FullSystem::meanPacketLatency(noc::MsgClass cls) const
 std::uint64_t
 FullSystem::packetsDelivered() const
 {
-    if (cycle_net_)
-        return cycle_net_->deliveredCount();
+    if (detailed_net_)
+        return detailed_net_->deliveredCount();
     if (remote_net_)
         return static_cast<std::uint64_t>(
             remote_net_->packetsDelivered.value());

@@ -218,15 +218,21 @@ class FullSystem
     std::size_t numCores() const { return cores_.size(); }
     const FullSystemOptions &options() const { return options_; }
 
-    /** Non-null in the cycle-network modes. */
-    noc::CycleNetwork *cycleNetwork() { return cycle_net_.get(); }
+    /** Non-null in the cycle-network modes run in-process. */
+    noc::DetailedNetwork *detailedNetwork() { return detailed_net_.get(); }
+    /** The detailed network when it is the VC one (noc.router=vc). */
+    noc::CycleNetwork *
+    cycleNetwork()
+    {
+        return dynamic_cast<noc::CycleNetwork *>(detailed_net_.get());
+    }
     /** Non-null in the abstract modes. */
     abstractnet::AbstractNetwork *abstractNetwork()
     {
         return abstract_net_.get();
     }
-    /** Non-null when network.backend=remote hosts the cycle network
-     *  in a rasim-nocd server. */
+    /** Non-null when network.backend=remote hosts the detailed
+     *  network in a rasim-nocd server. */
     noc::remote::RemoteNetwork *remoteNetwork()
     {
         return remote_net_.get();
@@ -277,7 +283,7 @@ class FullSystem
      *  boundary by more than a quantum. */
     Tick boundary_ = 0;
     std::unique_ptr<Simulation> sim_;
-    std::unique_ptr<noc::CycleNetwork> cycle_net_;
+    std::unique_ptr<noc::DetailedNetwork> detailed_net_;
     std::unique_ptr<noc::remote::RemoteNetwork> remote_net_;
     std::unique_ptr<abstractnet::AbstractNetwork> abstract_net_;
     std::unique_ptr<QuantumBridge> bridge_;

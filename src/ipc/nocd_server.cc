@@ -4,8 +4,7 @@
 #include <vector>
 
 #include "ipc/protocol.hh"
-#include "noc/cycle_network.hh"
-#include "noc/deflection_network.hh"
+#include "noc/detailed_network.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
@@ -30,19 +29,7 @@ struct NocServer::Session
         : hello(req)
     {
         sim = std::make_unique<Simulation>();
-        if (req.model == "cycle") {
-            cycle = std::make_unique<noc::CycleNetwork>(*sim, "net",
-                                                        req.params);
-            net = cycle.get();
-        } else if (req.model == "deflection") {
-            defl = std::make_unique<noc::DeflectionNetwork>(
-                *sim, "net", req.params);
-            net = defl.get();
-        } else {
-            throw SimError(ErrorKind::Config,
-                           "unknown hosted model '" + req.model +
-                               "' (want cycle or deflection)");
-        }
+        net = noc::makeDetailedNetwork(*sim, "net", req.params);
         if (req.engine_workers > 0) {
             engine = std::make_unique<ParallelEngine>(
                 req.engine_workers, pool_min_active);
@@ -69,49 +56,32 @@ struct NocServer::Session
         return config::stateShaping(config::record(hello.params));
     }
 
-    const stats::Group &statsGroup() const { return *group(); }
-    stats::Group *
-    group() const
-    {
-        return cycle ? static_cast<stats::Group *>(cycle.get())
-                     : static_cast<stats::Group *>(defl.get());
-    }
-
     void
     save(ArchiveWriter &aw) const
     {
         aw.beginSection("nocd");
-        aw.putString(hello.model);
         config::putRecord(aw, shape());
         aw.putU64(net->curTime());
         aw.endSection();
-        saveStats(aw, statsGroup());
-        if (cycle)
-            cycle->save(aw);
-        else
-            defl->save(aw);
+        saveStats(aw, *net);
+        net->save(aw);
     }
 
     void
     restore(ArchiveReader &ar)
     {
         ar.expectSection("nocd");
-        std::string model = ar.getString();
         std::string key = config::firstDifference(config::getRecord(ar),
                                                   shape());
         ar.getU64(); // informational tick
         ar.endSection();
-        if (model != hello.model || !key.empty()) {
+        if (!key.empty()) {
             throw SimError(ErrorKind::Config,
                            "checkpoint was taken on a different hosted "
-                           "network (" +
-                               (key.empty() ? model : key) + ")");
+                           "network (" + key + ")");
         }
-        restoreStats(ar, *group());
-        if (cycle)
-            cycle->restore(ar);
-        else
-            defl->restore(ar);
+        restoreStats(ar, *net);
+        net->restore(ar);
         // An image from another build can carry more state after the
         // fabric (a v8 server appended its shadow latency table).
         // Restoring it would re-serialize shorter, so the client's
@@ -160,9 +130,7 @@ struct NocServer::Session
     HelloRequest hello;
     std::unique_ptr<Simulation> sim;
     std::unique_ptr<ParallelEngine> engine;
-    std::unique_ptr<noc::CycleNetwork> cycle;
-    std::unique_ptr<noc::DeflectionNetwork> defl;
-    noc::NetworkModel *net = nullptr;
+    std::unique_ptr<noc::DetailedNetwork> net;
     std::vector<noc::PacketPtr> deliveries;
 };
 
@@ -353,7 +321,7 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
           case MsgType::StatsGet: {
             msg.done();
             std::vector<StatRow> rows;
-            flattenStats(session->statsGroup(), rows);
+            flattenStats(*session->net, rows);
             ArchiveWriter aw = beginMessage(MsgType::StatsData);
             encodeStatsReply(aw, rows);
             sendMessage(conn, std::move(aw));

@@ -1,8 +1,8 @@
 /**
  * @file
- * The rasim-nocd session server: hosts cycle-level networks
- * (CycleNetwork or DeflectionNetwork, serial or parallel engine)
- * behind a socket speaking the quantum-RPC protocol.
+ * The rasim-nocd session server: hosts detailed networks (the
+ * Hello's noc.router picks the router organisation, serial or
+ * parallel engine) behind a socket speaking the quantum-RPC protocol.
  *
  * Every accepted connection gets its own session — one hosted network
  * and its engine — served on its own thread, so N clients co-simulate

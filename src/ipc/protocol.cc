@@ -77,7 +77,6 @@ void
 encodeHello(ArchiveWriter &aw, const HelloRequest &req)
 {
     aw.putU32(req.proto);
-    aw.putString(req.model);
     config::putRecord(aw, config::record(req.params));
     aw.putU32(static_cast<std::uint32_t>(req.engine_workers));
     aw.putU64(req.start_tick);
@@ -102,7 +101,6 @@ decodeHello(ArchiveReader &ar)
                                ", server speaks v" +
                                std::to_string(protocol_version));
         }
-        req.model = ar.getString();
         noc = config::getRecord(ar);
         req.engine_workers = static_cast<int>(ar.getU32());
         req.start_tick = ar.getU64();

@@ -70,17 +70,18 @@ namespace ipc
  *  same binder, refusing an unknown key as a Config error; v9 drops
  *  the server's shadow latency table with its readback pair (message
  *  types 4 and 104) and Hello's latency-table record and distance
- *  range: the server hosts the fabric and nothing else. */
-constexpr std::uint32_t protocol_version = 9;
+ *  range: the server hosts the fabric and nothing else; v10 drops
+ *  Hello's model string — the NoC record's noc.router names the
+ *  hosted router. */
+constexpr std::uint32_t protocol_version = 10;
 
 /** Session-opening handshake: everything the server needs to build a
  *  deterministic twin of the in-process backend. */
 struct HelloRequest
 {
     std::uint32_t proto = protocol_version;
-    /** Hosted model: "cycle" or "deflection". */
-    std::string model = "cycle";
-    /** Travels as its configuration record. */
+    /** Travels as its configuration record, whose noc.router names
+     *  the hosted router organisation. */
     noc::NocParams params;
     /** Worker threads of the server-side ParallelEngine (0 = serial).
      *  Bit-identical either way, by the engine determinism contract. */

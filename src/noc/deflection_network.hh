@@ -10,9 +10,12 @@
  *
  * Packets travel as independent single-flit "worms" (each flit routes
  * alone and is reassembled at the destination NIC), the classic
- * bufferless formulation.
+ * bufferless formulation. A packet to its own node bypasses the fabric
+ * (there is no port to traverse) and waits out the VC network's
+ * two-cycle NIC path, so it is delivered at its deliver_tick like
+ * every other packet.
  *
- * Like CycleNetwork, the network is a thin orchestrator over its
+ * Like CycleNetwork, the network is a DetailedNetwork over its
  * compute backend (see noc/kernel/backend.hh): the soa kernel, or the
  * object oracle the differential tests inject. The per-cycle update
  * is phase-structured so an exchangeable StepEngine can run it
@@ -27,39 +30,28 @@
 #ifndef RASIM_NOC_DEFLECTION_NETWORK_HH
 #define RASIM_NOC_DEFLECTION_NETWORK_HH
 
+#include <deque>
 #include <memory>
-#include <queue>
-#include <vector>
 
+#include "noc/detailed_network.hh"
 #include "noc/kernel/backend.hh"
-#include "noc/network_model.hh"
-#include "noc/packet.hh"
-#include "noc/params.hh"
-#include "noc/topology.hh"
-#include "sim/sim_object.hh"
-#include "sim/step_engine.hh"
-#include "stats/distribution.hh"
-#include "stats/stat.hh"
 
 namespace rasim
 {
-
-class Simulation;
-
 namespace noc
 {
 
-class DeflectionNetwork : public SimObject, public NetworkModel
+class DeflectionNetwork : public DetailedNetwork
 {
   public:
     using FabricFactory = kernel::DeflectFabricFactory;
 
     /**
      * Uses NocParams for geometry, link width and per-hop latency
-     * (pipeline_stages); buffering/VC parameters are ignored — the
-     * whole point of the organisation. @p make_fabric is a test
-     * seam: the default builds the soa kernel, the differentials pass
-     * the object oracle.
+     * (pipeline_stages); buffering/VC parameters are validated like
+     * the VC network's but ignored — the whole point of the
+     * organisation. @p make_fabric is a test seam: the default builds
+     * the soa kernel, the differentials pass the object oracle.
      */
     DeflectionNetwork(Simulation &sim, const std::string &name,
                       const NocParams &params,
@@ -68,36 +60,14 @@ class DeflectionNetwork : public SimObject, public NetworkModel
                           kernel::makeDeflectFabric);
     ~DeflectionNetwork() override;
 
-    // NetworkModel interface.
-    void inject(const PacketPtr &pkt) override;
-    void advanceTo(Tick t) override;
-    bool pipelinable() const override { return true; }
-    void setDeliveryHandler(DeliveryHandler handler) override;
-    Tick curTime() const override { return time_; }
-    bool idle() const override;
-    std::size_t numNodes() const override;
-    std::optional<Accounting> accounting() const override;
-
-    /**
-     * Replace the execution engine (default: SerialEngine). The
-     * network does not own the engine; it must outlive the network's
-     * last advanceTo().
-     */
-    void setEngine(StepEngine *engine) override;
-
-    const NocParams &params() const { return params_; }
-    const Topology &topology() const { return *topo_; }
+    double meanLatency() const override { return totalLatency.mean(); }
+    void save(ArchiveWriter &aw) const override;
+    void restore(ArchiveReader &ar) override;
 
     /** The compute backend (the soa kernel unless a test injected
      *  another). */
     const kernel::DeflectFabric &fabric() const { return *fabric_; }
 
-    /** Checkpoint the full fabric state between cycles. */
-    void save(ArchiveWriter &aw) const;
-    void restore(ArchiveReader &ar);
-
-    stats::Scalar packetsInjected;
-    stats::Scalar packetsDelivered;
     stats::Scalar flitsDeflected;
     stats::Scalar flitsEjected;
     stats::Scalar injectionStalls;
@@ -105,36 +75,16 @@ class DeflectionNetwork : public SimObject, public NetworkModel
     stats::Distribution deflectionsPerFlit;
 
   private:
-    void stepCycle();
+    void admit(const PacketPtr &pkt, Cycle now) override;
+    void runCycle(Cycle now) override;
     /** Fold scratch into stats/deliveries in node index order. */
-    void reduceScratch(Cycle now);
-
-    NocParams params_;
-    std::unique_ptr<Topology> topo_;
-    SerialEngine serial_engine_;
-    StepEngine *engine_;
+    void reduceScratch();
+    void applyDelivery(const PacketPtr &pkt);
 
     std::unique_ptr<kernel::DeflectFabric> fabric_;
-
-    struct InjectOrder
-    {
-        bool
-        operator()(const PacketPtr &a, const PacketPtr &b) const
-        {
-            if (a->inject_tick != b->inject_tick)
-                return a->inject_tick > b->inject_tick;
-            return a->id > b->id;
-        }
-    };
-    std::priority_queue<PacketPtr, std::vector<PacketPtr>, InjectOrder>
-        pending_;
-
-    Tick time_ = 0;
-    std::uint64_t in_fabric_flits_ = 0;
-    std::uint64_t queued_flits_ = 0;
-    std::uint64_t delivered_ = 0;
-    std::uint64_t injected_ = 0;
-    DeliveryHandler handler_;
+    /** Local (src == dst) packets waiting out their NIC path, in
+     *  deliver_tick order. */
+    std::deque<PacketPtr> local_;
 };
 
 } // namespace noc

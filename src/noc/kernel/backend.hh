@@ -1,8 +1,9 @@
 /**
  * @file
  * The NoC compute-backend layer: the detailed network models
- * (CycleNetwork, DeflectionNetwork) are thin orchestrators — they own
- * injection heaps, aggregate statistics and delivery callbacks — while
+ * (CycleNetwork, DeflectionNetwork, over their DetailedNetwork base)
+ * are thin orchestrators — they own injection heaps, aggregate
+ * statistics and delivery callbacks — while
  * the per-cycle router/NIC/link state machine lives behind one of the
  * fabric interfaces below.
  *
@@ -144,8 +145,6 @@ struct NodeScratch
     std::vector<PacketPtr> delivered;
     std::uint64_t deflected = 0;
     std::uint64_t stalls = 0;
-    std::int64_t fabric_delta = 0;
-    std::int64_t queued_delta = 0;
 };
 
 /**

@@ -162,7 +162,6 @@ SoaDeflectFabric::routeNode(int i, Cycle now)
             for (std::uint32_t k = eject; k + 1 < cnt; ++k)
                 cand[k] = std::move(cand[k + 1]);
             --cnt;
-            --s.fabric_delta;
             s.eject_deflections.push_back(f.deflections);
             PacketPtr pkt = f.pkt;
             // Hop accounting happens at ejection so a packet's flits
@@ -192,8 +191,6 @@ SoaDeflectFabric::routeNode(int i, Cycle now)
             DFlit f = q.pop();
             --route_occ_[static_cast<std::size_t>(i) * occ_words +
                          occ_inject];
-            --s.queued_delta;
-            ++s.fabric_delta;
             f.birth = now;
             if (f.seq == 0)
                 f.pkt->enter_tick = now;

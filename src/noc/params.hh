@@ -17,6 +17,21 @@ namespace rasim
 namespace noc
 {
 
+/** The detailed network's router organisation. */
+enum class RouterKind
+{
+    /** Buffered virtual-channel routers (CycleNetwork). */
+    Vc,
+    /** Bufferless deflection routers (DeflectionNetwork). */
+    Deflection,
+};
+
+/** Spellings of RouterKind: the values of noc.router. */
+inline constexpr config::Name<RouterKind> router_names[] = {
+    {"vc", RouterKind::Vc},
+    {"deflection", RouterKind::Deflection},
+};
+
 /**
  * Configuration of the cycle-level network.
  *
@@ -32,6 +47,8 @@ struct NocParams
     /** The soa kernel counts buffered flits per VC in 16 bits. */
     static constexpr int max_buffer_depth = 65535;
 
+    /** Which detailed network makeDetailedNetwork() builds. */
+    RouterKind router = RouterKind::Vc;
     int columns = 8;
     int rows = 8;
     std::string topology = "mesh";
@@ -54,6 +71,7 @@ struct NocParams
     void
     keys(config::Binder &v)
     {
+        v("noc.router", router, router_names);
         v("noc.columns", columns);
         v("noc.rows", rows);
         v("noc.topology", topology);

@@ -24,9 +24,6 @@ RemoteOptions::validate() const
         fatal("remote.connect_timeout_ms must be positive");
     if (quantum_timeout_ms < 0.0)
         fatal("remote.quantum_timeout_ms must be non-negative");
-    if (model != "cycle" && model != "deflection")
-        fatal("remote.model must be cycle or deflection, not '", model,
-              "'");
 }
 
 RemoteNetwork::RemoteNetwork(Simulation &sim, const std::string &name,
@@ -181,7 +178,6 @@ ipc::HelloReply
 RemoteNetwork::helloOn(ipc::ByteChannel &ch, Tick start_tick)
 {
     ipc::HelloRequest req;
-    req.model = options_.model;
     req.params = params_;
     req.engine_workers = options_.engine_workers;
     req.start_tick = start_tick;

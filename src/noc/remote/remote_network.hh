@@ -96,8 +96,6 @@ struct RemoteOptions
     double connect_timeout_ms = 5000.0;
     /** Budget for one quantum's StepReply, in ms (0 = forever). */
     double quantum_timeout_ms = 30000.0;
-    /** Hosted model on the server: "cycle" or "deflection". */
-    std::string model = "cycle";
     /** Server-side ParallelEngine workers (0 = serial). No config
      *  key: FullSystem sets it from system.parallel and
      *  system.engine_workers. */
@@ -122,7 +120,9 @@ struct RemoteOptions
           config::neutral);
         v("remote.quantum_timeout_ms", quantum_timeout_ms,
           config::neutral);
-        v("remote.model", model);
+        // The hosted router is noc.router, which travels in the
+        // Hello's NoC record; this key only refuses a value.
+        v.retired("remote.model", "cycle");
         v("network.remote.ckpt_quanta", ckpt_quanta);
         v("network.remote.attest_quanta", attest_quanta);
         v(retry, config::neutral);
@@ -177,8 +177,8 @@ class RemoteNetwork : public SimObject, public NetworkModel
 
     /** @name Mirrored delivery statistics
      * Sampled from the replayed deliveries in delivery order, so they
-     * match a server-hosted (or in-process) CycleNetwork's aggregates
-     * bit for bit. */
+     * match a server-hosted (or in-process) detailed network's
+     * aggregates bit for bit. */
     /// @{
     stats::Scalar packetsInjected;
     stats::Scalar packetsDelivered;

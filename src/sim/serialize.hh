@@ -65,8 +65,11 @@ class ArchiveWriter
      *  quantum boundary, which the event queue's clock can lag;
      *  v6: the "meta" record loses the retired reference-clock
      *  period and the "health" section drops its copy of the bridge's
-     *  state. */
-    static constexpr std::uint32_t format_version = 6;
+     *  state; v7: the "meta" record gains noc.router, the "nocd"
+     *  section drops its model string, and "deflection_net" is laid
+     *  out like "cycle_net" (clock, packet counts, injection heap)
+     *  followed by the local packets waiting out their NIC path. */
+    static constexpr std::uint32_t format_version = 7;
 
     void beginSection(const std::string &tag);
     void endSection();

@@ -80,11 +80,14 @@ struct Scenario
     /** Set a guard threshold the run really crosses: the bridge
      *  degrades, re-engages on probation and re-trips. */
     bool degrade = false;
-    char name[41] = {};
+    char name[40] = {};
+    /** noc.router=deflection; last, so the bytes of the VC scenarios
+     *  (and their test names) stay what they were. */
+    bool deflection = false;
 };
 static_assert(sizeof(Scenario) == 48 &&
                   sizeof(Scenario) ==
-                      sizeof(Mode) + 3 * sizeof(bool) +
+                      sizeof(Mode) + 4 * sizeof(bool) +
                           sizeof(Scenario::name),
               "Scenario must be 48 bytes with no padding");
 
@@ -93,6 +96,8 @@ scenarioOptions(const Scenario &s)
 {
     FullSystemOptions o;
     o.mode = s.mode;
+    o.noc.router = s.deflection ? noc::RouterKind::Deflection
+                                : noc::RouterKind::Vc;
     o.app = "lu";
     o.ops_per_core = 60;
     o.quantum = 64;
@@ -288,7 +293,17 @@ INSTANTIATE_TEST_SUITE_P(
                  "conservative_degrades"},
         Scenario{Mode::CosimGpu, false, false, true,
                  "overlapped_gpu_faults"},
-        Scenario{Mode::Monolithic, false, false, false, "monolithic"}),
+        Scenario{Mode::Monolithic, false, false, false, "monolithic"},
+        Scenario{Mode::CosimCycle, false, false, false,
+                 "deflection_reciprocal_serial", true},
+        Scenario{Mode::CosimCycle, true, false, false,
+                 "deflection_conservative_serial", true},
+        Scenario{Mode::CosimCycle, false, true, false,
+                 "deflection_reciprocal_parallel", true},
+        Scenario{Mode::CosimGpu, false, false, false,
+                 "deflection_overlapped_gpu", true},
+        Scenario{Mode::Monolithic, false, false, false,
+                 "deflection_monolithic", true}),
     [](const testing::TestParamInfo<Scenario> &info) {
         return std::string(info.param.name);
     });

@@ -3,7 +3,8 @@
  * The default engine configuration: the cycle-level modes run their
  * network on a host-sized pool (system.parallel=true), whose work rule
  * keeps a small mesh's phases inline without starting a thread, pools
- * a 16x16 run's busy phases, and never changes a simulated byte.
+ * a 16x16 run's busy phases, and never changes a simulated byte, on
+ * either router organisation.
  */
 
 #include <gtest/gtest.h>
@@ -91,9 +92,10 @@ struct Outcome
 };
 
 Outcome
-run16x16(bool parallel, std::uint64_t *pooled)
+run16x16(noc::RouterKind router, bool parallel, std::uint64_t *pooled)
 {
     FullSystemOptions o;
+    o.noc.router = router;
     o.app = "fft";
     o.ops_per_core = 40;
     o.noc.columns = 16;
@@ -120,14 +122,18 @@ TEST(DefaultEngine, MeshOf256PoolsBusyPhasesBitIdentically)
     if (defaultEngineWorkers() == 0)
         GTEST_SKIP() << "a host of two hardware threads or fewer gets "
                         "no default pool";
-    std::uint64_t pooled = 0, serial_pooled = 0;
-    Outcome dflt = run16x16(true, &pooled);
-    Outcome serial = run16x16(false, &serial_pooled);
-    EXPECT_GT(pooled, 0u);
-    EXPECT_EQ(serial_pooled, 0u);
-    EXPECT_EQ(dflt.image, serial.image);
-    EXPECT_EQ(dflt.finish, serial.finish);
-    EXPECT_EQ(dflt.stats, serial.stats);
+    for (noc::RouterKind router :
+         {noc::RouterKind::Vc, noc::RouterKind::Deflection}) {
+        SCOPED_TRACE(config::nameOf(router, noc::router_names));
+        std::uint64_t pooled = 0, serial_pooled = 0;
+        Outcome dflt = run16x16(router, true, &pooled);
+        Outcome serial = run16x16(router, false, &serial_pooled);
+        EXPECT_GT(pooled, 0u);
+        EXPECT_EQ(serial_pooled, 0u);
+        EXPECT_EQ(dflt.image, serial.image);
+        EXPECT_EQ(dflt.finish, serial.finish);
+        EXPECT_EQ(dflt.stats, serial.stats);
+    }
 }
 
 } // namespace

@@ -74,7 +74,12 @@ FaultInjector::onInnerDelivery(const noc::PacketPtr &pkt)
     ++deliveries_seen_;
     if (opts_.poison_every > 0 &&
         deliveries_seen_ % opts_.poison_every == 0) {
-        pkt->deliver_tick += opts_.poison_offset;
+        // Move the injection back rather than the delivery forward:
+        // a delivery dated past the advance horizon breaks the
+        // NetworkModel contract (the bridge panics on one). Unsigned
+        // ticks wrap, so latency() reads exactly poison_offset more
+        // even for a packet injected before tick poison_offset.
+        pkt->inject_tick -= opts_.poison_offset;
         ++poisoned_;
     }
     ++forwarded_up_;

@@ -279,13 +279,13 @@ nonDefaultValues(const std::string &socket)
         {"remote.socket", socket},
         {"remote.connect_timeout_ms", "2500"},
         {"remote.quantum_timeout_ms", "0"},
-        {"remote.model", "deflection"},
         {"network.remote.ckpt_quanta", "7"},
         {"network.remote.attest_quanta", "3"},
         {"network.remote.retry.max_attempts", "5"},
         {"network.remote.retry.base_ms", "2.5"},
         {"network.remote.retry.max_ms", "80"},
         {"network.remote.retry.deadline_ms", "100"},
+        {"noc.router", "deflection"},
         {"noc.columns", "2"},
         {"noc.rows", "2"},
         {"noc.topology", "torus"},

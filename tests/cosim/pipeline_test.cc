@@ -49,7 +49,7 @@
 #include "cosim/bridge.hh"
 #include "cosim/full_system.hh"
 #include "noc/cycle_network.hh"
-#include "noc/deflection_network.hh"
+#include "noc/detailed_network.hh"
 #include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/serialize.hh"
@@ -181,17 +181,11 @@ makePanickingFabric(stats::Group *parent, const noc::NocParams &params,
         noc::kernel::makeCycleFabric(parent, params, topo, routing), true);
 }
 
-enum class NetKind
-{
-    Cycle,
-    Deflection,
-};
-
 struct Case
 {
     Coupling coupling = Coupling::Reciprocal;
     int engine_workers = 0;
-    NetKind net = NetKind::Cycle;
+    noc::RouterKind router = noc::RouterKind::Vc;
     Tick quantum = 256;
 };
 
@@ -250,26 +244,22 @@ class Rig
             noc::kernel::makeCycleFabric,
         HealthOptions health = HealthOptions())
     {
+        params_.router = c.router;
         params_.columns = 4;
         params_.rows = 4;
-        if (c.net == NetKind::Cycle) {
-            cycle_ = std::make_unique<noc::CycleNetwork>(
-                sim_, "noc", params_, nullptr, fabric);
-            net_ = cycle_.get();
-            net_obj_ = cycle_.get();
-        } else {
-            deflect_ = std::make_unique<noc::DeflectionNetwork>(
-                sim_, "noc", params_);
-            net_ = deflect_.get();
-            net_obj_ = deflect_.get();
-        }
+        // The fabric seam is the VC network's.
+        if (c.router == noc::RouterKind::Vc)
+            net_ = std::make_unique<noc::CycleNetwork>(sim_, "noc", params_,
+                                                       nullptr, fabric);
+        else
+            net_ = noc::makeDetailedNetwork(sim_, "noc", params_);
         // The rig's own pool pools every phase (threshold 0); the
         // bridge's would keep this 4x4 mesh's phases inline.
         if (c.engine_workers > 0) {
             pool_ = std::make_unique<ParallelEngine>(c.engine_workers, 0);
             net_->setEngine(pool_.get());
         }
-        noc::NetworkModel *backend = net_;
+        noc::NetworkModel *backend = net_.get();
         if (sequential) {
             deco_ = std::make_unique<Passthrough>(*net_);
             backend = deco_.get();
@@ -307,14 +297,15 @@ class Rig
     const ProbeFabric &
     probe() const
     {
-        return dynamic_cast<const ProbeFabric &>(cycle_->fabric());
+        return dynamic_cast<const ProbeFabric &>(
+            dynamic_cast<const noc::CycleNetwork &>(*net_).fabric());
     }
 
     StatRows
     stats() const
     {
         StatRows rows;
-        snapshotStats(*net_obj_, rows);
+        snapshotStats(*net_, rows);
         snapshotStats(*bridge_, rows);
         return rows;
     }
@@ -333,11 +324,8 @@ class Rig
     {
         ArchiveWriter aw;
         bridge_->save(aw);
-        if (cycle_)
-            cycle_->save(aw);
-        else
-            deflect_->save(aw);
-        saveStats(aw, *net_obj_);
+        net_->save(aw);
+        saveStats(aw, *net_);
         saveStats(aw, *bridge_);
         aw.putU64(next_id_);
         aw.putU64(answers_.size());
@@ -356,11 +344,8 @@ class Rig
         ArchiveReader ar(std::move(image));
         ASSERT_TRUE(ar.ok()) << ar.error();
         bridge_->restore(ar);
-        if (cycle_)
-            cycle_->restore(ar);
-        else
-            deflect_->restore(ar);
-        restoreStats(ar, *net_obj_);
+        net_->restore(ar);
+        restoreStats(ar, *net_);
         restoreStats(ar, *bridge_);
         next_id_ = ar.getU64();
         answers_.resize(ar.getU64());
@@ -441,10 +426,7 @@ class Rig
     Simulation sim_;
     noc::NocParams params_;
     std::unique_ptr<ParallelEngine> pool_; ///< outlives the networks
-    std::unique_ptr<noc::CycleNetwork> cycle_;
-    std::unique_ptr<noc::DeflectionNetwork> deflect_;
-    noc::NetworkModel *net_ = nullptr;
-    stats::Group *net_obj_ = nullptr;
+    std::unique_ptr<noc::DetailedNetwork> net_;
     std::unique_ptr<Passthrough> deco_;
     std::unique_ptr<QuantumBridge> bridge_;
     PacketId next_id_ = 1;
@@ -541,9 +523,10 @@ matrix()
     std::vector<Case> cases;
     for (Coupling coupling : {Coupling::Reciprocal, Coupling::Conservative})
         for (int workers : {0, 2})
-            for (NetKind net : {NetKind::Cycle, NetKind::Deflection})
+            for (noc::RouterKind router :
+                 {noc::RouterKind::Vc, noc::RouterKind::Deflection})
                 for (Tick quantum : {Tick{1}, Tick{7}, Tick{256}})
-                    cases.push_back({coupling, workers, net, quantum});
+                    cases.push_back({coupling, workers, router, quantum});
     return cases;
 }
 
@@ -553,7 +536,8 @@ caseName(const Case &c)
     return std::string(c.coupling == Coupling::Reciprocal ? "Reciprocal"
                                                           : "Conservative") +
            (c.engine_workers ? "_Pool2" : "_Serial") +
-           (c.net == NetKind::Cycle ? "_Cycle" : "_Deflection") + "_Q" +
+           (c.router == noc::RouterKind::Vc ? "_Cycle" : "_Deflection") +
+           "_Q" +
            std::to_string(c.quantum);
 }
 

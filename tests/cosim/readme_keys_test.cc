@@ -94,7 +94,8 @@ TEST(Readme, KeyTableListsExactlyTheDeclaredKeys)
     for (const config::Record *r : {&fs, &dev})
         for (const config::Entry &e : *r)
             declared.insert(e.key);
-    // The one retired binding: read only to refuse any value but soa.
+    // A retired binding with a row: read only to refuse any value but
+    // soa. (remote.model, retired into noc.router, has none.)
     declared.insert("network.kernel");
 
     std::vector<std::string> undocumented, stale;

@@ -2,7 +2,8 @@
  * @file
  * Full-system acceptance tests for the out-of-process NoC backend:
  * a co-simulation with network.backend=remote is bit-identical to the
- * same run with the in-process backend, a killed server degrades the
+ * same run with the in-process backend, on either router organisation
+ * (noc.router), a killed server degrades the
  * run to tuned-abstract service instead of hanging it, so does a hung
  * one once its reply deadline expires, and a paired
  * cross-process checkpoint resumes to the same final state as an
@@ -33,10 +34,10 @@ namespace
 using namespace rasim;
 using namespace rasim::cosim;
 
+using StatRows = std::vector<std::tuple<std::string, std::string, double>>;
+
 void
-snapshotStats(const stats::Group &g,
-              std::vector<std::tuple<std::string, std::string, double>>
-                  &out)
+snapshotStats(const stats::Group &g, StatRows &out)
 {
     for (const stats::Stat *s : g.statList())
         for (const auto &[sub, v] : s->values())
@@ -44,6 +45,33 @@ snapshotStats(const stats::Group &g,
     for (const stats::Group *c : g.children())
         snapshotStats(*c, out);
 }
+
+/** Everything of a run outside its network: the bridge, memory and
+ *  core statistics. */
+StatRows
+hostStats(FullSystem &sys)
+{
+    StatRows rows;
+    snapshotStats(sys.bridge(), rows);
+    snapshotStats(sys.memory(), rows);
+    for (std::size_t i = 0; i < sys.numCores(); ++i)
+        snapshotStats(sys.core(i), rows);
+    return rows;
+}
+
+/** (id, deliver tick, latency) of every delivery the bridge saw. */
+using Deliveries = std::vector<std::tuple<PacketId, Tick, Tick>>;
+
+void
+recordDeliveries(FullSystem &sys, Deliveries &out)
+{
+    sys.bridge().setDeliveryObserver([&out](const noc::PacketPtr &p) {
+        out.emplace_back(p->id, p->deliver_tick, p->latency());
+    });
+}
+
+constexpr noc::RouterKind routers[] = {noc::RouterKind::Vc,
+                                       noc::RouterKind::Deflection};
 
 class RemoteCosim : public ::testing::Test
 {
@@ -86,10 +114,12 @@ class RemoteCosim : public ::testing::Test
     }
 
     FullSystemOptions
-    smallOptions(bool remote, bool parallel = false)
+    smallOptions(bool remote, bool parallel = false,
+                 noc::RouterKind router = noc::RouterKind::Vc)
     {
         FullSystemOptions o;
         o.mode = Mode::CosimCycle;
+        o.noc.router = router;
         o.app = "lu";
         o.ops_per_core = 60;
         o.quantum = 64;
@@ -106,6 +136,11 @@ class RemoteCosim : public ::testing::Test
         return o;
     }
 
+    /** Run @p inproc and @p remote (the same system but for its
+     *  backend) and compare them bit for bit. */
+    void expectRemoteMatchesInproc(const FullSystemOptions &inproc,
+                                   const FullSystemOptions &remote);
+
     std::string addr_;
     std::unique_ptr<ipc::NocServer> server_;
     std::thread thread_;
@@ -113,46 +148,70 @@ class RemoteCosim : public ::testing::Test
 
 TEST_F(RemoteCosim, RemoteRunBitIdenticalToInproc)
 {
-    for (bool parallel : {false, true}) {
-        // In-process reference.
-        FullSystem ref(Config(), smallOptions(false, parallel));
-        Tick ref_finish = ref.run(4000000);
-        ASSERT_TRUE(ref.allCoresDone());
-        std::vector<std::tuple<std::string, std::string, double>>
-            ref_net_stats;
-        snapshotStats(*ref.cycleNetwork(), ref_net_stats);
-
-        // Same co-simulation, detailed fabric in the server. With
-        // parallel=true the pool runs server-side.
-        FullSystem sys(Config(), smallOptions(true, parallel));
-        Tick finish = sys.run(4000000);
-        ASSERT_TRUE(sys.allCoresDone()) << "parallel=" << parallel;
-
-        EXPECT_EQ(finish, ref_finish) << "parallel=" << parallel;
-        EXPECT_EQ(sys.packetsDelivered(), ref.packetsDelivered());
-        EXPECT_DOUBLE_EQ(sys.meanPacketLatency(),
-                         ref.meanPacketLatency());
-
-        // The reciprocal feedback evolved identically on both sides
-        // of the process boundary.
-        EXPECT_TRUE(sys.bridge().table().identicalTo(
-            ref.bridge().table()))
-            << "parallel=" << parallel;
-        ASSERT_NE(sys.remoteNetwork(), nullptr);
-
-        // The hosted network's statistics tree matches the in-process
-        // network's row for row, bit for bit.
-        std::vector<std::tuple<std::string, std::string, double>>
-            net_stats;
-        for (const ipc::StatRow &row :
-             sys.remoteNetwork()->fetchRemoteStats())
-            net_stats.emplace_back(row.path, row.sub, row.value);
-        ASSERT_EQ(net_stats.size(), ref_net_stats.size());
-        for (std::size_t k = 0; k < net_stats.size(); ++k)
-            EXPECT_EQ(net_stats[k], ref_net_stats[k])
-                << "parallel=" << parallel << " stat "
-                << std::get<0>(ref_net_stats[k]);
+    // Each mode's coupling: reciprocal, conservative, event-exact
+    // (monolithic) and overlapped (cosim-gpu).
+    const std::pair<Mode, bool> modes[] = {{Mode::CosimCycle, false},
+                                           {Mode::CosimCycle, true},
+                                           {Mode::Monolithic, false},
+                                           {Mode::CosimGpu, false}};
+    for (noc::RouterKind router : routers) {
+        for (auto [mode, conservative] : modes) {
+            for (bool parallel : {false, true}) {
+                SCOPED_TRACE(
+                    std::string(config::nameOf(router, noc::router_names)) +
+                    " " + toString(mode) +
+                    (conservative ? " conservative" : ""));
+                auto options = [&](bool remote) {
+                    FullSystemOptions o =
+                        smallOptions(remote, parallel, router);
+                    o.mode = mode;
+                    o.conservative = conservative;
+                    return o;
+                };
+                expectRemoteMatchesInproc(options(false), options(true));
+            }
+        }
     }
+}
+
+void
+RemoteCosim::expectRemoteMatchesInproc(const FullSystemOptions &inproc,
+                                       const FullSystemOptions &remote)
+{
+    // In-process reference.
+    FullSystem ref(Config(), inproc);
+    Deliveries ref_seen;
+    recordDeliveries(ref, ref_seen);
+    Tick ref_finish = ref.run(4000000);
+    ASSERT_TRUE(ref.allCoresDone());
+    StatRows ref_net_stats;
+    snapshotStats(*ref.detailedNetwork(), ref_net_stats);
+
+    // Same co-simulation, detailed fabric in the server. With
+    // parallel=true the pool runs server-side.
+    FullSystem sys(Config(), remote);
+    Deliveries seen;
+    recordDeliveries(sys, seen);
+    Tick finish = sys.run(4000000);
+    ASSERT_TRUE(sys.allCoresDone());
+
+    EXPECT_EQ(finish, ref_finish);
+    EXPECT_EQ(seen, ref_seen);
+    EXPECT_EQ(hostStats(sys), hostStats(ref));
+    EXPECT_EQ(sys.packetsDelivered(), ref.packetsDelivered());
+    EXPECT_DOUBLE_EQ(sys.meanPacketLatency(), ref.meanPacketLatency());
+
+    // The reciprocal feedback evolved identically on both sides of
+    // the process boundary.
+    EXPECT_TRUE(sys.bridge().table().identicalTo(ref.bridge().table()));
+    ASSERT_NE(sys.remoteNetwork(), nullptr);
+
+    // The hosted network's statistics tree matches the in-process
+    // network's row for row, bit for bit.
+    StatRows net_stats;
+    for (const ipc::StatRow &row : sys.remoteNetwork()->fetchRemoteStats())
+        net_stats.emplace_back(row.path, row.sub, row.value);
+    EXPECT_EQ(net_stats, ref_net_stats);
 }
 
 TEST_F(RemoteCosim, ServerKillDegradesToTunedAbstract)
@@ -223,40 +282,43 @@ TEST_F(RemoteCosim, HungServerTripsTheReplyDeadline)
 
 TEST_F(RemoteCosim, CrossProcessCheckpointResumesIdentically)
 {
-    // Uninterrupted reference over the remote backend.
-    Tick ref_finish = 0;
-    std::uint64_t ref_delivered = 0;
-    double ref_latency = 0.0;
-    {
-        FullSystem ref(Config(), smallOptions(true));
-        ref_finish = ref.run(4000000);
-        ASSERT_TRUE(ref.allCoresDone());
-        ref_delivered = ref.packetsDelivered();
-        ref_latency = ref.meanPacketLatency();
+    for (noc::RouterKind router : routers) {
+        SCOPED_TRACE(config::nameOf(router, noc::router_names));
+        // Uninterrupted reference over the remote backend.
+        Tick ref_finish = 0;
+        std::uint64_t ref_delivered = 0;
+        double ref_latency = 0.0;
+        {
+            FullSystem ref(Config(), smallOptions(true, false, router));
+            ref_finish = ref.run(4000000);
+            ASSERT_TRUE(ref.allCoresDone());
+            ref_delivered = ref.packetsDelivered();
+            ref_latency = ref.meanPacketLatency();
+        }
+
+        // Interrupted run: checkpoint mid-flight (client + paired server
+        // image over the live session), tear the whole client down, then
+        // resume in a fresh FullSystem and finish.
+        std::string image;
+        {
+            FullSystem sys(Config(), smallOptions(true, false, router));
+            sys.run(ref_finish / 2); // stop mid-run at the tick limit
+            ASSERT_FALSE(sys.allCoresDone());
+            std::ostringstream os;
+            sys.saveTo(os);
+            image = os.str();
+        }
+
+        FullSystem resumed(Config(), smallOptions(true, false, router));
+        std::string why;
+        ASSERT_TRUE(resumed.restoreFromBytes(image, &why)) << why;
+        Tick finish = resumed.run(4000000);
+        ASSERT_TRUE(resumed.allCoresDone());
+
+        EXPECT_EQ(finish, ref_finish);
+        EXPECT_EQ(resumed.packetsDelivered(), ref_delivered);
+        EXPECT_DOUBLE_EQ(resumed.meanPacketLatency(), ref_latency);
     }
-
-    // Interrupted run: checkpoint mid-flight (client + paired server
-    // image over the live session), tear the whole client down, then
-    // resume in a fresh FullSystem and finish.
-    std::string image;
-    {
-        FullSystem sys(Config(), smallOptions(true));
-        sys.run(ref_finish / 2); // stop mid-run at the tick limit
-        ASSERT_FALSE(sys.allCoresDone());
-        std::ostringstream os;
-        sys.saveTo(os);
-        image = os.str();
-    }
-
-    FullSystem resumed(Config(), smallOptions(true));
-    std::string why;
-    ASSERT_TRUE(resumed.restoreFromBytes(image, &why)) << why;
-    Tick finish = resumed.run(4000000);
-    ASSERT_TRUE(resumed.allCoresDone());
-
-    EXPECT_EQ(finish, ref_finish);
-    EXPECT_EQ(resumed.packetsDelivered(), ref_delivered);
-    EXPECT_DOUBLE_EQ(resumed.meanPacketLatency(), ref_latency);
 }
 
 TEST_F(RemoteCosim, BackendMismatchedCheckpointIsRejected)

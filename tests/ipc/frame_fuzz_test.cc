@@ -102,7 +102,6 @@ buildCorpus()
 
     {
         HelloRequest req;
-        req.model = "cycle";
         req.params = smallMesh();
         req.start_tick = 4096;
         ArchiveWriter aw = beginMessage(MsgType::Hello);
@@ -462,7 +461,6 @@ TEST(FrameFuzz, TruncatedBodyIsRefused)
     // Half a Hello: the decoder runs out of fields mid-struct.
     ArchiveWriter aw = beginMessage(MsgType::Hello);
     aw.putU32(protocol_version);
-    aw.putString("cycle");
     std::string frame = sealFrame(std::move(aw));
 
     auto [w, r] = makePair();

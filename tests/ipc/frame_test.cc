@@ -273,7 +273,7 @@ TEST(Protocol, HelloRoundTrip)
 {
     auto [a, b] = makePair();
     HelloRequest req;
-    req.model = "deflection";
+    req.params.router = noc::RouterKind::Deflection;
     req.params.columns = 6;
     req.params.rows = 5;
     req.engine_workers = 4;
@@ -289,7 +289,7 @@ TEST(Protocol, HelloRoundTrip)
     HelloRequest got = decodeHello(msg->ar);
     msg->done();
     EXPECT_EQ(got.proto, protocol_version);
-    EXPECT_EQ(got.model, "deflection");
+    EXPECT_EQ(got.params.router, noc::RouterKind::Deflection);
     EXPECT_EQ(got.params.columns, 6);
     EXPECT_EQ(got.params.rows, 5);
     EXPECT_EQ(got.engine_workers, 4);

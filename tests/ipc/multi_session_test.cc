@@ -61,7 +61,6 @@ clientOptions(const std::string &addr, int seat)
 {
     remote::RemoteOptions ro;
     ro.socket = addr;
-    ro.model = "cycle";
     // Vary the hosted engine across seats; bit-identity is per-seat
     // (solo counterpart uses the same options).
     ro.engine_workers = (seat % 2) ? 2 : 0;

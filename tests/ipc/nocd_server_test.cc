@@ -164,12 +164,14 @@ TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 
 TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
 {
-    // A newer peer, a v8 peer whose Hello still carries the shadow
+    // A newer peer, a v9 peer whose Hello still carries a model
+    // string, a v8 peer whose Hello still carries the shadow
     // latency table's record, a v6 peer that may still send the
     // retired Ping/Pong pair, a v5 peer whose Hello still carries a
     // kernel string, and a v4 peer that would still send the retired
     // two-frame quantum exchange.
-    for (std::uint32_t proto : {protocol_version + 1, 8u, 6u, 5u, 4u}) {
+    for (std::uint32_t proto :
+         {protocol_version + 1, 9u, 8u, 6u, 5u, 4u}) {
         Fd fd = connect();
         HelloRequest req;
         req.proto = proto;
@@ -191,11 +193,14 @@ TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
 
 TEST_F(ServerFixture, UnknownModelIsRejected)
 {
+    // The NoC record's noc.router names the hosted router
+    // (hand-encoded: no client can spell another value).
     Fd fd = connect();
-    HelloRequest req;
-    req.model = "quantum-foam";
     ArchiveWriter aw = beginMessage(MsgType::Hello);
-    encodeHello(aw, req);
+    aw.putU32(protocol_version);
+    config::putRecord(aw, {{"noc.router", "quantum-foam"}});
+    aw.putU32(0);
+    aw.putU64(0);
     Message rep = call(fd, std::move(aw));
     ASSERT_EQ(rep.type, MsgType::ErrorReply);
     try {
@@ -203,8 +208,10 @@ TEST_F(ServerFixture, UnknownModelIsRejected)
         FAIL() << "throwDecodedError returned";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::Config);
-        EXPECT_NE(std::string(e.what()).find("unknown hosted model"),
-                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find(
+                      "unknown noc.router 'quantum-foam'"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -219,7 +226,6 @@ TEST_F(ServerFixture, BadHelloIsATypedConfigErrorAndTheServerLivesOn)
     // client can spell it).
     ArchiveWriter misspelled = beginMessage(MsgType::Hello);
     misspelled.putU32(protocol_version);
-    misspelled.putString("cycle");
     config::putRecord(misspelled, {{"noc.colums", "4"}});
     misspelled.putU32(0);
     misspelled.putU64(0);

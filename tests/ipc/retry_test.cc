@@ -162,6 +162,19 @@ TEST(ConfigHygiene, MisspelledChaosAndRetryKeysStayUnread)
     EXPECT_EQ(cfg.unreadKeysWithPrefix("server."),
               (std::vector<std::string>{"server.address",
                                         "server.speculate"}));
+
+    // remote.model retired into noc.router: its old default is read
+    // and accepted, any other value is refused before the run instead
+    // of silently hosting the VC router.
+    Config old;
+    old.parseArg("remote.model=cycle");
+    (void)config::parse<cosim::FullSystemOptions>(old);
+    EXPECT_TRUE(old.unreadKeysWithPrefix("remote.").empty());
+    Config defl;
+    defl.parseArg("remote.model=deflection");
+    EXPECT_SIM_ERROR(config::parse<cosim::FullSystemOptions>(defl),
+                     "unknown remote.model 'deflection' (cycle is its "
+                     "only value)");
 }
 
 } // namespace

@@ -266,9 +266,11 @@ class ChaosDifferential : public ::testing::Test
 
 template <typename Net>
 void
-chaosMatchesDirect(const std::string &addr, const std::string &model)
+chaosMatchesDirect(const std::string &addr, RouterKind router)
 {
+    const char *model = config::nameOf(router, router_names);
     NocParams p;
+    p.router = router;
     p.columns = 8;
     p.rows = 8;
     RunResult direct = runDirect<Net>(p);
@@ -276,26 +278,25 @@ chaosMatchesDirect(const std::string &addr, const std::string &model)
 
     remote::RemoteOptions ro;
     ro.socket = addr;
-    ro.model = model;
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 4; // short journals, frequent base refreshes
     RunResult chaos = runChaos(p, ro, chaosPlan(0xc4a05));
 
     EXPECT_GT(chaos.faults, 0u) << "the chaos plan never fired";
     EXPECT_GT(chaos.retries, 0.0);
-    expectSameResults(chaos, direct, model.c_str());
+    expectSameResults(chaos, direct, model);
 }
 
 TEST_F(ChaosDifferential, CycleRunUnderChaosIsBitIdentical)
 {
     startServer();
-    chaosMatchesDirect<CycleNetwork>(addr(), "cycle");
+    chaosMatchesDirect<CycleNetwork>(addr(), RouterKind::Vc);
 }
 
 TEST_F(ChaosDifferential, DeflectionRunUnderChaosIsBitIdentical)
 {
     startServer();
-    chaosMatchesDirect<DeflectionNetwork>(addr(), "deflection");
+    chaosMatchesDirect<DeflectionNetwork>(addr(), RouterKind::Deflection);
 }
 
 TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
@@ -355,17 +356,18 @@ TEST_F(ChaosDifferential, SameSeedChaosRunsAreExactlyReproducible)
 
 template <typename Net>
 void
-restartMatchesDirect(const std::string &addr, const std::string &model,
+restartMatchesDirect(const std::string &addr, RouterKind router,
                      const std::function<void()> &restart)
 {
+    const char *model = config::nameOf(router, router_names);
     NocParams p;
+    p.router = router;
     p.columns = 8;
     p.rows = 8;
     RunResult direct = runDirect<Net>(p);
 
     remote::RemoteOptions ro;
     ro.socket = addr;
-    ro.model = model;
     ro.retry = chaosRetry();
     ro.ckpt_quanta = 1; // refresh the base image every quantum
     // The server dies right after the quantum at tick 2000, while the
@@ -374,14 +376,14 @@ restartMatchesDirect(const std::string &addr, const std::string &model,
     // latest base image.
     RunResult run = runChaos(p, ro, std::nullopt, 1000, 2000, restart);
 
-    expectSameResults(run, direct, model.c_str());
+    expectSameResults(run, direct, model);
     EXPECT_GE(run.reconnects, 1.0);
 }
 
 TEST_F(ChaosDifferential, PrimaryKilledMidRunFailsOverBitIdentically)
 {
     startServer();
-    restartMatchesDirect<CycleNetwork>(addr(), "cycle",
+    restartMatchesDirect<CycleNetwork>(addr(), RouterKind::Vc,
                                        [this] { restartServer(); });
 }
 
@@ -389,7 +391,7 @@ TEST_F(ChaosDifferential,
        DeflectionPrimaryKilledMidRunFailsOverBitIdentically)
 {
     startServer();
-    restartMatchesDirect<DeflectionNetwork>(addr(), "deflection",
+    restartMatchesDirect<DeflectionNetwork>(addr(), RouterKind::Deflection,
                                             [this] { restartServer(); });
 }
 

@@ -7,7 +7,7 @@
  * must stay bit-identical to a serial one in every observable: the
  * delivery stream, the CRC-64 of the rendered stats dump, the archive
  * bytes at every quantum boundary, and a resume from an image taken
- * between switches — for both detailed networks.
+ * between switches — for both router organisations.
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +15,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "noc/cycle_network.hh"
-#include "noc/deflection_network.hh"
+#include "noc/detailed_network.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -104,9 +104,8 @@ struct Run
     std::vector<std::size_t> delivered; ///< deliveries after each
 };
 
-template <typename Net>
 std::string
-image(const Net &net)
+image(const DetailedNetwork &net)
 {
     ArchiveWriter aw;
     net.save(aw);
@@ -126,16 +125,18 @@ statsCrc(const stats::Group &g)
  * Run the bursts on @p engine (null: serial), starting from @p from
  * (an image taken after quantum @p from_q, or empty for a cold start).
  */
-template <typename Net>
 Run
-runBursts(StepEngine *engine, const std::string &from = "",
-          int from_q = -1)
+runBursts(RouterKind router, StepEngine *engine,
+          const std::string &from = "", int from_q = -1)
 {
     Simulation sim;
     NocParams p;
+    p.router = router;
     p.columns = side;
     p.rows = side;
-    Net net(sim, "net", p);
+    std::unique_ptr<DetailedNetwork> owned =
+        makeDetailedNetwork(sim, "net", p);
+    DetailedNetwork &net = *owned;
     if (engine)
         net.setEngine(engine);
     Run r;
@@ -168,17 +169,16 @@ runBursts(StepEngine *engine, const std::string &from = "",
     return r;
 }
 
-template <typename Net>
 void
-expectSwitchingRunsBitIdentical()
+expectSwitchingRunsBitIdentical(RouterKind router)
 {
-    Run serial = runBursts<Net>(nullptr);
+    Run serial = runBursts(router, nullptr);
     ASSERT_GT(serial.deliveries.size(), 2000u);
 
     // The default threshold: the rule itself does the switching.
     ParallelEngine pool(2);
     SwitchCounter counter(pool);
-    Run pooled = runBursts<Net>(&counter);
+    Run pooled = runBursts(router, &counter);
     EXPECT_GE(counter.switches, 10u) << counter.switches;
     EXPECT_GT(pool.pooledPhases(), 0u);
     EXPECT_LT(pool.pooledPhases(), pool.phasesRun());
@@ -203,7 +203,7 @@ expectSwitchingRunsBitIdentical()
     for (StepEngine *engine : {static_cast<StepEngine *>(&resume_counter),
                                static_cast<StepEngine *>(nullptr)}) {
         Run tail =
-            runBursts<Net>(engine, pooled.images[save_q], save_q);
+            runBursts(router, engine, pooled.images[save_q], save_q);
         EXPECT_EQ(tail.deliveries, want);
         EXPECT_EQ(tail.stats_crc, serial.stats_crc);
         for (std::size_t k = 0; k < tail.images.size(); ++k)
@@ -215,12 +215,12 @@ expectSwitchingRunsBitIdentical()
 
 TEST(EngineSwitch, CycleNetworkBitIdenticalAcrossSwitches)
 {
-    expectSwitchingRunsBitIdentical<CycleNetwork>();
+    expectSwitchingRunsBitIdentical(RouterKind::Vc);
 }
 
 TEST(EngineSwitch, DeflectionNetworkBitIdenticalAcrossSwitches)
 {
-    expectSwitchingRunsBitIdentical<DeflectionNetwork>();
+    expectSwitchingRunsBitIdentical(RouterKind::Deflection);
 }
 
 } // namespace

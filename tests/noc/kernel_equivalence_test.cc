@@ -385,7 +385,7 @@ TEST(KernelEquivalence, StatsVisibleAfterEveryAdvance)
             soa.advanceTo(t);
             ASSERT_EQ(soa.deliveredCount(), object.deliveredCount())
                 << "stride " << stride << " tick " << t;
-            saw_idle = saw_idle || object.inFlight() == 0;
+            saw_idle = saw_idle || object.idle();
             for (std::size_t i = 0; i < object.numNodes(); ++i) {
                 kernel::RouterActivity a = object.routerActivity(i);
                 kernel::RouterActivity b = soa.routerActivity(i);
@@ -397,7 +397,7 @@ TEST(KernelEquivalence, StatsVisibleAfterEveryAdvance)
             }
             ASSERT_EQ(relativeStats(soa), relativeStats(object))
                 << "stride " << stride << " tick " << t;
-            if (!saved && t >= 730 && object.inFlight() > 0) {
+            if (!saved && t >= 730 && !object.idle()) {
                 ArchiveWriter ao, as;
                 object.save(ao);
                 soa.save(as);

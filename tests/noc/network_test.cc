@@ -175,7 +175,7 @@ TEST(CycleNetwork, ConservationNoLossNoDuplication)
     for (const auto &[id, count] : seen)
         EXPECT_EQ(count, 1) << "packet " << id;
     EXPECT_TRUE(f.net.idle());
-    EXPECT_EQ(f.net.inFlight(), 0u);
+    EXPECT_EQ(f.net.accounting()->in_flight, 0u);
 }
 
 TEST(CycleNetwork, LatencyNeverBelowZeroLoadBound)

@@ -107,7 +107,6 @@ ObjectDeflectFabric::routeNode(int i, Cycle now)
         if (eject >= 0) {
             DFlit f = std::move(cand[eject]);
             cand.erase(cand.begin() + eject);
-            --s.fabric_delta;
             s.eject_deflections.push_back(f.deflections);
             PacketPtr pkt = f.pkt;
             // Hop accounting happens at ejection (not en route) so a
@@ -136,8 +135,6 @@ ObjectDeflectFabric::routeNode(int i, Cycle now)
         if (cand.size() < free_ports.size()) {
             DFlit f = std::move(inject_queues_[i].front());
             inject_queues_[i].pop_front();
-            --s.queued_delta;
-            ++s.fabric_delta;
             f.birth = now;
             if (f.seq == 0)
                 f.pkt->enter_tick = now;

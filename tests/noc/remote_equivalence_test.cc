@@ -115,12 +115,11 @@ runDirect(const NocParams &p,
 /** The same run, with the network living in a rasim-nocd server. */
 RunResult
 runRemote(const NocParams &p, const std::string &addr,
-          const std::string &model, int server_workers)
+          int server_workers)
 {
     Simulation sim;
     remote::RemoteOptions ro;
     ro.socket = addr;
-    ro.model = model;
     ro.engine_workers = server_workers;
     remote::RemoteNetwork net(sim, "rnet", p, ro);
     RunResult r;
@@ -181,17 +180,17 @@ class RemoteEquivalence : public ::testing::Test
 
     template <typename Net>
     void
-    expectRemoteMatchesDirect(const std::string &model)
+    expectRemoteMatchesDirect(RouterKind router)
     {
         NocParams p;
+        p.router = router;
         p.columns = 8;
         p.rows = 8;
         RunResult direct = runDirect<Net>(p);
         ASSERT_EQ(direct.deliveries.size(), 600u);
 
         for (int workers : {0, 4}) {
-            RunResult remote =
-                runRemote(p, addr_, model, workers);
+            RunResult remote = runRemote(p, addr_, workers);
 
             ASSERT_EQ(remote.deliveries.size(),
                       direct.deliveries.size())
@@ -220,12 +219,12 @@ class RemoteEquivalence : public ::testing::Test
 
 TEST_F(RemoteEquivalence, CycleNetworkBitIdentical)
 {
-    expectRemoteMatchesDirect<CycleNetwork>("cycle");
+    expectRemoteMatchesDirect<CycleNetwork>(RouterKind::Vc);
 }
 
 TEST_F(RemoteEquivalence, DeflectionNetworkBitIdentical)
 {
-    expectRemoteMatchesDirect<DeflectionNetwork>("deflection");
+    expectRemoteMatchesDirect<DeflectionNetwork>(RouterKind::Deflection);
 }
 
 TEST_F(RemoteEquivalence, SoaKernelHostedRemotelyBitIdentical)
@@ -238,9 +237,11 @@ TEST_F(RemoteEquivalence, SoaKernelHostedRemotelyBitIdentical)
     p.columns = 8;
     p.rows = 8;
 
-    auto check = [&](const std::string &model, RunResult &direct) {
+    auto check = [&](RouterKind router, RunResult &direct) {
+        const char *model = config::nameOf(router, router_names);
+        p.router = router;
         for (int workers : {0, 4}) {
-            RunResult remote = runRemote(p, addr_, model, workers);
+            RunResult remote = runRemote(p, addr_, workers);
             ASSERT_EQ(remote.deliveries.size(),
                       direct.deliveries.size())
                 << model << " soa workers=" << workers;
@@ -256,12 +257,12 @@ TEST_F(RemoteEquivalence, SoaKernelHostedRemotelyBitIdentical)
 
     RunResult cyc = runDirect<CycleNetwork>(p, oracle::Kernel::Object);
     ASSERT_EQ(cyc.deliveries.size(), 600u);
-    check("cycle", cyc);
+    check(RouterKind::Vc, cyc);
 
     RunResult def =
         runDirect<DeflectionNetwork>(p, oracle::Kernel::Object);
     ASSERT_EQ(def.deliveries.size(), 600u);
-    check("deflection", def);
+    check(RouterKind::Deflection, def);
 }
 
 TEST_F(RemoteEquivalence, ServerLossSurfacesAsSimErrorThenReconnects)

@@ -134,10 +134,9 @@ TEST(Archive, FutureVersionRejected)
 
 TEST(Archive, OlderVersionRejected)
 {
-    // An image of the previous format (5: the meta record still
-    // carries sim.clock_period and the health section a copy of the
-    // bridge's state) must be refused up front by its version, not
-    // misparsed.
+    // An image of the previous format (6: the meta record has no
+    // noc.router and the nocd section still carries a model string)
+    // must be refused up front by its version, not misparsed.
     std::string image = sampleArchive();
     image[8] = static_cast<char>(ArchiveWriter::format_version - 1);
     std::uint32_t crc = rasim::crc32(image.data(), image.size() - 4);
@@ -147,7 +146,7 @@ TEST(Archive, OlderVersionRejected)
     }
     ArchiveReader ar(std::move(image));
     EXPECT_FALSE(ar.ok());
-    EXPECT_NE(ar.error().find("unsupported archive version 5 (expected 6)"),
+    EXPECT_NE(ar.error().find("unsupported archive version 6 (expected 7)"),
               std::string::npos)
         << ar.error();
 }
